@@ -18,7 +18,7 @@ vet:
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Domain-specific static analysis: the fourteen-analyzer medalint suite
+# Domain-specific static analysis: the thirteen-analyzer medalint suite
 # over the whole tree (incrementally cached under .medalint-cache), plus
 # the strict dropped-error audit over the command mains (see internal/lint
 # and DESIGN.md §13/§15).

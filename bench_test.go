@@ -118,10 +118,9 @@ func BenchmarkTableVSynthesis(b *testing.B) {
 	}
 }
 
-// BenchmarkTableVSynthesisParallel compares the sequential and chunk-parallel
-// solver paths on the largest Table V row (30×30 area, 4×4 droplet). The
-// "gauss-seidel" and "jacobi-seq" sub-runs are the sequential references; the
-// "jacobi-par" sub-run uses GOMAXPROCS sweep workers over the CSR matrix.
+// BenchmarkTableVSynthesisParallel compares the solver methods on the
+// largest Table V row (30×30 area, 4×4 droplet): "gauss-seidel" is the
+// default solver and "jacobi-seq" its differential reference.
 func BenchmarkTableVSynthesisParallel(b *testing.B) {
 	worn := func(x, y int) float64 { return 0.81 }
 	rj := route.RJ{
@@ -130,18 +129,15 @@ func BenchmarkTableVSynthesisParallel(b *testing.B) {
 		Hazard: meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
 	}
 	variants := []struct {
-		name    string
-		method  mdp.SolverMethod
-		workers int
+		name   string
+		method mdp.SolverMethod
 	}{
-		{"gauss-seidel", mdp.GaussSeidel, 0},
-		{"jacobi-seq", mdp.Jacobi, 1},
-		{"jacobi-par", mdp.Jacobi, 0}, // 0 = GOMAXPROCS sweep workers
+		{"gauss-seidel", mdp.GaussSeidel},
+		{"jacobi-seq", mdp.Jacobi},
 	}
 	for _, v := range variants {
 		opt := synth.DefaultOptions()
 		opt.Solver.Method = v.method
-		opt.Solver.Workers = v.workers
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := synth.Synthesize(rj, worn, opt)
@@ -241,7 +237,7 @@ func BenchmarkAblationHealthBits(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				runner := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(), src.Split("sim"))
+				runner := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim"))
 				// Reuse the chip so sensing resolution matters: finer b
 				// detects wear earlier and keeps late runs shorter.
 				for e := 0; e < 6; e++ {
@@ -330,7 +326,7 @@ func BenchmarkAblationResynthesis(b *testing.B) {
 				}
 				simCfg := sim.DefaultConfig()
 				simCfg.MinResynthInterval = interval
-				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(), src.Split("sim"))
+				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim"))
 				resyntheses = 0
 				for e := 0; e < 6; e++ {
 					exec, err := runner.Execute(plan)
@@ -370,14 +366,14 @@ func BenchmarkAblationResynthesisCache(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			a := sched.NewAdaptive()
+			a := sched.NewAdaptive(sched.DefaultCacheSize)
 			if _, _, err := a.Route(job, c, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		a := sched.NewAdaptive()
+		a := sched.NewAdaptive(sched.DefaultCacheSize)
 		if _, _, err := a.Route(job, c, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -467,7 +463,7 @@ func BenchmarkAblationActivationOrder(b *testing.B) {
 				}
 				simCfg := sim.DefaultConfig()
 				simCfg.WearAwareActivation = wearAware
-				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(), src.Split("sim"))
+				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim"))
 				for e := 0; e < 6; e++ {
 					exec, err := runner.Execute(plan)
 					if err != nil {
@@ -516,7 +512,7 @@ func BenchmarkAblationRecovery(b *testing.B) {
 				}
 				var router sched.Router = sched.NewBaseline()
 				if v.adaptive {
-					router = sched.NewAdaptive()
+					router = sched.NewAdaptive(sched.DefaultCacheSize)
 				}
 				runner := sim.NewRunner(simCfg, c, router, src.Split("sim"))
 				exec, err := runner.Execute(plan)

@@ -164,7 +164,7 @@ func TestUniformHealthSharesCanonicalCacheEntry(t *testing.T) {
 		Goal:   meda.Rect{XA: 12, YA: 8, XB: 14, YB: 10},
 		Hazard: meda.Rect{XA: 1, YA: 1, XB: 15, YB: 11},
 	}
-	a := sched.NewAdaptive()
+	a := sched.NewAdaptive(sched.DefaultCacheSize)
 	p, _, err := a.Route(job, c, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestNonUniformHealthBypassesCanonicalization(t *testing.T) {
 	if _, uniform := c.UniformHealth(job.Hazard); uniform {
 		t.Fatal("fixture failed to produce a non-uniform window")
 	}
-	a := sched.NewAdaptive()
+	a := sched.NewAdaptive(sched.DefaultCacheSize)
 	if _, _, err := a.Route(job, c, nil); err != nil {
 		t.Fatal(err)
 	}

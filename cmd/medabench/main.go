@@ -5,11 +5,11 @@
 //
 // The suite covers the synthesis hot path of Table V (model construction +
 // value iteration), cold vs pooled-arena model construction, the solver
-// comparison (gauss-seidel, jacobi seq/par, prioritized), the cold-vs-warm
+// comparison (gauss-seidel against its jacobi reference), the cold-vs-warm
 // strategy cache for re-synthesis, the D4-canonical cache serving a whole
 // symmetry class of jobs from one synthesis, and the sequential-vs-concurrent
 // assay executor on a contention-heavy generated workload. Derived ratios
-// (parallel_speedup, warm_cache_speedup, pooled_construction_speedup,
+// (warm_cache_speedup, pooled_construction_speedup,
 // canonicalization_hit_rate, concurrent_cycle_reduction) are computed from
 // the same runs.
 package main
@@ -52,7 +52,7 @@ type report struct {
 	Benchmarks []result           `json:"benchmarks"`
 	Derived    map[string]float64 `json:"derived"`
 	// Telemetry is the process-wide counter snapshot after all benchmark
-	// runs — VI sweep totals, cache hits/misses, pool activity — so the
+	// runs — VI sweep totals, cache hits/misses, arena reuse — so the
 	// recorded timings can be cross-checked against how much work actually
 	// happened (e.g. a "speedup" from accidentally cached solves shows up
 	// as a hit/solve ratio shift).
@@ -138,9 +138,8 @@ func main() {
 	})
 	rep.Derived["pooled_construction_speedup"] = construct.NsPerOp / pooled.NsPerOp
 
-	// Solver comparison on one 30×30 model: Gauss-Seidel (sequential),
-	// Jacobi with one worker (sequential sweep), Jacobi with GOMAXPROCS
-	// workers (chunk-parallel sweep).
+	// Solver comparison on one 30×30 model: Gauss-Seidel (the default) and
+	// Jacobi (its differential reference).
 	model, err := smg.Induce(
 		meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
 		meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
@@ -159,14 +158,8 @@ func main() {
 			}
 		}
 	}
-	gs := record(rep, "solver/gauss-seidel", solve(mdp.SolveOptions{Method: mdp.GaussSeidel}))
-	j1 := record(rep, "solver/jacobi-seq", solve(mdp.SolveOptions{Method: mdp.Jacobi, Workers: 1}))
-	jp := record(rep, fmt.Sprintf("solver/jacobi-par%d", runtime.GOMAXPROCS(0)),
-		solve(mdp.SolveOptions{Method: mdp.Jacobi, Workers: 0}))
-	pr := record(rep, "solver/prioritized", solve(mdp.SolveOptions{Method: mdp.Prioritized}))
-	rep.Derived["parallel_speedup_vs_jacobi_seq"] = j1.NsPerOp / jp.NsPerOp
-	rep.Derived["parallel_speedup_vs_gauss_seidel"] = gs.NsPerOp / jp.NsPerOp
-	rep.Derived["prioritized_vs_gauss_seidel"] = gs.NsPerOp / pr.NsPerOp
+	record(rep, "solver/gauss-seidel", solve(mdp.SolveOptions{Method: mdp.GaussSeidel}))
+	record(rep, "solver/jacobi-seq", solve(mdp.SolveOptions{Method: mdp.Jacobi}))
 
 	// Re-synthesis: cold (synthesize every time) vs warm (health-keyed
 	// strategy cache hit). The chip region is degraded so the library fast
@@ -188,13 +181,13 @@ func main() {
 	}
 	cold := record(rep, "resynthesis/cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			a := sched.NewAdaptive() // fresh router: empty cache every time
+			a := sched.NewAdaptive(sched.DefaultCacheSize) // fresh router: empty cache every time
 			if _, _, err := a.Route(job, c, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	warmRouter := sched.NewAdaptive()
+	warmRouter := sched.NewAdaptive(sched.DefaultCacheSize)
 	if _, _, err := warmRouter.Route(job, c, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
 		os.Exit(1)
@@ -251,7 +244,7 @@ func main() {
 			}
 		}
 	}
-	canonRouter := sched.NewAdaptive()
+	canonRouter := sched.NewAdaptive(sched.DefaultCacheSize)
 	for _, j := range jobs { // one pass to measure the hit rate
 		if _, _, err := canonRouter.Route(j, uc, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
@@ -339,8 +332,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("\nparallel speedup (jacobi seq → par): %.2fx\n", rep.Derived["parallel_speedup_vs_jacobi_seq"])
-	fmt.Printf("warm-cache speedup (cold → warm):    %.0fx\n", rep.Derived["warm_cache_speedup"])
+	fmt.Printf("\nwarm-cache speedup (cold → warm):    %.0fx\n", rep.Derived["warm_cache_speedup"])
 	fmt.Printf("pooled construction speedup:         %.2fx\n", rep.Derived["pooled_construction_speedup"])
 	fmt.Printf("canonicalization hit rate:           %.1f%% (%.0f jobs per synthesis)\n",
 		100*rep.Derived["canonicalization_hit_rate"], rep.Derived["canonicalization_jobs_per_synthesis"])

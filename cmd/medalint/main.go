@@ -3,7 +3,7 @@
 // story that the Go type system cannot see:
 //
 // Source mode (the default) runs the medalint analyzer suite — floatcmp,
-// chipaccess, ctxcancel, lockorder, nilstrategy, errflow, snapshotflow,
+// chipaccess, lockorder, nilstrategy, errflow, snapshotflow,
 // lockheld, detpure, goroutineleak, chanprotocol, gridbounds, probflow,
 // hotalloc — over Go packages and prints compiler-style findings, or with
 // -json one JSON object per finding per line (pos, analyzer, message) for

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"meda"
+	"meda/internal/sched"
 	"meda/internal/telemetry"
 	"meda/pkg/api"
 )
@@ -30,7 +31,6 @@ func main() {
 	injectSeed := flag.Uint64("inject-seed", 0, "soft-fault seed (0 = simulation seed)")
 	file := flag.String("file", "", "run a custom assay from a .assay description file instead of a named benchmark")
 	concurrent := flag.Bool("concurrent", false, "route all ready operations concurrently instead of one hazard zone at a time")
-	workers := flag.Int("workers", 0, "background synthesis workers for the adaptive router (0 = GOMAXPROCS, negative = synchronous routing)")
 	cacheSize := flag.Int("cache", -1, "strategy-cache bound for the adaptive router (0 disables, negative = default)")
 	traceFile := flag.String("trace", "", "write telemetry spans as JSONL to this file")
 	remote := flag.String("remote", "", "medad fleet-service URL: submit the assay there instead of simulating locally")
@@ -164,11 +164,7 @@ func main() {
 		}
 		var r meda.Router
 		if name == "adaptive" {
-			if *workers < 0 {
-				r = meda.NewAdaptiveRouter()
-			} else {
-				r = meda.NewParallelAdaptiveRouter(*workers, *cacheSize)
-			}
+			r = sched.NewAdaptive(*cacheSize)
 		} else {
 			r = meda.NewBaselineRouter()
 		}

@@ -216,8 +216,8 @@ func (c *Chip) ObservedForceField() action.ForceField {
 // by a two-cell margin for double-step frontiers, clipped to the chip) into
 // a dense buffer and returns a field backed by that copy. Unlike
 // ObservedForceField, the returned field never touches live chip state, so
-// it is safe to hand to a background synthesis worker while the simulator
-// keeps actuating the chip. Cells outside the snapshot read 0, the same as
+// it is safe to hand to another goroutine while the simulator keeps
+// actuating the chip. Cells outside the snapshot read 0, the same as
 // off-chip cells.
 func (c *Chip) SnapshotForceField(region geom.Rect) action.ForceField {
 	r, ok := region.Expand(2).Intersect(c.Bounds())

@@ -384,8 +384,8 @@ func TestFaultModelSeesActuationCount(t *testing.T) {
 }
 
 // TestSnapshotForceFieldCarriesFaults: a snapshot taken under an attached
-// fault model bakes the perturbed readings in — background synthesis
-// workers plan against the faulted observation, like the live path.
+// fault model bakes the perturbed readings in — a synthesis planned on
+// another goroutine sees the faulted observation, like the live path.
 func TestSnapshotForceFieldCarriesFaults(t *testing.T) {
 	c := newTestChip(t, Default(), 5)
 	clean := c.SnapshotForceField(rect(5, 5, 10, 10))(7, 7)

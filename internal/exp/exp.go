@@ -30,20 +30,15 @@ import (
 	"meda/internal/sim"
 )
 
-// Router configuration for the drivers, set once from command-line flags
-// before any experiment runs (not safe to change mid-experiment). The
-// defaults build the synchronous, deterministic adaptive router.
-var (
-	routerWorkers   = -1 // negative: no background synthesis pool
-	routerCacheSize = -1 // negative: default cache bound; 0 disables
-)
+// Strategy-cache bound for the drivers' adaptive routers, set once from
+// command-line flags before any experiment runs (not safe to change
+// mid-experiment). Negative keeps the default bound; 0 disables the cache.
+var routerCacheSize = -1
 
-// SetRouterConfig configures how experiment drivers build adaptive routers:
-// workers >= 0 enables a background synthesis pool of that size (0 means
-// GOMAXPROCS); cacheSize bounds the strategy cache (0 disables it, negative
-// keeps the default). Call before running any driver.
-func SetRouterConfig(workers, cacheSize int) {
-	routerWorkers = workers
+// SetCacheSize bounds the strategy cache of every adaptive router the
+// experiment drivers build (0 disables it, negative keeps the default).
+// Call before running any driver.
+func SetCacheSize(cacheSize int) {
 	routerCacheSize = cacheSize
 }
 
@@ -83,25 +78,12 @@ func baseSimConfig() sim.Config {
 	return cfg
 }
 
-// newAdaptive builds an adaptive router per the configured parallelism.
-func newAdaptive() *sched.Adaptive {
-	if routerWorkers < 0 {
-		a := sched.NewAdaptive()
-		if routerCacheSize == 0 {
-			a.Cache = nil
-		} else if routerCacheSize > 0 {
-			a.Cache = sched.NewCache(routerCacheSize)
-		}
-		return a
-	}
-	return sched.NewAdaptiveParallel(routerWorkers, routerCacheSize)
-}
-
-// adaptiveRouter is newAdaptive plus the degradation ladder: under fault
-// injection the adaptive router is wrapped in a Fallback so injected
-// synthesis timeouts retry and then fall back to the baseline router.
+// adaptiveRouter builds an adaptive router with the configured cache bound,
+// plus the degradation ladder: under fault injection the adaptive router is
+// wrapped in a Fallback so injected synthesis timeouts retry and then fall
+// back to the baseline router.
 func adaptiveRouter() sched.Router {
-	a := newAdaptive()
+	a := sched.NewAdaptive(routerCacheSize)
 	if faultPlan.Enabled() {
 		return sched.NewFallback(a, sched.NewBaseline())
 	}

@@ -241,7 +241,7 @@ type stuckCell struct {
 
 // Injector makes every fault decision for one chip. It holds no mutable
 // state beyond telemetry bookkeeping, so it is safe for concurrent use by
-// the simulator and background synthesis workers.
+// the simulator and concurrent Route calls.
 type Injector struct {
 	plan  Plan
 	w, h  int

@@ -25,8 +25,8 @@ type Fact interface {
 
 // FactStore carries facts across the packages of one driver run. The
 // driver analyzes packages in dependency order (imports first), so a pass
-// importing a fact about synth.Pool.Wait finds what the pass over
-// meda/internal/synth exported. The store is not safe for concurrent use;
+// importing a fact about a function of an imported package finds what the
+// pass over that package exported. The store is not safe for concurrent use;
 // the driver runs passes sequentially.
 type FactStore struct {
 	objects  map[objectFactKey]Fact

@@ -9,13 +9,13 @@ import (
 )
 
 // ChipAccess flags uses of chip.Chip from code that runs on another
-// goroutine: function literals launched with a go statement or handed to
-// synth.Pool (Go, TryGo). chip.Chip is deliberately unsynchronized — the
-// simulator owns it — so background synthesis must work from an immutable
-// snapshot taken on the submitting goroutine (chip.SnapshotForceField),
-// never from the live chip. This is the static counterpart of the -race
-// runs in make verify: it catches the pattern even on paths no test
-// happens to race.
+// goroutine: methods and function literals launched with a go statement.
+// chip.Chip is deliberately unsynchronized — the simulator owns it, and the
+// fleet service runs each chip on its own worker goroutine — so code on
+// another goroutine must work from an immutable snapshot taken on the
+// launching goroutine (chip.SnapshotForceField), never from the live chip.
+// This is the static counterpart of the -race runs in make verify: it
+// catches the pattern even on paths no test happens to race.
 var ChipAccess = &analysis.Analyzer{
 	Name: "chipaccess",
 	Doc:  "flags reads of live chip.Chip state from background goroutines",
@@ -23,7 +23,6 @@ var ChipAccess = &analysis.Analyzer{
 }
 
 const chipPkgPath = "meda/internal/chip"
-const synthPkgPath = "meda/internal/synth"
 
 func runChipAccess(pass *analysis.Pass) error {
 	reported := make(map[token.Pos]bool)
@@ -50,27 +49,19 @@ func runChipAccess(pass *analysis.Pass) error {
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				// go c.Method(...) runs Method itself asynchronously;
-				// go func(){...}(...) runs the literal's body.
-				if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok {
-					if isChipType(pass.TypesInfo.Types[sel.X].Type) {
-						report(sel.Sel.Pos(), sel.Sel.Name)
-					}
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			// go c.Method(...) runs Method itself asynchronously;
+			// go func(){...}(...) runs the literal's body.
+			if sel, ok := g.Call.Fun.(*ast.SelectorExpr); ok {
+				if isChipType(pass.TypesInfo.Types[sel.X].Type) {
+					report(sel.Sel.Pos(), sel.Sel.Name)
 				}
-				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					scanAsync(lit.Body)
-				}
-			case *ast.CallExpr:
-				if !isPoolSubmission(pass.TypesInfo, n) {
-					return true
-				}
-				for _, arg := range n.Args {
-					if lit, ok := arg.(*ast.FuncLit); ok {
-						scanAsync(lit.Body)
-					}
-				}
+			}
+			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+				scanAsync(lit.Body)
 			}
 			return true
 		})
@@ -98,22 +89,4 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 	}
 	obj := n.Obj()
 	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
-// isPoolSubmission reports whether call invokes a job-accepting method of
-// synth.Pool (Go or TryGo).
-func isPoolSubmission(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s := info.Selections[sel]
-	if s == nil {
-		return false
-	}
-	fn, ok := s.Obj().(*types.Func)
-	if !ok || (fn.Name() != "Go" && fn.Name() != "TryGo") {
-		return false
-	}
-	return isNamed(s.Recv(), synthPkgPath, "Pool")
 }

@@ -12,10 +12,8 @@ import (
 
 // ErrFlow flags error values that are assigned but never consumed: an
 // error variable overwritten by a later assignment before any read, or
-// still unread on a path that leaves the function. This is the
-// flow-sensitive upgrade of ctxcancel's Future-error rule: where ctxcancel
-// checks single expressions, errflow follows each error variable through
-// the function's CFG, so `err = f(); err = g()` is caught even across
+// still unread on a path that leaves the function. errflow follows each
+// error variable through the function's CFG, so `err = f(); err = g()` is caught even across
 // branches, while `err = f(); if cond { return err }; use(err)` is not.
 //
 // Any read counts as consumption — a comparison, a return, passing the

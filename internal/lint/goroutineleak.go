@@ -14,7 +14,7 @@ import (
 // whole-program upgrade of lockheld's MayBlock reasoning. A goroutine
 // launched with `go` that sends on an unbuffered channel nobody ever
 // receives from (or receives from a channel nothing sends to or closes)
-// parks permanently: under fleet load, every leaked prefetch or shutdown
+// parks permanently: under fleet load, every leaked worker or shutdown
 // goroutine is memory and a semaphore slot that never comes back.
 //
 // The analyzer reasons per enclosing function over the channels it creates

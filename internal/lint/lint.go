@@ -1,23 +1,21 @@
 // Package lint is the medalint analyzer suite: domain-specific static
 // checks that guard the invariants the synthesis engine's correctness
 // argument rests on (Sec. VI-C's SMG→MDP reduction and the concurrent
-// synthesis path of Alg. 3). The fourteen default analyzers are
+// routing paths of Alg. 3). The thirteen default analyzers are
 //
 //	floatcmp      — no raw ==/!= on floating-point probabilities, forces or
 //	                values outside approved epsilon helpers
 //	chipaccess    — background goroutines must not read live chip.Chip
 //	                state; they get snapshots (chip.SnapshotForceField)
-//	ctxcancel     — synth.Pool submissions must keep the returned
-//	                handle/started flag, and Future errors must be checked
 //	lockorder     — mutexes in sched/synth are acquired in one global order
 //	nilstrategy   — a policy produced by a lookup reporting !ok must not
 //	                flow to a use without an ok/nil check on the path
 //	errflow       — an error assigned to a variable must be checked before
 //	                it is overwritten or the function returns
 //	snapshotflow  — live force-field closures derived from a chip.Chip must
-//	                not cross into goroutines or pool submissions
-//	lockheld      — no potentially blocking call (channel op, Pool/Future
-//	                waits, solver entry points) while a mutex is held
+//	                not cross into goroutines
+//	lockheld      — no potentially blocking call (channel op, WaitGroup
+//	                wait, or a call that may reach one) while a mutex is held
 //	detpure       — functions declaring //meda:deterministic must not reach
 //	                a nondeterminism source, however many call frames down
 //	goroutineleak — goroutines must not block forever on channels with no
@@ -34,7 +32,7 @@
 //	                allocations, interface boxing, closures, defer, or map
 //	                iteration, however many call frames down
 //
-// (errflowstrict, the fifteenth, joins under -strict.) The first three and
+// (errflowstrict, the fourteenth, joins under -strict.) The first two and
 // lockorder are syntactic, single-pass checks; nilstrategy through lockheld
 // are flow-sensitive: each builds a per-function control-flow graph
 // (internal/lint/cfg) and solves a dataflow problem over it
@@ -82,7 +80,7 @@ import (
 // Analyzers returns the full medalint suite, in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		FloatCmp, ChipAccess, CtxCancel, LockOrder,
+		FloatCmp, ChipAccess, LockOrder,
 		NilStrategy, ErrFlow, SnapshotFlow, LockHeld,
 		DetPure, GoroutineLeak, ChanProtocol,
 		GridBounds, ProbFlow, HotAlloc,

@@ -14,7 +14,6 @@ func testdata(name string) string { return filepath.Join("testdata", name) }
 
 func TestFloatCmp(t *testing.T)     { analysistest.Run(t, testdata("floatcmp"), lint.FloatCmp) }
 func TestChipAccess(t *testing.T)   { analysistest.Run(t, testdata("chipaccess"), lint.ChipAccess) }
-func TestCtxCancel(t *testing.T)    { analysistest.Run(t, testdata("ctxcancel"), lint.CtxCancel) }
 func TestLockOrder(t *testing.T)    { analysistest.Run(t, testdata("lockorder"), lint.LockOrder) }
 func TestNilStrategy(t *testing.T)  { analysistest.Run(t, testdata("nilstrategy"), lint.NilStrategy) }
 func TestErrFlow(t *testing.T)      { analysistest.Run(t, testdata("errflow"), lint.ErrFlow) }
@@ -269,15 +268,15 @@ func TestSuppressionDirectives(t *testing.T) {
 	}
 }
 
-// TestSuiteRegistry: the multichecker exposes exactly the fourteen
+// TestSuiteRegistry: the multichecker exposes exactly the thirteen
 // analyzers, each named and documented.
 func TestSuiteRegistry(t *testing.T) {
 	as := lint.Analyzers()
-	if len(as) != 14 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 14", len(as))
+	if len(as) != 13 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 13", len(as))
 	}
 	want := map[string]bool{
-		"floatcmp": true, "chipaccess": true, "ctxcancel": true,
+		"floatcmp": true, "chipaccess": true,
 		"lockorder": true, "nilstrategy": true,
 		"errflow": true, "snapshotflow": true, "lockheld": true,
 		"detpure": true, "goroutineleak": true, "chanprotocol": true,

@@ -13,10 +13,10 @@ import (
 )
 
 // LockHeld flags potentially blocking operations performed while a mutex
-// is held. On the concurrent synthesis path a goroutine that blocks on a
-// channel or waits for the worker pool while holding one of the sched
-// mutexes stalls every routing decision behind it — and, combined with a
-// worker that needs the same mutex, deadlocks the scheduler. The analyzer
+// is held. On the concurrent routing path a goroutine that blocks on a
+// channel or a WaitGroup while holding one of the sched mutexes stalls
+// every routing decision behind it — and, combined with another goroutine
+// that needs the same mutex, deadlocks the scheduler. The analyzer
 // runs in two layers:
 //
 // First, a package-local fixpoint infers which functions may block: a
@@ -26,8 +26,8 @@ import (
 // blocking primitive (sync.WaitGroup.Wait, sync.Cond.Wait, time.Sleep),
 // or a call to another may-block function. The results are exported as
 // MayBlock facts, so when the driver analyzes packages in dependency
-// order, downstream passes see that e.g. synth.Future.Wait and the mdp
-// solver entry points may block without any hard-coded list.
+// order, downstream passes see that a function in an imported package
+// blocks three frames down without any hard-coded list.
 //
 // Second, a forward dataflow pass per function tracks the set of held
 // mutexes (Lock adds, Unlock removes; a deferred Unlock keeps the mutex

@@ -15,7 +15,7 @@ import (
 // another Lock is issued, and records the resulting "A before B" edges
 // package-wide; two functions that acquire the same pair of mutexes in
 // opposite orders are a latent deadlock on the concurrent synthesis path
-// (sched's Adaptive/Library/Cache mutexes plus synth.Pool's semaphore).
+// (sched's Adaptive/Library/Cache mutexes).
 // Mutexes are identified by owning type and field (sched.Adaptive.mu), so
 // the order is enforced across methods regardless of receiver names.
 // Function literals are separate scopes: a goroutine body does not inherit

@@ -159,6 +159,11 @@ func calleeName(info *types.Info, call *ast.CallExpr) string {
 
 // isWriteTarget reports whether ident appears as a plain assignment target
 // of n (so the occurrence is a write, not a read).
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
+}
+
 func isWriteTarget(n ast.Node, ident *ast.Ident) bool {
 	as, ok := n.(*ast.AssignStmt)
 	if !ok {

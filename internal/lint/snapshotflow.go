@@ -15,20 +15,20 @@ import (
 // bodies, but a closure over the live chip escapes that check the moment
 // it is bound to a variable first:
 //
-//	field := c.ObservedForceField() // closes over the live chip
-//	pool.Submit(rj, field, opt)     // background worker now races
+//	field := c.ObservedForceField()     // closes over the live chip
+//	go synth.Synthesize(rj, field, opt) // the goroutine now races
 //
 // The analyzer runs a forward taint analysis per function: a variable is
 // tainted when it receives a func-typed value produced from a chip.Chip —
 // a method call result other than SnapshotForceField (whose whole point is
 // the defensive copy), or a method value like c.ObservedForceField, which
 // closes over the chip even unbound — and taint propagates through
-// assignments. Sinks are go statements and synth.Pool submissions (Go,
-// TryGo, Submit): a tainted variable referenced in the submitted function
-// or argument list, or a live-producing chip expression appearing inline
-// there, is reported. Reassigning a variable from a snapshot (or any
-// untainted value) clears it, so the analysis follows the actual flow
-// rather than the variable's worst historical value.
+// assignments. Sinks are go statements: a tainted variable referenced in
+// the launched call's function or argument list, or a live-producing chip
+// expression appearing inline there, is reported. Reassigning a variable
+// from a snapshot (or any untainted value) clears it, so the analysis
+// follows the actual flow rather than the variable's worst historical
+// value.
 var SnapshotFlow = &analysis.Analyzer{
 	Name: "snapshotflow",
 	Doc:  "flags live chip force fields captured by background goroutines",
@@ -89,7 +89,7 @@ func runSnapshotFlowBody(pass *analysis.Pass, fb funcBody) {
 }
 
 // checkSinks reports tainted values escaping into asynchronous execution
-// within node n: go statements and synth.Pool submissions.
+// within node n: go statements.
 func checkSinks(pass *analysis.Pass, fact taintFact, n ast.Node) {
 	info := pass.TypesInfo
 	scan := func(root ast.Node) {
@@ -114,17 +114,9 @@ func checkSinks(pass *analysis.Pass, fact taintFact, n ast.Node) {
 		})
 	}
 	cfg.Visit(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.GoStmt:
-			scan(m.Call)
+		if g, ok := m.(*ast.GoStmt); ok {
+			scan(g.Call)
 			return false
-		case *ast.CallExpr:
-			if isPoolSubmission(info, m) || isPoolSubmit(info, m) {
-				for _, arg := range m.Args {
-					scan(arg)
-				}
-				return false
-			}
 		}
 		return true
 	})
@@ -171,22 +163,4 @@ func isFuncType(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Signature)
 	return ok
-}
-
-// isPoolSubmit reports whether call is synth.Pool.Submit (job plus
-// arguments; the submitted field runs on a worker goroutine).
-func isPoolSubmit(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s := info.Selections[sel]
-	if s == nil {
-		return false
-	}
-	fn, ok := s.Obj().(*types.Func)
-	if !ok || fn.Name() != "Submit" {
-		return false
-	}
-	return isNamed(s.Recv(), synthPkgPath, "Pool")
 }

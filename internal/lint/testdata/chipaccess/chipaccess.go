@@ -4,6 +4,7 @@ package chipaccess
 import (
 	"meda/internal/chip"
 	"meda/internal/geom"
+	"meda/internal/route"
 	"meda/internal/synth"
 )
 
@@ -28,23 +29,29 @@ func snapshotInGoroutineStillFlagged(c *chip.Chip) {
 	}()
 }
 
-func poolReads(p *synth.Pool, c *chip.Chip) {
-	p.Go(func() {
+func goroutineReadsWithHandoff(c *chip.Chip) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
 		_ = c.MinHealth(region()) // want `chip\.Chip\.MinHealth accessed from a background goroutine`
-	})
-	started := p.TryGo(func() {
-		_ = c.W() // want `chip\.Chip\.W accessed from a background goroutine`
-	})
-	_ = started
+		_ = c.W()                 // want `chip\.Chip\.W accessed from a background goroutine`
+	}()
+	<-done
 }
 
-func snapshotOnSubmitter(p *synth.Pool, c *chip.Chip) {
-	// The sanctioned pattern: snapshot on the submitting goroutine, hand
-	// the immutable snapshot to the worker.
+func snapshotOnLauncher(c *chip.Chip) {
+	// The sanctioned pattern: snapshot on the launching goroutine, hand
+	// the immutable snapshot to the goroutine.
 	field := c.SnapshotForceField(region())
-	p.Go(func() {
+	go func() {
 		_ = field(2, 2)
-	})
+	}()
+}
+
+func goArgumentsEvaluateOnLauncher(c *chip.Chip) {
+	// A go statement's arguments are evaluated before the goroutine starts,
+	// so the chip call below runs on the launching goroutine.
+	go synth.Synthesize(route.RJ{}, c.SnapshotForceField(region()), synth.DefaultOptions())
 }
 
 func synchronousUseIsFine(c *chip.Chip) int {

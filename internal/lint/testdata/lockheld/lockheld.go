@@ -95,8 +95,7 @@ func nonBlockingCallsAreFine(mu *sync.Mutex, other *sync.Mutex) {
 
 func pureWork(n int) int { return n * n }
 
-// tryAcquire never blocks: the select has a default clause, mirroring
-// synth.Pool.TryGo.
+// tryAcquire never blocks: the select has a default clause.
 func tryAcquire(sem chan struct{}) bool {
 	select {
 	case sem <- struct{}{}:

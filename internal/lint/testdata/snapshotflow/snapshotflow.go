@@ -18,43 +18,33 @@ func liveFieldIntoGoroutine(c *chip.Chip) {
 	}()
 }
 
-func liveFieldIntoPool(c *chip.Chip, p *synth.Pool) {
-	field := c.TrueForceField()
-	p.Go(func() {
-		_ = field(1, 1) // want `field holds a live chip force field`
-	})
-}
-
-func snapshotIsSafe(c *chip.Chip, p *synth.Pool) {
+func snapshotIsSafe(c *chip.Chip) {
 	field := c.SnapshotForceField(region())
-	p.Go(func() {
+	go func() {
 		_ = field(1, 1)
-	})
+	}()
 }
 
-func inlineLiveFieldIntoSubmit(c *chip.Chip, p *synth.Pool) {
-	fut := p.Submit(route.RJ{}, c.ObservedForceField(), synth.DefaultOptions()) // want `live chip force field passed across a goroutine boundary`
-	_, _ = fut.Wait()
+func inlineLiveFieldIntoGo(c *chip.Chip) {
+	go synth.Synthesize(route.RJ{}, c.ObservedForceField(), synth.DefaultOptions()) // want `live chip force field passed across a goroutine boundary`
 }
 
-func inlineSnapshotIntoSubmit(c *chip.Chip, p *synth.Pool) {
-	fut := p.Submit(route.RJ{}, c.SnapshotForceField(region()), synth.DefaultOptions())
-	_, _ = fut.Wait()
+func inlineSnapshotIntoGo(c *chip.Chip) {
+	go synth.Synthesize(route.RJ{}, c.SnapshotForceField(region()), synth.DefaultOptions())
 }
 
-func taintedVarIntoSubmit(c *chip.Chip, p *synth.Pool) {
+func taintedVarIntoGo(c *chip.Chip) {
+	field := c.TrueForceField()
+	go synth.Synthesize(route.RJ{}, field, synth.DefaultOptions()) // want `field holds a live chip force field`
+}
+
+func reassignedFromSnapshotIsSafe(c *chip.Chip) {
 	field := c.ObservedForceField()
-	fut := p.Submit(route.RJ{}, field, synth.DefaultOptions()) // want `field holds a live chip force field`
-	_, _ = fut.Wait()
-}
-
-func reassignedFromSnapshotIsSafe(c *chip.Chip, p *synth.Pool) {
-	field := c.ObservedForceField()
-	_ = field(1, 1) // fine on the submitting goroutine
+	_ = field(1, 1) // fine on the launching goroutine
 	field = c.SnapshotForceField(region())
-	p.Go(func() {
+	go func() {
 		_ = field(1, 1)
-	})
+	}()
 }
 
 func reassignedToLiveIsFlagged(c *chip.Chip) {
@@ -82,16 +72,26 @@ func methodValueIsLive(c *chip.Chip) {
 	}()
 }
 
-func unrelatedFuncValuesUntainted(p *synth.Pool) {
-	var field action.ForceField = func(x, y int) float64 { return 1 }
-	p.Go(func() {
+// Calling the method value on the launching goroutine takes the copy there,
+// so its result is a snapshot like any other.
+func methodValueCalledOnLauncherIsSafe(c *chip.Chip) {
+	snap := c.SnapshotForceField
+	field := snap(region())
+	go func() {
 		_ = field(1, 1)
-	})
+	}()
 }
 
-func scalarCopiesUntainted(c *chip.Chip, p *synth.Pool) {
+func unrelatedFuncValuesUntainted() {
+	var field action.ForceField = func(x, y int) float64 { return 1 }
+	go func() {
+		_ = field(1, 1)
+	}()
+}
+
+func scalarCopiesUntainted(c *chip.Chip) {
 	w, h := c.W(), c.H()
-	p.Go(func() {
+	go func() {
 		_ = w * h
-	})
+	}()
 }

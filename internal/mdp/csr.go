@@ -8,19 +8,15 @@
 //
 // The same layout carries a reverse-edge index (successor → incoming
 // choices), which turns the qualitative Prob1E pass from repeated forward
-// scans into a worklist propagation, and it is the substrate for the
-// chunk-parallel Jacobi sweeps: states are split into contiguous chunks and
-// updated by a sync.WaitGroup worker pool sized by GOMAXPROCS. Jacobi reads
-// only the previous iterate, so the parallel result is bit-identical to the
-// sequential one; Gauss-Seidel remains the sequential option, alternating
-// sweep direction each iteration so value information propagates end to end
-// regardless of how state ids are ordered relative to the goal.
+// scans into a worklist propagation. Gauss-Seidel, the default solver,
+// alternates sweep direction each iteration so value information propagates
+// end to end regardless of how state ids are ordered relative to the goal;
+// Jacobi sweeps from the previous iterate and serves as its differential
+// reference.
 package mdp
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -356,94 +352,36 @@ func (g *csr) bellmanMinSL(s int, src []float64) float64 {
 	return best
 }
 
-// sweepWorkers resolves the worker count for a Jacobi sweep: opt.Workers,
-// defaulting to GOMAXPROCS, clamped so each worker gets a usefully large
-// chunk (tiny models are not worth the fan-out).
-func sweepWorkers(opt SolveOptions, n int) int {
-	w := opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	const minChunk = 512
-	if max := (n + minChunk - 1) / minChunk; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // jacobiSweep computes dst[s] = bellman(s, src) for all non-frozen states
-// (frozen states copy through), fanning the state range out to workers
-// goroutines. It returns the max-norm residual and the smallest state id
-// attaining it; both are independent of the worker count.
-func (g *csr) jacobiSweep(frozen []bool, src, dst []float64, workers int,
+// (frozen states copy through). It returns the max-norm residual and the
+// smallest state id attaining it.
+func (g *csr) jacobiSweep(frozen []bool, src, dst []float64,
 	bellman func(s int, src []float64) float64) (float64, int) {
-	type part struct {
-		delta float64
-		worst int
-	}
-	run := func(lo, hi int) part {
-		p := part{worst: -1}
-		for s := lo; s < hi; s++ {
-			if frozen[s] {
-				dst[s] = src[s]
-				continue
-			}
-			v := bellman(s, src)
-			dst[s] = v
-			if d := math.Abs(v - src[s]); d > p.delta {
-				p.delta = d
-				p.worst = s
-			}
-		}
-		return p
-	}
-	if workers <= 1 {
-		p := run(0, g.n)
-		return p.delta, p.worst
-	}
-	parts := make([]part, workers)
-	chunk := (g.n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > g.n {
-			hi = g.n
-		}
-		if lo >= hi {
-			parts[w] = part{worst: -1}
+	delta, worst := 0.0, -1
+	for s := 0; s < g.n; s++ {
+		if frozen[s] {
+			dst[s] = src[s]
 			continue
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w] = run(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	best := part{worst: -1}
-	for _, p := range parts {
-		// Deterministic merge: larger delta wins; ties keep the smaller
-		// state id (parts are in state order).
-		if p.worst >= 0 && (p.delta > best.delta || best.worst < 0) {
-			best = p
+		v := bellman(s, src)
+		dst[s] = v
+		if d := math.Abs(v - src[s]); d > delta {
+			delta = d
+			worst = s
 		}
 	}
-	return best.delta, best.worst
+	return delta, worst
 }
 
 // iterate runs value iteration over the CSR model until the max-norm
 // residual drops below eps, with Gauss-Seidel updating vals in place and
-// Jacobi ping-ponging two buffers across the parallel sweep. On success the
-// converged values are in vals and the iteration count is returned; on
-// exhaustion it returns a *ConvergenceError naming the worst state. Sweep
-// counts and the final residual feed the solver telemetry.
-func (g *csr) iterate(vals []float64, frozen []bool, opt SolveOptions, sign float64,
+// Jacobi ping-ponging two buffers. On success the converged values are in
+// vals and the iteration count is returned; on exhaustion it returns a
+// *ConvergenceError naming the worst state. Sweep counts and the final
+// residual feed the solver telemetry.
+func (g *csr) iterate(vals []float64, frozen []bool, opt SolveOptions,
 	bellman func(s int, src []float64) float64) (int, error) {
-	iters, delta, err := g.iterateRaw(vals, frozen, opt, sign, bellman)
+	iters, delta, err := g.iterateRaw(vals, frozen, opt, bellman)
 	telSolves.Inc()
 	telSweeps.Add(int64(iters))
 	telSweepsPerSolve.Observe(float64(iters))
@@ -452,21 +390,15 @@ func (g *csr) iterate(vals []float64, frozen []bool, opt SolveOptions, sign floa
 }
 
 // iterateRaw is iterate without telemetry, additionally reporting the final
-// max-norm residual. sign orients the prioritized solver's processing order
-// (+1 for maximizing objectives, -1 for minimizing); the sweep solvers
-// ignore it.
-func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, sign float64,
+// max-norm residual.
+func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions,
 	bellman func(s int, src []float64) float64) (int, float64, error) {
-	if opt.Method == Prioritized {
-		return g.prioritizedIterate(vals, frozen, opt, sign, bellman)
-	}
 	if opt.Method == Jacobi {
-		workers := sweepWorkers(opt, g.n)
 		src := vals
 		dst := growF(g.scrDst, g.n)
 		g.scrDst = dst
 		for iters := 0; iters < opt.MaxIter; iters++ {
-			delta, worst := g.jacobiSweep(frozen, src, dst, workers, bellman)
+			delta, worst := g.jacobiSweep(frozen, src, dst, bellman)
 			src, dst = dst, src
 			if delta < opt.Eps {
 				if &src[0] != &vals[0] {

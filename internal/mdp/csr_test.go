@@ -114,16 +114,16 @@ func TestProb1EMatchesReference(t *testing.T) {
 	}
 }
 
-// TestJacobiParallelMatchesGaussSeidel is the differential test of the CSR
-// engine: on randomized MDPs, the chunk-parallel Jacobi solver must agree
-// with sequential Gauss-Seidel — values within tolerance, and identical
-// strategy picks wherever the optimum is unique by a clear margin.
-func TestJacobiParallelMatchesGaussSeidel(t *testing.T) {
+// TestJacobiMatchesGaussSeidelRandomized is the differential test of the CSR
+// engine: on randomized MDPs, the Jacobi solver must agree with Gauss-Seidel
+// — values within tolerance, and identical strategy picks wherever the
+// optimum is unique by a clear margin.
+func TestJacobiMatchesGaussSeidelRandomized(t *testing.T) {
 	src := randx.New(11)
 	for trial := 0; trial < 30; trial++ {
 		m, target, avoid := randomLabeledMDP(30+src.IntN(70), src.SplitN("mdp", trial))
 		gs := SolveOptions{Method: GaussSeidel, Eps: 1e-12}
-		jac := SolveOptions{Method: Jacobi, Eps: 1e-12, Workers: 4}
+		jac := SolveOptions{Method: Jacobi, Eps: 1e-12}
 
 		rg, err := m.MaxReachProb(target, avoid, gs)
 		if err != nil {
@@ -196,80 +196,6 @@ func uniqueOptimum(m *MDP, s StateID, vals []float64, minimize bool) bool {
 		}
 	}
 	return second-best > 1e-6 && !math.IsInf(second, 1)
-}
-
-// TestJacobiWorkerCountInvariance: the parallel sweep must be bit-identical
-// regardless of how many workers split it.
-func TestJacobiWorkerCountInvariance(t *testing.T) {
-	m, target, avoid := randomLabeledMDP(120, randx.New(13))
-	var base Result
-	for i, w := range []int{1, 2, 3, 8} {
-		res, err := m.MinExpectedReward(target, avoid, SolveOptions{Method: Jacobi, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = res
-			continue
-		}
-		if res.Iterations != base.Iterations {
-			t.Fatalf("workers=%d: %d iterations, want %d", w, res.Iterations, base.Iterations)
-		}
-		for s := range res.Values {
-			if res.Values[s] != base.Values[s] && !(math.IsInf(res.Values[s], 1) && math.IsInf(base.Values[s], 1)) {
-				t.Fatalf("workers=%d: value at %d differs: %v vs %v", w, s, res.Values[s], base.Values[s])
-			}
-			if res.Strategy[s] != base.Strategy[s] {
-				t.Fatalf("workers=%d: strategy at %d differs", w, s)
-			}
-		}
-	}
-}
-
-// TestSweepWorkersLowParallelismFallback pins the clamp that keeps parallel
-// Jacobi from fanning tiny models out to idle goroutines: every worker must
-// get at least minChunk (512) states, so small models always fall back to a
-// single sequential sweep no matter how many workers were requested, and the
-// worker count never exceeds ceil(n/512).
-func TestSweepWorkersLowParallelismFallback(t *testing.T) {
-	cases := []struct {
-		workers, n, want int
-	}{
-		{8, 100, 1},    // model smaller than one chunk: sequential
-		{64, 511, 1},   // just under one chunk: still sequential
-		{64, 512, 1},   // exactly one chunk
-		{64, 513, 2},   // two chunks at most
-		{64, 1300, 3},  // ceil(1300/512)
-		{2, 100000, 2}, // explicit request below the clamp is honored
-		{1, 100000, 1}, // explicit sequential
-		{8, 0, 1},      // empty model: degenerate but must not return 0
-		{-3, 512, 1},   // negative → GOMAXPROCS, then clamped to one chunk
-	}
-	for _, c := range cases {
-		if got := sweepWorkers(SolveOptions{Workers: c.workers}, c.n); got != c.want {
-			t.Errorf("sweepWorkers(workers=%d, n=%d) = %d, want %d", c.workers, c.n, got, c.want)
-		}
-	}
-	// The fallback must be behavior-preserving, not just a count: a model
-	// under one chunk solved with a large worker request matches the
-	// explicitly sequential solve exactly.
-	m, target, avoid := randomLabeledMDP(120, randx.New(31))
-	many, err := m.MinExpectedReward(target, avoid, SolveOptions{Method: Jacobi, Workers: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := m.MinExpectedReward(target, avoid, SolveOptions{Method: Jacobi, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if many.Iterations != one.Iterations {
-		t.Fatalf("worker fan-out changed iteration count: %d vs %d", many.Iterations, one.Iterations)
-	}
-	for s := range many.Values {
-		if many.Values[s] != one.Values[s] && !(math.IsInf(many.Values[s], 1) && math.IsInf(one.Values[s], 1)) {
-			t.Fatalf("state %d: %v with 64 workers vs %v with 1", s, many.Values[s], one.Values[s])
-		}
-	}
 }
 
 // TestConvergenceErrorDetail: an exhausted iteration must name the offending

@@ -213,16 +213,9 @@ const (
 	// sweeps, typically converging in the fewest wall-clock cycles; this is
 	// the default.
 	GaussSeidel SolverMethod = iota
-	// Jacobi performs synchronous sweeps from the previous iterate.
+	// Jacobi performs synchronous sweeps from the previous iterate; it is
+	// the differential reference for Gauss-Seidel.
 	Jacobi
-	// Prioritized processes states goal-outward (Dijkstra order) from a
-	// priority queue seeded backward from the frozen (target) states over
-	// the reverse-edge index, touching only states whose successors
-	// actually changed. On models where the settled region is a small
-	// fraction of the state space it converges in a fraction of the Bellman
-	// backups a full sweep spends; a full verification sweep on queue drain
-	// guarantees the same max-norm convergence criterion as Gauss-Seidel.
-	Prioritized
 )
 
 // String names the method.
@@ -230,8 +223,6 @@ func (m SolverMethod) String() string {
 	switch m {
 	case Jacobi:
 		return "jacobi"
-	case Prioritized:
-		return "prioritized"
 	default:
 		return "gauss-seidel"
 	}
@@ -242,13 +233,6 @@ type SolveOptions struct {
 	Method  SolverMethod
 	Eps     float64 // convergence threshold on the max-norm; default 1e-9
 	MaxIter int     // iteration cap; default 1e6
-	// Workers bounds the goroutines used for Jacobi sweeps: 0 means
-	// GOMAXPROCS, 1 forces a sequential sweep. Gauss-Seidel and the
-	// prioritized solver update in place and are always sequential. The
-	// Jacobi result is independent of Workers (each sweep reads only the
-	// previous iterate), and small models collapse to the sequential sweep
-	// regardless of Workers (see sweepWorkers).
-	Workers int
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -317,7 +301,7 @@ func (m *MDP) MaxReachProb(target, avoid []bool, opt SolveOptions) (Result, erro
 		frozen[s] = target[s] || (avoid != nil && avoid[s]) || g.stateOff[s] == g.stateOff[s+1]
 	}
 	g.selfLoopInv()
-	iters, err := g.iterate(vals, frozen, opt, +1, g.bellmanMaxSL)
+	iters, err := g.iterate(vals, frozen, opt, g.bellmanMaxSL)
 	if err != nil {
 		return Result{}, err
 	}
@@ -425,7 +409,7 @@ func (m *MDP) MinExpectedReward(target, avoid []bool, opt SolveOptions) (Result,
 		frozen[s] = target[s] || !as[s] || g.stateOff[s] == g.stateOff[s+1]
 	}
 	g.selfLoopInv()
-	iters, err := g.iterate(vals, frozen, opt, -1, g.bellmanMinSL)
+	iters, err := g.iterate(vals, frozen, opt, g.bellmanMinSL)
 	if err != nil {
 		return Result{}, err
 	}

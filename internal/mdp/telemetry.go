@@ -20,9 +20,4 @@ var (
 	// precedes every Rmin solve: call count and cumulative nanoseconds.
 	telProb1ECalls = telemetry.C("mdp.prob1e.calls")
 	telProb1ENs    = telemetry.C("mdp.prob1e.ns")
-	// telPrioBackups counts individual Bellman backups performed by the
-	// prioritized solver (queue pops plus verification-sweep updates);
-	// telPrioBackups / telSolves vs n·sweeps is the work saved over a
-	// sweep-based solver.
-	telPrioBackups = telemetry.C("mdp.vi.prioritized_backups")
 )

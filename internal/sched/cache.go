@@ -102,9 +102,9 @@ func (k CacheKey) Hash() uint64 {
 	return h.Sum64()
 }
 
-// fingerprintOptions hashes the solver-relevant option fields. Workers and
-// Method are excluded: every solver configuration converges to the same
-// optimal values, so strategies are interchangeable across them.
+// fingerprintOptions hashes the solver-relevant option fields. Method is
+// excluded: every solver method converges to the same optimal values, so
+// strategies are interchangeable across them.
 func fingerprintOptions(opt synth.Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -143,8 +143,8 @@ type cacheEntry struct {
 }
 
 // Cache memoizes synthesized routing strategies with LRU eviction under a
-// size bound. It is safe for concurrent use: the router's synchronous path
-// and the prefetch workers share one instance.
+// size bound. It is safe for concurrent use: concurrent Route calls share
+// one instance.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int

@@ -5,6 +5,7 @@ import (
 
 	"meda/internal/chip"
 	"meda/internal/degrade"
+	"meda/internal/mdp"
 	"meda/internal/randx"
 	"meda/internal/synth"
 )
@@ -137,81 +138,8 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 		t.Error("different action alphabets must produce different keys")
 	}
 	c := synth.DefaultOptions()
-	c.Solver.Workers = 4 // solver parallelism must NOT affect the key
+	c.Solver.Method = mdp.Jacobi // the solver method must NOT affect the key
 	if NewCacheKey(job(), a, 1) != NewCacheKey(job(), c, 1) {
-		t.Error("worker count changed the cache key")
-	}
-}
-
-func TestAdaptivePrefetchWarmsCache(t *testing.T) {
-	c := wornChip(t, 4)
-	a := NewAdaptiveParallel(2, 16)
-	if !a.Prefetch(job(), c) {
-		t.Fatal("prefetch refused on an idle pool")
-	}
-	// A second prefetch of the same job is deduplicated (in flight or
-	// already cached).
-	if a.Prefetch(job(), c) {
-		t.Error("duplicate prefetch accepted")
-	}
-	a.Drain()
-	if a.PrefetchSyntheses() != 1 {
-		t.Fatalf("prefetch syntheses = %d, want 1", a.PrefetchSyntheses())
-	}
-	if _, _, err := a.Route(job(), c, nil); err != nil {
-		t.Fatal(err)
-	}
-	if a.Syntheses != 0 || a.CacheHits != 1 {
-		t.Fatalf("route after prefetch: syntheses=%d cacheHits=%d, want 0/1", a.Syntheses, a.CacheHits)
-	}
-}
-
-func TestAdaptivePrefetchMatchesSynchronousRoute(t *testing.T) {
-	c1 := wornChip(t, 5)
-	c2 := wornChip(t, 5)
-	warm := NewAdaptiveParallel(2, 16)
-	warm.Prefetch(job(), c1)
-	warm.Drain()
-	pw, vw, err := warm.Route(job(), c1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := NewAdaptive()
-	pc, vc, err := cold.Route(job(), c2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vw != vc {
-		t.Fatalf("prefetched value %v != synchronous value %v", vw, vc)
-	}
-	if len(pw) != len(pc) {
-		t.Fatalf("prefetched policy size %d != synchronous %d", len(pw), len(pc))
-	}
-	for d, act := range pc {
-		if pw[d] != act {
-			t.Fatalf("policies differ at %v: %v vs %v", d, pw[d], act)
-		}
-	}
-}
-
-func TestAdaptivePrefetchHealthyWarmsLibrary(t *testing.T) {
-	c := freshChip(t, 6)
-	a := NewAdaptiveParallel(2, 16)
-	if !a.Prefetch(job(), c) {
-		t.Fatal("prefetch refused")
-	}
-	a.Drain()
-	if !a.Lib.Contains(job()) {
-		t.Fatal("healthy prefetch did not warm the library")
-	}
-	if _, _, err := a.Route(job(), c, nil); err != nil {
-		t.Fatal(err)
-	}
-	if a.Syntheses != 0 || a.LibraryUses != 1 {
-		t.Fatalf("route after healthy prefetch: syntheses=%d lib=%d, want 0/1", a.Syntheses, a.LibraryUses)
-	}
-	// Once warmed, further prefetches of the same job are no-ops.
-	if a.Prefetch(job(), c) {
-		t.Error("prefetch accepted for an already-warmed job")
+		t.Error("solver method changed the cache key")
 	}
 }

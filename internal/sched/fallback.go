@@ -128,21 +128,6 @@ func (f *Fallback) SetFaultInjector(inj FaultInjector) {
 	}
 }
 
-// Prefetch implements Prefetcher by forwarding to the primary tier.
-func (f *Fallback) Prefetch(rj route.RJ, c *chip.Chip) bool {
-	if p, ok := f.Primary.(Prefetcher); ok {
-		return p.Prefetch(rj, c)
-	}
-	return false
-}
-
-// Drain implements Prefetcher by forwarding to the primary tier.
-func (f *Fallback) Drain() {
-	if p, ok := f.Primary.(Prefetcher); ok {
-		p.Drain()
-	}
-}
-
 // InvalidateRegion implements RegionInvalidator by forwarding to the
 // primary tier.
 func (f *Fallback) InvalidateRegion(region geom.Rect) int {

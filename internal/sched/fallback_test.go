@@ -59,7 +59,7 @@ func somePolicy() synth.Policy {
 }
 
 func TestFallbackIdentity(t *testing.T) {
-	f := NewFallback(NewAdaptive(), NewBaseline())
+	f := NewFallback(NewAdaptive(DefaultCacheSize), NewBaseline())
 	if f.Name() != "adaptive+fallback" {
 		t.Errorf("Name = %q", f.Name())
 	}
@@ -153,7 +153,7 @@ func TestFallbackRouteDegraded(t *testing.T) {
 // attempts 0 and 1, the full Adaptive-under-Fallback ladder recovers on the
 // third attempt — exercising the per-key attempt counter end to end.
 func TestAdaptiveInjectedTimeoutOrdering(t *testing.T) {
-	a := NewAdaptive()
+	a := NewAdaptive(DefaultCacheSize)
 	f := NewFallback(a, NewBaseline())
 	inj := &scriptedInjector{script: []bool{true, true}}
 	f.SetFaultInjector(inj) // forwards to the adaptive primary
@@ -177,7 +177,7 @@ func TestAdaptiveInjectedTimeoutOrdering(t *testing.T) {
 // TestAdaptiveAllAttemptsTimeOut: an injector that always fails pushes the
 // ladder to the baseline tier, which is never injection-gated.
 func TestAdaptiveAllAttemptsTimeOut(t *testing.T) {
-	a := NewAdaptive()
+	a := NewAdaptive(DefaultCacheSize)
 	f := NewFallback(a, NewBaseline())
 	f.SetFaultInjector(&scriptedInjector{script: []bool{true, true, true, true, true, true}})
 	c := freshChip(t, 1)
@@ -210,7 +210,7 @@ func TestAdaptiveCachePoisonForcesResynthesis(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		c.Actuate(rect(14, 9, 17, 13))
 	}
-	a := NewAdaptive()
+	a := NewAdaptive(DefaultCacheSize)
 	a.SetFaultInjector(&scriptedInjector{poisonAll: true})
 	if _, _, err := a.Route(job(), c, nil); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestAdaptiveCachePoisonForcesResynthesis(t *testing.T) {
 // TestInjectedTimeoutError: the injected error is ErrInjectedTimeout, so
 // callers can distinguish it from real synthesis failures.
 func TestInjectedTimeoutError(t *testing.T) {
-	a := NewAdaptive()
+	a := NewAdaptive(DefaultCacheSize)
 	a.SetFaultInjector(&scriptedInjector{script: []bool{true}})
 	c := freshChip(t, 1)
 	_, _, err := a.Route(job(), c, nil)
@@ -254,23 +254,16 @@ func TestInjectedTimeoutError(t *testing.T) {
 func TestFallbackPassthroughs(t *testing.T) {
 	c := freshChip(t, 1)
 	plain := NewFallback(&scriptedRouter{policy: somePolicy()}, NewBaseline())
-	if plain.Prefetch(job(), c) {
-		t.Error("Prefetch true without a Prefetcher primary")
-	}
-	plain.Drain() // must not panic
 	if plain.InvalidateRegion(rect(1, 1, 5, 5)) != 0 {
 		t.Error("InvalidateRegion nonzero without a RegionInvalidator primary")
 	}
 	plain.SetFaultInjector(&scriptedInjector{}) // must not panic
 
-	adaptive := NewAdaptiveParallel(1, 8)
+	adaptive := NewAdaptive(8)
 	f := NewFallback(adaptive, NewBaseline())
-	if !f.Prefetch(job(), c) {
-		t.Error("Prefetch refused with an idle pool")
-	}
-	f.Drain()
-	if adaptive.PrefetchSyntheses() != 1 {
-		t.Errorf("prefetch syntheses = %d, want 1", adaptive.PrefetchSyntheses())
+	f.SetFaultInjector(&scriptedInjector{script: []bool{true}})
+	if _, _, err := adaptive.Route(job(), c, nil); !errors.Is(err, ErrInjectedTimeout) {
+		t.Errorf("injector not forwarded to the primary: err = %v", err)
 	}
 }
 

@@ -26,8 +26,8 @@ var ErrInjectedTimeout = errors.New("sched: injected synthesis timeout")
 // FaultInjector is the control-plane fault source consulted by the adaptive
 // router (implemented by internal/fault's Injector; sched declares the
 // interface locally to keep the dependency pointing into sched). Both
-// methods must be pure functions of their arguments — they are called from
-// the synchronous routing path and from background prefetch workers.
+// methods must be pure functions of their arguments — the concurrent
+// executor may route several jobs at once.
 type FaultInjector interface {
 	// SynthTimeout reports whether the attempt-th online synthesis for the
 	// keyed job should fail with ErrInjectedTimeout.
@@ -111,8 +111,7 @@ type libEntry struct {
 
 // Library is the offline strategy store of Alg. 3: strategies synthesized
 // assuming full health, keyed by the job's canonical geometry. It is safe
-// for concurrent use, so background prefetch workers can warm it while the
-// scheduler routes.
+// for concurrent use: concurrent Route callers share it.
 type Library struct {
 	mu      sync.Mutex
 	entries map[libKey]libEntry
@@ -156,17 +155,6 @@ func (l *Library) Lookup(rj route.RJ) (synth.Policy, float64, bool) {
 	return tf.InvertPolicy(e.policy), e.value, true
 }
 
-// Contains reports whether the library holds a strategy for the job's
-// canonical geometry, without touching the hit/miss counters. Prefetch uses
-// it to probe without distorting Stats.
-func (l *Library) Contains(rj route.RJ) bool {
-	key, _ := canonical(rj)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.entries[key]
-	return ok
-}
-
 // Store records a strategy synthesized under the no-degradation assumption.
 func (l *Library) Store(rj route.RJ, p synth.Policy, value float64) {
 	key, tf := canonical(rj)
@@ -206,11 +194,10 @@ type RegionInvalidator interface {
 	InvalidateRegion(region geom.Rect) int
 }
 
-// Prefetcher is implemented by routers that can synthesize a job's strategy
-// in the background so a later Route call finds it ready. The simulator uses
-// it to pre-synthesize the next microfluidic operation's routing jobs while
-// the current one executes (Alg. 3's synthesis step moved off the critical
-// path).
+// Prefetcher is a retired interface: no router implements it and nothing
+// calls it. The declaration stays only because the loopbench benchmark's
+// router_test.go names it in a method-set probe, and benchmark code is
+// changed only together with the benchmark.
 type Prefetcher interface {
 	// Prefetch starts a background synthesis for rj under the chip's
 	// current health, reporting whether a worker picked it up. The call
@@ -224,8 +211,7 @@ type Prefetcher interface {
 // matrix, with the hybrid offline library shortcut of Alg. 3 — when every
 // microelectrode in the job's hazard bounds still reads fully healthy, the
 // pre-synthesized (or memoized) healthy-chip strategy is reused. Degraded
-// regions go through the health-keyed strategy Cache, and an optional
-// synth.Pool pre-synthesizes upcoming jobs in the background.
+// regions go through the health-keyed strategy Cache.
 type Adaptive struct {
 	Opt synth.Options
 	Lib *Library
@@ -233,29 +219,22 @@ type Adaptive struct {
 	// option fingerprint and the hazard region's health hash; nil disables
 	// memoization.
 	Cache *Cache
-	// Pool runs background pre-syntheses; nil disables Prefetch. Routers
-	// without a pool are fully deterministic (no goroutines).
-	Pool *synth.Pool
 
-	// Syntheses counts synchronous online synthesis runs (library misses
-	// and uncached degraded regions); LibraryUses counts strategies served
-	// from the library; CacheHits counts strategies served from Cache
-	// (including ones a prefetch worker put there). Increments are guarded
-	// by mu — the concurrent executor may route several jobs at once — but
-	// reads are plain field access: sample them only after routing has
-	// quiesced.
+	// Syntheses counts online synthesis runs (library misses and uncached
+	// degraded regions); LibraryUses counts strategies served from the
+	// library; CacheHits counts strategies served from Cache. Increments are
+	// guarded by mu — the concurrent executor may route several jobs at
+	// once — but reads are plain field access: sample them only after
+	// routing has quiesced.
 	Syntheses   int
 	LibraryUses int
 	CacheHits   int
 
 	mu sync.Mutex
-	// pending maps in-flight syntheses — background prefetches and
-	// synchronous Route leaders alike — to their completion signal, so
-	// concurrent requests for the same key coalesce into one synthesis.
+	// pending maps each in-flight synthesis (its Route leader's claim) to a
+	// completion signal, so concurrent Route calls for the same key coalesce
+	// into one synthesis.
 	pending map[CacheKey]chan struct{}
-	// prefetchSyntheses counts background syntheses; guarded by mu because
-	// pool workers increment it.
-	prefetchSyntheses int
 	// faults is the optional control-plane fault injector; attempts counts
 	// per-key synthesis attempts so injected timeouts draw independently per
 	// retry. Both guarded by mu.
@@ -315,17 +294,11 @@ func (a *Adaptive) poisoned(key CacheKey) bool {
 }
 
 // NewAdaptive returns the adaptive router with the paper's default query
-// (Rmin), a fresh library, and a default-sized strategy cache. No worker
-// pool: routing is synchronous and deterministic.
-func NewAdaptive() *Adaptive {
-	return &Adaptive{Opt: synth.DefaultOptions(), Lib: NewLibrary(), Cache: NewCache(DefaultCacheSize)}
-}
-
-// NewAdaptiveParallel returns an adaptive router with a prefetch pool of the
-// given size (0 means GOMAXPROCS) and a strategy cache bounded by cacheSize
-// entries (0 disables the cache, negative means DefaultCacheSize).
-func NewAdaptiveParallel(workers, cacheSize int) *Adaptive {
-	a := &Adaptive{Opt: synth.DefaultOptions(), Lib: NewLibrary(), Pool: synth.NewPool(workers)}
+// (Rmin), a fresh library, and a strategy cache bounded by cacheSize entries
+// (0 disables the cache, negative means DefaultCacheSize). Routing is
+// synchronous and deterministic.
+func NewAdaptive(cacheSize int) *Adaptive {
+	a := &Adaptive{Opt: synth.DefaultOptions(), Lib: NewLibrary()}
 	if cacheSize != 0 {
 		a.Cache = NewCache(cacheSize)
 	}
@@ -345,11 +318,10 @@ func (a *Adaptive) bump(counter *int) {
 	a.mu.Unlock()
 }
 
-// claim registers this caller as the synthesizer for key. When another
-// synthesis (a prefetch worker or a concurrent Route) is already in flight,
-// it returns that synthesis's completion signal and leader=false; the caller
-// should wait and re-check its cache. The leader must call release exactly
-// once, on every exit path.
+// claim registers this caller as the synthesizer for key. When a concurrent
+// Route is already synthesizing the same key, it returns that synthesis's
+// completion signal and leader=false; the caller should wait and re-check
+// its cache. The leader must call release exactly once, on every exit path.
 func (a *Adaptive) claim(key CacheKey) (done chan struct{}, leader bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -497,88 +469,6 @@ func (a *Adaptive) cacheKeyFor(rj route.RJ, c *chip.Chip) (key CacheKey, tf synt
 		return key, tf, true
 	}
 	return NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), synth.Transform{}, false
-}
-
-// Prefetch implements Prefetcher: it snapshots the job's health region and,
-// if an idle pool worker is available, synthesizes the strategy in the
-// background. Healthy regions warm the library; degraded regions warm the
-// cache under the same key Route would use (canonical for uniform-health
-// windows, raw otherwise). Returns false (without spawning
-// anything) when the strategy is already available, an identical prefetch
-// is in flight, or the pool is saturated.
-func (a *Adaptive) Prefetch(rj route.RJ, c *chip.Chip) bool {
-	if a.Pool == nil {
-		return false
-	}
-	rj = synth.NormalizeDispense(rj, c.W(), c.H())
-	top := 1<<uint(c.HealthBits()) - 1
-	healthy := c.MinHealth(rj.Hazard) == top
-	if healthy && (a.Lib == nil || a.Lib.Contains(rj)) {
-		return false
-	}
-	if !healthy && a.Cache == nil {
-		return false
-	}
-	key, tf, canon := a.cacheKeyFor(rj, c)
-	if !healthy && a.Cache.Contains(key) {
-		return false
-	}
-	// The snapshot is taken on the caller's goroutine: workers must never
-	// read live chip state.
-	field := func(x, y int) float64 { return 1 }
-	if !healthy {
-		field = c.SnapshotForceField(rj.Hazard)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.pending[key] != nil {
-		return false
-	}
-	done := make(chan struct{})
-	started := a.Pool.TryGo(func() {
-		// Prefetch syntheses are off the critical path and are not
-		// timeout-gated; a poisoned cache line still discards the result.
-		res, err := synth.Synthesize(rj, field, a.Opt)
-		if err == nil && res.Exists() && !a.poisoned(key) {
-			switch {
-			case healthy:
-				a.Lib.Store(rj, res.Policy, res.Value)
-			case canon:
-				a.Cache.Store(key, tf.ApplyPolicy(res.Policy), res.Value)
-			default:
-				a.Cache.Store(key, res.Policy, res.Value)
-			}
-		}
-		a.mu.Lock()
-		a.prefetchSyntheses++
-		telPrefetchSyntheses.Inc()
-		delete(a.pending, key)
-		a.mu.Unlock()
-		close(done)
-	})
-	if !started {
-		return false
-	}
-	if a.pending == nil {
-		a.pending = make(map[CacheKey]chan struct{})
-	}
-	a.pending[key] = done
-	return true
-}
-
-// Drain implements Prefetcher: it blocks until every background synthesis
-// accepted so far has completed.
-func (a *Adaptive) Drain() {
-	if a.Pool != nil {
-		a.Pool.Wait()
-	}
-}
-
-// PrefetchSyntheses returns how many background syntheses have completed.
-func (a *Adaptive) PrefetchSyntheses() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.prefetchSyntheses
 }
 
 // InvalidateRegion eagerly drops cached strategies whose hazard bounds

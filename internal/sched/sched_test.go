@@ -34,7 +34,7 @@ func freshChip(t *testing.T, seed uint64) *chip.Chip {
 
 func TestRouterIdentities(t *testing.T) {
 	b := NewBaseline()
-	a := NewAdaptive()
+	a := NewAdaptive(DefaultCacheSize)
 	if b.Name() != "baseline" || a.Name() != "adaptive" {
 		t.Error("router names wrong")
 	}
@@ -59,7 +59,7 @@ func TestBaselineRoute(t *testing.T) {
 
 func TestAdaptiveRouteHealthyUsesLibrary(t *testing.T) {
 	c := freshChip(t, 2)
-	a := NewAdaptive()
+	a := NewAdaptive(DefaultCacheSize)
 	if _, _, err := a.Route(job(), c, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAdaptiveRouteDegradedSynthesizesOnline(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		c.Actuate(rect(14, 9, 17, 13))
 	}
-	a := NewAdaptive()
+	a := NewAdaptive(DefaultCacheSize)
 	if _, _, err := a.Route(job(), c, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAdaptiveRouteDegradedSynthesizesOnline(t *testing.T) {
 
 func TestAdaptiveObstaclesBypassLibrary(t *testing.T) {
 	c := freshChip(t, 4)
-	a := NewAdaptive()
+	a := NewAdaptive(DefaultCacheSize)
 	obstacle := []geom.Rect{rect(15, 10, 18, 13)} // passable below (rows 7–9)
 	p, v, err := a.Route(job(), c, obstacle)
 	if err != nil {
@@ -212,4 +212,36 @@ func TestLibraryValueRoundTrip(t *testing.T) {
 
 func tinyPolicy() synth.Policy {
 	return synth.Policy{rect(10, 10, 12, 12): action.MoveE}
+}
+
+// TestNewAdaptiveCacheSize pins the cache-size rule every adaptive router
+// is built with: 0 disables the strategy cache, a negative size means
+// DefaultCacheSize, and a positive size bounds the cache.
+func TestNewAdaptiveCacheSize(t *testing.T) {
+	cases := []struct {
+		name      string
+		cacheSize int
+		want      int // cache bound; 0 means no cache
+	}{
+		{"zero disables", 0, 0},
+		{"negative means default", -1, DefaultCacheSize},
+		{"positive bounds", 7, 7},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := NewAdaptive(c.cacheSize)
+			if a.Lib == nil {
+				t.Fatal("no strategy library")
+			}
+			if c.want == 0 {
+				if a.Cache != nil {
+					t.Fatalf("cache bound %d, want no cache", a.Cache.cap)
+				}
+				return
+			}
+			if a.Cache == nil || a.Cache.cap != c.want {
+				t.Fatalf("cache = %+v, want bound %d", a.Cache, c.want)
+			}
+		})
+	}
 }

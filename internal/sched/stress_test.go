@@ -12,18 +12,16 @@ import (
 	"meda/internal/synth"
 )
 
-// TestConcurrentCacheStress hammers the strategy cache and the prefetch
-// pool from background goroutines while the main goroutine routes, degrades
-// the chip, and invalidates — the exact interleaving the parallel adaptive
-// router sees when health goes dirty mid-assay. Its job is to give the race
-// detector (go test -race, the CI race step) something to chew on: every
-// Cache method, InvalidateRegion, Prefetch completion, and the pool
-// counters run concurrently.
+// TestConcurrentCacheStress hammers the strategy cache from background
+// goroutines while the main goroutine routes, degrades the chip, and
+// invalidates — the interleaving a shared adaptive router sees when health
+// goes dirty mid-assay. Its job is to give the race detector (go test -race,
+// the CI race step) something to chew on: every Cache method and
+// InvalidateRegion run concurrently with Route.
 //
 // Live chip state is read and mutated only on the main goroutine (the
 // medalint chipaccess rule); the background goroutines confine themselves
-// to the cache and pool, which are the components documented as
-// goroutine-safe.
+// to the cache, which is documented as goroutine-safe.
 func TestConcurrentCacheStress(t *testing.T) {
 	cfg := chip.Default()
 	cfg.Normal = degrade.ParamRange{Tau1: 0.5, Tau2: 0.9, C1: 200, C2: 500}
@@ -42,7 +40,7 @@ func TestConcurrentCacheStress(t *testing.T) {
 		t.Fatal("region still fully healthy; stress would only exercise the library path")
 	}
 
-	a := NewAdaptiveParallel(4, 32)
+	a := NewAdaptive(32)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -71,7 +69,6 @@ func TestConcurrentCacheStress(t *testing.T) {
 				}
 				a.Cache.Len()
 				a.Cache.Stats()
-				a.PrefetchSyntheses()
 			}
 		}(g)
 	}
@@ -86,7 +83,6 @@ func TestConcurrentCacheStress(t *testing.T) {
 		if _, _, err := a.Route(rj, c, nil); err != nil {
 			t.Fatal(err)
 		}
-		a.Prefetch(jobs[(i+1)%len(jobs)], c)
 		if i%4 == 3 {
 			// Health goes dirty: the hash under every cached key changes,
 			// and the eager invalidation races the background lookups.
@@ -96,7 +92,6 @@ func TestConcurrentCacheStress(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	a.Drain()
 
 	st := a.Cache.Stats()
 	if st.Hits+st.Misses == 0 {
@@ -106,11 +101,10 @@ func TestConcurrentCacheStress(t *testing.T) {
 		t.Error("stress run never invalidated")
 	}
 	// Each health change rekeys the jobs, forcing re-synthesis: there must
-	// have been strictly more syntheses (online + prefetch) than distinct
-	// jobs.
-	if total := a.Syntheses + a.PrefetchSyntheses(); total <= len(jobs) {
+	// have been strictly more syntheses than distinct jobs.
+	if a.Syntheses <= len(jobs) {
 		t.Errorf("syntheses = %d, want > %d (health changes must force re-synthesis)",
-			total, len(jobs))
+			a.Syntheses, len(jobs))
 	}
 }
 
@@ -120,7 +114,7 @@ func TestConcurrentCacheStress(t *testing.T) {
 // and identical concurrent requests must coalesce into exactly one synthesis
 // via the pending map, not one per caller.
 func TestConcurrentRouteSingleFlight(t *testing.T) {
-	a := NewAdaptiveParallel(4, 32)
+	a := NewAdaptive(32)
 	rj := route.RJ{
 		Start:  rect(2, 2, 5, 5),
 		Goal:   rect(12, 8, 15, 11),

@@ -5,9 +5,7 @@ import "meda/internal/telemetry"
 // Scheduler telemetry (internal/telemetry default registry). The cache
 // counters aggregate over every Cache instance in the process; per-instance
 // numbers remain available through Cache.Stats. sched.synth.online counts
-// strategies synthesized on the routing critical path, sched.synth.prefetch
-// those synthesized by background pool workers — their ratio is how much of
-// Alg. 3's synthesis cost the prefetcher actually hides.
+// strategies synthesized on the routing path.
 var (
 	telCacheHits          = telemetry.C("sched.cache.hits")
 	telCacheMisses        = telemetry.C("sched.cache.misses")
@@ -24,8 +22,7 @@ var (
 	telLibHits   = telemetry.C("sched.library.hits")
 	telLibMisses = telemetry.C("sched.library.misses")
 
-	telOnlineSyntheses   = telemetry.C("sched.synth.online")
-	telPrefetchSyntheses = telemetry.C("sched.synth.prefetch")
+	telOnlineSyntheses = telemetry.C("sched.synth.online")
 
 	// Fault-injection effects observed by the scheduler (the injection
 	// decisions themselves are counted in internal/fault).

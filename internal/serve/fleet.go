@@ -130,7 +130,6 @@ type chipEntry struct {
 	spec     api.ChipSpec
 	c        *chip.Chip
 	router   sched.Router
-	adaptive *sched.Adaptive
 	queue    []*job
 	running  *job
 	jobsDone int
@@ -177,6 +176,11 @@ type Fleet struct {
 	wg     sync.WaitGroup // chip workers
 	bgWG   sync.WaitGroup // periodic snapshotter
 	doneCh chan struct{}  // closed when the snapshotter should quit
+
+	// checkpointGate, when set, runs on the worker goroutine at the top of
+	// every checkpoint callback. Only tests set it, to park a running job
+	// at a known point until they release it.
+	checkpointGate func(jobID string)
 }
 
 // NewFleet opens the store (replaying any journal), rebuilds tenants,
@@ -307,7 +311,7 @@ func (f *Fleet) buildChip(tenantID string, spec api.ChipSpec, state []byte) (*ch
 		r = sched.NewFallback(ad, sched.NewBaseline())
 	}
 	ce := &chipEntry{
-		tenant: tenantID, spec: spec, c: c, router: r, adaptive: ad,
+		tenant: tenantID, spec: spec, c: c, router: r,
 		stateJSON: state, notify: make(chan struct{}, 1),
 		summary: summarize(c),
 	}
@@ -417,7 +421,10 @@ func (f *Fleet) worker(ce *chipEntry) {
 	}
 }
 
-// takeJob pops the queue head, skipping jobs canceled while queued.
+// takeJob pops the queue head, skipping jobs canceled while queued. The
+// popped job becomes the chip's running job at once, while it still waits
+// for a concurrency slot: from the pop on the worker owns the chip, so a
+// health upload must see it busy.
 func (f *Fleet) takeJob(ce *chipEntry) *job {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -425,6 +432,7 @@ func (f *Fleet) takeJob(ce *chipEntry) *job {
 		j := ce.queue[0]
 		ce.queue = ce.queue[1:]
 		if j.state == api.JobQueued && !j.cancelReq {
+			ce.running = j
 			return j
 		}
 	}
@@ -434,6 +442,7 @@ func (f *Fleet) takeJob(ce *chipEntry) *job {
 // requeue puts a popped-but-never-started job back at the queue head.
 func (f *Fleet) requeue(ce *chipEntry, j *job) {
 	f.mu.Lock()
+	ce.running = nil
 	ce.queue = append([]*job{j}, ce.queue...)
 	f.mu.Unlock()
 }
@@ -490,6 +499,18 @@ func convertExec(e sim.Execution) api.Execution {
 // runJob executes one job on the worker's chip. Every state transition is
 // journaled (sync on the boundaries), evented, and reflected in telemetry.
 func (f *Fleet) runJob(ce *chipEntry, j *job) {
+	// A cancel that arrived while the job waited for a slot already
+	// journaled and announced it; otherwise the job is running from here
+	// on, and later cancels stop it at a checkpoint.
+	f.mu.Lock()
+	if j.cancelReq {
+		ce.running = nil
+		f.mu.Unlock()
+		return
+	}
+	j.state = api.JobRunning
+	f.mu.Unlock()
+
 	// Journal the start state first: this is the replay point.
 	var startState []byte
 	{
@@ -508,8 +529,6 @@ func (f *Fleet) runJob(ce *chipEntry, j *job) {
 		}
 	}
 	f.mu.Lock()
-	j.state = api.JobRunning
-	ce.running = j
 	ce.stateJSON = startState
 	f.mu.Unlock()
 	f.emit(api.Event{Type: api.EvJobStarted, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id})
@@ -568,6 +587,9 @@ func (f *Fleet) runJob(ce *chipEntry, j *job) {
 func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error {
 	var prev sim.Checkpoint
 	return func(cp sim.Checkpoint) error {
+		if f.checkpointGate != nil {
+			f.checkpointGate(j.id)
+		}
 		select {
 		case <-f.stop:
 			return errStopping
@@ -749,8 +771,7 @@ func (f *Fleet) snapshotLoop() {
 
 // Shutdown drains gracefully: workers abort in-flight executions at their
 // next checkpoint (their jobs stay journaled as unfinished and resume on
-// the next start), background synthesis pools drain, the strategy library
-// and a final snapshot persist, and webhook deliveries finish. Every
+// the next start), the strategy library and a final snapshot persist, and webhook deliveries finish. Every
 // persistence error propagates.
 func (f *Fleet) Shutdown() error {
 	f.mu.Lock()
@@ -765,19 +786,6 @@ func (f *Fleet) Shutdown() error {
 	close(f.doneCh)
 	f.wg.Wait()
 	f.bgWG.Wait()
-	// Collect under the lock, drain outside it: Drain waits on the
-	// synthesis pool and must not block other fleet calls.
-	f.mu.Lock()
-	adaptives := make([]*sched.Adaptive, 0, len(f.tenants))
-	for _, t := range f.tenants {
-		for _, ce := range t.chips {
-			adaptives = append(adaptives, ce.adaptive)
-		}
-	}
-	f.mu.Unlock()
-	for _, a := range adaptives {
-		a.Drain()
-	}
 	var err error
 	if f.store != nil {
 		if lerr := f.saveLibrary(); lerr != nil {

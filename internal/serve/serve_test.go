@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,19 +68,28 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
-// slowAssay holds a merged droplet on the magnet long enough (~10s of
-// simulated cycles at observed throughput) that cancel and busy-conflict
-// tests can deterministically catch the job mid-flight.
-const slowAssay = `assay slow
-a = dis 16
-b = dis 16
-m = mix a b
-h = mag m hold=30000
-out h
-`
-
-// slowKMax comfortably covers slowAssay's hold plus routing overhead.
-const slowKMax = 40000
+// parkCheckpoints makes srv's chip workers block at every checkpoint until
+// release is called, so a test can hold a job mid-flight without assuming
+// anything about how long it runs in wall-clock time. parked receives a job
+// ID the first time a worker parks: from then on that job is running and
+// its chip busy. release is idempotent and also runs at cleanup (before the
+// server shuts down), so a failing test never strands a worker.
+func parkCheckpoints(t *testing.T, srv *Server) (parked <-chan string, release func()) {
+	t.Helper()
+	ch := make(chan string, 1)
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	srv.Fleet.checkpointGate = func(jobID string) {
+		select {
+		case ch <- jobID:
+		default:
+		}
+		<-gate
+	}
+	t.Cleanup(release)
+	return ch, release
+}
 
 func TestRESTLifecycle(t *testing.T) {
 	_, c := testServer(t, Config{})
@@ -304,7 +314,8 @@ func TestWebhookDelivery(t *testing.T) {
 // Canceling a queued job is immediate; canceling a running job lands at
 // the next checkpoint. Both surface the canceled state and event.
 func TestCancelQueuedAndRunning(t *testing.T) {
-	_, c := testServer(t, Config{CheckpointEvery: 8})
+	srv, c := testServer(t, Config{CheckpointEvery: 8})
+	parked, release := parkCheckpoints(t, srv)
 	ctx := ctxT(t)
 	if _, err := c.CreateTenant(ctx, "acme"); err != nil {
 		t.Fatal(err)
@@ -313,14 +324,14 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	slow := api.JobSpec{Chip: "c1", Assay: slowAssay, Seed: 4, KMax: slowKMax}
-	j1, err := c.SubmitJob(ctx, "acme", slow)
+	spec := api.JobSpec{Chip: "c1", Benchmark: "serial-dilution", Seed: 4}
+	j1, err := c.SubmitJob(ctx, "acme", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// j2 sits queued behind j1 on the same chip: its cancel is the
-	// deterministic queued-cancel path.
-	j2, err := c.SubmitJob(ctx, "acme", slow)
+	// j2 sits queued behind j1 on the same chip: j1 cannot finish while
+	// its worker is parked, so this cancel takes the queued path.
+	j2, err := c.SubmitJob(ctx, "acme", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,30 +344,25 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 		t.Fatalf("double cancel = %+v, err %v", st, err)
 	}
 
-	// Wait for j1 to actually run, then cancel mid-flight.
-	for {
-		st, err = c.Job(ctx, "acme", j1.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == api.JobRunning {
-			break
-		}
-		if st.State.Terminal() {
-			t.Fatalf("slow job finished before cancel: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Cancel j1 while it is parked at a checkpoint, then let it go: the
+	// checkpoint it resumes in sees the request.
+	if id := <-parked; id != j1.ID {
+		t.Fatalf("parked job = %s, want %s", id, j1.ID)
+	}
+	if st, err = c.Job(ctx, "acme", j1.ID); err != nil || st.State != api.JobRunning {
+		t.Fatalf("parked job status = %+v, err %v", st, err)
 	}
 	if _, err := c.CancelJob(ctx, "acme", j1.ID); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	final, err := c.WaitJob(ctx, "acme", j1.ID)
 	if err != nil || final.State != api.JobCanceled {
 		t.Fatalf("running cancel final = %+v, err %v", final, err)
 	}
 
 	// The chip is free again: a fresh job completes normally.
-	j3, err := c.SubmitJob(ctx, "acme", api.JobSpec{Chip: "c1", Benchmark: "serial-dilution", Seed: 4})
+	j3, err := c.SubmitJob(ctx, "acme", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +374,8 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // Health upload is refused while work is queued or running (409), and
 // accepted once the chip is idle.
 func TestHealthUploadConflictWhileBusy(t *testing.T) {
-	_, c := testServer(t, Config{CheckpointEvery: 8})
+	srv, c := testServer(t, Config{CheckpointEvery: 8})
+	parked, release := parkCheckpoints(t, srv)
 	ctx := ctxT(t)
 	if _, err := c.CreateTenant(ctx, "acme"); err != nil {
 		t.Fatal(err)
@@ -380,16 +387,23 @@ func TestHealthUploadConflictWhileBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.SubmitJob(ctx, "acme", api.JobSpec{Chip: "c1", Assay: slowAssay, Seed: 2, KMax: slowKMax})
+	j, err := c.SubmitJob(ctx, "acme", api.JobSpec{Chip: "c1", Benchmark: "serial-dilution", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Queued or running, the chip is busy from submission on; once the
+	// worker parks, it is certainly running.
 	if err := c.UploadChipHealth(ctx, "acme", "c1", state); !client.IsConflict(err) {
-		t.Fatalf("upload while busy: %v, want conflict", err)
+		t.Fatalf("upload while queued: %v, want conflict", err)
+	}
+	<-parked
+	if err := c.UploadChipHealth(ctx, "acme", "c1", state); !client.IsConflict(err) {
+		t.Fatalf("upload while running: %v, want conflict", err)
 	}
 	if _, err := c.CancelJob(ctx, "acme", j.ID); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	if _, err := c.WaitJob(ctx, "acme", j.ID); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func faultTrace(t *testing.T, bench assay.Benchmark, seed uint64, rate float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := sched.NewFallback(sched.NewAdaptive(), sched.NewBaseline())
+	router := sched.NewFallback(sched.NewAdaptive(sched.DefaultCacheSize), sched.NewBaseline())
 	cfg := DefaultConfig().WithFaults(fault.Mixed(seed, rate, fault.AllKinds))
 	r := NewRunner(cfg, c, router, src.Split("sim"))
 	var buf bytes.Buffer
@@ -211,7 +211,7 @@ func TestAuditHazards(t *testing.T) {
 // TestDegradedJobRoutesViaFinalTier: a job marked degraded fetches its
 // strategy from the fallback ladder's final tier.
 func TestDegradedJobRoutesViaFinalTier(t *testing.T) {
-	fb := sched.NewFallback(sched.NewAdaptive(), sched.NewBaseline())
+	fb := sched.NewFallback(sched.NewAdaptive(sched.DefaultCacheSize), sched.NewBaseline())
 	r := newRunner(t, robustChipConfig(), fb, 5)
 	plan := compile(t, assay.MasterMix, 16)
 	rj := plan.MOs[0].Jobs[0]

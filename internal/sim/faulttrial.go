@@ -45,7 +45,7 @@ type FaultTrialConfig struct {
 	// top of — not instead of — operation-level parallelism.
 	Concurrent bool
 	// Router builds a fresh router per run; nil means the full
-	// graceful-degradation ladder, NewFallback(NewAdaptive(), NewBaseline()).
+	// graceful-degradation ladder, NewFallback(NewAdaptive(DefaultCacheSize), NewBaseline()).
 	Router func() sched.Router
 	// Log, when non-nil, receives a line per trial.
 	Log io.Writer
@@ -107,7 +107,7 @@ func (c FaultTrialConfig) withDefaults() FaultTrialConfig {
 	}
 	if c.Router == nil {
 		c.Router = func() sched.Router {
-			return sched.NewFallback(sched.NewAdaptive(), sched.NewBaseline())
+			return sched.NewFallback(sched.NewAdaptive(sched.DefaultCacheSize), sched.NewBaseline())
 		}
 	}
 	return c

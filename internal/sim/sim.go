@@ -291,11 +291,8 @@ type moRT struct {
 	// that its activation→done cycle count has been observed by telemetry.
 	activatedAt int
 	recorded    bool
-	// prefetched marks that the operation's strategies were handed to a
-	// background prefetcher while it waited for its hazard zones.
-	prefetched bool
-	holdLeft   int  // mag hold countdown (runs once the droplet arrives)
-	holding    bool // mag droplet has arrived and is being detained
+	holdLeft    int  // mag hold countdown (runs once the droplet arrives)
+	holding     bool // mag droplet has arrived and is being detained
 	// pendingSplit is the droplet awaiting a split (a spt parent or a
 	// dilution's merged droplet); the split is deferred until the half
 	// positions are clear of foreign droplets. splitWait counts deferred
@@ -352,12 +349,6 @@ func (r *Runner) execute(plan *route.Plan) (Execution, error) {
 		if fa, ok := r.Router.(sched.FaultAware); ok {
 			fa.SetFaultInjector(r.inj)
 		}
-	}
-	prefetcher, _ := r.Router.(sched.Prefetcher)
-	if prefetcher != nil {
-		// No background synthesis may outlive the execution: workers hold
-		// health snapshots, and the next execution wears the chip further.
-		defer prefetcher.Drain()
 	}
 	mos := make([]*moRT, len(plan.MOs))
 	for i := range plan.MOs {
@@ -521,24 +512,7 @@ func (r *Runner) execute(plan *route.Plan) (Execution, error) {
 			lastProgress = k
 		}
 
-		// 1b. Pre-synthesize strategies for ready operations still waiting
-		// on their hazard zones: by the time they activate, the router
-		// finds their strategies warm (Alg. 3's synthesis step moved off
-		// the critical path while the current operations execute).
-		if prefetcher != nil {
-			for _, id := range readyIDs {
-				m := mos[id]
-				if m.state != moInit || m.prefetched {
-					continue
-				}
-				m.prefetched = true
-				for _, j := range m.jobs {
-					prefetcher.Prefetch(j.rj, r.Chip)
-				}
-			}
-		}
-
-		// 1c. Pending dispenses: spawn when the entry area clears. In
+		// 1b. Pending dispenses: spawn when the entry area clears. In
 		// concurrent mode a contended reservoir is arbitrated by waiting
 		// age (longest-deferred dispense first), so none starves.
 		if cs != nil {
@@ -557,7 +531,7 @@ func (r *Runner) execute(plan *route.Plan) (Execution, error) {
 			cs.observeCycle(len(droplets))
 		}
 
-		// 1d. Per-MO deadlines: an operation running far past activation is
+		// 1c. Per-MO deadlines: an operation running far past activation is
 		// degraded — its unfinished jobs are demoted to the router's final
 		// tier, trading route quality for guaranteed progress.
 		if r.Cfg.MODeadline > 0 {

@@ -97,8 +97,8 @@ func (r Result) Exists() bool { return len(r.Policy) > 0 && !math.IsInf(r.Value,
 
 // arenas recycles model-construction memory across syntheses. Each
 // Synthesize call checks an arena out for its full duration (the induced
-// model aliases the arena's slabs), so concurrent syntheses — e.g. Pool
-// prefetch workers — each get their own arena; a warmed arena rebuilds a
+// model aliases the arena's slabs), so concurrent syntheses — e.g. jobs
+// routed at once by the concurrent executor — each get their own arena; a warmed arena rebuilds a
 // previously seen model size with O(1) allocations.
 var arenas = sync.Pool{New: func() any { return new(smg.Arena) }}
 

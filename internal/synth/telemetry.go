@@ -15,12 +15,6 @@ var (
 	telStates = telemetry.H("synth.model_states",
 		100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1e6)
 
-	// Pool telemetry: jobs accepted, queue depth (accepted but waiting for
-	// a worker slot) and active workers, sampled as gauges.
-	telPoolJobs   = telemetry.C("synth.pool.jobs")
-	telPoolQueued = telemetry.G("synth.pool.queue_depth")
-	telPoolActive = telemetry.G("synth.pool.active")
-
 	// Arena telemetry: model-construction slab recycling. Every Synthesize
 	// checks an arena out of a sync.Pool (gets); a get whose arena has
 	// built before is a reuse — its slabs are warm and construction runs

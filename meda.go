@@ -231,16 +231,7 @@ func NewBaselineRouter() Router { return sched.NewBaseline() }
 // NewAdaptiveRouter returns the paper's adaptive router: Alg. 2 synthesis
 // against the observed health matrix with the Alg. 3 strategy library and a
 // health-keyed strategy cache. Routing is synchronous and deterministic.
-func NewAdaptiveRouter() Router { return sched.NewAdaptive() }
-
-// NewParallelAdaptiveRouter returns the adaptive router with a background
-// synthesis pool of the given size (0 means GOMAXPROCS) and a strategy cache
-// bounded by cacheSize entries (0 disables the cache, negative means the
-// default bound). The simulator uses the pool to pre-synthesize the next
-// operation's strategies while the current one executes.
-func NewParallelAdaptiveRouter(workers, cacheSize int) Router {
-	return sched.NewAdaptiveParallel(workers, cacheSize)
-}
+func NewAdaptiveRouter() Router { return sched.NewAdaptive(sched.DefaultCacheSize) }
 
 // Compile runs the RJ helper (Alg. 1) over a bioassay for a W×H chip.
 func Compile(a *Assay, w, h int) (*Plan, error) { return route.Compile(a, w, h) }
