@@ -4,7 +4,8 @@
 //	medabench -out BENCH_synthesis.json
 //
 // The suite covers the synthesis hot path of Table V (model construction +
-// value iteration), cold vs pooled-arena model construction, the solver
+// value iteration), cold vs pooled-arena model construction, construction
+// over a worn chip's observed health rather than a constant field, the solver
 // comparison (gauss-seidel against its jacobi reference), the cold-vs-warm
 // strategy cache for re-synthesis, the D4-canonical cache serving a whole
 // symmetry class of jobs from one synthesis, and the sequential-vs-concurrent
@@ -110,6 +111,25 @@ func main() {
 		})
 	}
 
+	// A chip worn unevenly under a routing job's hazard window: the
+	// re-synthesis rows route on it, and the chip-field construction row
+	// reads its observed health, as online synthesis does.
+	cfg := chip.Default()
+	cfg.Normal = degrade.ParamRange{Tau1: 0.5, Tau2: 0.9, C1: 200, C2: 500}
+	c, err := chip.New(cfg, randx.New(7))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
+		os.Exit(1)
+	}
+	job := meda.RoutingJob{
+		Start:  meda.Rect{XA: 10, YA: 10, XB: 13, YB: 13},
+		Goal:   meda.Rect{XA: 30, YA: 15, XB: 33, YB: 18},
+		Hazard: meda.Rect{XA: 7, YA: 7, XB: 36, YB: 21},
+	}
+	for i := 0; i < 3000; i++ {
+		c.Actuate(job.Hazard)
+	}
+
 	// Model construction in isolation (Table V's construction column): cold
 	// (fresh allocations every build) vs pooled (one smg.Arena recycling its
 	// CSR slabs across builds).
@@ -137,6 +157,20 @@ func main() {
 		}
 	})
 	rep.Derived["pooled_construction_speedup"] = construct.NsPerOp / pooled.NsPerOp
+	// The same construction over the worn chip's observed force field
+	// rather than a constant one: every frontier cell is a health read.
+	observed := c.ObservedForceField()
+	record(rep, "model_construction_chip/30x30", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := smg.Induce(
+				meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
+				meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
+				meda.Rect{XA: 27, YA: 27, XB: 30, YB: 30},
+				observed, smg.DefaultModelOptions()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	// Solver comparison on one 30×30 model: Gauss-Seidel (the default) and
 	// Jacobi (its differential reference).
@@ -164,21 +198,6 @@ func main() {
 	// Re-synthesis: cold (synthesize every time) vs warm (health-keyed
 	// strategy cache hit). The chip region is degraded so the library fast
 	// path does not apply and the cache path is exercised.
-	cfg := chip.Default()
-	cfg.Normal = degrade.ParamRange{Tau1: 0.5, Tau2: 0.9, C1: 200, C2: 500}
-	c, err := chip.New(cfg, randx.New(7))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
-		os.Exit(1)
-	}
-	job := meda.RoutingJob{
-		Start:  meda.Rect{XA: 10, YA: 10, XB: 13, YB: 13},
-		Goal:   meda.Rect{XA: 30, YA: 15, XB: 33, YB: 18},
-		Hazard: meda.Rect{XA: 7, YA: 7, XB: 36, YB: 21},
-	}
-	for i := 0; i < 3000; i++ {
-		c.Actuate(job.Hazard)
-	}
 	cold := record(rep, "resynthesis/cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a := sched.NewAdaptive(sched.DefaultCacheSize) // fresh router: empty cache every time

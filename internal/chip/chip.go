@@ -81,11 +81,37 @@ type FaultModel interface {
 }
 
 // Chip is the simulated biochip state.
+//
+// The fault-free health matrix H is latched state, like the DFF pair of each
+// microelectrode cell (Sec. III): codes[i] holds mcs[i].Health(bits) and
+// changes only in New, LoadState and Actuate, the three places mcs changes.
+// The fault overlay is applied on read, not latched.
 type Chip struct {
 	w, h   int
 	bits   int
 	mcs    []degrade.MC // row-major, index = (y−1)*w + (x−1)
+	codes  []uint8      // fault-free health code per MC, same indexing as mcs
+	force  []float64    // observed force per health code: DegradationFromHealth(h, bits)²
 	faults FaultModel   // nil means fault-free
+}
+
+// newChip returns a w×h chip of pristine, never-actuated MCs with b-bit
+// sensing; callers set the MC state and then call latchAll.
+func newChip(w, h, bits int) *Chip {
+	c := &Chip{w: w, h: h, bits: bits, mcs: make([]degrade.MC, w*h), codes: make([]uint8, w*h)}
+	c.force = make([]float64, 1<<uint(bits))
+	for code := range c.force {
+		d := degrade.DegradationFromHealth(code, bits)
+		c.force[code] = d * d
+	}
+	return c
+}
+
+// latchAll refreshes every cell's latched health code from its MC state.
+func (c *Chip) latchAll() {
+	for i := range c.mcs {
+		c.codes[i] = uint8(c.mcs[i].Health(c.bits))
+	}
 }
 
 // AttachFaults overlays a fault model on the chip's force production and
@@ -101,7 +127,7 @@ func New(cfg Config, src *randx.Source) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Chip{w: cfg.W, h: cfg.H, bits: cfg.HealthBits, mcs: make([]degrade.MC, cfg.W*cfg.H)}
+	c := newChip(cfg.W, cfg.H, cfg.HealthBits)
 	paramSrc := src.Split("params")
 	for i := range c.mcs {
 		c.mcs[i].Params = cfg.Normal.Sample(paramSrc)
@@ -117,6 +143,7 @@ func New(cfg Config, src *randx.Source) (*Chip, error) {
 			c.mcs[idx].FailAt = faultSrc.IntRange(cfg.Faults.FailAfterLo, cfg.Faults.FailAfterHi)
 		}
 	}
+	c.latchAll()
 	return c, nil
 }
 
@@ -139,12 +166,14 @@ func (c *Chip) Contains(x, y int) bool {
 
 func (c *Chip) index(x, y int) int { return (y-1)*c.w + (x - 1) }
 
-// MC returns the microelectrode cell at (x, y), or nil off-chip.
-func (c *Chip) MC(x, y int) *degrade.MC {
+// MC returns a copy of the microelectrode cell at (x, y), and false
+// off-chip. It is a copy so that no caller can change an MC's state behind
+// its latched health code.
+func (c *Chip) MC(x, y int) (degrade.MC, bool) {
 	if !c.Contains(x, y) {
-		return nil
+		return degrade.MC{}, false
 	}
-	return &c.mcs[c.index(x, y)]
+	return c.mcs[c.index(x, y)], true
 }
 
 // Actuations returns the actuation counter n of the MC at (x, y).
@@ -176,17 +205,19 @@ func (c *Chip) Force(x, y int) float64 {
 	return d * d
 }
 
-// Health returns the observed b-bit health code at (x, y), 0 off-chip. An
-// attached fault model perturbs the reading (sensed stuck cells, flipped or
-// stale sensor codes).
+// Health returns the observed b-bit health code at (x, y), 0 off-chip: the
+// latched fault-free code, which an attached fault model perturbs on read
+// (sensed stuck cells, flipped or stale sensor codes).
+//
+//meda:hotpath
 func (c *Chip) Health(x, y int) int {
 	if !c.Contains(x, y) {
 		return 0
 	}
-	mc := &c.mcs[c.index(x, y)]
-	h := mc.Health(c.bits)
+	i := c.index(x, y)
+	h := int(c.codes[i])
 	if c.faults != nil {
-		h = c.faults.SensedHealth(x, y, mc.N, h, c.bits)
+		h = c.faults.SensedHealth(x, y, c.mcs[i].N, h, c.bits)
 	}
 	return h
 }
@@ -203,12 +234,15 @@ func (c *Chip) TrueForceField() action.ForceField {
 // code is de-quantized to a degradation estimate D̂ and squared. This is the
 // field the synthesis MDP is built from.
 func (c *Chip) ObservedForceField() action.ForceField {
+	top := len(c.force) - 1
 	return func(x, y int) float64 {
 		if !c.Contains(x, y) {
 			return 0
 		}
-		d := degrade.DegradationFromHealth(c.Health(x, y), c.bits)
-		return d * d
+		// A fault overlay may sense any code; DegradationFromHealth
+		// saturates codes outside [0, 2^b−1] to the end codes.
+		h := min(max(c.Health(x, y), 0), top)
+		return c.force[h]
 	}
 }
 
@@ -243,40 +277,40 @@ func (c *Chip) SnapshotForceField(region geom.Rect) action.ForceField {
 
 // Actuate applies one operational cycle's actuation pattern: every MC inside
 // each rectangle is actuated once (charged and discharged), advancing its
-// degradation. Rectangles are clipped to the chip; overlapping rectangles
-// actuate a cell only once per cycle.
+// degradation and relatching its health code. Rectangles are clipped to the
+// chip; overlapping rectangles actuate a cell only once per cycle.
+//
+//meda:hotpath
 func (c *Chip) Actuate(patterns ...geom.Rect) {
-	if len(patterns) == 1 {
-		// Fast path: the common single-droplet case needs no dedup.
-		r, ok := patterns[0].Intersect(c.Bounds())
-		if !ok {
-			return
-		}
-		for y := r.YA; y <= r.YB; y++ {
-			base := (y - 1) * c.w
-			for x := r.XA; x <= r.XB; x++ {
-				//lint:ignore gridbounds c.mcs has w*h cells and r is clipped to the chip bounds, so 1 ≤ x ≤ w and 1 ≤ y ≤ h
-				c.mcs[base+x-1].Actuate()
-			}
-		}
-		return
-	}
-	seen := map[int]bool{}
-	for _, p := range patterns {
+	for k, p := range patterns {
 		r, ok := p.Intersect(c.Bounds())
 		if !ok {
 			continue
 		}
 		for y := r.YA; y <= r.YB; y++ {
+			base := (y - 1) * c.w
 			for x := r.XA; x <= r.XB; x++ {
-				idx := c.index(x, y)
-				if !seen[idx] {
-					seen[idx] = true
-					c.mcs[idx].Actuate()
+				if coveredBefore(patterns[:k], x, y) {
+					continue
 				}
+				//lint:ignore gridbounds c.mcs has w*h cells and r is clipped to the chip bounds, so 1 ≤ x ≤ w and 1 ≤ y ≤ h
+				mc := &c.mcs[base+x-1]
+				mc.Actuate()
+				//lint:ignore gridbounds c.codes has the same w*h cells and indexing as c.mcs, so the offset above is in bounds here too
+				c.codes[base+x-1] = uint8(mc.Health(c.bits))
 			}
 		}
 	}
+}
+
+// coveredBefore reports whether any of patterns contains (x, y).
+func coveredBefore(patterns []geom.Rect, x, y int) bool {
+	for _, p := range patterns {
+		if p.Contains(geom.Cell{X: x, Y: y}) {
+			return true
+		}
+	}
+	return false
 }
 
 // TotalActuations returns Σ n over all MCs, the chip's cumulative wear.
@@ -317,6 +351,8 @@ func (c *Chip) DegradationMatrix() [][]float64 {
 // HealthHash returns a hash of the observed health codes within region,
 // used by the hybrid scheduler to detect health changes that require
 // re-synthesis (Alg. 3). The region is clipped to the chip.
+//
+//meda:hotpath
 func (c *Chip) HealthHash(region geom.Rect) uint64 {
 	h := fnv.New64a()
 	r, ok := region.Intersect(c.Bounds())

@@ -78,7 +78,7 @@ func TestOffChipReadsZero(t *testing.T) {
 		if c.Degradation(p.X, p.Y) != 0 || c.Force(p.X, p.Y) != 0 || c.Health(p.X, p.Y) != 0 {
 			t.Errorf("off-chip cell %v must read zero", p)
 		}
-		if c.MC(p.X, p.Y) != nil {
+		if _, ok := c.MC(p.X, p.Y); ok {
 			t.Errorf("off-chip MC(%v) must be nil", p)
 		}
 		if c.Actuations(p.X, p.Y) != 0 {
@@ -293,7 +293,8 @@ func TestNewChipDeterministic(t *testing.T) {
 	b := newTestChip(t, cfg, 77)
 	for y := 1; y <= a.H(); y++ {
 		for x := 1; x <= a.W(); x++ {
-			ma, mb := a.MC(x, y), b.MC(x, y)
+			ma, _ := a.MC(x, y)
+			mb, _ := b.MC(x, y)
 			if ma.Params != mb.Params || ma.FailAt != mb.FailAt {
 				t.Fatalf("chips from same seed differ at (%d,%d)", x, y)
 			}

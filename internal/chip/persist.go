@@ -56,7 +56,7 @@ func LoadState(r io.Reader) (*Chip, error) {
 	if len(f.Cells) != f.W*f.H {
 		return nil, fmt.Errorf("chip: %d cells for a %d×%d array", len(f.Cells), f.W, f.H)
 	}
-	c := &Chip{w: f.W, h: f.H, bits: f.HealthBits, mcs: make([]degrade.MC, len(f.Cells))}
+	c := newChip(f.W, f.H, f.HealthBits)
 	for i, cs := range f.Cells {
 		p := degrade.Params{Tau: cs.Tau, C: cs.C}
 		if err := p.Validate(); err != nil {
@@ -67,5 +67,6 @@ func LoadState(r io.Reader) (*Chip, error) {
 		}
 		c.mcs[i] = degrade.MC{Params: p, N: cs.N, FailAt: cs.FailAt}
 	}
+	c.latchAll()
 	return c, nil
 }

@@ -34,7 +34,8 @@ func TestChipStateRoundTrip(t *testing.T) {
 	}
 	for y := 1; y <= c.H(); y++ {
 		for x := 1; x <= c.W(); x++ {
-			a, b := c.MC(x, y), back.MC(x, y)
+			a, _ := c.MC(x, y)
+			b, _ := back.MC(x, y)
 			if a.Params != b.Params || a.N != b.N || a.FailAt != b.FailAt {
 				t.Fatalf("cell (%d,%d) state lost: %+v vs %+v", x, y, a, b)
 			}
