@@ -39,7 +39,8 @@ assert:
 	$(GO) test -tags medacheck ./internal/mdp/ ./internal/smg/ ./internal/synth/ ./internal/modelcheck/ ./internal/sched/
 
 # Coverage floors for the packages this repo leans on hardest. Floors sit
-# well below current coverage (≈98/92/94% as of the telemetry PR) so they
+# well below current coverage (≈98/92/94% as of the telemetry PR; the
+# executor, internal/sim, measured 93% when its floor was added) so they
 # trip on real regressions, not on noise.
 cover:
 	@set -e; \
@@ -54,6 +55,7 @@ cover:
 	check ./internal/mdp/ 80; \
 	check ./internal/sched/ 80; \
 	check ./internal/synth/ 80; \
+	check ./internal/sim/ 85; \
 	check ./internal/lint/ 80; \
 	check ./internal/lint/cfg/ 80; \
 	check ./internal/lint/dataflow/ 80; \

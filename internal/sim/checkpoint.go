@@ -76,8 +76,8 @@ func (e *CheckpointAbort) Error() string {
 func (e *CheckpointAbort) Unwrap() error { return e.Cause }
 
 // checkpoint invokes the configured hook for cycle k, if due.
-func (r *Runner) checkpoint(k int, exec *Execution, droplets int, final bool) error {
-	cfg := r.Cfg.Checkpoint
+func (s *run) checkpoint(k int, final bool) error {
+	cfg := s.Cfg.Checkpoint
 	if cfg.Fn == nil {
 		return nil
 	}
@@ -88,7 +88,7 @@ func (r *Runner) checkpoint(k int, exec *Execution, droplets int, final bool) er
 	if !final && k%every != 0 {
 		return nil
 	}
-	cp := Checkpoint{Exec: *exec, HealthHash: r.Chip.HealthHash(r.Chip.Bounds()), Droplets: droplets}
+	cp := Checkpoint{Exec: s.exec, HealthHash: s.Chip.HealthHash(s.Chip.Bounds()), Droplets: len(s.droplets)}
 	if err := cfg.Fn(cp); err != nil {
 		return &CheckpointAbort{Cycle: k, Cause: err}
 	}

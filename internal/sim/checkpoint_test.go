@@ -129,3 +129,36 @@ func TestCheckpointDigestSensitivity(t *testing.T) {
 		}
 	}
 }
+
+// An execution that runs out its cycle budget observes its last cycle
+// exactly once, even when the cadence divides the budget: cycles strictly
+// increase and end at KMax.
+func TestCheckpointAbortedRunObservesLastCycleOnce(t *testing.T) {
+	for _, every := range []int{4, 8, 16} {
+		r := newRunner(t, robustChipConfig(), sched.NewAdaptive(sched.DefaultCacheSize), 42)
+		r.Cfg.KMax = 64
+		var cycles []int
+		r.Cfg.Checkpoint = CheckpointConfig{Every: every, Fn: func(cp Checkpoint) error {
+			cycles = append(cycles, cp.Exec.Cycles)
+			return nil
+		}}
+		exec, err := r.Execute(compile(t, assay.SerialDilution, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exec.Success || exec.Cycles != 64 {
+			t.Fatalf("every %d: want an aborted 64-cycle run, got %+v", every, exec)
+		}
+		if len(cycles) != 64/every {
+			t.Errorf("every %d: %d checkpoints %v, want %d", every, len(cycles), cycles, 64/every)
+		}
+		for i := 1; i < len(cycles); i++ {
+			if cycles[i] <= cycles[i-1] {
+				t.Fatalf("every %d: cycle %d observed after %d: %v", every, cycles[i], cycles[i-1], cycles)
+			}
+		}
+		if last := cycles[len(cycles)-1]; last != 64 {
+			t.Errorf("every %d: last checkpoint at cycle %d, want 64", every, last)
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Concurrent assay execution. The default executor treats every operation's
-// hazard zones as exclusive resources (canReserve in sim.go): two operations
+// hazard zones as exclusive resources (canActivate in sim.go): two operations
 // whose zones overlap never run at the same time, which is safe but
 // serializes most of a contended assay. The concurrent executor keeps every
 // ready operation running at once and moves the safety argument down a
@@ -14,11 +14,9 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"meda/internal/assay"
-	"meda/internal/route"
 )
 
 const (
@@ -43,9 +41,10 @@ const (
 )
 
 // concurrentState is the per-execution bookkeeping of the concurrent
-// executor. Slices are indexed by operation id and survive rollbacks (a
-// rolled-back operation keeps its yield count — that is what priority aging
-// means).
+// executor, nil in sequential mode: its methods are safe on a nil receiver,
+// where mayActivate admits every ready operation and the rest do nothing.
+// Slices are indexed by operation id and survive rollbacks (a rolled-back
+// operation keeps its yield count — that is what priority aging means).
 type concurrentState struct {
 	// waits is this cycle's wait-for graph: waits[d] is the droplet that d
 	// could not move because of (collision block, unroutable hazard, or a
@@ -76,16 +75,25 @@ func newConcurrentState(n int) *concurrentState {
 }
 
 func (cs *concurrentState) resetWaits() {
-	for d := range cs.waits {
-		delete(cs.waits, d)
+	if cs != nil {
+		clear(cs.waits)
 	}
+}
+
+// wait records that droplet d could not move this cycle because of b (a
+// nil b records nothing).
+func (cs *concurrentState) wait(d, b *dropletRT) {
+	if cs == nil || b == nil {
+		return
+	}
+	cs.waits[d] = b
 }
 
 // mayActivate gates a serialized victim's re-activation: not before its
 // deferral window expires, unless every recorded rival has finished. A victim
 // with no recorded rivals waits out the full window.
 func (cs *concurrentState) mayActivate(id, k int, mos []*moRT) bool {
-	if k >= cs.deferUntil[id] {
+	if cs == nil || k >= cs.deferUntil[id] {
 		return true
 	}
 	if len(cs.deferRivals[id]) == 0 {
@@ -101,67 +109,44 @@ func (cs *concurrentState) mayActivate(id, k int, mos []*moRT) bool {
 
 // observeCycle feeds the per-timestamp concurrency telemetry.
 func (cs *concurrentState) observeCycle(droplets int) {
+	if cs == nil {
+		return
+	}
 	telConcurrentDroplets.Set(float64(droplets))
 	telDropletsPerCycle.Observe(float64(droplets))
 }
 
-// canActivateConcurrent is the concurrent executor's activation rule,
-// relaxing canReserve's whole-hazard-zone exclusivity to goal-site
-// exclusivity: a ready operation activates unless one of its goal zones
-// conflicts with an active operation's goal zone (two droplets steered into
-// overlapping destinations could never separate again) or with a foreign
-// resting droplet it does not claim (the route could never complete while
-// that droplet rests there). Everything short of the goals — crossing
-// corridors, shared hazard windows — is left to the per-move fluidic
-// constraints, re-routing, and deadlock recovery. Because every resting
-// droplet lies inside some producer's goal zone, this rule also maintains
-// the invariant that resting outputs stay clear of active goals.
-func (r *Runner) canActivateConcurrent(id int, mos []*moRT, droplets []*dropletRT, mine map[*dropletRT]bool) bool {
-	margin := r.Cfg.CollisionMargin
-	for _, j := range mos[id].jobs {
-		for oid, om := range mos {
-			if oid == id || om.state != moActive {
-				continue
-			}
-			for _, oj := range om.jobs {
-				if zoneConflict(j.rj.Goal, oj.rj.Goal, margin) {
-					return false
-				}
-			}
-		}
-		for _, d := range droplets {
-			if d.mo == -1 && !mine[d] && zoneConflict(j.rj.Goal, d.rect, margin) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// arbitrateSpawns resolves reservoir contention among pending dispenses:
-// candidates are served longest-waiting first (ties in activation order), so
-// a dispense whose shared entry area keeps being claimed by siblings cannot
-// starve behind them.
-func (r *Runner) arbitrateSpawns(cs *concurrentState, mos []*moRT, k int, droplets *[]*dropletRT, exec *Execution) {
+// arbitrateSpawns is phase 1b: pending dispenses spawn when their entry
+// area clears. The sequential executor tries them in id order. The
+// concurrent one arbitrates reservoir contention: candidates are served
+// longest-waiting first (ties in activation order), so a dispense whose
+// shared entry area keeps being claimed by siblings cannot starve behind
+// them.
+func (s *run) arbitrateSpawns() {
 	var pending []int
-	for id, m := range mos {
+	for id, m := range s.mos {
 		if m.state == moActive && m.cm.MO.Type == assay.Dis && m.jobs[0].droplet == nil {
 			pending = append(pending, id)
 		}
+	}
+	cs := s.cs
+	if cs == nil {
+		for _, id := range pending {
+			s.trySpawn(id)
+		}
+		return
 	}
 	sort.SliceStable(pending, func(i, j int) bool {
 		return cs.spawnWait[pending[i]] > cs.spawnWait[pending[j]]
 	})
 	for _, id := range pending {
-		m := mos[id]
-		r.trySpawn(m, id, k, droplets)
-		if m.jobs[0].droplet == nil {
-			cs.spawnWait[id]++
-			exec.DispenseDeferrals++
-			telSpawnDeferrals.Inc()
-		} else {
+		if s.trySpawn(id) {
 			cs.spawnWait[id] = 0
+			continue
 		}
+		cs.spawnWait[id]++
+		s.exec.DispenseDeferrals++
+		telSpawnDeferrals.Inc()
 	}
 }
 
@@ -191,12 +176,12 @@ func unroutableBlocker(d *dropletRT, droplets []*dropletRT) *dropletRT {
 // on A) or wedged behind a quasi-static droplet with no way around, and
 // recovers by serializing a victim. Reports whether a recovery happened
 // (at most one per cycle; the graph is recomputed next cycle).
-func (r *Runner) detectDeadlocks(cs *concurrentState, mos []*moRT, plan *route.Plan,
-	outputs map[outputKey]*dropletRT, droplets *[]*dropletRT, k int, exec *Execution) bool {
+func (s *run) detectDeadlocks() bool {
+	cs := s.cs
 	// Rendezvous edges: a droplet parked in a merge goal waits for its
 	// partner, so a jam wedging the partner behind another operation is
 	// detected as the cross-operation cycle it really is.
-	for _, m := range mos {
+	for _, m := range s.mos {
 		if m.state != moActive {
 			continue
 		}
@@ -217,11 +202,11 @@ func (r *Runner) detectDeadlocks(cs *concurrentState, mos []*moRT, plan *route.P
 	}
 
 	stuck := func(d *dropletRT) bool {
-		return d.mo >= 0 && k-d.lastMove >= deadlockPatience
+		return d.mo >= 0 && s.k-d.lastMove >= deadlockPatience
 	}
 	// Cycle pass: walk the wait-for chain from every stuck droplet; a chain
 	// that bites its own tail through stuck droplets only is a deadlock.
-	for _, d := range *droplets {
+	for _, d := range s.droplets {
 		if !stuck(d) || cs.waits[d] == nil {
 			continue
 		}
@@ -230,7 +215,7 @@ func (r *Runner) detectDeadlocks(cs *concurrentState, mos []*moRT, plan *route.P
 		cur := d
 		for cur != nil && stuck(cur) {
 			if at, ok := seen[cur]; ok {
-				if r.serializeCycle(cs, mos, plan, outputs, droplets, chain[at:], k, exec) {
+				if s.serializeCycle(chain[at:]) {
 					return true
 				}
 				break
@@ -243,9 +228,9 @@ func (r *Runner) detectDeadlocks(cs *concurrentState, mos []*moRT, plan *route.P
 	// Chain pass: a droplet wedged far past patience behind a quasi-static
 	// foreign droplet (a resting output or a detained hold it cannot route
 	// around) yields to whatever operation will eventually move the blocker.
-	for _, d := range *droplets {
+	for _, d := range s.droplets {
 		b := cs.waits[d]
-		if d.mo < 0 || b == nil || k-d.lastMove < chainPatience {
+		if d.mo < 0 || b == nil || s.k-d.lastMove < chainPatience {
 			continue
 		}
 		if b.mo == d.mo || !b.quasiStatic() {
@@ -254,14 +239,10 @@ func (r *Runner) detectDeadlocks(cs *concurrentState, mos []*moRT, plan *route.P
 		var rivals []int
 		if b.mo >= 0 {
 			rivals = append(rivals, b.mo)
-		} else if c := consumerOfOutput(plan, outputs, b); c >= 0 {
+		} else if c := s.consumerOfOutput(b); c >= 0 {
 			rivals = append(rivals, c)
 		}
-		if r.Debug != nil {
-			fmt.Fprintf(r.Debug, "chain-stall k=%d droplet(mo=%d rect=%v lastMove=%d) behind mo=%d rect=%v\n",
-				k, d.mo, d.rect, d.lastMove, b.mo, b.rect)
-		}
-		r.recoverDeadlock(cs, mos, plan, outputs, droplets, d.mo, rivals, k, exec)
+		s.recoverDeadlock(d.mo, rivals)
 		return true
 	}
 	return false
@@ -273,8 +254,7 @@ func (r *Runner) detectDeadlocks(cs *concurrentState, mos []*moRT, plan *route.P
 // cheapest rollback (fewest already-started operations reset), then the
 // highest id. Reports false when the cycle spans a single operation —
 // intra-operation waits are rendezvous choreography, not routing deadlocks.
-func (r *Runner) serializeCycle(cs *concurrentState, mos []*moRT, plan *route.Plan,
-	outputs map[outputKey]*dropletRT, droplets *[]*dropletRT, cycle []*dropletRT, k int, exec *Execution) bool {
+func (s *run) serializeCycle(cycle []*dropletRT) bool {
 	ops := map[int]bool{}
 	for _, d := range cycle {
 		if d.mo >= 0 {
@@ -290,10 +270,10 @@ func (r *Runner) serializeCycle(cs *concurrentState, mos []*moRT, plan *route.Pl
 	}
 	sort.Ints(ids)
 	victim := ids[0]
-	vCost := rollbackCost(mos, plan, victim)
+	vCost := s.rollbackCost(victim)
 	for _, id := range ids[1:] {
-		cost := rollbackCost(mos, plan, id)
-		switch yi, yv := cs.yields[id], cs.yields[victim]; {
+		cost := s.rollbackCost(id)
+		switch yi, yv := s.cs.yields[id], s.cs.yields[victim]; {
 		case yi < yv:
 			victim, vCost = id, cost
 		case yi == yv && cost < vCost:
@@ -308,7 +288,7 @@ func (r *Runner) serializeCycle(cs *concurrentState, mos []*moRT, plan *route.Pl
 			rivals = append(rivals, id)
 		}
 	}
-	r.recoverDeadlock(cs, mos, plan, outputs, droplets, victim, rivals, k, exec)
+	s.recoverDeadlock(victim, rivals)
 	return true
 }
 
@@ -316,22 +296,18 @@ func (r *Runner) serializeCycle(cs *concurrentState, mos []*moRT, plan *route.Pl
 // (and whatever must re-run to regenerate its droplets) is rolled back to
 // init and deferred until its rivals finish or the deferral window expires,
 // and the rivals' strategies are refreshed now that the jam dissolved.
-func (r *Runner) recoverDeadlock(cs *concurrentState, mos []*moRT, plan *route.Plan,
-	outputs map[outputKey]*dropletRT, droplets *[]*dropletRT, victim int, rivals []int, k int, exec *Execution) {
-	exec.Deadlocks++
+func (s *run) recoverDeadlock(victim int, rivals []int) {
+	cs := s.cs
+	s.exec.Deadlocks++
 	telDeadlocks.Inc()
 	cs.yields[victim]++
-	if r.Debug != nil {
-		fmt.Fprintf(r.Debug, "deadlock k=%d victim=M%d(%s) rivals=%v yields=%d\n",
-			k, victim, mos[victim].cm.MO.Type, rivals, cs.yields[victim])
-	}
-	rollback(mos, plan, victim, outputs, droplets, exec)
-	exec.SerializedOps++
+	s.rollback(victim)
+	s.exec.SerializedOps++
 	telSerializedOps.Inc()
-	cs.deferUntil[victim] = k + serializeDefer
+	cs.deferUntil[victim] = s.k + serializeDefer
 	cs.deferRivals[victim] = rivals
 	for _, rid := range rivals {
-		for _, j := range mos[rid].jobs {
+		for _, j := range s.mos[rid].jobs {
 			if !j.done && j.droplet != nil {
 				j.obstacleDirty = true
 				j.blockedStreak = 0
@@ -343,13 +319,13 @@ func (r *Runner) recoverDeadlock(cs *concurrentState, mos []*moRT, plan *route.P
 
 // consumerOfOutput finds the operation that will eventually claim a resting
 // output droplet, or -1 when none exists.
-func consumerOfOutput(plan *route.Plan, outputs map[outputKey]*dropletRT, b *dropletRT) int {
-	for key, d := range outputs {
+func (s *run) consumerOfOutput(b *dropletRT) int {
+	for key, d := range s.outputs {
 		if d != b {
 			continue
 		}
-		for id := range plan.MOs {
-			for _, slot := range plan.MOs[id].InSlots {
+		for id := range s.plan.MOs {
+			for _, slot := range s.plan.MOs[id].InSlots {
 				if slot[0] == key.mo && slot[1] == key.slot {
 					return id
 				}

@@ -216,7 +216,7 @@ func TestDegradedJobRoutesViaFinalTier(t *testing.T) {
 	plan := compile(t, assay.MasterMix, 16)
 	rj := plan.MOs[0].Jobs[0]
 	j := &jobRT{rj: rj, mo: 0, degraded: true, routable: true}
-	r.fetch(j, 1, nil, &Execution{})
+	(&run{Runner: r, k: 1}).fetch(j)
 	if !j.routable || len(j.policy) == 0 {
 		t.Fatalf("degraded fetch produced no policy: routable=%v", j.routable)
 	}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"meda/internal/assay"
@@ -102,32 +100,5 @@ func TestWearAwareActivationRuns(t *testing.T) {
 	}
 	if !exec.Success {
 		t.Fatalf("wear-aware activation failed: %+v", exec)
-	}
-}
-
-// TestDebugDump: the development dump writes operation and droplet state.
-func TestDebugDump(t *testing.T) {
-	src := randx.New(4)
-	c, err := chip.New(robustChipConfig(), src.Split("chip"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(DefaultConfig(), c, sched.NewBaseline(), src.Split("sim"))
-	var buf bytes.Buffer
-	r.Debug = &buf
-	r.DebugEvery = 10
-	exec, err := r.Execute(compile(t, assay.CovidRAT, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exec.Success {
-		t.Fatalf("execution failed: %+v", exec)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "--- k=10") {
-		t.Error("dump missing cycle header")
-	}
-	if !strings.Contains(out, "droplet") {
-		t.Error("dump missing droplet lines")
 	}
 }

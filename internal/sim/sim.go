@@ -20,7 +20,7 @@ package sim
 
 import (
 	"fmt"
-	"io"
+	"math"
 	"sort"
 
 	"meda/internal/action"
@@ -41,13 +41,6 @@ type Config struct {
 	// KMax is the per-execution cycle budget; exceeding it aborts the
 	// bioassay (Sec. VII-C uses 1000).
 	KMax int
-	// CollisionMargin is the minimum separation, in cells, maintained
-	// between droplets of different operations.
-	CollisionMargin int
-	// ResynthDelay models the latency, in cycles, between detecting a
-	// health change (or an obstruction) and the asynchronously
-	// re-synthesized strategy becoming available (Alg. 3).
-	ResynthDelay int
 	// MinResynthInterval rate-limits re-synthesis per job: once a new
 	// strategy is installed, further triggers are coalesced for this many
 	// cycles.
@@ -131,7 +124,7 @@ type RecoveryConfig struct {
 // DefaultConfig mirrors the paper's evaluation settings (recovery off — the
 // paper's two routers both run without reactive recovery; see Sec. VII-A).
 func DefaultConfig() Config {
-	return Config{KMax: 1000, CollisionMargin: 1, ResynthDelay: 2, MinResynthInterval: 5}
+	return Config{KMax: 1000, MinResynthInterval: 5}
 }
 
 // DefaultRecovery returns the roll-back recovery configuration used by the
@@ -185,7 +178,9 @@ type Execution struct {
 }
 
 // CycleHook observes each cycle's actuation patterns (used by the Fig. 3
-// correlation study to record per-cell actuation vectors).
+// correlation study to record per-cell actuation vectors). The executor
+// reuses the patterns slice from cycle to cycle: it is valid only during the
+// call, so a hook that keeps it must copy it.
 type CycleHook func(k int, patterns []geom.Rect)
 
 // Runner executes bioassays on a biochip. The chip's wear persists across
@@ -195,11 +190,7 @@ type Runner struct {
 	Chip   *chip.Chip
 	Router sched.Router
 	Hook   CycleHook
-	// Debug, when non-nil, receives a per-droplet state dump every
-	// DebugEvery cycles — a development aid for diagnosing schedules.
-	Debug      io.Writer
-	DebugEvery int
-	src        *randx.Source
+	src    *randx.Source
 	// inferredFaults are regions the reactive error-recovery controller
 	// has learned to avoid within the current execution: wherever a
 	// droplet stalled before a rollback. Health-blind routers cannot
@@ -213,11 +204,6 @@ type Runner struct {
 	// Execute; it persists across executions (stuck cells, like wear, do
 	// not heal between bioassays).
 	inj *fault.Injector
-	// cs is the concurrent executor's per-execution state, nil outside an
-	// Execute call with Cfg.Concurrent set. Held on the Runner so deferred
-	// splits and merges (progress path) can record wait-for edges for
-	// deadlock detection.
-	cs *concurrentState
 }
 
 // NewRunner assembles a simulation environment.
@@ -312,6 +298,16 @@ type moRT struct {
 
 type outputKey struct{ mo, slot int }
 
+const (
+	// collisionMargin is the minimum separation, in cells, maintained
+	// between droplets of different operations.
+	collisionMargin = 1
+	// resynthDelay models the latency, in cycles, between detecting a
+	// health change (or an obstruction) and the asynchronously
+	// re-synthesized strategy becoming available (Alg. 3).
+	resynthDelay = 2
+)
+
 // Execute runs the bioassay once. The same Runner may be called repeatedly;
 // wear accumulates on the chip between executions.
 func (r *Runner) Execute(plan *route.Plan) (Execution, error) {
@@ -334,7 +330,36 @@ func (r *Runner) Execute(plan *route.Plan) (Execution, error) {
 	return exec, nil
 }
 
-// execute is the uninstrumented body of Execute.
+// run is the state of one execution: the plan's operations at runtime, the
+// droplets on the array, the counters being accumulated, and the concurrent
+// executor's bookkeeping (nil in sequential mode). The phase methods of the
+// cycle loop and the helpers they call all work on it.
+type run struct {
+	*Runner
+	plan *route.Plan
+	mos  []*moRT
+	// consumerOf maps a dispense operation to the operation consuming its
+	// droplet, for just-in-time dispensing.
+	consumerOf []int
+	outputs    map[outputKey]*dropletRT
+	droplets   []*dropletRT
+	exec       Execution
+	cs         *concurrentState
+	// k is the current cycle; lastProgress is the last cycle a droplet
+	// moved, a job or operation finished, or a recovery reset the schedule.
+	k            int
+	lastProgress int
+	// Per-cycle buffers of action selection and motion, reused every cycle.
+	patterns []geom.Rect
+	intents  []geom.Rect // committed region per droplet
+	acts     []action.Action
+	moving   []bool
+	weights  []float64
+}
+
+// execute is the uninstrumented body of Execute: one loop over the numbered
+// phases of an operational cycle. The phase order, and the iteration order
+// inside each phase, fix every draw from the simulation's random source.
 func (r *Runner) execute(plan *route.Plan) (Execution, error) {
 	if plan.W != r.Chip.W() || plan.H != r.Chip.H() {
 		return Execution{}, fmt.Errorf("sim: plan compiled for %d×%d but chip is %d×%d",
@@ -350,484 +375,491 @@ func (r *Runner) execute(plan *route.Plan) (Execution, error) {
 			fa.SetFaultInjector(r.inj)
 		}
 	}
-	mos := make([]*moRT, len(plan.MOs))
-	for i := range plan.MOs {
-		cm := &plan.MOs[i]
-		m := &moRT{cm: cm}
-		for j := range cm.Jobs {
-			rj := synth.NormalizeDispense(cm.Jobs[j], plan.W, plan.H)
-			m.jobs = append(m.jobs, &jobRT{rj: rj, mo: i, routable: true})
+	s := r.newRun(plan)
+	for s.k = 1; s.k <= r.Cfg.KMax; s.k++ {
+		s.exec.Cycles = s.k
+		s.activateReady()    // 1. init → active
+		s.arbitrateSpawns()  // 1b. pending dispenses
+		s.observeDroplets()  //     peak and per-cycle concurrency
+		s.enforceDeadlines() // 1c. per-MO deadlines
+		s.resynthesize()     // 2. asynchronous re-synthesis
+		s.selectActions()    // 3. actions and actuation matrix U
+		s.actuate()          // 4. apply U
+		s.move()             // 5. sample droplet motion
+		s.audit()            // 5b. hazard audit
+		s.advance()          // 6. completion checks
+		// 6a. Concurrent-mode deadlock detection and recovery: wait-for
+		// cycles among droplets stalled past patience are broken by
+		// forcibly serializing a victim operation behind its rivals.
+		if s.cs != nil && s.detectDeadlocks() {
+			s.lastProgress = s.k
 		}
-		mos[i] = m
+		s.recoverErrors() // 6b. reactive error recovery
+		s.observeMOs()    // 6c. per-MO telemetry
+
+		// 7. Finished? Otherwise checkpoint periodically: observe progress
+		// and honor cooperative aborts (cancellation, controller shutdown).
+		// The completion check comes first so a finished execution is never
+		// aborted on its final cycle, and the budget's last cycle is left to
+		// the final checkpoint below so no cycle is observed twice.
+		if s.allDone() {
+			s.exec.Success = true
+			err := s.checkpoint(s.k, true)
+			return s.exec, err
+		}
+		if s.k < r.Cfg.KMax {
+			if err := s.checkpoint(s.k, false); err != nil {
+				return s.exec, err
+			}
+		}
 	}
-	// consumerOf maps a dispense operation to the operation consuming its
-	// droplet, for just-in-time dispensing.
-	consumerOf := make([]int, len(plan.MOs))
-	for i := range consumerOf {
-		consumerOf[i] = -1
+	err := s.checkpoint(r.Cfg.KMax, true)
+	return s.exec, err
+}
+
+// newRun builds the runtime state of one execution of plan.
+func (r *Runner) newRun(plan *route.Plan) *run {
+	n := len(plan.MOs)
+	s := &run{Runner: r, plan: plan, mos: make([]*moRT, n), consumerOf: make([]int, n),
+		outputs: make(map[outputKey]*dropletRT)}
+	for i := range plan.MOs {
+		s.mos[i] = newMO(plan, i)
+		s.consumerOf[i] = -1
 	}
 	for i := range plan.MOs {
 		for _, slot := range plan.MOs[i].InSlots {
 			if plan.MOs[slot[0]].MO.Type == assay.Dis {
-				consumerOf[slot[0]] = i
+				s.consumerOf[slot[0]] = i
 			}
 		}
 	}
-	outputs := make(map[outputKey]*dropletRT)
-	var droplets []*dropletRT
-	var exec Execution
-	r.inferredFaults = nil
-	// cs is non-nil only in concurrent mode; every branch it gates leaves
-	// the default one-zone-at-a-time path bit-for-bit unchanged, so the
-	// sequential executor stays a valid differential oracle.
-	var cs *concurrentState
 	if r.Cfg.Concurrent {
-		cs = newConcurrentState(len(mos))
+		s.cs = newConcurrentState(n)
 	}
-	r.cs = cs
-	defer func() { r.cs = nil }()
+	r.inferredFaults = nil
+	return s
+}
 
-	removeDroplet := func(d *dropletRT) {
-		for i, q := range droplets {
-			if q == d {
-				droplets = append(droplets[:i], droplets[i+1:]...)
-				return
-			}
-		}
+// newMO returns operation id of the plan in its initial state.
+func newMO(plan *route.Plan, id int) *moRT {
+	cm := &plan.MOs[id]
+	m := &moRT{cm: cm}
+	for j := range cm.Jobs {
+		rj := synth.NormalizeDispense(cm.Jobs[j], plan.W, plan.H)
+		m.jobs = append(m.jobs, &jobRT{rj: rj, mo: id, routable: true})
 	}
+	return m
+}
 
-	// ready reports whether an operation's dependencies are met. Dispense
-	// operations additionally wait until their consumer's other inputs are
-	// done (just-in-time dispensing), so reagent droplets do not sit on
-	// the array blocking unrelated routes.
-	ready := func(id int) bool {
-		m := mos[id]
-		if m.state != moInit {
+// ready reports whether an operation's dependencies are met. Dispense
+// operations additionally wait until their consumer's other inputs are done
+// (just-in-time dispensing), so reagent droplets do not sit on the array
+// blocking unrelated routes.
+func (s *run) ready(id int) bool {
+	m := s.mos[id]
+	if m.state != moInit {
+		return false
+	}
+	for _, pre := range m.cm.MO.Pre {
+		if s.mos[pre].state != moDone {
 			return false
 		}
-		for _, pre := range m.cm.MO.Pre {
-			if mos[pre].state != moDone {
-				return false
-			}
-		}
-		if m.cm.MO.Type != assay.Dis {
-			return true
-		}
-		c := consumerOf[id]
-		if c < 0 {
-			return true
-		}
-		for _, pre := range mos[c].cm.MO.Pre {
-			if pre == id || mos[pre].state == moDone {
-				continue
-			}
-			if plan.MOs[pre].MO.Type == assay.Dis {
-				continue // sibling dispense: jointly ready
-			}
-			return false
-		}
+	}
+	if m.cm.MO.Type != assay.Dis {
 		return true
 	}
-
-	// claims returns the resting droplets an operation would pick up on
-	// activation.
-	claims := func(id int) map[*dropletRT]bool {
-		out := map[*dropletRT]bool{}
-		for _, slot := range mos[id].cm.InSlots {
-			if d, ok := outputs[outputKey{slot[0], slot[1]}]; ok {
-				out[d] = true
-			}
-		}
-		return out
+	c := s.consumerOf[id]
+	if c < 0 {
+		return true
 	}
+	for _, pre := range s.mos[c].cm.MO.Pre {
+		if pre == id || s.mos[pre].state == moDone {
+			continue
+		}
+		if s.plan.MOs[pre].MO.Type == assay.Dis {
+			continue // sibling dispense: jointly ready
+		}
+		return false
+	}
+	return true
+}
 
-	// canReserve implements hazard zones as exclusive resources (their
-	// 3-cell safety margin exists "to prevent accidental merging"): a new
-	// operation's zones must not overlap any active operation's zones,
-	// nor cover a foreign resting droplet. This keeps concurrent routes
-	// apart; the collision guard, obstacle-aware re-routing, and
-	// sidestepping below handle whatever still meets.
-	canReserve := func(id int) bool {
-		mine := claims(id)
-		for _, j := range mos[id].jobs {
-			for oid, om := range mos {
-				if oid == id || om.state != moActive {
-					continue
-				}
-				for _, oj := range om.jobs {
-					if j.rj.Hazard.Overlaps(oj.rj.Hazard) {
-						return false
-					}
-				}
+// claims returns the resting droplets an operation would pick up on
+// activation.
+func (s *run) claims(id int) map[*dropletRT]bool {
+	out := map[*dropletRT]bool{}
+	for _, slot := range s.mos[id].cm.InSlots {
+		if d, ok := s.outputs[outputKey{slot[0], slot[1]}]; ok {
+			out[d] = true
+		}
+	}
+	return out
+}
+
+// canActivate is the activation rule. The sequential executor treats hazard
+// zones as exclusive resources (their 3-cell safety margin exists "to
+// prevent accidental merging"): a new operation's zones must not overlap any
+// active operation's zones, nor come within the collision margin of a
+// foreign resting droplet. This keeps concurrent routes apart; the collision
+// guard, obstacle-aware re-routing, and sidestepping handle whatever still
+// meets.
+//
+// The concurrent executor relaxes this to goal-site exclusivity: a ready
+// operation activates unless one of its goal zones conflicts with an active
+// operation's goal zone (two droplets steered into overlapping destinations
+// could never separate again) or with a foreign resting droplet it does not
+// claim (the route could never complete while that droplet rests there).
+// Everything short of the goals — crossing corridors, shared hazard windows —
+// is left to the per-move fluidic constraints, re-routing, and deadlock
+// recovery. Because every resting droplet lies inside some producer's goal
+// zone, this rule also maintains the invariant that resting outputs stay
+// clear of active goals.
+func (s *run) canActivate(id int) bool {
+	zone, activeMargin := func(j *jobRT) geom.Rect { return j.rj.Hazard }, 0
+	if s.cs != nil {
+		zone, activeMargin = func(j *jobRT) geom.Rect { return j.rj.Goal }, collisionMargin
+	}
+	mine := s.claims(id)
+	for _, j := range s.mos[id].jobs {
+		for oid, om := range s.mos {
+			if oid == id || om.state != moActive {
+				continue
 			}
-			for _, d := range droplets {
-				if d.mo == -1 && !mine[d] && j.rj.Hazard.Overlaps(d.rect.Expand(r.Cfg.CollisionMargin)) {
+			for _, oj := range om.jobs {
+				if zoneConflict(zone(j), zone(oj), activeMargin) {
 					return false
 				}
 			}
 		}
-		return true
-	}
-
-	lastProgress := 0
-	for k := 1; k <= r.Cfg.KMax; k++ {
-		exec.Cycles = k
-
-		// 1. Activate ready operations (Alg. 3 init → active) whose
-		// hazard zones can be reserved. If the discipline wedges (no
-		// active work, or no progress for a long stretch), force the
-		// lowest ready operation through and let the per-droplet
-		// fallbacks arbitrate.
-		var readyIDs []int
-		anyActive := false
-		for id, m := range mos {
-			if m.state == moActive {
-				anyActive = true
+		for _, d := range s.droplets {
+			if d.mo == -1 && !mine[d] && zoneConflict(zone(j), d.rect, collisionMargin) {
+				return false
 			}
-			if ready(id) && (cs == nil || cs.mayActivate(id, k, mos)) {
-				readyIDs = append(readyIDs, id)
-			}
-		}
-		if r.Cfg.WearAwareActivation && len(readyIDs) > 1 {
-			sort.SliceStable(readyIDs, func(i, j int) bool {
-				return r.zoneHealth(mos[readyIDs[i]]) > r.zoneHealth(mos[readyIDs[j]])
-			})
-		}
-		activated := false
-		for _, id := range readyIDs {
-			ok := false
-			if cs != nil {
-				ok = r.canActivateConcurrent(id, mos, droplets, claims(id))
-			} else {
-				ok = canReserve(id)
-			}
-			if ok {
-				r.activate(mos[id], id, outputs, &droplets, k, &exec)
-				activated = true
-				anyActive = true
-			}
-		}
-		if !activated && len(readyIDs) > 0 && (!anyActive || k-lastProgress > 100) {
-			r.activate(mos[readyIDs[0]], readyIDs[0], outputs, &droplets, k, &exec)
-			lastProgress = k
-		}
-
-		// 1b. Pending dispenses: spawn when the entry area clears. In
-		// concurrent mode a contended reservoir is arbitrated by waiting
-		// age (longest-deferred dispense first), so none starves.
-		if cs != nil {
-			r.arbitrateSpawns(cs, mos, k, &droplets, &exec)
-		} else {
-			for id, m := range mos {
-				if m.state == moActive && m.cm.MO.Type == assay.Dis && m.jobs[0].droplet == nil {
-					r.trySpawn(m, id, k, &droplets)
-				}
-			}
-		}
-		if n := len(droplets); n > exec.PeakDroplets {
-			exec.PeakDroplets = n
-		}
-		if cs != nil {
-			cs.observeCycle(len(droplets))
-		}
-
-		// 1c. Per-MO deadlines: an operation running far past activation is
-		// degraded — its unfinished jobs are demoted to the router's final
-		// tier, trading route quality for guaranteed progress.
-		if r.Cfg.MODeadline > 0 {
-			for _, m := range mos {
-				if m.state != moActive || m.degraded || k-m.activatedAt <= r.Cfg.MODeadline {
-					continue
-				}
-				m.degraded = true
-				telMODeadline.Inc()
-				for _, j := range m.jobs {
-					if j.done || j.degraded {
-						continue
-					}
-					j.degraded = true
-					j.obstacleDirty = true
-					exec.DegradedJobs++
-					telDegradedJobs.Inc()
-				}
-			}
-		}
-
-		// 2. Asynchronous re-synthesis (Alg. 3): refresh strategies whose
-		// region's health changed or that ran into an obstruction.
-		for _, m := range mos {
-			if m.state != moActive {
-				continue
-			}
-			for _, j := range m.jobs {
-				if j.done || j.droplet == nil {
-					continue
-				}
-				dirty := j.obstacleDirty
-				healthDirty := false
-				if r.Router.HealthAware() && j.routable && !dirty {
-					healthDirty = r.Chip.HealthHash(j.rj.Hazard) != j.hash
-					dirty = healthDirty
-				}
-				if dirty && !j.pending {
-					if healthDirty {
-						if inv, ok := r.Router.(sched.RegionInvalidator); ok {
-							// The job's region covers the degraded cells
-							// that triggered the refresh: evict overlapping
-							// strategies eagerly.
-							inv.InvalidateRegion(j.rj.Hazard)
-						}
-					}
-					j.pending = true
-					if k+r.Cfg.ResynthDelay > j.nextTry {
-						j.nextTry = k + r.Cfg.ResynthDelay
-					}
-				}
-				if j.pending && k >= j.nextTry {
-					r.install(j, k, droplets, &exec)
-				}
-			}
-		}
-
-		// 3. Select actions and build the actuation matrix U.
-		if cs != nil {
-			cs.resetWaits()
-		}
-		patterns := make([]geom.Rect, 0, len(droplets))
-		intents := make([]geom.Rect, len(droplets)) // committed region per droplet
-		acts := make([]action.Action, len(droplets))
-		moving := make([]bool, len(droplets))
-		for i, d := range droplets {
-			intents[i] = d.rect // default: hold in place
-			if d.job == nil || d.job.done {
-				patterns = append(patterns, d.rect)
-				continue
-			}
-			if smg.GoalLabel(d.rect, d.job.rj.Goal) {
-				// Arrived; wait for the operation-level condition
-				// (merge rendezvous, phase change) to pick it up.
-				patterns = append(patterns, d.rect)
-				continue
-			}
-			a, ok := d.job.policy[d.rect]
-			if !ok {
-				// Off-policy position or unroutable region: keep
-				// probing for a way out as health/obstacles evolve.
-				exec.Stalls++
-				d.job.obstacleDirty = true
-				r.noteDivergence(d, &exec)
-				if cs != nil {
-					if b := unroutableBlocker(d, droplets); b != nil {
-						cs.waits[d] = b
-					}
-				}
-				patterns = append(patterns, d.rect)
-				continue
-			}
-			target := a.Apply(d.rect)
-			if blocker := r.blockedBy(d, target, droplets, intents, i); blocker != nil {
-				exec.Stalls++
-				d.job.blockedStreak++
-				if cs != nil {
-					cs.waits[d] = blocker
-				}
-				if blocker.quasiStatic() {
-					d.job.obstacleDirty = true
-				} else if d.job.blockedStreak >= blockedStreakLimit {
-					// Two moving droplets wedged head-on: re-route
-					// around the other one as if it were parked.
-					d.job.obstacleDirty = true
-					d.job.extraObstacles = append(d.job.extraObstacles,
-						blocker.rect.Expand(r.Cfg.CollisionMargin))
-				}
-				if d.job.blockedStreak >= 2*blockedStreakLimit {
-					// Re-routing has not helped; physically sidestep
-					// to dissolve multi-droplet knots.
-					if alt, nt, ok2 := r.sidestep(d, droplets, intents, i); ok2 {
-						intents[i] = nt.Union(d.rect)
-						acts[i] = alt
-						moving[i] = true
-						patterns = append(patterns, nt)
-						continue
-					}
-				}
-				patterns = append(patterns, d.rect)
-				continue
-			}
-			d.job.blockedStreak = 0
-			intents[i] = target.Union(d.rect)
-			acts[i] = a
-			moving[i] = true
-			patterns = append(patterns, target)
-		}
-
-		// 4. Apply U: wear the actuated microelectrodes (player ②).
-		r.Chip.Actuate(patterns...)
-		if r.Hook != nil {
-			r.Hook(k, patterns)
-		}
-
-		// 5. Sample droplet motion from the true outcome distributions.
-		dropletsBefore := len(droplets)
-		for i, d := range droplets {
-			if !moving[i] {
-				continue
-			}
-			outs := action.Outcomes(d.rect, acts[i], r.Chip.TrueForceField())
-			weights := make([]float64, len(outs))
-			for oi, o := range outs {
-				weights[oi] = o.P
-			}
-			next := outs[r.src.Choose(weights)].Droplet
-			if next != d.rect {
-				lastProgress = k
-				d.lastMove = k
-				if d.job != nil {
-					d.job.divergence = 0
-				}
-			} else {
-				// The chip was commanded to move the droplet and it stayed
-				// put — physical divergence from the plan (a stuck-off
-				// region produces exactly this signature).
-				r.noteDivergence(d, &exec)
-			}
-			d.rect = next
-		}
-
-		// 5b. Hazard audit: after this cycle's motion no droplet may sit
-		// off-array and no two droplets of different operations may
-		// overlap (accidental merging — the violation the 3-cell hazard
-		// margin exists to prevent).
-		if r.Cfg.CheckHazards {
-			exec.HazardViolations += r.auditHazards(droplets)
-		}
-
-		// 6. Completion checks: job arrivals, merges, holds, exits.
-		prevJobs := exec.JobsCompleted
-		for id, m := range mos {
-			if m.state != moActive {
-				continue
-			}
-			r.progress(m, id, outputs, &droplets, removeDroplet, &exec)
-		}
-		if exec.JobsCompleted > prevJobs || len(droplets) != dropletsBefore {
-			lastProgress = k
-		}
-
-		// 6a. Concurrent-mode deadlock detection and recovery: wait-for
-		// cycles among droplets stalled past patience are broken by forcibly
-		// serializing a victim operation behind its rivals.
-		if cs != nil && r.detectDeadlocks(cs, mos, plan, outputs, &droplets, k, &exec) {
-			lastProgress = k
-		}
-
-		// 6b. Reactive error recovery (when enabled), in the paper's two
-		// tiers (Sec. II-C). Retrial: a droplet stalled for half the
-		// threshold has its suspected dead region blacklisted and its
-		// route re-planned. Roll-back: a droplet still stuck at the full
-		// threshold fails its operation; the operation and everything
-		// needed to regenerate its droplets are re-executed.
-		if r.Cfg.Recovery.Enabled {
-			failed := -1
-			for id, m := range mos {
-				if m.state != moActive {
-					continue
-				}
-				for _, j := range m.jobs {
-					d := j.droplet
-					if d == nil || j.done || d.job == nil {
-						continue
-					}
-					if smg.GoalLabel(d.rect, j.rj.Goal) {
-						continue
-					}
-					stalled := k - d.lastMove
-					if stalled > r.Cfg.Recovery.StallThreshold {
-						if failed < 0 && exec.Rollbacks < r.Cfg.Recovery.MaxRollbacks {
-							failed = id
-						}
-						continue
-					}
-					if stalled > r.Cfg.Recovery.StallThreshold/2 && j.routable {
-						// Retrial: blacklist the unreachable next step
-						// and re-route this job around it.
-						if a, ok := j.policy[d.rect]; ok {
-							if r.inferFault(a.Apply(d.rect)) {
-								j.obstacleDirty = true
-							}
-						}
-					}
-				}
-			}
-			if failed >= 0 {
-				r.inferFaults(mos[failed], k)
-				rollback(mos, plan, failed, outputs, &droplets, &exec)
-				exec.Rollbacks++
-				lastProgress = k
-			}
-		}
-
-		if r.Debug != nil && r.DebugEvery > 0 && k%r.DebugEvery == 0 {
-			r.dump(k, mos, droplets)
-		}
-
-		// 6c. Per-MO telemetry: observe each operation's activation→done
-		// cycle count the cycle it completes.
-		for _, m := range mos {
-			if m.state == moDone && !m.recorded {
-				m.recorded = true
-				telMOCycles.Observe(float64(k - m.activatedAt))
-			}
-		}
-
-		// 7. Finished?
-		allDone := true
-		for _, m := range mos {
-			if m.state != moDone {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			exec.Success = true
-			if err := r.checkpoint(k, &exec, len(droplets), true); err != nil {
-				return exec, err
-			}
-			return exec, nil
-		}
-
-		// 7b. Periodic checkpoint: observe progress and honor cooperative
-		// aborts (cancellation, controller shutdown). Placed after the
-		// completion check so a finished execution is never aborted on its
-		// final cycle.
-		if err := r.checkpoint(k, &exec, len(droplets), false); err != nil {
-			return exec, err
 		}
 	}
-	if err := r.checkpoint(r.Cfg.KMax, &exec, len(droplets), true); err != nil {
-		return exec, err
-	}
-	return exec, nil
+	return true
 }
 
-// dump writes a state snapshot for debugging.
-func (r *Runner) dump(k int, mos []*moRT, droplets []*dropletRT) {
-	fmt.Fprintf(r.Debug, "--- k=%d\n", k)
-	for id, m := range mos {
+// activateReady is phase 1: activate ready operations (Alg. 3 init →
+// active) that pass the activation rule. If the discipline wedges (no active
+// work, or no progress for a long stretch), force the lowest ready operation
+// through and let the per-droplet fallbacks arbitrate.
+func (s *run) activateReady() {
+	var readyIDs []int
+	anyActive := false
+	for id, m := range s.mos {
 		if m.state == moActive {
-			fmt.Fprintf(r.Debug, "  M%d %s active phase=%d holding=%v\n", id, m.cm.MO.Type, m.phase, m.holding)
-			for _, j := range m.jobs {
-				var rect interface{} = "nil"
-				if j.droplet != nil {
-					rect = j.droplet.rect
+			anyActive = true
+		}
+		if s.ready(id) && s.cs.mayActivate(id, s.k, s.mos) {
+			readyIDs = append(readyIDs, id)
+		}
+	}
+	if s.Cfg.WearAwareActivation && len(readyIDs) > 1 {
+		sort.SliceStable(readyIDs, func(i, j int) bool {
+			return s.zoneHealth(s.mos[readyIDs[i]]) > s.zoneHealth(s.mos[readyIDs[j]])
+		})
+	}
+	activated := false
+	for _, id := range readyIDs {
+		if s.canActivate(id) {
+			s.activate(id)
+			activated = true
+			anyActive = true
+		}
+	}
+	if !activated && len(readyIDs) > 0 && (!anyActive || s.k-s.lastProgress > 100) {
+		s.activate(readyIDs[0])
+		s.lastProgress = s.k
+	}
+}
+
+// observeDroplets records the droplet count after this cycle's spawns.
+func (s *run) observeDroplets() {
+	n := len(s.droplets)
+	if n > s.exec.PeakDroplets {
+		s.exec.PeakDroplets = n
+	}
+	s.cs.observeCycle(n)
+}
+
+// enforceDeadlines is phase 1c: an operation running far past activation is
+// degraded — its unfinished jobs are demoted to the router's final tier,
+// trading route quality for guaranteed progress.
+func (s *run) enforceDeadlines() {
+	if s.Cfg.MODeadline <= 0 {
+		return
+	}
+	for _, m := range s.mos {
+		if m.state != moActive || m.degraded || s.k-m.activatedAt <= s.Cfg.MODeadline {
+			continue
+		}
+		m.degraded = true
+		telMODeadline.Inc()
+		for _, j := range m.jobs {
+			if j.done || j.degraded {
+				continue
+			}
+			j.degraded = true
+			j.obstacleDirty = true
+			s.exec.DegradedJobs++
+			telDegradedJobs.Inc()
+		}
+	}
+}
+
+// resynthesize is phase 2, asynchronous re-synthesis (Alg. 3): refresh the
+// strategies whose region's health changed or that ran into an obstruction,
+// resynthDelay cycles after the trigger.
+func (s *run) resynthesize() {
+	for _, m := range s.mos {
+		if m.state != moActive {
+			continue
+		}
+		for _, j := range m.jobs {
+			if j.done || j.droplet == nil {
+				continue
+			}
+			dirty := j.obstacleDirty
+			healthDirty := false
+			if s.Router.HealthAware() && j.routable && !dirty {
+				healthDirty = s.Chip.HealthHash(j.rj.Hazard) != j.hash
+				dirty = healthDirty
+			}
+			if dirty && !j.pending {
+				if healthDirty {
+					if inv, ok := s.Router.(sched.RegionInvalidator); ok {
+						// The job's region covers the degraded cells that
+						// triggered the refresh: evict overlapping
+						// strategies eagerly.
+						inv.InvalidateRegion(j.rj.Hazard)
+					}
 				}
-				fmt.Fprintf(r.Debug, "    %s done=%v routable=%v policy=%d droplet=%v goal=%v streak=%d\n",
-					j.rj.Name(), j.done, j.routable, len(j.policy), rect, j.rj.Goal, j.blockedStreak)
+				j.pending = true
+				if s.k+resynthDelay > j.nextTry {
+					j.nextTry = s.k + resynthDelay
+				}
+			}
+			if j.pending && s.k >= j.nextTry {
+				s.fetch(j)
+				s.exec.Resyntheses++
 			}
 		}
 	}
-	for _, d := range droplets {
-		fmt.Fprintf(r.Debug, "  droplet mo=%d rect=%v static=%v\n", d.mo, d.rect, d.quasiStatic())
+}
+
+// selectActions is phase 3: select each droplet's action and build the
+// actuation matrix U, one pattern per droplet.
+func (s *run) selectActions() {
+	s.cs.resetWaits()
+	n := len(s.droplets)
+	if cap(s.intents) < n {
+		s.intents = make([]geom.Rect, n)
+		s.acts = make([]action.Action, n)
+		s.moving = make([]bool, n)
+	}
+	s.patterns = s.patterns[:0]
+	s.intents, s.acts, s.moving = s.intents[:n], s.acts[:n], s.moving[:n]
+	for i, d := range s.droplets {
+		s.intents[i] = d.rect // default: hold in place
+		s.moving[i] = false
+		s.patterns = append(s.patterns, s.selectAction(i, d))
+	}
+}
+
+// selectAction picks droplet i's action and returns the pattern it
+// actuates: the target of a committed move (recorded in intents, acts and
+// moving), or the droplet's own rectangle when it holds in place.
+func (s *run) selectAction(i int, d *dropletRT) geom.Rect {
+	commit := func(a action.Action, target geom.Rect) geom.Rect {
+		s.intents[i] = target.Union(d.rect)
+		s.acts[i] = a
+		s.moving[i] = true
+		return target
+	}
+	if d.job == nil || d.job.done || smg.GoalLabel(d.rect, d.job.rj.Goal) {
+		// Resting, detained, or arrived: wait for the operation-level
+		// condition (merge rendezvous, phase change) to pick it up.
+		return d.rect
+	}
+	a, ok := d.job.policy[d.rect]
+	if !ok {
+		// Off-policy position or unroutable region: keep probing for a way
+		// out as health/obstacles evolve.
+		s.exec.Stalls++
+		d.job.obstacleDirty = true
+		s.noteDivergence(d)
+		s.cs.wait(d, unroutableBlocker(d, s.droplets))
+		return d.rect
+	}
+	target := a.Apply(d.rect)
+	blocker := s.blockedBy(d, target, s.droplets, s.intents, i)
+	if blocker == nil {
+		d.job.blockedStreak = 0
+		return commit(a, target)
+	}
+	s.exec.Stalls++
+	d.job.blockedStreak++
+	s.cs.wait(d, blocker)
+	if blocker.quasiStatic() {
+		d.job.obstacleDirty = true
+	} else if d.job.blockedStreak >= blockedStreakLimit {
+		// Two moving droplets wedged head-on: re-route around the other
+		// one as if it were parked.
+		d.job.obstacleDirty = true
+		d.job.extraObstacles = append(d.job.extraObstacles,
+			blocker.rect.Expand(collisionMargin))
+	}
+	if d.job.blockedStreak >= 2*blockedStreakLimit {
+		// Re-routing has not helped; physically sidestep to dissolve
+		// multi-droplet knots.
+		if alt, nt, ok := s.sidestep(d, s.droplets, s.intents, i); ok {
+			return commit(alt, nt)
+		}
+	}
+	return d.rect
+}
+
+// actuate is phase 4: apply U, wearing the actuated microelectrodes (player
+// ②'s move).
+func (s *run) actuate() {
+	s.Chip.Actuate(s.patterns...)
+	if s.Hook != nil {
+		s.Hook(s.k, s.patterns)
+	}
+}
+
+// move is phase 5: sample each moving droplet's next position from the true
+// outcome distribution.
+func (s *run) move() {
+	for i, d := range s.droplets {
+		if !s.moving[i] {
+			continue
+		}
+		outs := action.Outcomes(d.rect, s.acts[i], s.Chip.TrueForceField())
+		s.weights = s.weights[:0]
+		for _, o := range outs {
+			s.weights = append(s.weights, o.P)
+		}
+		next := outs[s.src.Choose(s.weights)].Droplet
+		if next != d.rect {
+			s.lastProgress = s.k
+			d.lastMove = s.k
+			if d.job != nil {
+				d.job.divergence = 0
+			}
+		} else {
+			// The chip was commanded to move the droplet and it stayed put —
+			// physical divergence from the plan (a stuck-off region produces
+			// exactly this signature).
+			s.noteDivergence(d)
+		}
+		d.rect = next
+	}
+}
+
+// audit is phase 5b (when CheckHazards is set): after this cycle's motion no
+// droplet may sit off-array and no two droplets of different operations may
+// overlap (accidental merging — the violation the 3-cell hazard margin
+// exists to prevent).
+func (s *run) audit() {
+	if s.Cfg.CheckHazards {
+		s.exec.HazardViolations += s.auditHazards(s.droplets)
+	}
+}
+
+// advance is phase 6, the completion checks: job arrivals, merges, holds,
+// splits, exits.
+func (s *run) advance() {
+	prevJobs, prevDroplets := s.exec.JobsCompleted, len(s.droplets)
+	for id, m := range s.mos {
+		if m.state == moActive {
+			s.progress(m, id)
+		}
+	}
+	if s.exec.JobsCompleted > prevJobs || len(s.droplets) != prevDroplets {
+		s.lastProgress = s.k
+	}
+}
+
+// recoverErrors is phase 6b, reactive error recovery (when enabled), in the
+// paper's two tiers (Sec. II-C). Retrial: a droplet stalled for half the
+// threshold has its suspected dead region blacklisted and its route
+// re-planned. Roll-back: a droplet still stuck at the full threshold fails
+// its operation; the operation and everything needed to regenerate its
+// droplets are re-executed.
+func (s *run) recoverErrors() {
+	rc := s.Cfg.Recovery
+	if !rc.Enabled {
+		return
+	}
+	failed := -1
+	for id, m := range s.mos {
+		if m.state != moActive {
+			continue
+		}
+		for _, j := range m.jobs {
+			d := j.droplet
+			if d == nil || j.done || d.job == nil {
+				continue
+			}
+			if smg.GoalLabel(d.rect, j.rj.Goal) {
+				continue
+			}
+			stalled := s.k - d.lastMove
+			if stalled > rc.StallThreshold {
+				if failed < 0 && s.exec.Rollbacks < rc.MaxRollbacks {
+					failed = id
+				}
+				continue
+			}
+			if stalled > rc.StallThreshold/2 && j.routable {
+				// Retrial: blacklist the unreachable next step and
+				// re-route this job around it.
+				if a, ok := j.policy[d.rect]; ok {
+					if s.inferFault(a.Apply(d.rect)) {
+						j.obstacleDirty = true
+					}
+				}
+			}
+		}
+	}
+	if failed >= 0 {
+		s.inferFaults(s.mos[failed], s.k)
+		s.rollback(failed)
+		s.exec.Rollbacks++
+		s.lastProgress = s.k
+	}
+}
+
+// observeMOs is phase 6c: observe each operation's activation→done cycle
+// count the cycle it completes.
+func (s *run) observeMOs() {
+	for _, m := range s.mos {
+		if m.state == moDone && !m.recorded {
+			m.recorded = true
+			telMOCycles.Observe(float64(s.k - m.activatedAt))
+		}
+	}
+}
+
+// allDone reports whether every operation has completed.
+func (s *run) allDone() bool {
+	for _, m := range s.mos {
+		if m.state != moDone {
+			return false
+		}
+	}
+	return true
+}
+
+// remove takes a droplet off the array.
+func (s *run) remove(d *dropletRT) {
+	for i, q := range s.droplets {
+		if q == d {
+			s.droplets = append(s.droplets[:i], s.droplets[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -835,17 +867,17 @@ func (r *Runner) dump(k int, mos []*moRT, droplets []*dropletRT) {
 // droplets foreign to the given operation — the regions a new strategy must
 // route around — plus any fault regions the reactive recovery controller has
 // inferred from earlier stalls.
-func (r *Runner) obstaclesFor(moID int, droplets []*dropletRT) []geom.Rect {
+func (s *run) obstaclesFor(moID int) []geom.Rect {
 	var out []geom.Rect
-	for _, d := range droplets {
+	for _, d := range s.droplets {
 		if d.mo == moID {
 			continue
 		}
 		if d.quasiStatic() {
-			out = append(out, d.rect.Expand(r.Cfg.CollisionMargin))
+			out = append(out, d.rect.Expand(collisionMargin))
 		}
 	}
-	out = append(out, r.inferredFaults...)
+	out = append(out, s.inferredFaults...)
 	return out
 }
 
@@ -855,8 +887,8 @@ func (r *Runner) obstaclesFor(moID int, droplets []*dropletRT) []geom.Rect {
 // reactive-recovery retrial tier) and the job re-routes; at twice the limit
 // the job is degraded to the router's final tier — the bottom rung of the
 // graceful-degradation ladder.
-func (r *Runner) noteDivergence(d *dropletRT, exec *Execution) {
-	lim := r.Cfg.DivergenceLimit
+func (s *run) noteDivergence(d *dropletRT) {
+	lim := s.Cfg.DivergenceLimit
 	j := d.job
 	if lim <= 0 || j == nil || j.done {
 		return
@@ -865,18 +897,18 @@ func (r *Runner) noteDivergence(d *dropletRT, exec *Execution) {
 	if j.divergence%lim != 0 {
 		return
 	}
-	exec.Divergences++
+	s.exec.Divergences++
 	telDivergences.Inc()
 	if a, ok := j.policy[d.rect]; ok {
 		// The plan keeps commanding this step and the droplet keeps not
 		// arriving: treat the target region as physically suspect whether
 		// or not the health sensor agrees (it may be lying).
-		r.inferFault(a.Apply(d.rect))
+		s.inferFault(a.Apply(d.rect))
 	}
 	j.obstacleDirty = true
 	if j.divergence >= 2*lim && !j.degraded {
 		j.degraded = true
-		exec.DegradedJobs++
+		s.exec.DegradedJobs++
 		telDegradedJobs.Inc()
 	}
 }
@@ -892,9 +924,6 @@ func (r *Runner) auditHazards(droplets []*dropletRT) int {
 		if !bounds.ContainsRect(d.rect) {
 			violations++
 			telHazardViolate.Inc()
-			if r.Debug != nil {
-				fmt.Fprintf(r.Debug, "hazard: droplet mo=%d at %v off-array\n", d.mo, d.rect)
-			}
 		}
 		for _, q := range droplets[i+1:] {
 			if d.mo >= 0 && d.mo == q.mo {
@@ -903,10 +932,6 @@ func (r *Runner) auditHazards(droplets []*dropletRT) int {
 			if d.rect.Overlaps(q.rect) {
 				violations++
 				telHazardViolate.Inc()
-				if r.Debug != nil {
-					fmt.Fprintf(r.Debug, "hazard: droplets mo=%d at %v and mo=%d at %v overlap\n",
-						d.mo, d.rect, q.mo, q.rect)
-				}
 			}
 		}
 	}
@@ -949,39 +974,34 @@ func (r *Runner) inferFaults(m *moRT, k int) {
 
 // activate transitions an operation from init to active: claims input
 // droplets, spawns/splits as needed, and fetches phase-0 strategies.
-func (r *Runner) activate(m *moRT, id int, outputs map[outputKey]*dropletRT, droplets *[]*dropletRT, k int, exec *Execution) {
+func (s *run) activate(id int) {
+	m := s.mos[id]
 	m.state = moActive
-	m.activatedAt = k
+	m.activatedAt = s.k
 	cm := m.cm
 	claim := func(j int) *dropletRT {
 		key := outputKey{cm.InSlots[j][0], cm.InSlots[j][1]}
-		d := outputs[key]
-		delete(outputs, key)
+		d := s.outputs[key]
+		delete(s.outputs, key)
 		if d != nil {
-			d.lastMove = k
+			d.lastMove = s.k
 		}
 		return d
 	}
 	switch cm.MO.Type {
 	case assay.Dis:
-		// Droplet spawns in step 1b once the entry area is clear.
-		r.fetch(m.jobs[0], k, *droplets, exec)
+		// Droplet spawns in phase 1b once the entry area is clear.
+		s.fetch(m.jobs[0])
 
-	case assay.Out, assay.Dsc, assay.Mag:
-		d := claim(0)
-		d.mo = id
-		d.job = m.jobs[0]
-		m.jobs[0].droplet = d
-		r.fetch(m.jobs[0], k, *droplets, exec)
-
-	case assay.Mix, assay.Dlt:
-		// Phase 0: the two inputs route to the mix site.
-		for j := 0; j < 2; j++ {
+	case assay.Out, assay.Dsc, assay.Mag, assay.Mix, assay.Dlt:
+		// Each input routes onward: a transport's one droplet, or the two
+		// droplets a mix (a dilution's phase 0) brings to the mix site.
+		for j := range cm.InSlots {
 			d := claim(j)
 			d.mo = id
 			d.job = m.jobs[j]
 			m.jobs[j].droplet = d
-			r.fetch(m.jobs[j], k, *droplets, exec)
+			s.fetch(m.jobs[j])
 		}
 
 	case assay.Spt:
@@ -994,68 +1014,76 @@ func (r *Runner) activate(m *moRT, id int, outputs map[outputKey]*dropletRT, dro
 	}
 }
 
+// footprintBlocked reports whether a droplet foreign to operation id lies
+// within the collision margin of the footprint a split or merge of that
+// operation would materialize, counting deferred cycles in *wait. After 50
+// deferred cycles the margin requirement is dropped (wedged against an
+// adjacent droplet: only true overlap blocks), so two wedged operations
+// cannot starve each other; past 60 the waiters record a wait-for edge on the
+// blocker, since two adjacent footprints can block each other even at margin
+// 0, a wait-for cycle only deadlock recovery resolves. The blocker reported
+// is the first one found, preferring quasi-static droplets.
+func (s *run) footprintBlocked(footprint geom.Rect, id int, wait *int, waiters ...*dropletRT) bool {
+	margin := collisionMargin
+	if *wait > 50 {
+		margin = 0
+	}
+	zone := footprint.Expand(margin)
+	var blocker *dropletRT
+	for _, d := range s.droplets {
+		if d.mo == id || !zone.Overlaps(d.rect) {
+			continue
+		}
+		if blocker == nil || (!blocker.quasiStatic() && d.quasiStatic()) {
+			blocker = d
+		}
+	}
+	if blocker == nil {
+		*wait = 0
+		return false
+	}
+	*wait++
+	if *wait > 60 {
+		for _, d := range waiters {
+			s.cs.wait(d, blocker)
+		}
+	}
+	return true
+}
+
 // trySplit replaces a pending parent/merged droplet with its two halves at
 // the jobs' start rectangles, provided no foreign droplet is within the
 // collision margin of the split area. Returns true when the split happened.
-func (r *Runner) trySplit(m *moRT, id, jlo, k int, droplets *[]*dropletRT, exec *Execution) bool {
-	s0 := m.jobs[jlo].rj.Start
-	s1 := m.jobs[jlo+1].rj.Start
-	margin := r.Cfg.CollisionMargin
-	if m.splitWait > 50 {
-		margin = 0 // wedged against an adjacent droplet: split anyway
-	}
-	zone := s0.Union(s1).Expand(margin)
-	var blocker *dropletRT
-	for _, d := range *droplets {
-		if d == m.pendingSplit || d.mo == id {
-			continue
-		}
-		if zone.Overlaps(d.rect) {
-			if blocker == nil || (!blocker.quasiStatic() && d.quasiStatic()) {
-				blocker = d
-			}
-		}
-	}
-	if blocker != nil {
-		m.splitWait++
-		if r.cs != nil && m.splitWait > 60 {
-			// Still wedged past the margin-0 fallback: the pending parent
-			// waits on whatever blocks its split area. Two adjacent pending
-			// splits can block each other's areas even at margin 0, a
-			// wait-for cycle only deadlock recovery resolves.
-			r.cs.waits[m.pendingSplit] = blocker
-		}
-		if r.Debug != nil && m.splitWait%25 == 0 {
-			fmt.Fprintf(r.Debug, "split M%d deferred %d cycles: zone=%v blocked by mo=%d at %v\n",
-				id, m.splitWait, zone, blocker.mo, blocker.rect)
-		}
+func (s *run) trySplit(m *moRT, id, jlo int) bool {
+	area := m.jobs[jlo].rj.Start.Union(m.jobs[jlo+1].rj.Start)
+	if s.footprintBlocked(area, id, &m.splitWait, m.pendingSplit) {
 		return false
 	}
-	removeFrom(droplets, m.pendingSplit)
+	s.remove(m.pendingSplit)
 	m.pendingSplit = nil
-	m.splitWait = 0
 	for j := jlo; j < jlo+2; j++ {
-		half := &dropletRT{rect: m.jobs[j].rj.Start, mo: id, job: m.jobs[j], lastMove: k}
+		half := &dropletRT{rect: m.jobs[j].rj.Start, mo: id, job: m.jobs[j], lastMove: s.k}
 		m.jobs[j].droplet = half
-		*droplets = append(*droplets, half)
-		r.fetch(m.jobs[j], k, *droplets, exec)
+		s.droplets = append(s.droplets, half)
+		s.fetch(m.jobs[j])
 	}
 	return true
 }
 
 // trySpawn places a dispense droplet at its entry rectangle when the area is
-// clear of other droplets.
-func (r *Runner) trySpawn(m *moRT, id, k int, droplets *[]*dropletRT) {
-	j := m.jobs[0]
-	entry := j.rj.Start.Expand(r.Cfg.CollisionMargin)
-	for _, d := range *droplets {
+// clear of other droplets, and reports whether it did.
+func (s *run) trySpawn(id int) bool {
+	j := s.mos[id].jobs[0]
+	entry := j.rj.Start.Expand(collisionMargin)
+	for _, d := range s.droplets {
 		if entry.Overlaps(d.rect) {
-			return
+			return false
 		}
 	}
-	d := &dropletRT{rect: j.rj.Start, mo: id, job: j, lastMove: k}
+	d := &dropletRT{rect: j.rj.Start, mo: id, job: j, lastMove: s.k}
 	j.droplet = d
-	*droplets = append(*droplets, d)
+	s.droplets = append(s.droplets, d)
+	return true
 }
 
 // blockedStreakLimit is how many consecutive blocked cycles a droplet
@@ -1089,7 +1117,7 @@ func (r *Runner) sidestep(d *dropletRT, droplets []*dropletRT, intents []geom.Re
 			continue
 		}
 		cx, cy := t.Center()
-		c := cand{a: a, t: t, dist: abs(cx-gx) + abs(cy-gy)}
+		c := cand{a: a, t: t, dist: math.Abs(cx-gx) + math.Abs(cy-gy)}
 		if best == nil || c.dist < best.dist {
 			cc := c
 			best = &cc
@@ -1101,18 +1129,11 @@ func (r *Runner) sidestep(d *dropletRT, droplets []*dropletRT, intents []geom.Re
 	return best.a, best.t, true
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // fetch obtains a job's strategy from the router, routing around the
 // current quasi-static droplets (and any droplets the job was recently
 // wedged against).
-func (r *Runner) fetch(j *jobRT, k int, droplets []*dropletRT, exec *Execution) {
-	obstacles := append(r.obstaclesFor(j.mo, droplets), j.extraObstacles...)
+func (s *run) fetch(j *jobRT) {
+	obstacles := append(s.obstaclesFor(j.mo), j.extraObstacles...)
 	rj := j.rj
 	if j.droplet != nil {
 		// Strategies are re-synthesized from wherever the droplet is
@@ -1122,28 +1143,24 @@ func (r *Runner) fetch(j *jobRT, k int, droplets []*dropletRT, exec *Execution) 
 		rj.Dispense = false
 	}
 	if j.widen > 0 {
-		b := r.Chip.Bounds()
+		b := s.Chip.Bounds()
 		rj.Hazard = rj.Hazard.Expand(j.widen).Clamp(b.Width(), b.Height())
 	}
 	var policy synth.Policy
 	var err error
-	if dr, ok := r.Router.(sched.DegradedRouter); ok && j.degraded {
+	if dr, ok := s.Router.(sched.DegradedRouter); ok && j.degraded {
 		// A degraded job skips the primary router entirely: its model has
 		// repeatedly failed to predict this droplet's motion.
-		policy, _, err = dr.RouteDegraded(rj, r.Chip, obstacles)
+		policy, _, err = dr.RouteDegraded(rj, s.Chip, obstacles)
 	} else {
-		policy, _, err = r.Router.Route(rj, r.Chip, obstacles)
+		policy, _, err = s.Router.Route(rj, s.Chip, obstacles)
 	}
-	j.hash = r.Chip.HealthHash(j.rj.Hazard)
-	j.nextTry = k + r.Cfg.MinResynthInterval
+	j.hash = s.Chip.HealthHash(j.rj.Hazard)
+	j.nextTry = s.k + s.Cfg.MinResynthInterval
 	j.pending = false
 	j.obstacleDirty = false
 	j.extraObstacles = nil
 	j.blockedStreak = 0
-	if r.Debug != nil && (err != nil || len(policy) == 0) {
-		fmt.Fprintf(r.Debug, "fetch %s at k=%d: err=%v policy=%d obstacles=%v start=%v\n",
-			j.rj.Name(), k, err, len(policy), obstacles, rj.Start)
-	}
 	if err != nil || len(policy) == 0 {
 		// No strategy exists (e.g. dead or fully obstructed region): the
 		// droplet holds; re-routes keep probing as conditions change,
@@ -1153,7 +1170,7 @@ func (r *Runner) fetch(j *jobRT, k int, droplets []*dropletRT, exec *Execution) 
 		// obstruction by foreign droplets additionally widens the next
 		// synthesis window, so head-on meetings in open space dissolve
 		// by detouring instead of wedging until deadlock recovery.
-		if r.Cfg.Concurrent && len(obstacles) > 0 && j.widen < widenMax {
+		if s.cs != nil && len(obstacles) > 0 && j.widen < widenMax {
 			j.widen += widenStep
 		}
 		j.policy = nil
@@ -1162,13 +1179,6 @@ func (r *Runner) fetch(j *jobRT, k int, droplets []*dropletRT, exec *Execution) 
 	}
 	j.policy = policy
 	j.routable = true
-}
-
-// install performs a delayed re-synthesis against current health and
-// obstacles.
-func (r *Runner) install(j *jobRT, k int, droplets []*dropletRT, exec *Execution) {
-	r.fetch(j, k, droplets, exec)
-	exec.Resyntheses++
 }
 
 // blockedBy returns a droplet of another operation that the intended move
@@ -1193,63 +1203,60 @@ func (r *Runner) blockedBy(d *dropletRT, target geom.Rect, droplets []*dropletRT
 		if q < i {
 			region = region.Union(intents[q])
 		}
-		if zoneConflict(target, region, r.Cfg.CollisionMargin) {
+		if zoneConflict(target, region, collisionMargin) {
 			return other
 		}
 	}
 	return nil
 }
 
-func removeFrom(droplets *[]*dropletRT, d *dropletRT) {
-	for i, q := range *droplets {
-		if q == d {
-			*droplets = append((*droplets)[:i], (*droplets)[i+1:]...)
-			return
-		}
-	}
-}
-
 // progress advances an active operation after this cycle's movement:
 // arrivals, merges, holds, splits, exits, and the done transition.
-func (r *Runner) progress(m *moRT, id int, outputs map[outputKey]*dropletRT,
-	droplets *[]*dropletRT, remove func(*dropletRT), exec *Execution) {
+func (s *run) progress(m *moRT, id int) {
 	cm := m.cm
 	arrived := func(j *jobRT) bool {
 		return j.droplet != nil && smg.GoalLabel(j.droplet.rect, j.rj.Goal)
 	}
-	finishJob := func(j *jobRT) {
-		if !j.done {
-			j.done = true
-			exec.JobsCompleted++
+	// halves finishes split halves jlo and jlo+1 as each arrives; once both
+	// have, they rest as the operation's outputs 0 and 1.
+	halves := func(jlo int) {
+		a, b := m.jobs[jlo], m.jobs[jlo+1]
+		if arrived(a) {
+			s.finishJob(a)
+			a.droplet.job = nil
 		}
-	}
-	rest := func(d *dropletRT, slot int) {
-		d.job = nil
-		d.mo = -1
-		outputs[outputKey{id, slot}] = d
+		if arrived(b) {
+			s.finishJob(b)
+			b.droplet.job = nil
+		}
+		if a.done && b.done {
+			s.rest(a.droplet, id, 0)
+			s.rest(b.droplet, id, 1)
+			m.state = moDone
+		}
 	}
 
 	switch cm.MO.Type {
 	case assay.Dis:
 		j := m.jobs[0]
 		if arrived(j) {
-			finishJob(j)
-			rest(j.droplet, 0)
+			s.finishJob(j)
+			s.rest(j.droplet, id, 0)
 			m.state = moDone
 		}
 
 	case assay.Out, assay.Dsc:
 		j := m.jobs[0]
 		if arrived(j) {
-			finishJob(j)
-			remove(j.droplet)
+			s.finishJob(j)
+			s.remove(j.droplet)
 			m.state = moDone
 		}
 
 	case assay.Mag:
 		j := m.jobs[0]
 		if !m.holding && arrived(j) {
-			finishJob(j)
+			s.finishJob(j)
 			m.holding = true
 			m.holdLeft = cm.MO.Hold
 			j.droplet.job = nil // detained: holds in place, still actuated
@@ -1257,65 +1264,54 @@ func (r *Runner) progress(m *moRT, id int, outputs map[outputKey]*dropletRT,
 		if m.holding {
 			m.holdLeft--
 			if m.holdLeft <= 0 {
-				rest(j.droplet, 0)
+				s.rest(j.droplet, id, 0)
 				m.state = moDone
 			}
 		}
 
 	case assay.Mix:
-		r.progressMerge(m, id, outputs, droplets, remove, exec, false)
+		s.progressMerge(m, id, false)
 
 	case assay.Spt:
 		if m.pendingSplit != nil {
-			r.trySplit(m, id, 0, exec.Cycles, droplets, exec)
+			s.trySplit(m, id, 0)
 			return
 		}
-		j0, j1 := m.jobs[0], m.jobs[1]
-		if arrived(j0) {
-			finishJob(j0)
-			j0.droplet.job = nil
-		}
-		if arrived(j1) {
-			finishJob(j1)
-			j1.droplet.job = nil
-		}
-		if j0.done && j1.done {
-			rest(j0.droplet, 0)
-			rest(j1.droplet, 1)
-			m.state = moDone
-		}
+		halves(0)
 
 	case assay.Dlt:
 		if m.phase == 0 {
-			r.progressMerge(m, id, outputs, droplets, remove, exec, true)
-			if m.pendingSplit != nil && r.trySplit(m, id, 2, exec.Cycles, droplets, exec) {
+			s.progressMerge(m, id, true)
+			if m.pendingSplit != nil && s.trySplit(m, id, 2) {
 				m.phase = 1
 			}
 			return
 		}
-		j2, j3 := m.jobs[2], m.jobs[3]
-		if arrived(j2) {
-			finishJob(j2)
-			j2.droplet.job = nil
-		}
-		if arrived(j3) {
-			finishJob(j3)
-			j3.droplet.job = nil
-		}
-		if j2.done && j3.done {
-			rest(j2.droplet, 0)
-			rest(j3.droplet, 1)
-			m.state = moDone
-		}
+		halves(2)
 	}
+}
+
+// finishJob marks a routing job done, counting it once.
+func (s *run) finishJob(j *jobRT) {
+	if !j.done {
+		j.done = true
+		s.exec.JobsCompleted++
+	}
+}
+
+// rest leaves droplet d on the array as output slot of operation id,
+// awaiting its consumer.
+func (s *run) rest(d *dropletRT, id, slot int) {
+	d.job = nil
+	d.mo = -1
+	s.outputs[outputKey{id, slot}] = d
 }
 
 // progressMerge handles the rendezvous of a mix (or a dilution's mix phase):
 // once one input droplet sits in the shared goal region and the other is
 // adjacent, the two coalesce into the merged droplet. For dilutions the
 // merged droplet immediately splits and phase 1 begins.
-func (r *Runner) progressMerge(m *moRT, id int, outputs map[outputKey]*dropletRT,
-	droplets *[]*dropletRT, remove func(*dropletRT), exec *Execution, isDlt bool) {
+func (s *run) progressMerge(m *moRT, id int, isDlt bool) {
 	j0, j1 := m.jobs[0], m.jobs[1]
 	if m.pendingSplit != nil || (j0.done && j1.done) {
 		return // already coalesced; the split (if any) is pending
@@ -1330,59 +1326,24 @@ func (r *Runner) progressMerge(m *moRT, id int, outputs map[outputKey]*dropletRT
 	if !(adjacent && (in0 || in1)) {
 		return
 	}
-	if r.Cfg.Concurrent {
-		// The merged rectangle extends past the two source droplets; with
-		// foreign droplets routing nearby (impossible under the sequential
-		// zone discipline), defer the coalesce until its footprint is clear,
-		// mirroring trySplit. After a long wait only true overlap blocks, so
-		// two wedged operations cannot starve each other; the sources hold
-		// quasi-statically meanwhile, so passers-by route around them.
-		margin := r.Cfg.CollisionMargin
-		if m.mergeWait > 50 {
-			margin = 0
-		}
-		zone := m.cm.MergedRect.Expand(margin)
-		var blocker *dropletRT
-		for _, d := range *droplets {
-			if d.mo == id {
-				continue
-			}
-			if zone.Overlaps(d.rect) {
-				if blocker == nil || (!blocker.quasiStatic() && d.quasiStatic()) {
-					blocker = d
-				}
-			}
-		}
-		if blocker != nil {
-			m.mergeWait++
-			if m.mergeWait > 60 {
-				// Still wedged past the margin-0 fallback: both parked
-				// sources wait on the intruder, so a permanent squatter in
-				// the footprint surfaces as a wait-for chain.
-				r.cs.waits[d0] = blocker
-				r.cs.waits[d1] = blocker
-			}
-			return
-		}
-		m.mergeWait = 0
+	// The merged rectangle extends past the two source droplets; with
+	// foreign droplets routing nearby (impossible under the sequential zone
+	// discipline), the concurrent executor defers the coalesce until its
+	// footprint is clear, as trySplit does. The sources hold quasi-statically
+	// meanwhile, so passers-by route around them, and a permanent squatter
+	// in the footprint surfaces as a wait-for chain from both.
+	if s.cs != nil && s.footprintBlocked(m.cm.MergedRect, id, &m.mergeWait, d0, d1) {
+		return
 	}
 	// Coalesce.
-	if !j0.done {
-		j0.done = true
-		exec.JobsCompleted++
-	}
-	if !j1.done {
-		j1.done = true
-		exec.JobsCompleted++
-	}
-	remove(d0)
-	remove(d1)
-	merged := &dropletRT{rect: m.cm.MergedRect, mo: id, lastMove: exec.Cycles}
-	*droplets = append(*droplets, merged)
+	s.finishJob(j0)
+	s.finishJob(j1)
+	s.remove(d0)
+	s.remove(d1)
+	merged := &dropletRT{rect: m.cm.MergedRect, mo: id, lastMove: s.k}
+	s.droplets = append(s.droplets, merged)
 	if !isDlt {
-		merged.job = nil
-		merged.mo = -1
-		outputs[outputKey{id, 0}] = merged
+		s.rest(merged, id, 0)
 		m.state = moDone
 		return
 	}
@@ -1391,15 +1352,11 @@ func (r *Runner) progressMerge(m *moRT, id int, outputs map[outputKey]*dropletRT
 	m.pendingSplit = merged
 }
 
-// rollback implements roll-back error recovery: discard the failed
-// operation's droplets and reset every operation needed to regenerate them —
-// the transitive closure of (a) producers of a reset operation's inputs and
-// (b) consumers of a reset operation's outputs — back to the init state.
-// Chip wear is NOT undone: recovery costs extra actuations, which is exactly
-// the paper's argument for proactive avoidance. Callers count the event
-// (exec.Rollbacks for reactive recovery, exec.SerializedOps for concurrent
-// deadlock serialization).
-func rollbackClosure(plan *route.Plan, n, failed int) []bool {
+// rollbackClosure returns the operations a rollback of the failed one
+// resets: the transitive closure of (a) producers of a reset operation's
+// inputs and (b) consumers of a reset operation's outputs.
+func (s *run) rollbackClosure(failed int) []bool {
+	n := len(s.mos)
 	inR := make([]bool, n)
 	inR[failed] = true
 	for changed := true; changed; {
@@ -1408,7 +1365,7 @@ func rollbackClosure(plan *route.Plan, n, failed int) []bool {
 			if !inR[id] {
 				continue
 			}
-			for _, slot := range plan.MOs[id].InSlots {
+			for _, slot := range s.plan.MOs[id].InSlots {
 				if !inR[slot[0]] {
 					inR[slot[0]] = true
 					changed = true
@@ -1419,7 +1376,7 @@ func rollbackClosure(plan *route.Plan, n, failed int) []bool {
 			if inR[id] {
 				continue
 			}
-			for _, slot := range plan.MOs[id].InSlots {
+			for _, slot := range s.plan.MOs[id].InSlots {
 				if inR[slot[0]] {
 					inR[id] = true
 					changed = true
@@ -1434,55 +1391,49 @@ func rollbackClosure(plan *route.Plan, n, failed int) []bool {
 // rollbackCost is the number of already-started operations a rollback of the
 // given operation would reset — the work deadlock recovery should minimize
 // when choosing its victim.
-func rollbackCost(mos []*moRT, plan *route.Plan, failed int) int {
+func (s *run) rollbackCost(failed int) int {
 	cost := 0
-	for id, in := range rollbackClosure(plan, len(mos), failed) {
-		if in && mos[id].state != moInit {
+	for id, in := range s.rollbackClosure(failed) {
+		if in && s.mos[id].state != moInit {
 			cost++
 		}
 	}
 	return cost
 }
 
-func rollback(mos []*moRT, plan *route.Plan, failed int, outputs map[outputKey]*dropletRT,
-	droplets *[]*dropletRT, exec *Execution) {
-	inR := rollbackClosure(plan, len(mos), failed)
+// rollback implements roll-back error recovery: discard the failed
+// operation's droplets and reset every operation needed to regenerate them
+// (rollbackClosure) back to the init state. Chip wear is NOT undone:
+// recovery costs extra actuations, which is exactly the paper's argument for
+// proactive avoidance. Callers count the event (exec.Rollbacks for reactive
+// recovery, exec.SerializedOps for concurrent deadlock serialization).
+func (s *run) rollback(failed int) {
+	inR := s.rollbackClosure(failed)
 	// Discard on-chip droplets owned by reset operations.
 	var keep []*dropletRT
-	for _, d := range *droplets {
+	for _, d := range s.droplets {
 		if d.mo >= 0 && inR[d.mo] {
 			continue
 		}
 		keep = append(keep, d)
 	}
+	s.droplets = keep
 	// Discard resting outputs produced by reset operations.
-	for key, d := range outputs {
+	for key, d := range s.outputs {
 		if inR[key.mo] {
-			delete(outputs, key)
-			for i, q := range keep {
-				if q == d {
-					keep = append(keep[:i], keep[i+1:]...)
-					break
-				}
-			}
+			delete(s.outputs, key)
+			s.remove(d)
 		}
 	}
-	*droplets = keep
 	// Reset runtime state of every operation in the closure.
-	for id := range mos {
-		if !inR[id] {
+	for id, in := range inR {
+		if !in {
 			continue
 		}
-		if mos[id].state != moInit {
-			exec.RedoneOps++
+		if s.mos[id].state != moInit {
+			s.exec.RedoneOps++
 		}
-		cm := &plan.MOs[id]
-		nm := &moRT{cm: cm}
-		for j := range cm.Jobs {
-			rj := synth.NormalizeDispense(cm.Jobs[j], plan.W, plan.H)
-			nm.jobs = append(nm.jobs, &jobRT{rj: rj, mo: id, routable: true})
-		}
-		mos[id] = nm
+		s.mos[id] = newMO(s.plan, id)
 	}
 }
 
