@@ -62,8 +62,8 @@ cover:
 	check ./internal/lint/callgraph/ 80; \
 	check ./internal/lint/summary/ 80
 
-# Short fuzz bursts over every fuzz target (parser robustness + print/parse
-# round trips). Each target needs its own invocation: -fuzz accepts exactly
+# Short fuzz bursts over every fuzz target (parser robustness, print/parse
+# round trips, solver bit-identity, WebSocket frame decoding). Each target needs its own invocation: -fuzz accepts exactly
 # one matching target per package.
 FUZZTIME ?= 10s
 fuzz:
@@ -72,6 +72,8 @@ fuzz:
 	$(GO) test ./internal/dsl/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dsl/ -run '^$$' -fuzz '^FuzzParseStability$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzHazardZones$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mdp/ -run '^$$' -fuzz '^FuzzSolveExact$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME)
 
 # One deterministic fault-injection trial per evaluation assay: 5% mixed
 # fault rate, all fault classes, asserting hazard-free completion and

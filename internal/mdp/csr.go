@@ -8,11 +8,12 @@
 //
 // The same layout carries a reverse-edge index (successor → incoming
 // choices), which turns the qualitative Prob1E pass from repeated forward
-// scans into a worklist propagation. Gauss-Seidel, the default solver,
-// alternates sweep direction each iteration so value information propagates
-// end to end regardless of how state ids are ordered relative to the goal;
-// Jacobi sweeps from the previous iterate and serves as its differential
-// reference.
+// scans into a worklist propagation. Folded into per-state predecessor
+// lists, it also drives the change-driven Gauss-Seidel sweeps: a state is
+// backed up again only after a successor's value changed. Gauss-Seidel, the default solver, alternates sweep
+// direction each iteration so value information propagates end to end
+// regardless of how state ids are ordered relative to the goal; Jacobi
+// sweeps from the previous iterate and serves as its differential reference.
 package mdp
 
 import (
@@ -49,6 +50,14 @@ type csr struct {
 	// Builder.Reset.
 	slBuilt bool
 	slInv   []float64
+	// Per-state predecessors for the change-driven Gauss-Seidel sweeps,
+	// built with slInv: slPreds[slPredOff[t]:slPredOff[t+1]] lists, once
+	// each and in ascending order, the states other than t that own a
+	// choice with a positive-probability edge into t — the states whose
+	// self-loop-eliminated backups read t's value. It is the reverse index
+	// folded from choices to states, with self-loops dropped.
+	slPredOff []int32
+	slPreds   []int32
 
 	// Solver scratch, grown in place and reused across solves so a
 	// Builder-recycled model pays no per-solve allocations for it. The
@@ -61,9 +70,7 @@ type csr struct {
 	scrBad    []int32 // prob1E: per-choice leave-U counts
 	scrQueue  []int32 // worklist shared by prob1E and strategy extraction
 	scrMark   []int32 // reverseIndex: per-state dedup marks
-	scrPri    []float64
-	scrHeap   []int32
-	scrHPos   []int32
+	scrDirty  []bool  // gauss-seidel: states whose backup inputs changed
 }
 
 // growF, growB and growI resize a scratch slab to n elements, reusing the
@@ -257,16 +264,18 @@ func (g *csr) bellmanMin(s int, src []float64) float64 {
 
 // selfLoopInv builds the per-choice 1/(1-q) slab, with q the choice's
 // self-loop probability mass; choices with q ≈ 1 (pure self-loops) get 0 as
-// a skip marker. Idempotent.
+// a skip marker. It also folds the reverse index, which it builds first,
+// into the per-state predecessor lists. Idempotent.
 func (g *csr) selfLoopInv() {
 	if g.slBuilt {
 		return
 	}
+	g.reverseIndex()
 	nc := len(g.actions)
 	inv := growF(g.slInv, nc)
 	for ci := 0; ci < nc; ci++ {
 		q := 0.0
-		s := g.choiceStateOf(ci)
+		s := int(g.choiceState[ci])
 		for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
 			if g.probs[ti] > 0 && int(g.tos[ti]) == s {
 				q += g.probs[ti]
@@ -282,25 +291,23 @@ func (g *csr) selfLoopInv() {
 		}
 	}
 	g.slInv = inv
-	g.slBuilt = true
-}
-
-// choiceStateOf maps a global choice id to its owning state without
-// requiring the reverse index (binary search over stateOff).
-func (g *csr) choiceStateOf(ci int) int {
-	if g.revBuilt {
-		return int(g.choiceState[ci])
-	}
-	lo, hi := 0, g.n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(g.stateOff[mid+1]) <= ci {
-			lo = mid + 1
-		} else {
-			hi = mid
+	off := growI(g.slPredOff, g.n+1)
+	preds := g.slPreds[:0]
+	for t := 0; t < g.n; t++ {
+		off[t] = int32(len(preds))
+		last := int32(-1)
+		for ri := g.revOff[t]; ri < g.revOff[t+1]; ri++ {
+			// revChoice is ascending and a state's choices are
+			// contiguous, so repeated owners are adjacent.
+			if s := g.choiceState[g.revChoice[ri]]; s != last && int(s) != t {
+				preds = append(preds, s)
+				last = s
+			}
 		}
 	}
-	return lo
+	off[g.n] = int32(len(preds))
+	g.slPredOff, g.slPreds = off, preds
+	g.slBuilt = true
 }
 
 // bellmanMaxSL is bellmanMax with self-loop elimination. A pure self-loop
@@ -375,25 +382,34 @@ func (g *csr) jacobiSweep(frozen []bool, src, dst []float64,
 
 // iterate runs value iteration over the CSR model until the max-norm
 // residual drops below eps, with Gauss-Seidel updating vals in place and
-// Jacobi ping-ponging two buffers. On success the converged values are in
-// vals and the iteration count is returned; on exhaustion it returns a
-// *ConvergenceError naming the worst state. Sweep counts and the final
-// residual feed the solver telemetry.
+// Jacobi ping-ponging two buffers. bellman must be one of the
+// self-loop-eliminated backups, which never read the value of the state
+// they back up. On success the converged values are in vals and the
+// iteration count is returned; on exhaustion it returns a
+// *ConvergenceError naming the worst state. Sweep and backup counts and the
+// final residual feed the solver telemetry.
 func (g *csr) iterate(vals []float64, frozen []bool, opt SolveOptions,
 	bellman func(s int, src []float64) float64) (int, error) {
-	iters, delta, err := g.iterateRaw(vals, frozen, opt, bellman)
+	iters, backups, delta, err := g.iterateRaw(vals, frozen, opt, bellman)
 	telSolves.Inc()
 	telSweeps.Add(int64(iters))
+	telBackups.Add(int64(backups))
 	telSweepsPerSolve.Observe(float64(iters))
 	telResidual.Set(delta)
 	return iters, err
 }
 
-// iterateRaw is iterate without telemetry, additionally reporting the final
-// max-norm residual.
+// iterateRaw is iterate without telemetry, additionally reporting the number
+// of Bellman backups evaluated and the final max-norm residual.
 func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions,
-	bellman func(s int, src []float64) float64) (int, float64, error) {
+	bellman func(s int, src []float64) float64) (int, int, float64, error) {
 	if opt.Method == Jacobi {
+		live := 0
+		for s := 0; s < g.n; s++ {
+			if !frozen[s] {
+				live++
+			}
+		}
 		src := vals
 		dst := growF(g.scrDst, g.n)
 		g.scrDst = dst
@@ -404,54 +420,67 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions,
 				if &src[0] != &vals[0] {
 					copy(vals, src)
 				}
-				return iters + 1, delta, nil
+				return iters + 1, (iters + 1) * live, delta, nil
 			}
 			if iters == opt.MaxIter-1 {
 				if &src[0] != &vals[0] {
 					copy(vals, src)
 				}
-				return iters + 1, delta, g.convergenceError(worst, delta, opt.MaxIter)
+				return iters + 1, (iters + 1) * live, delta, g.convergenceError(worst, delta, opt.MaxIter)
 			}
 		}
-		return 0, math.Inf(1), g.convergenceError(-1, math.Inf(1), opt.MaxIter)
+		return 0, 0, math.Inf(1), g.convergenceError(-1, math.Inf(1), opt.MaxIter)
 	}
-	// Gauss-Seidel: sequential in-place sweeps, alternating direction.
+	// Gauss-Seidel: sequential in-place sweeps, alternating direction, that
+	// back up only dirty states. A self-loop-eliminated backup of s reads
+	// the values of the other states its choices reach with positive
+	// probability (zero-probability edges add +0 to a Max backup whatever
+	// their successor's value in [0, 1], and Min backups skip them), so s
+	// stays clean until one of those values changes its bits: its backup
+	// would recompute the bits it already holds, and skipping it leaves
+	// vals, the residual, the worst state and the sweep count exactly those
+	// of full sweeps. A changed value re-dirties its predecessors.
+	g.selfLoopInv()
+	predOff, preds := g.slPredOff, g.slPreds
+	dirty := growB(g.scrDirty, g.n)
+	g.scrDirty = dirty
+	for s := range dirty {
+		dirty[s] = true
+	}
+	backups := 0
 	for iters := 0; iters < opt.MaxIter; iters++ {
-		delta := 0.0
-		worst := -1
+		delta, worst := 0.0, -1
+		s, end, step := 0, g.n, 1
 		if iters%2 == 1 {
-			for s := g.n - 1; s >= 0; s-- {
-				if frozen[s] {
-					continue
-				}
-				v := bellman(s, vals)
-				if d := math.Abs(v - vals[s]); d > delta {
-					delta = d
-					worst = s
-				}
-				vals[s] = v
+			s, end, step = g.n-1, -1, -1
+		}
+		for ; s != end; s += step {
+			if frozen[s] || !dirty[s] {
+				continue
 			}
-		} else {
-			for s := 0; s < g.n; s++ {
-				if frozen[s] {
-					continue
-				}
-				v := bellman(s, vals)
-				if d := math.Abs(v - vals[s]); d > delta {
-					delta = d
-					worst = s
-				}
-				vals[s] = v
+			dirty[s] = false
+			backups++
+			v := bellman(s, vals)
+			if math.Float64bits(v) == math.Float64bits(vals[s]) {
+				continue
+			}
+			if d := math.Abs(v - vals[s]); d > delta {
+				delta = d
+				worst = s
+			}
+			vals[s] = v
+			for _, p := range preds[predOff[s]:predOff[s+1]] {
+				dirty[p] = true
 			}
 		}
 		if delta < opt.Eps {
-			return iters + 1, delta, nil
+			return iters + 1, backups, delta, nil
 		}
 		if iters == opt.MaxIter-1 {
-			return iters + 1, delta, g.convergenceError(worst, delta, opt.MaxIter)
+			return iters + 1, backups, delta, g.convergenceError(worst, delta, opt.MaxIter)
 		}
 	}
-	return 0, math.Inf(1), g.convergenceError(-1, math.Inf(1), opt.MaxIter)
+	return 0, 0, math.Inf(1), g.convergenceError(-1, math.Inf(1), opt.MaxIter)
 }
 
 // convergenceError labels an exhausted iteration with the state that was

@@ -284,6 +284,16 @@ func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
 func (m *MDP) MaxReachProb(target, avoid []bool, opt SolveOptions) (Result, error) {
 	sp := telemetry.StartSpan("mdp.max_reach_prob")
 	defer sp.End()
+	return m.maxReachProb(target, avoid, opt, (*csr).iterate)
+}
+
+// viFunc runs value iteration over g to convergence (see csr.iterate, the
+// solvers' only one). The solve bodies take it as a parameter so that the
+// exactness tests can run them over a full-sweep reference.
+type viFunc func(g *csr, vals []float64, frozen []bool, opt SolveOptions,
+	bellman func(s int, src []float64) float64) (int, error)
+
+func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (Result, error) {
 	assertValid(m)
 	opt = opt.withDefaults()
 	n := m.NumStates()
@@ -301,7 +311,7 @@ func (m *MDP) MaxReachProb(target, avoid []bool, opt SolveOptions) (Result, erro
 		frozen[s] = target[s] || (avoid != nil && avoid[s]) || g.stateOff[s] == g.stateOff[s+1]
 	}
 	g.selfLoopInv()
-	iters, err := g.iterate(vals, frozen, opt, g.bellmanMaxSL)
+	iters, err := vi(g, vals, frozen, opt, g.bellmanMaxSL)
 	if err != nil {
 		return Result{}, err
 	}
@@ -313,8 +323,7 @@ func (m *MDP) MaxReachProb(target, avoid []bool, opt SolveOptions) (Result, erro
 	// to an already-resolved state, so every step makes progress. The
 	// resolution front is propagated over the reverse-edge index: a state
 	// is (re)examined only when one of its successors resolves, instead of
-	// rescanning all states to fixpoint.
-	g.reverseIndex()
+	// rescanning all states to fixpoint. selfLoopInv built the index.
 	strat := make(Strategy, n)
 	for s := 0; s < n; s++ {
 		strat[s] = -1
@@ -391,6 +400,10 @@ func (m *MDP) Prob1E(target, avoid []bool) []bool {
 func (m *MDP) MinExpectedReward(target, avoid []bool, opt SolveOptions) (Result, error) {
 	sp := telemetry.StartSpan("mdp.min_expected_reward")
 	defer sp.End()
+	return m.minExpectedReward(target, avoid, opt, (*csr).iterate)
+}
+
+func (m *MDP) minExpectedReward(target, avoid []bool, opt SolveOptions, vi viFunc) (Result, error) {
 	assertValid(m)
 	opt = opt.withDefaults()
 	n := m.NumStates()
@@ -409,7 +422,7 @@ func (m *MDP) MinExpectedReward(target, avoid []bool, opt SolveOptions) (Result,
 		frozen[s] = target[s] || !as[s] || g.stateOff[s] == g.stateOff[s+1]
 	}
 	g.selfLoopInv()
-	iters, err := g.iterate(vals, frozen, opt, g.bellmanMinSL)
+	iters, err := vi(g, vals, frozen, opt, g.bellmanMinSL)
 	if err != nil {
 		return Result{}, err
 	}

@@ -11,6 +11,11 @@ var (
 	// telSweeps/telSolves is the mean sweeps-to-convergence.
 	telSolves = telemetry.C("mdp.vi.solves")
 	telSweeps = telemetry.C("mdp.vi.sweeps")
+	// telBackups accumulates the Bellman backups the solves evaluated.
+	// Gauss-Seidel skips the backups of states none of whose successors
+	// changed, so 1 − backups/(sweeps × live states) is the skipped share.
+	// It is added once per solve.
+	telBackups = telemetry.C("mdp.vi.backups")
 	// telSweepsPerSolve is the distribution behind that mean.
 	telSweepsPerSolve = telemetry.H("mdp.vi.sweeps_per_solve", telemetry.CountBuckets...)
 	// telResidual is the max-norm residual of the last completed solve

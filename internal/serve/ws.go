@@ -2,7 +2,8 @@
 // alone (the repo deliberately takes no dependencies). Only what the event
 // stream needs is implemented: the HTTP/1.1 upgrade handshake, text/ping/
 // pong/close frames, client-to-server masking, and the closing handshake.
-// Fragmented messages and extensions are rejected.
+// Fragmented messages, extensions and reserved opcodes are rejected; binary
+// frames are accepted and left to the caller.
 package serve
 
 import (
@@ -25,10 +26,11 @@ const wsGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 // WebSocket opcodes.
 const (
-	wsOpText  = 0x1
-	wsOpClose = 0x8
-	wsOpPing  = 0x9
-	wsOpPong  = 0xA
+	wsOpText   = 0x1
+	wsOpBinary = 0x2
+	wsOpClose  = 0x8
+	wsOpPing   = 0x9
+	wsOpPong   = 0xA
 )
 
 // wsMaxPayload bounds a single frame; event payloads are small, so anything
@@ -191,6 +193,9 @@ var errWSClosed = errors.New("serve: websocket closed by peer")
 
 // ReadFrame reads the next frame, transparently unmasking. It returns the
 // opcode and payload; a close frame returns errWSClosed after the payload.
+// Frames RFC 6455 makes the receiver fail are errors: fragments, reserved
+// bits or opcodes, a mask bit set by a server or missing from a client,
+// and control frames over 125 bytes.
 func (c *WSConn) ReadFrame() (byte, []byte, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
@@ -198,10 +203,21 @@ func (c *WSConn) ReadFrame() (byte, []byte, error) {
 	}
 	fin := hdr[0]&0x80 != 0
 	op := hdr[0] & 0x0F
-	if !fin || hdr[0]&0x70 != 0 {
+	if !fin || hdr[0]&0x70 != 0 || op == 0 {
 		return 0, nil, fmt.Errorf("serve: fragmented or extended websocket frames unsupported")
 	}
+	switch op {
+	case wsOpText, wsOpBinary, wsOpClose, wsOpPing, wsOpPong:
+	default:
+		return 0, nil, fmt.Errorf("serve: reserved websocket opcode %#x", op)
+	}
 	masked := hdr[1]&0x80 != 0
+	if masked != c.server {
+		if c.server {
+			return 0, nil, fmt.Errorf("serve: client frames must be masked")
+		}
+		return 0, nil, fmt.Errorf("serve: server frames must not be masked")
+	}
 	length := uint64(hdr[1] & 0x7F)
 	switch length {
 	case 126:
@@ -220,14 +236,14 @@ func (c *WSConn) ReadFrame() (byte, []byte, error) {
 	if length > wsMaxPayload {
 		return 0, nil, fmt.Errorf("serve: websocket frame of %d bytes exceeds limit", length)
 	}
+	if op >= wsOpClose && length > 125 {
+		return 0, nil, fmt.Errorf("serve: websocket control frame of %d bytes exceeds 125", length)
+	}
 	var key [4]byte
 	if masked {
 		if _, err := io.ReadFull(c.br, key[:]); err != nil {
 			return 0, nil, fmt.Errorf("serve: websocket read: %w", err)
 		}
-	}
-	if c.server && !masked {
-		return 0, nil, fmt.Errorf("serve: client frames must be masked")
 	}
 	payload := make([]byte, length)
 	if _, err := io.ReadFull(c.br, payload); err != nil {

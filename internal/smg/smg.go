@@ -254,8 +254,8 @@ func appendShapes(dst [][2]int, w, h int, opt ModelOptions) [][2]int {
 
 // Arena builds per-routing-job MDPs with reusable memory: the CSR slabs of
 // an mdp.Builder plus the model bookkeeping (rectangle table, shape spans,
-// label vectors, outcome scratch) are all grown in place and recycled across
-// Induce calls, so a warmed Arena induces a model of any previously seen
+// label vectors, outcome scratch, force snapshot) are all grown in place and
+// recycled across Induce calls, so a warmed Arena induces a model of any previously seen
 // size with a handful of allocations instead of tens of thousands.
 //
 // The *Model returned by Induce aliases the Arena's memory: it is valid only
@@ -268,8 +268,15 @@ type Arena struct {
 	model  Model
 	shapes [][2]int
 	outs   []action.Outcome
+	forces []float64 // the field over the hazard bounds plus ring, row-major
 	builds int
 }
+
+// forceRing is the margin of cells around the hazard bounds that the force
+// snapshot also copies, matching chip.SnapshotForceField. No frontier reads
+// it (see snapshot); it keeps the snapshot indexable a double step past the
+// bounds.
+const forceRing = 2
 
 // Builds returns how many models this arena has induced; any value above 1
 // means slabs are being recycled.
@@ -279,11 +286,9 @@ func (ar *Arena) Builds() int { return ar.builds }
 // shape (plus morph-reachable shapes if enabled) positioned within bounds,
 // an init commit state, and goal/hazard sinks. field supplies the relative
 // EWOD force per microelectrode — the observed field for synthesis, or the
-// true field for oracle experiments.
+// true field for oracle experiments. Induce reads it once per cell of bounds
+// plus a two-cell ring (off-chip cells must read 0, as ForceField requires).
 func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, opt ModelOptions) (*Model, error) {
-	if opt.MaxAspect <= 0 { // zero value → defaults
-		opt = DefaultModelOptions()
-	}
 	if !start.Valid() || !goal.Valid() || !bounds.Valid() {
 		return nil, fmt.Errorf("smg: invalid rectangle (start %v goal %v bounds %v)", start, goal, bounds)
 	}
@@ -293,7 +298,15 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 	if !bounds.ContainsRect(goal) {
 		return nil, fmt.Errorf("smg: goal %v outside hazard bounds %v", goal, bounds)
 	}
+	return ar.induce(bounds, start, goal, ar.snapshot(bounds.Expand(forceRing), field), opt)
+}
 
+// induce builds the model of a validated job, reading the force of each
+// frontier cell from field as it goes.
+func (ar *Arena) induce(bounds, start, goal geom.Rect, field action.ForceField, opt ModelOptions) (*Model, error) {
+	if opt.MaxAspect <= 0 { // zero value → defaults
+		opt = DefaultModelOptions()
+	}
 	ar.builds++
 	ar.b.Reset()
 	m := &ar.model
@@ -410,6 +423,34 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 	m.Hazard = growBools(m.Hazard, n)
 	m.Hazard[m.HazardSink] = true
 	return m, nil
+}
+
+// snapshot copies field over r into the arena's force slab, reading each
+// cell exactly once, and returns a field backed by the copy. Induction would
+// otherwise read every frontier cell again for every action of every
+// position. The frontier of an enabled action lies inside its Apply(d),
+// which lies inside the hazard bounds, so every MeanForce reads the same
+// values in the same row-major order as from field itself and every
+// probability is bit-identical. The returned field must be read only
+// inside r.
+func (ar *Arena) snapshot(r geom.Rect, field action.ForceField) action.ForceField {
+	w := r.Width()
+	n := w * r.Height()
+	if cap(ar.forces) < n {
+		ar.forces = make([]float64, n)
+	}
+	forces := ar.forces[:n]
+	i := 0
+	for y := r.YA; y <= r.YB; y++ {
+		for x := r.XA; x <= r.XB; x++ {
+			forces[i] = field(x, y)
+			i++
+		}
+	}
+	x0, y0 := r.XA, r.YA
+	return func(x, y int) float64 {
+		return forces[(y-y0)*w+(x-x0)]
+	}
 }
 
 // growBools resizes a label slab to n cleared entries, reusing the backing
