@@ -10,10 +10,11 @@
 // choices), which turns the qualitative Prob1E pass from repeated forward
 // scans into a worklist propagation. Folded into per-state predecessor
 // lists, it also drives the change-driven Gauss-Seidel sweeps: a state is
-// backed up again only after a successor's value changed. Gauss-Seidel, the default solver, alternates sweep
-// direction each iteration so value information propagates end to end
-// regardless of how state ids are ordered relative to the goal; Jacobi
-// sweeps from the previous iterate and serves as its differential reference.
+// backed up again only after a successor's value changed. Gauss-Seidel, the
+// default solver, alternates sweep direction each iteration so value
+// information propagates end to end regardless of how state ids are ordered
+// relative to the goal; Jacobi sweeps from the previous iterate and serves
+// as its differential reference.
 package mdp
 
 import (
@@ -205,48 +206,6 @@ func (g *csr) reverseIndex() {
 	g.revBuilt = true
 }
 
-// bellmanMax is max_c Σ_t P·src[t] over the choices of s (0 with none).
-// Slab fields are hoisted into locals to keep the inner loops tight.
-//
-//meda:hotpath
-func (g *csr) bellmanMax(s int, src []float64) float64 {
-	choiceOff, tos, probs := g.choiceOff, g.tos, g.probs
-	best := 0.0
-	for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
-		v := 0.0
-		for ti := choiceOff[ci]; ti < choiceOff[ci+1]; ti++ {
-			v += probs[ti] * src[tos[ti]]
-		}
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// bellmanMin is min_c (reward_c + Σ_t P·src[t]) over the choices of s
-// (+Inf with none). Zero-probability transitions are skipped so 0·Inf does
-// not poison finite values. The slab fields are hoisted into locals so the
-// inner loops stay free of repeated pointer loads.
-//
-//meda:hotpath
-func (g *csr) bellmanMin(s int, src []float64) float64 {
-	choiceOff, tos, probs := g.choiceOff, g.tos, g.probs
-	best := math.Inf(1)
-	for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
-		v := g.rewards[ci]
-		for ti := choiceOff[ci]; ti < choiceOff[ci+1]; ti++ {
-			if p := probs[ti]; p > 0 {
-				v += p * src[tos[ti]]
-			}
-		}
-		if v < best {
-			best = v
-		}
-	}
-	return best
-}
-
 // bellmanMaxSL and bellmanMinSL are the self-loop-eliminated Bellman
 // backups used by every reachability/reward solve. Every microfluidic
 // action has an ε outcome that leaves the droplet in place, so every
@@ -310,9 +269,11 @@ func (g *csr) selfLoopInv() {
 	g.slBuilt = true
 }
 
-// bellmanMaxSL is bellmanMax with self-loop elimination. A pure self-loop
-// choice (slInv 0) is skipped: it can only ever yield the state's current
-// value, which a from-below iterate never exceeds.
+// bellmanMaxSL is max_c Σ_{t≠s} P·src[t]/(1−q_c) over the choices of s (0
+// with none). A pure self-loop choice (slInv 0) contributes 0, as if
+// skipped: it can only ever yield the state's current value, which a
+// from-below iterate never exceeds. Slab fields are hoisted into locals to
+// keep the inner loops tight.
 //
 //meda:hotpath
 func (g *csr) bellmanMaxSL(s int, src []float64) float64 {
@@ -333,9 +294,11 @@ func (g *csr) bellmanMaxSL(s int, src []float64) float64 {
 	return best
 }
 
-// bellmanMinSL is bellmanMin with self-loop elimination. A pure self-loop
-// choice never reaches the target, so its expected reward is +Inf and it is
-// skipped (slInv 0 would otherwise yield a spuriously cheap 0).
+// bellmanMinSL is min_c (reward_c + Σ_{t≠s} P·src[t])/(1−q_c) over the
+// choices of s (+Inf with none). Zero-probability transitions are skipped
+// so 0·Inf does not poison finite values. A pure self-loop choice never
+// reaches the target, so its expected reward is +Inf and it is skipped
+// (slInv 0 would otherwise yield a spuriously cheap 0).
 //
 //meda:hotpath
 func (g *csr) bellmanMinSL(s int, src []float64) float64 {
@@ -359,18 +322,22 @@ func (g *csr) bellmanMinSL(s int, src []float64) float64 {
 	return best
 }
 
-// jacobiSweep computes dst[s] = bellman(s, src) for all non-frozen states
+// backupFunc is one of the self-loop-eliminated Bellman backups as a method
+// expression, (*csr).bellmanMaxSL or (*csr).bellmanMinSL; unlike a method
+// value it needs no allocation to pass. The backup of s never reads src[s].
+type backupFunc func(g *csr, s int, src []float64) float64
+
+// jacobiSweep computes dst[s] = bellman(g, s, src) for all non-frozen states
 // (frozen states copy through). It returns the max-norm residual and the
 // smallest state id attaining it.
-func (g *csr) jacobiSweep(frozen []bool, src, dst []float64,
-	bellman func(s int, src []float64) float64) (float64, int) {
+func (g *csr) jacobiSweep(frozen []bool, src, dst []float64, bellman backupFunc) (float64, int) {
 	delta, worst := 0.0, -1
 	for s := 0; s < g.n; s++ {
 		if frozen[s] {
 			dst[s] = src[s]
 			continue
 		}
-		v := bellman(s, src)
+		v := bellman(g, s, src)
 		dst[s] = v
 		if d := math.Abs(v - src[s]); d > delta {
 			delta = d
@@ -382,14 +349,11 @@ func (g *csr) jacobiSweep(frozen []bool, src, dst []float64,
 
 // iterate runs value iteration over the CSR model until the max-norm
 // residual drops below eps, with Gauss-Seidel updating vals in place and
-// Jacobi ping-ponging two buffers. bellman must be one of the
-// self-loop-eliminated backups, which never read the value of the state
-// they back up. On success the converged values are in vals and the
+// Jacobi ping-ponging two buffers. On success the converged values are in vals and the
 // iteration count is returned; on exhaustion it returns a
 // *ConvergenceError naming the worst state. Sweep and backup counts and the
 // final residual feed the solver telemetry.
-func (g *csr) iterate(vals []float64, frozen []bool, opt SolveOptions,
-	bellman func(s int, src []float64) float64) (int, error) {
+func (g *csr) iterate(vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, error) {
 	iters, backups, delta, err := g.iterateRaw(vals, frozen, opt, bellman)
 	telSolves.Inc()
 	telSweeps.Add(int64(iters))
@@ -401,8 +365,7 @@ func (g *csr) iterate(vals []float64, frozen []bool, opt SolveOptions,
 
 // iterateRaw is iterate without telemetry, additionally reporting the number
 // of Bellman backups evaluated and the final max-norm residual.
-func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions,
-	bellman func(s int, src []float64) float64) (int, int, float64, error) {
+func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, int, float64, error) {
 	if opt.Method == Jacobi {
 		live := 0
 		for s := 0; s < g.n; s++ {
@@ -460,7 +423,7 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions,
 			}
 			dirty[s] = false
 			backups++
-			v := bellman(s, vals)
+			v := bellman(g, s, vals)
 			if math.Float64bits(v) == math.Float64bits(vals[s]) {
 				continue
 			}

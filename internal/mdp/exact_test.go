@@ -9,14 +9,13 @@ import (
 	"meda/internal/randx"
 )
 
-// fullSweepGS is Gauss-Seidel as it ran before sweeps became change-driven:
-// every non-frozen state is backed up in every sweep, alternating direction.
+// fullSweepGS is Gauss-Seidel with full sweeps: every non-frozen state is
+// backed up in every sweep, alternating direction.
 // It is the oracle for csr.iterate, which must reproduce its values,
 // residuals and sweep counts bit for bit. backups counts the Bellman
 // backups it evaluates.
 func fullSweepGS(backups *int) viFunc {
-	return func(g *csr, vals []float64, frozen []bool, opt SolveOptions,
-		bellman func(s int, src []float64) float64) (int, error) {
+	return func(g *csr, vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, error) {
 		for iters := 0; iters < opt.MaxIter; iters++ {
 			delta, worst := 0.0, -1
 			backup := func(s int) {
@@ -24,7 +23,7 @@ func fullSweepGS(backups *int) viFunc {
 					return
 				}
 				*backups++
-				v := bellman(s, vals)
+				v := bellman(g, s, vals)
 				if d := math.Abs(v - vals[s]); d > delta {
 					delta = d
 					worst = s

@@ -290,8 +290,7 @@ func (m *MDP) MaxReachProb(target, avoid []bool, opt SolveOptions) (Result, erro
 // viFunc runs value iteration over g to convergence (see csr.iterate, the
 // solvers' only one). The solve bodies take it as a parameter so that the
 // exactness tests can run them over a full-sweep reference.
-type viFunc func(g *csr, vals []float64, frozen []bool, opt SolveOptions,
-	bellman func(s int, src []float64) float64) (int, error)
+type viFunc func(g *csr, vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, error)
 
 func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (Result, error) {
 	assertValid(m)
@@ -311,7 +310,7 @@ func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (R
 		frozen[s] = target[s] || (avoid != nil && avoid[s]) || g.stateOff[s] == g.stateOff[s+1]
 	}
 	g.selfLoopInv()
-	iters, err := vi(g, vals, frozen, opt, g.bellmanMaxSL)
+	iters, err := vi(g, vals, frozen, opt, (*csr).bellmanMaxSL)
 	if err != nil {
 		return Result{}, err
 	}
@@ -422,7 +421,7 @@ func (m *MDP) minExpectedReward(target, avoid []bool, opt SolveOptions, vi viFun
 		frozen[s] = target[s] || !as[s] || g.stateOff[s] == g.stateOff[s+1]
 	}
 	g.selfLoopInv()
-	iters, err := vi(g, vals, frozen, opt, g.bellmanMinSL)
+	iters, err := vi(g, vals, frozen, opt, (*csr).bellmanMinSL)
 	if err != nil {
 		return Result{}, err
 	}
