@@ -250,21 +250,32 @@ func (g *csr) selfLoopInv() {
 		}
 	}
 	g.slInv = inv
+	// Fold the reverse index into the predecessor lists: count them, size
+	// the slab exactly, then fill it. revChoice is ascending and a state's
+	// choices are contiguous, so repeated owners are adjacent.
 	off := growI(g.slPredOff, g.n+1)
-	preds := g.slPreds[:0]
-	for t := 0; t < g.n; t++ {
-		off[t] = int32(len(preds))
-		last := int32(-1)
-		for ri := g.revOff[t]; ri < g.revOff[t+1]; ri++ {
-			// revChoice is ascending and a state's choices are
-			// contiguous, so repeated owners are adjacent.
-			if s := g.choiceState[g.revChoice[ri]]; s != last && int(s) != t {
-				preds = append(preds, s)
-				last = s
+	var preds []int32
+	for fill := false; ; fill = true {
+		k := int32(0)
+		for t := 0; t < g.n; t++ {
+			off[t] = k
+			last := int32(-1)
+			for ri := g.revOff[t]; ri < g.revOff[t+1]; ri++ {
+				if s := g.choiceState[g.revChoice[ri]]; s != last && int(s) != t {
+					if fill {
+						preds[k] = s
+					}
+					k++
+					last = s
+				}
 			}
 		}
+		off[g.n] = k
+		if fill {
+			break
+		}
+		preds = growI(g.slPreds, int(k))
 	}
-	off[g.n] = int32(len(preds))
 	g.slPredOff, g.slPreds = off, preds
 	g.slBuilt = true
 }

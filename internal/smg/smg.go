@@ -254,9 +254,10 @@ func appendShapes(dst [][2]int, w, h int, opt ModelOptions) [][2]int {
 
 // Arena builds per-routing-job MDPs with reusable memory: the CSR slabs of
 // an mdp.Builder plus the model bookkeeping (rectangle table, shape spans,
-// label vectors, outcome scratch, force snapshot) are all grown in place and
-// recycled across Induce calls, so a warmed Arena induces a model of any previously seen
-// size with a handful of allocations instead of tens of thousands.
+// label vectors, outcome scratch, force snapshot) are all grown in place
+// and recycled across Induce calls, so a warmed Arena induces a model of any
+// previously seen size with a handful of allocations instead of tens of
+// thousands.
 //
 // The *Model returned by Induce aliases the Arena's memory: it is valid only
 // until the next Induce on the same Arena, must not be used from multiple
