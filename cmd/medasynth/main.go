@@ -1,7 +1,10 @@
 // Command medasynth synthesizes a single droplet routing strategy (Alg. 2)
 // and reports the model statistics of Table V. The health matrix is uniform
 // (-health) or loaded implicitly by degrading a band of cells (-wall) to
-// demonstrate adaptive re-routing.
+// demonstrate adaptive re-routing. The reported iteration count is the
+// value-iteration sweeps run: an Rmin model with every move certain (uniform
+// health 1, the default) is solved by shortest paths, and one sweep
+// confirms it.
 //
 //	medasynth -start 1,1,3,3 -goal 8,8,10,10 -hazard 1,1,10,10
 //	medasynth -query "Pmax=? [ G !hazard & F goal ]" -wall 6

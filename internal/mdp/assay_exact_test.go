@@ -79,3 +79,53 @@ func TestChangeDrivenSweepsExactOnAssays(t *testing.T) {
 	}
 	t.Logf("backups: %d of %d full-sweep backups (%.0f%% skipped)", backups, full, 100*(1-float64(backups)/float64(full)))
 }
+
+// TestSeededSolveExactOnAssays runs the shortest-path seed against prob1E
+// plus cold value iteration over every routing job of the six evaluation
+// bioassays on a healthy chip, with no obstacle and with one and two
+// obstacle blocks inside the job's window. Every move there succeeds with
+// probability 1, so every model must take the seeded path under the
+// default options.
+func TestSeededSolveExactOnAssays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping assay-wide exactness check in -short mode")
+	}
+	cfg := chip.Default()
+	healthy := func(x, y int) float64 { return 1 }
+	src := randx.New(18)
+	models, solves, seeded := 0, 0, 0
+	for _, bench := range assay.EvaluationBenchmarks {
+		plan, err := meda.CompileBenchmark(bench, cfg, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mo := range plan.MOs {
+			for _, rj := range mo.Jobs {
+				rj = synth.NormalizeDispense(rj, cfg.W, cfg.H)
+				for blocks := 0; blocks <= 2; blocks++ {
+					opt := smg.DefaultModelOptions()
+					for i := 0; i < blocks; i++ {
+						x := rj.Hazard.XA + src.IntN(rj.Hazard.Width())
+						y := rj.Hazard.YA + src.IntN(rj.Hazard.Height())
+						opt.Blocked = append(opt.Blocked, geom.Rect{XA: x, YA: y, XB: x + 1, YB: y + 1})
+					}
+					model, err := smg.Induce(rj.Hazard, rj.Start, rj.Goal, healthy, opt)
+					if err != nil {
+						t.Fatalf("%v %s (%d blocks): induce: %v", bench, rj.Name(), blocks, err)
+					}
+					n, s, err := mdp.DiffSeededGrid(model.M, model.Goal, model.Hazard)
+					if err != nil {
+						t.Fatalf("%v %s (%d blocks): %v", bench, rj.Name(), blocks, err)
+					}
+					if s != 8 { // Eps ≤ 1 and MaxIter ≥ dmax+2, both methods
+						t.Fatalf("%v %s (%d blocks): %d of %d solves seeded, want 8", bench, rj.Name(), blocks, s, n)
+					}
+					models++
+					solves += n
+					seeded += s
+				}
+			}
+		}
+	}
+	t.Logf("%d healthy models, %d solves, %d seeded", models, solves, seeded)
+}

@@ -41,6 +41,7 @@ func (b *Builder) Reset() {
 	g.probs = g.probs[:0]
 	g.revBuilt = false
 	g.slBuilt = false
+	g.predBuilt = false
 }
 
 // AddStates reserves n fresh states and returns the id of the first.

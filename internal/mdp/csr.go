@@ -8,7 +8,9 @@
 //
 // The same layout carries a reverse-edge index (successor → incoming
 // choices), which turns the qualitative Prob1E pass from repeated forward
-// scans into a worklist propagation. Folded into per-state predecessor
+// scans into a worklist propagation, and on deterministic models with unit
+// costs replaces it with one BFS that also yields the exact Rmin values
+// (unitDistances). Folded into per-state predecessor
 // lists, it also drives the change-driven Gauss-Seidel sweeps: a state is
 // backed up again only after a successor's value changed. Gauss-Seidel, the
 // default solver, alternates sweep direction each iteration so value
@@ -52,11 +54,12 @@ type csr struct {
 	slBuilt bool
 	slInv   []float64
 	// Per-state predecessors for the change-driven Gauss-Seidel sweeps,
-	// built with slInv: slPreds[slPredOff[t]:slPredOff[t+1]] lists, once
-	// each and in ascending order, the states other than t that own a
-	// choice with a positive-probability edge into t — the states whose
-	// self-loop-eliminated backups read t's value. It is the reverse index
-	// folded from choices to states, with self-loops dropped.
+	// built lazily by predLists(): slPreds[slPredOff[t]:slPredOff[t+1]]
+	// lists, once each and in ascending order, the states other than t that
+	// own a choice with a positive-probability edge into t — the states
+	// whose self-loop-eliminated backups read t's value. It is the reverse
+	// index folded from choices to states, with self-loops dropped.
+	predBuilt bool
 	slPredOff []int32
 	slPreds   []int32
 
@@ -223,8 +226,8 @@ func (g *csr) reverseIndex() {
 
 // selfLoopInv builds the per-choice 1/(1-q) slab, with q the choice's
 // self-loop probability mass; choices with q ≈ 1 (pure self-loops) get 0 as
-// a skip marker. It also folds the reverse index, which it builds first,
-// into the per-state predecessor lists. Idempotent.
+// a skip marker. It builds the reverse index first, for choiceState.
+// Idempotent.
 func (g *csr) selfLoopInv() {
 	if g.slBuilt {
 		return
@@ -250,9 +253,19 @@ func (g *csr) selfLoopInv() {
 		}
 	}
 	g.slInv = inv
-	// Fold the reverse index into the predecessor lists: count them, size
-	// the slab exactly, then fill it. revChoice is ascending and a state's
-	// choices are contiguous, so repeated owners are adjacent.
+	g.slBuilt = true
+}
+
+// predLists folds the reverse index into the per-state predecessor lists:
+// count them, size the slab exactly, then fill it. revChoice is ascending
+// and a state's choices are contiguous, so repeated owners are adjacent.
+// Gauss-Seidel calls it on a solve's first value change, so a solve whose
+// first sweep changes nothing (a seeded one) never pays for it. Idempotent.
+func (g *csr) predLists() {
+	if g.predBuilt {
+		return
+	}
+	g.reverseIndex()
 	off := growI(g.slPredOff, g.n+1)
 	var preds []int32
 	for fill := false; ; fill = true {
@@ -277,7 +290,7 @@ func (g *csr) selfLoopInv() {
 		preds = growI(g.slPreds, int(k))
 	}
 	g.slPredOff, g.slPreds = off, preds
-	g.slBuilt = true
+	g.predBuilt = true
 }
 
 // bellmanMaxSL is max_c Σ_{t≠s} P·src[t]/(1−q_c) over the choices of s (0
@@ -390,16 +403,15 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellma
 		for iters := 0; iters < opt.MaxIter; iters++ {
 			delta, worst := g.jacobiSweep(frozen, src, dst, bellman)
 			src, dst = dst, src
+			// src holds the latest iterate; after an even number of
+			// sweeps it is vals itself, and copying a slice onto itself
+			// is a no-op.
 			if delta < opt.Eps {
-				if &src[0] != &vals[0] {
-					copy(vals, src)
-				}
+				copy(vals, src)
 				return iters + 1, (iters + 1) * live, delta, nil
 			}
 			if iters == opt.MaxIter-1 {
-				if &src[0] != &vals[0] {
-					copy(vals, src)
-				}
+				copy(vals, src)
 				return iters + 1, (iters + 1) * live, delta, g.convergenceError(worst, delta, opt.MaxIter)
 			}
 		}
@@ -413,9 +425,10 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellma
 	// stays clean until one of those values changes its bits: its backup
 	// would recompute the bits it already holds, and skipping it leaves
 	// vals, the residual, the worst state and the sweep count exactly those
-	// of full sweeps. A changed value re-dirties its predecessors.
+	// of full sweeps. A changed value re-dirties its predecessors, whose
+	// lists are built on the first change.
 	g.selfLoopInv()
-	predOff, preds := g.slPredOff, g.slPreds
+	var predOff, preds []int32
 	dirty := growB(g.scrDirty, g.n)
 	g.scrDirty = dirty
 	for s := range dirty {
@@ -443,6 +456,10 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellma
 				worst = s
 			}
 			vals[s] = v
+			if predOff == nil {
+				g.predLists()
+				predOff, preds = g.slPredOff, g.slPreds
+			}
 			for _, p := range preds[predOff[s]:predOff[s+1]] {
 				dirty[p] = true
 			}
@@ -466,6 +483,85 @@ func (g *csr) convergenceError(worst int, delta float64, iters int) error {
 		e.Action = int(g.actions[g.stateOff[worst]])
 	}
 	return e
+}
+
+// unitDistances is the qualitative pass of Rmin for deterministic models
+// with unit costs, and their exact values. It applies when every choice of
+// every state that is neither target nor avoid is a pure self-loop (one
+// transition, to itself, p = 1) or a unit choice: one transition, to
+// another state, p = 1 and reward 1. Reward 0 is allowed only on a state
+// with no incoming edge (smg's Init commit), which rules out zero-cost
+// cycles. On such a model Rmin is the hop distance to the target: one
+// backward BFS from the un-avoided targets, never entering a target or
+// avoid state, reaches exactly the states prob1E would return, and writes
+// each one's distance into dist. Zero-reward sources take their cheapest
+// choice after the BFS, as nothing reads their value. It returns the reached
+// set (solver scratch, like prob1E's) and the largest distance of a
+// non-target state, or nil when the model does not qualify.
+func (g *csr) unitDistances(target, avoid []bool, dist []float64) ([]bool, int) {
+	t0 := time.Now()
+	g.reverseIndex()
+	for s := 0; s < g.n; s++ {
+		if target[s] || (avoid != nil && avoid[s]) {
+			continue
+		}
+		for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
+			ti := g.choiceOff[ci]
+			if g.choiceOff[ci+1] != ti+1 || !IsOneProb(g.probs[ti]) {
+				return nil, 0
+			}
+			if int(g.tos[ti]) == s {
+				continue
+			}
+			if r := g.rewards[ci]; r != 1 && (r != 0 || g.revOff[s] != g.revOff[s+1]) {
+				return nil, 0
+			}
+		}
+	}
+	defer func() {
+		telProb1ECalls.Inc()
+		telProb1ENs.Add(time.Since(t0).Nanoseconds())
+	}()
+	reached := growB(g.scrInR, g.n)
+	g.scrInR = reached
+	queue := growI(g.scrQueue, g.n)[:0]
+	g.scrQueue = queue
+	for s := 0; s < g.n; s++ {
+		reached[s] = target[s] && (avoid == nil || !avoid[s])
+		if reached[s] {
+			dist[s] = 0
+			queue = append(queue, int32(s))
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		t := queue[head]
+		for ri := g.revOff[t]; ri < g.revOff[t+1]; ri++ {
+			s := g.choiceState[g.revChoice[ri]]
+			if reached[s] || (avoid != nil && avoid[s]) { // targets are reached or avoided
+				continue
+			}
+			reached[s] = true
+			dist[s] = dist[t] + 1
+			queue = append(queue, s)
+		}
+	}
+	dmax := 0.0
+	for s := 0; s < g.n; s++ {
+		if !reached[s] || target[s] {
+			continue
+		}
+		if g.revOff[s] == g.revOff[s+1] {
+			d := math.Inf(1)
+			for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
+				if t := g.tos[g.choiceOff[ci]]; int(t) != s && reached[t] {
+					d = min(d, g.rewards[ci]+dist[t])
+				}
+			}
+			dist[s] = d
+		}
+		dmax = max(dmax, dist[s])
+	}
+	return reached, int(dmax)
 }
 
 // prob1E is the qualitative almost-sure-reachability pass over the CSR

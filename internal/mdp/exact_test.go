@@ -132,9 +132,10 @@ func diffResult(a Result, aerr error, b Result, berr error) string {
 // near-pure self-loop choices (the latter make an almost-surely-winning
 // state's Rmin +Inf), states with no choice, non-almost-sure states pinned
 // at +Inf, and iteration caps that run out. Models are built through the
-// Builder or through AddChoice. Exhausted input reads as zeros, so every
-// byte string decodes.
-func decodeExactMDP(data []byte) (*MDP, []bool, []bool, SolveOptions) {
+// Builder or through AddChoice. One mode bit instead yields a deterministic
+// model with unit costs (decodeUnitMDP), reported by unit. Exhausted input
+// reads as zeros, so every byte string decodes.
+func decodeExactMDP(data []byte) (m *MDP, target, avoid []bool, opt SolveOptions, unit bool) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -143,17 +144,21 @@ func decodeExactMDP(data []byte) (*MDP, []bool, []bool, SolveOptions) {
 		data = data[1:]
 		return int(b)
 	}
-	var opt SolveOptions
 	if next()%4 == 0 {
 		opt.MaxIter = 1 + next()%6
 	}
 	if next()%2 == 0 {
 		opt.Eps = 1e-12
 	}
-	builder := next()%2 == 0
+	mode := next()
+	builder := mode%2 == 0
+	if mode/2%2 == 1 {
+		m, target, avoid = decodeUnitMDP(next, builder)
+		return m, target, avoid, opt, true
+	}
 	n := 1 + next()%48
-	target := make([]bool, n)
-	avoid := make([]bool, n)
+	target = make([]bool, n)
+	avoid = make([]bool, n)
 	for s := range target {
 		switch next() % 8 {
 		case 0:
@@ -165,7 +170,7 @@ func decodeExactMDP(data []byte) (*MDP, []bool, []bool, SolveOptions) {
 	var b Builder
 	b.Reset()
 	b.AddStates(n)
-	m := New()
+	m = New()
 	m.AddStates(n)
 	for s := 0; s < n; s++ {
 		nc := next() % 4
@@ -212,7 +217,89 @@ func decodeExactMDP(data []byte) (*MDP, []bool, []bool, SolveOptions) {
 	if builder {
 		m = b.Build()
 	}
-	return m, target, avoid, opt
+	return m, target, avoid, opt, false
+}
+
+// decodeUnitMDP decodes a deterministic model with unit costs, the kind
+// Rmin solves by shortest paths: unit choices, pure self-loops of any
+// reward, dead ends, avoid states, several targets, islands the targets
+// cannot reach, and in half the models a zero-reward source like smg's
+// Init commit. A third of the models add one choice that rules the
+// shortest-path solve out: a zero-reward cycle, reward 2, a p = 1 edge
+// beside a p = 0 edge, or a choice with p < 1.
+func decodeUnitMDP(next func() int, builder bool) (*MDP, []bool, []bool) {
+	n := 1 + next()%48
+	target := make([]bool, n)
+	avoid := make([]bool, n)
+	for s := range target {
+		switch next() % 8 {
+		case 0:
+			target[s] = true
+		case 1:
+			avoid[s] = true
+		}
+	}
+	to := func(ts ...int) []Transition {
+		trs := make([]Transition, len(ts))
+		for i, t := range ts {
+			trs[i] = Transition{To: StateID(t), P: 1}
+		}
+		return trs
+	}
+	choices := make([][]Choice, n, n+1)
+	for s := range choices {
+		for c := next() % 4; c > 0; c-- { // none: a dead end
+			if next()%6 == 0 {
+				choices[s] = append(choices[s], Choice{Reward: float64(next() % 3), Transitions: to(s)})
+			} else {
+				choices[s] = append(choices[s], Choice{Reward: 1, Transitions: to(next() % n)})
+			}
+		}
+	}
+	if next()%2 == 0 {
+		src := []Choice{{Reward: 0, Transitions: to(next() % n)}}
+		if next()%2 == 0 {
+			src = append(src, Choice{Reward: 1, Transitions: to(next() % n)})
+		}
+		choices = append(choices, src)
+		target = append(target, false)
+		avoid = append(avoid, false)
+		n++
+	}
+	s, t := next()%n, next()%n
+	switch next() % 12 {
+	case 0:
+		choices[s] = append(choices[s], Choice{Reward: 0, Transitions: to(t)})
+		choices[t] = append(choices[t], Choice{Reward: 0, Transitions: to(s)})
+	case 1:
+		choices[s] = append(choices[s], Choice{Reward: 2, Transitions: to(t)})
+	case 2:
+		choices[s] = append(choices[s], Choice{Reward: 1, Transitions: []Transition{{To: StateID(t), P: 1}, {To: StateID(s), P: 0}}})
+	case 3:
+		choices[s] = append(choices[s], Choice{Reward: 1, Transitions: []Transition{{To: StateID(t), P: 0.5}, {To: StateID(s), P: 0.5}}})
+	}
+	if !builder {
+		m := New()
+		m.AddStates(n)
+		for s, cs := range choices {
+			for c, ch := range cs {
+				m.AddChoice(StateID(s), c, ch.Reward, ch.Transitions)
+			}
+		}
+		return m, target, avoid
+	}
+	var b Builder
+	b.Reset()
+	b.AddStates(n)
+	for s, cs := range choices {
+		for c, ch := range cs {
+			b.BeginChoice(StateID(s), c, ch.Reward)
+			for _, tr := range ch.Transitions {
+				b.Transition(tr.To, tr.P)
+			}
+		}
+	}
+	return b.Build(), target, avoid
 }
 
 // TestChangeDrivenSweepsExact: on random models, change-driven Gauss-Seidel
@@ -228,7 +315,7 @@ func TestChangeDrivenSweepsExact(t *testing.T) {
 		for i := range data {
 			data[i] = byte(src.IntN(256))
 		}
-		m, target, avoid, opt := decodeExactMDP(data)
+		m, target, avoid, opt, _ := decodeExactMDP(data)
 		st, err := diffSolves(m, target, avoid, opt)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -247,17 +334,23 @@ func TestChangeDrivenSweepsExact(t *testing.T) {
 		total.Backups, total.FullBackups, 100*(1-float64(total.Backups)/float64(total.FullBackups)), total.Exhausted)
 }
 
-// FuzzSolveExact checks the same bit-identity on fuzzer-shaped models.
+// FuzzSolveExact checks the same bit-identity on fuzzer-shaped models, and
+// on deterministic ones also the shortest-path seed against cold solves.
 func FuzzSolveExact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 12, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 2, 7, 9, 1, 4, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, target, avoid, opt := decodeExactMDP(data)
+		m, target, avoid, opt, unit := decodeExactMDP(data)
 		if err := m.Validate(); err != nil {
 			t.Fatalf("decoder built an invalid model: %v", err)
 		}
 		if _, err := diffSolves(m, target, avoid, opt); err != nil {
 			t.Fatal(err)
+		}
+		if unit {
+			if _, err := diffSeededGrid(m, target, avoid); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -7,7 +7,10 @@
 //     solved by value iteration from below, and
 //   - minimum expected total reward to reach a goal, Rmin=? [◇goal], the
 //     stochastic-shortest-path problem, solved by qualitative almost-sure
-//     reachability analysis (Prob1E) followed by value iteration.
+//     reachability analysis (Prob1E) followed by value iteration. On a
+//     deterministic model with unit costs, one backward BFS gives both the
+//     almost-sure set and the exact values, and value iteration starts from
+//     them.
 //
 // After the paper's partial-order reduction fixes the health matrix, the
 // per-routing-job model is exactly an MDP, so these two solvers cover every
@@ -245,7 +248,9 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	return o
 }
 
-// Result carries a solver outcome.
+// Result carries a solver outcome. Iterations is the number of value-
+// iteration sweeps run: 1 for an Rmin solve seeded with shortest-path
+// distances, whose one sweep confirms the fixpoint.
 type Result struct {
 	Values     []float64
 	Strategy   Strategy
@@ -410,15 +415,31 @@ func (m *MDP) minExpectedReward(target, avoid []bool, opt SolveOptions, vi viFun
 		return Result{}, errors.New("mdp: label vector length mismatch")
 	}
 	g := m.flatten()
-	as := g.prob1E(target, avoid)
 	vals := make([]float64, n)
+	// A deterministic model with unit costs is solved exactly by one BFS.
+	// Its distances seed value iteration only where cold VI would provably
+	// end at the same bits: the values are integers, so every change is at
+	// least 1 and a residual below Eps ≤ 1 means the fixpoint, which cold
+	// VI reaches within dmax+2 sweeps. The seeded sweep then confirms the
+	// fixpoint and changes nothing.
+	as, dmax := g.unitDistances(target, avoid, vals)
+	seeded := as != nil && opt.Eps <= 1 && opt.MaxIter >= dmax+2
+	if as == nil {
+		as = g.prob1E(target, avoid)
+	}
 	frozen := growB(g.scrFrozen, n)
 	g.scrFrozen = frozen
 	for s := 0; s < n; s++ {
-		if !as[s] {
+		switch {
+		case !as[s]:
 			vals[s] = math.Inf(1)
+		case !seeded:
+			vals[s] = 0
 		}
 		frozen[s] = target[s] || !as[s] || g.stateOff[s] == g.stateOff[s+1]
+	}
+	if seeded {
+		telSeeded.Inc()
 	}
 	g.selfLoopInv()
 	iters, err := vi(g, vals, frozen, opt, (*csr).bellmanMinSL)

@@ -434,3 +434,23 @@ func TestDeadlockStateHandled(t *testing.T) {
 	}
 	_ = dead
 }
+
+// An empty model solves to empty results under both queries and both
+// methods.
+func TestEmptyModel(t *testing.T) {
+	for _, method := range []SolverMethod{GaussSeidel, Jacobi} {
+		opt := SolveOptions{Method: method}
+		for name, solve := range map[string]func([]bool, []bool, SolveOptions) (Result, error){
+			"Rmin": New().MinExpectedReward,
+			"Pmax": New().MaxReachProb,
+		} {
+			res, err := solve(nil, nil, opt)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, method, err)
+			}
+			if len(res.Values) != 0 || len(res.Strategy) != 0 {
+				t.Errorf("%s %v: %d values, %d strategy entries", name, method, len(res.Values), len(res.Strategy))
+			}
+		}
+	}
+}

@@ -11,6 +11,10 @@ var (
 	// telSweeps/telSolves is the mean sweeps-to-convergence.
 	telSolves = telemetry.C("mdp.vi.solves")
 	telSweeps = telemetry.C("mdp.vi.sweeps")
+	// telSeeded counts the Rmin solves seeded with shortest-path distances
+	// (deterministic models with unit costs, see csr.unitDistances); its
+	// ratio to telSolves is the deterministic share.
+	telSeeded = telemetry.C("mdp.vi.seeded")
 	// telBackups accumulates the Bellman backups the solves evaluated.
 	// Gauss-Seidel skips the backups of states none of whose successors
 	// changed, so 1 − backups/(sweeps × live states) is the skipped share.
@@ -22,7 +26,8 @@ var (
 	// (below Eps on convergence, the diverging delta on exhaustion).
 	telResidual = telemetry.G("mdp.vi.last_residual")
 	// telProb1E tracks the qualitative almost-sure-reachability pass that
-	// precedes every Rmin solve: call count and cumulative nanoseconds.
+	// precedes every Rmin solve: call count and cumulative nanoseconds. On
+	// deterministic models that pass is the BFS of csr.unitDistances.
 	telProb1ECalls = telemetry.C("mdp.prob1e.calls")
 	telProb1ENs    = telemetry.C("mdp.prob1e.ns")
 )

@@ -57,7 +57,9 @@ type Stats struct {
 	// to check the query and extract the strategy; Total is their sum.
 	Construction time.Duration
 	Synthesis    time.Duration
-	Iterations   int
+	// Iterations is the number of value-iteration sweeps run (see
+	// mdp.Result.Iterations).
+	Iterations int
 }
 
 // Total returns construction + synthesis time.
