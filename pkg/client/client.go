@@ -386,7 +386,7 @@ func (s *EventStream) Next() (api.Event, error) {
 			if err := writeWSFrame(s.conn, 0xA, payload); err != nil {
 				return api.Event{}, err
 			}
-		default: // pong or unknown control: skip
+		default: // binary or pong: skip
 		}
 	}
 }
@@ -394,16 +394,27 @@ func (s *EventStream) Next() (api.Event, error) {
 // Close tears the stream down.
 func (s *EventStream) Close() error { return s.conn.Close() }
 
+// wsMaxPayload bounds the payload of one frame read from the server.
+const wsMaxPayload = 1 << 20
+
 // readWSFrame reads one unfragmented, unmasked (server-to-client) frame.
+// Frames RFC 6455 makes the receiver fail are errors: fragments and
+// continuations, reserved bits or opcodes, a mask bit, and control frames
+// over 125 bytes.
 func readWSFrame(br *bufio.Reader) (byte, []byte, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	if hdr[0]&0x80 == 0 || hdr[0]&0x70 != 0 {
+	op := hdr[0] & 0x0F
+	if hdr[0]&0x80 == 0 || hdr[0]&0x70 != 0 || op == 0 {
 		return 0, nil, fmt.Errorf("client: fragmented or extended websocket frames unsupported")
 	}
-	op := hdr[0] & 0x0F
+	switch op {
+	case 0x1, 0x2, 0x8, 0x9, 0xA: // text, binary, close, ping, pong
+	default:
+		return 0, nil, fmt.Errorf("client: reserved websocket opcode %#x", op)
+	}
 	if hdr[1]&0x80 != 0 {
 		return 0, nil, fmt.Errorf("client: server frames must not be masked")
 	}
@@ -425,8 +436,11 @@ func readWSFrame(br *bufio.Reader) (byte, []byte, error) {
 			length = length<<8 | uint64(b)
 		}
 	}
-	if length > 1<<20 {
+	if length > wsMaxPayload {
 		return 0, nil, fmt.Errorf("client: websocket frame of %d bytes exceeds limit", length)
+	}
+	if op >= 0x8 && length > 125 {
+		return 0, nil, fmt.Errorf("client: websocket control frame of %d bytes exceeds 125", length)
 	}
 	payload := make([]byte, length)
 	if _, err := io.ReadFull(br, payload); err != nil {
