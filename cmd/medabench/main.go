@@ -6,11 +6,12 @@
 // The suite covers the synthesis hot path of Table V (model construction +
 // value iteration), cold vs pooled-arena model construction, construction
 // over a worn chip's observed health rather than a constant field, the solver
-// comparison (gauss-seidel against its jacobi reference), the cold-vs-warm
-// strategy cache for re-synthesis, the D4-canonical cache serving a whole
-// symmetry class of jobs from one synthesis, and the sequential-vs-concurrent
-// assay executor on a contention-heavy generated workload. Derived ratios
-// (warm_cache_speedup, pooled_construction_speedup,
+// comparison (gauss-seidel against its jacobi reference, and gauss-seidel on
+// a deterministic healthy-chip model), the cold-vs-warm strategy cache for
+// re-synthesis, the D4-canonical cache serving a whole symmetry class of
+// jobs from one synthesis, and the sequential-vs-concurrent assay executor
+// with the adaptive router on a contention-heavy generated workload.
+// Derived ratios (warm_cache_speedup, pooled_construction_speedup,
 // canonicalization_hit_rate, concurrent_cycle_reduction) are computed from
 // the same runs.
 package main
@@ -173,7 +174,8 @@ func main() {
 	})
 
 	// Solver comparison on one 30×30 model: Gauss-Seidel (the default) and
-	// Jacobi (its differential reference).
+	// Jacobi (its differential reference), then Gauss-Seidel on a
+	// deterministic model of the same job.
 	model, err := smg.Induce(
 		meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
 		meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
@@ -183,7 +185,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
 		os.Exit(1)
 	}
-	solve := func(opt mdp.SolveOptions) func(b *testing.B) {
+	solve := func(model *smg.Model, opt mdp.SolveOptions) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := model.M.MinExpectedReward(model.Goal, model.Hazard, opt); err != nil {
@@ -192,8 +194,23 @@ func main() {
 			}
 		}
 	}
-	record(rep, "solver/gauss-seidel", solve(mdp.SolveOptions{Method: mdp.GaussSeidel}))
-	record(rep, "solver/jacobi-seq", solve(mdp.SolveOptions{Method: mdp.Jacobi}))
+	record(rep, "solver/gauss-seidel", solve(model, mdp.SolveOptions{Method: mdp.GaussSeidel}))
+	record(rep, "solver/jacobi-seq", solve(model, mdp.SolveOptions{Method: mdp.Jacobi}))
+	// The same job on a healthy chip with one obstacle block: every move
+	// succeeds, so the model is deterministic and Rmin is solved by shortest
+	// paths, as for most jobs on a healthy or near-immortal chip.
+	blocked := smg.DefaultModelOptions()
+	blocked.Blocked = []meda.Rect{{XA: 14, YA: 12, XB: 17, YB: 19}}
+	healthyModel, err := smg.Induce(
+		meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
+		meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
+		meda.Rect{XA: 27, YA: 27, XB: 30, YB: 30},
+		func(x, y int) float64 { return 1 }, blocked)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
+		os.Exit(1)
+	}
+	record(rep, "solver/gauss-seidel-healthy", solve(healthyModel, mdp.SolveOptions{Method: mdp.GaussSeidel}))
 
 	// Re-synthesis: cold (synthesize every time) vs warm (health-keyed
 	// strategy cache hit). The chip region is degraded so the library fast
@@ -285,11 +302,11 @@ func main() {
 		}
 	})
 
-	// Assay execution: sequential (one hazard zone at a time) vs concurrent
-	// (all ready operations at once) on a contention-heavy generated mixture —
-	// three paper protocols concatenated onto shifted regions of one 60×30
-	// chip, so their droplets compete for reservoirs, modules, and corridor
-	// space. Cycle counts are deterministic for a fixed seed, so the derived
+	// Assay execution with the paper's adaptive router: sequential (one
+	// hazard zone at a time) vs concurrent (all ready operations at once) on
+	// a contention-heavy generated mixture — three paper protocols
+	// concatenated onto shifted regions of one 60×30 chip, so their droplets
+	// compete for reservoirs, modules, and corridor space. Cycle counts are deterministic for a fixed seed, so the derived
 	// ratio records the assay-level makespan reduction concurrency buys; the
 	// benchmark rows track each executor's wall-clock cost per execution.
 	mix := assay.Mixture(15, assay.Layout{W: 60, H: 30}, 16, 3)
@@ -310,7 +327,7 @@ func main() {
 		scfg := sim.DefaultConfig()
 		scfg.KMax = 8000
 		scfg.Concurrent = concurrent
-		return sim.NewRunner(scfg, ec, sched.NewBaseline(), src.Split("sim")).Execute(mixPlan)
+		return sim.NewRunner(scfg, ec, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim")).Execute(mixPlan)
 	}
 	seqExec, err := runExec(false)
 	if err == nil && !seqExec.Success {
