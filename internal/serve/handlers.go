@@ -192,14 +192,12 @@ func serveEvents(f *Fleet, w http.ResponseWriter, r *http.Request, tenant string
 			return
 		}
 	}
-	// Subscribe before the handshake answers: a client that acts once the
-	// stream is open must receive the events its actions cause.
-	events, cancel := f.Subscribe(tenant)
-	defer cancel()
 	conn, err := wsUpgrade(w, r)
 	if err != nil {
 		return // wsUpgrade already wrote the HTTP error
 	}
+	events, cancel := f.Subscribe(tenant)
+	defer cancel()
 
 	// Reader: answers pings, detects the client's close frame or a dead
 	// connection, and signals the writer loop to stop.
