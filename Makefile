@@ -63,9 +63,9 @@ cover:
 	check ./internal/lint/summary/ 80
 
 # Short fuzz bursts over every fuzz target (parser robustness, print/parse
-# round trips, solver bit-identity, server- and client-side WebSocket frame
-# decoding). Each target needs its own invocation: -fuzz accepts exactly
-# one matching target per package.
+# round trips, solver bit-identity, WebSocket frame decoding in both roles,
+# journal replay). Each target needs its own invocation: -fuzz accepts
+# exactly one matching target per package.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/spec/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -74,8 +74,8 @@ fuzz:
 	$(GO) test ./internal/dsl/ -run '^$$' -fuzz '^FuzzParseStability$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzHazardZones$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdp/ -run '^$$' -fuzz '^FuzzSolveExact$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./pkg/client/ -run '^$$' -fuzz '^FuzzClientReadFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ws/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
 
 # One deterministic fault-injection trial per evaluation assay: 5% mixed
 # fault rate, all fault classes, asserting hazard-free completion and

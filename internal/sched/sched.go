@@ -9,6 +9,7 @@ import (
 	"errors"
 	"sync"
 
+	"meda/internal/action"
 	"meda/internal/baseline"
 	"meda/internal/chip"
 	"meda/internal/geom"
@@ -354,43 +355,10 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 	top := 1<<uint(c.HealthBits()) - 1
 	healthy := len(obstacles) == 0 && c.MinHealth(rj.Hazard) == top
 	if a.Lib != nil && healthy {
-		key := NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard))
-		// Single-flight with a double check: wait out any in-flight synthesis
-		// for this key, and after winning the claim re-check the library once
-		// more (a previous leader may have stored between our miss and our
-		// claim) before synthesizing.
-		var done chan struct{}
-		for {
-			if p, v, ok := a.Lib.Lookup(rj); ok {
-				if done != nil {
-					a.release(key, done)
-				}
-				a.bump(&a.LibraryUses)
-				return p, v, nil
-			}
-			if done != nil {
-				break
-			}
-			var leader bool
-			if done, leader = a.claim(key); !leader {
-				<-done
-				done = nil
-			}
-		}
-		defer a.release(key, done)
-		if err := a.injectTimeout(key); err != nil {
-			return nil, 0, err
-		}
-		res, err := synth.Synthesize(rj, func(x, y int) float64 { return 1 }, a.Opt)
-		if err != nil {
-			return nil, 0, err
-		}
-		a.bump(&a.Syntheses)
-		telOnlineSyntheses.Inc()
-		if res.Exists() && !a.poisoned(key) {
-			a.Lib.Store(rj, res.Policy, res.Value)
-		}
-		return res.Policy, res.Value, nil
+		return a.singleFlight(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), &a.LibraryUses,
+			func() (synth.Policy, float64, bool) { return a.Lib.Lookup(rj) },
+			func(p synth.Policy, v float64) { a.Lib.Store(rj, p, v) },
+			rj, func(x, y int) float64 { return 1 })
 	}
 	if a.Cache != nil && len(obstacles) == 0 {
 		key, tf, canon := a.cacheKeyFor(rj, c)
@@ -406,56 +374,74 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 			telRawHits.Inc()
 			return p, v, true
 		}
-		// Same single-flight double check as the library path above.
-		var done chan struct{}
-		for {
-			if p, v, ok := lookup(); ok {
-				if done != nil {
-					a.release(key, done)
-				}
-				a.bump(&a.CacheHits)
-				return p, v, nil
-			}
-			if done != nil {
-				break
-			}
-			var leader bool
-			if done, leader = a.claim(key); !leader {
-				<-done
-				done = nil
-			}
-		}
-		defer a.release(key, done)
-		if err := a.injectTimeout(key); err != nil {
-			return nil, 0, err
-		}
-		res, err := synth.Synthesize(rj, c.ObservedForceField(), a.Opt)
-		if err != nil {
-			return nil, 0, err
-		}
-		a.bump(&a.Syntheses)
-		telOnlineSyntheses.Inc()
-		if res.Exists() && !a.poisoned(key) {
+		store := func(p synth.Policy, v float64) {
 			if canon {
-				a.Cache.Store(key, tf.ApplyPolicy(res.Policy), res.Value)
-			} else {
-				a.Cache.Store(key, res.Policy, res.Value)
+				p = tf.ApplyPolicy(p)
 			}
+			a.Cache.Store(key, p, v)
 		}
-		return res.Policy, res.Value, nil
-	}
-	if err := a.injectTimeout(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard))); err != nil {
-		return nil, 0, err
+		return a.singleFlight(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField())
 	}
 	opt := a.Opt
 	opt.Model.Blocked = obstacles
-	res, err := synth.Synthesize(rj, c.ObservedForceField(), opt)
+	res, err := a.synthesize(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), rj, c.ObservedForceField(), opt)
 	if err != nil {
 		return nil, 0, err
 	}
+	return res.Policy, res.Value, nil
+}
+
+// singleFlight serves rj from one strategy store, counting each hit in
+// hits, and otherwise synthesizes it under field once, however many Route
+// calls want it at the same time. key is the claim, fault-injection and
+// poison key. A caller that loses the claim waits out the leader and
+// re-checks the store; the leader re-checks once more after winning it (a
+// previous leader may have stored between our miss and our claim) before
+// synthesizing, and stores a strategy that exists unless key is poisoned.
+func (a *Adaptive) singleFlight(key CacheKey, hits *int, lookup func() (synth.Policy, float64, bool),
+	store func(synth.Policy, float64), rj route.RJ, field action.ForceField) (synth.Policy, float64, error) {
+	var done chan struct{}
+	for {
+		if p, v, ok := lookup(); ok {
+			if done != nil {
+				a.release(key, done)
+			}
+			a.bump(hits)
+			return p, v, nil
+		}
+		if done != nil {
+			break
+		}
+		var leader bool
+		if done, leader = a.claim(key); !leader {
+			<-done
+			done = nil
+		}
+	}
+	defer a.release(key, done)
+	res, err := a.synthesize(key, rj, field, a.Opt)
+	if err != nil {
+		return nil, 0, err
+	}
+	if res.Exists() && !a.poisoned(key) {
+		store(res.Policy, res.Value)
+	}
+	return res.Policy, res.Value, nil
+}
+
+// synthesize runs one online synthesis, unless the fault injector times out
+// this attempt for key, and counts it.
+func (a *Adaptive) synthesize(key CacheKey, rj route.RJ, field action.ForceField, opt synth.Options) (synth.Result, error) {
+	if err := a.injectTimeout(key); err != nil {
+		return synth.Result{}, err
+	}
+	res, err := synth.Synthesize(rj, field, opt)
+	if err != nil {
+		return synth.Result{}, err
+	}
 	a.bump(&a.Syntheses)
 	telOnlineSyntheses.Inc()
-	return res.Policy, res.Value, nil
+	return res, nil
 }
 
 // cacheKeyFor picks the strategy-cache key for a degraded-region job: the

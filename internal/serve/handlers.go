@@ -13,12 +13,17 @@ import (
 	"time"
 
 	"meda/internal/telemetry"
+	"meda/internal/ws"
 	"meda/pkg/api"
 )
 
 // maxBodyBytes bounds request bodies; chip states for the default 60×30
 // array are ~200 KiB, so 8 MiB leaves room for large custom chips.
 const maxBodyBytes = 8 << 20
+
+// closeWait is how long the event stream waits for the client's close frame
+// after sending its own.
+const closeWait = 2 * time.Second
 
 // Handler builds the service mux over a fleet.
 func Handler(f *Fleet) http.Handler {
@@ -192,9 +197,9 @@ func serveEvents(f *Fleet, w http.ResponseWriter, r *http.Request, tenant string
 			return
 		}
 	}
-	conn, err := wsUpgrade(w, r)
+	conn, err := ws.Upgrade(w, r)
 	if err != nil {
-		return // wsUpgrade already wrote the HTTP error
+		return // ws.Upgrade already wrote the HTTP error
 	}
 	events, cancel := f.Subscribe(tenant)
 	defer cancel()
@@ -208,10 +213,10 @@ func serveEvents(f *Fleet, w http.ResponseWriter, r *http.Request, tenant string
 	// send our close frame, let the reader goroutine observe the peer's
 	// reply (or give up after the grace period), then drop the transport.
 	goingAway := func() {
-		conn.WriteClose(wsCloseGoingAway, "server shutting down") //lint:ignore errflowstrict the peer may already be gone; the stream is over either way
+		conn.WriteClose(ws.CloseGoingAway, "server shutting down") //lint:ignore errflowstrict the peer may already be gone; the stream is over either way
 		select {
 		case <-gone:
-		case <-time.After(wsCloseWait):
+		case <-time.After(closeWait):
 		}
 		conn.Close() //lint:ignore errflowstrict the stream is over either way; unblocks a still-waiting reader
 		<-gone
@@ -246,14 +251,14 @@ func serveEvents(f *Fleet, w http.ResponseWriter, r *http.Request, tenant string
 // wsEventReader is the event stream's read side: it answers pings, and
 // closes gone when the client sends its close frame or the connection
 // dies. It is the channel's only sender (a close is its one message).
-func wsEventReader(conn *WSConn, gone chan<- struct{}) {
+func wsEventReader(conn *ws.Conn, gone chan<- struct{}) {
 	defer close(gone)
 	for {
 		op, payload, err := conn.ReadFrame()
 		if err != nil {
 			return
 		}
-		if op == wsOpPing {
+		if op == ws.OpPing {
 			if conn.WritePong(payload) != nil {
 				return
 			}

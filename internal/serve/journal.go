@@ -110,14 +110,15 @@ func (w *journalWriter) Close() error {
 func readJournal(r io.Reader, afterSeq int64) (recs []Record, dropped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lastSeq := int64(-1)
+	var lastSeq int64
+	seen := false // whether lastSeq is set: a Seq may be any int64, so no sentinel works
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var rec Record
-		if json.Unmarshal(line, &rec) != nil || !rec.Check() || (lastSeq >= 0 && rec.Seq <= lastSeq) {
+		if json.Unmarshal(line, &rec) != nil || !rec.Check() || (seen && rec.Seq <= lastSeq) {
 			// Corrupt or out-of-order tail: count the rest and stop.
 			dropped++
 			for sc.Scan() {
@@ -125,7 +126,7 @@ func readJournal(r io.Reader, afterSeq int64) (recs []Record, dropped int, err e
 			}
 			break
 		}
-		lastSeq = rec.Seq
+		lastSeq, seen = rec.Seq, true
 		if rec.Seq > afterSeq {
 			recs = append(recs, rec)
 		}

@@ -12,20 +12,18 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strings"
 	"time"
 
+	"meda/internal/ws"
 	"meda/pkg/api"
 )
 
@@ -299,91 +297,50 @@ func (c *Client) WaitJob(ctx context.Context, tenant, id string) (api.JobStatus,
 
 // EventStream is a live WebSocket subscription to a tenant's events.
 type EventStream struct {
-	conn net.Conn
-	br   *bufio.Reader
+	conn *ws.Conn
 }
 
 // StreamEvents opens the tenant's event stream ("" streams every tenant).
 // The stream must be closed; events arrive through Next.
 func (c *Client) StreamEvents(ctx context.Context, tenant string) (*EventStream, error) {
-	u, err := url.Parse(c.base)
-	if err != nil {
-		return nil, fmt.Errorf("client: parsing base URL: %w", err)
-	}
-	if u.Scheme != "http" {
-		return nil, fmt.Errorf("client: event streaming requires an http base URL, got %q", u.Scheme)
-	}
-	host := u.Host
-	if u.Port() == "" {
-		host = net.JoinHostPort(u.Hostname(), "80")
-	}
 	path := "/api/v1/events"
 	if tenant != "" {
 		path = "/api/v1/tenants/" + url.PathEscape(tenant) + "/events"
 	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", host)
+	conn, err := ws.Dial(ctx, c.base+path)
 	if err != nil {
-		return nil, fmt.Errorf("client: dialing event stream: %w", err)
-	}
-	fail := func(err error) (*EventStream, error) {
-		conn.Close() //lint:ignore errflowstrict the handshake already failed; the close error cannot add anything
-		return nil, err
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return fail(fmt.Errorf("client: setting handshake deadline: %w", err))
+		var se *ws.StatusError
+		if errors.As(err, &se) {
+			return nil, &apiError{Status: se.Status, Message: "websocket upgrade refused"}
 		}
+		return nil, fmt.Errorf("client: opening event stream: %w", err)
 	}
-	var keyRaw [16]byte
-	if _, err := rand.Read(keyRaw[:]); err != nil {
-		return fail(fmt.Errorf("client: generating websocket key: %w", err))
-	}
-	key := base64.StdEncoding.EncodeToString(keyRaw[:])
-	req := fmt.Sprintf("GET %s HTTP/1.1\r\nHost: %s\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"+
-		"Sec-WebSocket-Key: %s\r\nSec-WebSocket-Version: 13\r\n\r\n", path, u.Host, key)
-	if _, err := io.WriteString(conn, req); err != nil {
-		return fail(fmt.Errorf("client: writing websocket handshake: %w", err))
-	}
-	br := bufio.NewReader(conn)
-	resp, err := http.ReadResponse(br, nil)
-	if err != nil {
-		return fail(fmt.Errorf("client: reading websocket handshake: %w", err))
-	}
-	resp.Body.Close() //lint:ignore errflowstrict a 101 response carries no body; nothing can be lost
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		return fail(&apiError{Status: resp.StatusCode, Message: "websocket upgrade refused"})
-	}
-	if !strings.EqualFold(resp.Header.Get("Upgrade"), "websocket") {
-		return fail(fmt.Errorf("client: server did not upgrade to websocket"))
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return fail(fmt.Errorf("client: clearing handshake deadline: %w", err))
-	}
-	return &EventStream{conn: conn, br: br}, nil
+	return &EventStream{conn: conn}, nil
 }
 
-// Next blocks for the next event. io.EOF (or a wrapped close) means the
-// server ended the stream; the returned error after a clean server close
-// handshake is io.EOF.
+// Next blocks for the next event. After a clean server close handshake the
+// returned error is io.EOF; a connection that drops mid-stream returns an
+// error wrapping io.EOF or the transport's error.
 func (s *EventStream) Next() (api.Event, error) {
 	for {
-		op, payload, err := readWSFrame(s.br)
+		op, payload, err := s.conn.ReadFrame()
+		if errors.Is(err, ws.ErrClosed) {
+			// Answer the server's close in kind, then report end-of-stream.
+			s.conn.EchoClose(payload) //lint:ignore errflowstrict the server is closing; a failed echo changes nothing
+			return api.Event{}, io.EOF
+		}
 		if err != nil {
 			return api.Event{}, err
 		}
 		switch op {
-		case 0x1: // text
+		case ws.OpText:
 			var ev api.Event
 			if err := json.Unmarshal(payload, &ev); err != nil {
 				return api.Event{}, fmt.Errorf("client: decoding event: %w", err)
 			}
 			return ev, nil
-		case 0x8: // close: answer in kind, then report end-of-stream
-			writeWSFrame(s.conn, 0x8, payload) //lint:ignore errflowstrict the server is closing; a failed echo changes nothing
-			return api.Event{}, io.EOF
-		case 0x9: // ping
-			if err := writeWSFrame(s.conn, 0xA, payload); err != nil {
+		case ws.OpPing:
+			if err := s.conn.WritePong(payload); err != nil {
 				return api.Event{}, err
 			}
 		default: // binary or pong: skip
@@ -393,89 +350,3 @@ func (s *EventStream) Next() (api.Event, error) {
 
 // Close tears the stream down.
 func (s *EventStream) Close() error { return s.conn.Close() }
-
-// wsMaxPayload bounds the payload of one frame read from the server.
-const wsMaxPayload = 1 << 20
-
-// readWSFrame reads one unfragmented, unmasked (server-to-client) frame.
-// Frames RFC 6455 makes the receiver fail are errors: fragments and
-// continuations, reserved bits or opcodes, a mask bit, and control frames
-// over 125 bytes.
-func readWSFrame(br *bufio.Reader) (byte, []byte, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	op := hdr[0] & 0x0F
-	if hdr[0]&0x80 == 0 || hdr[0]&0x70 != 0 || op == 0 {
-		return 0, nil, fmt.Errorf("client: fragmented or extended websocket frames unsupported")
-	}
-	switch op {
-	case 0x1, 0x2, 0x8, 0x9, 0xA: // text, binary, close, ping, pong
-	default:
-		return 0, nil, fmt.Errorf("client: reserved websocket opcode %#x", op)
-	}
-	if hdr[1]&0x80 != 0 {
-		return 0, nil, fmt.Errorf("client: server frames must not be masked")
-	}
-	length := uint64(hdr[1] & 0x7F)
-	switch length {
-	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(br, ext[:]); err != nil {
-			return 0, nil, err
-		}
-		length = uint64(ext[0])<<8 | uint64(ext[1])
-	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(br, ext[:]); err != nil {
-			return 0, nil, err
-		}
-		length = 0
-		for _, b := range ext {
-			length = length<<8 | uint64(b)
-		}
-	}
-	if length > wsMaxPayload {
-		return 0, nil, fmt.Errorf("client: websocket frame of %d bytes exceeds limit", length)
-	}
-	if op >= 0x8 && length > 125 {
-		return 0, nil, fmt.Errorf("client: websocket control frame of %d bytes exceeds 125", length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, err
-	}
-	return op, payload, nil
-}
-
-// writeWSFrame writes one masked (client-to-server) frame.
-func writeWSFrame(conn net.Conn, op byte, payload []byte) error {
-	header := make([]byte, 0, 14)
-	header = append(header, 0x80|op)
-	switch {
-	case len(payload) < 126:
-		header = append(header, 0x80|byte(len(payload)))
-	case len(payload) <= 0xFFFF:
-		header = append(header, 0x80|126, byte(len(payload)>>8), byte(len(payload)))
-	default:
-		header = append(header, 0x80|127)
-		n := uint64(len(payload))
-		for shift := 56; shift >= 0; shift -= 8 {
-			header = append(header, byte(n>>uint(shift)))
-		}
-	}
-	var key [4]byte
-	if _, err := rand.Read(key[:]); err != nil {
-		return fmt.Errorf("client: generating mask key: %w", err)
-	}
-	header = append(header, key[:]...)
-	masked := make([]byte, len(payload))
-	for i, b := range payload {
-		masked[i] = b ^ key[i%4]
-	}
-	if _, err := conn.Write(append(header, masked...)); err != nil {
-		return fmt.Errorf("client: websocket write: %w", err)
-	}
-	return nil
-}

@@ -1,11 +1,17 @@
 package client
 
 import (
+	"bufio"
 	"context"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"meda/internal/ws"
 	"meda/pkg/api"
 )
 
@@ -112,5 +118,76 @@ func TestSubmitValidatesLocally(t *testing.T) {
 	defer hs.Close()
 	if _, err := New(hs.URL).SubmitJob(context.Background(), "t", api.JobSpec{}); err == nil {
 		t.Fatal("empty job spec accepted")
+	}
+}
+
+// upgradeServer answers one WebSocket handshake with 101 and the accept
+// value accept computes from the client's key, then reports what the
+// client did next: nil when it closed the socket, else the read error or
+// an error for data it sent.
+func upgradeServer(t *testing.T, accept func(key string) string) (url string, next <-chan error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			ch <- err
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		req, err := http.ReadRequest(br)
+		if err != nil {
+			ch <- err
+			return
+		}
+		io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"+ //nolint
+			"Sec-WebSocket-Accept: "+accept(req.Header.Get("Sec-WebSocket-Key"))+"\r\n\r\n")
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint
+		if _, err := br.ReadByte(); err != io.EOF {
+			ch <- errors.Join(errors.New("client kept the socket open"), err)
+			return
+		}
+		ch <- nil
+	}()
+	return "http://" + ln.Addr().String(), ch
+}
+
+// RFC 6455 §4.1: the SDK fails the connection, closing the socket, when
+// the server's Sec-WebSocket-Accept does not match the key it sent.
+func TestStreamEventsVerifiesAccept(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	base, next := upgradeServer(t, ws.AcceptKey)
+	es, err := New(base).StreamEvents(ctx, "t")
+	if err != nil {
+		t.Fatalf("matching accept value: %v", err)
+	}
+	es.Close()
+	if err := <-next; err != nil {
+		t.Fatalf("matching accept value: %v", err)
+	}
+
+	base, next = upgradeServer(t, func(key string) string { return ws.AcceptKey(key + "x") })
+	if _, err := New(base).StreamEvents(ctx, "t"); err == nil {
+		t.Fatal("wrong accept value: stream opened")
+	}
+	if err := <-next; err != nil {
+		t.Fatalf("wrong accept value: %v", err)
+	}
+}
+
+// A refused upgrade surfaces the server's status like any REST call.
+func TestStreamEventsRefused(t *testing.T) {
+	hs := errServer(http.StatusNotFound)
+	defer hs.Close()
+	if _, err := New(hs.URL).StreamEvents(context.Background(), "ghost"); !IsNotFound(err) {
+		t.Fatalf("err = %v, want a 404", err)
 	}
 }
