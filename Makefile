@@ -18,7 +18,7 @@ vet:
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Domain-specific static analysis: the thirteen-analyzer medalint suite
+# Domain-specific static analysis: the nine-analyzer medalint suite
 # over the whole tree (incrementally cached under .medalint-cache), plus
 # the strict dropped-error audit over the command mains (see internal/lint
 # and DESIGN.md §13/§15).
@@ -64,7 +64,7 @@ cover:
 
 # Short fuzz bursts over every fuzz target (parser robustness, print/parse
 # round trips, solver bit-identity, WebSocket frame decoding in both roles,
-# journal replay). Each target needs its own invocation: -fuzz accepts
+# journal replay, REST request bodies). Each target needs its own invocation: -fuzz accepts
 # exactly one matching target per package.
 FUZZTIME ?= 10s
 fuzz:
@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/mdp/ -run '^$$' -fuzz '^FuzzSolveExact$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ws/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME)
 
 # One deterministic fault-injection trial per evaluation assay: 5% mixed
 # fault rate, all fault classes, asserting hazard-free completion and

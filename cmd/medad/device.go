@@ -52,8 +52,7 @@ func newDeviceMode(cfg config) (*deviceMode, error) {
 // serve accepts device connections until the listener closes. A clean
 // listener close (the shutdown path) saves the chip's wear, like powering
 // down real hardware — the save happens here, after Serve returns, through
-// the device lock, never on a goroutine racing the connection handlers
-// (see the medalint chipaccess analyzer).
+// the device lock, never on a goroutine racing the connection handlers.
 func (d *deviceMode) serve(ln net.Listener) error {
 	serveErr := d.srv.Serve(ln)
 	if !errors.Is(serveErr, net.ErrClosed) {

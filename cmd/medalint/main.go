@@ -2,18 +2,18 @@
 // has two modes, covering the two halves of the framework's correctness
 // story that the Go type system cannot see:
 //
-// Source mode (the default) runs the medalint analyzer suite — floatcmp,
-// chipaccess, lockorder, nilstrategy, errflow, snapshotflow,
-// lockheld, detpure, goroutineleak, chanprotocol, gridbounds, probflow,
-// hotalloc — over Go packages and prints compiler-style findings, or with
-// -json one JSON object per finding per line (pos, analyzer, message) for
-// machine consumption. Results are cached incrementally under -cache-dir
-// (default .medalint-cache, keyed by source hashes, dependency keys,
-// toolchain and analyzer roster) so a warm run re-analyzes only changed
-// packages; -no-cache analyzes everything from source. -sarif additionally
-// writes the findings as a SARIF 2.1.0 log for GitHub code scanning,
-// -timing prints per-analyzer wall time plus cache reuse, and -strict adds
-// the errflowstrict dropped-error analyzer (the cmd/ audit mode):
+// Source mode (the default) runs the nine-analyzer medalint suite —
+// floatcmp, lockorder, nilstrategy, errflow, lockheld, detpure,
+// goroutineleak, chanprotocol, hotalloc — over Go packages and prints
+// compiler-style findings, or with -json one JSON object per finding per
+// line (pos, analyzer, message) for machine consumption. Results are
+// cached incrementally under -cache-dir (default .medalint-cache, keyed by
+// source hashes, dependency keys, toolchain and analyzer roster) so a warm
+// run re-analyzes only changed packages; -no-cache analyzes everything
+// from source. -sarif additionally writes the findings as a SARIF 2.1.0
+// log for GitHub code scanning, -timing prints per-analyzer wall time plus
+// cache reuse, and -strict adds the errflowstrict dropped-error analyzer
+// (the cmd/ audit mode; -strict -list lists it too):
 //
 //	medalint ./...
 //	medalint -json ./...
@@ -71,10 +71,14 @@ func main() {
 	}
 	flag.Parse()
 
+	analyzers := lint.Analyzers()
+	if *strict {
+		analyzers = append(analyzers, lint.ErrFlowStrict)
+	}
 	switch {
 	case *list:
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, firstLine(a.Doc))
+		for _, a := range analyzers {
+			fmt.Printf("%-13s %s\n", a.Name, firstLine(a.Doc))
 		}
 	case *models:
 		if !checkModels(*area) {
@@ -84,10 +88,6 @@ func main() {
 		patterns := flag.Args()
 		if len(patterns) == 0 {
 			patterns = []string{"./..."}
-		}
-		analyzers := lint.Analyzers()
-		if *strict {
-			analyzers = append(analyzers, lint.ErrFlowStrict)
 		}
 		opts := lint.Options{CacheDir: *cacheDir}
 		if *noCache {

@@ -263,7 +263,6 @@ func (c *Chip) SnapshotForceField(region geom.Rect) action.ForceField {
 	live := c.ObservedForceField()
 	for y := r.YA; y <= r.YB; y++ {
 		for x := r.XA; x <= r.XB; x++ {
-			//lint:ignore gridbounds forces was just made with w*(YB-YA+1) cells and the loops confine (x,y) to r, so the linearized offset is within the slab
 			forces[(y-r.YA)*w+(x-r.XA)] = live(x, y)
 		}
 	}
@@ -293,10 +292,8 @@ func (c *Chip) Actuate(patterns ...geom.Rect) {
 				if coveredBefore(patterns[:k], x, y) {
 					continue
 				}
-				//lint:ignore gridbounds c.mcs has w*h cells and r is clipped to the chip bounds, so 1 ≤ x ≤ w and 1 ≤ y ≤ h
 				mc := &c.mcs[base+x-1]
 				mc.Actuate()
-				//lint:ignore gridbounds c.codes has the same w*h cells and indexing as c.mcs, so the offset above is in bounds here too
 				c.codes[base+x-1] = uint8(mc.Health(c.bits))
 			}
 		}

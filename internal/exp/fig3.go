@@ -171,7 +171,6 @@ func meanCorrelationAtDistance(vectors [][]bool, w, h, d, maxPairs int, src *ran
 					continue
 				}
 				j := (yj-1)*w + (xj - 1)
-				//lint:ignore gridbounds vectors has w*h entries and the neighbor guard above confines 1 ≤ xj ≤ w, 1 ≤ yj ≤ h
 				r, err := stats.PearsonBool(vectors[i], vectors[j])
 				if err != nil {
 					continue // constant partner vector

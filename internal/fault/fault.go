@@ -257,7 +257,6 @@ func New(p Plan, w, h int) *Injector {
 	if p.StuckOff > 0 || p.StuckOn > 0 {
 		for y := 1; y <= h; y++ {
 			for x := 1; x <= w; x++ {
-				//lint:ignore gridbounds cells was just made with w*h entries and the loops confine 1 ≤ x ≤ w, 1 ≤ y ≤ h
 				c := &inj.cells[(y-1)*w+(x-1)]
 				u := inj.unit(kindStuck, uint64(x), uint64(y), 0)
 				switch {
@@ -325,7 +324,6 @@ func (i *Injector) stuckAt(x, y, n int) int8 {
 	if x < 1 || x > i.w || y < 1 || y > i.h {
 		return stuckNone
 	}
-	//lint:ignore gridbounds cells has w*h entries and the range guard above confines 1 ≤ x ≤ w, 1 ≤ y ≤ h
 	c := &i.cells[(y-1)*i.w+(x-1)]
 	if c.mode == stuckNone || int32(n) < c.at {
 		return stuckNone

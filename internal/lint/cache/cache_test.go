@@ -33,8 +33,8 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 	e := &Entry{
 		Findings: []Finding{{
-			Analyzer: "probflow", File: "x.go", Line: 3, Column: 7,
-			Message: "computed probability for field P is in [0, 2], which can leave [0,1]",
+			Analyzer: "floatcmp", File: "x.go", Line: 3, Column: 7,
+			Message: "raw == on floating-point values; use an epsilon helper",
 		}},
 		ObjectFacts: []analysis.ObjectFactRecord{{
 			Key:  "meda/internal/mdp.Builder.Add",

@@ -183,7 +183,7 @@ func resolveCall(info *types.Info, cha *chaIndex, call *ast.CallExpr, async, def
 // StaticCallee resolves a call's static callee function — a plain or
 // package-qualified function, or a method on a concrete receiver — or nil
 // for builtins, conversions, interface dispatch, and function values. The
-// summary and probflow layers share it to key seeded knowledge and facts.
+// summary layer uses it to key seeded knowledge and facts.
 func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -25,9 +25,8 @@ type Lattice[T any] interface {
 	Equal(a, b T) bool
 }
 
-// TransferFunc computes the fact at the far side of a block from the fact
-// at its near side: out-from-in for forward analyses, in-from-out for
-// backward ones.
+// TransferFunc computes the fact at the exit of a block from the fact at
+// its entry.
 type TransferFunc[T any] func(b *cfg.Block, fact T) T
 
 // EdgeFunc refines the fact flowing from a block to its i-th successor.
@@ -79,156 +78,6 @@ func Forward[T any](g *cfg.CFG, lat Lattice[T], boundary T, transfer TransferFun
 			}
 		}
 	}
-}
-
-// Backward solves a backward dataflow problem: boundary is the fact at the
-// CFG exit, and transfer maps a block's out-fact to its in-fact (the
-// analysis walks the block's nodes in reverse).
-func Backward[T any](g *cfg.CFG, lat Lattice[T], boundary T, transfer TransferFunc[T]) Result[T] {
-	res := Result[T]{In: make(map[*cfg.Block]T, len(g.Blocks)), Out: make(map[*cfg.Block]T, len(g.Blocks))}
-	for _, b := range g.Blocks {
-		res.In[b] = lat.Bottom()
-		res.Out[b] = lat.Bottom()
-	}
-	res.Out[g.Exit] = boundary
-
-	// Postorder (reverse of RPO) converges fastest for backward problems.
-	rpo := g.ReversePostorder()
-	order := make([]*cfg.Block, len(rpo))
-	for i, b := range rpo {
-		order[len(rpo)-1-i] = b
-	}
-	prio := make(map[*cfg.Block]int, len(order))
-	for i, b := range order {
-		prio[b] = i
-	}
-	wl := newWorklist(order, prio)
-	for {
-		b, ok := wl.pop()
-		if !ok {
-			return res
-		}
-		in := transfer(b, res.Out[b])
-		res.In[b] = in
-		for _, p := range b.Preds {
-			joined := lat.Join(res.Out[p], in)
-			if !lat.Equal(joined, res.Out[p]) {
-				res.Out[p] = joined
-				wl.push(p)
-			}
-		}
-	}
-}
-
-// WideningLattice extends Lattice for infinite-height domains (intervals):
-// Widen extrapolates an unstable chain to force termination, Narrow walks
-// the result back toward precision once the ascending phase stabilized.
-// Widen(prev, next) must be an upper bound of both arguments and must
-// stabilize every ascending chain in finitely many steps; Narrow(prev,
-// next) must stay between next and prev.
-type WideningLattice[T any] interface {
-	Lattice[T]
-	Widen(prev, next T) T
-	Narrow(prev, next T) T
-}
-
-// narrowingPasses bounds the descending phase of ForwardWidened: narrowing
-// is not guaranteed to reach a fixpoint, so the solver applies a fixed
-// number of full passes and keeps whatever precision they recover.
-const narrowingPasses = 2
-
-// ForwardWidened solves a forward dataflow problem over an infinite-height
-// lattice. It runs the same worklist as Forward but applies lat.Widen at
-// loop heads (targets of back-edges in the reverse-postorder numbering), so
-// counters that would climb forever jump to a stable over-approximation;
-// once ascended, a bounded descending phase re-applies the transfer with
-// lat.Narrow at the same heads, recovering precision the widening jumped
-// over (the classic interval result: i widened to [0,+∞) inside
-// `for i := 0; i < n; i++` narrows back to [0, n]).
-func ForwardWidened[T any](g *cfg.CFG, lat WideningLattice[T], boundary T, transfer TransferFunc[T], edge EdgeFunc[T]) Result[T] {
-	res := Result[T]{In: make(map[*cfg.Block]T, len(g.Blocks)), Out: make(map[*cfg.Block]T, len(g.Blocks))}
-	for _, b := range g.Blocks {
-		res.In[b] = lat.Bottom()
-		res.Out[b] = lat.Bottom()
-	}
-	res.In[g.Entry] = boundary
-
-	order := g.ReversePostorder()
-	prio := make(map[*cfg.Block]int, len(order))
-	for i, b := range order {
-		prio[b] = i
-	}
-	heads := loopHeads(order, prio)
-
-	// Ascending phase with widening at loop heads.
-	wl := newWorklist(order, prio)
-	for {
-		b, ok := wl.pop()
-		if !ok {
-			break
-		}
-		out := transfer(b, res.In[b])
-		res.Out[b] = out
-		for i, s := range b.Succs {
-			v := out
-			if edge != nil {
-				v = edge(b, i, out)
-			}
-			joined := lat.Join(res.In[s], v)
-			if heads[s] {
-				joined = lat.Widen(res.In[s], joined)
-			}
-			if !lat.Equal(joined, res.In[s]) {
-				res.In[s] = joined
-				wl.push(s)
-			}
-		}
-	}
-
-	// Bounded descending phase: recompute every block's in-fact from its
-	// predecessors' refined out-facts, narrowing at loop heads. The entry
-	// keeps its boundary fact.
-	for pass := 0; pass < narrowingPasses; pass++ {
-		for _, b := range order {
-			if b != g.Entry {
-				in := lat.Bottom()
-				for _, p := range b.Preds {
-					v := res.Out[p]
-					if edge != nil {
-						for i, s := range p.Succs {
-							if s == b {
-								v = edge(p, i, res.Out[p])
-								break
-							}
-						}
-					}
-					in = lat.Join(in, v)
-				}
-				if heads[b] {
-					in = lat.Narrow(res.In[b], in)
-				}
-				res.In[b] = in
-			}
-			res.Out[b] = transfer(b, res.In[b])
-		}
-	}
-	return res
-}
-
-// loopHeads identifies the widening points: blocks that are the target of
-// an edge from a block later in the reverse-postorder numbering (back-edges
-// of reducible loops; irreducible flow over-approximates by widening at
-// every retreating-edge target, which stays sound).
-func loopHeads(order []*cfg.Block, prio map[*cfg.Block]int) map[*cfg.Block]bool {
-	heads := make(map[*cfg.Block]bool)
-	for _, b := range order {
-		for _, s := range b.Succs {
-			if prio[s] <= prio[b] {
-				heads[s] = true
-			}
-		}
-	}
-	return heads
 }
 
 // worklist is a priority queue of blocks keyed by a fixed iteration order,

@@ -110,64 +110,6 @@ func TestForwardEdgeRefinement(t *testing.T) {
 	}
 }
 
-// TestBackwardLiveness: a classic liveness problem — uses propagate
-// backwards until killed by a definition.
-func TestBackwardLiveness(t *testing.T) {
-	g := build(t, "a := 1\nb := 2\nif a > 0 {\n_ = b\n}")
-	transfer := func(b *cfg.Block, out set) set {
-		in := out
-		// Reverse node order: later nodes first.
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			n := b.Nodes[i]
-			// Kill definitions, then add uses (approximated textually).
-			cfg.Visit(n, func(m ast.Node) bool {
-				if as, ok := m.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-					for _, l := range as.Lhs {
-						if id, ok := l.(*ast.Ident); ok {
-							in = in.Without(id.Name)
-						}
-					}
-					return true
-				}
-				return true
-			})
-			cfg.Visit(n, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok && id.Obj != nil && isUse(n, id) {
-					in = in.With(id.Name, b.Index)
-				}
-				return true
-			})
-		}
-		return in
-	}
-	res := dataflow.Backward[set](g, lattice{}, nil, transfer)
-	// b is used in the then-branch, so it is live at the branch block's out.
-	if _, ok := res.Out[g.Entry]["b"]; !ok {
-		t.Errorf("b should be live leaving the entry block: %v", res.Out[g.Entry])
-	}
-	// Nothing is live at function entry before its definition.
-	if _, ok := res.In[g.Entry]["b"]; ok {
-		t.Errorf("b must be killed by its own definition: %v", res.In[g.Entry])
-	}
-}
-
-// isUse reports whether id appears outside a define LHS within n (small
-// test approximation).
-func isUse(n ast.Node, id *ast.Ident) bool {
-	use := true
-	cfg.Visit(n, func(m ast.Node) bool {
-		if as, ok := m.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-			for _, l := range as.Lhs {
-				if l == ast.Expr(id) {
-					use = false
-				}
-			}
-		}
-		return true
-	})
-	return use
-}
-
 func TestVarSetOps(t *testing.T) {
 	var s set
 	s2 := s.With("a", 1).With("b", 2)

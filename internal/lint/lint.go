@@ -1,19 +1,15 @@
 // Package lint is the medalint analyzer suite: domain-specific static
 // checks that guard the invariants the synthesis engine's correctness
 // argument rests on (Sec. VI-C's SMG→MDP reduction and the concurrent
-// routing paths of Alg. 3). The thirteen default analyzers are
+// routing paths of Alg. 3). The nine default analyzers are
 //
 //	floatcmp      — no raw ==/!= on floating-point probabilities, forces or
 //	                values outside approved epsilon helpers
-//	chipaccess    — background goroutines must not read live chip.Chip
-//	                state; they get snapshots (chip.SnapshotForceField)
 //	lockorder     — mutexes in sched/synth are acquired in one global order
 //	nilstrategy   — a policy produced by a lookup reporting !ok must not
 //	                flow to a use without an ok/nil check on the path
 //	errflow       — an error assigned to a variable must be checked before
 //	                it is overwritten or the function returns
-//	snapshotflow  — live force-field closures derived from a chip.Chip must
-//	                not cross into goroutines
 //	lockheld      — no potentially blocking call (channel op, WaitGroup
 //	                wait, or a call that may reach one) while a mutex is held
 //	detpure       — functions declaring //meda:deterministic must not reach
@@ -22,19 +18,13 @@
 //	                counterpart operation and no escape hatch
 //	chanprotocol  — no double close, no close from the receiving side, no
 //	                WaitGroup.Add inside the goroutine it counts
-//	gridbounds    — coordinate-derived slice indexing (health[y*w+x], CSR
-//	                offsets) must be proven in bounds by interval analysis
-//	probflow      — computed probabilities are confined to [0,1] through
-//	                products, complements and normalization (supersedes the
-//	                retired probliteral, whose name survives as a
-//	                //lint:ignore alias)
 //	hotalloc      — functions declaring //meda:hotpath must not reach heap
 //	                allocations, interface boxing, closures, defer, or map
 //	                iteration, however many call frames down
 //
-// (errflowstrict, the fourteenth, joins under -strict.) The first two and
-// lockorder are syntactic, single-pass checks; nilstrategy through lockheld
-// are flow-sensitive: each builds a per-function control-flow graph
+// (errflowstrict, the tenth, joins under -strict.) floatcmp and lockorder
+// are syntactic, single-pass checks; nilstrategy, errflow and lockheld are
+// flow-sensitive: each builds a per-function control-flow graph
 // (internal/lint/cfg) and solves a dataflow problem over it
 // (internal/lint/dataflow). detpure, goroutineleak, chanprotocol, and
 // hotalloc are interprocedural: they build the package call graph
@@ -42,10 +32,12 @@
 // (internal/lint/summary) that cross package boundaries as analysis facts —
 // the driver analyzes packages in dependency order sharing one
 // analysis.FactStore, so a send three frames deep in an upstream package
-// still registers at the call site downstream. gridbounds and probflow form
-// the value-range tier: both instantiate the interval abstract interpreter
-// of internal/lint/absint (widening/narrowing over the same CFGs), and
-// probflow additionally exports bottom-up return-range facts.
+// still registers at the call site downstream.
+//
+// Value ranges and chip-state isolation have no analyzer: probabilities
+// outside [0,1] and out-of-range grid indexes are caught by the model
+// checks (internal/modelcheck, medalint -models) and the tests, and live
+// chip state read from another goroutine by the race detector.
 //
 // A finding can be suppressed at the site with a directive comment
 //
@@ -54,9 +46,7 @@
 // on the finding's line or the line above it. The directive itself is
 // checked: an unknown analyzer name, a missing reason, or a directive that
 // suppresses nothing is reported under the pseudo-analyzer "directive", so
-// stale suppressions rot visibly instead of silently. Directives naming a
-// retired analyzer (probliteral) suppress its successor's findings and are
-// exempt from the staleness check.
+// stale suppressions rot visibly instead of silently.
 //
 // Each analyzer follows the go/analysis contract of internal/lint/analysis
 // and is exercised by an analysistest golden package under testdata/.
@@ -80,18 +70,11 @@ import (
 // Analyzers returns the full medalint suite, in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		FloatCmp, ChipAccess, LockOrder,
-		NilStrategy, ErrFlow, SnapshotFlow, LockHeld,
+		FloatCmp, LockOrder,
+		NilStrategy, ErrFlow, LockHeld,
 		DetPure, GoroutineLeak, ChanProtocol,
-		GridBounds, ProbFlow, HotAlloc,
+		HotAlloc,
 	}
-}
-
-// analyzerAliases maps retired analyzer names to their successors:
-// directives written against the old name keep suppressing the successor's
-// findings, and the staleness check leaves them alone.
-var analyzerAliases = map[string]string{
-	"probliteral": ProbFlow.Name,
 }
 
 // Finding is one diagnostic resolved to a file position.
@@ -153,15 +136,12 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 	return out
 }
 
-// suppresses reports whether the directive covers a finding: same analyzer
-// (a retired name covers its successor), same file, on the directive's line
-// or the one below it (the conventional comment-above-the-statement
-// placement).
+// suppresses reports whether the directive covers a finding: same analyzer,
+// same file, on the directive's line or the one below it (the conventional
+// comment-above-the-statement placement).
 func (d *directive) suppresses(f Finding) bool {
-	if d.analyzer != f.Analyzer && analyzerAliases[d.analyzer] != f.Analyzer {
-		return false
-	}
-	return d.file == f.Pos.Filename && (f.Pos.Line == d.line || f.Pos.Line == d.line+1)
+	return d.analyzer == f.Analyzer && d.file == f.Pos.Filename &&
+		(f.Pos.Line == d.line || f.Pos.Line == d.line+1)
 }
 
 // applyDirectives filters suppressed findings out and appends "directive"
@@ -188,9 +168,8 @@ func applyDirectives(findings []Finding, directives []*directive, known, ran map
 		}
 	}
 	for _, d := range directives {
-		_, aliased := analyzerAliases[d.analyzer]
 		switch {
-		case !known[d.analyzer] && !aliased:
+		case !known[d.analyzer]:
 			kept = append(kept, Finding{
 				Analyzer: "directive",
 				Pos:      d.pos,
@@ -202,7 +181,7 @@ func applyDirectives(findings []Finding, directives []*directive, known, ran map
 				Pos:      d.pos,
 				Message:  fmt.Sprintf("//lint:ignore %s has no reason: say why the finding is acceptable", d.analyzer),
 			})
-		case !d.used && ran[d.analyzer] && !aliased:
+		case !d.used && ran[d.analyzer]:
 			kept = append(kept, Finding{
 				Analyzer: "directive",
 				Pos:      d.pos,
@@ -237,7 +216,6 @@ const cacheSchema = "medalint-cache-v1"
 // round-trip them through gob.
 func init() {
 	cache.RegisterFact(&MayBlock{})
-	cache.RegisterFact(&ProbRangeFact{})
 	cache.RegisterFact(&summary.FnSummary{})
 	cache.RegisterFact(&summary.AllocFacts{})
 }

@@ -12,13 +12,11 @@ import (
 
 func testdata(name string) string { return filepath.Join("testdata", name) }
 
-func TestFloatCmp(t *testing.T)     { analysistest.Run(t, testdata("floatcmp"), lint.FloatCmp) }
-func TestChipAccess(t *testing.T)   { analysistest.Run(t, testdata("chipaccess"), lint.ChipAccess) }
-func TestLockOrder(t *testing.T)    { analysistest.Run(t, testdata("lockorder"), lint.LockOrder) }
-func TestNilStrategy(t *testing.T)  { analysistest.Run(t, testdata("nilstrategy"), lint.NilStrategy) }
-func TestErrFlow(t *testing.T)      { analysistest.Run(t, testdata("errflow"), lint.ErrFlow) }
-func TestSnapshotFlow(t *testing.T) { analysistest.Run(t, testdata("snapshotflow"), lint.SnapshotFlow) }
-func TestLockHeld(t *testing.T)     { analysistest.Run(t, testdata("lockheld"), lint.LockHeld) }
+func TestFloatCmp(t *testing.T)    { analysistest.Run(t, testdata("floatcmp"), lint.FloatCmp) }
+func TestLockOrder(t *testing.T)   { analysistest.Run(t, testdata("lockorder"), lint.LockOrder) }
+func TestNilStrategy(t *testing.T) { analysistest.Run(t, testdata("nilstrategy"), lint.NilStrategy) }
+func TestErrFlow(t *testing.T)     { analysistest.Run(t, testdata("errflow"), lint.ErrFlow) }
+func TestLockHeld(t *testing.T)    { analysistest.Run(t, testdata("lockheld"), lint.LockHeld) }
 
 func TestDetPure(t *testing.T) { analysistest.Run(t, testdata("detpure"), lint.DetPure) }
 func TestGoroutineLeak(t *testing.T) {
@@ -26,9 +24,7 @@ func TestGoroutineLeak(t *testing.T) {
 }
 func TestChanProtocol(t *testing.T) { analysistest.Run(t, testdata("chanprotocol"), lint.ChanProtocol) }
 
-func TestGridBounds(t *testing.T) { analysistest.Run(t, testdata("gridbounds"), lint.GridBounds) }
-func TestProbFlow(t *testing.T)   { analysistest.Run(t, testdata("probflow"), lint.ProbFlow) }
-func TestHotAlloc(t *testing.T)   { analysistest.Run(t, testdata("hotalloc"), lint.HotAlloc) }
+func TestHotAlloc(t *testing.T) { analysistest.Run(t, testdata("hotalloc"), lint.HotAlloc) }
 
 func TestErrFlowStrict(t *testing.T) {
 	analysistest.Run(t, testdata("errflowstrict"), lint.ErrFlowStrict)
@@ -112,34 +108,6 @@ func TestSummaryCrossPackageFacts(t *testing.T) {
 	}
 }
 
-// TestProbFlowCrossPackageFacts drives the full Run pipeline over the
-// probflow provider/consumer golden pair: the finding in consumer exists
-// only because provider's ProbRangeFact return ranges crossed the package
-// boundary through the shared store.
-func TestProbFlowCrossPackageFacts(t *testing.T) {
-	findings, err := lint.Run(".", []string{
-		// Consumer-first on purpose: the driver must reorder on its own.
-		"./internal/lint/testdata/probflowfacts/consumer",
-		"./internal/lint/testdata/probflowfacts/provider",
-	}, []*analysis.Analyzer{lint.ProbFlow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
-	}
-	f := findings[0]
-	if f.Analyzer != "probflow" {
-		t.Errorf("finding analyzer = %q, want probflow", f.Analyzer)
-	}
-	if !strings.Contains(f.Message, "[0, 1.5]") {
-		t.Errorf("finding message %q does not carry the imported return range", f.Message)
-	}
-	if !strings.HasSuffix(f.Pos.Filename, "consumer.go") {
-		t.Errorf("finding at %s, want it inside consumer.go", f.Pos)
-	}
-}
-
 // TestHotAllocCrossPackageFacts drives the full Run pipeline over the
 // hotalloc provider/consumer golden pair: the //meda:hotpath violation is
 // two call frames away in another package and reaches the contract site
@@ -174,7 +142,6 @@ func TestHotAllocCrossPackageFacts(t *testing.T) {
 // warm run only because the cache re-injected the provider's facts.
 func TestIncrementalCacheWarmRun(t *testing.T) {
 	patterns := []string{
-		"./internal/lint/testdata/probflowfacts/...",
 		"./internal/lint/testdata/hotallocfacts/...",
 		"./internal/lint/testdata/suppress",
 	}
@@ -213,17 +180,16 @@ func TestIncrementalCacheWarmRun(t *testing.T) {
 	if render(cold) != render(uncached) {
 		t.Errorf("cached findings differ from uncached:\nuncached:\n%scached:\n%s", render(uncached), render(cold))
 	}
-	// The fact-dependent findings must be present on the warm run.
-	for _, want := range []string{"[0, 1.5]", "make via provider.Outer → Grow"} {
-		found := false
-		for _, f := range warm {
-			if strings.Contains(f.Message, want) {
-				found = true
-			}
+	// The fact-dependent finding must be present on the warm run.
+	const want = "make via provider.Outer → Grow"
+	found := false
+	for _, f := range warm {
+		if strings.Contains(f.Message, want) {
+			found = true
 		}
-		if !found {
-			t.Errorf("warm run lost the fact-dependent finding %q", want)
-		}
+	}
+	if !found {
+		t.Errorf("warm run lost the fact-dependent finding %q", want)
 	}
 }
 
@@ -268,19 +234,18 @@ func TestSuppressionDirectives(t *testing.T) {
 	}
 }
 
-// TestSuiteRegistry: the multichecker exposes exactly the thirteen
+// TestSuiteRegistry: the multichecker exposes exactly the nine
 // analyzers, each named and documented.
 func TestSuiteRegistry(t *testing.T) {
 	as := lint.Analyzers()
-	if len(as) != 13 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 13", len(as))
+	if len(as) != 9 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 9", len(as))
 	}
 	want := map[string]bool{
-		"floatcmp": true, "chipaccess": true,
-		"lockorder": true, "nilstrategy": true,
-		"errflow": true, "snapshotflow": true, "lockheld": true,
+		"floatcmp": true, "lockorder": true,
+		"nilstrategy": true, "errflow": true, "lockheld": true,
 		"detpure": true, "goroutineleak": true, "chanprotocol": true,
-		"gridbounds": true, "probflow": true, "hotalloc": true,
+		"hotalloc": true,
 	}
 	for _, a := range as {
 		if !want[a.Name] {

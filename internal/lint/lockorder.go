@@ -132,6 +132,23 @@ func mutexCall(info *types.Info, call *ast.CallExpr) (ast.Expr, string, bool) {
 	return sel.X, sel.Sel.Name, true
 }
 
+// isNamed reports whether t (possibly behind a pointer) is the named type
+// pkgPath.name.
+func isNamed(t types.Type, pkgPath, name string) bool {
+	if t == nil {
+		return false
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
+}
+
 // mutexKey names a mutex so the same lock is recognized across functions:
 // struct fields are keyed by owning type ("sched.Adaptive.mu"),
 // package-level vars by package, and locals by their declaration site.

@@ -24,17 +24,6 @@ func unknownAnalyzer() {
 	close(ch)
 }
 
-type edge struct {
-	P float64
-}
-
-// A directive naming the retired probliteral analyzer keeps suppressing its
-// successor probflow, and is exempt from the staleness check.
-func aliased() edge {
-	//lint:ignore probliteral fixture exercises the retired-name alias
-	return edge{P: 1.5}
-}
-
 func stale() {
 	//lint:ignore chanprotocol nothing on this line ever fires
 	_ = 0

@@ -19,9 +19,9 @@ import (
 // the CI race step) something to chew on: every Cache method and
 // InvalidateRegion run concurrently with Route.
 //
-// Live chip state is read and mutated only on the main goroutine (the
-// medalint chipaccess rule); the background goroutines confine themselves
-// to the cache, which is documented as goroutine-safe.
+// Live chip state is read and mutated only on the main goroutine; the
+// background goroutines confine themselves to the cache, which is
+// documented as goroutine-safe.
 func TestConcurrentCacheStress(t *testing.T) {
 	cfg := chip.Default()
 	cfg.Normal = degrade.ParamRange{Tau1: 0.5, Tau2: 0.9, C1: 200, C2: 500}

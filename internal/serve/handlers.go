@@ -275,11 +275,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //lint:ignore errflowstrict a failed response write means the client went away; nothing to do
 }
 
-// readJSON decodes the body into v, writing a 400 on failure.
+// readJSON decodes the body into v, writing a 400 on failure. The body must
+// hold exactly one JSON value: only whitespace (json.Encoder's trailing
+// newline) may follow it.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, api.Error{Message: fmt.Sprintf("decoding request: %v", err)})
 		return false
 	}

@@ -98,7 +98,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close() //lint:ignore errflowstrict response already consumed; a close error on a drained body carries no information
+	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
 		var envelope api.Error
 		msg := ""
@@ -184,7 +184,7 @@ func (c *Client) ChipHealth(ctx context.Context, tenant, chip string) ([]byte, e
 	if err != nil {
 		return nil, fmt.Errorf("client: fetching chip health: %w", err)
 	}
-	defer resp.Body.Close() //lint:ignore errflowstrict response already consumed; a close error on a drained body carries no information
+	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("client: reading chip health: %w", err)
@@ -215,7 +215,7 @@ func (c *Client) UploadChipHealth(ctx context.Context, tenant, chip string, stat
 	if err != nil {
 		return fmt.Errorf("client: uploading chip health: %w", err)
 	}
-	defer resp.Body.Close() //lint:ignore errflowstrict response already consumed; a close error on a drained body carries no information
+	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
 		var envelope api.Error
 		msg := ""
