@@ -393,14 +393,23 @@ func Outcomes(d geom.Rect, a Action, f ForceField) []Outcome {
 
 // AppendOutcomes appends the outcome distribution of executing a on d under
 // f to dst and returns the extended slice. It is the allocation-free form of
-// Outcomes for hot loops (model induction): with a dst of sufficient
-// capacity it performs no heap allocation. At most 4 outcomes are appended.
+// Outcomes for hot loops: with a dst of sufficient capacity it performs no
+// heap allocation. At most 4 outcomes are appended.
 func AppendOutcomes(dst []Outcome, d geom.Rect, a Action, f ForceField) []Outcome {
+	return AppendOutcomesMean(dst, d, a, func(fr geom.Rect) float64 { return MeanForce(fr, f) })
+}
+
+// AppendOutcomesMean is AppendOutcomes with each pull's success probability
+// taken from mean, which is called once per non-empty frontier with that
+// frontier rectangle and must return what MeanForce would over it. Model
+// induction passes a lookup into per-build tables of frontier means, so a
+// frontier shared by several actions and positions is summed once.
+func AppendOutcomesMean(dst []Outcome, d geom.Rect, a Action, mean func(geom.Rect) float64) []Outcome {
 	switch a.Class() {
 	case Cardinal:
 		dir := a.cardinalDir()
 		fr, _ := Frontier(d, a, dir)
-		p := MeanForce(fr, f)
+		p := mean(fr)
 		return append(dst,
 			Outcome{Event: dir.String(), Droplet: a.Apply(d), P: p},
 			Outcome{Event: "ε", Droplet: d, P: 1 - p},
@@ -409,10 +418,10 @@ func AppendOutcomes(dst []Outcome, d geom.Rect, a Action, f ForceField) []Outcom
 		dir := a.cardinalDir()
 		single := singleStep(dir)
 		fr1, _ := Frontier(d, single, dir)
-		p1 := MeanForce(fr1, f)
+		p1 := mean(fr1)
 		d1 := single.Apply(d)
 		fr2, _ := Frontier(d1, single, dir)
-		p2 := MeanForce(fr2, f)
+		p2 := mean(fr2)
 		return append(dst,
 			Outcome{Event: doubleEvent[dir], Droplet: single.Apply(d1), P: p1 * p2},
 			Outcome{Event: dir.String(), Droplet: d1, P: p1 * (1 - p2)},
@@ -423,8 +432,8 @@ func AppendOutcomes(dst []Outcome, d geom.Rect, a Action, f ForceField) []Outcom
 		v, h := suffixVert[i], suffixHorz[i]
 		frV, _ := Frontier(d, a, v)
 		frH, _ := Frontier(d, a, h)
-		pv := MeanForce(frV, f)
-		ph := MeanForce(frH, f)
+		pv := mean(frV)
+		ph := mean(frH)
 		dv := singleStep(v).Apply(d)
 		dh := singleStep(h).Apply(d)
 		return append(dst,
@@ -443,7 +452,7 @@ func AppendOutcomes(dst []Outcome, d geom.Rect, a Action, f ForceField) []Outcom
 		fr, ok := Frontier(d, a, dir)
 		p := 0.0
 		if ok {
-			p = MeanForce(fr, f)
+			p = mean(fr)
 		}
 		return append(dst,
 			Outcome{Event: "morph", Droplet: a.Apply(d), P: p},

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"meda/internal/geom"
+	"meda/internal/randx"
 )
 
 // delta is the running-example droplet δ = (3,2,7,5) used by Examples 1–3.
@@ -322,6 +323,92 @@ func TestOutcomesSumToOneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// pullFrontiers lists the frontiers whose mean forces decide a's outcomes on
+// d, in pull order: both steps' frontiers of a double step, else the
+// non-empty Table II frontier of each of a.Dirs().
+func pullFrontiers(d geom.Rect, a Action) []geom.Rect {
+	if a.Class() == Double {
+		dir := a.cardinalDir()
+		s := singleStep(dir)
+		fr1, _ := Frontier(d, s, dir)
+		fr2, _ := Frontier(s.Apply(d), s, dir)
+		return []geom.Rect{fr1, fr2}
+	}
+	var out []geom.Rect
+	for _, dir := range a.Dirs() {
+		if fr, ok := Frontier(d, a, dir); ok {
+			out = append(out, fr)
+		}
+	}
+	return out
+}
+
+// TestAppendOutcomesMeanMatchesForceField: with mean = MeanForce(·, f),
+// AppendOutcomesMean gives every action's outcomes bit for bit as
+// AppendOutcomes does under f, over random non-uniform fields and droplets
+// of every size up to 5×5, many of them on the chip edge (whose frontiers
+// read off-chip zeros). mean is asked exactly for the action's frontiers,
+// each once, in pull order.
+func TestAppendOutcomesMeanMatchesForceField(t *testing.T) {
+	const w, h = 12, 10
+	src := randx.New(20)
+	for trial := 0; trial < 200; trial++ {
+		force := make([]float64, w*h)
+		for i := range force {
+			switch src.IntN(5) {
+			case 0:
+				force[i] = 0
+			case 1:
+				force[i] = 1
+			default:
+				force[i] = src.Float64()
+			}
+		}
+		f := func(x, y int) float64 {
+			if x < 1 || x > w || y < 1 || y > h {
+				return 0
+			}
+			return force[(y-1)*w+x-1]
+		}
+		dw, dh := src.IntRange(1, 5), src.IntRange(1, 5)
+		xa, ya := src.IntRange(1, w-dw+1), src.IntRange(1, h-dh+1)
+		switch src.IntN(3) { // pin to the west or north edge, or neither
+		case 0:
+			xa = 1
+		case 1:
+			ya = h - dh + 1
+		}
+		d := rect(xa, ya, xa+dw-1, ya+dh-1)
+		for a := Action(0); a < NumActions; a++ {
+			var asked []geom.Rect
+			mean := func(fr geom.Rect) float64 {
+				asked = append(asked, fr)
+				return MeanForce(fr, f)
+			}
+			got := AppendOutcomesMean(nil, d, a, mean)
+			want := AppendOutcomes(nil, d, a, f)
+			if len(got) != len(want) {
+				t.Fatalf("%v on %v: %d outcomes, want %d", a, d, len(got), len(want))
+			}
+			for i := range want {
+				g, o := got[i], want[i]
+				if g.Event != o.Event || g.Droplet != o.Droplet || math.Float64bits(g.P) != math.Float64bits(o.P) {
+					t.Fatalf("%v on %v outcome %d: %+v, want %+v", a, d, i, g, o)
+				}
+			}
+			fronts := pullFrontiers(d, a)
+			if len(asked) != len(fronts) {
+				t.Fatalf("%v on %v: mean asked for %v, want %v", a, d, asked, fronts)
+			}
+			for i := range fronts {
+				if asked[i] != fronts[i] {
+					t.Fatalf("%v on %v: mean asked for %v, want %v", a, d, asked, fronts)
+				}
+			}
+		}
 	}
 }
 

@@ -254,10 +254,10 @@ func appendShapes(dst [][2]int, w, h int, opt ModelOptions) [][2]int {
 
 // Arena builds per-routing-job MDPs with reusable memory: the CSR slabs of
 // an mdp.Builder plus the model bookkeeping (rectangle table, shape spans,
-// label vectors, outcome scratch, force snapshot) are all grown in place
-// and recycled across Induce calls, so a warmed Arena induces a model of any
-// previously seen size with a handful of allocations instead of tens of
-// thousands.
+// label vectors, outcome scratch, force snapshot, frontier-mean and
+// destination tables) are all grown in place and recycled across Induce
+// calls, so a warmed Arena induces a model of any previously seen size with
+// a handful of allocations instead of tens of thousands.
 //
 // The *Model returned by Induce aliases the Arena's memory: it is valid only
 // until the next Induce on the same Arena, must not be used from multiple
@@ -270,6 +270,8 @@ type Arena struct {
 	shapes [][2]int
 	outs   []action.Outcome
 	forces []float64 // the field over the hazard bounds plus ring, row-major
+	means  frontierMeans
+	dest   []mdp.StateID // position state → where an outcome landing there goes
 	builds int
 }
 
@@ -299,14 +301,10 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 	if !bounds.ContainsRect(goal) {
 		return nil, fmt.Errorf("smg: goal %v outside hazard bounds %v", goal, bounds)
 	}
-	return ar.induce(bounds, start, goal, ar.snapshot(bounds.Expand(forceRing), field), opt)
-}
-
-// induce builds the model of a validated job, reading the force of each
-// frontier cell from field as it goes.
-func (ar *Arena) induce(bounds, start, goal geom.Rect, field action.ForceField, opt ModelOptions) (*Model, error) {
-	if opt.MaxAspect <= 0 { // zero value → defaults
+	if opt.MaxAspect <= 0 { // zero value → defaults, obstacles kept
+		blocked := opt.Blocked
 		opt = DefaultModelOptions()
+		opt.Blocked = blocked
 	}
 	ar.builds++
 	ar.b.Reset()
@@ -338,39 +336,41 @@ func (ar *Arena) induce(bounds, start, goal geom.Rect, field action.ForceField, 
 	}
 	m.Start = startID
 
-	blockedAt := func(d geom.Rect) bool {
-		if d == start {
-			return false
-		}
-		for _, b := range opt.Blocked {
-			if d.Overlaps(b) {
-				return true
+	// dest maps each position to where an outcome landing on it goes:
+	// the goal sink if it satisfies the goal, the hazard sink if it
+	// overlaps an obstacle (the start is exempt), else the position itself.
+	ar.dest = resize(ar.dest, len(m.rects))
+	for id, d := range m.rects {
+		to := mdp.StateID(id)
+		if GoalLabel(d, goal) {
+			to = m.GoalSink
+		} else if d != start {
+			for _, b := range opt.Blocked {
+				if d.Overlaps(b) {
+					to = m.HazardSink
+					break
+				}
 			}
 		}
-		return false
+		ar.dest[id] = to
 	}
 
-	// resolve maps an outcome rectangle to its destination state, folding
-	// goal satisfaction, hazard violation, and blocked regions into the
-	// sinks.
+	// resolve maps an outcome rectangle to its destination state. A goal-
+	// satisfying rectangle lies inside the bounds, so this agrees with
+	// testing goal, then hazard, then obstacles; outcomes outside the bounds
+	// or of a shape not enumerated (impossible with guard-closed shape
+	// enumeration) go to the hazard sink.
 	resolve := func(d geom.Rect) mdp.StateID {
-		if GoalLabel(d, goal) {
-			return m.GoalSink
-		}
-		if HazardLabel(d, bounds) || blockedAt(d) {
-			return m.HazardSink
-		}
 		id, ok := m.StateOf(d)
 		if !ok {
-			// A shape not in the enumerated set (cannot happen with
-			// guard-closed shape enumeration); treat as hazard.
 			return m.HazardSink
 		}
-		return id
+		return ar.dest[id]
 	}
 
+	ar.means.fill(bounds, start.Width(), start.Height(), ar.snapshot(bounds.Expand(forceRing), field))
 	for id, d := range m.rects {
-		if GoalLabel(d, goal) {
+		if ar.dest[id] == m.GoalSink {
 			// Goal-satisfying positions are represented by the sink;
 			// give the position an absorbing self-loop so the model
 			// is deadlock-free if it is ever entered directly.
@@ -388,7 +388,7 @@ func (ar *Arena) induce(bounds, start, goal geom.Rect, field action.ForceField, 
 			if !bounds.ContainsRect(a.Apply(d)) {
 				continue // forbidden: would leave the hazard bounds
 			}
-			ar.outs = action.AppendOutcomes(ar.outs[:0], d, a, field)
+			ar.outs = action.AppendOutcomesMean(ar.outs[:0], d, a, ar.means.mean)
 			live := 0
 			for _, o := range ar.outs {
 				if !mdp.IsZeroProb(o.P) {
@@ -427,20 +427,17 @@ func (ar *Arena) induce(bounds, start, goal geom.Rect, field action.ForceField, 
 }
 
 // snapshot copies field over r into the arena's force slab, reading each
-// cell exactly once, and returns a field backed by the copy. Induction would
-// otherwise read every frontier cell again for every action of every
-// position. The frontier of an enabled action lies inside its Apply(d),
-// which lies inside the hazard bounds, so every MeanForce reads the same
-// values in the same row-major order as from field itself and every
-// probability is bit-identical. The returned field must be read only
-// inside r.
+// cell exactly once, and returns a field backed by the copy, from which the
+// frontier-mean tables sum each frontier once per window. The frontier of
+// an enabled action lies inside its Apply(d), which lies inside the hazard
+// bounds, so every MeanForce reads the same values in the same row-major
+// order as from field itself and every probability is bit-identical. The
+// returned field must be read only inside r.
 func (ar *Arena) snapshot(r geom.Rect, field action.ForceField) action.ForceField {
 	w := r.Width()
 	n := w * r.Height()
-	if cap(ar.forces) < n {
-		ar.forces = make([]float64, n)
-	}
-	forces := ar.forces[:n]
+	forces := resize(ar.forces, n)
+	ar.forces = forces
 	i := 0
 	for y := r.YA; y <= r.YB; y++ {
 		for x := r.XA; x <= r.XB; x++ {
@@ -454,16 +451,73 @@ func (ar *Arena) snapshot(r geom.Rect, field action.ForceField) action.ForceFiel
 	}
 }
 
+// frontierMeans holds one build's tables of frontier means for droplets of
+// shape w×h over bounds. Every translation frontier of such a droplet is a
+// 1×w row or an h×1 column segment, which several actions at several
+// positions share; the tables sum each segment once per build instead of
+// once per (position, action).
+type frontierMeans struct {
+	bounds geom.Rect
+	w, h   int
+	rows   []float64 // every 1×w row segment of bounds, row-major
+	cols   []float64 // every h×1 column segment of bounds, row-major
+	field  action.ForceField
+}
+
+// fill recomputes the tables from field. Each entry is MeanForce over its
+// own rectangle, not a sliding window (which would reorder the additions),
+// so every entry is bit-identical to summing the frontier on demand.
+func (t *frontierMeans) fill(bounds geom.Rect, w, h int, field action.ForceField) {
+	bw, bh := bounds.Width(), bounds.Height()
+	t.bounds, t.w, t.h, t.field = bounds, w, h, field
+	t.rows = resize(t.rows, bh*(bw-w+1))
+	t.cols = resize(t.cols, (bh-h+1)*bw)
+	i := 0
+	for y := bounds.YA; y <= bounds.YB; y++ {
+		for xa := bounds.XA; xa+w-1 <= bounds.XB; xa++ {
+			t.rows[i] = action.MeanForce(geom.Rect{XA: xa, YA: y, XB: xa + w - 1, YB: y}, field)
+			i++
+		}
+	}
+	i = 0
+	for ya := bounds.YA; ya+h-1 <= bounds.YB; ya++ {
+		for x := bounds.XA; x <= bounds.XB; x++ {
+			t.cols[i] = action.MeanForce(geom.Rect{XA: x, YA: ya, XB: x, YB: ya + h - 1}, field)
+			i++
+		}
+	}
+}
+
+// mean returns MeanForce(fr, field), from the tables when fr is one of
+// their segments. Other frontiers — the morphs' (w−1)- and (h−1)-cell
+// segments and the frontiers of other shapes — are summed on demand.
+func (t *frontierMeans) mean(fr geom.Rect) float64 {
+	b := t.bounds
+	if b.ContainsRect(fr) {
+		if fr.YA == fr.YB && fr.XB-fr.XA+1 == t.w {
+			return t.rows[(fr.YA-b.YA)*(b.XB-b.XA+2-t.w)+fr.XA-b.XA]
+		}
+		if fr.XA == fr.XB && fr.YB-fr.YA+1 == t.h {
+			return t.cols[(fr.YA-b.YA)*(b.XB-b.XA+1)+fr.XA-b.XA]
+		}
+	}
+	return action.MeanForce(fr, t.field)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the entries are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // growBools resizes a label slab to n cleared entries, reusing the backing
 // array when possible.
 func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
+	s = resize(s, n)
+	clear(s)
 	return s
 }
 

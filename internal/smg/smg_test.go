@@ -59,6 +59,32 @@ func TestInduceValidation(t *testing.T) {
 	}
 }
 
+// TestZeroModelOptionsKeepObstacles: the zero ModelOptions stands for the
+// defaults, but obstacles given with it still count — its model equals the
+// defaults' model with the same obstacles, and differs from the model
+// without them.
+func TestZeroModelOptionsKeepObstacles(t *testing.T) {
+	bounds, start, goal := rect(1, 1, 10, 10), rect(1, 1, 2, 2), rect(9, 9, 10, 10)
+	blocked := []geom.Rect{rect(5, 1, 5, 7)}
+	induce := func(opt ModelOptions) *Model {
+		t.Helper()
+		m, err := Induce(bounds, start, goal, healthyField, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	zero := induce(ModelOptions{Blocked: blocked})
+	def := DefaultModelOptions()
+	def.Blocked = blocked
+	if d := diffModels(zero, induce(def)); d != "" {
+		t.Errorf("zero options with obstacles vs defaults with obstacles: %s", d)
+	}
+	if diffModels(zero, induce(DefaultModelOptions())) == "" {
+		t.Error("obstacles did not change the model")
+	}
+}
+
 func TestLabels(t *testing.T) {
 	goal := rect(5, 5, 9, 9)
 	if !GoalLabel(rect(6, 6, 8, 8), goal) {
