@@ -33,10 +33,13 @@ models:
 	$(GO) run ./cmd/medalint -models
 
 # Run the solver/synthesis tests with the medacheck build tag, which turns
-# on model validation at every solver entry and full reduced-model
-# verification after every synthesis.
+# on model validation at every solver entry, full reduced-model
+# verification after every synthesis, and a full-synthesis cross-check of
+# every job solved on the all-healthy unit path. The executor and root
+# packages are included so the golden-trace and differential suites route
+# every window they meet through those checks.
 assert:
-	$(GO) test -tags medacheck ./internal/mdp/ ./internal/smg/ ./internal/synth/ ./internal/modelcheck/ ./internal/sched/
+	$(GO) test -tags medacheck ./internal/mdp/ ./internal/smg/ ./internal/synth/ ./internal/modelcheck/ ./internal/sched/ ./internal/sim/ .
 
 # Coverage floors for the packages this repo leans on hardest. Floors sit
 # well below current coverage (≈98/92/94% as of the telemetry PR; the

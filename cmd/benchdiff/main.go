@@ -24,6 +24,7 @@ type report struct {
 	Benchmarks []struct {
 		Name     string  `json:"name"`
 		NsPerOp  float64 `json:"ns_per_op"`
+		NsSpread float64 `json:"ns_spread"` // max − min ns/op of the row's runs; 0 in older reports
 		BytesOp  int64   `json:"bytes_per_op"`
 		AllocsOp int64   `json:"allocs_per_op"`
 	} `json:"benchmarks"`
@@ -74,8 +75,8 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	type row struct {
-		ns     float64
-		allocs int64
+		ns, spread float64
+		allocs     int64
 	}
 	baseline := make(map[string]row, len(baseRep.Benchmarks))
 	for _, b := range baseRep.Benchmarks {
@@ -98,7 +99,7 @@ func run(args []string, out, errw io.Writer) int {
 	news := make(map[string]row, len(newRep.Benchmarks))
 	for _, b := range newRep.Benchmarks {
 		names = append(names, b.Name)
-		news[b.Name] = row{ns: b.NsPerOp, allocs: b.AllocsOp}
+		news[b.Name] = row{ns: b.NsPerOp, spread: b.NsSpread, allocs: b.AllocsOp}
 	}
 	sort.Strings(names)
 
@@ -108,14 +109,20 @@ func run(args []string, out, errw io.Writer) int {
 	const allocSlack = 8
 
 	warned, failed := 0, 0
-	fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %8s\n",
-		"benchmark", "base ns/op", "new ns/op", "ratio", "base allocs", "new allocs", "ratio")
+	fmt.Fprintf(w, "%-40s %14s %14s %8s %8s %12s %12s %8s\n",
+		"benchmark", "base ns/op", "new ns/op", "spread", "ratio", "base allocs", "new allocs", "ratio")
 	for _, name := range names {
 		nb := news[name]
+		// spread is the new row's half-range as a share of its ns/op: how
+		// far its runs strayed from the median either way.
+		spread := "-"
+		if nb.spread > 0 && nb.ns > 0 {
+			spread = fmt.Sprintf("±%.1f%%", 50*nb.spread/nb.ns)
+		}
 		ob, ok := baseline[name]
 		if !ok || ob.ns <= 0 {
-			fmt.Fprintf(w, "%-40s %14s %14.0f %8s %12s %12d %8s  (no baseline)\n",
-				name, "-", nb.ns, "-", "-", nb.allocs, "-")
+			fmt.Fprintf(w, "%-40s %14s %14.0f %8s %8s %12s %12d %8s  (no baseline)\n",
+				name, "-", nb.ns, spread, "-", "-", nb.allocs, "-")
 			continue
 		}
 		nsRatio := nb.ns / ob.ns
@@ -139,8 +146,8 @@ func run(args []string, out, errw io.Writer) int {
 		case nsRatio < 1/(1+*warn):
 			status = "  improved"
 		}
-		fmt.Fprintf(w, "%-40s %14.0f %14.0f %7.2fx %12d %12d %7.2fx%s\n",
-			name, ob.ns, nb.ns, nsRatio, ob.allocs, nb.allocs, allocRatio, status)
+		fmt.Fprintf(w, "%-40s %14.0f %14.0f %8s %7.2fx %12d %12d %7.2fx%s\n",
+			name, ob.ns, nb.ns, spread, nsRatio, ob.allocs, nb.allocs, allocRatio, status)
 	}
 	for name := range baseline {
 		if _, ok := news[name]; !ok {

@@ -148,3 +148,42 @@ func TestMissingAndNewBenchmarks(t *testing.T) {
 		t.Errorf("disappeared benchmark not reported; output:\n%s", out)
 	}
 }
+
+// TestSpreadColumn: a row's ns_spread shows as its half-range around the
+// median, a row without one (older reports) shows "-", and the spread does
+// not move the bands: a +28% row with a ±30% spread still warns.
+func TestSpreadColumn(t *testing.T) {
+	next := filepath.Join(t.TempDir(), "new.json")
+	content := `{"benchmarks":[
+		{"name":"table_v_synthesis/10x10","iterations":1,"ns_per_op":320000,"ns_spread":192000,"bytes_per_op":1,"allocs_per_op":20},
+		{"name":"solver/gauss-seidel","iterations":1,"ns_per_op":2000000,"bytes_per_op":1,"allocs_per_op":20}]}`
+	if err := os.WriteFile(next, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "base.json")
+	content = `{"benchmarks":[
+		{"name":"table_v_synthesis/10x10","iterations":1,"ns_per_op":250000,"ns_spread":1000,"bytes_per_op":1,"allocs_per_op":20},
+		{"name":"solver/gauss-seidel","iterations":1,"ns_per_op":2000000,"bytes_per_op":1,"allocs_per_op":20}]}`
+	if err := os.WriteFile(base, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, _ := runDiff(t, "-base", base, "-new", next)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0", code)
+	}
+	if !strings.Contains(out, "spread") {
+		t.Errorf("no spread column; output:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "table_v_synthesis/10x10"):
+			if !strings.Contains(line, "±30.0%") || !strings.Contains(line, "WARN") {
+				t.Errorf("want a ±30.0%% spread and a warning: %s", line)
+			}
+		case strings.HasPrefix(line, "solver/gauss-seidel"):
+			if fields := strings.Fields(line); len(fields) < 4 || fields[3] != "-" {
+				t.Errorf("want no spread on a row without one: %s", line)
+			}
+		}
+	}
+}

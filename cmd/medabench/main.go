@@ -3,11 +3,13 @@
 //
 //	medabench -out BENCH_synthesis.json
 //
-// The suite covers the synthesis hot path of Table V (model construction +
-// value iteration), cold vs pooled-arena model construction, construction
-// over a worn chip's observed health rather than a constant field, the solver
-// comparison (gauss-seidel against its jacobi reference, and gauss-seidel on
-// a deterministic healthy-chip model), the cold-vs-warm strategy cache for
+// Each row is the median of a fixed number of runs, recorded with their
+// spread. The suite covers the synthesis hot path of Table V (model
+// construction + value iteration), cold vs pooled-arena model construction,
+// construction over a worn chip's observed health rather than a constant
+// field, the solver comparison (gauss-seidel against its jacobi reference,
+// and gauss-seidel on a deterministic healthy-chip model), the whole
+// synthesis of that healthy job, the cold-vs-warm strategy cache for
 // re-synthesis, the D4-canonical cache serving a whole symmetry class of
 // jobs from one synthesis, and the sequential-vs-concurrent assay executor
 // with the adaptive router on a contention-heavy generated workload.
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -39,13 +42,22 @@ import (
 	"meda/internal/telemetry"
 )
 
+// A row is the run with the median ns/op of runsPerRow testing.Benchmark
+// runs, so one run slowed by other load on a shared machine does not move
+// it; NsSpread, the largest minus the smallest ns/op of those runs, shows
+// how far they disagreed.
 type result struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsSpread    float64 `json:"ns_spread"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
+
+// runsPerRow is the fixed number of runs behind each row (odd, so the
+// median is one of them).
+const runsPerRow = 5
 
 type report struct {
 	Generated  string             `json:"generated"`
@@ -62,17 +74,24 @@ type report struct {
 }
 
 func record(rep *report, name string, f func(b *testing.B)) result {
-	r := testing.Benchmark(f)
+	runs := make([]testing.BenchmarkResult, runsPerRow)
+	for i := range runs {
+		runs[i] = testing.Benchmark(f)
+	}
+	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	sort.Slice(runs, func(i, j int) bool { return nsPerOp(runs[i]) < nsPerOp(runs[j]) })
+	r := runs[runsPerRow/2]
 	res := result{
 		Name:        name,
 		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		NsPerOp:     nsPerOp(r),
+		NsSpread:    nsPerOp(runs[runsPerRow-1]) - nsPerOp(runs[0]),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 	}
 	rep.Benchmarks = append(rep.Benchmarks, res)
-	fmt.Printf("%-42s %12.0f ns/op %12d B/op %9d allocs/op\n",
-		name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+	fmt.Printf("%-42s %12.0f ns/op ±%5.1f%% %12d B/op %9d allocs/op\n",
+		name, res.NsPerOp, 50*res.NsSpread/res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
 	return res
 }
 
@@ -211,6 +230,22 @@ func main() {
 		os.Exit(1)
 	}
 	record(rep, "solver/gauss-seidel-healthy", solve(healthyModel, mdp.SolveOptions{Method: mdp.GaussSeidel}))
+	// The whole synthesis of that job. Its window is all-healthy, so it
+	// takes the unit path: a successor table and one BFS, no MDP.
+	healthyOpt := synth.DefaultOptions()
+	healthyOpt.Model = blocked
+	healthyJob := meda.RoutingJob{
+		Start:  meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
+		Goal:   meda.Rect{XA: 27, YA: 27, XB: 30, YB: 30},
+		Hazard: meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
+	}
+	record(rep, "synthesis/healthy-obstructed/30x30", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := synth.Synthesize(healthyJob, func(x, y int) float64 { return 1 }, healthyOpt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	// Re-synthesis: cold (synthesize every time) vs warm (health-keyed
 	// strategy cache hit). The chip region is degraded so the library fast

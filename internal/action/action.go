@@ -362,11 +362,45 @@ func MeanForce(fr geom.Rect, f ForceField) float64 {
 	return p
 }
 
+// Event names an outcome in the paper's event spaces: which pulls of an
+// action succeeded ("NE", "N", "E" and "ε" for an ordinal move). It is a
+// one-byte code, so enumerating outcomes stores no strings; String returns
+// the name.
+type Event uint8
+
+// The events. A cardinal or double step's events are indexed by direction
+// (EventN + Event(dir), EventNN + Event(dir)), following geom.Dir's order.
+const (
+	EventNone Event = iota // "ε": no pull succeeded, the droplet stays
+	EventN
+	EventS
+	EventE
+	EventW
+	EventNN
+	EventSS
+	EventEE
+	EventWW
+	EventNE
+	EventNW
+	EventSE
+	EventSW
+	EventMorph // the morph's pull succeeded
+)
+
+var eventNames = [...]string{"ε", "N", "S", "E", "W", "NN", "SS", "EE", "WW", "NE", "NW", "SE", "SW", "morph"}
+
+// String returns the paper's name of the event.
+func (e Event) String() string {
+	if int(e) < len(eventNames) {
+		return eventNames[e]
+	}
+	return fmt.Sprintf("event?%d", uint8(e))
+}
+
 // Outcome is one probabilistic result of executing an action: the droplet
-// ends at Droplet with probability P. Event names follow the paper's event
-// spaces (e.g. "NE", "N", "E", "ε" for an ordinal move).
+// ends at Droplet with probability P after Event.
 type Outcome struct {
-	Event   string
+	Event   Event
 	Droplet geom.Rect
 	P       float64
 }
@@ -375,12 +409,11 @@ type Outcome struct {
 // event space {vh, v, h, ε}), for sizing reusable outcome buffers.
 const MaxOutcomes = 4
 
-// doubleEvent and ordinalEvent precompute the concatenated event names
-// ("NN", "NE", ...) so the hot outcome enumeration never builds strings.
-var doubleEvent = [4]string{"NN", "SS", "EE", "WW"}
-var ordinalEvent = [4][4]string{
-	geom.North: {geom.East: "NE", geom.West: "NW"},
-	geom.South: {geom.East: "SE", geom.West: "SW"},
+// ordinalEvent maps an ordinal move's vertical and horizontal directions to
+// its joint-success event.
+var ordinalEvent = [4][4]Event{
+	geom.North: {geom.East: EventNE, geom.West: EventNW},
+	geom.South: {geom.East: EventSE, geom.West: EventSW},
 }
 
 // Outcomes returns the full outcome distribution of executing action a on
@@ -411,8 +444,8 @@ func AppendOutcomesMean(dst []Outcome, d geom.Rect, a Action, mean func(geom.Rec
 		fr, _ := Frontier(d, a, dir)
 		p := mean(fr)
 		return append(dst,
-			Outcome{Event: dir.String(), Droplet: a.Apply(d), P: p},
-			Outcome{Event: "ε", Droplet: d, P: 1 - p},
+			Outcome{Event: EventN + Event(dir), Droplet: a.Apply(d), P: p},
+			Outcome{Event: EventNone, Droplet: d, P: 1 - p},
 		)
 	case Double:
 		dir := a.cardinalDir()
@@ -423,9 +456,9 @@ func AppendOutcomesMean(dst []Outcome, d geom.Rect, a Action, mean func(geom.Rec
 		fr2, _ := Frontier(d1, single, dir)
 		p2 := mean(fr2)
 		return append(dst,
-			Outcome{Event: doubleEvent[dir], Droplet: single.Apply(d1), P: p1 * p2},
-			Outcome{Event: dir.String(), Droplet: d1, P: p1 * (1 - p2)},
-			Outcome{Event: "ε", Droplet: d, P: 1 - p1},
+			Outcome{Event: EventNN + Event(dir), Droplet: single.Apply(d1), P: p1 * p2},
+			Outcome{Event: EventN + Event(dir), Droplet: d1, P: p1 * (1 - p2)},
+			Outcome{Event: EventNone, Droplet: d, P: 1 - p1},
 		)
 	case Ordinal:
 		i := a - MoveNE
@@ -438,9 +471,9 @@ func AppendOutcomesMean(dst []Outcome, d geom.Rect, a Action, mean func(geom.Rec
 		dh := singleStep(h).Apply(d)
 		return append(dst,
 			Outcome{Event: ordinalEvent[v][h], Droplet: a.Apply(d), P: pv * ph},
-			Outcome{Event: v.String(), Droplet: dv, P: pv * (1 - ph)},
-			Outcome{Event: h.String(), Droplet: dh, P: (1 - pv) * ph},
-			Outcome{Event: "ε", Droplet: d, P: (1 - pv) * (1 - ph)},
+			Outcome{Event: EventN + Event(v), Droplet: dv, P: pv * (1 - ph)},
+			Outcome{Event: EventN + Event(h), Droplet: dh, P: (1 - pv) * ph},
+			Outcome{Event: EventNone, Droplet: d, P: (1 - pv) * (1 - ph)},
 		)
 	default: // Widen, Heighten
 		var dir geom.Dir
@@ -455,10 +488,28 @@ func AppendOutcomesMean(dst []Outcome, d geom.Rect, a Action, mean func(geom.Rec
 			p = mean(fr)
 		}
 		return append(dst,
-			Outcome{Event: "morph", Droplet: a.Apply(d), P: p},
-			Outcome{Event: "ε", Droplet: d, P: 1 - p},
+			Outcome{Event: EventMorph, Droplet: a.Apply(d), P: p},
+			Outcome{Event: EventNone, Droplet: d, P: 1 - p},
 		)
 	}
+}
+
+// Certain returns where a takes d under a field whose every frontier pulls
+// with force 1: Apply(d), or d itself for a morph whose frontier is empty
+// (∅ in Table II), which never pulls. It is the Droplet of the one outcome
+// with nonzero probability that AppendOutcomes returns under such a field.
+func Certain(d geom.Rect, a Action) geom.Rect {
+	switch a.Class() {
+	case Widen:
+		if d.YB == d.YA { // no retained row
+			return d
+		}
+	case Heighten:
+		if d.XB == d.XA { // no retained column
+			return d
+		}
+	}
+	return a.Apply(d)
 }
 
 // singleStep returns the cardinal single-step action for a direction.

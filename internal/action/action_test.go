@@ -449,7 +449,7 @@ func TestOutcomesExample3(t *testing.T) {
 		t.Fatalf("got %d outcomes, want 4", len(outs))
 	}
 	for _, o := range outs {
-		w, ok := want[o.Event]
+		w, ok := want[o.Event.String()]
 		if !ok {
 			t.Errorf("unexpected event %q", o.Event)
 			continue
@@ -468,22 +468,22 @@ func TestDoubleStepConditioning(t *testing.T) {
 	outs := Outcomes(delta, MoveEE, uniformForce(p))
 	want := map[string]float64{"EE": p * p, "E": p * (1 - p), "ε": 1 - p}
 	for _, o := range outs {
-		if w, ok := want[o.Event]; !ok || math.Abs(o.P-w) > 1e-12 {
-			t.Errorf("p(%s) = %v, want %v", o.Event, o.P, want[o.Event])
+		if w, ok := want[o.Event.String()]; !ok || math.Abs(o.P-w) > 1e-12 {
+			t.Errorf("p(%s) = %v, want %v", o.Event, o.P, w)
 		}
 	}
 	// Destination of the full double step is two cells east.
 	for _, o := range outs {
 		switch o.Event {
-		case "EE":
+		case EventEE:
 			if o.Droplet != delta.Translate(2, 0) {
 				t.Errorf("EE destination = %v", o.Droplet)
 			}
-		case "E":
+		case EventE:
 			if o.Droplet != delta.Translate(1, 0) {
 				t.Errorf("E destination = %v", o.Droplet)
 			}
-		case "ε":
+		case EventNone:
 			if o.Droplet != delta {
 				t.Errorf("ε destination = %v", o.Droplet)
 			}
@@ -495,10 +495,10 @@ func TestZeroForceMeansNoMotion(t *testing.T) {
 	for _, a := range All() {
 		outs := Outcomes(delta, a, uniformForce(0))
 		for _, o := range outs {
-			if o.Event != "ε" && o.P != 0 {
+			if o.Event != EventNone && o.P != 0 {
 				t.Errorf("%v: event %s has p=%v under zero force", a, o.Event, o.P)
 			}
-			if o.Event == "ε" && math.Abs(o.P-1) > 1e-12 {
+			if o.Event == EventNone && math.Abs(o.P-1) > 1e-12 {
 				t.Errorf("%v: p(ε) = %v under zero force", a, o.P)
 			}
 		}
@@ -608,5 +608,54 @@ func TestActionTextMarshalling(t *testing.T) {
 	}
 	if _, err := Action(99).MarshalText(); err == nil {
 		t.Error("invalid action marshalled")
+	}
+}
+
+// TestEventNames: every event prints the paper's name, and the direction-
+// indexed events line up with geom.Dir.
+func TestEventNames(t *testing.T) {
+	want := []string{"ε", "N", "S", "E", "W", "NN", "SS", "EE", "WW", "NE", "NW", "SE", "SW", "morph"}
+	for e := EventNone; e <= EventMorph; e++ {
+		if e.String() != want[e] {
+			t.Errorf("event %d = %q, want %q", e, e.String(), want[e])
+		}
+	}
+	for _, dir := range geom.Cardinals {
+		if got := (EventN + Event(dir)).String(); got != dir.String() {
+			t.Errorf("step %v: event %q", dir, got)
+		}
+		if got := (EventNN + Event(dir)).String(); got != dir.String()+dir.String() {
+			t.Errorf("double step %v: event %q", dir, got)
+		}
+	}
+	if got := Event(200).String(); got != "event?200" {
+		t.Errorf("invalid event prints %q", got)
+	}
+}
+
+// TestCertainIsTheSureOutcome: under a field of force 1 everywhere, every
+// action has exactly one outcome with nonzero probability, with P = 1, at
+// Certain(d, a) — including the morphs of one-row and one-column droplets,
+// whose frontier is empty.
+func TestCertainIsTheSureOutcome(t *testing.T) {
+	for w := 1; w <= 4; w++ {
+		for h := 1; h <= 4; h++ {
+			d := rect(5, 5, 5+w-1, 5+h-1)
+			for a := Action(0); a < NumActions; a++ {
+				live := 0
+				for _, o := range Outcomes(d, a, uniformForce(1)) {
+					if o.P == 0 {
+						continue
+					}
+					live++
+					if o.P != 1 || o.Droplet != Certain(d, a) {
+						t.Errorf("%v on %v: outcome %v, want P 1 at %v", a, d, o, Certain(d, a))
+					}
+				}
+				if live != 1 {
+					t.Errorf("%v on %v: %d outcomes with nonzero probability", a, d, live)
+				}
+			}
+		}
 	}
 }

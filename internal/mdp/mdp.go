@@ -248,6 +248,17 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	return o
 }
 
+// SeedsDistances reports whether an Rmin solve of a deterministic model
+// with unit costs, whose largest finite distance is dmax, is seeded with
+// its shortest-path distances (and so ends after one confirming sweep):
+// the values are integers, so every change is at least 1 and a residual
+// below Eps ≤ 1 means the fixpoint, which cold VI reaches within dmax+2
+// sweeps.
+func (o SolveOptions) SeedsDistances(dmax int) bool {
+	o = o.withDefaults()
+	return o.Eps <= 1 && o.MaxIter >= dmax+2
+}
+
 // Result carries a solver outcome. Iterations is the number of value-
 // iteration sweeps run: 1 for an Rmin solve seeded with shortest-path
 // distances, whose one sweep confirms the fixpoint.
@@ -418,12 +429,10 @@ func (m *MDP) minExpectedReward(target, avoid []bool, opt SolveOptions, vi viFun
 	vals := make([]float64, n)
 	// A deterministic model with unit costs is solved exactly by one BFS.
 	// Its distances seed value iteration only where cold VI would provably
-	// end at the same bits: the values are integers, so every change is at
-	// least 1 and a residual below Eps ≤ 1 means the fixpoint, which cold
-	// VI reaches within dmax+2 sweeps. The seeded sweep then confirms the
-	// fixpoint and changes nothing.
+	// end at the same bits (SeedsDistances). The seeded sweep then confirms
+	// the fixpoint and changes nothing.
 	as, dmax := g.unitDistances(target, avoid, vals)
-	seeded := as != nil && opt.Eps <= 1 && opt.MaxIter >= dmax+2
+	seeded := as != nil && opt.SeedsDistances(dmax)
 	if as == nil {
 		as = g.prob1E(target, avoid)
 	}

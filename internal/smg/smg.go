@@ -12,7 +12,8 @@
 // For synthesis the paper applies a partial-order reduction: within one
 // routing job the health matrix changes negligibly, so H is frozen at its
 // current value and the game collapses to an MDP over droplet rectangles
-// restricted to the job's hazard bounds. Induce builds that MDP explicitly.
+// restricted to the job's hazard bounds. Induce builds that MDP explicitly;
+// InduceUnit builds the all-healthy case, a unit-cost graph, without one.
 package smg
 
 import (
@@ -136,6 +137,18 @@ func DefaultModelOptions() ModelOptions {
 	}
 }
 
+// withDefaults returns o, or DefaultModelOptions with o's obstacles when o
+// is the zero value (MaxAspect <= 0).
+func (o ModelOptions) withDefaults() ModelOptions {
+	if o.MaxAspect > 0 {
+		return o
+	}
+	blocked := o.Blocked
+	o = DefaultModelOptions()
+	o.Blocked = blocked
+	return o
+}
+
 func (o ModelOptions) allowed(a action.Action) bool {
 	switch a.Class() {
 	case action.Cardinal:
@@ -257,7 +270,8 @@ func appendShapes(dst [][2]int, w, h int, opt ModelOptions) [][2]int {
 // label vectors, outcome scratch, force snapshot, frontier-mean and
 // destination tables) are all grown in place and recycled across Induce
 // calls, so a warmed Arena induces a model of any previously seen size with
-// a handful of allocations instead of tens of thousands.
+// a handful of allocations instead of tens of thousands. InduceUnit
+// recycles the bookkeeping and the Unit's slabs the same way.
 //
 // The *Model returned by Induce aliases the Arena's memory: it is valid only
 // until the next Induce on the same Arena, must not be used from multiple
@@ -272,6 +286,7 @@ type Arena struct {
 	forces []float64 // the field over the hazard bounds plus ring, row-major
 	means  frontierMeans
 	dest   []mdp.StateID // position state → where an outcome landing there goes
+	unit   Unit
 	builds int
 }
 
@@ -292,81 +307,12 @@ func (ar *Arena) Builds() int { return ar.builds }
 // true field for oracle experiments. Induce reads it once per cell of bounds
 // plus a two-cell ring (off-chip cells must read 0, as ForceField requires).
 func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, opt ModelOptions) (*Model, error) {
-	if !start.Valid() || !goal.Valid() || !bounds.Valid() {
-		return nil, fmt.Errorf("smg: invalid rectangle (start %v goal %v bounds %v)", start, goal, bounds)
+	m, opt, err := ar.enumerate(bounds, start, goal, opt)
+	if err != nil {
+		return nil, err
 	}
-	if !bounds.ContainsRect(start) {
-		return nil, fmt.Errorf("smg: start %v outside hazard bounds %v", start, bounds)
-	}
-	if !bounds.ContainsRect(goal) {
-		return nil, fmt.Errorf("smg: goal %v outside hazard bounds %v", goal, bounds)
-	}
-	if opt.MaxAspect <= 0 { // zero value → defaults, obstacles kept
-		blocked := opt.Blocked
-		opt = DefaultModelOptions()
-		opt.Blocked = blocked
-	}
-	ar.builds++
 	ar.b.Reset()
-	m := &ar.model
-	*m = Model{bounds: bounds, spans: m.spans[:0], rects: m.rects[:0],
-		Goal: m.Goal[:0], Hazard: m.Hazard[:0]}
-
-	// Enumerate position states shape by shape, matching the reduced
-	// state space S̃ ⊆ Δh of Sec. VI-C. Positions are laid out row-major
-	// (x fastest) so StateOf can invert the enumeration arithmetically.
-	ar.shapes = appendShapes(ar.shapes[:0], start.Width(), start.Height(), opt)
-	for _, s := range ar.shapes {
-		w, h := s[0], s[1]
-		m.spans = append(m.spans, span{w: w, h: h, base: mdp.StateID(len(m.rects))})
-		for ya := bounds.YA; ya+h-1 <= bounds.YB; ya++ {
-			for xa := bounds.XA; xa+w-1 <= bounds.XB; xa++ {
-				m.rects = append(m.rects, geom.Rect{XA: xa, YA: ya, XB: xa + w - 1, YB: ya + h - 1})
-			}
-		}
-	}
-	ar.b.AddStates(len(m.rects))
-	m.Init = ar.b.AddState()
-	m.GoalSink = ar.b.AddState()
-	m.HazardSink = ar.b.AddState()
-
-	startID, ok := m.StateOf(start)
-	if !ok {
-		return nil, fmt.Errorf("smg: start %v not enumerated", start)
-	}
-	m.Start = startID
-
-	// dest maps each position to where an outcome landing on it goes:
-	// the goal sink if it satisfies the goal, the hazard sink if it
-	// overlaps an obstacle (the start is exempt), else the position itself.
-	ar.dest = resize(ar.dest, len(m.rects))
-	for id, d := range m.rects {
-		to := mdp.StateID(id)
-		if GoalLabel(d, goal) {
-			to = m.GoalSink
-		} else if d != start {
-			for _, b := range opt.Blocked {
-				if d.Overlaps(b) {
-					to = m.HazardSink
-					break
-				}
-			}
-		}
-		ar.dest[id] = to
-	}
-
-	// resolve maps an outcome rectangle to its destination state. A goal-
-	// satisfying rectangle lies inside the bounds, so this agrees with
-	// testing goal, then hazard, then obstacles; outcomes outside the bounds
-	// or of a shape not enumerated (impossible with guard-closed shape
-	// enumeration) go to the hazard sink.
-	resolve := func(d geom.Rect) mdp.StateID {
-		id, ok := m.StateOf(d)
-		if !ok {
-			return m.HazardSink
-		}
-		return ar.dest[id]
-	}
+	ar.b.AddStates(len(m.rects) + 3) // positions, then Init, GoalSink, HazardSink
 
 	ar.means.fill(bounds, start.Width(), start.Height(), ar.snapshot(bounds.Expand(forceRing), field))
 	for id, d := range m.rects {
@@ -403,7 +349,7 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 				if mdp.IsZeroProb(o.P) {
 					continue
 				}
-				ar.b.Transition(resolve(o.Droplet), o.P)
+				ar.b.Transition(ar.resolve(o.Droplet), o.P)
 			}
 		}
 	}
@@ -411,7 +357,7 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 	// Bookkeeping states: the init commit dispatches to the start (or the
 	// goal sink, when the job starts already satisfied); sinks self-loop.
 	ar.b.BeginChoice(m.Init, -1, 0)
-	ar.b.Transition(resolve(start), 1)
+	ar.b.Transition(ar.resolve(start), 1)
 	ar.b.BeginChoice(m.GoalSink, -1, 0)
 	ar.b.Transition(m.GoalSink, 1)
 	ar.b.BeginChoice(m.HazardSink, -1, 0)
@@ -424,6 +370,82 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 	m.Hazard = growBools(m.Hazard, n)
 	m.Hazard[m.HazardSink] = true
 	return m, nil
+}
+
+// enumerate lays out a routing job's states, for Induce and InduceUnit
+// alike: the position states shape by shape, then Init, GoalSink and
+// HazardSink, plus the dest table that resolve reads. It returns the model
+// without its MDP (m.M is nil) and the options with defaults applied.
+func (ar *Arena) enumerate(bounds, start, goal geom.Rect, opt ModelOptions) (*Model, ModelOptions, error) {
+	if !start.Valid() || !goal.Valid() || !bounds.Valid() {
+		return nil, opt, fmt.Errorf("smg: invalid rectangle (start %v goal %v bounds %v)", start, goal, bounds)
+	}
+	if !bounds.ContainsRect(start) {
+		return nil, opt, fmt.Errorf("smg: start %v outside hazard bounds %v", start, bounds)
+	}
+	if !bounds.ContainsRect(goal) {
+		return nil, opt, fmt.Errorf("smg: goal %v outside hazard bounds %v", goal, bounds)
+	}
+	opt = opt.withDefaults()
+	ar.builds++
+	m := &ar.model
+	*m = Model{bounds: bounds, spans: m.spans[:0], rects: m.rects[:0],
+		Goal: m.Goal[:0], Hazard: m.Hazard[:0]}
+
+	// Enumerate position states shape by shape, matching the reduced
+	// state space S̃ ⊆ Δh of Sec. VI-C. Positions are laid out row-major
+	// (x fastest) so StateOf can invert the enumeration arithmetically.
+	ar.shapes = appendShapes(ar.shapes[:0], start.Width(), start.Height(), opt)
+	for _, s := range ar.shapes {
+		w, h := s[0], s[1]
+		m.spans = append(m.spans, span{w: w, h: h, base: mdp.StateID(len(m.rects))})
+		for ya := bounds.YA; ya+h-1 <= bounds.YB; ya++ {
+			for xa := bounds.XA; xa+w-1 <= bounds.XB; xa++ {
+				m.rects = append(m.rects, geom.Rect{XA: xa, YA: ya, XB: xa + w - 1, YB: ya + h - 1})
+			}
+		}
+	}
+	n := mdp.StateID(len(m.rects))
+	m.Init, m.GoalSink, m.HazardSink = n, n+1, n+2
+
+	startID, ok := m.StateOf(start)
+	if !ok {
+		return nil, opt, fmt.Errorf("smg: start %v not enumerated", start)
+	}
+	m.Start = startID
+
+	// dest maps each position to where an outcome landing on it goes:
+	// the goal sink if it satisfies the goal, the hazard sink if it
+	// overlaps an obstacle (the start is exempt), else the position itself.
+	ar.dest = resize(ar.dest, len(m.rects))
+	for id, d := range m.rects {
+		to := mdp.StateID(id)
+		if GoalLabel(d, goal) {
+			to = m.GoalSink
+		} else if d != start {
+			for _, b := range opt.Blocked {
+				if d.Overlaps(b) {
+					to = m.HazardSink
+					break
+				}
+			}
+		}
+		ar.dest[id] = to
+	}
+	return m, opt, nil
+}
+
+// resolve maps an outcome rectangle to its destination state in the model
+// enumerate last laid out. A goal-satisfying rectangle lies inside the
+// bounds, so this agrees with testing goal, then hazard, then obstacles;
+// outcomes outside the bounds or of a shape not enumerated (impossible with
+// guard-closed shape enumeration) go to the hazard sink.
+func (ar *Arena) resolve(d geom.Rect) mdp.StateID {
+	id, ok := ar.model.StateOf(d)
+	if !ok {
+		return ar.model.HazardSink
+	}
+	return ar.dest[id]
 }
 
 // snapshot copies field over r into the arena's force slab, reading each

@@ -97,6 +97,30 @@ type Result struct {
 // Exists reports whether a usable strategy was synthesized.
 func (r Result) Exists() bool { return len(r.Policy) > 0 && !math.IsInf(r.Value, 1) }
 
+// diffResults describes the first difference between two results in what
+// the unit path must reproduce bit for bit — Value, the Stats sizes,
+// Iterations and Policy — or returns "" when there is none.
+func diffResults(got, want Result) string {
+	switch {
+	case math.Float64bits(got.Value) != math.Float64bits(want.Value):
+		return fmt.Sprintf("value %v, want %v", got.Value, want.Value)
+	case got.Stats.States != want.Stats.States || got.Stats.Transitions != want.Stats.Transitions ||
+		got.Stats.Choices != want.Stats.Choices || got.Stats.Iterations != want.Stats.Iterations:
+		return fmt.Sprintf("stats %d/%d/%d/%d, want %d/%d/%d/%d (states/transitions/choices/iterations)",
+			got.Stats.States, got.Stats.Transitions, got.Stats.Choices, got.Stats.Iterations,
+			want.Stats.States, want.Stats.Transitions, want.Stats.Choices, want.Stats.Iterations)
+	case (got.Policy == nil) != (want.Policy == nil) || len(got.Policy) != len(want.Policy):
+		return fmt.Sprintf("policy of %d positions (nil %v), want %d (nil %v)",
+			len(got.Policy), got.Policy == nil, len(want.Policy), want.Policy == nil)
+	}
+	for d, a := range want.Policy {
+		if g, ok := got.Policy[d]; !ok || g != a {
+			return fmt.Sprintf("policy at %v: %v (present %v), want %v", d, g, ok, a)
+		}
+	}
+	return ""
+}
+
 // arenas recycles model-construction memory across syntheses. Each
 // Synthesize call checks an arena out for its full duration (the induced
 // model aliases the arena's slabs), so concurrent syntheses — e.g. jobs
@@ -114,7 +138,6 @@ func Synthesize(rj route.RJ, field action.ForceField, opt Options) (Result, erro
 	sp := telemetry.StartSpan("synth.synthesize")
 	defer sp.End()
 	telSyntheses.Inc()
-	var res Result
 
 	ar := arenas.Get().(*smg.Arena)
 	telArenaGets.Inc()
@@ -130,6 +153,71 @@ func Synthesize(rj route.RJ, field action.ForceField, opt Options) (Result, erro
 		telArenaReuseRatio.Set(float64(telArenaReuses.Value()) / float64(telArenaGets.Value()))
 	}()
 
+	if unitQuery(opt) && smg.UnitWindow(rj.Hazard, field, opt.Model) {
+		res, ok, err := synthesizeUnit(ar, sp, rj, opt)
+		if err != nil {
+			return Result{}, fmt.Errorf("synth: %s: %w", rj.Name(), err)
+		}
+		if ok {
+			telUnit.Inc()
+			assertUnit(rj, field, opt, res)
+			return res, nil
+		}
+	}
+	return synthesize(ar, sp, rj, field, opt)
+}
+
+// unitQuery reports whether opt asks for what the unit path computes: the
+// routing Rmin query, without the model retained.
+func unitQuery(opt Options) bool {
+	q := opt.Query
+	return q.Kind == spec.RMin && q.Reach == "goal" && q.Avoid == "hazard" && !opt.RetainModel
+}
+
+// synthesizeUnit solves a job whose window is all-healthy (smg.UnitWindow)
+// without an MDP: the successor table of smg.Arena.InduceUnit, one BFS,
+// and MinExpectedReward's extraction rule give the full path's Policy,
+// Value, Stats sizes and Iterations bit for bit. It reports false, and the
+// caller takes the full path, where value iteration would not be seeded
+// with the distances (mdp.SolveOptions.SeedsDistances) and so might end
+// elsewhere.
+func synthesizeUnit(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, opt Options) (Result, bool, error) {
+	var res Result
+	t0 := time.Now()
+	spb := sp.Child("synth.model_build")
+	u, err := ar.InduceUnit(rj.Hazard, rj.Start, rj.Goal, opt.Model)
+	spb.End()
+	if err != nil {
+		return Result{}, false, err
+	}
+	res.Stats.Construction = time.Since(t0)
+
+	t1 := time.Now()
+	sps := sp.Child("synth.solve")
+	dmax := u.Solve()
+	sps.End()
+	if !opt.Solver.SeedsDistances(dmax) {
+		return Result{}, false, nil
+	}
+	res.Value = u.Value()
+	res.Stats.States, res.Stats.Transitions, res.Stats.Choices = u.States, u.Transitions, u.Choices
+	res.Stats.Iterations = 1 // the seeded sweep that confirms the distances
+	if !math.IsInf(res.Value, 1) {
+		spe := sp.Child("synth.extract")
+		res.Policy = Policy(u.Policy())
+		spe.End()
+	}
+	res.Stats.Synthesis = time.Since(t1)
+	telConstructNs.Add(res.Stats.Construction.Nanoseconds())
+	telSolveNs.Add(res.Stats.Synthesis.Nanoseconds())
+	telStates.Observe(float64(res.Stats.States))
+	return res, true, nil
+}
+
+// synthesize is Alg. 2 over the induced MDP on arena ar: build, check the
+// query, extract the strategy.
+func synthesize(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, field action.ForceField, opt Options) (Result, error) {
+	var res Result
 	t0 := time.Now()
 	spb := sp.Child("synth.model_build")
 	model, err := ar.Induce(rj.Hazard, rj.Start, rj.Goal, field, opt.Model)

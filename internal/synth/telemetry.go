@@ -11,6 +11,10 @@ var (
 	telSyntheses   = telemetry.C("synth.syntheses")
 	telConstructNs = telemetry.C("synth.construct_ns")
 	telSolveNs     = telemetry.C("synth.solve_ns")
+	// telUnit counts the syntheses solved on the unit path (all-healthy
+	// windows, see synthesizeUnit). They build no MDP, so mdp.vi.solves,
+	// mdp.vi.seeded and mdp.prob1e.* do not count them.
+	telUnit = telemetry.C("synth.unit")
 	// telStates is the distribution of induced model sizes.
 	telStates = telemetry.H("synth.model_states",
 		100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1e6)
