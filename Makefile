@@ -18,10 +18,9 @@ vet:
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Domain-specific static analysis: the nine-analyzer medalint suite
-# over the whole tree (incrementally cached under .medalint-cache), plus
-# the strict dropped-error audit over the command mains (see internal/lint
-# and DESIGN.md §13/§15).
+# Domain-specific static analysis: the eight-analyzer medalint suite
+# over the whole tree, plus the strict dropped-error audit over the
+# command mains (see internal/lint and DESIGN.md §7/§13).
 lint:
 	$(GO) run ./cmd/medalint ./...
 	$(GO) run ./cmd/medalint -strict ./cmd/...

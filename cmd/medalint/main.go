@@ -2,24 +2,20 @@
 // has two modes, covering the two halves of the framework's correctness
 // story that the Go type system cannot see:
 //
-// Source mode (the default) runs the nine-analyzer medalint suite —
-// floatcmp, lockorder, nilstrategy, errflow, lockheld, detpure,
-// goroutineleak, chanprotocol, hotalloc — over Go packages and prints
-// compiler-style findings, or with -json one JSON object per finding per
-// line (pos, analyzer, message) for machine consumption. Results are
-// cached incrementally under -cache-dir (default .medalint-cache, keyed by
-// source hashes, dependency keys, toolchain and analyzer roster) so a warm
-// run re-analyzes only changed packages; -no-cache analyzes everything
-// from source. -sarif additionally writes the findings as a SARIF 2.1.0
-// log for GitHub code scanning, -timing prints per-analyzer wall time plus
-// cache reuse, and -strict adds the errflowstrict dropped-error analyzer
-// (the cmd/ audit mode; -strict -list lists it too):
+// Source mode (the default) runs the eight-analyzer medalint suite —
+// floatcmp, lockorder, nilstrategy, errflow, lockheld, goroutineleak,
+// waitgroup, hotalloc — over Go packages, analyzing every package from source, and
+// prints compiler-style findings, or with -json one JSON object per
+// finding per line (pos, analyzer, message) for machine consumption.
+// -sarif additionally writes the findings as a SARIF 2.1.0 log for GitHub
+// code scanning, -timing prints per-analyzer wall time, and -strict adds
+// the errflowstrict dropped-error analyzer (the cmd/ audit mode; -strict
+// -list lists it too):
 //
 //	medalint ./...
 //	medalint -json ./...
 //	medalint -sarif out.sarif ./...
 //	medalint -timing ./...
-//	medalint -no-cache ./...
 //	medalint -strict ./cmd/...
 //	medalint -list
 //
@@ -58,10 +54,8 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
 	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	timing := flag.Bool("timing", false, "print per-analyzer wall time and cache reuse to stderr")
+	timing := flag.Bool("timing", false, "print per-analyzer wall time to stderr")
 	strict := flag.Bool("strict", false, "add the errflowstrict dropped-error analyzer (cmd audit)")
-	noCache := flag.Bool("no-cache", false, "disable the incremental analysis cache; analyze every package from source")
-	cacheDir := flag.String("cache-dir", ".medalint-cache", "incremental analysis cache directory")
 	models := flag.Bool("models", false, "verify model invariants over the six benchmark assays instead of linting source")
 	area := flag.Int("area", 16, "dispensed-droplet area for -models compilation")
 	flag.Usage = func() {
@@ -89,11 +83,7 @@ func main() {
 		if len(patterns) == 0 {
 			patterns = []string{"./..."}
 		}
-		opts := lint.Options{CacheDir: *cacheDir}
-		if *noCache {
-			opts.CacheDir = ""
-		}
-		findings, timings, stats, err := lint.RunOpts(".", patterns, analyzers, opts)
+		findings, timings, err := lint.Run(".", patterns, analyzers)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "medalint: %v\n", err)
 			os.Exit(2)
@@ -118,9 +108,6 @@ func main() {
 				total += tm.Seconds
 			}
 			fmt.Fprintf(os.Stderr, "%-13s %8.3fs\n", "total", total)
-			if opts.CacheDir != "" {
-				fmt.Fprintf(os.Stderr, "cache         %d/%d packages reused\n", stats.Hits, stats.Packages)
-			}
 		}
 		if len(findings) > 0 {
 			os.Exit(1)

@@ -246,34 +246,6 @@ func (c *Chip) ObservedForceField() action.ForceField {
 	}
 }
 
-// SnapshotForceField copies the observed force field over region (expanded
-// by a two-cell margin for double-step frontiers, clipped to the chip) into
-// a dense buffer and returns a field backed by that copy. Unlike
-// ObservedForceField, the returned field never touches live chip state, so
-// it is safe to hand to another goroutine while the simulator keeps
-// actuating the chip. Cells outside the snapshot read 0, the same as
-// off-chip cells.
-func (c *Chip) SnapshotForceField(region geom.Rect) action.ForceField {
-	r, ok := region.Expand(2).Intersect(c.Bounds())
-	if !ok {
-		return func(x, y int) float64 { return 0 }
-	}
-	w := r.XB - r.XA + 1
-	forces := make([]float64, w*(r.YB-r.YA+1))
-	live := c.ObservedForceField()
-	for y := r.YA; y <= r.YB; y++ {
-		for x := r.XA; x <= r.XB; x++ {
-			forces[(y-r.YA)*w+(x-r.XA)] = live(x, y)
-		}
-	}
-	return func(x, y int) float64 {
-		if x < r.XA || x > r.XB || y < r.YA || y > r.YB {
-			return 0
-		}
-		return forces[(y-r.YA)*w+(x-r.XA)]
-	}
-}
-
 // Actuate applies one operational cycle's actuation pattern: every MC inside
 // each rectangle is actuated once (charged and discharged), advancing its
 // degradation and relatching its health code. Rectangles are clipped to the

@@ -383,16 +383,3 @@ func TestFaultModelSeesActuationCount(t *testing.T) {
 		t.Errorf("fault model saw n=%d, want 7", m.lastN)
 	}
 }
-
-// TestSnapshotForceFieldCarriesFaults: a snapshot taken under an attached
-// fault model bakes the perturbed readings in — a synthesis planned on
-// another goroutine sees the faulted observation, like the live path.
-func TestSnapshotForceFieldCarriesFaults(t *testing.T) {
-	c := newTestChip(t, Default(), 5)
-	clean := c.SnapshotForceField(rect(5, 5, 10, 10))(7, 7)
-	c.AttachFaults(&flipModel{})
-	faulted := c.SnapshotForceField(rect(5, 5, 10, 10))(7, 7)
-	if clean == faulted {
-		t.Error("snapshot ignored the attached fault model")
-	}
-}

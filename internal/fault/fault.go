@@ -185,8 +185,6 @@ func (p Plan) withDefaults() Plan {
 // 0.5% stuck-on, 0.5% transient dropout per actuation, 1% flipped and 1%
 // stale sensor reads per cell-epoch, 5% synthesis timeouts and 5% cache
 // poisoning.
-//
-//meda:deterministic
 func Mixed(seed uint64, rate float64, kinds Kinds) Plan {
 	p := Plan{Seed: seed}
 	if rate <= 0 {
@@ -342,8 +340,6 @@ func (i *Injector) stuckAt(x, y, n int) int8 {
 // degradation level driving EWOD force at actuation count n. Stuck-off pins
 // the level at 0, stuck-on at 1; a transient dropout zeroes it for this
 // actuation count only.
-//
-//meda:deterministic
 func (i *Injector) PhysicalDegradation(x, y, n int, d float64) float64 {
 	switch i.stuckAt(x, y, n) {
 	case stuckOff:
@@ -363,8 +359,6 @@ func (i *Injector) PhysicalDegradation(x, y, n int, d float64) float64 {
 // cells are sensed truthfully (the sensor measures actual capacitance);
 // flip/stale misreads then perturb the reading, each persisting for
 // SensorEpoch actuations of the cell.
-//
-//meda:deterministic
 func (i *Injector) SensedHealth(x, y, n, h, bits int) int {
 	top := 1<<uint(bits) - 1
 	switch i.stuckAt(x, y, n) {
@@ -398,8 +392,6 @@ func (i *Injector) SensedHealth(x, y, n, h, bits int) int {
 // SynthTimeout implements sched.FaultInjector: it reports whether the
 // attempt-th synthesis for the keyed job should fail with an injected
 // timeout. Independent draws per attempt let bounded retries succeed.
-//
-//meda:deterministic
 func (i *Injector) SynthTimeout(key uint64, attempt int) bool {
 	if i.plan.SynthTimeout == 0 {
 		return false
@@ -410,8 +402,6 @@ func (i *Injector) SynthTimeout(key uint64, attempt int) bool {
 // CachePoison implements sched.FaultInjector: it reports whether a strategy
 // store under the keyed cache line should be discarded. The decision is a
 // function of the key alone, modeling a persistently corrupted line.
-//
-//meda:deterministic
 func (i *Injector) CachePoison(key uint64) bool {
 	if i.plan.CachePoison == 0 {
 		return false

@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 )
 
 // Fact is a piece of information an analyzer derives about a package-level
-// object (a function, method, type, or variable) or about a package as a
-// whole, exported during one package's pass and importable by passes over
-// packages analyzed later. It mirrors golang.org/x/tools/go/analysis.Fact
-// with one simplification: facts live in an in-memory FactStore shared by
+// object (a function, method, type, or variable), exported during one
+// package's pass and importable by passes over packages analyzed later. It
+// mirrors golang.org/x/tools/go/analysis.Fact with one simplification:
+// facts live in an in-memory FactStore shared by
 // one driver run (no gob serialization), keyed by the object's package
 // path and qualified name rather than by objectpath — sufficient for the
 // package-level contracts medalint checks (e.g. lockheld's "may block"
@@ -29,8 +27,7 @@ type Fact interface {
 // pass over that package exported. The store is not safe for concurrent use;
 // the driver runs passes sequentially.
 type FactStore struct {
-	objects  map[objectFactKey]Fact
-	packages map[packageFactKey]Fact
+	objects map[objectFactKey]Fact
 }
 
 type objectFactKey struct {
@@ -38,17 +35,9 @@ type objectFactKey struct {
 	typ reflect.Type
 }
 
-type packageFactKey struct {
-	path string
-	typ  reflect.Type
-}
-
 // NewFactStore returns an empty store for one driver run.
 func NewFactStore() *FactStore {
-	return &FactStore{
-		objects:  make(map[objectFactKey]Fact),
-		packages: make(map[packageFactKey]Fact),
-	}
+	return &FactStore{objects: make(map[objectFactKey]Fact)}
 }
 
 // ObjectKey canonicalizes a package-level object (or method) to the key
@@ -129,99 +118,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	}
 	copyFact(fact, src)
 	return true
-}
-
-// ExportPackageFact records a fact about the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) bool {
-	if p.Facts == nil || p.Pkg == nil {
-		return false
-	}
-	p.Facts.packages[packageFactKey{p.Pkg.Path(), factType(fact)}] = fact
-	return true
-}
-
-// ImportPackageFact copies into fact the fact of fact's type previously
-// exported about pkg, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.Facts == nil || pkg == nil {
-		return false
-	}
-	src, ok := p.Facts.packages[packageFactKey{pkg.Path(), factType(fact)}]
-	if !ok {
-		return false
-	}
-	copyFact(fact, src)
-	return true
-}
-
-// ObjectFactRecord is one exported object fact in serializable form: the
-// canonical object key plus the fact value. The incremental cache stores
-// these per package and injects them back on a warm run.
-type ObjectFactRecord struct {
-	Key  string
-	Fact Fact
-}
-
-// ObjectFactsOf returns the object facts attached to objects of the
-// package at path, sorted by key then fact type name — the deterministic
-// slice the incremental cache persists. An object's key is prefixed by its
-// package path ("pkg/path.Name"), and every analyzer exports facts only
-// about objects of the package under analysis, so the prefix identifies
-// the exporting pass.
-func (s *FactStore) ObjectFactsOf(path string) []ObjectFactRecord {
-	prefix := path + "."
-	var out []ObjectFactRecord
-	for k, f := range s.objects {
-		if strings.HasPrefix(k.obj, prefix) && !strings.Contains(k.obj[len(prefix):], "/") {
-			out = append(out, ObjectFactRecord{Key: k.obj, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return reflect.TypeOf(out[i].Fact).String() < reflect.TypeOf(out[j].Fact).String()
-	})
-	return out
-}
-
-// PackageFactsOf returns the whole-package facts of the package at path,
-// sorted by fact type name.
-func (s *FactStore) PackageFactsOf(path string) []Fact {
-	var out []Fact
-	for k, f := range s.packages {
-		if k.path == path {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return reflect.TypeOf(out[i]).String() < reflect.TypeOf(out[j]).String()
-	})
-	return out
-}
-
-// InjectObjectFact stores a fact under a pre-canonicalized object key —
-// the cache's warm-path replacement for ExportObjectFact, which needs a
-// live types.Object the skipped load never produced.
-func (s *FactStore) InjectObjectFact(key string, fact Fact) {
-	s.objects[objectFactKey{key, factType(fact)}] = fact
-}
-
-// InjectPackageFact stores a whole-package fact for the package at path.
-func (s *FactStore) InjectPackageFact(path string, fact Fact) {
-	s.packages[packageFactKey{path, factType(fact)}] = fact
-}
-
-// AllObjectKeys returns the sorted object keys holding a fact of the same
-// type as fact — a debugging/testing aid.
-func (s *FactStore) AllObjectKeys(fact Fact) []string {
-	t := factType(fact)
-	var keys []string
-	for k := range s.objects {
-		if k.typ == t {
-			keys = append(keys, k.obj)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }

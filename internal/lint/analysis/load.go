@@ -63,10 +63,8 @@ func NewLoader(dir string) (*Loader, error) {
 }
 
 // warmExports fills the export map with every dependency of the module in
-// one go list run. It runs lazily, on the first export-data miss, so a
-// driver whose packages all come out of the incremental cache never pays
-// for building export data at all; stragglers (imports that only testdata
-// packages use) are still resolved per-path by exportFile.
+// one go list run, on the first export-data miss; stragglers (imports that
+// only testdata packages use) are still resolved per-path by exportFile.
 func (l *Loader) warmExports() {
 	if l.warmed {
 		return
@@ -178,16 +176,11 @@ func (l *Loader) Dirs(patterns ...string) ([]string, error) {
 }
 
 // PkgMeta is the go list metadata of one package, gathered without parsing
-// or type-checking it — the inputs the incremental cache keys on.
+// or type-checking it.
 type PkgMeta struct {
 	Path    string
 	Dir     string
-	GoFiles []string // build-included non-test sources, base names
 	Imports []string
-	// Internal marks packages of the enclosing module; only those
-	// participate in dependency ordering and cache keys (the standard
-	// library changes only with the toolchain, which salts the key).
-	Internal bool
 }
 
 // PackagesInDependencyOrder expands patterns into package metadata, ordered
@@ -195,56 +188,26 @@ type PkgMeta struct {
 // Drivers that propagate Facts across packages analyze in this order, so a
 // pass importing a fact about an upstream package finds what the upstream
 // pass exported. Ties keep go list order, making the output deterministic.
-// The second result maps every module-internal package in the matched
-// set's import closure (matched or not) to its metadata, so cache keys can
-// include the content of upstream packages outside the matched set.
-func (l *Loader) PackagesInDependencyOrder(patterns ...string) ([]*PkgMeta, map[string]*PkgMeta, error) {
-	const format = "{{.ImportPath}}\t{{.Dir}}\t{{range .GoFiles}}{{.}} {{end}}\t{{range .Imports}}{{.}} {{end}}"
-	parse := func(out string) ([]*PkgMeta, error) {
-		var metas []*PkgMeta
-		if out == "" {
-			return nil, nil
-		}
+func (l *Loader) PackagesInDependencyOrder(patterns ...string) ([]*PkgMeta, error) {
+	const format = "{{.ImportPath}}\t{{.Dir}}\t{{range .Imports}}{{.}} {{end}}"
+	out, err := l.golist(append([]string{"list", "-f", format, "--"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	var matched []*PkgMeta
+	if out != "" {
 		for _, line := range strings.Split(out, "\n") {
-			parts := strings.SplitN(line, "\t", 4)
+			parts := strings.SplitN(line, "\t", 3)
 			if len(parts) < 2 {
 				return nil, fmt.Errorf("analysis: malformed go list line %q", line)
 			}
 			m := &PkgMeta{Path: parts[0], Dir: parts[1]}
-			// Trailing fields vanish entirely for an import-free package at
-			// the end of the output (TrimSpace eats trailing tabs).
+			// The imports field vanishes entirely for an import-free package
+			// at the end of the output (TrimSpace eats trailing tabs).
 			if len(parts) > 2 {
-				m.GoFiles = strings.Fields(parts[2])
+				m.Imports = strings.Fields(parts[2])
 			}
-			if len(parts) > 3 {
-				m.Imports = strings.Fields(parts[3])
-			}
-			m.Internal = m.Path == l.modPath || strings.HasPrefix(m.Path, l.modPath+"/")
-			metas = append(metas, m)
-		}
-		return metas, nil
-	}
-
-	out, err := l.golist(append([]string{"list", "-f", format, "--"}, patterns...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	matched, err := parse(out)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err = l.golist(append([]string{"list", "-deps", "-f", format, "--"}, patterns...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	closureList, err := parse(out)
-	if err != nil {
-		return nil, nil, err
-	}
-	closure := make(map[string]*PkgMeta, len(closureList))
-	for _, m := range closureList {
-		if m.Internal {
-			closure[m.Path] = m
+			matched = append(matched, m)
 		}
 	}
 
@@ -272,14 +235,14 @@ func (l *Loader) PackagesInDependencyOrder(patterns ...string) ([]*PkgMeta, map[
 	for _, m := range matched {
 		visit(m.Path)
 	}
-	return ordered, closure, nil
+	return ordered, nil
 }
 
 // DirsInDependencyOrder expands patterns like Dirs but orders the result
 // so every package appears after the packages it imports (restricted to
 // the matched set).
 func (l *Loader) DirsInDependencyOrder(patterns ...string) ([]string, error) {
-	metas, _, err := l.PackagesInDependencyOrder(patterns...)
+	metas, err := l.PackagesInDependencyOrder(patterns...)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"meda/internal/lint/analysis"
 	"meda/internal/lint/summary"
@@ -64,4 +65,18 @@ func runHotAlloc(pass *analysis.Pass) error {
 		}
 	}
 	return nil
+}
+
+// hasDirective reports whether a comment group contains the directive as a
+// whole comment line (directives never carry trailing text).
+func hasDirective(doc *ast.CommentGroup, directive string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if strings.TrimSpace(c.Text) == directive {
+			return true
+		}
+	}
+	return false
 }

@@ -1,7 +1,7 @@
 // Package lint is the medalint analyzer suite: domain-specific static
 // checks that guard the invariants the synthesis engine's correctness
 // argument rests on (Sec. VI-C's SMG→MDP reduction and the concurrent
-// routing paths of Alg. 3). The nine default analyzers are
+// routing paths of Alg. 3). The eight default analyzers are
 //
 //	floatcmp      — no raw ==/!= on floating-point probabilities, forces or
 //	                values outside approved epsilon helpers
@@ -12,32 +12,33 @@
 //	                it is overwritten or the function returns
 //	lockheld      — no potentially blocking call (channel op, WaitGroup
 //	                wait, or a call that may reach one) while a mutex is held
-//	detpure       — functions declaring //meda:deterministic must not reach
-//	                a nondeterminism source, however many call frames down
 //	goroutineleak — goroutines must not block forever on channels with no
 //	                counterpart operation and no escape hatch
-//	chanprotocol  — no double close, no close from the receiving side, no
-//	                WaitGroup.Add inside the goroutine it counts
+//	waitgroup     — no WaitGroup.Add inside the goroutine it counts
 //	hotalloc      — functions declaring //meda:hotpath must not reach heap
 //	                allocations, interface boxing, closures, defer, or map
 //	                iteration, however many call frames down
 //
-// (errflowstrict, the tenth, joins under -strict.) floatcmp and lockorder
-// are syntactic, single-pass checks; nilstrategy, errflow and lockheld are
-// flow-sensitive: each builds a per-function control-flow graph
-// (internal/lint/cfg) and solves a dataflow problem over it
-// (internal/lint/dataflow). detpure, goroutineleak, chanprotocol, and
-// hotalloc are interprocedural: they build the package call graph
+// (errflowstrict, the ninth, joins under -strict.) floatcmp, lockorder
+// and waitgroup are syntactic, single-pass checks; nilstrategy, errflow
+// and lockheld are flow-sensitive: each builds a per-function
+// control-flow graph (internal/lint/cfg) and solves a dataflow problem
+// over it (internal/lint/dataflow). goroutineleak and hotalloc are
+// interprocedural: they build the package call graph
 // (internal/lint/callgraph) and consume bottom-up function summaries
 // (internal/lint/summary) that cross package boundaries as analysis facts —
 // the driver analyzes packages in dependency order sharing one
 // analysis.FactStore, so a send three frames deep in an upstream package
 // still registers at the call site downstream.
 //
-// Value ranges and chip-state isolation have no analyzer: probabilities
-// outside [0,1] and out-of-range grid indexes are caught by the model
-// checks (internal/modelcheck, medalint -models) and the tests, and live
-// chip state read from another goroutine by the race detector.
+// Value ranges, chip-state isolation, determinism and channel-close
+// ownership have no analyzer: probabilities outside [0,1] and
+// out-of-range grid indexes are caught by the model checks
+// (internal/modelcheck, medalint -models) and the tests; live chip state
+// read from another goroutine by the race detector; nondeterminism in the
+// replayed paths by the golden, fault-trace, checkpoint-digest, cache-key
+// and canonicalization tests; and a second or receiver-side close by the
+// tests' panics. DESIGN.md §7 records the seeded bug behind each verdict.
 //
 // A finding can be suppressed at the site with a directive comment
 //
@@ -57,14 +58,11 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"meda/internal/lint/analysis"
-	"meda/internal/lint/cache"
-	"meda/internal/lint/summary"
 )
 
 // Analyzers returns the full medalint suite, in reporting order.
@@ -72,8 +70,7 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		FloatCmp, LockOrder,
 		NilStrategy, ErrFlow, LockHeld,
-		DetPure, GoroutineLeak, ChanProtocol,
-		HotAlloc,
+		GoroutineLeak, WaitGroup, HotAlloc,
 	}
 }
 
@@ -192,72 +189,23 @@ func applyDirectives(findings []Finding, directives []*directive, known, ran map
 	return kept
 }
 
-// Options configures a driver run.
-type Options struct {
-	// CacheDir roots the incremental analysis cache; empty disables
-	// caching (every package is analyzed from source).
-	CacheDir string
-}
-
-// CacheStats reports how much of a run came out of the incremental cache.
-type CacheStats struct {
-	// Packages is the number of matched packages.
-	Packages int
-	// Hits is how many of them were replayed from the cache.
-	Hits int
-}
-
-// cacheSchema invalidates every cache entry when the shape of what is
-// stored changes. Bump it whenever Entry, a fact type, or the finding
-// pipeline changes meaning.
-const cacheSchema = "medalint-cache-v1"
-
-// init registers every fact type the suite exports, so cache entries can
-// round-trip them through gob.
-func init() {
-	cache.RegisterFact(&MayBlock{})
-	cache.RegisterFact(&summary.FnSummary{})
-	cache.RegisterFact(&summary.AllocFacts{})
-}
-
 // Run loads every package matched by the patterns (relative to a directory
-// inside the module) and applies the analyzers, returning all findings
-// sorted by position. Packages are analyzed in dependency order (imports
-// first) sharing one fact store, so fact-consuming analyzers like lockheld
-// and the summary-based interprocedural checks see what upstream passes
-// exported. Packages that fail to load abort the run: the suite lints only
-// code that compiles.
-func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	findings, _, err := RunTimed(dir, patterns, analyzers)
-	return findings, err
-}
-
-// RunTimed is Run plus per-analyzer wall-clock timing, sorted by decreasing
-// cost. Neither Run nor RunTimed uses the incremental cache; RunOpts does,
-// when given a cache directory.
-func RunTimed(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, []Timing, error) {
-	findings, timings, _, err := RunOpts(dir, patterns, analyzers, Options{})
-	return findings, timings, err
-}
-
-// RunOpts is the full driver: analyze in dependency order, share facts,
-// apply suppression directives, and — when opts.CacheDir is set — replay
-// unchanged packages from the incremental cache instead of re-analyzing
-// them. A package's key covers its sources, every module-internal package
-// it transitively imports, the toolchain version, and the analyzer roster;
-// a hit replays the package's findings and re-injects the facts it had
-// exported, so downstream packages analyze exactly as they would have on a
-// cold run. Cache failures of any kind degrade to analysis, never to
-// errors.
-func RunOpts(dir string, patterns []string, analyzers []*analysis.Analyzer, opts Options) ([]Finding, []Timing, CacheStats, error) {
-	var stats CacheStats
+// inside the module), applies the analyzers, and returns all findings
+// sorted by position plus per-analyzer wall-clock timing sorted by
+// decreasing cost. Packages are analyzed from source in dependency order
+// (imports first) sharing one fact store, so fact-consuming analyzers like
+// lockheld and the summary-based interprocedural checks see what upstream
+// passes exported. Suppression directives are applied per package: they
+// only ever suppress findings of their own files. Packages that fail to
+// load abort the run: the suite lints only code that compiles.
+func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, []Timing, error) {
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, err
 	}
-	metas, closure, err := loader.PackagesInDependencyOrder(patterns...)
+	metas, err := loader.PackagesInDependencyOrder(patterns...)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, err
 	}
 	facts := analysis.NewFactStore()
 	known := map[string]bool{"directive": true, ErrFlowStrict.Name: true}
@@ -270,49 +218,12 @@ func RunOpts(dir string, patterns []string, analyzers []*analysis.Analyzer, opts
 		ran[a.Name] = true
 	}
 
-	var store *cache.Cache
-	var keys map[string]string
-	if opts.CacheDir != "" {
-		if store, err = cache.Open(opts.CacheDir); err != nil {
-			store = nil // degrade to uncached
-		} else {
-			keys = cacheKeys(closure, analyzers)
-		}
-	}
-
 	seconds := make(map[string]float64, len(analyzers))
 	var findings []Finding
-	stats.Packages = len(metas)
 	for _, m := range metas {
-		key := ""
-		if store != nil {
-			key = keys[m.Path]
-		}
-		if key != "" {
-			if e, ok := store.Load(key); ok {
-				stats.Hits++
-				for _, f := range e.Findings {
-					findings = append(findings, Finding{
-						Analyzer: f.Analyzer,
-						Pos: token.Position{
-							Filename: f.File, Offset: f.Offset,
-							Line: f.Line, Column: f.Column,
-						},
-						Message: f.Message,
-					})
-				}
-				for _, r := range e.ObjectFacts {
-					facts.InjectObjectFact(r.Key, r.Fact)
-				}
-				for _, f := range e.PackageFacts {
-					facts.InjectPackageFact(m.Path, f)
-				}
-				continue
-			}
-		}
 		pkg, err := loader.LoadDir(m.Dir)
 		if err != nil {
-			return nil, nil, stats, err
+			return nil, nil, err
 		}
 		var pkgFindings []Finding
 		for _, a := range analyzers {
@@ -336,31 +247,11 @@ func RunOpts(dir string, patterns []string, analyzers []*analysis.Analyzer, opts
 			err := a.Run(pass)
 			seconds[a.Name] += time.Since(start).Seconds()
 			if err != nil {
-				return nil, nil, stats, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
+				return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		// Directives suppress findings of their own files only, so applying
-		// them per package is equivalent to a whole-run application — and it
-		// makes the package's post-suppression findings a cacheable unit.
 		directives := collectDirectives(pkg.Fset, pkg.Files)
-		pkgFindings = applyDirectives(pkgFindings, directives, known, ran)
-		findings = append(findings, pkgFindings...)
-		if key != "" {
-			e := &cache.Entry{
-				ObjectFacts:  facts.ObjectFactsOf(m.Path),
-				PackageFacts: facts.PackageFactsOf(m.Path),
-			}
-			for _, f := range pkgFindings {
-				e.Findings = append(e.Findings, cache.Finding{
-					Analyzer: f.Analyzer,
-					File:     f.Pos.Filename, Offset: f.Pos.Offset,
-					Line: f.Pos.Line, Column: f.Pos.Column,
-					Message: f.Message,
-				})
-			}
-			// A failed store only forfeits the speedup.
-			_ = store.Store(key, e)
-		}
+		findings = append(findings, applyDirectives(pkgFindings, directives, known, ran)...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -385,56 +276,5 @@ func RunOpts(dir string, patterns []string, analyzers []*analysis.Analyzer, opts
 		}
 		return timings[i].Analyzer < timings[j].Analyzer
 	})
-	return findings, timings, stats, nil
-}
-
-// cacheKeys computes every matched package's cache key bottom-up over the
-// module-internal import closure. A package whose sources (or any
-// transitive internal dependency's sources) cannot be hashed gets no key
-// and is analyzed from source.
-func cacheKeys(closure map[string]*analysis.PkgMeta, analyzers []*analysis.Analyzer) map[string]string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	salt := cache.Salt(append([]string{cacheSchema, runtime.Version()}, names...)...)
-
-	keys := make(map[string]string, len(closure))
-	visiting := make(map[string]bool, len(closure))
-	var keyOf func(path string) string
-	keyOf = func(path string) string {
-		if k, ok := keys[path]; ok {
-			return k
-		}
-		m, ok := closure[path]
-		if !ok || visiting[path] {
-			return "" // external (salted by toolchain version) or a cycle
-		}
-		visiting[path] = true
-		defer delete(visiting, path)
-		src, err := cache.HashFiles(m.Dir, m.GoFiles)
-		if err != nil {
-			keys[path] = ""
-			return ""
-		}
-		deps := make(map[string]string)
-		for _, imp := range m.Imports {
-			if dm, ok := closure[imp]; ok {
-				dk := keyOf(dm.Path)
-				if dk == "" {
-					keys[path] = ""
-					return ""
-				}
-				deps[imp] = dk
-			}
-		}
-		k := cache.Key(salt, path, src, deps)
-		keys[path] = k
-		return k
-	}
-	for path := range closure {
-		keyOf(path)
-	}
-	return keys
+	return findings, timings, nil
 }

@@ -15,12 +15,12 @@ import (
 func TestWriteSARIF(t *testing.T) {
 	findings := []lint.Finding{
 		{
-			Analyzer: "chanprotocol",
+			Analyzer: "goroutineleak",
 			Pos:      token.Position{Filename: "/repo/internal/sched/cache.go", Line: 12, Column: 3},
-			Message:  "ch may already be closed",
+			Message:  "goroutine sends on ch with no receiver",
 		},
 		{
-			Analyzer: "detpure",
+			Analyzer: "hotalloc",
 			Pos:      token.Position{Filename: "/elsewhere/x.go", Line: 1, Column: 1},
 			Message:  "outside the module",
 		},
@@ -83,8 +83,8 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(run.Results))
 	}
 	in := run.Results[0]
-	if in.RuleID != "chanprotocol" || in.Level != "warning" {
-		t.Errorf("result 0 = %s/%s, want chanprotocol/warning", in.RuleID, in.Level)
+	if in.RuleID != "goroutineleak" || in.Level != "warning" {
+		t.Errorf("result 0 = %s/%s, want goroutineleak/warning", in.RuleID, in.Level)
 	}
 	if uri := in.Locations[0].PhysicalLocation.ArtifactLocation.URI; uri != "internal/sched/cache.go" {
 		t.Errorf("in-module URI = %q, want module-relative internal/sched/cache.go", uri)

@@ -11,9 +11,35 @@ import (
 	"meda/internal/lint/callgraph"
 )
 
+// maxViaChain bounds the length of recorded witness chains; deeper sources
+// keep the truncated prefix with an ellipsis.
+const maxViaChain = 6
+
+// Source is one allocation source reachable from a function.
+type Source struct {
+	// Kind names the source: "make", "interface boxing", "defer", ….
+	Kind string
+	// Via is the call chain below the summarized function that reaches the
+	// source (" → "-separated), empty when the source is in the function's
+	// own body.
+	Via string
+	// Pos is the witness position inside the summarized function's body:
+	// the offending operation itself, or the call through which the source
+	// is reached.
+	Pos token.Pos
+}
+
+// String renders the source for diagnostics.
+func (s Source) String() string {
+	if s.Via == "" {
+		return s.Kind
+	}
+	return s.Kind + " via " + s.Via
+}
+
 // AllocFacts is the exported allocation summary of one function: the heap
-// costs a call into it can incur, one witness per kind, with the same
-// bottom-up Via chains as FnSummary.Nondet. hotalloc consumes these to
+// costs a call into it can incur, one witness per kind, each with its
+// bottom-up Via chain. hotalloc consumes these to
 // enforce the //meda:hotpath contract; the kinds mirror PR 6's
 // allocation-budget postmortem — the regressions that silently re-inflate
 // an 8 allocs/op path are exactly make/boxing/closure/defer, not exotic
@@ -35,6 +61,25 @@ func (a *AllocFacts) allocFingerprint() string {
 		sb.WriteByte(';')
 	}
 	return sb.String()
+}
+
+// displayName renders a function for witness chains: pkg.Fn or
+// pkg.Recv.Fn, with the package omitted for the analyzed package itself.
+func displayName(pass *analysis.Pass, fn *types.Func) string {
+	name := fn.Name()
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		rt := sig.Recv().Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		if named, ok := rt.(*types.Named); ok {
+			name = named.Obj().Name() + "." + name
+		}
+	}
+	if fn.Pkg() != nil && fn.Pkg() != pass.Pkg {
+		name = fn.Pkg().Name() + "." + name
+	}
+	return name
 }
 
 // AllocSummaries maps the analyzed package's functions to their allocation
@@ -347,4 +392,12 @@ func signatureOfCall(info *types.Info, fun ast.Expr) *types.Signature {
 	}
 	sig, _ := tv.Type.Underlying().(*types.Signature)
 	return sig
+}
+
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }

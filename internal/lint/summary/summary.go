@@ -6,25 +6,17 @@
 // instead of recursing. Calls that leave the package resolve through
 // analysis Facts: the driver analyzes packages in dependency order sharing
 // one fact store, so by the time a downstream package is summarized, every
-// upstream function already carries its FnSummary fact — summaries flow
-// between packages exactly like lockheld's MayBlock facts.
+// upstream function already carries its facts — summaries flow between
+// packages exactly like lockheld's MayBlock facts.
 //
-// A summary answers three questions about a function f:
+// Two summaries are computed, each for one analyzer:
 //
-//   - Nondet: which nondeterminism sources can executing f reach —
-//     wall-clock reads (time.Now/Since/Until), the global math/rand
-//     source, crypto/rand, map iteration order feeding ordered output, and
-//     scheduler-dependent select arm choice — each with a witness call
-//     chain for diagnostics.
-//   - BlockReason: can a call into f block the calling goroutine (channel
-//     operations, selects without default, WaitGroup/Cond waits,
-//     time.Sleep, or a call into another blocking function). Operations
-//     inside go statements, function literals, and defers do not count:
-//     they run off the caller's control flow or at return.
-//   - Params: per-parameter channel-protocol bits — does f send on,
-//     receive from, or close a channel passed as parameter i, and does
-//     parameter i escape (stored, returned, captured, or passed to an
-//     unknown callee).
+//   - FnSummary (goroutineleak): per-parameter channel-protocol bits — does
+//     f send on, receive from, or close a channel passed as parameter i,
+//     and does parameter i escape (stored, returned, captured, or passed
+//     to an unknown callee).
+//   - AllocFacts (hotalloc, allocs.go): the heap allocation sources a call
+//     into f can reach, each with a witness call chain for diagnostics.
 //
 // Soundness posture: static calls always contribute to the caller's
 // summary. Interface calls contribute the union of their CHA candidates,
@@ -35,7 +27,7 @@
 // Wide interface calls and calls through function values are treated as
 // opaque: they contribute nothing, which keeps the analyzers quiet rather
 // than wrong-by-noise. Channel-typed arguments passed to an opaque call
-// mark the parameter as escaping, so the leak analyzers know they lost
+// mark the parameter as escaping, so the leak analyzer knows it lost
 // track of it.
 package summary
 
@@ -44,7 +36,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"meda/internal/lint/analysis"
@@ -54,10 +45,6 @@ import (
 // maxCHATargets bounds how wide an interface dispatch may be before the
 // call is treated as opaque rather than unioned into the summary.
 const maxCHATargets = 3
-
-// maxViaChain bounds the length of recorded witness chains; deeper sources
-// keep the truncated prefix with an ellipsis.
-const maxViaChain = 6
 
 // ParamOps is the channel-protocol bitmask of one parameter.
 type ParamOps uint8
@@ -78,38 +65,9 @@ const (
 // Has reports whether all bits of mask are set.
 func (p ParamOps) Has(mask ParamOps) bool { return p&mask == mask }
 
-// Source is one nondeterminism source reachable from a function.
-type Source struct {
-	// Kind names the source: "time.Now", "math/rand.Intn", "map iteration
-	// order", "select arm order".
-	Kind string
-	// Via is the call chain below the summarized function that reaches the
-	// source (" → "-separated), empty when the source is in the function's
-	// own body.
-	Via string
-	// Pos is the witness position inside the summarized function's body:
-	// the offending operation itself, or the call through which the source
-	// is reached.
-	Pos token.Pos
-}
-
-// String renders the source for diagnostics.
-func (s Source) String() string {
-	if s.Via == "" {
-		return s.Kind
-	}
-	return s.Kind + " via " + s.Via
-}
-
-// FnSummary is the exported fact: the interprocedural summary of one
+// FnSummary is the exported fact: the channel-protocol summary of one
 // package-level function or method.
 type FnSummary struct {
-	// Nondet holds the reachable nondeterminism sources, sorted by Kind,
-	// one witness per kind.
-	Nondet []Source
-	// BlockReason is the blocking operation a call bottoms out in, empty
-	// when the function cannot block its caller.
-	BlockReason string
 	// Params holds one ParamOps per declared parameter (variadic included,
 	// receiver excluded).
 	Params []ParamOps
@@ -118,31 +76,10 @@ type FnSummary struct {
 // AFact marks FnSummary as an analysis fact.
 func (*FnSummary) AFact() {}
 
-// MayBlock reports whether a call into the function can block the caller.
-func (s *FnSummary) MayBlock() bool { return s != nil && s.BlockReason != "" }
-
-// NondetFor returns the recorded source of a kind, if any.
-func (s *FnSummary) NondetFor(kind string) (Source, bool) {
-	for _, src := range s.Nondet {
-		if src.Kind == kind {
-			return src, true
-		}
-	}
-	return Source{}, false
-}
-
 // fingerprint is the monotone-growth measure the SCC fixpoint compares:
-// summaries only ever gain nondet kinds, a block reason, and param bits.
+// summaries only ever gain param bits.
 func (s *FnSummary) fingerprint() string {
 	var sb strings.Builder
-	for _, src := range s.Nondet {
-		sb.WriteString(src.Kind)
-		sb.WriteByte(';')
-	}
-	sb.WriteByte('|')
-	if s.BlockReason != "" {
-		sb.WriteByte('B')
-	}
 	for _, p := range s.Params {
 		fmt.Fprintf(&sb, "%d,", p)
 	}
@@ -165,9 +102,6 @@ func (s Summaries) Of(pass *analysis.Pass, fn *types.Func) *FnSummary {
 	var fact FnSummary
 	if pass.ImportObjectFact(fn, &fact) {
 		return &fact
-	}
-	if seed := seededSummary(fn); seed != nil {
-		return seed
 	}
 	return nil
 }
@@ -199,7 +133,7 @@ func Compute(pass *analysis.Pass) Summaries {
 		}
 	}
 	for fn, sum := range sums {
-		if len(sum.Nondet) > 0 || sum.BlockReason != "" || anyOps(sum.Params) {
+		if anyOps(sum.Params) {
 			pass.ExportObjectFact(fn, sum)
 		}
 	}
@@ -215,25 +149,6 @@ func anyOps(params []ParamOps) bool {
 	return false
 }
 
-// displayName renders a function for witness chains: pkg.Fn or
-// pkg.Recv.Fn, with the package omitted for the analyzed package itself.
-func displayName(pass *analysis.Pass, fn *types.Func) string {
-	name := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		rt := sig.Recv().Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		if named, ok := rt.(*types.Named); ok {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	if fn.Pkg() != nil && fn.Pkg() != pass.Pkg {
-		name = fn.Pkg().Name() + "." + name
-	}
-	return name
-}
-
 // summarize computes one function's summary from its body and the current
 // summaries of its callees.
 func summarize(pass *analysis.Pass, sums Summaries, n *callgraph.Node) *FnSummary {
@@ -246,24 +161,9 @@ func summarize(pass *analysis.Pass, sums Summaries, n *callgraph.Node) *FnSummar
 		paramIndex[v] = i
 	}
 
-	addNondet := func(src Source) {
-		for _, have := range sum.Nondet {
-			if have.Kind == src.Kind {
-				return // one witness per kind; first (shallowest) wins
-			}
-		}
-		sum.Nondet = append(sum.Nondet, src)
-	}
-	setBlock := func(reason string) {
-		if sum.BlockReason == "" {
-			sum.BlockReason = reason
-		}
-	}
-
-	// Direct, body-level facts: channel ops, selects, map ranges, and
-	// parameter usage. Calls are folded in afterwards from the call graph's
-	// resolved sites.
-	scanBody(pass, n.Decl.Body, paramIndex, sum, addNondet, setBlock)
+	// Direct, body-level facts: channel ops and parameter usage. Calls are
+	// folded in afterwards from the call graph's resolved sites.
+	scanBody(pass, n.Decl.Body, paramIndex, sum)
 
 	// Callee contributions.
 	for _, call := range n.Calls {
@@ -275,20 +175,6 @@ func summarize(pass *analysis.Pass, sums Summaries, n *callgraph.Node) *FnSummar
 			cs := sums.Of(pass, callee)
 			if cs == nil {
 				continue
-			}
-			name := displayName(pass, callee)
-			for _, src := range cs.Nondet {
-				via := name
-				if src.Via != "" {
-					via = name + " → " + src.Via
-				}
-				if parts := strings.Split(via, " → "); len(parts) > maxViaChain {
-					via = strings.Join(parts[:maxViaChain], " → ") + " → …"
-				}
-				addNondet(Source{Kind: src.Kind, Via: via, Pos: call.Site.Pos()})
-			}
-			if cs.BlockReason != "" && !call.Async && !call.Deferred {
-				setBlock(fmt.Sprintf("call to %s (may block: %s)", name, cs.BlockReason))
 			}
 			// Map callee param ops back onto our own parameters when a
 			// parameter is passed straight through as an argument.
@@ -335,8 +221,6 @@ func summarize(pass *analysis.Pass, sums Summaries, n *callgraph.Node) *FnSummar
 			}
 		}
 	}
-
-	sort.Slice(sum.Nondet, func(i, j int) bool { return sum.Nondet[i].Kind < sum.Nondet[j].Kind })
 	return sum
 }
 
@@ -367,16 +251,11 @@ func identVar(info *types.Info, e ast.Expr) *types.Var {
 	return v
 }
 
-// scanBody records the body-level facts of one function: direct
-// nondeterminism sources, direct blocking operations, and direct parameter
-// ops/escapes. Blocking honors execution context (go/defer/literal bodies
-// don't block the caller); nondeterminism does not (a launched goroutine
-// still executes the effect).
-func scanBody(pass *analysis.Pass, body *ast.BlockStmt, paramIndex map[*types.Var]int,
-	sum *FnSummary, addNondet func(Source), setBlock func(string)) {
+// scanBody records the body-level facts of one function: direct parameter
+// ops and escapes. A parameter referenced inside a function literal, go
+// statement, or defer escapes: the closure may do anything with it later.
+func scanBody(pass *analysis.Pass, body *ast.BlockStmt, paramIndex map[*types.Var]int, sum *FnSummary) {
 	info := pass.TypesInfo
-	hasSortCall := containsSortCall(info, body)
-
 	paramOf := func(e ast.Expr) (int, bool) {
 		i, ok := paramIndex[identVar(info, e)]
 		return i, ok
@@ -387,9 +266,6 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, paramIndex map[*types.Va
 		ast.Inspect(n, func(m ast.Node) bool {
 			switch m := m.(type) {
 			case *ast.FuncLit:
-				// Parameters referenced inside a literal escape the
-				// flow-insensitive tracking; the literal's operations run
-				// off the caller's control flow.
 				walk(m.Body, true)
 				return false
 			case *ast.GoStmt:
@@ -399,9 +275,6 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, paramIndex map[*types.Va
 				walk(m.Call, true)
 				return false
 			case *ast.SendStmt:
-				if !offFlow {
-					setBlock("channel send")
-				}
 				if i, ok := paramOf(m.Chan); ok {
 					sum.Params[i] |= OpSend
 				}
@@ -410,9 +283,6 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, paramIndex map[*types.Va
 				}
 			case *ast.UnaryExpr:
 				if m.Op == token.ARROW {
-					if !offFlow {
-						setBlock("channel receive")
-					}
 					if i, ok := paramOf(m.X); ok {
 						sum.Params[i] |= OpRecv
 					}
@@ -423,69 +293,19 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, paramIndex map[*types.Va
 					}
 				}
 			case *ast.RangeStmt:
-				t := info.Types[m.X].Type
-				if isChan(t) {
-					if !offFlow {
-						setBlock("range over channel")
-					}
+				if isChan(info.Types[m.X].Type) {
 					if i, ok := paramOf(m.X); ok {
 						sum.Params[i] |= OpRecv
 					}
 				}
-				if isMap(t) && !hasSortCall && mapRangeEmits(info, m) {
-					addNondet(Source{Kind: "map iteration order", Pos: m.Range})
-				}
-			case *ast.SelectStmt:
-				comms := 0
-				hasDefault := false
-				for _, st := range m.Body.List {
-					if c, ok := st.(*ast.CommClause); ok {
-						if c.Comm == nil {
-							hasDefault = true
-						} else {
-							comms++
+			case *ast.CallExpr:
+				if id, ok := ast.Unparen(m.Fun).(*ast.Ident); ok {
+					if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(m.Args) == 1 {
+						if i, ok := paramOf(m.Args[0]); ok {
+							sum.Params[i] |= OpClose
 						}
 					}
 				}
-				if !hasDefault && !offFlow {
-					setBlock("select without default")
-				}
-				if comms >= 2 {
-					addNondet(Source{Kind: "select arm order", Pos: m.Select})
-				}
-				// Clause headers' channel operations are decided by the
-				// select, not blocking where they appear: record their
-				// parameter ops without a block reason, then walk the
-				// clause bodies normally.
-				for _, st := range m.Body.List {
-					c, ok := st.(*ast.CommClause)
-					if !ok {
-						continue
-					}
-					if c.Comm != nil {
-						ast.Inspect(c.Comm, func(h ast.Node) bool {
-							switch h := h.(type) {
-							case *ast.SendStmt:
-								if i, ok := paramOf(h.Chan); ok {
-									sum.Params[i] |= OpSend
-								}
-							case *ast.UnaryExpr:
-								if h.Op == token.ARROW {
-									if i, ok := paramOf(h.X); ok {
-										sum.Params[i] |= OpRecv
-									}
-								}
-							}
-							return true
-						})
-					}
-					for _, bst := range c.Body {
-						walk(bst, offFlow)
-					}
-				}
-				return false
-			case *ast.CallExpr:
-				scanCall(pass, m, paramOf, sum, addNondet, setBlock, offFlow)
 			case *ast.AssignStmt:
 				// A parameter assigned to anything that is not a plain
 				// local escapes (field, index, global, dereference).
@@ -515,8 +335,6 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, paramIndex map[*types.Va
 					}
 				}
 			case *ast.Ident:
-				// Any reference inside an off-flow scope (literal, go,
-				// defer) escapes: the closure may do anything with it later.
 				if offFlow {
 					if i, ok := paramIndex[identVar(info, m)]; ok {
 						sum.Params[i] |= OpEscape
@@ -527,94 +345,6 @@ func scanBody(pass *analysis.Pass, body *ast.BlockStmt, paramIndex map[*types.Va
 		})
 	}
 	walk(body, false)
-}
-
-// scanCall handles one call expression's direct contributions: builtin
-// close, seeded nondeterminism and blocking primitives.
-func scanCall(pass *analysis.Pass, call *ast.CallExpr, paramOf func(ast.Expr) (int, bool),
-	sum *FnSummary, addNondet func(Source), setBlock func(string), offFlow bool) {
-	info := pass.TypesInfo
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			if b.Name() == "close" && len(call.Args) == 1 {
-				if i, ok := paramOf(call.Args[0]); ok {
-					sum.Params[i] |= OpClose
-				}
-			}
-			return
-		}
-	}
-	fn := staticCallee(info, call)
-	if fn == nil {
-		return
-	}
-	key, ok := analysis.ObjectKey(fn)
-	if !ok {
-		return
-	}
-	if kind, ok := seededNondet[key]; ok {
-		addNondet(Source{Kind: kind, Pos: call.Pos()})
-	} else if strings.HasPrefix(key, "math/rand.") && !strings.HasPrefix(fn.Name(), "New") &&
-		fn.Type().(*types.Signature).Recv() == nil {
-		// Any package-level math/rand function draws from the unseeded
-		// global source; seeded *rand.Rand methods stay deterministic.
-		addNondet(Source{Kind: key, Pos: call.Pos()})
-	}
-	if reason, ok := seededBlocking[key]; ok && !offFlow {
-		setBlock(reason)
-	}
-}
-
-// staticCallee resolves a call's static callee function, or nil.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	return callgraph.StaticCallee(info, call)
-}
-
-// seededNondet maps known nondeterministic stdlib entry points (by
-// analysis.ObjectKey) to the source kind recorded for them.
-var seededNondet = map[string]string{
-	"time.Now":          "time.Now",
-	"time.Since":        "time.Now", // Since(t) == Now().Sub(t)
-	"time.Until":        "time.Now",
-	"crypto/rand.Read":  "crypto/rand",
-	"crypto/rand.Int":   "crypto/rand",
-	"crypto/rand.Prime": "crypto/rand",
-}
-
-// seededBlocking maps known blocking stdlib primitives to block reasons,
-// mirroring lockheld's seed set.
-var seededBlocking = map[string]string{
-	"sync.WaitGroup.Wait": "sync.WaitGroup.Wait",
-	"sync.Cond.Wait":      "sync.Cond.Wait",
-	"time.Sleep":          "time.Sleep",
-}
-
-// seededSummary returns a synthetic summary for seeded stdlib functions so
-// callers resolve them even without facts.
-func seededSummary(fn *types.Func) *FnSummary {
-	key, ok := analysis.ObjectKey(fn)
-	if !ok {
-		return nil
-	}
-	var sum FnSummary
-	found := false
-	if kind, ok := seededNondet[key]; ok {
-		sum.Nondet = []Source{{Kind: kind}}
-		found = true
-	} else if strings.HasPrefix(key, "math/rand.") && !strings.HasPrefix(fn.Name(), "New") {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
-			sum.Nondet = []Source{{Kind: key}}
-			found = true
-		}
-	}
-	if reason, ok := seededBlocking[key]; ok {
-		sum.BlockReason = reason
-		found = true
-	}
-	if !found {
-		return nil
-	}
-	return &sum
 }
 
 // isLocalLHS reports whether an assignment target is a plain local
@@ -642,102 +372,4 @@ func isChan(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-func isMap(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
-}
-
-// containsSortCall reports whether the body calls into package sort or the
-// slices sorting helpers anywhere — the conventional fix for map-range
-// nondeterminism (collect, sort, emit), which neutralizes the map-range
-// source for the whole function.
-func containsSortCall(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		fn := staticCallee(info, call)
-		if fn == nil || fn.Pkg() == nil {
-			return true
-		}
-		switch fn.Pkg().Path() {
-		case "sort":
-			found = true
-		case "slices":
-			if strings.HasPrefix(fn.Name(), "Sort") {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// mapRangeEmits reports whether a map range's iteration order can feed
-// ordered output: its body appends, sends on a channel, or passes the loop
-// variables to a call — the shapes through which per-iteration order
-// becomes observable sequence. Pure per-key reductions (sums, max,
-// membership tests) stay order-insensitive and are not flagged.
-func mapRangeEmits(info *types.Info, rng *ast.RangeStmt) bool {
-	loopVars := make(map[*types.Var]bool)
-	for _, e := range []ast.Expr{rng.Key, rng.Value} {
-		if e == nil {
-			continue
-		}
-		if id, ok := e.(*ast.Ident); ok {
-			if v, ok := info.Defs[id].(*types.Var); ok {
-				loopVars[v] = true
-			} else if v, ok := info.Uses[id].(*types.Var); ok {
-				loopVars[v] = true
-			}
-		}
-	}
-	usesLoopVar := func(e ast.Expr) bool {
-		uses := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if v, ok := info.Uses[id].(*types.Var); ok && loopVars[v] {
-					uses = true
-				}
-			}
-			return !uses
-		})
-		return uses
-	}
-	emits := false
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if emits {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok {
-					if b.Name() == "append" {
-						emits = true
-						return false
-					}
-					return true // other builtins (len, delete, …) don't emit
-				}
-			}
-			for _, arg := range n.Args {
-				if usesLoopVar(arg) {
-					emits = true
-					return false
-				}
-			}
-		case *ast.SendStmt:
-			emits = true
-			return false
-		}
-		return true
-	})
-	return emits
 }

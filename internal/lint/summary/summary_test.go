@@ -69,77 +69,17 @@ func sumOf(t *testing.T, pass *analysis.Pass, sums summary.Summaries, name strin
 	return s
 }
 
-func TestDirectNondet(t *testing.T) {
-	pass, sums := loadSums(t)
-	for name, kind := range map[string]string{
-		"Clock":     "time.Now",
-		"Roll":      "math/rand.Intn",
-		"MapEmit":   "map iteration order",
-		"Race":      "select arm order",
-		"UseTicker": "time.Now", // narrow CHA through Ticker → WallTicker
-	} {
-		s := sumOf(t, pass, sums, name)
-		if _, ok := s.NondetFor(kind); !ok {
-			t.Errorf("%s: missing nondet source %q (got %v)", name, kind, s.Nondet)
-		}
-	}
-}
-
-func TestDeterministicFunctionsStayClean(t *testing.T) {
-	pass, sums := loadSums(t)
-	for _, name := range []string{"SeededRoll", "MapSorted", "MapReduce", "SelfClean", "FixedTicker.Tick"} {
-		if s := sums.Of(pass, fn(t, pass, name)); s != nil && len(s.Nondet) > 0 {
-			t.Errorf("%s: unexpected nondet sources %v", name, s.Nondet)
-		}
-	}
-}
-
-func TestTransitiveNondetWithViaChain(t *testing.T) {
-	pass, sums := loadSums(t)
-	s := sumOf(t, pass, sums, "ViaTwo")
-	src, ok := s.NondetFor("time.Now")
-	if !ok {
-		t.Fatalf("ViaTwo: missing time.Now source, got %v", s.Nondet)
-	}
-	if src.Via != "ViaOne → Clock" {
-		t.Errorf("ViaTwo witness chain = %q, want %q", src.Via, "ViaOne → Clock")
-	}
-	if !src.Pos.IsValid() {
-		t.Error("ViaTwo witness has no position")
-	}
-	if src.String() != "time.Now via ViaOne → Clock" {
-		t.Errorf("Source.String() = %q", src.String())
-	}
-}
-
-func TestBlocking(t *testing.T) {
-	pass, sums := loadSums(t)
-	if s := sumOf(t, pass, sums, "Recv"); !s.MayBlock() {
-		t.Error("Recv should block")
-	}
-	s := sumOf(t, pass, sums, "RecvVia")
-	if !s.MayBlock() || !strings.Contains(s.BlockReason, "Recv") {
-		t.Errorf("RecvVia block reason = %q, want a call-to-Recv reason", s.BlockReason)
-	}
-	for _, name := range []string{"Spawn", "Poll", "SeededRoll"} {
-		if s := sums.Of(pass, fn(t, pass, name)); s.MayBlock() {
-			t.Errorf("%s should not block (reason %q)", name, s.BlockReason)
-		}
-	}
-}
-
-// TestSCCConvergence: the mutually recursive Ping/Pong pair and the
-// self-recursive SelfClean must both reach a fixpoint, the former tainted,
-// the latter empty.
+// TestSCCConvergence: the mutually recursive PingSend/PongSend pair and
+// the self-recursive SelfClean must both reach a fixpoint, the former
+// sending on its channel, the latter with no channel ops.
 func TestSCCConvergence(t *testing.T) {
 	pass, sums := loadSums(t)
-	for _, name := range []string{"PingNondet", "PongNondet"} {
-		s := sumOf(t, pass, sums, name)
-		if _, ok := s.NondetFor("time.Now"); !ok {
-			t.Errorf("%s: recursion did not converge to the time.Now source (got %v)", name, s.Nondet)
+	for _, name := range []string{"PingSend", "PongSend"} {
+		if s := sumOf(t, pass, sums, name); !s.Params[0].Has(summary.OpSend) {
+			t.Errorf("%s: recursion did not converge to a send on ch (got %b)", name, s.Params[0])
 		}
 	}
-	if s := sums.Of(pass, fn(t, pass, "SelfClean")); s != nil && (len(s.Nondet) > 0 || s.MayBlock()) {
+	if s := sums.Of(pass, fn(t, pass, "SelfClean")); s != nil && s.Params[0] != 0 {
 		t.Errorf("SelfClean: summary should be empty, got %+v", s)
 	}
 }
@@ -159,6 +99,8 @@ func TestParamOps(t *testing.T) {
 		{"Hand", 0, summary.OpEscape},
 		{"Capture", 0, summary.OpEscape},
 		{"Opaque", 0, summary.OpEscape},
+		{"Poll", 0, summary.OpRecv},
+		{"UsePutter", 1, summary.OpSend}, // narrow CHA through Putter → SendPutter
 	}
 	for _, c := range cases {
 		s := sumOf(t, pass, sums, c.fn)
@@ -175,44 +117,20 @@ func TestParamOps(t *testing.T) {
 // TestFactsExported: non-empty summaries must be exported as facts keyed by
 // object, so downstream packages can import them.
 func TestFactsExported(t *testing.T) {
-	pass, sums := loadSums(t)
-	_ = sums
+	pass, _ := loadSums(t)
 	var fact summary.FnSummary
-	if !pass.ImportObjectFact(fn(t, pass, "Clock"), &fact) {
-		t.Fatal("Clock: no FnSummary fact exported")
+	if !pass.ImportObjectFact(fn(t, pass, "CloseIt"), &fact) {
+		t.Fatal("CloseIt: no FnSummary fact exported")
 	}
-	if _, ok := fact.NondetFor("time.Now"); !ok {
-		t.Errorf("Clock fact lacks the time.Now source: %+v", fact)
+	if len(fact.Params) != 1 || !fact.Params[0].Has(summary.OpClose) {
+		t.Errorf("CloseIt fact lacks the close of ch: %+v", fact)
 	}
 	// A clean function exports no fact.
 	var clean summary.FnSummary
 	if pass.ImportObjectFact(fn(t, pass, "SelfClean"), &clean) {
 		t.Errorf("SelfClean exported a fact: %+v", clean)
 	}
-}
-
-// TestSeededStdlibResolution: Of falls back to the seeded tables for
-// stdlib functions no pass analyzed.
-func TestSeededStdlibResolution(t *testing.T) {
-	pass, sums := loadSums(t)
-	timePkg := (*types.Package)(nil)
-	for _, imp := range pass.Pkg.Imports() {
-		if imp.Path() == "time" {
-			timePkg = imp
-		}
-	}
-	if timePkg == nil {
-		t.Fatal("fixture does not import time")
-	}
-	now, _ := timePkg.Scope().Lookup("Now").(*types.Func)
-	s := sums.Of(pass, now)
-	if s == nil {
-		t.Fatal("no seeded summary for time.Now")
-	}
-	if _, ok := s.NondetFor("time.Now"); !ok {
-		t.Errorf("seeded time.Now summary = %+v", s)
-	}
-	if sums.Of(pass, nil) != nil {
+	if sums := (summary.Summaries{}); sums.Of(pass, nil) != nil {
 		t.Error("Of(nil) should be nil")
 	}
 }

@@ -1,118 +1,6 @@
 // Package sums is the summary test fixture.
 package sums
 
-import (
-	"math/rand"
-	"sort"
-	"time"
-)
-
-// ---- nondeterminism sources -------------------------------------------
-
-// Clock reads the wall clock directly.
-func Clock() int64 { return time.Now().UnixNano() }
-
-// Roll draws from the global math/rand source.
-func Roll() int { return rand.Intn(6) }
-
-// SeededRoll uses an explicitly seeded source: deterministic.
-func SeededRoll(seed int64) int { return rand.New(rand.NewSource(seed)).Intn(6) }
-
-// ViaOne reaches time.Now through one frame.
-func ViaOne() int64 { return Clock() }
-
-// ViaTwo reaches time.Now through two frames.
-func ViaTwo() int64 { return ViaOne() }
-
-// MapEmit ranges a map appending per-iteration: order feeds output.
-func MapEmit(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// MapSorted collects then sorts: the conventional deterministic pattern.
-func MapSorted(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MapReduce folds a map without emitting per-iteration order.
-func MapReduce(m map[string]int) int {
-	total := 0
-	for _, v := range m {
-		total += v
-	}
-	return total
-}
-
-// Race selects between two channels: scheduler-dependent arm order.
-func Race(a, b chan int) int {
-	select {
-	case v := <-a:
-		return v
-	case v := <-b:
-		return v
-	}
-}
-
-// ---- blocking ----------------------------------------------------------
-
-// Recv blocks on a channel receive.
-func Recv(ch chan int) int { return <-ch }
-
-// RecvVia blocks transitively.
-func RecvVia(ch chan int) int { return Recv(ch) }
-
-// Spawn launches the blocking work on another goroutine: the caller never
-// blocks.
-func Spawn(ch chan int) {
-	go func() { <-ch }()
-}
-
-// Poll uses a select with default: never blocks.
-func Poll(ch chan int) (int, bool) {
-	select {
-	case v := <-ch:
-		return v, true
-	default:
-		return 0, false
-	}
-}
-
-// ---- recursion / SCC convergence ---------------------------------------
-
-// PingNondet and PongNondet are mutually recursive; Pong bottoms out in the
-// clock, so both must converge to the time.Now source.
-func PingNondet(n int) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return PongNondet(n - 1)
-}
-
-func PongNondet(n int) int64 {
-	if n == 1 {
-		return Clock()
-	}
-	return PingNondet(n - 1)
-}
-
-// SelfClean recurses directly with no sources: the fixpoint must terminate
-// with an empty summary.
-func SelfClean(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return SelfClean(n - 1)
-}
-
 // ---- parameter ops -----------------------------------------------------
 
 // SendTo sends on its parameter.
@@ -120,6 +8,9 @@ func SendTo(ch chan int, v int) { ch <- v }
 
 // CloseIt closes its parameter.
 func CloseIt(ch chan int) { close(ch) }
+
+// Recv receives from its parameter.
+func Recv(ch chan int) int { return <-ch }
 
 // DrainVia receives from its parameter through a helper.
 func DrainVia(ch chan int) int { return Recv(ch) }
@@ -141,19 +32,57 @@ func Capture(ch chan int) {
 // track, so the parameter escapes.
 func Opaque(ch chan int, f func(chan int)) { f(ch) }
 
+// Poll receives in a select clause header.
+func Poll(ch chan int) (int, bool) {
+	select {
+	case v := <-ch:
+		return v, true
+	default:
+		return 0, false
+	}
+}
+
+// ---- recursion / SCC convergence ---------------------------------------
+
+// PingSend and PongSend are mutually recursive; Pong bottoms out in a send,
+// so both must converge to a sent-on parameter.
+func PingSend(ch chan int, n int) {
+	if n <= 0 {
+		return
+	}
+	PongSend(ch, n-1)
+}
+
+func PongSend(ch chan int, n int) {
+	if n == 1 {
+		ch <- n
+		return
+	}
+	PingSend(ch, n-1)
+}
+
+// SelfClean recurses directly with no channel ops: the fixpoint must
+// terminate with an empty summary.
+func SelfClean(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return SelfClean(n - 1)
+}
+
 // ---- interface dispatch ------------------------------------------------
 
-// Ticker has two implementations: narrow dispatch, CHA applies.
-type Ticker interface{ Tick() int64 }
+// Putter has two implementations: narrow dispatch, CHA applies.
+type Putter interface{ Put(ch chan int) }
 
-type WallTicker struct{}
+type SendPutter struct{}
 
-func (WallTicker) Tick() int64 { return time.Now().UnixNano() }
+func (SendPutter) Put(ch chan int) { ch <- 1 }
 
-type FixedTicker struct{ V int64 }
+type NopPutter struct{}
 
-func (f FixedTicker) Tick() int64 { return f.V }
+func (NopPutter) Put(ch chan int) {}
 
-// UseTicker dispatches through the narrow interface: the wall-clock
-// implementation taints it.
-func UseTicker(t Ticker) int64 { return t.Tick() }
+// UsePutter dispatches through the narrow interface: the sending
+// implementation marks its channel parameter sent-on.
+func UsePutter(p Putter, ch chan int) { p.Put(ch) }

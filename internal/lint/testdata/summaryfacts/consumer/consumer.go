@@ -1,28 +1,13 @@
 // Package consumer is the downstream half of the interprocedural summary
-// cross-package golden pair: each function here is a finding that exists
-// only when the driver analyzed provider first and its FnSummary facts
-// crossed the package boundary.
+// cross-package golden pair: its finding exists only when the driver
+// analyzed provider first and its FnSummary facts crossed the package
+// boundary.
 package consumer
 
 import "meda/internal/lint/testdata/summaryfacts/provider"
-
-// Key breaks its determinism contract through provider.Clock's fact.
-//
-//meda:deterministic
-func Key(seed int64) int64 {
-	return seed ^ provider.Clock() // finding: reaches time.Now via provider.Clock
-}
 
 // Leak launches a goroutine whose send lives inside provider.SendOn.
 func Leak() {
 	ch := make(chan int)
 	go provider.SendOn(ch, 1) // finding: send with no local receiver
-}
-
-// Shut closes ch and then hands it to provider.CloseOut, which closes it
-// again.
-func Shut() {
-	ch := make(chan int)
-	close(ch)
-	provider.CloseOut(ch) // finding: double close through the fact
 }

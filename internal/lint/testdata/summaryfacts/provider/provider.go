@@ -1,16 +1,8 @@
 // Package provider is the upstream half of the interprocedural summary
 // cross-package golden pair: the summary pass over this package exports
-// FnSummary facts (nondeterminism sources, channel parameter ops) that the
-// consumer package's analyzers must resolve through the shared fact store.
+// FnSummary facts (channel parameter ops) that the consumer package's
+// goroutineleak pass must resolve through the shared fact store.
 package provider
-
-import "time"
-
-// Clock reads the wall clock: its summary carries a time.Now source.
-func Clock() int64 { return time.Now().UnixNano() }
 
 // SendOn forwards v into ch: its summary marks parameter 0 as sent-on.
 func SendOn(ch chan int, v int) { ch <- v }
-
-// CloseOut closes ch: its summary marks parameter 0 as closed.
-func CloseOut(ch chan int) { close(ch) }

@@ -3,28 +3,22 @@
 // an unknown analyzer, and one suppressing nothing.
 package suppress
 
-func suppressed() {
-	ch := make(chan int)
-	close(ch)
-	//lint:ignore chanprotocol fixture exercises an accepted double close
-	close(ch)
+func suppressed(a, b float64) bool {
+	//lint:ignore floatcmp fixture exercises an accepted raw comparison
+	return a == b
 }
 
-func noReason() {
-	ch := make(chan int)
-	close(ch)
-	//lint:ignore chanprotocol
-	close(ch)
+func noReason(a, b float64) bool {
+	//lint:ignore floatcmp
+	return a == b
 }
 
-func unknownAnalyzer() {
-	ch := make(chan int)
-	close(ch)
+func unknownAnalyzer(a, b float64) bool {
 	//lint:ignore nosuchcheck the analyzer name is misspelled
-	close(ch)
+	return a == b
 }
 
 func stale() {
-	//lint:ignore chanprotocol nothing on this line ever fires
+	//lint:ignore floatcmp nothing on this line ever fires
 	_ = 0
 }

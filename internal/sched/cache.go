@@ -51,8 +51,6 @@ const (
 // already be dispense-normalized. Obstacle lists are deliberately not part
 // of the key: obstacles are transient droplet positions, and the router
 // bypasses the cache whenever they are present.
-//
-//meda:deterministic
 func NewCacheKey(rj route.RJ, opt synth.Options, health uint64) CacheKey {
 	return CacheKey{
 		Start:  rj.Start,
@@ -67,8 +65,6 @@ func NewCacheKey(rj route.RJ, opt synth.Options, health uint64) CacheKey {
 // window reads a uniform health code, returning the key and the transform
 // from job coordinates to canonical coordinates (needed to de-canonicalize
 // a cached policy on lookup, and to canonicalize a fresh one on store).
-//
-//meda:deterministic
 func NewCanonicalCacheKey(rj route.RJ, opt synth.Options, code int) (CacheKey, synth.Transform) {
 	crj, tf := synth.Canonicalize(rj)
 	return CacheKey{
@@ -83,8 +79,6 @@ func NewCanonicalCacheKey(rj route.RJ, opt synth.Options, code int) (CacheKey, s
 
 // Hash folds the key into 64 bits — the identity handed to a FaultInjector,
 // which must not depend on sched's internal key layout.
-//
-//meda:deterministic
 func (k CacheKey) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -281,3 +281,22 @@ func TestCacheKeyHash(t *testing.T) {
 		t.Error("distinct keys collide")
 	}
 }
+
+// TestCacheKeyHashPinned: the hash keys fault-injection decisions, which
+// must replay across processes, so Hash must be a fixed function of the
+// fields. Every field here is distinct and nonzero, so a change in the
+// order fields are folded (a map range, say) shows too; the pinned value
+// catches anything that varies between runs (a clock read, a per-process
+// seed).
+func TestCacheKeyHashPinned(t *testing.T) {
+	k := CacheKey{
+		Start: rect(2, 3, 4, 5), Goal: rect(20, 9, 22, 11), Hazard: rect(1, 2, 24, 14),
+		Opts: 0x1234_5678, Health: 0x9abc_def0, Form: FormCanon,
+	}
+	const want = 0xd451e514a701d541
+	for i := 0; i < 64; i++ {
+		if got := k.Hash(); got != want {
+			t.Fatalf("call %d: Hash() = %#x, want %#x", i, got, uint64(want))
+		}
+	}
+}

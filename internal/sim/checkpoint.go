@@ -31,8 +31,6 @@ type Checkpoint struct {
 
 // Digest folds the checkpoint into 64 bits for compact journaling: resume
 // verification compares digests, not whole structs.
-//
-//meda:deterministic
 func (cp Checkpoint) Digest() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -162,3 +162,24 @@ func TestCheckpointAbortedRunObservesLastCycleOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointDigestPinned: resume verification compares digests across
+// processes, so Digest must be a fixed function of the fields. Every field
+// here is distinct and nonzero, so a change in the order fields are folded
+// (a map range, say) shows too; the pinned value catches anything that
+// varies between runs (a clock read, a per-process seed).
+func TestCheckpointDigestPinned(t *testing.T) {
+	cp := Checkpoint{
+		Exec: Execution{
+			Cycles: 1000, JobsCompleted: 7, Stalls: 5, Resyntheses: 3,
+			Divergences: 2, HazardViolations: 11, Deadlocks: 13,
+		},
+		HealthHash: 0xfeedbeef, Droplets: 4,
+	}
+	const want = 0xad178a77c9e01293
+	for i := 0; i < 64; i++ {
+		if got := cp.Digest(); got != want {
+			t.Fatalf("call %d: Digest() = %#x, want %#x", i, got, uint64(want))
+		}
+	}
+}

@@ -19,8 +19,6 @@ import "meda/internal/geom"
 // by the margin tests the same Chebyshev separation) and commutes with
 // translations and the dihedral chip symmetries, since Expand is an
 // isometry-equivariant inflation.
-//
-//meda:deterministic
 func zoneConflict(a, b geom.Rect, margin int) bool {
 	return a.Expand(margin).Overlaps(b)
 }
@@ -38,8 +36,6 @@ func zoneConflict(a, b geom.Rect, margin int) bool {
 // A droplet that holds in place has cur == next, collapsing the three tests
 // into one. The predicate is symmetric in the two droplets and invariant
 // under any isometry applied to all four rectangles.
-//
-//meda:deterministic
 func HazardFree(curA, nextA, curB, nextB geom.Rect, margin int) bool {
 	if zoneConflict(nextA, nextB, margin) {
 		return false

@@ -291,9 +291,9 @@ type Arena struct {
 }
 
 // forceRing is the margin of cells around the hazard bounds that the force
-// snapshot also copies, matching chip.SnapshotForceField. No frontier reads
-// it (see snapshot); it keeps the snapshot indexable a double step past the
-// bounds.
+// snapshot also copies: two cells, the reach of a double step. No frontier
+// reads it (see snapshot); it keeps the snapshot indexable a double step
+// past the bounds.
 const forceRing = 2
 
 // Builds returns how many models this arena has induced; any value above 1

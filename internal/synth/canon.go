@@ -147,7 +147,6 @@ func (t Transform) InvertPolicy(p Policy) Policy {
 // windows is uniform (chip.UniformHealth); canonicalization itself is pure
 // geometry.
 //
-//meda:deterministic
 //meda:hotpath
 func Canonicalize(rj route.RJ) (route.RJ, Transform) {
 	base := Transform{X0: rj.Hazard.XA, Y0: rj.Hazard.YA, W: rj.Hazard.Width(), H: rj.Hazard.Height()}

@@ -80,6 +80,45 @@ func TestCanonicalizeUnifiesSymmetryClass(t *testing.T) {
 	}
 }
 
+// TestCanonicalizeTieBreak: a job symmetric under a dihedral element has
+// several images equal to its canonical form, and Canonicalize must pick
+// the same transform every time — the lowest op among the tied images —
+// because the transform decides which of the mirror-image strategies a
+// cached canonical policy is mapped back to.
+func TestCanonicalizeTieBreak(t *testing.T) {
+	jobs := []route.RJ{
+		// Corner to opposite corner of a square: the diagonal swap ties.
+		{Start: rect(5, 5, 7, 7), Goal: rect(12, 12, 14, 14), Hazard: rect(5, 5, 14, 14)},
+		// Centered in a square: all eight images tie.
+		{Start: rect(8, 8, 10, 10), Goal: rect(8, 8, 10, 10), Hazard: rect(5, 5, 13, 13)},
+	}
+	for _, rj := range jobs {
+		want, wantT := Canonicalize(rj)
+		ties := 0
+		for op := uint8(0); op < numOps; op++ {
+			tf := wantT
+			tf.Op = op
+			w, h := tf.dims()
+			img := route.RJ{Start: tf.Apply(rj.Start), Goal: tf.Apply(rj.Goal), Hazard: rect(1, 1, w, h)}
+			if img != want {
+				continue
+			}
+			if ties == 0 && op != wantT.Op {
+				t.Errorf("%v: chose op %d, want the lowest tied op %d", rj, wantT.Op, op)
+			}
+			ties++
+		}
+		if ties < 2 {
+			t.Fatalf("%v: %d images tie; the job is not symmetric", rj, ties)
+		}
+		for i := 0; i < 64; i++ {
+			if got, gotT := Canonicalize(rj); got != want || gotT != wantT {
+				t.Fatalf("%v: call %d returned %v %+v, first call %v %+v", rj, i, got, gotT, want, wantT)
+			}
+		}
+	}
+}
+
 // TestConjugationTables: conjugation must preserve action class, and the
 // inverse table must invert the forward one for every dihedral element.
 func TestConjugationTables(t *testing.T) {

@@ -69,16 +69,6 @@ func (s Stats) Total() time.Duration { return s.Construction + s.Synthesis }
 // to issue for each droplet rectangle.
 type Policy map[geom.Rect]action.Action
 
-// Translate returns the policy shifted by (dx, dy), used by the offline
-// strategy library to reuse a strategy synthesized at a canonical position.
-func (p Policy) Translate(dx, dy int) Policy {
-	out := make(Policy, len(p))
-	for d, a := range p {
-		out[d.Translate(dx, dy)] = a
-	}
-	return out
-}
-
 // Result is the outcome of Alg. 2.
 type Result struct {
 	// Policy is π, empty when no strategy exists.

@@ -161,20 +161,6 @@ func TestNormalizeDispense(t *testing.T) {
 	}
 }
 
-func TestPolicyTranslate(t *testing.T) {
-	p := Policy{rect(1, 1, 3, 3): action.MoveNE, rect(2, 1, 4, 3): action.MoveN}
-	q := p.Translate(10, 5)
-	if len(q) != 2 {
-		t.Fatal("translated policy size wrong")
-	}
-	if q[rect(11, 6, 13, 8)] != action.MoveNE {
-		t.Error("translation lost an entry")
-	}
-	if q[rect(12, 6, 14, 8)] != action.MoveN {
-		t.Error("translation lost an entry")
-	}
-}
-
 // TestTranslationInvariance: synthesizing the same job shifted by (dx, dy)
 // on a uniform field yields the shifted policy — the property that makes the
 // offline strategy library sound.
@@ -194,7 +180,10 @@ func TestTranslationInvariance(t *testing.T) {
 	if math.Abs(a.Value-b.Value) > 1e-9 {
 		t.Fatalf("values differ: %v vs %v", a.Value, b.Value)
 	}
-	moved := a.Policy.Translate(7, 3)
+	moved := make(Policy, len(a.Policy))
+	for d, act := range a.Policy {
+		moved[d.Translate(7, 3)] = act
+	}
 	if len(moved) != len(b.Policy) {
 		t.Fatalf("policy sizes differ: %d vs %d", len(moved), len(b.Policy))
 	}
