@@ -116,14 +116,17 @@ func Compute(pass *analysis.Pass) Summaries {
 	for _, scc := range g.SCCs() {
 		// Iterate the component to a fixpoint. Singleton components without
 		// self-loops stabilize in one pass; recursive components grow their
-		// summaries monotonically until nothing changes.
+		// summaries monotonically until nothing changes. Each member starts
+		// from the empty summary, so a call to a member not yet summarized
+		// reads "no ops yet" rather than an opaque callee, whose arguments
+		// would escape for good: the fixpoint only ever adds bits.
+		for _, n := range scc {
+			sums[n.Fn] = &FnSummary{Params: make([]ParamOps, len(paramVars(pass.TypesInfo, n.Decl)))}
+		}
 		for changed := true; changed; {
 			changed = false
 			for _, n := range scc {
-				old := ""
-				if prev, ok := sums[n.Fn]; ok {
-					old = prev.fingerprint()
-				}
+				old := sums[n.Fn].fingerprint()
 				next := summarize(pass, sums, n)
 				if next.fingerprint() != old {
 					changed = true

@@ -61,13 +61,14 @@ func PongSend(ch chan int, n int) {
 	PingSend(ch, n-1)
 }
 
-// SelfClean recurses directly with no channel ops: the fixpoint must
-// terminate with an empty summary.
-func SelfClean(n int) int {
+// SelfClean recurses directly, handing its channel to itself, with no
+// channel ops: the fixpoint must terminate with an empty summary, the
+// channel neither used nor escaping.
+func SelfClean(ch chan int, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	return SelfClean(n - 1)
+	return SelfClean(ch, n-1)
 }
 
 // ---- interface dispatch ------------------------------------------------

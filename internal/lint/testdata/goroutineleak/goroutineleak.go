@@ -8,6 +8,14 @@ func sendDeep(ch chan int) { reallySend(ch) }
 
 func drain(ch chan int) { <-ch }
 
+// idle hands its channel only to itself: it neither uses it nor lets it
+// escape.
+func idle(ch chan int, n int) {
+	if n > 0 {
+		idle(ch, n-1)
+	}
+}
+
 // LeakSend launches a sender nobody ever receives from.
 func LeakSend() {
 	ch := make(chan int)
@@ -37,6 +45,16 @@ func LeakDeep() {
 func LeakGoCall() {
 	ch := make(chan int)
 	go drain(ch) // want `goroutine receives on ch but nothing sends on or closes it`
+}
+
+// LeakPastRecursion leaks although the channel is handed to a recursive
+// helper: the helper's summary shows it does nothing with the channel.
+func LeakPastRecursion() {
+	ch := make(chan int)
+	go func() { // want `goroutine sends on ch but the enclosing function never receives from it`
+		ch <- 1
+	}()
+	idle(ch, 3)
 }
 
 // BufferedOK: the buffer absorbs the send.

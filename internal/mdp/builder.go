@@ -39,9 +39,7 @@ func (b *Builder) Reset() {
 	g.rewards = g.rewards[:0]
 	g.tos = g.tos[:0]
 	g.probs = g.probs[:0]
-	g.revBuilt = false
-	g.slBuilt = false
-	g.predBuilt = false
+	g.indexed = false
 }
 
 // AddStates reserves n fresh states and returns the id of the first.

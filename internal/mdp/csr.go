@@ -12,7 +12,10 @@
 // costs replaces it with one BFS that also yields the exact Rmin values
 // (unitDistances). Folded into per-state predecessor
 // lists, it also drives the change-driven Gauss-Seidel sweeps: a state is
-// backed up again only after a successor's value changed. Gauss-Seidel, the
+// backed up again only after a successor's value changed. The Bellman
+// backups take a state's deterministic choices as one min (max) over their
+// successors' values and walk the transitions of the others. One index
+// pass builds all of this once per model. Gauss-Seidel, the
 // default solver, alternates sweep direction each iteration so value
 // information propagates end to end regardless of how state ids are ordered
 // relative to the goal; Jacobi sweeps from the previous iterate and serves
@@ -36,32 +39,40 @@ type csr struct {
 	tos       []int32   // per transition: successor state
 	probs     []float64 // per transition
 
-	// Reverse-edge index over positive-probability transitions, built lazily
-	// by reverseIndex(): revChoice lists the (global) choice ids with an
-	// incoming edge to state t in [revOff[t], revOff[t+1]); choiceState maps
-	// a global choice id back to its owning state. revBuilt gates the lazy
-	// build so Builder.Reset can recycle the slabs in place.
-	revBuilt    bool
+	// The solver index: everything the solvers read besides the forward
+	// slabs. It depends only on the model structure, so index() builds it
+	// once per model, in one counting and one fill sweep over the
+	// transitions, and Builder.Reset recycles the slabs in place.
+	indexed bool
+	// Reverse-edge index over positive-probability transitions: revChoice
+	// lists the (global) choice ids with an incoming edge to state t in
+	// [revOff[t], revOff[t+1]), once each and ascending; choiceState maps a
+	// global choice id back to its owning state.
 	revOff      []int32
 	revChoice   []int32
 	choiceState []int32
-
 	// Per-choice self-loop factor 1/(1-q) for the self-loop-eliminated
-	// backups (0 marks a pure self-loop choice, which those backups skip),
-	// built lazily by selfLoopInv(). Like the reverse index it depends only
-	// on the model structure, so it is built once and recycled by
-	// Builder.Reset.
-	slBuilt bool
-	slInv   []float64
-	// Per-state predecessors for the change-driven Gauss-Seidel sweeps,
-	// built lazily by predLists(): slPreds[slPredOff[t]:slPredOff[t+1]]
-	// lists, once each and in ascending order, the states other than t that
-	// own a choice with a positive-probability edge into t — the states
-	// whose self-loop-eliminated backups read t's value. It is the reverse
-	// index folded from choices to states, with self-loops dropped.
-	predBuilt bool
-	slPredOff []int32
-	slPreds   []int32
+	// backups, with q the choice's self-loop mass; 0 marks a pure
+	// self-loop choice, which those backups skip.
+	slInv []float64
+	// Per-state predecessors for the change-driven Gauss-Seidel sweeps:
+	// preds[predOff[t]:predOff[t+1]] lists, once each and in ascending
+	// order, the states other than t that own a choice with a
+	// positive-probability edge into t — the states whose
+	// self-loop-eliminated backups read t's value. It is the reverse index
+	// folded from choices to states, with self-loops dropped.
+	predOff []int32
+	preds   []int32
+	// The deterministic/other partition of each state's choices, which the
+	// backups walk instead of the choices themselves. Of the slots
+	// [stateOff[s], stateOff[s+1]) of part, [stateOff[s], detOff[s]) hold
+	// the global ids of the state's other choices, in order, and
+	// [detOff[s], stateOff[s+1]) the successors of its gathered choices —
+	// one transition, p exactly 1, to another state, reward bits
+	// detReward[s] — in reverse order.
+	detOff    []int32
+	detReward []float64
+	part      []int32
 
 	// Solver scratch, grown in place and reused across solves so a
 	// Builder-recycled model pays no per-solve allocations for it. The
@@ -71,9 +82,8 @@ type csr struct {
 	scrFrozen []bool
 	scrInU    []bool  // prob1E: candidate set U
 	scrInR    []bool  // prob1E: reach closure R
-	scrBad    []int32 // prob1E: per-choice leave-U counts
-	scrQueue  []int32 // worklist shared by prob1E and strategy extraction
-	scrMark   []int32 // reverseIndex: per-state dedup marks
+	scrBad    []bool  // prob1E: choices with a successor outside U
+	scrQueue  []int32 // index's dedup marks; worklist of prob1E and strategy extraction
 	scrDirty  []bool  // gauss-seidel: states whose backup inputs changed
 }
 
@@ -140,73 +150,130 @@ func (m *MDP) flatten() *csr {
 	return g
 }
 
-// reverseIndex builds the successor → incoming-choice index (positive-
-// probability edges only, deduplicated per choice) plus the choice → state
-// map. Idempotent.
-func (g *csr) reverseIndex() {
-	if g.revBuilt {
+// index builds the solver index in two sweeps over the transitions. The
+// counting sweep fills choiceState, slInv and the partition, and counts
+// each state's reverse-index entries and predecessors; the fill sweep
+// writes revChoice and preds into slabs sized exactly from those counts.
+// Both sweeps visit the choices in order, so one per-state mark — the last
+// choice with an edge into t — deduplicates both: a repeated (choice,
+// successor) pair finds its own choice there, and a repeated predecessor
+// an earlier choice of its own state, as a state's choices are contiguous.
+// Idempotent.
+//
+// A choice is gathered when it is deterministic — one transition, p
+// exactly 1, to another state — and its reward has the bits of the state's
+// first deterministic choice. The counting sweep writes the ids of the
+// other choices from the front of the state's part slots and the
+// successors of the gathered ones from the back. A state with a reward
+// whose sign bit is set gathers nothing (see the backups below).
+func (g *csr) index() {
+	if g.indexed {
 		return
 	}
-	nc := len(g.actions)
-	g.choiceState = growI(g.choiceState, nc)
-	for s := 0; s < g.n; s++ {
-		for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
-			g.choiceState[ci] = int32(s)
+	n, nc := g.n, len(g.actions)
+	stateOff, choiceOff, tos, probs, rewards := g.stateOff, g.choiceOff, g.tos, g.probs, g.rewards
+	choiceState := growI(g.choiceState, nc)
+	inv := growF(g.slInv, nc)
+	part := growI(g.part, nc)
+	detOff := growI(g.detOff, n)
+	detReward := growF(g.detReward, n)
+	revOff := growI(g.revOff, n+1)
+	predOff := growI(g.predOff, n+1)
+	for i := range revOff {
+		revOff[i], predOff[i] = 0, 0
+	}
+	mark := growI(g.scrQueue, n)
+	var revChoice, preds []int32
+	for fill := false; ; fill = true {
+		for i := range mark {
+			mark[i] = -1
 		}
-	}
-	// Counting pass. A choice may have several transitions into the same
-	// successor; deduplicate so the worklist visits each (choice, succ)
-	// pair once.
-	counts := growI(g.revOff, g.n+1)
-	for i := range counts {
-		counts[i] = 0
-	}
-	mark := growI(g.scrMark, g.n) // last choice that counted an edge into t
-	g.scrMark = mark
-	for i := range mark {
-		mark[i] = -1
-	}
-	for ci := 0; ci < nc; ci++ {
-		for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
-			if g.probs[ti] <= 0 {
+		for s := 0; s < n; s++ {
+			lo, hi := stateOff[s], stateOff[s+1]
+			front, back := lo, hi // part cursors: other choices, gathered successors
+			shared, signed := uint64(0), false
+			for ci := lo; ci < hi; ci++ {
+				q := 0.0
+				for ti := choiceOff[ci]; ti < choiceOff[ci+1]; ti++ {
+					if probs[ti] <= 0 {
+						continue
+					}
+					t := tos[ti]
+					if int(t) == s {
+						q += probs[ti]
+					}
+					if mark[t] == ci {
+						continue
+					}
+					pred := int(t) != s && mark[t] < lo
+					mark[t] = ci
+					if !fill {
+						revOff[t+1]++
+						if pred {
+							predOff[t+1]++
+						}
+						continue
+					}
+					revChoice[revOff[t]] = ci
+					revOff[t]++
+					if pred {
+						preds[predOff[t]] = int32(s)
+						predOff[t]++
+					}
+				}
+				if fill {
+					continue
+				}
+				choiceState[ci] = int32(s)
+				switch {
+				case q >= 1-1e-12:
+					inv[ci] = 0
+				case q > 0:
+					inv[ci] = 1 / (1 - q)
+				default:
+					inv[ci] = 1
+				}
+				r := math.Float64bits(rewards[ci])
+				signed = signed || math.Signbit(rewards[ci])
+				ti := choiceOff[ci]
+				if choiceOff[ci+1] == ti+1 && probs[ti] == 1 && int(tos[ti]) != s && (back == hi || r == shared) {
+					shared = r
+					back--
+					part[back] = tos[ti]
+				} else {
+					part[front] = ci
+					front++
+				}
+			}
+			if fill {
 				continue
 			}
-			t := g.tos[ti]
-			if mark[t] == int32(ci) {
-				continue
+			if signed {
+				for ci := lo; ci < hi; ci++ {
+					part[ci] = ci
+				}
+				back, shared = hi, 0
 			}
-			mark[t] = int32(ci)
-			counts[t+1]++
+			detOff[s], detReward[s] = back, math.Float64frombits(shared)
 		}
-	}
-	for t := 0; t < g.n; t++ {
-		counts[t+1] += counts[t]
-	}
-	g.revOff = counts
-	g.revChoice = growI(g.revChoice, int(counts[g.n]))
-	// Reuse the mark slab as the per-state write cursor; a second scratch
-	// tracks the dedup marks for the fill pass.
-	next := growI(g.scrQueue, g.n)
-	g.scrQueue = next
-	copy(next, counts[:g.n])
-	for i := range mark {
-		mark[i] = -1
-	}
-	for ci := 0; ci < nc; ci++ {
-		for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
-			if g.probs[ti] <= 0 {
-				continue
-			}
-			t := g.tos[ti]
-			if mark[t] == int32(ci) {
-				continue
-			}
-			mark[t] = int32(ci)
-			g.revChoice[next[t]] = int32(ci)
-			next[t]++
+		if fill {
+			break
 		}
+		for t := 0; t < n; t++ {
+			revOff[t+1] += revOff[t]
+			predOff[t+1] += predOff[t]
+		}
+		revChoice = growI(g.revChoice, int(revOff[n]))
+		preds = growI(g.preds, int(predOff[n]))
 	}
-	g.revBuilt = true
+	// The fill advanced each start offset to the next state's start; shift
+	// the offsets back.
+	copy(revOff[1:], revOff[:n])
+	copy(predOff[1:], predOff[:n])
+	revOff[0], predOff[0] = 0, 0
+	g.choiceState, g.slInv, g.part, g.detOff, g.detReward = choiceState, inv, part, detOff, detReward
+	g.revOff, g.revChoice, g.predOff, g.preds, g.scrQueue = revOff, revChoice, predOff, preds, mark
+	g.indexed = true
 }
 
 // bellmanMaxSL and bellmanMinSL are the self-loop-eliminated Bellman
@@ -222,88 +289,32 @@ func (g *csr) reverseIndex() {
 // which has the same fixpoint and optimal strategies; at the fixpoint a
 // plain one-step choice value equals the state value exactly, so strategy
 // extraction over the original model is unaffected. The 1/(1−q) factors are
-// a static model property and are precomputed once by selfLoopInv().
-
-// selfLoopInv builds the per-choice 1/(1-q) slab, with q the choice's
-// self-loop probability mass; choices with q ≈ 1 (pure self-loops) get 0 as
-// a skip marker. It builds the reverse index first, for choiceState.
-// Idempotent.
-func (g *csr) selfLoopInv() {
-	if g.slBuilt {
-		return
-	}
-	g.reverseIndex()
-	nc := len(g.actions)
-	inv := growF(g.slInv, nc)
-	for ci := 0; ci < nc; ci++ {
-		q := 0.0
-		s := int(g.choiceState[ci])
-		for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
-			if g.probs[ti] > 0 && int(g.tos[ti]) == s {
-				q += g.probs[ti]
-			}
-		}
-		switch {
-		case q >= 1-1e-12:
-			inv[ci] = 0
-		case q > 0:
-			inv[ci] = 1 / (1 - q)
-		default:
-			inv[ci] = 1
-		}
-	}
-	g.slInv = inv
-	g.slBuilt = true
-}
-
-// predLists folds the reverse index into the per-state predecessor lists:
-// count them, size the slab exactly, then fill it. revChoice is ascending
-// and a state's choices are contiguous, so repeated owners are adjacent.
-// Gauss-Seidel calls it on a solve's first value change, so a solve whose
-// first sweep changes nothing (a seeded one) never pays for it. Idempotent.
-func (g *csr) predLists() {
-	if g.predBuilt {
-		return
-	}
-	g.reverseIndex()
-	off := growI(g.slPredOff, g.n+1)
-	var preds []int32
-	for fill := false; ; fill = true {
-		k := int32(0)
-		for t := 0; t < g.n; t++ {
-			off[t] = k
-			last := int32(-1)
-			for ri := g.revOff[t]; ri < g.revOff[t+1]; ri++ {
-				if s := g.choiceState[g.revChoice[ri]]; s != last && int(s) != t {
-					if fill {
-						preds[k] = s
-					}
-					k++
-					last = s
-				}
-			}
-		}
-		off[g.n] = k
-		if fill {
-			break
-		}
-		preds = growI(g.slPreds, int(k))
-	}
-	g.slPredOff, g.slPreds = off, preds
-	g.predBuilt = true
-}
+// a static model property, precomputed by index().
+//
+// Both backups walk the partition: the other choices one by one, then the
+// gathered deterministic choices as one min (max) over their successors'
+// values. This returns the bits of a walk over every choice in order. A
+// gathered choice has slInv 1 and p = 1, so that walk would compute
+// fl(r + x) for it, and rounding is monotone, so the smallest of those is
+// fl(r + min x). The order of the walk cannot matter either: min and max
+// skip NaNs and agree on every other set of values except by picking +0
+// or −0 among equals, and no candidate is −0 — sums that start from a
+// reward without the sign bit never round to −0, which is why a state with
+// such a reward gathers nothing, and Pmax candidates start from +0.
 
 // bellmanMaxSL is max_c Σ_{t≠s} P·src[t]/(1−q_c) over the choices of s (0
 // with none). A pure self-loop choice (slInv 0) contributes 0, as if
 // skipped: it can only ever yield the state's current value, which a
-// from-below iterate never exceeds. Slab fields are hoisted into locals to
-// keep the inner loops tight.
+// from-below iterate never exceeds. A gathered choice contributes the value
+// of its successor. Slab fields are hoisted into locals to keep the inner
+// loops tight.
 //
 //meda:hotpath
 func (g *csr) bellmanMaxSL(s int, src []float64) float64 {
 	choiceOff, tos, probs, inv := g.choiceOff, g.tos, g.probs, g.slInv
+	mid := g.detOff[s]
 	best := 0.0
-	for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
+	for _, ci := range g.part[g.stateOff[s]:mid] {
 		v := 0.0
 		for ti := choiceOff[ci]; ti < choiceOff[ci+1]; ti++ {
 			if int(tos[ti]) != s {
@@ -315,20 +326,27 @@ func (g *csr) bellmanMaxSL(s int, src []float64) float64 {
 			best = v
 		}
 	}
+	for _, t := range g.part[mid:g.stateOff[s+1]] {
+		if x := src[t]; x > best {
+			best = x
+		}
+	}
 	return best
 }
 
 // bellmanMinSL is min_c (reward_c + Σ_{t≠s} P·src[t])/(1−q_c) over the
-// choices of s (+Inf with none). Zero-probability transitions are skipped
-// so 0·Inf does not poison finite values. A pure self-loop choice never
-// reaches the target, so its expected reward is +Inf and it is skipped
-// (slInv 0 would otherwise yield a spuriously cheap 0).
+// choices of s (+Inf with none); the gathered choices contribute
+// detReward[s] plus the least value of their successors. Zero-probability
+// transitions are skipped so 0·Inf does not poison finite values. A pure
+// self-loop choice never reaches the target, so its expected reward is +Inf
+// and it is skipped (slInv 0 would otherwise yield a spuriously cheap 0).
 //
 //meda:hotpath
 func (g *csr) bellmanMinSL(s int, src []float64) float64 {
 	choiceOff, tos, probs, inv := g.choiceOff, g.tos, g.probs, g.slInv
+	mid, hi := g.detOff[s], g.stateOff[s+1]
 	best := math.Inf(1)
-	for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
+	for _, ci := range g.part[g.stateOff[s]:mid] {
 		if inv[ci] == 0 {
 			continue
 		}
@@ -340,6 +358,17 @@ func (g *csr) bellmanMinSL(s int, src []float64) float64 {
 		}
 		v *= inv[ci]
 		if v < best {
+			best = v
+		}
+	}
+	if mid < hi {
+		m := math.Inf(1)
+		for _, t := range g.part[mid:hi] {
+			if x := src[t]; x < m {
+				m = x
+			}
+		}
+		if v := g.detReward[s] + m; v < best {
 			best = v
 		}
 	}
@@ -425,10 +454,9 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellma
 	// stays clean until one of those values changes its bits: its backup
 	// would recompute the bits it already holds, and skipping it leaves
 	// vals, the residual, the worst state and the sweep count exactly those
-	// of full sweeps. A changed value re-dirties its predecessors, whose
-	// lists are built on the first change.
-	g.selfLoopInv()
-	var predOff, preds []int32
+	// of full sweeps. A changed value re-dirties its predecessors.
+	g.index()
+	predOff, preds := g.predOff, g.preds
 	dirty := growB(g.scrDirty, g.n)
 	g.scrDirty = dirty
 	for s := range dirty {
@@ -456,10 +484,6 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellma
 				worst = s
 			}
 			vals[s] = v
-			if predOff == nil {
-				g.predLists()
-				predOff, preds = g.slPredOff, g.slPreds
-			}
 			for _, p := range preds[predOff[s]:predOff[s+1]] {
 				dirty[p] = true
 			}
@@ -500,7 +524,7 @@ func (g *csr) convergenceError(worst int, delta float64, iters int) error {
 // non-target state, or nil when the model does not qualify.
 func (g *csr) unitDistances(target, avoid []bool, dist []float64) ([]bool, int) {
 	t0 := time.Now()
-	g.reverseIndex()
+	g.index()
 	for s := 0; s < g.n; s++ {
 		if target[s] || (avoid != nil && avoid[s]) {
 			continue
@@ -567,10 +591,11 @@ func (g *csr) unitDistances(target, avoid []bool, dist []float64) ([]bool, int) 
 // prob1E is the qualitative almost-sure-reachability pass over the CSR
 // model: the greatest fixpoint over U of "can reach target with positive
 // probability using choices that stay inside U". The inner least fixpoint is
-// a backward worklist over the reverse-edge index — each outer round costs
-// one scan of the transitions (to refresh per-choice leave-U counts) plus
-// work proportional to the edges actually propagated, instead of repeated
-// full forward sweeps.
+// a backward worklist over the reverse-edge index. U only shrinks, so a
+// choice with a successor outside U never stays inside U again: the
+// per-choice flags that say so are set incrementally, by walking the
+// incoming edges of each state as it leaves U, and an outer round costs its
+// worklist plus the states it removes, not a rescan of every transition.
 //
 // The returned slice is solver scratch owned by g: it is valid until the
 // next solve (or prob1E call) on the same model. MDP.Prob1E copies it for
@@ -581,30 +606,31 @@ func (g *csr) prob1E(target, avoid []bool) []bool {
 		telProb1ECalls.Inc()
 		telProb1ENs.Add(time.Since(t0).Nanoseconds())
 	}()
-	g.reverseIndex()
-	nc := len(g.actions)
+	g.index()
 	inU := growB(g.scrInU, g.n)
 	g.scrInU = inU
-	for s := 0; s < g.n; s++ {
-		inU[s] = avoid == nil || !avoid[s]
-	}
 	inR := growB(g.scrInR, g.n)
 	g.scrInR = inR
-	bad := growI(g.scrBad, nc) // per choice: #positive transitions leaving U
+	bad := growB(g.scrBad, len(g.actions))
 	g.scrBad = bad
+	for ci := range bad {
+		bad[ci] = false
+	}
 	queue := growI(g.scrQueue, g.n)[:0]
 	g.scrQueue = queue
+	leave := func(t int) {
+		inU[t] = false
+		for _, ci := range g.revChoice[g.revOff[t]:g.revOff[t+1]] {
+			bad[ci] = true
+		}
+	}
+	for s := 0; s < g.n; s++ {
+		inU[s] = true
+		if avoid != nil && avoid[s] {
+			leave(s)
+		}
+	}
 	for {
-		for ci := range bad {
-			bad[ci] = 0
-		}
-		for ci := 0; ci < nc; ci++ {
-			for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
-				if g.probs[ti] > 0 && !inU[g.tos[ti]] {
-					bad[ci]++
-				}
-			}
-		}
 		queue = queue[:0]
 		for s := 0; s < g.n; s++ {
 			inR[s] = inU[s] && target[s]
@@ -618,7 +644,7 @@ func (g *csr) prob1E(target, avoid []bool) []bool {
 			for ri := g.revOff[t]; ri < g.revOff[t+1]; ri++ {
 				ci := g.revChoice[ri]
 				s := g.choiceState[ci]
-				if !inU[s] || inR[s] || bad[ci] > 0 {
+				if !inU[s] || inR[s] || bad[ci] {
 					continue
 				}
 				inR[s] = true
@@ -627,10 +653,10 @@ func (g *csr) prob1E(target, avoid []bool) []bool {
 		}
 		same := true
 		for s := 0; s < g.n; s++ {
-			if inU[s] != inR[s] {
+			if inU[s] && !inR[s] {
 				same = false
+				leave(s)
 			}
-			inU[s] = inR[s]
 		}
 		if same {
 			return inU

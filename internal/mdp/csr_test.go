@@ -47,15 +47,16 @@ func randomLabeledMDP(n int, src *randx.Source) (*MDP, []bool, []bool) {
 }
 
 // referenceProb1E is the original forward-scan fixpoint, kept in the test as
-// the oracle for the CSR worklist implementation.
-func referenceProb1E(m *MDP, target, avoid []bool) []bool {
+// the oracle for the CSR worklist implementation. It also reports the outer
+// rounds it ran, the last one being the round that changed nothing.
+func referenceProb1E(m *MDP, target, avoid []bool) ([]bool, int) {
 	n := m.NumStates()
 	inU := make([]bool, n)
 	for s := 0; s < n; s++ {
 		inU[s] = avoid == nil || !avoid[s]
 	}
 	inR := make([]bool, n)
-	for {
+	for rounds := 1; ; rounds++ {
 		for s := 0; s < n; s++ {
 			inR[s] = inU[s] && target[s]
 		}
@@ -95,22 +96,69 @@ func referenceProb1E(m *MDP, target, avoid []bool) []bool {
 			inU[s] = inR[s]
 		}
 		if same {
-			return inU
+			return inU, rounds
 		}
 	}
 }
 
+// chainAvoidMDP extends a random labeled MDP with a chain that peels off
+// one state per outer round of Prob1E. A fresh absorbing target T and
+// avoid state A are added, then states x1..xk where x_i flips a fair coin
+// between T and x_{i-1} (x_0 = A) or idles in a self-loop. x1 leaves in
+// the first round; x_i reaches T inside U until x_{i-1} has left, so it
+// leaves in round i. A few random states gain a choice into x_k, so the
+// peeling carries on into the random part of the model.
+func chainAvoidMDP(src *randx.Source) (*MDP, []bool, []bool) {
+	m, target, avoid := randomLabeledMDP(20+src.IntN(40), src)
+	base := m.NumStates()
+	k := 2 + src.IntN(5)
+	tgt, av := m.AddState(), m.AddState()
+	m.AddChoice(tgt, 0, 0, []Transition{{To: tgt, P: 1}})
+	m.AddChoice(av, 0, 0, []Transition{{To: av, P: 1}})
+	target = append(target, true, false)
+	avoid = append(avoid, false, true)
+	prev := av
+	for i := 0; i < k; i++ {
+		x := m.AddState()
+		m.AddChoice(x, 0, 1, []Transition{{To: tgt, P: 0.5}, {To: prev, P: 0.5}})
+		m.AddChoice(x, 1, 1, []Transition{{To: x, P: 1}})
+		target = append(target, false)
+		avoid = append(avoid, false)
+		prev = x
+	}
+	for i := 0; i < 3; i++ {
+		m.AddChoice(StateID(src.IntN(base)), 9, 1, []Transition{{To: prev, P: 1}})
+	}
+	return m, target, avoid
+}
+
+// TestProb1EMatchesReference checks the incremental worklist fixpoint
+// against the forward-scan reference on random models, and on models whose
+// avoid chains need three or more outer rounds.
 func TestProb1EMatchesReference(t *testing.T) {
 	src := randx.New(7)
-	for trial := 0; trial < 40; trial++ {
-		m, target, avoid := randomLabeledMDP(20+src.IntN(60), src.SplitN("mdp", trial))
+	deep := 0
+	for trial := 0; trial < 80; trial++ {
+		var m *MDP
+		var target, avoid []bool
+		if trial < 40 {
+			m, target, avoid = randomLabeledMDP(20+src.IntN(60), src.SplitN("mdp", trial))
+		} else {
+			m, target, avoid = chainAvoidMDP(src.SplitN("chain", trial))
+		}
 		got := m.Prob1E(target, avoid)
-		want := referenceProb1E(m, target, avoid)
+		want, rounds := referenceProb1E(m, target, avoid)
+		if rounds >= 3 {
+			deep++
+		}
 		for s := range got {
 			if got[s] != want[s] {
-				t.Fatalf("trial %d: Prob1E disagrees at state %d: got %v want %v", trial, s, got[s], want[s])
+				t.Fatalf("trial %d (%d rounds): Prob1E disagrees at state %d: got %v want %v", trial, rounds, s, got[s], want[s])
 			}
 		}
+	}
+	if deep < 40 {
+		t.Fatalf("%d of 80 models needed three or more outer rounds, want at least 40", deep)
 	}
 }
 

@@ -9,13 +9,55 @@ import (
 	"meda/internal/randx"
 )
 
-// fullSweepGS is Gauss-Seidel with full sweeps: every non-frozen state is
-// backed up in every sweep, alternating direction.
-// It is the oracle for csr.iterate, which must reproduce its values,
+// refMaxSL and refMinSL are the reference self-loop-eliminated backups:
+// bellmanMaxSL and bellmanMinSL as a walk over every choice of s in order,
+// each through the general per-transition loop, without the
+// deterministic/other partition.
+func refMaxSL(g *csr, s int, src []float64) float64 {
+	best := 0.0
+	for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
+		v := 0.0
+		for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
+			if int(g.tos[ti]) != s {
+				v += g.probs[ti] * src[g.tos[ti]]
+			}
+		}
+		v *= g.slInv[ci]
+		if v > best {
+			best = v
+		}
+	}
+	return best
+}
+
+func refMinSL(g *csr, s int, src []float64) float64 {
+	best := math.Inf(1)
+	for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
+		if g.slInv[ci] == 0 {
+			continue
+		}
+		v := g.rewards[ci]
+		for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
+			if p := g.probs[ti]; p > 0 && int(g.tos[ti]) != s {
+				v += p * src[g.tos[ti]]
+			}
+		}
+		v *= g.slInv[ci]
+		if v < best {
+			best = v
+		}
+	}
+	return best
+}
+
+// fullSweepGS is Gauss-Seidel with full sweeps over the reference backup
+// ref, which it runs in place of the solve's own: every non-frozen state is
+// backed up in every sweep, alternating direction. It is the oracle for
+// csr.iterate and the partitioned backups, which must reproduce its values,
 // residuals and sweep counts bit for bit. backups counts the Bellman
 // backups it evaluates.
-func fullSweepGS(backups *int) viFunc {
-	return func(g *csr, vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, error) {
+func fullSweepGS(backups *int, ref backupFunc) viFunc {
+	return func(g *csr, vals []float64, frozen []bool, opt SolveOptions, _ backupFunc) (int, error) {
 		for iters := 0; iters < opt.MaxIter; iters++ {
 			delta, worst := 0.0, -1
 			backup := func(s int) {
@@ -23,7 +65,7 @@ func fullSweepGS(backups *int) viFunc {
 					return
 				}
 				*backups++
-				v := bellman(g, s, vals)
+				v := ref(g, s, vals)
 				if d := math.Abs(v - vals[s]); d > delta {
 					delta = d
 					worst = s
@@ -56,7 +98,7 @@ func fullSweepGS(backups *int) viFunc {
 type exactStats struct{ Backups, FullBackups, Exhausted int }
 
 // diffSolves solves m for Rmin and Pmax with the production Gauss-Seidel
-// solver and with the full-sweep reference, and describes the first
+// solver and with full sweeps over the reference backups, and describes the first
 // difference between them: an error, a ConvergenceError field, a value's
 // bits, a strategy pick or an iteration count. The error is nil when both
 // solves are bit-identical.
@@ -67,14 +109,15 @@ func diffSolves(m *MDP, target, avoid []bool, opt SolveOptions) (exactStats, err
 		name string
 		prod func(target, avoid []bool, opt SolveOptions) (Result, error)
 		ref  func(target, avoid []bool, opt SolveOptions, vi viFunc) (Result, error)
+		bk   backupFunc
 	}{
-		{"Rmin", m.MinExpectedReward, m.minExpectedReward},
-		{"Pmax", m.MaxReachProb, m.maxReachProb},
+		{"Rmin", m.MinExpectedReward, m.minExpectedReward, refMinSL},
+		{"Pmax", m.MaxReachProb, m.maxReachProb, refMaxSL},
 	} {
 		before := telBackups.Value()
 		a, aerr := q.prod(target, avoid, opt)
 		st.Backups += int(telBackups.Value() - before)
-		b, berr := q.ref(target, avoid, opt, fullSweepGS(&st.FullBackups))
+		b, berr := q.ref(target, avoid, opt, fullSweepGS(&st.FullBackups, q.bk))
 		if d := diffResult(a, aerr, b, berr); d != "" {
 			return st, fmt.Errorf("%s: %s", q.name, d)
 		}
@@ -132,11 +175,17 @@ func diffResult(a Result, aerr error, b Result, berr error) string {
 // near-pure self-loop choices (the latter make an almost-surely-winning
 // state's Rmin +Inf), states with no choice, non-almost-sure states pinned
 // at +Inf, and iteration caps that run out. Models are built through the
-// Builder or through AddChoice. With unitMode, one mode bit instead yields
-// a deterministic model with unit costs (decodeUnitMDP), reported by unit;
-// without it that bit is ignored, so the byte string decodes to the same
-// general model either way. Exhausted input reads as zeros, so every byte
-// string decodes.
+// Builder or through AddChoice. One mode bit adds the corners of the
+// backups' deterministic/other partition: several deterministic choices in
+// one state, with the reward of the first or another one, next to
+// stochastic siblings and into avoid states (+Inf successors); p = 1 edges
+// beside zero-probability ones; and −0 rewards, which keep a state off the
+// gathered path, with sub-stochastic self-loops that turn them into −0
+// backups. With unitMode, another mode bit instead yields a deterministic
+// model with unit costs (decodeUnitMDP), reported by unit; without it that
+// bit is ignored, so the byte string decodes to the same general model
+// either way. Exhausted input reads as zeros, so every byte string
+// decodes.
 func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, opt SolveOptions, unit bool) {
 	next := func() int {
 		if len(data) == 0 {
@@ -154,6 +203,7 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 	}
 	mode := next()
 	builder := mode%2 == 0
+	partition := mode/4%2 == 1
 	if unitMode && mode/2%2 == 1 {
 		m, target, avoid = decodeUnitMDP(next, builder)
 		return m, target, avoid, opt, true
@@ -169,6 +219,12 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 			avoid[s] = true
 		}
 	}
+	var sinks []int // avoid states: Rmin pins them at +Inf
+	for s := range avoid {
+		if avoid[s] {
+			sinks = append(sinks, s)
+		}
+	}
 	var b Builder
 	b.Reset()
 	b.AddStates(n)
@@ -179,14 +235,43 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 		if !target[s] && nc == 0 && next()%4 != 0 {
 			nc = 1 // keep deadlocks a minority
 		}
+		if partition {
+			nc += next() % 3
+		}
+		haveDet, detReward := false, 0.0 // the reward of s's first deterministic choice
 		for c := 0; c < nc; c++ {
 			reward := float64(next() % 4)
+			kind := next() % 8
+			if partition {
+				if next()%8 == 0 {
+					reward = math.Copysign(0, -1)
+				}
+				kind = next() % 13
+			}
 			var trs []Transition
-			switch next() % 8 {
+			switch kind {
 			case 0: // pure self-loop
 				trs = []Transition{{To: StateID(s), P: 1}}
 			case 1: // near-pure self-loop: slInv marks it 0 though it leaves
 				trs = []Transition{{To: StateID(s), P: 1 - 1e-13}, {To: StateID(next() % n), P: 1e-13}}
+			case 8, 9, 10: // deterministic, gathered when its reward is the first one's
+				if haveDet && next()%2 == 0 {
+					reward = detReward
+				} else if !haveDet {
+					haveDet, detReward = true, reward
+				}
+				to := next() % n
+				if len(sinks) > 0 && next()%4 == 0 {
+					to = sinks[next()%len(sinks)] // a +Inf successor
+				}
+				trs = []Transition{{To: StateID(to), P: 1}}
+			case 11: // a p = 1 edge beside a zero-probability one: not gathered
+				trs = []Transition{{To: StateID(next() % n), P: 1}, {To: StateID(next() % n), P: 0}}
+			case 12:
+				// A self-loop 1e-7 short of 1, as Validate allows: with a
+				// −0 reward its backup is −0, which must not tie with a
+				// gathered +0.
+				trs = []Transition{{To: StateID(s), P: 1 - 1e-7}}
 			default:
 				nt := 1 + next()%4
 				total := 0

@@ -325,7 +325,7 @@ func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (R
 		}
 		frozen[s] = target[s] || (avoid != nil && avoid[s]) || g.stateOff[s] == g.stateOff[s+1]
 	}
-	g.selfLoopInv()
+	g.index()
 	iters, err := vi(g, vals, frozen, opt, (*csr).bellmanMaxSL)
 	if err != nil {
 		return Result{}, err
@@ -338,7 +338,7 @@ func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (R
 	// to an already-resolved state, so every step makes progress. The
 	// resolution front is propagated over the reverse-edge index: a state
 	// is (re)examined only when one of its successors resolves, instead of
-	// rescanning all states to fixpoint. selfLoopInv built the index.
+	// rescanning all states to fixpoint.
 	strat := make(Strategy, n)
 	for s := 0; s < n; s++ {
 		strat[s] = -1
@@ -426,6 +426,7 @@ func (m *MDP) minExpectedReward(target, avoid []bool, opt SolveOptions, vi viFun
 		return Result{}, errors.New("mdp: label vector length mismatch")
 	}
 	g := m.flatten()
+	g.index()
 	vals := make([]float64, n)
 	// A deterministic model with unit costs is solved exactly by one BFS.
 	// Its distances seed value iteration only where cold VI would provably
@@ -450,7 +451,6 @@ func (m *MDP) minExpectedReward(target, avoid []bool, opt SolveOptions, vi viFun
 	if seeded {
 		telSeeded.Inc()
 	}
-	g.selfLoopInv()
 	iters, err := vi(g, vals, frozen, opt, (*csr).bellmanMinSL)
 	if err != nil {
 		return Result{}, err

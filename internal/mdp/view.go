@@ -1,9 +1,10 @@
 package mdp
 
 // CSRView is a read-only window onto the flattened (CSR) form of the model,
-// including the lazily built reverse-edge index, for external invariant
-// checking (internal/modelcheck). The slices are freshly flattened on each
-// call and safe to inspect, but mutating them has no effect on the MDP.
+// including the solver index, for external invariant checking
+// (internal/modelcheck). A list-backed model is flattened afresh on each
+// call; a Builder-built model exposes the solver's own slabs, so the
+// slices must not be modified.
 type CSRView struct {
 	// NumStates is |S|; offsets below are as documented on the internal
 	// csr type: choices of state s are [StateOff[s], StateOff[s+1]),
@@ -24,15 +25,32 @@ type CSRView struct {
 	RevOff      []int32
 	RevChoice   []int32
 	ChoiceState []int32
+
+	// Predecessor lists: Preds[PredOff[t]:PredOff[t+1]] are the states
+	// other than t, ascending and once each, that own a choice with a
+	// positive-probability edge into t — the exact lists change-driven
+	// Gauss-Seidel re-dirties when t's value changes.
+	PredOff []int32
+	Preds   []int32
+
+	// The deterministic/other partition the Bellman backups walk: of the
+	// slots [StateOff[s], StateOff[s+1]) of Part, [StateOff[s], DetOff[s])
+	// are the global ids of the state's other choices, and
+	// [DetOff[s], StateOff[s+1]) the successors of the choices gathered
+	// into one min (max) over successor values, all with reward
+	// DetReward[s], in reverse choice order.
+	DetOff    []int32
+	DetReward []float64
+	Part      []int32
 }
 
-// CSR flattens the model and builds the reverse-edge index, exactly as the
+// CSR flattens the model and builds the solver index, exactly as the
 // solvers do, and exposes the result. Transition targets must be in range
-// (Validate), or the reverse-index construction will panic; callers
-// checking untrusted models should run Validate first.
+// (Validate), or the index construction will panic; callers checking
+// untrusted models should run Validate first.
 func (m *MDP) CSR() CSRView {
 	g := m.flatten()
-	g.reverseIndex()
+	g.index()
 	return CSRView{
 		NumStates:   g.n,
 		StateOff:    g.stateOff,
@@ -44,5 +62,10 @@ func (m *MDP) CSR() CSRView {
 		RevOff:      g.revOff,
 		RevChoice:   g.revChoice,
 		ChoiceState: g.choiceState,
+		PredOff:     g.predOff,
+		Preds:       g.preds,
+		DetOff:      g.detOff,
+		DetReward:   g.detReward,
+		Part:        g.part,
 	}
 }

@@ -15,6 +15,12 @@
 //	dangling-target    every transition targets an existing state
 //	reverse-index      the CSR reverse-edge index the solvers walk agrees
 //	                   exactly with the forward transition structure
+//	predecessor-lists  the per-state predecessor lists change-driven
+//	                   Gauss-Seidel re-dirties agree exactly with the
+//	                   forward transitions
+//	choice-partition   the deterministic/other partition the Bellman
+//	                   backups walk covers every choice once, and gathers
+//	                   only deterministic choices of the shared reward
 //	strategy-totality  the strategy selects a valid choice at every state
 //	                   reachable from the initial state under itself
 //	hazard-closure     goal and hazard labels are disjoint and the hazard
@@ -29,6 +35,7 @@ package modelcheck
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"meda/internal/action"
 	"meda/internal/geom"
@@ -98,10 +105,9 @@ func CheckMDP(m *mdp.MDP) []Violation {
 }
 
 // CheckCSR verifies that the CSR flattening the solvers run on mirrors the
-// builder representation exactly, and that the reverse-edge index is
-// consistent with the forward transitions: every positive-probability edge
-// s→t appears (deduplicated per choice) under t, and nothing else does.
-// The model must be free of dangling targets (CheckMDP) first.
+// builder representation exactly, and that the solver index built over it
+// is consistent with the forward transitions (CheckIndex). The model must
+// be free of dangling targets (CheckMDP) first.
 func CheckCSR(m *mdp.MDP) []Violation {
 	var vs []Violation
 	g := m.CSR()
@@ -110,7 +116,6 @@ func CheckCSR(m *mdp.MDP) []Violation {
 		return []Violation{{Check: "reverse-index", State: -1, Choice: -1, Action: -1,
 			Detail: fmt.Sprintf("CSR has %d states, builder has %d", g.NumStates, n)}}
 	}
-	ci := 0
 	for s := 0; s < n; s++ {
 		choices := m.Choices(mdp.StateID(s))
 		if int(g.StateOff[s+1]-g.StateOff[s]) != len(choices) {
@@ -125,16 +130,30 @@ func CheckCSR(m *mdp.MDP) []Violation {
 					Detail: fmt.Sprintf("CSR choice (action %d, reward %v) differs from builder (action %d, reward %v)",
 						g.Actions[gi], g.Rewards[gi], c.Action, c.Reward)})
 			}
-			if g.ChoiceState[gi] != int32(s) {
-				vs = append(vs, Violation{Check: "reverse-index", State: mdp.StateID(s), Choice: cj, Action: c.Action,
-					Detail: fmt.Sprintf("ChoiceState maps global choice %d to state %d", gi, g.ChoiceState[gi])})
-			}
 			if int(g.ChoiceOff[gi+1]-g.ChoiceOff[gi]) != len(c.Transitions) {
 				vs = append(vs, Violation{Check: "reverse-index", State: mdp.StateID(s), Choice: cj, Action: c.Action,
 					Detail: fmt.Sprintf("CSR has %d transitions, builder has %d",
 						g.ChoiceOff[gi+1]-g.ChoiceOff[gi], len(c.Transitions))})
 			}
-			ci++
+		}
+	}
+	return append(vs, CheckIndex(g)...)
+}
+
+// CheckIndex verifies the solver index of a CSR view against the view's
+// own forward transitions, as the solvers read it: ChoiceState, the
+// reverse-edge index (every positive-probability edge s→t appears,
+// deduplicated per choice, under t, and nothing else does), the
+// predecessor lists and the choice partition.
+func CheckIndex(g mdp.CSRView) []Violation {
+	var vs []Violation
+	n := g.NumStates
+	for s := 0; s < n; s++ {
+		for gi := g.StateOff[s]; gi < g.StateOff[s+1]; gi++ {
+			if g.ChoiceState[gi] != int32(s) {
+				vs = append(vs, Violation{Check: "reverse-index", State: mdp.StateID(s), Choice: int(gi - g.StateOff[s]), Action: int(g.Actions[gi]),
+					Detail: fmt.Sprintf("ChoiceState maps global choice %d to state %d", gi, g.ChoiceState[gi])})
+			}
 		}
 	}
 	// Expected reverse index: per target, the set of global choices with a
@@ -169,6 +188,99 @@ func CheckCSR(m *mdp.MDP) []Violation {
 			if !seen[gi] {
 				vs = append(vs, Violation{Check: "reverse-index", State: mdp.StateID(t), Choice: -1, Action: -1,
 					Detail: fmt.Sprintf("positive edge from choice %d (state %d) missing under target %d", gi, g.ChoiceState[gi], t)})
+			}
+		}
+	}
+	vs = append(vs, checkPreds(g)...)
+	return append(vs, checkPartition(g)...)
+}
+
+// checkPreds verifies the predecessor lists against the forward
+// transitions: under each t, the states other than t that own a choice with
+// a positive edge into t, ascending and once each.
+func checkPreds(g mdp.CSRView) []Violation {
+	n := g.NumStates
+	if len(g.PredOff) != n+1 || g.PredOff[0] != 0 || int(g.PredOff[n]) != len(g.Preds) {
+		return []Violation{{Check: "predecessor-lists", State: -1, Choice: -1, Action: -1,
+			Detail: fmt.Sprintf("%d offsets over %d states do not span the %d predecessors", len(g.PredOff), n, len(g.Preds))}}
+	}
+	want := make([][]int32, n)
+	for s := 0; s < n; s++ {
+		for ti := g.ChoiceOff[g.StateOff[s]]; ti < g.ChoiceOff[g.StateOff[s+1]]; ti++ {
+			t := g.Tos[ti]
+			if w := want[t]; g.Probs[ti] > 0 && int(t) != s && (len(w) == 0 || w[len(w)-1] != int32(s)) {
+				want[t] = append(w, int32(s))
+			}
+		}
+	}
+	var vs []Violation
+	for t := 0; t < n; t++ {
+		if g.PredOff[t] > g.PredOff[t+1] {
+			vs = append(vs, Violation{Check: "predecessor-lists", State: mdp.StateID(t), Choice: -1, Action: -1,
+				Detail: fmt.Sprintf("offsets decrease: %d to %d", g.PredOff[t], g.PredOff[t+1])})
+			continue
+		}
+		if got := g.Preds[g.PredOff[t]:g.PredOff[t+1]]; !slices.Equal(got, want[t]) {
+			vs = append(vs, Violation{Check: "predecessor-lists", State: mdp.StateID(t), Choice: -1, Action: -1,
+				Detail: fmt.Sprintf("predecessors %v, transitions give %v", got, want[t])})
+		}
+	}
+	return vs
+}
+
+// checkPartition verifies the choice partition of each state s. Part's
+// slots before DetOff[s] must be the ids of some of s's choices, ascending;
+// every other choice of s must fill the next gathered slot, counting down
+// from the state's last slot, with its successor, and be one the backups
+// may gather: one transition, with probability exactly 1, to another
+// state, and reward bits DetReward[s]. A state that gathers any choice has
+// no reward with the sign bit set, so no backup candidate of it is −0.
+func checkPartition(g mdp.CSRView) []Violation {
+	var vs []Violation
+	for s := 0; s < g.NumStates; s++ {
+		v := func(ci int32, format string, args ...interface{}) {
+			choice, act := -1, -1
+			if ci >= 0 {
+				choice, act = int(ci-g.StateOff[s]), int(g.Actions[ci])
+			}
+			vs = append(vs, Violation{Check: "choice-partition", State: mdp.StateID(s), Choice: choice, Action: act,
+				Detail: fmt.Sprintf(format, args...)})
+		}
+		lo, mid, hi := g.StateOff[s], g.DetOff[s], g.StateOff[s+1]
+		if mid < lo || mid > hi {
+			v(-1, "split point %d outside the choice slots [%d, %d]", mid, lo, hi)
+			continue
+		}
+		oi, gi := lo, hi // next other slot, last gathered slot filled
+		for ci := lo; ci < hi; ci++ {
+			if oi < mid && g.Part[oi] == ci {
+				oi++
+				continue
+			}
+			if gi == mid {
+				v(ci, "choice is neither gathered nor listed among the others")
+				continue
+			}
+			gi--
+			ti := g.ChoiceOff[ci]
+			switch {
+			case g.ChoiceOff[ci+1] != ti+1 || g.Probs[ti] != 1 || int(g.Tos[ti]) == s:
+				v(ci, "gathered choice is not one transition with probability 1 to another state")
+			case g.Part[gi] != g.Tos[ti]:
+				v(ci, "gathered as successor %d, transition goes to %d", g.Part[gi], g.Tos[ti])
+			case math.Float64bits(g.Rewards[ci]) != math.Float64bits(g.DetReward[s]):
+				v(ci, "gathered with reward %v, choice has reward %v", g.DetReward[s], g.Rewards[ci])
+			}
+		}
+		if oi != mid {
+			v(-1, "other-choice slots %v are not this state's choice ids in ascending order", g.Part[lo:mid])
+		}
+		if gi != mid {
+			v(-1, "%d gathered slots for %d gathered choices", hi-mid, hi-gi)
+		}
+		for ci := lo; ci < hi && mid < hi; ci++ {
+			if math.Signbit(g.Rewards[ci]) {
+				v(ci, "state gathers choices but this reward %v has the sign bit set", g.Rewards[ci])
 			}
 		}
 	}

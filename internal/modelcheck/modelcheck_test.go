@@ -2,6 +2,7 @@ package modelcheck_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +128,76 @@ func TestCheckCSRReverseIndexDedup(t *testing.T) {
 	}
 	if got := g.RevOff[int(s0)+1] - g.RevOff[s0]; got != 0 {
 		t.Fatalf("zero-probability edge leaked into the reverse index: %d edges into s0", got)
+	}
+}
+
+// gatherModel builds a model whose s0 has two deterministic choices of
+// reward 1 (gathered), a stochastic one, a deterministic one of reward 2
+// and a pure self-loop (not gathered); s1 reaches s0 and s2, and s2 has a
+// −0 reward, so it gathers nothing.
+func gatherModel() *mdp.MDP {
+	m := mdp.New()
+	s0, s1, s2 := m.AddState(), m.AddState(), m.AddState()
+	m.AddChoice(s0, 1, 1, []mdp.Transition{{To: s1, P: 1}})
+	m.AddChoice(s0, 2, 1, []mdp.Transition{{To: s1, P: 0.5}, {To: s0, P: 0.5}})
+	m.AddChoice(s0, 3, 2, []mdp.Transition{{To: s2, P: 1}})
+	m.AddChoice(s0, 4, 1, []mdp.Transition{{To: s2, P: 1}})
+	m.AddChoice(s0, 5, 1, []mdp.Transition{{To: s0, P: 1}})
+	m.AddChoice(s1, 6, 1, []mdp.Transition{{To: s0, P: 0.25}, {To: s2, P: 0.75}})
+	m.AddChoice(s1, 7, 1, []mdp.Transition{{To: s2, P: 1}})
+	m.AddChoice(s2, 8, math.Copysign(0, -1), []mdp.Transition{{To: s0, P: 1}})
+	return m
+}
+
+// cloneView copies the index slices of a view, so a test can corrupt them
+// without touching the model.
+func cloneView(g mdp.CSRView) mdp.CSRView {
+	g.ChoiceState = append([]int32(nil), g.ChoiceState...)
+	g.RevChoice = append([]int32(nil), g.RevChoice...)
+	g.Preds = append([]int32(nil), g.Preds...)
+	g.DetOff = append([]int32(nil), g.DetOff...)
+	g.DetReward = append([]float64(nil), g.DetReward...)
+	g.Part = append([]int32(nil), g.Part...)
+	return g
+}
+
+// TestCheckIndexSolverIndex: the index the solvers build passes, and is
+// the expected one — s0 gathers its two reward-1 deterministic choices,
+// s1 its one deterministic choice, the −0 state s2 nothing — and
+// corrupting the predecessor lists or the partition is reported under the
+// matching check.
+func TestCheckIndexSolverIndex(t *testing.T) {
+	m := gatherModel()
+	if vs := modelcheck.CheckCSR(m); len(vs) != 0 {
+		t.Fatalf("solver index reported violations: %v", vs)
+	}
+	g := m.CSR()
+	for s, want := range [][]int32{{1, 2, 4, 2, 1}, {5, 2}, {7}} {
+		lo, hi := g.StateOff[s], g.StateOff[s+1]
+		if got := g.Part[lo:hi]; !slices.Equal(got, want) {
+			t.Errorf("state %d: partition %v, want %v", s, got, want)
+		}
+	}
+	if got := g.DetOff[:3]; !slices.Equal(got, []int32{3, 6, 8}) {
+		t.Errorf("split points %v, want [3 6 8]", got)
+	}
+	for _, c := range []struct {
+		check   string
+		corrupt func(g *mdp.CSRView)
+	}{
+		{"predecessor-lists", func(g *mdp.CSRView) { g.Preds[0] = 0 }},
+		{"choice-partition", func(g *mdp.CSRView) { g.Part[4] = 2 }},                 // wrong successor
+		{"choice-partition", func(g *mdp.CSRView) { g.DetReward[0] = 2 }},            // wrong reward
+		{"choice-partition", func(g *mdp.CSRView) { g.DetOff[0]-- }},                 // gathers the self-loop
+		{"choice-partition", func(g *mdp.CSRView) { g.DetOff[2], g.Part[7] = 7, 0 }}, // gathers beside a −0 reward
+		{"choice-partition", func(g *mdp.CSRView) { g.Part[0], g.Part[1] = 2, 1 }},   // others out of order
+		{"reverse-index", func(g *mdp.CSRView) { g.ChoiceState[1] = 2 }},
+	} {
+		bad := cloneView(g)
+		c.corrupt(&bad)
+		if vs := modelcheck.CheckIndex(bad); countCheck(vs, c.check) == 0 {
+			t.Errorf("corrupted %s not reported: %v", c.check, vs)
+		}
 	}
 }
 

@@ -236,6 +236,9 @@ type Adaptive struct {
 	// completion signal, so concurrent Route calls for the same key coalesce
 	// into one synthesis.
 	pending map[CacheKey]chan struct{}
+	// waits counts the claims that found their key taken, so that the
+	// caller waited out another's synthesis. Guarded by mu.
+	waits int
 	// faults is the optional control-plane fault injector; attempts counts
 	// per-key synthesis attempts so injected timeouts draw independently per
 	// retry. Both guarded by mu.
@@ -327,6 +330,7 @@ func (a *Adaptive) claim(key CacheKey) (done chan struct{}, leader bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if d := a.pending[key]; d != nil {
+		a.waits++
 		return d, false
 	}
 	if a.pending == nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"meda/internal/chip"
 	"meda/internal/degrade"
@@ -112,7 +113,10 @@ func TestConcurrentCacheStress(t *testing.T) {
 // jobs at once, so Route must be callable from multiple goroutines — the
 // effectiveness counters must not race (the -race CI step watches this test)
 // and identical concurrent requests must coalesce into exactly one synthesis
-// via the pending map, not one per caller.
+// via the pending map, not one per caller. The test claims the routers' key
+// itself and releases it only once every router waits on that claim, so
+// each of them takes singleFlight's waiter path however the goroutines are
+// scheduled.
 func TestConcurrentRouteSingleFlight(t *testing.T) {
 	a := NewAdaptive(32)
 	rj := route.RJ{
@@ -122,6 +126,16 @@ func TestConcurrentRouteSingleFlight(t *testing.T) {
 	}
 	const routers = 8
 	const rounds = 20
+	c, err := chip.New(chip.Default(), randx.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := synth.NormalizeDispense(rj, c.W(), c.H())
+	key := NewCacheKey(norm, a.Opt, c.HealthHash(norm.Hazard))
+	done, leader := a.claim(key)
+	if !leader {
+		t.Fatal("a fresh router already holds a claim")
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, routers)
 	for g := 0; g < routers; g++ {
@@ -149,6 +163,12 @@ func TestConcurrentRouteSingleFlight(t *testing.T) {
 			}
 		}()
 	}
+	for waiting := 0; waiting < routers && len(errs) == 0; time.Sleep(time.Millisecond) {
+		a.mu.Lock()
+		waiting = a.waits
+		a.mu.Unlock()
+	}
+	a.release(key, done)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
