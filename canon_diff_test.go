@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"meda"
+	"meda/internal/action"
 	"meda/internal/assay"
 	"meda/internal/chip"
 	"meda/internal/degrade"
@@ -43,14 +44,14 @@ func checkCanonicalEquivalence(t *testing.T, rj meda.RoutingJob, field func(x, y
 		t.Fatalf("%v: value %v direct vs %v via canonical form", rj, direct.Value, canon.Value)
 	}
 	inv := tf.InvertPolicy(canon.Policy)
-	if len(inv) != len(direct.Policy) {
-		t.Fatalf("%v: policy domains differ: %d inverted vs %d direct", rj, len(inv), len(direct.Policy))
+	if inv.Len() != direct.Policy.Len() {
+		t.Fatalf("%v: policy domains differ: %d inverted vs %d direct", rj, inv.Len(), direct.Policy.Len())
 	}
-	for d := range direct.Policy {
-		if _, ok := inv[d]; !ok {
+	direct.Policy.Walk(func(d meda.Rect, _ action.Action) {
+		if _, ok := inv.Lookup(d); !ok {
 			t.Fatalf("%v: inverted policy missing droplet %v", rj, d)
 		}
-	}
+	})
 }
 
 // TestCanonicalizationEquivalenceOnAssays runs the equivalence property over
@@ -169,7 +170,7 @@ func TestUniformHealthSharesCanonicalCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p[job.Start]; !ok {
+	if _, ok := p.Lookup(job.Start); !ok {
 		t.Fatal("routed policy does not cover the start position")
 	}
 	if a.Syntheses != 1 {
@@ -197,7 +198,7 @@ func TestUniformHealthSharesCanonicalCacheEntry(t *testing.T) {
 	if a.Syntheses != 1 || a.CacheHits != 1 {
 		t.Fatalf("shifted copy: %d syntheses and %d cache hits, want 1 and 1", a.Syntheses, a.CacheHits)
 	}
-	if _, ok := sp[shifted.Start]; !ok {
+	if _, ok := sp.Lookup(shifted.Start); !ok {
 		t.Fatal("de-canonicalized policy does not cover the shifted start")
 	}
 }

@@ -8,14 +8,17 @@
 // construction + value iteration), cold vs pooled-arena model construction,
 // construction over a worn chip's observed health rather than a constant
 // field, the solver comparison (gauss-seidel against its jacobi reference,
-// and gauss-seidel on a deterministic healthy-chip model), the whole
-// synthesis of that healthy job, the cold-vs-warm strategy cache for
-// re-synthesis, the D4-canonical cache serving a whole symmetry class of
-// jobs from one synthesis, and the sequential-vs-concurrent assay executor
+// gauss-seidel on a deterministic healthy-chip model, and on a healthy
+// window worn along a band, where most choices are deterministic), the
+// whole synthesis of that healthy job, a policy lookup, the cold-vs-warm
+// strategy cache for re-synthesis, a Library hit on a rotated job, the
+// D4-canonical cache serving a whole symmetry class of jobs from one
+// synthesis, and the sequential-vs-concurrent assay executor
 // with the adaptive router on a contention-heavy generated workload.
 // Derived ratios (warm_cache_speedup, pooled_construction_speedup,
 // canonicalization_hit_rate, concurrent_cycle_reduction) are computed from
-// the same runs.
+// the same runs; solver_worn_band_gathered_share is the share of the band
+// model's choices the solver gathers.
 package main
 
 import (
@@ -29,6 +32,7 @@ import (
 	"time"
 
 	"meda"
+	"meda/internal/action"
 	"meda/internal/assay"
 	"meda/internal/chip"
 	"meda/internal/degrade"
@@ -215,6 +219,55 @@ func main() {
 	}
 	record(rep, "solver/gauss-seidel", solve(model, mdp.SolveOptions{Method: mdp.GaussSeidel}))
 	record(rep, "solver/jacobi-seq", solve(model, mdp.SolveOptions{Method: mdp.Jacobi}))
+	// The same job over a healthy window worn along its diagonal, the way
+	// repeated routing wears a chip: the choices whose frontiers miss the
+	// band are deterministic, and the solver gathers them into one min per
+	// state, unlike on the uniformly worn field (one gathered choice).
+	band := func(x, y int) float64 {
+		if x-y >= -2 && x-y <= 2 {
+			return 0.64
+		}
+		return 1
+	}
+	bandModel, err := smg.Induce(
+		meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
+		meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
+		meda.Rect{XA: 27, YA: 27, XB: 30, YB: 30},
+		band, smg.DefaultModelOptions())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
+		os.Exit(1)
+	}
+	view := bandModel.M.CSR()
+	gathered := 0
+	for s := 0; s < view.NumStates; s++ {
+		gathered += int(view.StateOff[s+1] - view.DetOff[s])
+	}
+	rep.Derived["solver_worn_band_gathered_share"] = float64(gathered) / float64(view.StateOff[view.NumStates])
+	record(rep, "solver/gauss-seidel-worn-band", solve(bandModel, mdp.SolveOptions{Method: mdp.GaussSeidel}))
+
+	// Serving a strategy: one Policy.Lookup per droplet position per cycle
+	// in the executor, here cycling over every position the band job's
+	// policy covers.
+	bandJob := meda.RoutingJob{
+		Start:  meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
+		Goal:   meda.Rect{XA: 27, YA: 27, XB: 30, YB: 30},
+		Hazard: meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
+	}
+	bandRes, err := synth.Synthesize(bandJob, band, synth.DefaultOptions())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
+		os.Exit(1)
+	}
+	var positions []meda.Rect
+	bandRes.Policy.Walk(func(d meda.Rect, _ action.Action) { positions = append(positions, d) })
+	record(rep, "policy/lookup", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := bandRes.Policy.Lookup(positions[i%len(positions)]); !ok {
+				b.Fatal("policy lost a position")
+			}
+		}
+	})
 	// The same job on a healthy chip with one obstacle block: every move
 	// succeeds, so the model is deterministic and Rmin is solved by shortest
 	// paths, as for most jobs on a healthy or near-immortal chip.
@@ -326,6 +379,25 @@ func main() {
 		float64(canonRouter.CacheHits) / float64(canonRouter.CacheHits+canonRouter.Syntheses)
 	rep.Derived["canonicalization_jobs_per_synthesis"] =
 		float64(len(jobs)) / float64(canonRouter.Syntheses)
+	// A Library hit on a rotated image of a stored job: the lookup maps the
+	// canonical strategy back through the dihedral element.
+	lib := sched.NewLibrary()
+	baseRes, err := synth.Synthesize(base, func(x, y int) float64 { return 1 }, synth.DefaultOptions())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
+		os.Exit(1)
+	}
+	lib.Store(base, baseRes.Policy, baseRes.Value)
+	rotated := synth.Transform{Op: 3, X0: base.Hazard.XA, Y0: base.Hazard.YA, W: base.Hazard.Width(), H: base.Hazard.Height()}
+	image := meda.RoutingJob{Start: rotated.Apply(base.Start), Goal: rotated.Apply(base.Goal), Hazard: rotated.Apply(base.Hazard)}
+	record(rep, "library/d4_lookup", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, ok := lib.Lookup(image); !ok {
+				b.Fatal("library lost the stored job")
+			}
+		}
+	})
+
 	idx := 0
 	record(rep, "cache/canonical_hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

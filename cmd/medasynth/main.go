@@ -66,7 +66,7 @@ func main() {
 		return
 	}
 	fmt.Printf("value: %.4f\n", res.Value)
-	fmt.Printf("policy covers %d droplet positions\n", len(res.Policy))
+	fmt.Printf("policy covers %d droplet positions\n", res.Policy.Len())
 
 	if *trace {
 		fmt.Println("most-likely trajectory:")
@@ -76,7 +76,7 @@ func main() {
 				fmt.Printf("  %v  — goal reached in %d steps\n", pos, step)
 				return
 			}
-			a, ok := res.Policy[pos]
+			a, ok := res.Policy.Lookup(pos)
 			if !ok {
 				fmt.Printf("  %v  — policy undefined (unreachable position)\n", pos)
 				return

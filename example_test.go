@@ -23,7 +23,8 @@ func ExampleSynthesize() {
 	}
 	fmt.Printf("states: %d\n", res.Stats.States)
 	fmt.Printf("expected cycles: %.0f\n", res.Value)
-	fmt.Printf("first action: %v\n", res.Policy[rj.Start])
+	first, _ := res.Policy.Lookup(rj.Start)
+	fmt.Printf("first action: %v\n", first)
 	// Output:
 	// states: 67
 	// expected cycles: 7

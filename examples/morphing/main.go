@@ -28,7 +28,7 @@ func main() {
 		return 1
 	}
 	fmt.Println("corridor (G = goal region, # = dead rows):")
-	vis.PolicyMap(os.Stdout, rj.Hazard, rj.Goal, nil, meda.Rect{XA: 6, YA: 4, XB: 12, YB: 5})
+	vis.PolicyMap(os.Stdout, rj.Hazard, rj.Goal, meda.Policy{}, meda.Rect{XA: 6, YA: 4, XB: 12, YB: 5})
 	fmt.Println()
 
 	solve := func(morph bool) float64 {
@@ -51,7 +51,10 @@ func main() {
 			fmt.Println("  most-likely trajectory:")
 			pos := rj.Start
 			for i := 0; i < 30 && !rj.Goal.ContainsRect(pos); i++ {
-				a := res.Policy[pos]
+				a, ok := res.Policy.Lookup(pos)
+				if !ok {
+					break
+				}
 				fmt.Printf("    %v  %v  (%d×%d)\n", pos, a, pos.Width(), pos.Height())
 				pos = a.Apply(pos)
 			}

@@ -27,7 +27,11 @@ func main() {
 		res.Stats.States, res.Value)
 	pos := rj.Start
 	for !rj.Goal.ContainsRect(pos) {
-		a := res.Policy[pos]
+		a, ok := res.Policy.Lookup(pos)
+		if !ok {
+			fmt.Printf("  at %v: no action\n", pos)
+			break
+		}
 		fmt.Printf("  at %v: %v\n", pos, a)
 		pos = a.Apply(pos)
 	}

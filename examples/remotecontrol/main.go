@@ -97,12 +97,10 @@ func main() {
 	pos := rj.Start
 	steps := 0
 	for !rj.Goal.ContainsRect(pos) {
-		a, ok := res.Policy[pos]
+		a, ok := res.Policy.Lookup(pos)
 		if !ok {
 			log.Fatalf("policy undefined at %v", pos)
-		}
-		pos, err = conn.Act(id, a)
-		if err != nil {
+		} else if pos, err = conn.Act(id, a); err != nil {
 			log.Fatal(err)
 		}
 		steps++

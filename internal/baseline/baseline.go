@@ -10,6 +10,7 @@ import (
 
 	"meda/internal/action"
 	"meda/internal/geom"
+	"meda/internal/policy"
 	"meda/internal/route"
 	"meda/internal/smg"
 	"meda/internal/synth"
@@ -25,10 +26,10 @@ func ShortestPath(rj route.RJ, opt smg.ModelOptions) (synth.Policy, int, error) 
 		opt = smg.DefaultModelOptions()
 	}
 	if rj.Start.IsZero() {
-		return nil, 0, fmt.Errorf("baseline: %s has an off-chip start", rj.Name())
+		return synth.Policy{}, 0, fmt.Errorf("baseline: %s has an off-chip start", rj.Name())
 	}
 	if !rj.Hazard.ContainsRect(rj.Start) || !rj.Hazard.ContainsRect(rj.Goal) {
-		return nil, 0, fmt.Errorf("baseline: %s endpoints outside hazard bounds", rj.Name())
+		return synth.Policy{}, 0, fmt.Errorf("baseline: %s endpoints outside hazard bounds", rj.Name())
 	}
 
 	// Enumerate positions exactly like the synthesis model so the two
@@ -38,7 +39,7 @@ func ShortestPath(rj route.RJ, opt smg.ModelOptions) (synth.Policy, int, error) 
 		dist int
 	}
 	dist := map[geom.Rect]int{}
-	policy := synth.Policy{}
+	var entries []policy.Entry
 
 	// Multi-source backward BFS from every goal-satisfying rectangle: the
 	// droplet's shape is fixed (or morph-closed), edges cost one cycle.
@@ -59,7 +60,7 @@ func ShortestPath(rj route.RJ, opt smg.ModelOptions) (synth.Policy, int, error) 
 		seed(d)
 	}
 	if len(frontier) == 0 {
-		return nil, 0, fmt.Errorf("baseline: %s has no goal position for the droplet shape", rj.Name())
+		return synth.Policy{}, 0, fmt.Errorf("baseline: %s has no goal position for the droplet shape", rj.Name())
 	}
 
 	blockedAt := func(d geom.Rect) bool {
@@ -109,7 +110,7 @@ func ShortestPath(rj route.RJ, opt smg.ModelOptions) (synth.Policy, int, error) 
 					continue
 				}
 				dist[e.from] = dist[t] + 1
-				policy[e.from] = e.act
+				entries = append(entries, policy.Entry{D: e.from, A: e.act})
 				next = append(next, e.from)
 			}
 		}
@@ -118,9 +119,9 @@ func ShortestPath(rj route.RJ, opt smg.ModelOptions) (synth.Policy, int, error) 
 
 	d0, ok := dist[rj.Start]
 	if !ok {
-		return nil, 0, fmt.Errorf("baseline: %s goal unreachable within hazard bounds", rj.Name())
+		return synth.Policy{}, 0, fmt.Errorf("baseline: %s goal unreachable within hazard bounds", rj.Name())
 	}
-	return policy, d0, nil
+	return policy.Of(entries), d0, nil
 }
 
 // enumerate lists every droplet rectangle of the job's shape family that

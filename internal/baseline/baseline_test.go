@@ -28,7 +28,7 @@ func TestShortestPathDiagonal(t *testing.T) {
 	if cycles != 7 {
 		t.Errorf("cycles = %d, want 7", cycles)
 	}
-	if a := policy[rect(1, 1, 3, 3)]; a != action.MoveNE {
+	if a, _ := policy.Lookup(rect(1, 1, 3, 3)); a != action.MoveNE {
 		t.Errorf("first action = %v, want aNE", a)
 	}
 }
@@ -67,7 +67,7 @@ func TestPolicyWalksToGoal(t *testing.T) {
 	}
 	d := rj.Start
 	for step := 0; step < cycles; step++ {
-		a, ok := policy[d]
+		a, ok := policy.Lookup(d)
 		if !ok {
 			t.Fatalf("policy undefined at %v", d)
 		}
@@ -165,12 +165,7 @@ func TestBaselineIgnoresDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != c2 || len(p1) != len(p2) {
-		t.Error("baseline must be deterministic")
-	}
-	for d, a := range p1 {
-		if p2[d] != a {
-			t.Errorf("baseline not deterministic at %v", d)
-		}
+	if diff := p2.Diff(p1); c1 != c2 || diff != "" {
+		t.Errorf("baseline must be deterministic: cycles %d vs %d; %s", c1, c2, diff)
 	}
 }

@@ -177,7 +177,7 @@ func TestRemoteAdaptiveRouting(t *testing.T) {
 			}
 			return
 		}
-		a, ok := res.Policy[pos]
+		a, ok := res.Policy.Lookup(pos)
 		if !ok {
 			t.Fatalf("policy undefined at %v", pos)
 		}

@@ -127,7 +127,7 @@ func fingerprintOptions(opt synth.Options) uint64 {
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
 type CacheStats struct {
-	Hits, Misses, Evictions, Invalidations int
+	Hits, Misses, Evictions int
 }
 
 type cacheEntry struct {
@@ -137,8 +137,10 @@ type cacheEntry struct {
 }
 
 // Cache memoizes synthesized routing strategies with LRU eviction under a
-// size bound. It is safe for concurrent use: concurrent Route calls share
-// one instance.
+// size bound, which alone bounds it: an entry whose region has degraded
+// since is never served again (its key carries the old health hash) and
+// ages out like any other. It is safe for concurrent use: concurrent Route
+// calls share one instance.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -168,7 +170,7 @@ func (c *Cache) Lookup(key CacheKey) (synth.Policy, float64, bool) {
 		c.stats.Misses++
 		c.mu.Unlock()
 		telCacheMisses.Inc()
-		return nil, 0, false
+		return synth.Policy{}, 0, false
 	}
 	c.stats.Hits++
 	c.ll.MoveToFront(el)
@@ -206,33 +208,6 @@ func (c *Cache) Store(key CacheKey, p synth.Policy, value float64) {
 		c.stats.Evictions++
 		telCacheEvictions.Inc()
 	}
-}
-
-// Invalidate drops every raw-form entry whose hazard region intersects the
-// degraded region, returning how many were removed. Because keys already
-// embed the region's health hash, stale entries can never be served;
-// Invalidate exists to reclaim their space eagerly when the caller knows
-// which microelectrodes degraded. Canonical-form entries are position-
-// agnostic — their hazard rects live in canonical space and the entry
-// remains valid for every other same-shape window on the chip — so they are
-// left in place.
-func (c *Cache) Invalidate(region geom.Rect) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if _, hit := e.key.Hazard.Intersect(region); hit && e.key.Form == FormRaw {
-			c.ll.Remove(el)
-			delete(c.entries, e.key)
-			removed++
-		}
-		el = next
-	}
-	c.stats.Invalidations += removed
-	telCacheInvalidations.Add(int64(removed))
-	return removed
 }
 
 // Len returns the number of cached strategies.

@@ -33,7 +33,7 @@ func TestCacheHitOnUnchangedHealth(t *testing.T) {
 	cache.Store(key, tinyPolicy(), 9)
 	// Nothing happened to the chip: same key, same entry.
 	p, v, ok := cache.Lookup(NewCacheKey(job(), opt, c.HealthHash(job().Hazard)))
-	if !ok || v != 9 || len(p) != 1 {
+	if !ok || v != 9 || p.Len() != 1 {
 		t.Fatalf("lookup = %v/%v/%v, want hit", p, v, ok)
 	}
 	if s := cache.Stats(); s.Hits != 1 || s.Misses != 0 {
@@ -109,27 +109,6 @@ func TestCacheEvictionUnderSizeBound(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateByRegion(t *testing.T) {
-	cache := NewCache(8)
-	opt := synth.DefaultOptions()
-	near := job() // hazard (7,7)-(25,15)
-	far := job()
-	far.Start = far.Start.Translate(30, 10)
-	far.Goal = far.Goal.Translate(30, 10)
-	far.Hazard = far.Hazard.Translate(30, 10)
-	cache.Store(NewCacheKey(near, opt, 1), tinyPolicy(), 1)
-	cache.Store(NewCacheKey(far, opt, 2), tinyPolicy(), 2)
-	if n := cache.Invalidate(rect(20, 10, 22, 12)); n != 1 {
-		t.Fatalf("invalidated %d entries, want 1", n)
-	}
-	if _, _, ok := cache.Lookup(NewCacheKey(near, opt, 1)); ok {
-		t.Error("intersecting entry survived invalidation")
-	}
-	if _, _, ok := cache.Lookup(NewCacheKey(far, opt, 2)); !ok {
-		t.Error("non-intersecting entry was dropped")
-	}
-}
-
 func TestCacheKeySeparatesOptions(t *testing.T) {
 	a := synth.DefaultOptions()
 	b := synth.DefaultOptions()
@@ -141,5 +120,26 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	c.Solver.Method = mdp.Jacobi // the solver method must NOT affect the key
 	if NewCacheKey(job(), a, 1) != NewCacheKey(job(), c, 1) {
 		t.Error("solver method changed the cache key")
+	}
+}
+
+// TestServingAllocatesNothing: a cache hit and the executor's per-cycle
+// action lookup in the served policy allocate nothing.
+func TestServingAllocatesNothing(t *testing.T) {
+	cache := NewCache(4)
+	key := NewCacheKey(job(), synth.DefaultOptions(), 7)
+	cache.Store(key, tinyPolicy(), 1)
+	d := rect(10, 10, 12, 12)
+	allocs := testing.AllocsPerRun(100, func() {
+		p, _, ok := cache.Lookup(key)
+		if !ok {
+			t.Fatal("cache lost its entry")
+		}
+		if _, ok := p.Lookup(d); !ok {
+			t.Fatal("policy lost its position")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("serving a cached strategy allocates %v times per lookup, want 0", allocs)
 	}
 }

@@ -70,7 +70,7 @@ func (f *Fallback) maxRetries() int {
 func (f *Fallback) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synth.Policy, float64, error) {
 	for attempt := 0; ; attempt++ {
 		p, v, err := f.Primary.Route(rj, c, obstacles)
-		if err == nil && len(p) > 0 {
+		if err == nil && p.Len() > 0 {
 			if attempt > 0 {
 				telFallbackRecov.Inc()
 			}
@@ -126,13 +126,4 @@ func (f *Fallback) SetFaultInjector(inj FaultInjector) {
 	if fa, ok := f.Primary.(FaultAware); ok {
 		fa.SetFaultInjector(inj)
 	}
-}
-
-// InvalidateRegion implements RegionInvalidator by forwarding to the
-// primary tier.
-func (f *Fallback) InvalidateRegion(region geom.Rect) int {
-	if ri, ok := f.Primary.(RegionInvalidator); ok {
-		return ri.InvalidateRegion(region)
-	}
-	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"meda/internal/chip"
 	"meda/internal/degrade"
 	"meda/internal/geom"
+	"meda/internal/policy"
 	"meda/internal/randx"
 	"meda/internal/route"
 	"meda/internal/synth"
@@ -46,16 +47,16 @@ func (s *scriptedRouter) HealthAware() bool { return false }
 func (s *scriptedRouter) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synth.Policy, float64, error) {
 	s.calls++
 	if s.calls <= s.failures {
-		return nil, 0, ErrInjectedTimeout
+		return synth.Policy{}, 0, ErrInjectedTimeout
 	}
 	if s.empty {
-		return nil, 0, nil
+		return synth.Policy{}, 0, nil
 	}
 	return s.policy, 1, nil
 }
 
 func somePolicy() synth.Policy {
-	return synth.Policy{rect(1, 1, 3, 3): 0}
+	return policy.Of([]policy.Entry{{D: rect(1, 1, 3, 3), A: 0}})
 }
 
 func TestFallbackIdentity(t *testing.T) {
@@ -78,8 +79,8 @@ func TestFallbackRecoversOnRetry(t *testing.T) {
 	f := NewFallback(prim, NewBaseline())
 	c := freshChip(t, 1)
 	p, _, err := f.Route(job(), c, nil)
-	if err != nil || len(p) == 0 {
-		t.Fatalf("Route: %v (policy %d)", err, len(p))
+	if err != nil || p.Len() == 0 {
+		t.Fatalf("Route: %v (policy %d)", err, p.Len())
 	}
 	if prim.calls != 2 {
 		t.Errorf("primary called %d times, want 2 (fail + retry)", prim.calls)
@@ -100,7 +101,7 @@ func TestFallbackExhaustsRetriesThenFinal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("final tier failed: %v", err)
 	}
-	if len(p) == 0 {
+	if p.Len() == 0 {
 		t.Fatal("final tier returned empty policy")
 	}
 	if prim.calls != DefaultMaxRetries+1 {
@@ -120,8 +121,8 @@ func TestFallbackEmptyPolicySkipsRetries(t *testing.T) {
 	f := NewFallback(prim, NewBaseline())
 	c := freshChip(t, 1)
 	p, _, err := f.Route(job(), c, nil)
-	if err != nil || len(p) == 0 {
-		t.Fatalf("Route: %v (policy %d)", err, len(p))
+	if err != nil || p.Len() == 0 {
+		t.Fatalf("Route: %v (policy %d)", err, p.Len())
 	}
 	if prim.calls != 1 {
 		t.Errorf("primary called %d times, want 1 (no retries on a sound no-strategy proof)", prim.calls)
@@ -138,8 +139,8 @@ func TestFallbackRouteDegraded(t *testing.T) {
 	f := NewFallback(prim, NewBaseline())
 	c := freshChip(t, 1)
 	p, _, err := f.RouteDegraded(job(), c, nil)
-	if err != nil || len(p) == 0 {
-		t.Fatalf("RouteDegraded: %v (policy %d)", err, len(p))
+	if err != nil || p.Len() == 0 {
+		t.Fatalf("RouteDegraded: %v (policy %d)", err, p.Len())
 	}
 	if prim.calls != 0 {
 		t.Errorf("primary consulted %d times on a degraded route", prim.calls)
@@ -159,8 +160,8 @@ func TestAdaptiveInjectedTimeoutOrdering(t *testing.T) {
 	f.SetFaultInjector(inj) // forwards to the adaptive primary
 	c := freshChip(t, 1)
 	p, _, err := f.Route(job(), c, nil)
-	if err != nil || len(p) == 0 {
-		t.Fatalf("Route: %v (policy %d)", err, len(p))
+	if err != nil || p.Len() == 0 {
+		t.Fatalf("Route: %v (policy %d)", err, p.Len())
 	}
 	st := f.Stats()
 	if st.Retries != 2 || st.Finals != 0 {
@@ -185,7 +186,7 @@ func TestAdaptiveAllAttemptsTimeOut(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ladder bottomed out with error: %v", err)
 	}
-	if len(p) == 0 {
+	if p.Len() == 0 {
 		t.Fatal("baseline tier returned empty policy")
 	}
 	if st := f.Stats(); st.Finals != 1 {
@@ -254,9 +255,6 @@ func TestInjectedTimeoutError(t *testing.T) {
 func TestFallbackPassthroughs(t *testing.T) {
 	c := freshChip(t, 1)
 	plain := NewFallback(&scriptedRouter{policy: somePolicy()}, NewBaseline())
-	if plain.InvalidateRegion(rect(1, 1, 5, 5)) != 0 {
-		t.Error("InvalidateRegion nonzero without a RegionInvalidator primary")
-	}
 	plain.SetFaultInjector(&scriptedInjector{}) // must not panic
 
 	adaptive := NewAdaptive(8)

@@ -13,6 +13,7 @@ import (
 
 	"meda/internal/action"
 	"meda/internal/geom"
+	"meda/internal/policy"
 	"meda/internal/route"
 	"meda/internal/synth"
 )
@@ -68,17 +69,12 @@ func (l *Library) Save(w io.Writer) error {
 			Value:  e.value,
 		}
 		// Stable policy order: by droplet rectangle.
-		ds := make([]geom.Rect, 0, len(e.policy))
-		for d := range e.policy {
-			ds = append(ds, d)
-		}
-		sort.Slice(ds, func(i, j int) bool { return less(ds[i], ds[j]) })
-		for _, d := range ds {
-			entry.Policy = append(entry.Policy, policyEntry{
-				Droplet: rectToArr(d),
-				Action:  uint8(e.policy[d]),
-			})
-		}
+		e.policy.Walk(func(d geom.Rect, a action.Action) {
+			entry.Policy = append(entry.Policy, policyEntry{Droplet: rectToArr(d), Action: uint8(a)})
+		})
+		sort.Slice(entry.Policy, func(i, j int) bool {
+			return less(arrToRect(entry.Policy[i].Droplet), arrToRect(entry.Policy[j].Droplet))
+		})
 		file.Entries = append(file.Entries, entry)
 	}
 	enc := json.NewEncoder(w)
@@ -114,16 +110,16 @@ func (l *Library) Load(r io.Reader) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, e := range file.Entries {
-		policy := make(synth.Policy, len(e.Policy))
-		for _, pe := range e.Policy {
+		entries := make([]policy.Entry, len(e.Policy))
+		for i, pe := range e.Policy {
 			if pe.Action >= action.NumActions {
 				return fmt.Errorf("sched: library entry has invalid action %d", pe.Action)
 			}
-			policy[arrToRect(pe.Droplet)] = action.Action(pe.Action)
+			entries[i] = policy.Entry{D: arrToRect(pe.Droplet), A: action.Action(pe.Action)}
 		}
 		rj := route.RJ{Start: arrToRect(e.Start), Goal: arrToRect(e.Goal), Hazard: arrToRect(e.Hazard)}
 		key, tf := canonical(rj)
-		l.entries[key] = libEntry{policy: tf.ApplyPolicy(policy), value: e.Value}
+		l.entries[key] = libEntry{policy: tf.ApplyPolicy(policy.Of(entries)), value: e.Value}
 		l.gen++
 	}
 	return nil

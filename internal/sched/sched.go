@@ -93,7 +93,7 @@ func (b *Baseline) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 	opt.Blocked = obstacles
 	policy, cycles, err := baseline.ShortestPath(rj, opt)
 	if err != nil {
-		return nil, 0, err
+		return synth.Policy{}, 0, err
 	}
 	return policy, float64(cycles), nil
 }
@@ -148,7 +148,7 @@ func (l *Library) Lookup(rj route.RJ) (synth.Policy, float64, bool) {
 		l.misses++
 		l.mu.Unlock()
 		telLibMisses.Inc()
-		return nil, 0, false
+		return synth.Policy{}, 0, false
 	}
 	l.hits++
 	l.mu.Unlock()
@@ -187,8 +187,12 @@ func (l *Library) Stats() (hits, misses, size int) {
 	return l.hits, l.misses, len(l.entries)
 }
 
-// RegionInvalidator is implemented by routers whose strategy caches can
-// eagerly drop entries overlapping a degraded region.
+// RegionInvalidator is a retired interface: no router implements it and
+// nothing calls it. The strategy cache needs no eager invalidation (its
+// keys carry the region's health hash, and the LRU bound reclaims dead
+// entries), so the simulator no longer evicts on health changes. Like
+// Prefetcher, the declaration stays only because the loopbench
+// benchmark's router_test.go names it.
 type RegionInvalidator interface {
 	// InvalidateRegion removes cached strategies whose hazard bounds
 	// intersect region, returning how many were dropped.
@@ -362,14 +366,14 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 		return a.singleFlight(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), &a.LibraryUses,
 			func() (synth.Policy, float64, bool) { return a.Lib.Lookup(rj) },
 			func(p synth.Policy, v float64) { a.Lib.Store(rj, p, v) },
-			rj, func(x, y int) float64 { return 1 })
+			rj, func(x, y int) float64 { return 1 }, true)
 	}
 	if a.Cache != nil && len(obstacles) == 0 {
 		key, tf, canon := a.cacheKeyFor(rj, c)
 		lookup := func() (synth.Policy, float64, bool) {
 			p, v, ok := a.Cache.Lookup(key)
 			if !ok {
-				return nil, 0, false
+				return synth.Policy{}, 0, false
 			}
 			if canon {
 				telCanonHits.Inc()
@@ -384,13 +388,13 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 			}
 			a.Cache.Store(key, p, v)
 		}
-		return a.singleFlight(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField())
+		return a.singleFlight(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField(), canon)
 	}
 	opt := a.Opt
 	opt.Model.Blocked = obstacles
 	res, err := a.synthesize(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), rj, c.ObservedForceField(), opt)
 	if err != nil {
-		return nil, 0, err
+		return synth.Policy{}, 0, err
 	}
 	return res.Policy, res.Value, nil
 }
@@ -402,11 +406,14 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 // re-checks the store; the leader re-checks once more after winning it (a
 // previous leader may have stored between our miss and our claim) before
 // synthesizing, and stores a strategy that exists unless key is poisoned.
+// canon reports that the store is keyed on D4-canonical geometry, which
+// the medacheck build needs to re-derive a hit (assertServed).
 func (a *Adaptive) singleFlight(key CacheKey, hits *int, lookup func() (synth.Policy, float64, bool),
-	store func(synth.Policy, float64), rj route.RJ, field action.ForceField) (synth.Policy, float64, error) {
+	store func(synth.Policy, float64), rj route.RJ, field action.ForceField, canon bool) (synth.Policy, float64, error) {
 	var done chan struct{}
 	for {
 		if p, v, ok := lookup(); ok {
+			assertServed(rj, field, a.Opt, canon, p, v)
 			if done != nil {
 				a.release(key, done)
 			}
@@ -425,7 +432,7 @@ func (a *Adaptive) singleFlight(key CacheKey, hits *int, lookup func() (synth.Po
 	defer a.release(key, done)
 	res, err := a.synthesize(key, rj, field, a.Opt)
 	if err != nil {
-		return nil, 0, err
+		return synth.Policy{}, 0, err
 	}
 	if res.Exists() && !a.poisoned(key) {
 		store(res.Policy, res.Value)
@@ -459,15 +466,4 @@ func (a *Adaptive) cacheKeyFor(rj route.RJ, c *chip.Chip) (key CacheKey, tf synt
 		return key, tf, true
 	}
 	return NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), synth.Transform{}, false
-}
-
-// InvalidateRegion eagerly drops cached strategies whose hazard bounds
-// intersect the degraded region (stale entries could never be served anyway
-// — keys embed the region health hash — but dropping them frees cache slots
-// for live strategies).
-func (a *Adaptive) InvalidateRegion(region geom.Rect) int {
-	if a.Cache == nil {
-		return 0
-	}
-	return a.Cache.Invalidate(region)
 }

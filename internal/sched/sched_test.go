@@ -8,6 +8,7 @@ import (
 	"meda/internal/chip"
 	"meda/internal/degrade"
 	"meda/internal/geom"
+	"meda/internal/policy"
 	"meda/internal/randx"
 	"meda/internal/route"
 	"meda/internal/synth"
@@ -52,7 +53,7 @@ func TestBaselineRoute(t *testing.T) {
 	if v != 10 { // 10 cells east; a 3×3 droplet has no double steps
 		t.Errorf("baseline cost = %v, want 10", v)
 	}
-	if len(p) == 0 {
+	if p.Len() == 0 {
 		t.Error("empty baseline policy")
 	}
 }
@@ -85,7 +86,7 @@ func TestAdaptiveRouteHealthyUsesLibrary(t *testing.T) {
 	if a.LibraryUses != 2 {
 		t.Errorf("translated route should hit the library, lib=%d", a.LibraryUses)
 	}
-	if _, ok := p[moved.Start]; !ok {
+	if _, ok := p.Lookup(moved.Start); !ok {
 		t.Error("translated policy must cover the translated start")
 	}
 }
@@ -154,7 +155,7 @@ func TestAdaptiveObstaclesBypassLibrary(t *testing.T) {
 	// trajectory.)
 	d := job().Start
 	for step := 0; step < 50 && !job().Goal.ContainsRect(d); step++ {
-		a, ok := p[d]
+		a, ok := p.Lookup(d)
 		if !ok {
 			t.Fatalf("policy undefined at %v", d)
 		}
@@ -181,7 +182,7 @@ func TestBaselineObstacles(t *testing.T) {
 	if v1 <= v0 {
 		t.Errorf("obstructed baseline cost %v should exceed clear cost %v", v1, v0)
 	}
-	if len(blockedP) >= len(clear) {
+	if blockedP.Len() >= clear.Len() {
 		t.Error("obstructed policy should cover fewer positions")
 	}
 }
@@ -211,7 +212,7 @@ func TestLibraryValueRoundTrip(t *testing.T) {
 }
 
 func tinyPolicy() synth.Policy {
-	return synth.Policy{rect(10, 10, 12, 12): action.MoveE}
+	return policy.Of([]policy.Entry{{D: rect(10, 10, 12, 12), A: action.MoveE}})
 }
 
 // TestNewAdaptiveCacheSize pins the cache-size rule every adaptive router

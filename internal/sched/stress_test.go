@@ -14,11 +14,11 @@ import (
 )
 
 // TestConcurrentCacheStress hammers the strategy cache from background
-// goroutines while the main goroutine routes, degrades the chip, and
-// invalidates — the interleaving a shared adaptive router sees when health
-// goes dirty mid-assay. Its job is to give the race detector (go test -race,
-// the CI race step) something to chew on: every Cache method and
-// InvalidateRegion run concurrently with Route.
+// goroutines while the main goroutine routes and degrades the chip — the
+// interleaving a shared adaptive router sees when health goes dirty
+// mid-assay. Its job is to give the race detector (go test -race, the CI
+// race step) something to chew on: every Cache method runs concurrently
+// with Route.
 //
 // Live chip state is read and mutated only on the main goroutine; the
 // background goroutines confine themselves to the cache, which is
@@ -65,9 +65,6 @@ func TestConcurrentCacheStress(t *testing.T) {
 				a.Cache.Store(key, pol, 1)
 				a.Cache.Lookup(key)
 				a.Cache.Contains(key)
-				if i%5 == 0 {
-					a.InvalidateRegion(rect(1, 1, 15, 15))
-				}
 				a.Cache.Len()
 				a.Cache.Stats()
 			}
@@ -85,10 +82,16 @@ func TestConcurrentCacheStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%4 == 3 {
-			// Health goes dirty: the hash under every cached key changes,
-			// and the eager invalidation races the background lookups.
-			c.Actuate(hazard)
-			a.InvalidateRegion(hazard)
+			// Health goes dirty: wear the region until its observed
+			// health, and so the hash under every cached key, changes
+			// while the background goroutines keep storing and looking up.
+			h := c.HealthHash(hazard)
+			for n := 0; c.HealthHash(hazard) == h; n++ {
+				if n == 10000 {
+					t.Fatal("region health never changed")
+				}
+				c.Actuate(hazard)
+			}
 		}
 	}
 	close(stop)
@@ -97,9 +100,6 @@ func TestConcurrentCacheStress(t *testing.T) {
 	st := a.Cache.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Error("stress run never touched the cache")
-	}
-	if st.Invalidations == 0 {
-		t.Error("stress run never invalidated")
 	}
 	// Each health change rekeys the jobs, forcing re-synthesis: there must
 	// have been strictly more syntheses than distinct jobs.
@@ -156,7 +156,7 @@ func TestConcurrentRouteSingleFlight(t *testing.T) {
 					errs <- err
 					return
 				}
-				if len(p) == 0 {
+				if p.Len() == 0 {
 					errs <- errors.New("Route returned an empty policy")
 					return
 				}

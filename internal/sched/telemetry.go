@@ -7,10 +7,9 @@ import "meda/internal/telemetry"
 // numbers remain available through Cache.Stats. sched.synth.online counts
 // strategies synthesized on the routing path.
 var (
-	telCacheHits          = telemetry.C("sched.cache.hits")
-	telCacheMisses        = telemetry.C("sched.cache.misses")
-	telCacheEvictions     = telemetry.C("sched.cache.evictions")
-	telCacheInvalidations = telemetry.C("sched.cache.invalidations")
+	telCacheHits      = telemetry.C("sched.cache.hits")
+	telCacheMisses    = telemetry.C("sched.cache.misses")
+	telCacheEvictions = telemetry.C("sched.cache.evictions")
 
 	// Canonicalization effectiveness: hits served through a D4-canonical
 	// key (the per-shape fast path) vs hits on raw per-position keys (the

@@ -217,7 +217,7 @@ func TestDegradedJobRoutesViaFinalTier(t *testing.T) {
 	rj := plan.MOs[0].Jobs[0]
 	j := &jobRT{rj: rj, mo: 0, degraded: true, routable: true}
 	(&run{Runner: r, k: 1}).fetch(j)
-	if !j.routable || len(j.policy) == 0 {
+	if !j.routable || j.policy.Len() == 0 {
 		t.Fatalf("degraded fetch produced no policy: routable=%v", j.routable)
 	}
 	if got := fb.Stats().DegradedRoutes; got != 1 {

@@ -621,20 +621,10 @@ func (s *run) resynthesize() {
 				continue
 			}
 			dirty := j.obstacleDirty
-			healthDirty := false
 			if s.Router.HealthAware() && j.routable && !dirty {
-				healthDirty = s.Chip.HealthHash(j.rj.Hazard) != j.hash
-				dirty = healthDirty
+				dirty = s.Chip.HealthHash(j.rj.Hazard) != j.hash
 			}
 			if dirty && !j.pending {
-				if healthDirty {
-					if inv, ok := s.Router.(sched.RegionInvalidator); ok {
-						// The job's region covers the degraded cells that
-						// triggered the refresh: evict overlapping
-						// strategies eagerly.
-						inv.InvalidateRegion(j.rj.Hazard)
-					}
-				}
 				j.pending = true
 				if s.k+resynthDelay > j.nextTry {
 					j.nextTry = s.k + resynthDelay
@@ -682,7 +672,7 @@ func (s *run) selectAction(i int, d *dropletRT) geom.Rect {
 		// condition (merge rendezvous, phase change) to pick it up.
 		return d.rect
 	}
-	a, ok := d.job.policy[d.rect]
+	a, ok := d.job.policy.Lookup(d.rect)
 	if !ok {
 		// Off-policy position or unroutable region: keep probing for a way
 		// out as health/obstacles evolve.
@@ -816,7 +806,7 @@ func (s *run) recoverErrors() {
 			if stalled > rc.StallThreshold/2 && j.routable {
 				// Retrial: blacklist the unreachable next step and
 				// re-route this job around it.
-				if a, ok := j.policy[d.rect]; ok {
+				if a, ok := j.policy.Lookup(d.rect); ok {
 					if s.inferFault(a.Apply(d.rect)) {
 						j.obstacleDirty = true
 					}
@@ -899,7 +889,7 @@ func (s *run) noteDivergence(d *dropletRT) {
 	}
 	s.exec.Divergences++
 	telDivergences.Inc()
-	if a, ok := j.policy[d.rect]; ok {
+	if a, ok := j.policy.Lookup(d.rect); ok {
 		// The plan keeps commanding this step and the droplet keeps not
 		// arriving: treat the target region as physically suspect whether
 		// or not the health sensor agrees (it may be lying).
@@ -962,7 +952,7 @@ func (r *Runner) inferFaults(m *moRT, k int) {
 		if k-d.lastMove <= r.Cfg.Recovery.StallThreshold {
 			continue
 		}
-		if a, ok := j.policy[d.rect]; ok {
+		if a, ok := j.policy.Lookup(d.rect); ok {
 			r.inferFault(a.Apply(d.rect))
 		} else {
 			// No usable action at all: blacklist the spot itself so the
@@ -1161,7 +1151,7 @@ func (s *run) fetch(j *jobRT) {
 	j.obstacleDirty = false
 	j.extraObstacles = nil
 	j.blockedStreak = 0
-	if err != nil || len(policy) == 0 {
+	if err != nil || policy.Len() == 0 {
 		// No strategy exists (e.g. dead or fully obstructed region): the
 		// droplet holds; re-routes keep probing as conditions change,
 		// and the execution runs down the clock if none appears —
@@ -1173,7 +1163,7 @@ func (s *run) fetch(j *jobRT) {
 		if s.cs != nil && len(obstacles) > 0 && j.widen < widenMax {
 			j.widen += widenStep
 		}
-		j.policy = nil
+		j.policy = synth.Policy{}
 		j.routable = false
 		return
 	}

@@ -23,6 +23,7 @@ import (
 	"meda/internal/chip"
 	"meda/internal/geom"
 	"meda/internal/mdp"
+	"meda/internal/policy"
 	"meda/internal/randx"
 )
 
@@ -182,6 +183,7 @@ type Model struct {
 	bounds geom.Rect
 	spans  []span      // one per enumerated droplet shape, in id order
 	rects  []geom.Rect // position-state id → droplet rectangle
+	pack   policy.Packer
 }
 
 // span records the contiguous block of state ids occupied by one droplet
@@ -390,7 +392,7 @@ func (ar *Arena) enumerate(bounds, start, goal geom.Rect, opt ModelOptions) (*Mo
 	ar.builds++
 	m := &ar.model
 	*m = Model{bounds: bounds, spans: m.spans[:0], rects: m.rects[:0],
-		Goal: m.Goal[:0], Hazard: m.Hazard[:0]}
+		Goal: m.Goal[:0], Hazard: m.Hazard[:0], pack: m.pack}
 
 	// Enumerate position states shape by shape, matching the reduced
 	// state space S̃ ⊆ Δh of Sec. VI-C. Positions are laid out row-major
@@ -554,14 +556,25 @@ func Induce(bounds, start, goal geom.Rect, field action.ForceField, opt ModelOpt
 // Policy converts a solved mdp.Strategy into the droplet routing strategy
 // π: Δ → A of Sec. VI-C, mapping each droplet rectangle to its selected
 // microfluidic action.
-func (m *Model) Policy(st mdp.Strategy) map[geom.Rect]action.Action {
-	out := make(map[geom.Rect]action.Action, len(m.rects))
-	for id, d := range m.rects {
+func (m *Model) Policy(st mdp.Strategy) policy.Policy {
+	m.packShapes(func(id int) (action.Action, bool) {
 		act, ok := st.Action(m.M, mdp.StateID(id))
-		if !ok || act < 0 {
-			continue
+		return action.Action(act), ok && act >= 0
+	})
+	return m.pack.Policy()
+}
+
+// packShapes opens one grid per enumerated shape on the model's Packer,
+// laid out as the shape's position states are, and sets each position's
+// cell to act(id) where act reports one.
+func (m *Model) packShapes(act func(id int) (action.Action, bool)) {
+	for _, sp := range m.spans {
+		cols, rows := m.bounds.Width()-sp.w+1, m.bounds.Height()-sp.h+1
+		cells := m.pack.Shape(sp.w, sp.h, m.bounds.XA, m.bounds.YA, cols, rows)
+		for i := range cells {
+			if a, ok := act(int(sp.base) + i); ok {
+				cells[i] = a
+			}
 		}
-		out[d] = action.Action(act)
 	}
-	return out
 }

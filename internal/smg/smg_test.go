@@ -199,7 +199,7 @@ func TestDegradedCellRoutesAround(t *testing.T) {
 		if GoalLabel(d, goal) {
 			return
 		}
-		a, ok := policy[d]
+		a, ok := policy.Lookup(d)
 		if !ok {
 			t.Fatalf("policy undefined at %v", d)
 		}
@@ -403,10 +403,10 @@ func TestPolicyMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := m.Policy(res.Strategy)
-	if len(policy) == 0 {
+	if policy.Len() == 0 {
 		t.Fatal("empty policy")
 	}
-	a, ok := policy[start]
+	a, ok := policy.Lookup(start)
 	if !ok {
 		t.Fatal("policy undefined at start")
 	}

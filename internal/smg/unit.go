@@ -5,6 +5,7 @@ import (
 
 	"meda/internal/action"
 	"meda/internal/geom"
+	"meda/internal/policy"
 )
 
 // Unit is the routing model of a job whose hazard window reads force 1 in
@@ -25,16 +26,15 @@ type Unit struct {
 	// builds for the same job.
 	States, Transitions, Choices int
 
-	m       *Model
-	init    int32           // resolve(start): where the init commit goes
-	off     []int32         // position → its successors [off[id], off[id+1])
-	acts    []action.Action // per successor: the action that reaches it
-	succ    []int32         // per successor: its destination state
-	revOff  []int32         // state → its predecessors [revOff[t], revOff[t+1])
-	revSrc  []int32         // the predecessor positions, grouped by state
-	dist    []int32         // per state: hops to the goal sink, -1 if unreached
-	queue   []int32         // BFS queue
-	reached int             // positions with a finite distance
+	m      *Model
+	init   int32           // resolve(start): where the init commit goes
+	off    []int32         // position → its successors [off[id], off[id+1])
+	acts   []action.Action // per successor: the action that reaches it
+	succ   []int32         // per successor: its destination state
+	revOff []int32         // state → its predecessors [revOff[t], revOff[t+1])
+	revSrc []int32         // the predecessor positions, grouped by state
+	dist   []int32         // per state: hops to the goal sink, -1 if unreached
+	queue  []int32         // BFS queue
 }
 
 // UnitWindow reports whether the model Induce would build for a job over
@@ -145,7 +145,6 @@ func (u *Unit) Solve() int {
 		}
 	}
 	u.dist, u.queue = dist, queue
-	u.reached = len(queue) - 1
 	return int(dmax)
 }
 
@@ -162,11 +161,10 @@ func (u *Unit) Value() float64 {
 // first action, in enumeration order, whose successor has the strictly
 // smallest distance. Distances are integers, so this is the choice
 // MinExpectedReward extracts (the first with 1 + d < best − 1e-12).
-func (u *Unit) Policy() map[geom.Rect]action.Action {
-	out := make(map[geom.Rect]action.Action, u.reached)
-	for id, d := range u.m.rects {
+func (u *Unit) Policy() policy.Policy {
+	u.m.packShapes(func(id int) (action.Action, bool) {
 		if u.dist[id] < 0 {
-			continue
+			return 0, false
 		}
 		best, bi := int32(math.MaxInt32), int32(-1)
 		for c := u.off[id]; c < u.off[id+1]; c++ {
@@ -174,7 +172,7 @@ func (u *Unit) Policy() map[geom.Rect]action.Action {
 				best, bi = dt, c
 			}
 		}
-		out[d] = u.acts[bi]
-	}
-	return out
+		return u.acts[bi], true
+	})
+	return u.m.pack.Policy()
 }

@@ -86,13 +86,8 @@ func TestUnitMatchesInducedModel(t *testing.T) {
 			unreached++
 		}
 		got, want := u.Policy(), m.Policy(res.Strategy)
-		if len(got) != len(want) {
-			t.Fatalf("job %d: policy over %d positions, induced %d", i, len(got), len(want))
-		}
-		for d, a := range want {
-			if got[d] != a {
-				t.Fatalf("job %d: at %v %v, induced %v", i, d, got[d], a)
-			}
+		if diff := got.Diff(want); diff != "" {
+			t.Fatalf("job %d: %s", i, diff)
 		}
 	}
 	if unreached == 0 {

@@ -110,31 +110,16 @@ func normRect(xa, ya, xb, yb int) geom.Rect {
 }
 
 // ApplyPolicy maps a policy from original to canonical coordinates,
-// conjugating each action through the dihedral element.
+// conjugating each action through the dihedral element: an index
+// permutation of each shape's action grid.
 func (t Transform) ApplyPolicy(p Policy) Policy {
-	if p == nil {
-		return nil
-	}
-	out := make(Policy, len(p))
-	conj := &conjTable[t.Op]
-	for d, a := range p {
-		out[t.Apply(d)] = conj[a]
-	}
-	return out
+	return p.Remap(t.Apply, &conjTable[t.Op])
 }
 
 // InvertPolicy maps a canonical-space policy back to original coordinates —
 // the de-canonicalization applied after a canonical cache hit.
 func (t Transform) InvertPolicy(p Policy) Policy {
-	if p == nil {
-		return nil
-	}
-	out := make(Policy, len(p))
-	conj := &conjInvTable[t.Op]
-	for d, a := range p {
-		out[t.Invert(d)] = conj[a]
-	}
-	return out
+	return p.Remap(t.Invert, &conjInvTable[t.Op])
 }
 
 // Canonicalize returns the canonical representative of the job's symmetry

@@ -181,15 +181,15 @@ func TestCanonicalSynthesisEquivalence(t *testing.T) {
 		// compare reachable-policy sizes and spot-check the start action's
 		// effect rather than demanding identical maps.
 		inv := tf.InvertPolicy(canon.Policy)
-		if len(inv) != len(direct.Policy) {
-			t.Fatalf("%v: policy sizes differ: %d inverted vs %d direct", rj, len(inv), len(direct.Policy))
+		if inv.Len() != direct.Policy.Len() {
+			t.Fatalf("%v: policy sizes differ: %d inverted vs %d direct", rj, inv.Len(), direct.Policy.Len())
 		}
-		for d := range direct.Policy {
-			if _, ok := inv[d]; !ok {
+		direct.Policy.Walk(func(d geom.Rect, _ action.Action) {
+			if _, ok := inv.Lookup(d); !ok {
 				t.Fatalf("%v: inverted policy missing droplet %v", rj, d)
 			}
-		}
-		if _, ok := inv[rj.Start]; !ok {
+		})
+		if _, ok := inv.Lookup(rj.Start); !ok {
 			t.Fatalf("%v: inverted policy missing the start position", rj)
 		}
 	}

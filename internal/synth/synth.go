@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"meda/internal/action"
-	"meda/internal/geom"
 	"meda/internal/mdp"
+	"meda/internal/policy"
 	"meda/internal/route"
 	"meda/internal/smg"
 	"meda/internal/spec"
@@ -66,12 +66,13 @@ type Stats struct {
 func (s Stats) Total() time.Duration { return s.Construction + s.Synthesis }
 
 // Policy is a synthesized droplet routing strategy: the microfluidic action
-// to issue for each droplet rectangle.
-type Policy map[geom.Rect]action.Action
+// to issue for each droplet rectangle, packed into one action grid per
+// droplet shape (package policy).
+type Policy = policy.Policy
 
 // Result is the outcome of Alg. 2.
 type Result struct {
-	// Policy is π, empty when no strategy exists.
+	// Policy is π, covering no rectangle when no strategy exists.
 	Policy Policy
 	// Value is the query value at the job's start state: the expected
 	// number of cycles k for Rmin queries (+Inf when no strategy exists),
@@ -85,7 +86,7 @@ type Result struct {
 }
 
 // Exists reports whether a usable strategy was synthesized.
-func (r Result) Exists() bool { return len(r.Policy) > 0 && !math.IsInf(r.Value, 1) }
+func (r Result) Exists() bool { return r.Policy.Len() > 0 && !math.IsInf(r.Value, 1) }
 
 // diffResults describes the first difference between two results in what
 // the unit path must reproduce bit for bit — Value, the Stats sizes,
@@ -99,16 +100,8 @@ func diffResults(got, want Result) string {
 		return fmt.Sprintf("stats %d/%d/%d/%d, want %d/%d/%d/%d (states/transitions/choices/iterations)",
 			got.Stats.States, got.Stats.Transitions, got.Stats.Choices, got.Stats.Iterations,
 			want.Stats.States, want.Stats.Transitions, want.Stats.Choices, want.Stats.Iterations)
-	case (got.Policy == nil) != (want.Policy == nil) || len(got.Policy) != len(want.Policy):
-		return fmt.Sprintf("policy of %d positions (nil %v), want %d (nil %v)",
-			len(got.Policy), got.Policy == nil, len(want.Policy), want.Policy == nil)
 	}
-	for d, a := range want.Policy {
-		if g, ok := got.Policy[d]; !ok || g != a {
-			return fmt.Sprintf("policy at %v: %v (present %v), want %v", d, g, ok, a)
-		}
-	}
-	return ""
+	return got.Policy.Diff(want.Policy)
 }
 
 // arenas recycles model-construction memory across syntheses. Each
@@ -194,7 +187,7 @@ func synthesizeUnit(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, opt Options)
 	res.Stats.Iterations = 1 // the seeded sweep that confirms the distances
 	if !math.IsInf(res.Value, 1) {
 		spe := sp.Child("synth.extract")
-		res.Policy = Policy(u.Policy())
+		res.Policy = u.Policy()
 		spe.End()
 	}
 	res.Stats.Synthesis = time.Since(t1)
@@ -260,7 +253,7 @@ func synthesize(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, field action.For
 		return res, nil
 	}
 	spe := sp.Child("synth.extract")
-	res.Policy = Policy(model.Policy(solved.Strategy))
+	res.Policy = model.Policy(solved.Strategy)
 	spe.End()
 	assertReduced(model, solved.Strategy, rj.Hazard)
 	return res, nil

@@ -45,7 +45,7 @@ func TestSynthesizeRMin(t *testing.T) {
 	if res.Stats.Total() != res.Stats.Construction+res.Stats.Synthesis {
 		t.Error("total time mismatch")
 	}
-	if a, ok := res.Policy[rect(1, 1, 3, 3)]; !ok || a != action.MoveNE {
+	if a, ok := res.Policy.Lookup(rect(1, 1, 3, 3)); !ok || a != action.MoveNE {
 		t.Errorf("policy at start = %v/%v, want aNE", a, ok)
 	}
 }
@@ -84,7 +84,7 @@ func TestSynthesizeNoStrategy(t *testing.T) {
 	if !math.IsInf(res.Value, 1) {
 		t.Errorf("value = %v, want +Inf", res.Value)
 	}
-	if len(res.Policy) != 0 {
+	if res.Policy.Len() != 0 {
 		t.Error("policy must be empty when no strategy exists")
 	}
 	// The Pmax query agrees: probability 0.
@@ -180,21 +180,15 @@ func TestTranslationInvariance(t *testing.T) {
 	if math.Abs(a.Value-b.Value) > 1e-9 {
 		t.Fatalf("values differ: %v vs %v", a.Value, b.Value)
 	}
-	moved := make(Policy, len(a.Policy))
-	for d, act := range a.Policy {
-		moved[d.Translate(7, 3)] = act
+	var same [action.NumActions]action.Action
+	for i := range same {
+		same[i] = action.Action(i)
 	}
-	if len(moved) != len(b.Policy) {
-		t.Fatalf("policy sizes differ: %d vs %d", len(moved), len(b.Policy))
-	}
-	for d, act := range b.Policy {
-		if moved[d] != act {
-			// Ties between equal-value actions may break differently;
-			// accept if both actions achieve the same one-step value.
-			// With Gauss-Seidel and identical iteration order on a
-			// translated model, they should not.
-			t.Fatalf("policy differs at %v: %v vs %v", d, moved[d], act)
-		}
+	moved := a.Policy.Remap(func(d geom.Rect) geom.Rect { return d.Translate(7, 3) }, &same)
+	// With Gauss-Seidel and identical iteration order on a translated
+	// model, ties between equal-value actions break the same way.
+	if diff := moved.Diff(b.Policy); diff != "" {
+		t.Fatal(diff)
 	}
 }
 

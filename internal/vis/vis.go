@@ -13,6 +13,7 @@ import (
 	"meda/internal/action"
 	"meda/internal/chip"
 	"meda/internal/geom"
+	"meda/internal/policy"
 	"meda/internal/synth"
 )
 
@@ -100,13 +101,19 @@ func Arrow(a action.Action) rune {
 // the policy defines an action for a droplet whose lower-left corner is that
 // cell, the action's arrow is drawn; 'G' marks the goal region and '#'
 // blocked overlays.
-func PolicyMap(w io.Writer, region, goal geom.Rect, policy synth.Policy, blocked ...geom.Rect) {
-	// Index policy by lower-left corner (unique per position for a fixed
-	// droplet shape).
-	byCorner := make(map[geom.Cell]action.Action, len(policy))
-	for d, a := range policy {
-		byCorner[geom.Cell{X: d.XA, Y: d.YA}] = a
+func PolicyMap(w io.Writer, region, goal geom.Rect, pol synth.Policy, blocked ...geom.Rect) {
+	// Index the policy by lower-left corner (unique per position for a
+	// fixed droplet shape; with morphing, the first shape packed wins).
+	byCorner := make([]action.Action, region.Area())
+	for i := range byCorner {
+		byCorner[i] = policy.None
 	}
+	at := func(c geom.Cell) int { return (c.Y-region.YA)*region.Width() + c.X - region.XA }
+	pol.Walk(func(d geom.Rect, a action.Action) {
+		if c := (geom.Cell{X: d.XA, Y: d.YA}); region.Contains(c) && byCorner[at(c)] == policy.None {
+			byCorner[at(c)] = a
+		}
+	})
 	for y := region.YB; y >= region.YA; y-- {
 		var b strings.Builder
 		for x := region.XA; x <= region.XB; x++ {
@@ -116,12 +123,10 @@ func PolicyMap(w io.Writer, region, goal geom.Rect, policy synth.Policy, blocked
 				b.WriteRune('G')
 			case contains(blocked, cell):
 				b.WriteRune('#')
+			case byCorner[at(cell)] != policy.None:
+				b.WriteRune(Arrow(byCorner[at(cell)]))
 			default:
-				if a, ok := byCorner[cell]; ok {
-					b.WriteRune(Arrow(a))
-				} else {
-					b.WriteRune('·')
-				}
+				b.WriteRune('·')
 			}
 		}
 		fmt.Fprintln(w, b.String())
@@ -138,7 +143,7 @@ func Trajectory(w io.Writer, rj geom.Rect, goal geom.Rect, policy synth.Policy, 
 			fmt.Fprintf(w, "%3d: %v  (goal)\n", step, pos)
 			return
 		}
-		a, ok := policy[pos]
+		a, ok := policy.Lookup(pos)
 		if !ok {
 			fmt.Fprintf(w, "%3d: %v  (no action)\n", step, pos)
 			return

@@ -9,6 +9,7 @@ import (
 	"meda/internal/chip"
 	"meda/internal/degrade"
 	"meda/internal/geom"
+	"meda/internal/policy"
 	"meda/internal/randx"
 	"meda/internal/synth"
 )
@@ -98,12 +99,12 @@ func TestArrowCoverage(t *testing.T) {
 }
 
 func TestPolicyMap(t *testing.T) {
-	policy := synth.Policy{
-		rect(1, 1, 3, 3): action.MoveNE,
-		rect(2, 2, 4, 4): action.MoveE,
-	}
+	pol := policy.Of([]policy.Entry{
+		{D: rect(1, 1, 3, 3), A: action.MoveNE},
+		{D: rect(2, 2, 4, 4), A: action.MoveE},
+	})
 	var buf bytes.Buffer
-	PolicyMap(&buf, rect(1, 1, 6, 6), rect(5, 5, 6, 6), policy, rect(4, 1, 4, 1))
+	PolicyMap(&buf, rect(1, 1, 6, 6), rect(5, 5, 6, 6), pol, rect(4, 1, 4, 1))
 	out := buf.String()
 	if !strings.Contains(out, "↗") || !strings.Contains(out, "→") {
 		t.Errorf("arrows missing:\n%s", out)
@@ -117,12 +118,12 @@ func TestPolicyMap(t *testing.T) {
 }
 
 func TestTrajectory(t *testing.T) {
-	policy := synth.Policy{
-		rect(1, 1, 3, 3): action.MoveE,
-		rect(2, 1, 4, 3): action.MoveE,
-	}
+	pol := policy.Of([]policy.Entry{
+		{D: rect(1, 1, 3, 3), A: action.MoveE},
+		{D: rect(2, 1, 4, 3), A: action.MoveE},
+	})
 	var buf bytes.Buffer
-	Trajectory(&buf, rect(1, 1, 3, 3), rect(3, 1, 5, 3), policy, 10)
+	Trajectory(&buf, rect(1, 1, 3, 3), rect(3, 1, 5, 3), pol, 10)
 	out := buf.String()
 	if !strings.Contains(out, "(goal)") {
 		t.Errorf("trajectory did not reach goal:\n%s", out)
