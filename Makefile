@@ -36,9 +36,11 @@ models:
 # verification after every synthesis, and a full-synthesis cross-check of
 # every job solved on the all-healthy unit path. The executor and root
 # packages are included so the golden-trace and differential suites route
-# every window they meet through those checks.
+# every window they meet through those checks; internal/serve so that the
+# strategies one fleet tenant is served from another's syntheses (raw,
+# canonical and obstructed Cache hits, Library hits) are re-derived too.
 assert:
-	$(GO) test -tags medacheck ./internal/mdp/ ./internal/smg/ ./internal/synth/ ./internal/modelcheck/ ./internal/sched/ ./internal/sim/ .
+	$(GO) test -tags medacheck ./internal/mdp/ ./internal/smg/ ./internal/synth/ ./internal/modelcheck/ ./internal/sched/ ./internal/sim/ ./internal/serve/ .
 
 # Coverage floors for the packages this repo leans on hardest. Floors sit
 # well below current coverage (≈98/92/94% as of the telemetry PR; the

@@ -13,7 +13,8 @@
 // whole synthesis of that healthy job, a policy lookup, the cold-vs-warm
 // strategy cache for re-synthesis, a Library hit on a rotated job, the
 // D4-canonical cache serving a whole symmetry class of jobs from one
-// synthesis, and the sequential-vs-concurrent assay executor
+// synthesis, an obstructed window served from the cache, journaling the
+// end of a job (serve.Store), and the sequential-vs-concurrent assay executor
 // with the adaptive router on a contention-heavy generated workload.
 // Derived ratios (warm_cache_speedup, pooled_construction_speedup,
 // canonicalization_hit_rate, concurrent_cycle_reduction) are computed from
@@ -22,7 +23,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,10 +43,12 @@ import (
 	"meda/internal/randx"
 	"meda/internal/route"
 	"meda/internal/sched"
+	"meda/internal/serve"
 	"meda/internal/sim"
 	"meda/internal/smg"
 	"meda/internal/synth"
 	"meda/internal/telemetry"
+	"meda/pkg/api"
 )
 
 // A row is the run with the median ns/op of runsPerRow testing.Benchmark
@@ -409,6 +414,37 @@ func main() {
 		}
 	})
 
+	// An obstructed window served from the Cache: its raw key carries the
+	// signature of the obstacles clipped to the window, so routing around
+	// the same droplets again — listed in another order, one repeated — is
+	// a hit, not a synthesis.
+	obstacles := []meda.Rect{{XA: 18, YA: 12, XB: 21, YB: 17}, {XA: 34, YA: 5, XB: 40, YB: 9}}
+	obsRouter := sched.NewAdaptive(sched.DefaultCacheSize)
+	if _, _, err := obsRouter.Route(job, c, obstacles); err != nil {
+		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
+		os.Exit(1)
+	}
+	reordered := []meda.Rect{obstacles[1], obstacles[0], obstacles[1]}
+	record(rep, "cache/obstructed_hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := obsRouter.Route(job, c, reordered); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if obsRouter.Syntheses != 1 {
+			b.Fatalf("%d syntheses for one obstructed window", obsRouter.Syntheses)
+		}
+	})
+
+	// Journaling the end of a job: Store.Append of a job_done record that
+	// carries a default 60×30 chip's state, without the fsync (the row
+	// measures encoding and the write). The journal is truncated, untimed,
+	// every 64 records so the row does not fill the disk.
+	if err := appendJobDoneRow(rep); err != nil {
+		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
+		os.Exit(1)
+	}
+
 	// Assay execution with the paper's adaptive router: sequential (one
 	// hazard zone at a time) vs concurrent (all ready operations at once) on
 	// a contention-heavy generated mixture — three paper protocols
@@ -482,4 +518,41 @@ func main() {
 	fmt.Printf("concurrent cycle reduction:          %.2fx (%d → %d cycles on %s)\n",
 		rep.Derived["concurrent_cycle_reduction"], seqExec.Cycles, conExec.Cycles, mix.Name)
 	fmt.Printf("wrote %s\n", *out)
+}
+
+// appendJobDoneRow records journal/append_job_done on a store in a
+// temporary directory, removed afterwards.
+func appendJobDoneRow(rep *report) error {
+	dc, err := chip.New(chip.Default(), randx.New(1))
+	if err != nil {
+		return err
+	}
+	var state bytes.Buffer
+	if err := dc.SaveState(&state); err != nil {
+		return err
+	}
+	dir, err := os.MkdirTemp("", "medabench-journal-")
+	if err != nil {
+		return err
+	}
+	store, err := serve.OpenStore(dir)
+	if err == nil {
+		result := &api.Execution{Success: true, Cycles: 214, Stalls: 3, Resyntheses: 12, JobsCompleted: 9, PeakDroplets: 4}
+		record(rep, "journal/append_job_done", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if i%64 == 63 {
+					b.StopTimer()
+					if err := store.Snapshot(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := store.AppendJobDone("j-000001", result, "", state.Bytes(), false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		err = store.Close()
+	}
+	return errors.Join(err, os.RemoveAll(dir))
 }

@@ -8,9 +8,12 @@
 // goroutine calls it), so analyzers schedule each literal as its own CFG.
 //
 // The graph is deliberately simpler than golang.org/x/tools/go/cfg where
-// the medalint analyzers don't need the precision: panics and runtime
-// aborts are not modeled, and unreachable code after a terminal statement
-// is kept in blocks with no predecessors so analyzers still visit it.
+// the medalint analyzers don't need the precision: runtime aborts are not
+// modeled, and unreachable code after a terminal statement is kept in
+// blocks with no predecessors so analyzers still visit it. Calls that never
+// return (panic, os.Exit, log.Fatal) end their path only when the caller
+// says which they are: cfg sees syntax, so it takes a predicate over call
+// expressions from an analyzer that has resolved their callees.
 //
 // Two marker node types appear in blocks alongside standard ast nodes.
 // *Select stands for the decision point of a select statement (its clause
@@ -101,10 +104,13 @@ func Visit(n ast.Node, f func(ast.Node) bool) {
 	}
 }
 
-// New builds the CFG of one function body.
-func New(body *ast.BlockStmt) *CFG {
+// New builds the CFG of one function body. noReturn, when non-nil,
+// reports calls that never return: a statement that is such a call ends
+// its block with no successor, so the rest of the function is not reached
+// along that path (nor is Exit).
+func New(body *ast.BlockStmt, noReturn func(*ast.CallExpr) bool) *CFG {
 	g := &CFG{}
-	b := &builder{g: g, labels: make(map[string]*labelInfo)}
+	b := &builder{g: g, labels: make(map[string]*labelInfo), noReturn: noReturn}
 	g.Entry = b.newBlock()
 	g.Exit = b.newBlock()
 	b.cur = g.Entry
@@ -185,6 +191,9 @@ type builder struct {
 	// fallTo is the next case block during switch clause construction,
 	// targeted by fallthrough statements.
 	fallTo *Block
+	// noReturn is New's predicate over calls that never return; nil when
+	// none are known.
+	noReturn func(*ast.CallExpr) bool
 }
 
 func (b *builder) newBlock() *Block {
@@ -294,6 +303,11 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.add(s)
 		b.jump(b.cur, b.g.Exit)
 		b.terminate()
+	case *ast.ExprStmt:
+		b.add(s)
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && b.noReturn != nil && b.noReturn(call) {
+			b.terminate()
+		}
 	default:
 		// Simple statements: declarations, assignments, expression and
 		// send statements, defer/go, increments, empties.

@@ -20,7 +20,7 @@ func build(t *testing.T, body string) *cfg.CFG {
 		t.Fatalf("parse: %v", err)
 	}
 	fd := f.Decls[0].(*ast.FuncDecl)
-	return cfg.New(fd.Body)
+	return cfg.New(fd.Body, nil)
 }
 
 func TestStraightLine(t *testing.T) {
@@ -342,4 +342,33 @@ func hasCycle(g *cfg.CFG) bool {
 		return false
 	}
 	return dfs(g.Entry)
+}
+
+// A statement calling a function the predicate names ends its path; the
+// same call deferred, started as a goroutine or nested in an expression
+// does not, and without a predicate nothing does.
+func TestNoReturnCallEndsPath(t *testing.T) {
+	src := "package p\nfunc f(x int) {\nif x > 0 {\nfatal()\n}\nif x > 1 {\ndefer fatal()\ngo fatal()\n_ = g(fatal())\n}\n_ = x\n}\n"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "test.go", src, 0)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	body := f.Decls[0].(*ast.FuncDecl).Body
+	fatal := func(call *ast.CallExpr) bool {
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == "fatal"
+	}
+	g := cfg.New(body, fatal)
+	then := g.Entry.Succs[0]
+	if len(then.Nodes) != 1 || len(then.Succs) != 0 {
+		t.Errorf("the block calling fatal should end with no successor: %s", g)
+	}
+	second := g.Entry.Succs[1] // the join of the first if, holding the second
+	if len(second.Succs) != 2 || len(second.Succs[0].Succs) != 1 {
+		t.Errorf("defer, go and a nested call should fall through: %s", g)
+	}
+	if plain := cfg.New(body, nil); len(plain.Entry.Succs[0].Succs) != 1 {
+		t.Errorf("without a predicate the call should fall through: %s", plain)
+	}
 }

@@ -18,7 +18,7 @@ func build(t *testing.T, body string) *cfg.CFG {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return cfg.New(f.Decls[0].(*ast.FuncDecl).Body)
+	return cfg.New(f.Decls[0].(*ast.FuncDecl).Body, nil)
 }
 
 type set = dataflow.VarSet[string, int]

@@ -41,7 +41,7 @@ func runErrFlowBody(pass *analysis.Pass, fb funcBody) {
 	info := pass.TypesInfo
 	escaped := escapedVars(info, fb.Body)
 	named := namedResultVars(info, fb.FuncType())
-	g := cfg.New(fb.Body)
+	g := cfg.New(fb.Body, noReturnCall(info))
 	lat := dataflow.VarSetLattice[*types.Var, token.Pos]{}
 
 	trackable := func(v *types.Var) bool {

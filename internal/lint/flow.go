@@ -139,3 +139,26 @@ func namedResultVars(info *types.Info, ft *ast.FuncType) map[*types.Var]bool {
 	}
 	return out
 }
+
+// noReturnCall returns the cfg.New predicate for calls that never return:
+// the panic builtin, os.Exit, and log.Fatal, log.Fatalf and log.Fatalln,
+// each resolved through info, so a shadowing local or a method of the same
+// name does not match.
+func noReturnCall(info *types.Info) func(*ast.CallExpr) bool {
+	return func(call *ast.CallExpr) bool {
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if b, ok := info.Uses[id].(*types.Builtin); ok {
+				return b.Name() == "panic"
+			}
+		}
+		fn := calleeFunc(info, call)
+		if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+			return false
+		}
+		switch fn.Pkg().Path() + "." + fn.Name() {
+		case "os.Exit", "log.Fatal", "log.Fatalf", "log.Fatalln":
+			return true
+		}
+		return false
+	}
+}

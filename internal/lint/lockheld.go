@@ -235,7 +235,7 @@ type heldFact = dataflow.VarSet[string, token.Pos]
 // reports blocking operations reached with a non-empty held set.
 func runLockHeldBody(pass *analysis.Pass, fb funcBody, local map[*types.Func]string) {
 	info := pass.TypesInfo
-	g := cfg.New(fb.Body)
+	g := cfg.New(fb.Body, noReturnCall(info))
 	lat := dataflow.VarSetLattice[string, token.Pos]{}
 
 	step := func(fact heldFact, n ast.Node, report bool) heldFact {

@@ -49,7 +49,7 @@ func runNilStrategy(pass *analysis.Pass) error {
 func runNilStrategyBody(pass *analysis.Pass, fb funcBody) {
 	info := pass.TypesInfo
 	escaped := escapedVars(info, fb.Body)
-	g := cfg.New(fb.Body)
+	g := cfg.New(fb.Body, noReturnCall(info))
 	lat := dataflow.VarSetLattice[*types.Var, nilOrigin]{}
 
 	step := func(fact nilFact, n ast.Node, report bool) nilFact {

@@ -1,6 +1,11 @@
 // Package nilstrategy is the golden input for the nilstrategy analyzer.
 package nilstrategy
 
+import (
+	"log"
+	"os"
+)
+
 type policy map[int]int
 
 type cache struct{ entries map[string]policy }
@@ -133,4 +138,51 @@ func loopRecheckEachIteration(c *cache, keys []string) int {
 		total += p[0]
 	}
 	return total
+}
+
+// Calls that never return end the unchecked path: what follows the guard
+// is reached only with ok true.
+func fatalOnMiss(c *cache) int {
+	p, _, ok := c.Lookup("a")
+	if !ok {
+		log.Fatalf("no strategy for %q", "a")
+	}
+	return p[0]
+}
+
+func fatallnOnMiss(c *cache) int {
+	p, _, ok := c.Lookup("a")
+	if !ok {
+		log.Fatalln("no strategy")
+	}
+	return p[0]
+}
+
+func exitOnMiss(c *cache) int {
+	p, _, ok := c.Lookup("a")
+	if !ok {
+		os.Exit(2)
+	}
+	return p[0]
+}
+
+func panicOnMiss(c *cache) int {
+	p, _, ok := c.Lookup("a")
+	if !ok {
+		panic("no strategy")
+	}
+	return p[0]
+}
+
+type logger struct{}
+
+func (logger) Fatalf(string, ...any) {}
+
+// A method named like log.Fatalf returns, so the path goes on.
+func methodNamedFatal(c *cache, l logger) int {
+	p, _, ok := c.Lookup("a")
+	if !ok {
+		l.Fatalf("no strategy")
+	}
+	return p[0] // want `p may be invalid`
 }

@@ -17,23 +17,29 @@ const DefaultCacheSize = 256
 
 // CacheKey identifies one synthesized strategy: the job's geometry, a
 // fingerprint of the synthesis options (query, action alphabet, solver),
-// and the hash of the observed health codes inside the job's hazard bounds.
-// Keying on the region's health hash makes the cache exactly as fresh as
-// Alg. 3 requires: any degradation inside the region changes the key (a
-// miss), while degradation elsewhere on the chip leaves it untouched (a
-// hit).
+// the hash of the observed health codes inside the job's hazard bounds,
+// and the signature of the obstacles inside those bounds. Keying on the
+// region's health hash makes the cache exactly as fresh as Alg. 3
+// requires: any degradation inside the region changes the key (a miss),
+// while degradation elsewhere on the chip leaves it untouched (a hit).
 //
 // Keys come in two forms. FormRaw keys carry the job's actual chip
-// coordinates and the full health hash — one entry per position. FormCanon
-// keys carry the D4-canonical geometry (synth.Canonicalize) and the
-// window's uniform health code — one entry per *shape*, shared by every
-// translated, rotated, or reflected image of the job anywhere on the chip.
-// The two namespaces never collide: Form participates in equality and Hash.
+// coordinates, the full health hash and the obstacle signature — one entry
+// per position and obstacle layout. FormCanon keys carry the D4-canonical
+// geometry (synth.Canonicalize) and the window's uniform health code — one
+// entry per *shape*, shared by every translated, rotated, or reflected
+// image of the job anywhere on the chip; only unobstructed windows get
+// them, so their Obstacles is 0. The two namespaces never collide: Form
+// participates in equality and Hash.
 type CacheKey struct {
 	Start, Goal, Hazard geom.Rect
 	Opts                uint64
 	Health              uint64
 	Form                uint8
+	// Obstacles is ObstacleSignature of the job's obstacles over Hazard,
+	// 0 for an unobstructed window. It takes part in equality but not in
+	// Hash: fault-injection draws are a function of the window alone.
+	Obstacles uint64
 }
 
 // CacheKey forms.
@@ -46,11 +52,12 @@ const (
 	FormCanon
 )
 
-// NewCacheKey builds the raw-form key for a job under the given options and
-// region health hash (typically chip.HealthHash(rj.Hazard)). The rj must
-// already be dispense-normalized. Obstacle lists are deliberately not part
-// of the key: obstacles are transient droplet positions, and the router
-// bypasses the cache whenever they are present.
+// NewCacheKey builds the raw-form key for an unobstructed job under the
+// given options and region health hash (typically
+// chip.HealthHash(rj.Hazard)). The rj must already be dispense-normalized.
+// An obstructed job's key also sets Obstacles to ObstacleSignature(
+// rj.Hazard, obstacles); the obstacles are then keyed as exactly as the
+// health is (see ObstacleSignature).
 func NewCacheKey(rj route.RJ, opt synth.Options, health uint64) CacheKey {
 	return CacheKey{
 		Start:  rj.Start,
@@ -59,6 +66,74 @@ func NewCacheKey(rj route.RJ, opt synth.Options, health uint64) CacheKey {
 		Opts:   fingerprintOptions(opt),
 		Health: health,
 	}
+}
+
+// ObstacleSignature hashes the obstacles a synthesis over hazard sees: each
+// (valid) obstacle clipped to hazard, empty clips dropped, the rest sorted
+// and deduplicated. It is 0 when no obstacle reaches into hazard, and it
+// allocates nothing: the sorted order is walked by repeated minimum
+// selection, which costs n² rectangle compares for n obstacles — a few
+// hundred for the handful of droplets on an array.
+//
+// Clipping is exact. The induced model tests obstacles only on positions
+// it enumerates, all of which lie inside hazard, and a rectangle inside
+// hazard overlaps an obstacle exactly when it overlaps the obstacle's clip;
+// an outcome leaving hazard goes to the hazard sink before any obstacle is
+// tested (smg.Arena.resolve). Equal signatures therefore induce the same
+// model, and the same strategy, up to 64-bit hash collisions — the same
+// bound the health hash carries.
+func ObstacleSignature(hazard geom.Rect, obstacles []geom.Rect) uint64 {
+	var h uint64
+	var prev geom.Rect
+	for n := 0; ; n++ {
+		var next geom.Rect
+		found := false
+		for _, b := range obstacles {
+			c, ok := b.Intersect(hazard)
+			if !ok || (n > 0 && !rectLess(prev, c)) || (found && !rectLess(c, next)) {
+				continue
+			}
+			next, found = c, true
+		}
+		if !found {
+			return h
+		}
+		if n == 0 {
+			h = fnvOffset
+		}
+		h = fnvWord(h, uint64(uint32(next.XA))<<32|uint64(uint32(next.YA)))
+		h = fnvWord(h, uint64(uint32(next.XB))<<32|uint64(uint32(next.YB)))
+		prev = next
+	}
+}
+
+// rectLess orders rectangles lexicographically by (XA, YA, XB, YB).
+func rectLess(a, b geom.Rect) bool {
+	switch {
+	case a.XA != b.XA:
+		return a.XA < b.XA
+	case a.YA != b.YA:
+		return a.YA < b.YA
+	case a.XB != b.XB:
+		return a.XB < b.XB
+	}
+	return a.YB < b.YB
+}
+
+// FNV-1a over the little-endian bytes of 64-bit words, as hash/fnv's
+// New64a computes it, inlined so that hashing allocates nothing.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
+	}
+	return h
 }
 
 // NewCanonicalCacheKey builds the canonical-form key for a job whose hazard
@@ -78,7 +153,9 @@ func NewCanonicalCacheKey(rj route.RJ, opt synth.Options, code int) (CacheKey, s
 }
 
 // Hash folds the key into 64 bits — the identity handed to a FaultInjector,
-// which must not depend on sched's internal key layout.
+// which must not depend on sched's internal key layout. Obstacles is left
+// out, so the draws for a window do not depend on which droplets rest
+// around it.
 func (k CacheKey) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

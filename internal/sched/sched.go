@@ -216,21 +216,22 @@ type Prefetcher interface {
 // matrix, with the hybrid offline library shortcut of Alg. 3 — when every
 // microelectrode in the job's hazard bounds still reads fully healthy, the
 // pre-synthesized (or memoized) healthy-chip strategy is reused. Degraded
-// regions go through the health-keyed strategy Cache.
+// or obstructed windows go through the health- and obstacle-keyed strategy
+// Cache.
 type Adaptive struct {
 	Opt synth.Options
 	Lib *Library
-	// Cache memoizes degraded-region strategies keyed by job geometry,
-	// option fingerprint and the hazard region's health hash; nil disables
-	// memoization.
+	// Cache memoizes the strategies of windows outside the Library, keyed
+	// by job geometry, option fingerprint, the hazard region's health hash
+	// and its obstacle signature; nil disables memoization.
 	Cache *Cache
 
-	// Syntheses counts online synthesis runs (library misses and uncached
-	// degraded regions); LibraryUses counts strategies served from the
-	// library; CacheHits counts strategies served from Cache. Increments are
-	// guarded by mu — the concurrent executor may route several jobs at
-	// once — but reads are plain field access: sample them only after
-	// routing has quiesced.
+	// Syntheses counts online synthesis runs (library and cache misses, and
+	// every window outside the Library when Cache is nil); LibraryUses
+	// counts strategies served from the library; CacheHits counts
+	// strategies served from Cache. Increments are guarded by mu — the
+	// concurrent executor may route several jobs at once — but reads are
+	// plain field access: sample them only after routing has quiesced.
 	Syntheses   int
 	LibraryUses int
 	CacheHits   int
@@ -269,9 +270,11 @@ func (a *Adaptive) injector() FaultInjector {
 
 // injectTimeout consults the fault injector before an online synthesis for
 // key, returning ErrInjectedTimeout when the attempt should fail. Each call
-// advances the key's attempt counter, so a caller that retries draws a fresh
-// decision.
+// advances the window's attempt counter, so a caller that retries draws a
+// fresh decision. The counter, like Hash, ignores key.Obstacles: an
+// obstructed window draws from the same sequence whatever rests around it.
 func (a *Adaptive) injectTimeout(key CacheKey) error {
+	key.Obstacles = 0
 	a.mu.Lock()
 	f := a.faults
 	if f == nil {
@@ -354,10 +357,15 @@ func (a *Adaptive) release(key CacheKey, done chan struct{}) {
 	close(done)
 }
 
-// Route implements Router: library fast path on fully healthy, unobstructed
-// regions, cached or online synthesis against the observed force field
-// otherwise. Obstructed jobs always synthesize fresh — obstacle sets are
-// transient droplet positions and not worth keying a cache on.
+// Route implements Router. An all-healthy, unobstructed window is served
+// from the Library. Every other window goes through the Cache, keyed on its
+// D4-canonical geometry and health code when the window is uniform and
+// unobstructed, and otherwise on its raw position, region health hash and
+// obstacle signature (ObstacleSignature): obstacles are keyed as exactly
+// as health, so a congruent chip meeting the same droplets around the same
+// window — a fleet tenant one job behind another — is served the strategy
+// instead of re-solving it. Without a Cache, such windows are synthesized
+// on every call.
 func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synth.Policy, float64, error) {
 	rj = synth.NormalizeDispense(rj, c.W(), c.H())
 	top := 1<<uint(c.HealthBits()) - 1
@@ -366,10 +374,12 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 		return a.singleFlight(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), &a.LibraryUses,
 			func() (synth.Policy, float64, bool) { return a.Lib.Lookup(rj) },
 			func(p synth.Policy, v float64) { a.Lib.Store(rj, p, v) },
-			rj, func(x, y int) float64 { return 1 }, true)
+			rj, func(x, y int) float64 { return 1 }, a.Opt, true)
 	}
-	if a.Cache != nil && len(obstacles) == 0 {
-		key, tf, canon := a.cacheKeyFor(rj, c)
+	opt := a.Opt
+	opt.Model.Blocked = obstacles
+	if a.Cache != nil {
+		key, tf, canon := a.cacheKeyFor(rj, c, obstacles)
 		lookup := func() (synth.Policy, float64, bool) {
 			p, v, ok := a.Cache.Lookup(key)
 			if !ok {
@@ -388,10 +398,8 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 			}
 			a.Cache.Store(key, p, v)
 		}
-		return a.singleFlight(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField(), canon)
+		return a.singleFlight(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField(), opt, canon)
 	}
-	opt := a.Opt
-	opt.Model.Blocked = obstacles
 	res, err := a.synthesize(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), rj, c.ObservedForceField(), opt)
 	if err != nil {
 		return synth.Policy{}, 0, err
@@ -405,15 +413,16 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 // poison key. A caller that loses the claim waits out the leader and
 // re-checks the store; the leader re-checks once more after winning it (a
 // previous leader may have stored between our miss and our claim) before
-// synthesizing, and stores a strategy that exists unless key is poisoned.
-// canon reports that the store is keyed on D4-canonical geometry, which
-// the medacheck build needs to re-derive a hit (assertServed).
+// synthesizing under opt, and stores a strategy that exists unless key is
+// poisoned. canon reports that the store is keyed on D4-canonical
+// geometry, which the medacheck build needs to re-derive a hit
+// (assertServed).
 func (a *Adaptive) singleFlight(key CacheKey, hits *int, lookup func() (synth.Policy, float64, bool),
-	store func(synth.Policy, float64), rj route.RJ, field action.ForceField, canon bool) (synth.Policy, float64, error) {
+	store func(synth.Policy, float64), rj route.RJ, field action.ForceField, opt synth.Options, canon bool) (synth.Policy, float64, error) {
 	var done chan struct{}
 	for {
 		if p, v, ok := lookup(); ok {
-			assertServed(rj, field, a.Opt, canon, p, v)
+			assertServed(rj, field, opt, canon, p, v)
 			if done != nil {
 				a.release(key, done)
 			}
@@ -430,7 +439,7 @@ func (a *Adaptive) singleFlight(key CacheKey, hits *int, lookup func() (synth.Po
 		}
 	}
 	defer a.release(key, done)
-	res, err := a.synthesize(key, rj, field, a.Opt)
+	res, err := a.synthesize(key, rj, field, opt)
 	if err != nil {
 		return synth.Policy{}, 0, err
 	}
@@ -455,15 +464,20 @@ func (a *Adaptive) synthesize(key CacheKey, rj route.RJ, field action.ForceField
 	return res, nil
 }
 
-// cacheKeyFor picks the strategy-cache key for a degraded-region job: the
-// D4-canonical per-shape key when the window's observed health is uniform
-// (every translated/rotated/reflected window of the same shape and level
-// shares the entry), the raw per-position key otherwise. canon reports
-// which form was chosen; tf is meaningful only when canon is true.
-func (a *Adaptive) cacheKeyFor(rj route.RJ, c *chip.Chip) (key CacheKey, tf synth.Transform, canon bool) {
-	if code, uniform := c.UniformHealth(rj.Hazard); uniform {
-		key, tf = NewCanonicalCacheKey(rj, a.Opt, code)
-		return key, tf, true
+// cacheKeyFor picks the strategy-cache key for a job outside the Library:
+// the D4-canonical per-shape key when the window is unobstructed and its
+// observed health uniform (every translated/rotated/reflected window of
+// the same shape and level shares the entry), the raw per-position key
+// with the obstacle signature otherwise. canon reports which form was
+// chosen; tf is meaningful only when canon is true.
+func (a *Adaptive) cacheKeyFor(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (key CacheKey, tf synth.Transform, canon bool) {
+	if len(obstacles) == 0 {
+		if code, uniform := c.UniformHealth(rj.Hazard); uniform {
+			key, tf = NewCanonicalCacheKey(rj, a.Opt, code)
+			return key, tf, true
+		}
 	}
-	return NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), synth.Transform{}, false
+	key = NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard))
+	key.Obstacles = ObstacleSignature(rj.Hazard, obstacles)
+	return key, synth.Transform{}, false
 }

@@ -523,7 +523,7 @@ func (f *Fleet) runJob(ce *chipEntry, j *job) {
 	}
 	if f.store != nil {
 		rec := jobStartRec{Job: j.id, Tenant: j.tenant, Chip: ce.spec.ID, State: startState}
-		if err := f.store.Append(recJobStart, rec, true); err != nil {
+		if err := f.store.Append(rec, true); err != nil {
 			f.finishJob(ce, j, nil, err)
 			return
 		}
@@ -615,7 +615,7 @@ func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error
 		}
 		if f.store != nil {
 			// Progress beacons ride the OS flush; only boundaries fsync.
-			if err := f.store.Append(recJobProgress, jobProgressRec{Job: j.id, Progress: prog}, false); err != nil {
+			if err := f.store.Append(jobProgressRec{Job: j.id, Progress: prog}, false); err != nil {
 				return err
 			}
 		}
@@ -664,8 +664,7 @@ func (f *Fleet) finishJob(ce *chipEntry, j *job, exec *sim.Execution, err error)
 		errMsg = err.Error()
 	}
 	if f.store != nil {
-		rec := jobDoneRec{Job: j.id, Result: result, Error: errMsg, State: endState}
-		if aerr := f.store.Append(recJobDone, rec, true); aerr != nil && errMsg == "" {
+		if aerr := f.store.AppendJobDone(j.id, result, errMsg, endState, true); aerr != nil && errMsg == "" {
 			errMsg = aerr.Error()
 			result = nil
 		}
@@ -696,7 +695,7 @@ func (f *Fleet) finishJob(ce *chipEntry, j *job, exec *sim.Execution, err error)
 // cancelFinish records a cancellation that stopped a running execution.
 func (f *Fleet) cancelFinish(ce *chipEntry, j *job) {
 	if f.store != nil {
-		if err := f.store.Append(recJobCancel, jobCancelRec{Job: j.id}, true); err != nil {
+		if err := f.store.Append(jobCancelRec{Job: j.id}, true); err != nil {
 			f.finishJob(ce, j, nil, err)
 			return
 		}
@@ -847,7 +846,7 @@ func (f *Fleet) CreateTenant(spec api.TenantSpec) error {
 		return errConflict{fmt.Sprintf("tenant %q already exists", spec.ID)}
 	}
 	if f.store != nil {
-		if err := f.store.Append(recTenantCreate, tenantCreateRec{ID: spec.ID}, true); err != nil {
+		if err := f.store.Append(tenantCreateRec{ID: spec.ID}, true); err != nil {
 			f.mu.Unlock()
 			return err
 		}
@@ -917,7 +916,7 @@ func (f *Fleet) CreateChip(tenantID string, spec api.ChipSpec, state []byte) err
 	}
 	if f.store != nil {
 		rec := chipCreateRec{Tenant: tenantID, Spec: spec, State: ce.stateJSON}
-		if err := f.store.Append(recChipCreate, rec, true); err != nil {
+		if err := f.store.Append(rec, true); err != nil {
 			f.mu.Unlock()
 			return err
 		}
@@ -1031,9 +1030,10 @@ func (f *Fleet) UploadChipHealth(tenantID, chipID string, state []byte) error {
 		f.mu.Unlock()
 		return err
 	}
+	// The store and the chip entry share one copy of the caller's bytes.
+	own := append([]byte(nil), state...)
 	if f.store != nil {
-		rec := chipHealthRec{Tenant: tenantID, Chip: chipID, State: state}
-		if err := f.store.Append(recChipHealth, rec, true); err != nil {
+		if err := f.store.Append(chipHealthRec{Tenant: tenantID, Chip: chipID, State: own}, true); err != nil {
 			f.mu.Unlock()
 			return err
 		}
@@ -1041,7 +1041,7 @@ func (f *Fleet) UploadChipHealth(tenantID, chipID string, state []byte) error {
 	// Safe handoff: the worker only touches ce.c inside runJob, and every
 	// job it could run was queued after this critical section.
 	ce.c = c
-	ce.stateJSON = append([]byte(nil), state...)
+	ce.stateJSON = own
 	ce.summary = summarize(c)
 	f.mu.Unlock()
 	f.emit(api.Event{Type: api.EvChipHealth, Tenant: tenantID, Chip: chipID})
@@ -1073,7 +1073,7 @@ func (f *Fleet) SubmitJob(tenantID string, spec api.JobSpec) (api.JobStatus, err
 	}
 	id := fmt.Sprintf("j-%06d", f.jobSeq+1)
 	if f.store != nil {
-		if err := f.store.Append(recJobSubmit, jobSubmitRec{ID: id, Tenant: tenantID, Spec: spec}, true); err != nil {
+		if err := f.store.Append(jobSubmitRec{ID: id, Tenant: tenantID, Spec: spec}, true); err != nil {
 			f.mu.Unlock()
 			return api.JobStatus{}, err
 		}
@@ -1152,7 +1152,7 @@ func (f *Fleet) CancelJob(tenantID, jobID string) (api.JobStatus, error) {
 	f.mu.Unlock()
 	if queued {
 		if f.store != nil {
-			if err := f.store.Append(recJobCancel, jobCancelRec{Job: jobID}, true); err != nil {
+			if err := f.store.Append(jobCancelRec{Job: jobID}, true); err != nil {
 				return st, err
 			}
 		}
@@ -1173,7 +1173,7 @@ func (f *Fleet) AddWebhook(tenantID string, spec api.WebhookSpec) error {
 		return errNotFound{"tenant"}
 	}
 	if f.store != nil {
-		if err := f.store.Append(recWebhookAdd, webhookAddRec{Tenant: tenantID, Spec: spec}, true); err != nil {
+		if err := f.store.Append(webhookAddRec{Tenant: tenantID, Spec: spec}, true); err != nil {
 			return err
 		}
 	}

@@ -13,30 +13,39 @@ import (
 	"meda/pkg/api"
 )
 
-// windowLog wraps one chip's adaptive router and records, per unobstructed
-// Route call, the window's raw key (geometry plus region health hash) and
-// whether the call ran an online synthesis. It embeds *sched.Adaptive and
-// overrides Route alone, so the simulator sees the same optional router
-// interfaces it would see on the bare router.
+// windowLog wraps one chip's adaptive router and records, per Route call,
+// the window's raw key (geometry, region health hash and obstacle
+// signature) and whether the call ran an online synthesis. It embeds
+// *sched.Adaptive and overrides Route alone, so the simulator sees the
+// same optional router interfaces it would see on the bare router.
 type windowLog struct {
 	*sched.Adaptive
 	mu          sync.Mutex
-	stored      map[sched.CacheKey]bool // windows served with a strategy
-	synthesized []sched.CacheKey        // windows that needed an online synthesis
+	stored      map[windowKey]bool // windows served with a strategy
+	synthesized []windowKey        // windows that needed an online synthesis
+	obstructed  int                // synthesized windows with obstacles
+}
+
+// windowKey is a window's raw cache key, and whether any obstacle came
+// with it (one lying wholly outside the window leaves the signature 0).
+type windowKey struct {
+	sched.CacheKey
+	obstructed bool
 }
 
 func (w *windowLog) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synth.Policy, float64, error) {
-	if len(obstacles) > 0 {
-		return w.Adaptive.Route(rj, c, obstacles)
-	}
 	norm := synth.NormalizeDispense(rj, c.W(), c.H())
-	key := sched.NewCacheKey(norm, w.Opt, c.HealthHash(norm.Hazard))
+	key := windowKey{sched.NewCacheKey(norm, w.Opt, c.HealthHash(norm.Hazard)), len(obstacles) > 0}
+	key.Obstacles = sched.ObstacleSignature(norm.Hazard, obstacles)
 	before := w.Syntheses
 	p, v, err := w.Adaptive.Route(rj, c, obstacles)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.Syntheses > before {
 		w.synthesized = append(w.synthesized, key)
+		if key.obstructed {
+			w.obstructed++
+		}
 	}
 	if err == nil && p.Len() > 0 {
 		w.stored[key] = true
@@ -47,12 +56,13 @@ func (w *windowLog) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (syn
 // TestFollowerTenantReusesLeaderStrategies: two tenants own congruent
 // chips (same seed, same job sequence) and the follower runs each job only
 // after the leader has finished it. The follower's executions must equal
-// the leader's, and it must synthesize no unobstructed window the leader
-// was served a strategy for: that strategy is in the fleet-wide stores,
-// keyed by the window and its health, and the follower's chip reaches the
-// same health. Evicting entries whenever a chip's health changes breaks
-// this, since the leader's wear drops the entries the follower asks for
-// next.
+// the leader's, and it must synthesize no window the leader was served a
+// strategy for, obstructed or not: that strategy is in the fleet-wide
+// stores, keyed by the window, its health and its obstacles, and the
+// follower's chip reaches the same health and meets the same droplets.
+// Evicting entries whenever a chip's health changes breaks this, since the
+// leader's wear drops the entries the follower asks for next; so does
+// synthesizing obstructed windows without storing them.
 func TestFollowerTenantReusesLeaderStrategies(t *testing.T) {
 	f, err := NewFleet(Config{MaxConcurrent: 1, CacheSize: 1 << 14})
 	if err != nil {
@@ -79,7 +89,7 @@ func TestFollowerTenantReusesLeaderStrategies(t *testing.T) {
 		ce, err := f.chipEntry(tenant, "c")
 		if err == nil {
 			ad, _ := ce.router.(*sched.Adaptive)
-			logs[tenant] = &windowLog{Adaptive: ad, stored: map[sched.CacheKey]bool{}}
+			logs[tenant] = &windowLog{Adaptive: ad, stored: map[windowKey]bool{}}
 			ce.router = logs[tenant]
 		}
 		f.mu.Unlock()
@@ -123,8 +133,9 @@ func TestFollowerTenantReusesLeaderStrategies(t *testing.T) {
 	}
 
 	leader, follower := logs["leader"], logs["follower"]
-	if len(leader.synthesized) == 0 {
-		t.Fatal("the leader synthesized no unobstructed window: the run shares nothing")
+	if len(leader.synthesized) == leader.obstructed || leader.obstructed == 0 {
+		t.Fatalf("the leader synthesized %d windows, %d of them obstructed: the run does not share both kinds",
+			len(leader.synthesized), leader.obstructed)
 	}
 	again := 0
 	for _, key := range follower.synthesized {
@@ -133,9 +144,9 @@ func TestFollowerTenantReusesLeaderStrategies(t *testing.T) {
 		}
 	}
 	if again > 0 {
-		t.Errorf("follower re-synthesized %d unobstructed windows the leader was served (%d follower syntheses in all)",
+		t.Errorf("follower re-synthesized %d windows the leader was served (%d follower syntheses in all)",
 			again, len(follower.synthesized))
 	}
-	t.Logf("leader: %d unobstructed syntheses; follower: %d, %d cache hits, %d library hits",
-		len(leader.synthesized), len(follower.synthesized), follower.CacheHits, follower.LibraryUses)
+	t.Logf("leader: %d syntheses, %d obstructed; follower: %d, %d cache hits, %d library hits",
+		len(leader.synthesized), leader.obstructed, len(follower.synthesized), follower.CacheHits, follower.LibraryUses)
 }

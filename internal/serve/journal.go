@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 )
 
 // Record is one journal line.
@@ -52,8 +53,8 @@ func (r Record) Check() bool { return r.CRC == recordCRC(r.Seq, r.Type, r.Data) 
 // own: the Store serializes all access under one mutex so sequence
 // assignment, the state-mirror update, and the file append stay atomic.
 type journalWriter struct {
-	f  *os.File
-	bw *bufio.Writer
+	f    *os.File
+	line []byte // the encoding buffer, reused across records
 }
 
 func openJournal(path string) (*journalWriter, error) {
@@ -61,24 +62,20 @@ func openJournal(path string) (*journalWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	return &journalWriter{f: f, bw: bufio.NewWriter(f)}, nil
+	return &journalWriter{f: f}, nil
 }
 
-// Append writes one record and flushes it to the OS; when sync is set the
-// record is also fsynced to stable storage before Append returns.
+// Append writes one record as one line, in one write to the OS; when sync
+// is set the record is also fsynced to stable storage before Append
+// returns.
 func (w *journalWriter) Append(rec Record, sync bool) error {
-	line, err := json.Marshal(rec)
+	line, err := appendRecord(w.line[:0], rec)
 	if err != nil {
-		return fmt.Errorf("serve: encoding journal record: %w", err)
+		return err
 	}
-	if _, err := w.bw.Write(line); err != nil {
+	w.line = line
+	if _, err := w.f.Write(line); err != nil {
 		return fmt.Errorf("serve: appending journal record: %w", err)
-	}
-	if err := w.bw.WriteByte('\n'); err != nil {
-		return fmt.Errorf("serve: appending journal record: %w", err)
-	}
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("serve: flushing journal: %w", err)
 	}
 	if sync {
 		if err := w.f.Sync(); err != nil {
@@ -88,11 +85,35 @@ func (w *journalWriter) Append(rec Record, sync bool) error {
 	return nil
 }
 
-// Close flushes, syncs, and closes the journal file.
-func (w *journalWriter) Close() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("serve: flushing journal: %w", err)
+// appendRecord appends rec's journal line to dst: the bytes json.Marshal
+// gives for rec, and a newline. It writes them directly, since rec.Data
+// is already what encoding/json would copy there: the compact, valid,
+// HTML-escaped JSON json.Marshal produced for the payload (Store.Append
+// makes it no other way). Re-marshaling would only compact and validate
+// a whole chip state a second time. Record types are plain identifiers;
+// one that JSON would have to escape is refused.
+func appendRecord(dst []byte, rec Record) ([]byte, error) {
+	for i := 0; i < len(rec.Type); i++ {
+		if c := rec.Type[i]; c != '_' && (c < 'a' || c > 'z') {
+			return dst, fmt.Errorf("serve: journal record type %q is not a plain identifier", rec.Type)
+		}
 	}
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, rec.Seq, 10)
+	dst = append(dst, `,"type":"`...)
+	dst = append(dst, rec.Type...)
+	dst = append(dst, '"')
+	if len(rec.Data) > 0 { // omitempty
+		dst = append(dst, `,"data":`...)
+		dst = append(dst, rec.Data...)
+	}
+	dst = append(dst, `,"crc":`...)
+	dst = strconv.AppendUint(dst, uint64(rec.CRC), 10)
+	return append(dst, '}', '\n'), nil
+}
+
+// Close syncs and closes the journal file.
+func (w *journalWriter) Close() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("serve: syncing journal: %w", err)
 	}

@@ -8,6 +8,10 @@ import (
 	"reflect"
 	"testing"
 
+	"meda/internal/chip"
+	"meda/internal/randx"
+	"meda/internal/sched"
+	"meda/internal/sim"
 	"meda/pkg/api"
 )
 
@@ -132,7 +136,7 @@ func storeFixtureState(t *testing.T, s *Store) {
 	chipState := json.RawMessage(`{"version":1,"w":2,"h":2}`)
 	appends := []struct {
 		typ     string
-		payload any
+		payload payload
 	}{
 		{recTenantCreate, tenantCreateRec{ID: "acme"}},
 		{recWebhookAdd, webhookAddRec{Tenant: "acme", Spec: api.WebhookSpec{URL: "http://x/hook"}}},
@@ -145,7 +149,10 @@ func storeFixtureState(t *testing.T, s *Store) {
 		{recJobCancel, jobCancelRec{Job: "j-000002"}},
 	}
 	for _, a := range appends {
-		if err := s.Append(a.typ, a.payload, false); err != nil {
+		if typ := a.payload.recordType(); typ != a.typ {
+			t.Fatalf("%T journals as %s, want %s", a.payload, typ, a.typ)
+		}
+		if err := s.Append(a.payload, false); err != nil {
 			t.Fatalf("append %s: %v", a.typ, err)
 		}
 	}
@@ -309,5 +316,133 @@ func TestStoreCleanCloseReopen(t *testing.T) {
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalLineMatchesMarshal: the journal writes each line by hand,
+// and the line must be the bytes json.Marshal gives for the Record, for
+// every record type, with real chip states (fresh and worn by a job) and
+// a real job result. Each payload must also decode back to what was
+// appended, so that replay and Append fold the same value into the mirror.
+func TestJournalLineMatchesMarshal(t *testing.T) {
+	spec := api.ChipSpec{ID: "c1", Seed: 7}
+	c, err := chip.New(chipConfig(spec), randx.New(spec.Seed).Split("chip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveState := func() json.RawMessage {
+		var buf bytes.Buffer
+		if err := c.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fresh := saveState()
+	job := api.JobSpec{Chip: "c1", Benchmark: "serial-dilution", Seed: 3}
+	plan, err := compilePlan(job, c.W(), c.H())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(-1), randx.New(job.Seed).Split("sim")).Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := convertExec(exec)
+	worn := saveState()
+	if bytes.Equal(fresh, worn) {
+		t.Fatal("the job left the chip state unchanged")
+	}
+
+	// Strings JSON escapes (HTML characters, U+2028, a quote) must come
+	// out as json.Marshal escapes them.
+	odd := "a<b>&\"c\u2028d"
+	payloads := []payload{
+		tenantCreateRec{ID: "acme"},
+		tenantCreateRec{ID: odd},
+		webhookAddRec{Tenant: "acme", Spec: api.WebhookSpec{URL: "http://x/hook?a=1&b=<2>"}},
+		chipCreateRec{Tenant: "acme", Spec: spec, State: fresh},
+		chipHealthRec{Tenant: "acme", Chip: "c1", State: worn},
+		jobSubmitRec{ID: "j-000001", Tenant: "acme", Spec: job},
+		jobStartRec{Job: "j-000001", Tenant: "acme", Chip: "c1", State: fresh},
+		jobProgressRec{Job: "j-000001", Progress: api.Progress{Cycle: 16, JobsCompleted: 2, Droplets: 3, Digest: "00deadbeef00cafe"}},
+		jobDoneRec{Job: "j-000001", Result: &result, State: worn},
+		jobDoneRec{Job: "j-000002", Error: odd},
+		jobCancelRec{Job: "j-000003"},
+	}
+	line := func(rec Record) []byte {
+		t.Helper()
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(want, '\n')
+	}
+
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	covered := map[string]bool{}
+	for i, p := range payloads {
+		if err := s.Append(p, false); err != nil {
+			t.Fatalf("append %T: %v", p, err)
+		}
+		data, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ := p.recordType()
+		seq := int64(i + 1)
+		rec := Record{Seq: seq, Type: typ, Data: data, CRC: recordCRC(seq, typ, data)}
+		want = append(want, line(rec)...)
+		covered[typ] = true
+
+		back, err := decodePayload(rec)
+		if err != nil {
+			t.Fatalf("decoding %s: %v", typ, err)
+		}
+		if back.recordType() != typ {
+			t.Fatalf("a %s record decodes to %T", typ, back)
+		}
+		if again, err := json.Marshal(back); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%s payload does not survive decoding: %s, want %s (err %v)", typ, again, data, err)
+		}
+	}
+	for typ := range decoders {
+		if !covered[typ] {
+			t.Errorf("no %s record in the test", typ)
+		}
+	}
+	s.CloseAbrupt()
+	got, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("journal bytes differ from json.Marshal of its records:\n got %.300s\nwant %.300s", got, want)
+	}
+
+	// Records the store never writes: no payload, a negative sequence; and
+	// a string that is not UTF-8, which json.Marshal writes as U+FFFD (the
+	// store's strings all come from JSON or from the service itself, so
+	// they are UTF-8 and decode back unchanged).
+	invalid, err := json.Marshal(tenantCreateRec{ID: "x\xff"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Seq: 5, Type: recJobCancel, CRC: 7},
+		{Seq: -9, Type: recTenantCreate, Data: json.RawMessage(`{"id":"x"}`), CRC: 1 << 31},
+		{Seq: 3, Type: recTenantCreate, Data: invalid, CRC: 2},
+	} {
+		got, err := appendRecord(nil, rec)
+		if err != nil || !bytes.Equal(got, line(rec)) {
+			t.Fatalf("appendRecord(%+v) = %s, %v; want %s", rec, got, err, line(rec))
+		}
+	}
+	if _, err := appendRecord(nil, Record{Type: `a"b`}); err == nil {
+		t.Fatal("a record type JSON must escape was written by hand")
 	}
 }

@@ -8,9 +8,14 @@
 // crash at any instant leaves either the old snapshot with the full journal
 // or the new snapshot with an empty (or stale, replay-skipped) journal.
 //
-// Chip states, job results, and the shared strategy library are carried as
-// raw JSON produced by their owning packages (chip.SaveState,
-// sched.Library.Save); the store never interprets them.
+// Chip states and the shared strategy library are carried as raw JSON
+// produced by their owning packages (chip.SaveState, sched.Library.Save);
+// the store never interprets them.
+//
+// Every record takes one path into the mirror. Append encodes the typed
+// payload once, for the journal line, and folds the payload itself into
+// the mirror with State.apply; replay decodes each journal record back
+// into the same typed payload (decodePayload) and calls the same apply.
 package serve
 
 import (
@@ -36,6 +41,10 @@ const (
 	recJobDone      = "job_done"
 	recJobCancel    = "job_cancel"
 )
+
+// payload is the typed payload of one journal record; recordType names
+// the record type it is journaled under.
+type payload interface{ recordType() string }
 
 // Journal record payloads.
 type tenantCreateRec struct {
@@ -94,6 +103,52 @@ type jobCancelRec struct {
 	Job string `json:"job"`
 }
 
+func (tenantCreateRec) recordType() string { return recTenantCreate }
+func (webhookAddRec) recordType() string   { return recWebhookAdd }
+func (chipCreateRec) recordType() string   { return recChipCreate }
+func (chipHealthRec) recordType() string   { return recChipHealth }
+func (jobSubmitRec) recordType() string    { return recJobSubmit }
+func (jobStartRec) recordType() string     { return recJobStart }
+func (jobProgressRec) recordType() string  { return recJobProgress }
+func (jobDoneRec) recordType() string      { return recJobDone }
+func (jobCancelRec) recordType() string    { return recJobCancel }
+
+// decoders maps each record type to the decoder of its payload.
+var decoders = map[string]func([]byte) (payload, error){
+	recTenantCreate: decode[tenantCreateRec],
+	recWebhookAdd:   decode[webhookAddRec],
+	recChipCreate:   decode[chipCreateRec],
+	recChipHealth:   decode[chipHealthRec],
+	recJobSubmit:    decode[jobSubmitRec],
+	recJobStart:     decode[jobStartRec],
+	recJobProgress:  decode[jobProgressRec],
+	recJobDone:      decode[jobDoneRec],
+	recJobCancel:    decode[jobCancelRec],
+}
+
+func decode[T payload](data []byte) (payload, error) {
+	var r T
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodePayload reads a journal record back into the typed payload it was
+// appended with. Unknown record types are an error — they mean the journal
+// was written by a newer build.
+func decodePayload(rec Record) (payload, error) {
+	dec := decoders[rec.Type]
+	if dec == nil {
+		return nil, fmt.Errorf("serve: journal record %d (%s): unknown record type", rec.Seq, rec.Type)
+	}
+	p, err := dec(rec.Data)
+	if err != nil {
+		return nil, fmt.Errorf("serve: journal record %d (%s): %w", rec.Seq, rec.Type, err)
+	}
+	return p, nil
+}
+
 // PersistedChip is one chip's durable state.
 type PersistedChip struct {
 	Spec api.ChipSpec `json:"spec"`
@@ -147,60 +202,33 @@ func newState() *State {
 	}
 }
 
-// apply folds one journal record into the state. Unknown record types are
-// an error — they mean the journal was written by a newer build.
-func (s *State) apply(rec Record) error {
-	fail := func(err error) error {
-		return fmt.Errorf("serve: journal record %d (%s): %w", rec.Seq, rec.Type, err)
-	}
-	switch rec.Type {
-	case recTenantCreate:
-		var r tenantCreateRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+// apply folds one record's payload into the state: the one path both
+// Store.Append and journal replay take.
+func (s *State) apply(p payload) {
+	switch r := p.(type) {
+	case tenantCreateRec:
 		if _, ok := s.Tenants[r.ID]; !ok {
 			s.Tenants[r.ID] = &PersistedTenant{ID: r.ID, Chips: make(map[string]*PersistedChip)}
 		}
-	case recWebhookAdd:
-		var r webhookAddRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+	case webhookAddRec:
 		if t := s.Tenants[r.Tenant]; t != nil {
 			t.Webhooks = append(t.Webhooks, r.Spec)
 		}
-	case recChipCreate:
-		var r chipCreateRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+	case chipCreateRec:
 		if t := s.Tenants[r.Tenant]; t != nil {
 			t.Chips[r.Spec.ID] = &PersistedChip{Spec: r.Spec, State: r.State}
 		}
-	case recChipHealth:
-		var r chipHealthRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+	case chipHealthRec:
 		if t := s.Tenants[r.Tenant]; t != nil {
 			if c := t.Chips[r.Chip]; c != nil {
 				c.State = r.State
 			}
 		}
-	case recJobSubmit:
-		var r jobSubmitRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+	case jobSubmitRec:
 		s.JobSeq++
 		s.Jobs[r.ID] = &PersistedJob{ID: r.ID, Tenant: r.Tenant, Spec: r.Spec, State: api.JobQueued}
 		s.JobOrder = append(s.JobOrder, r.ID)
-	case recJobStart:
-		var r jobStartRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+	case jobStartRec:
 		if j := s.Jobs[r.Job]; j != nil {
 			j.State = api.JobRunning
 		}
@@ -212,23 +240,15 @@ func (s *State) apply(rec Record) error {
 				c.State = r.State
 			}
 		}
-	case recJobProgress:
-		var r jobProgressRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+	case jobProgressRec:
 		if j := s.Jobs[r.Job]; j != nil {
 			p := r.Progress
 			j.Progress = &p
 		}
-	case recJobDone:
-		var r jobDoneRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+	case jobDoneRec:
 		j := s.Jobs[r.Job]
 		if j == nil {
-			return nil
+			return
 		}
 		j.Progress = nil
 		if r.Error != "" {
@@ -246,19 +266,12 @@ func (s *State) apply(rec Record) error {
 				c.JobsDone++
 			}
 		}
-	case recJobCancel:
-		var r jobCancelRec
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return fail(err)
-		}
+	case jobCancelRec:
 		if j := s.Jobs[r.Job]; j != nil && !j.State.Terminal() {
 			j.State = api.JobCanceled
 			j.Progress = nil
 		}
-	default:
-		return fail(fmt.Errorf("unknown record type"))
 	}
-	return nil
 }
 
 // Store owns the data directory: snapshot.json plus journal.jsonl. All
@@ -324,9 +337,11 @@ func OpenStore(dir string) (*Store, error) {
 		}
 		s.dropped = dropped
 		for _, rec := range recs {
-			if err := s.state.apply(rec); err != nil {
+			p, err := decodePayload(rec)
+			if err != nil {
 				return nil, err
 			}
+			s.state.apply(p)
 			s.state.Seq = rec.Seq
 		}
 	} else if !os.IsNotExist(err) {
@@ -360,8 +375,16 @@ func (s *Store) Dropped() int { return s.dropped }
 // record to stable storage before returning; callers reserve it for
 // transitions that must survive a power cut (job and chip lifecycle), while
 // high-rate progress beacons ride on the OS flush.
-func (s *Store) Append(typ string, payload any, sync bool) error {
-	data, err := json.Marshal(payload)
+//
+// The payload is encoded once, for the journal line. The mirror keeps the
+// payload itself, so Append takes ownership of the payload's slices and
+// pointers (chip states, job results, specs): the caller must not modify
+// them afterwards. Its strings must be UTF-8, as every string the service
+// journals is: the mirror keeps them as given and replay as decoded, and
+// the two differ only where encoding/json replaces invalid bytes.
+func (s *Store) Append(p payload, sync bool) error {
+	typ := p.recordType()
+	data, err := json.Marshal(p)
 	if err != nil {
 		return fmt.Errorf("serve: encoding %s record: %w", typ, err)
 	}
@@ -369,11 +392,18 @@ func (s *Store) Append(typ string, payload any, sync bool) error {
 	defer s.mu.Unlock()
 	seq := s.state.Seq + 1
 	rec := Record{Seq: seq, Type: typ, Data: data, CRC: recordCRC(seq, typ, data)}
-	if err := s.state.apply(rec); err != nil {
-		return err
-	}
+	s.state.apply(p)
 	s.state.Seq = seq
 	return s.jw.Append(rec, sync)
+}
+
+// AppendJobDone journals the end of a job: its result or error, and the
+// chip state after it (chip.SaveState JSON, nil when there is none). It is
+// the record every job ends with, and the journal's costliest to write,
+// since it carries a whole chip state. Append's ownership rule holds for
+// result and state.
+func (s *Store) AppendJobDone(job string, result *api.Execution, errMsg string, state []byte, sync bool) error {
+	return s.Append(jobDoneRec{Job: job, Result: result, Error: errMsg, State: state}, sync)
 }
 
 // SetLibrary replaces the mirrored strategy-library JSON; the next snapshot
@@ -390,9 +420,6 @@ func (s *Store) Snapshot() error {
 	defer s.mu.Unlock()
 	if err := s.writeSnapshot(); err != nil {
 		return err
-	}
-	if err := s.jw.bw.Flush(); err != nil {
-		return fmt.Errorf("serve: flushing journal: %w", err)
 	}
 	if err := s.jw.f.Truncate(0); err != nil {
 		return fmt.Errorf("serve: truncating journal: %w", err)
