@@ -43,10 +43,11 @@ assert:
 	$(GO) test -tags medacheck ./internal/mdp/ ./internal/smg/ ./internal/synth/ ./internal/modelcheck/ ./internal/sched/ ./internal/sim/ ./internal/serve/ .
 
 # Coverage floors for the packages this repo leans on hardest. Floors sit
-# well below current coverage (≈98/92/94% as of the telemetry PR; the
-# executor, internal/sim, measured 93% when its floor was added; model
-# induction, internal/smg and internal/action, 96% and 97%) so they trip on
-# real regressions, not on noise.
+# well below current coverage so they trip on real regressions, not on
+# noise. Coverage when the modelcheck floor was added: telemetry 98.1%,
+# mdp 95.9%, sched 94.2%, synth 93.5%, sim 96.0%, smg 97.2%, action 97.0%,
+# modelcheck 89.8%, lint 93.5%, lint/cfg 91.5%, lint/dataflow 98.6%,
+# lint/callgraph 83.9%, lint/summary 83.6%.
 cover:
 	@set -e; \
 	check() { \
@@ -63,6 +64,7 @@ cover:
 	check ./internal/sim/ 85; \
 	check ./internal/smg/ 85; \
 	check ./internal/action/ 85; \
+	check ./internal/modelcheck/ 80; \
 	check ./internal/lint/ 80; \
 	check ./internal/lint/cfg/ 80; \
 	check ./internal/lint/dataflow/ 80; \

@@ -1,17 +1,13 @@
-// Arena-style model construction. The AddState/AddChoice API of mdp.go
-// grows a pointer-chasing [][]Choice graph — convenient, but every choice
-// and transition slice is a separate heap object, and building one routing
-// model costs tens of thousands of allocations. Builder writes the model
-// straight into the CSR slabs the solvers consume: states, choices and
-// transitions are appended to flat arrays that are grown in place and, via
-// Reset, recycled across builds, so a warmed Builder constructs a model of
-// any previously seen size with zero allocations.
+// Arena-style model construction. Builder writes the model straight into
+// the CSR slabs the solvers consume: states, choices and transitions are
+// appended to flat arrays that are grown in place and, via Reset, recycled
+// across builds, so a warmed Builder constructs a model of any previously
+// seen size with zero allocations.
 //
 // The price is a construction discipline: choices must be added in
 // non-decreasing state order (the CSR layout keeps a state's choices
 // contiguous), and the *MDP returned by Build aliases the Builder's slabs —
-// it is valid only until the next Reset. Models that must outlive the
-// Builder (or be solved concurrently) should use the classic API instead.
+// it is valid only until the next Reset.
 package mdp
 
 // Builder constructs CSR-backed MDPs with reusable memory. The zero value
@@ -118,5 +114,5 @@ func (b *Builder) Build() *MDP {
 	}
 	g.choiceOff = append(g.choiceOff, int32(len(g.tos)))
 	g.n = b.nStates
-	return &MDP{numTr: len(g.tos), flat: g}
+	return &MDP{g: g}
 }

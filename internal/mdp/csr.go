@@ -1,10 +1,8 @@
-// Compressed-sparse-row flattening of the MDP. The builder API of mdp.go
-// stores a pointer-chasing [][]Choice graph, which is convenient to grow but
-// hostile to the value-iteration hot loop: every sweep walks three levels of
-// slices with poor locality. flatten() packs the whole model once per Solve
-// into five contiguous arrays (state → choice offsets, choice → transition
-// offsets, per-choice action/reward, per-transition successor/probability),
-// so a Bellman backup is two tight index-range loops over sequential memory.
+// Compressed-sparse-row storage of the MDP. A model is five contiguous
+// arrays (state → choice offsets, choice → transition offsets, per-choice
+// action/reward, per-transition successor/probability), written by a
+// Builder and read in place by the solvers, so a Bellman backup is two
+// tight index-range loops over sequential memory.
 //
 // The same layout carries a reverse-edge index (successor → incoming
 // choices), which turns the qualitative Prob1E pass from repeated forward
@@ -27,7 +25,7 @@ import (
 	"time"
 )
 
-// csr is the flattened model. Offsets are int32: routing models have well
+// csr is the stored model. Offsets are int32: routing models have well
 // under 2^31 choices/transitions, and the narrower indices halve the memory
 // traffic of a sweep.
 type csr struct {
@@ -76,8 +74,8 @@ type csr struct {
 
 	// Solver scratch, grown in place and reused across solves so a
 	// Builder-recycled model pays no per-solve allocations for it. The
-	// slabs are private to one solve at a time: models sharing a csr
-	// (Builder-built ones) must not be solved concurrently.
+	// slabs are private to one solve at a time: a model shares them with
+	// its Builder, so it must not be solved concurrently.
 	scrDst    []float64 // jacobi ping-pong buffer
 	scrFrozen []bool
 	scrInU    []bool  // prob1E: candidate set U
@@ -109,45 +107,6 @@ func growI(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
-}
-
-// flatten packs the MDP into CSR form. Builder-built models are already
-// flat and return their (scratch-carrying) csr directly; list-backed models
-// pack fresh per call, so the builder slices stay authoritative for
-// Choices()/export and concurrent solves never share scratch.
-func (m *MDP) flatten() *csr {
-	if m.flat != nil {
-		return m.flat
-	}
-	n := len(m.choices)
-	nc := m.NumChoices()
-	g := &csr{
-		n:         n,
-		stateOff:  make([]int32, n+1),
-		choiceOff: make([]int32, nc+1),
-		actions:   make([]int32, nc),
-		rewards:   make([]float64, nc),
-		tos:       make([]int32, m.numTr),
-		probs:     make([]float64, m.numTr),
-	}
-	ci, ti := int32(0), int32(0)
-	for s, cs := range m.choices {
-		g.stateOff[s] = ci
-		for _, c := range cs {
-			g.choiceOff[ci] = ti
-			g.actions[ci] = int32(c.Action)
-			g.rewards[ci] = c.Reward
-			for _, tr := range c.Transitions {
-				g.tos[ti] = int32(tr.To)
-				g.probs[ti] = tr.P
-				ti++
-			}
-			ci++
-		}
-	}
-	g.stateOff[n] = ci
-	g.choiceOff[nc] = ti
-	return g
 }
 
 // index builds the solver index in two sweeps over the transitions. The

@@ -8,13 +8,11 @@ import (
 	"meda/internal/randx"
 )
 
-// randomMDP builds a structurally valid random MDP: n states, 1–4 choices
-// per state, 1–3 transitions per choice with normalized probabilities, a
-// random target/avoid labeling. Target states are made absorbing so Rmin is
-// finite somewhere.
-func randomLabeledMDP(n int, src *randx.Source) (*MDP, []bool, []bool) {
-	m := New()
-	m.AddStates(n)
+// randomLabeled draws the choices of a structurally valid random MDP: n
+// states, 1–4 choices per state, 1–3 transitions per choice with normalized
+// probabilities, and a random target/avoid labeling.
+func randomLabeled(n int, src *randx.Source) ([][]Choice, []bool, []bool) {
+	cs := make([][]Choice, n)
 	target := make([]bool, n)
 	avoid := make([]bool, n)
 	for s := 0; s < n; s++ {
@@ -40,10 +38,10 @@ func randomLabeledMDP(n int, src *randx.Source) (*MDP, []bool, []bool) {
 			for t := range trs {
 				trs[t].P /= total
 			}
-			m.AddChoice(StateID(s), c, src.Float64()*3, trs)
+			cs[s] = append(cs[s], Choice{Action: c, Reward: src.Float64() * 3, Transitions: trs})
 		}
 	}
-	return m, target, avoid
+	return cs, target, avoid
 }
 
 // referenceProb1E is the original forward-scan fixpoint, kept in the test as
@@ -101,35 +99,39 @@ func referenceProb1E(m *MDP, target, avoid []bool) ([]bool, int) {
 	}
 }
 
-// chainAvoidMDP extends a random labeled MDP with a chain that peels off
+// chainAvoid extends a random labeled MDP with a chain that peels off
 // one state per outer round of Prob1E. A fresh absorbing target T and
 // avoid state A are added, then states x1..xk where x_i flips a fair coin
 // between T and x_{i-1} (x_0 = A) or idles in a self-loop. x1 leaves in
 // the first round; x_i reaches T inside U until x_{i-1} has left, so it
 // leaves in round i. A few random states gain a choice into x_k, so the
 // peeling carries on into the random part of the model.
-func chainAvoidMDP(src *randx.Source) (*MDP, []bool, []bool) {
-	m, target, avoid := randomLabeledMDP(20+src.IntN(40), src)
-	base := m.NumStates()
+func chainAvoid(src *randx.Source) ([][]Choice, []bool, []bool) {
+	cs, target, avoid := randomLabeled(20+src.IntN(40), src)
+	base := len(cs)
 	k := 2 + src.IntN(5)
-	tgt, av := m.AddState(), m.AddState()
-	m.AddChoice(tgt, 0, 0, []Transition{{To: tgt, P: 1}})
-	m.AddChoice(av, 0, 0, []Transition{{To: av, P: 1}})
+	tgt, av := StateID(base), StateID(base+1)
+	cs = append(cs,
+		[]Choice{{Transitions: []Transition{{To: tgt, P: 1}}}},
+		[]Choice{{Transitions: []Transition{{To: av, P: 1}}}})
 	target = append(target, true, false)
 	avoid = append(avoid, false, true)
 	prev := av
 	for i := 0; i < k; i++ {
-		x := m.AddState()
-		m.AddChoice(x, 0, 1, []Transition{{To: tgt, P: 0.5}, {To: prev, P: 0.5}})
-		m.AddChoice(x, 1, 1, []Transition{{To: x, P: 1}})
+		x := StateID(len(cs))
+		cs = append(cs, []Choice{
+			{Reward: 1, Transitions: []Transition{{To: tgt, P: 0.5}, {To: prev, P: 0.5}}},
+			{Action: 1, Reward: 1, Transitions: []Transition{{To: x, P: 1}}},
+		})
 		target = append(target, false)
 		avoid = append(avoid, false)
 		prev = x
 	}
 	for i := 0; i < 3; i++ {
-		m.AddChoice(StateID(src.IntN(base)), 9, 1, []Transition{{To: prev, P: 1}})
+		s := src.IntN(base)
+		cs[s] = append(cs[s], Choice{Action: 9, Reward: 1, Transitions: []Transition{{To: prev, P: 1}}})
 	}
-	return m, target, avoid
+	return cs, target, avoid
 }
 
 // TestProb1EMatchesReference checks the incremental worklist fixpoint
@@ -139,13 +141,14 @@ func TestProb1EMatchesReference(t *testing.T) {
 	src := randx.New(7)
 	deep := 0
 	for trial := 0; trial < 80; trial++ {
-		var m *MDP
+		var cs [][]Choice
 		var target, avoid []bool
 		if trial < 40 {
-			m, target, avoid = randomLabeledMDP(20+src.IntN(60), src.SplitN("mdp", trial))
+			cs, target, avoid = randomLabeled(20+src.IntN(60), src.SplitN("mdp", trial))
 		} else {
-			m, target, avoid = chainAvoidMDP(src.SplitN("chain", trial))
+			cs, target, avoid = chainAvoid(src.SplitN("chain", trial))
 		}
+		m := pack(cs)
 		got := m.Prob1E(target, avoid)
 		want, rounds := referenceProb1E(m, target, avoid)
 		if rounds >= 3 {
@@ -165,11 +168,14 @@ func TestProb1EMatchesReference(t *testing.T) {
 // TestJacobiMatchesGaussSeidelRandomized is the differential test of the CSR
 // engine: on randomized MDPs, the Jacobi solver must agree with Gauss-Seidel
 // — values within tolerance, and identical strategy picks wherever the
-// optimum is unique by a clear margin.
+// optimum is unique by a clear margin. A model keeps its solver index and
+// scratch across solves, so one built model solved for Rmin, then Pmax,
+// then Rmin again must also match each query on a fresh build bit for bit.
 func TestJacobiMatchesGaussSeidelRandomized(t *testing.T) {
 	src := randx.New(11)
 	for trial := 0; trial < 30; trial++ {
-		m, target, avoid := randomLabeledMDP(30+src.IntN(70), src.SplitN("mdp", trial))
+		cs, target, avoid := randomLabeled(30+src.IntN(70), src.SplitN("mdp", trial))
+		m := pack(cs)
 		gs := SolveOptions{Method: GaussSeidel, Eps: 1e-12}
 		jac := SolveOptions{Method: Jacobi, Eps: 1e-12}
 
@@ -192,6 +198,17 @@ func TestJacobiMatchesGaussSeidelRandomized(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareSolves(t, m, eg, ej, true)
+
+		rmin := func(m *MDP) (Result, error) { return m.MinExpectedReward(target, avoid, gs) }
+		pmax := func(m *MDP) (Result, error) { return m.MaxReachProb(target, avoid, gs) }
+		reused := pack(cs)
+		for i, q := range []func(*MDP) (Result, error){rmin, pmax, rmin} {
+			got, gerr := q(reused)
+			want, werr := q(pack(cs))
+			if d := diffResult(got, gerr, want, werr); d != "" {
+				t.Fatalf("trial %d, solve %d of the reused model: %s", trial, i+1, d)
+			}
+		}
 	}
 }
 
@@ -251,13 +268,12 @@ func uniqueOptimum(m *MDP, s StateID, vals []float64, minimize bool) bool {
 func TestConvergenceErrorDetail(t *testing.T) {
 	// Two states feeding each other with reward 1 and a 1e-6 leak to the
 	// target: converges very slowly, so MaxIter=3 exhausts.
-	m := New()
-	a := m.AddState()
-	b := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(a, 7, 1, []Transition{{To: b, P: 1 - 1e-6}, {To: goal, P: 1e-6}})
-	m.AddChoice(b, 8, 1, []Transition{{To: a, P: 1 - 1e-6}, {To: goal, P: 1e-6}})
-	m.AddChoice(goal, -1, 0, []Transition{{To: goal, P: 1}})
+	const a, b, goal = 0, 1, 2
+	m := pack([][]Choice{
+		a:    {{Action: 7, Reward: 1, Transitions: []Transition{{To: b, P: 1 - 1e-6}, {To: goal, P: 1e-6}}}},
+		b:    {{Action: 8, Reward: 1, Transitions: []Transition{{To: a, P: 1 - 1e-6}, {To: goal, P: 1e-6}}}},
+		goal: {{Action: -1, Transitions: []Transition{{To: goal, P: 1}}}},
+	})
 	target := []bool{false, false, true}
 	for _, method := range []SolverMethod{GaussSeidel, Jacobi} {
 		_, err := m.MinExpectedReward(target, nil, SolveOptions{Method: method, MaxIter: 3})
@@ -282,9 +298,7 @@ func TestConvergenceErrorDetail(t *testing.T) {
 
 // TestValidateNamesAction: validation failures must carry the action id.
 func TestValidateNamesAction(t *testing.T) {
-	m := New()
-	s := m.AddState()
-	m.AddChoice(s, 42, 1, []Transition{{To: s, P: 0.5}})
+	m := pack([][]Choice{{{Action: 42, Reward: 1, Transitions: []Transition{{To: 0, P: 0.5}}}}})
 	err := m.Validate()
 	if err == nil {
 		t.Fatal("expected validation error")

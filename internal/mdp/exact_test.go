@@ -174,8 +174,9 @@ func diffResult(a Result, aerr error, b Result, berr error) string {
 // several edges of one choice into the same successor, pure and
 // near-pure self-loop choices (the latter make an almost-surely-winning
 // state's Rmin +Inf), states with no choice, non-almost-sure states pinned
-// at +Inf, and iteration caps that run out. Models are built through the
-// Builder or through AddChoice. One mode bit adds the corners of the
+// at +Inf, and iteration caps that run out. The lowest mode bit is read
+// and ignored, so the committed corpus entries, which set it either way,
+// keep decoding to the same models. Another mode bit adds the corners of the
 // backups' deterministic/other partition: several deterministic choices in
 // one state, with the reward of the first or another one, next to
 // stochastic siblings and into avoid states (+Inf successors); p = 1 edges
@@ -202,10 +203,9 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 		opt.Eps = 1e-12
 	}
 	mode := next()
-	builder := mode%2 == 0
 	partition := mode/4%2 == 1
 	if unitMode && mode/2%2 == 1 {
-		m, target, avoid = decodeUnitMDP(next, builder)
+		m, target, avoid = decodeUnitMDP(next)
 		return m, target, avoid, opt, true
 	}
 	n := 1 + next()%48
@@ -225,11 +225,7 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 			sinks = append(sinks, s)
 		}
 	}
-	var b Builder
-	b.Reset()
-	b.AddStates(n)
-	m = New()
-	m.AddStates(n)
+	cs := make([][]Choice, n)
 	for s := 0; s < n; s++ {
 		nc := next() % 4
 		if !target[s] && nc == 0 && next()%4 != 0 {
@@ -291,20 +287,10 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 					trs = append(trs, Transition{To: StateID(to), P: float64(w[i]) / float64(total)})
 				}
 			}
-			if builder {
-				b.BeginChoice(StateID(s), c, reward)
-				for _, tr := range trs {
-					b.Transition(tr.To, tr.P)
-				}
-			} else {
-				m.AddChoice(StateID(s), c, reward, trs)
-			}
+			cs[s] = append(cs[s], Choice{Action: c, Reward: reward, Transitions: trs})
 		}
 	}
-	if builder {
-		m = b.Build()
-	}
-	return m, target, avoid, opt, false
+	return pack(cs), target, avoid, opt, false
 }
 
 // decodeUnitMDP decodes a deterministic model with unit costs, the kind
@@ -314,7 +300,7 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 // Init commit. A third of the models add one choice that rules the
 // shortest-path solve out: a zero-reward cycle, reward 2, a p = 1 edge
 // beside a p = 0 edge, or a choice with p < 1.
-func decodeUnitMDP(next func() int, builder bool) (*MDP, []bool, []bool) {
+func decodeUnitMDP(next func() int) (*MDP, []bool, []bool) {
 	n := 1 + next()%48
 	target := make([]bool, n)
 	avoid := make([]bool, n)
@@ -365,28 +351,12 @@ func decodeUnitMDP(next func() int, builder bool) (*MDP, []bool, []bool) {
 	case 3:
 		choices[s] = append(choices[s], Choice{Reward: 1, Transitions: []Transition{{To: StateID(t), P: 0.5}, {To: StateID(s), P: 0.5}}})
 	}
-	if !builder {
-		m := New()
-		m.AddStates(n)
-		for s, cs := range choices {
-			for c, ch := range cs {
-				m.AddChoice(StateID(s), c, ch.Reward, ch.Transitions)
-			}
-		}
-		return m, target, avoid
-	}
-	var b Builder
-	b.Reset()
-	b.AddStates(n)
-	for s, cs := range choices {
-		for c, ch := range cs {
-			b.BeginChoice(StateID(s), c, ch.Reward)
-			for _, tr := range ch.Transitions {
-				b.Transition(tr.To, tr.P)
-			}
+	for _, cs := range choices {
+		for c := range cs {
+			cs[c].Action = c // action ids number each state's choices
 		}
 	}
-	return b.Build(), target, avoid
+	return pack(choices), target, avoid
 }
 
 // TestChangeDrivenSweepsExact: on random general models, change-driven

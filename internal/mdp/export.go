@@ -24,7 +24,7 @@ func (m *MDP) WriteTra(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "%d %d %d\n", m.NumStates(), m.NumChoices(), m.NumTransitions()); err != nil {
 		return err
 	}
-	g := m.flatten()
+	g := m.g
 	for s := 0; s < g.n; s++ {
 		for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
 			for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
@@ -46,7 +46,7 @@ func (m *MDP) WriteTrew(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "%d %d %d\n", m.NumStates(), m.NumChoices(), m.NumTransitions()); err != nil {
 		return err
 	}
-	g := m.flatten()
+	g := m.g
 	for s := 0; s < g.n; s++ {
 		for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
 			for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {

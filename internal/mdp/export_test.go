@@ -9,14 +9,15 @@ import (
 )
 
 func exportModel() (*MDP, []bool) {
-	m := New()
-	s0 := m.AddState()
-	s1 := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 1, 1, []Transition{{To: s1, P: 0.5}, {To: s0, P: 0.5}})
-	m.AddChoice(s0, 2, 1, []Transition{{To: goal, P: 0.25}, {To: s0, P: 0.75}})
-	m.AddChoice(s1, 3, 1, []Transition{{To: goal, P: 1}})
-	m.AddChoice(goal, 0, 0, []Transition{{To: goal, P: 1}})
+	const s0, s1, goal = 0, 1, 2
+	m := pack([][]Choice{
+		s0: {
+			{Action: 1, Reward: 1, Transitions: []Transition{{To: s1, P: 0.5}, {To: s0, P: 0.5}}},
+			{Action: 2, Reward: 1, Transitions: []Transition{{To: goal, P: 0.25}, {To: s0, P: 0.75}}},
+		},
+		s1:   {{Action: 3, Reward: 1, Transitions: []Transition{{To: goal, P: 1}}}},
+		goal: {{Transitions: []Transition{{To: goal, P: 1}}}},
+	})
 	target := []bool{false, false, true}
 	return m, target
 }
@@ -135,8 +136,6 @@ func TestExportedModelSolvesIdentically(t *testing.T) {
 	}
 	// Parse the body back into a fresh MDP (rewards: 1 per non-goal
 	// choice, matching the original).
-	re := New()
-	re.AddStates(m.NumStates())
 	type key struct{ s, c int }
 	groups := map[key][]Transition{}
 	acts := map[key]int{}
@@ -152,11 +151,8 @@ func TestExportedModelSolvesIdentically(t *testing.T) {
 		groups[key{s, c}] = append(groups[key{s, c}], Transition{To: StateID(to), P: p})
 		acts[key{s, c}] = a
 	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
 	// Insert in deterministic order.
+	cs := make([][]Choice, m.NumStates())
 	for s := 0; s < m.NumStates(); s++ {
 		for c := 0; c < 4; c++ {
 			k := key{s, c}
@@ -168,11 +164,10 @@ func TestExportedModelSolvesIdentically(t *testing.T) {
 			if target[s] {
 				reward = 0
 			}
-			re.AddChoice(StateID(s), acts[k], reward, trs)
+			cs[s] = append(cs[s], Choice{Action: acts[k], Reward: reward, Transitions: trs})
 		}
 	}
-	_ = keys
-	got, err := re.MinExpectedReward(target, nil, SolveOptions{})
+	got, err := pack(cs).MinExpectedReward(target, nil, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func (m *MDP) IntervalMaxReachProb(target, avoid []bool, opt SolveOptions) (Inte
 		return IntervalResult{}, errors.New("mdp: label vector length mismatch")
 	}
 	blocked := func(s int) bool { return avoid != nil && avoid[s] }
-	g := m.flatten()
+	g := m.g
 
 	// canReach: states with some path to a target state avoiding `avoid`.
 	canReach := make([]bool, n)

@@ -48,13 +48,12 @@ func TestIntervalCertify(t *testing.T) {
 }
 
 func TestIntervalUnreachablePinnedZero(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	trap := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: trap, P: 1}})
-	m.AddChoice(trap, 0, 1, []Transition{{To: trap, P: 1}})
-	m.AddChoice(goal, 0, 0, []Transition{{To: goal, P: 1}})
+	const s0, trap, goal = 0, 1, 2
+	m := pack([][]Choice{
+		s0:   {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},
+		trap: {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},
+		goal: {{Transitions: []Transition{{To: goal, P: 1}}}},
+	})
 	res, err := m.IntervalMaxReachProb([]bool{false, false, true}, nil, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +70,11 @@ func TestIntervalUnreachablePinnedZero(t *testing.T) {
 // branch) certifies Pmax = 1 despite the loop — the pure-self-loop exclusion
 // is not needed here, the leak does the work.
 func TestIntervalEpsilonLoop(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: goal, P: 0.4}, {To: s0, P: 0.6}})
-	m.AddChoice(goal, 0, 0, []Transition{{To: goal, P: 1}})
+	const s0, goal = 0, 1
+	m := pack([][]Choice{
+		s0:   {{Reward: 1, Transitions: []Transition{{To: goal, P: 0.4}, {To: s0, P: 0.6}}}},
+		goal: {{Transitions: []Transition{{To: goal, P: 1}}}},
+	})
 	res, err := m.IntervalMaxReachProb([]bool{false, true}, nil, SolveOptions{Eps: 1e-9})
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +87,14 @@ func TestIntervalEpsilonLoop(t *testing.T) {
 // TestIntervalPureSelfLoopExcluded: an extra do-nothing choice must not keep
 // the upper bound at 1.
 func TestIntervalPureSelfLoopExcluded(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: s0, P: 1}}) // wait forever
-	m.AddChoice(s0, 1, 1, []Transition{{To: goal, P: 0.5}, {To: s0, P: 0.5}})
-	m.AddChoice(goal, 0, 0, []Transition{{To: goal, P: 1}})
+	const s0, goal = 0, 1
+	m := pack([][]Choice{
+		s0: {
+			{Reward: 1, Transitions: []Transition{{To: s0, P: 1}}}, // wait forever
+			{Action: 1, Reward: 1, Transitions: []Transition{{To: goal, P: 0.5}, {To: s0, P: 0.5}}},
+		},
+		goal: {{Transitions: []Transition{{To: goal, P: 1}}}},
+	})
 	res, err := m.IntervalMaxReachProb([]bool{false, true}, nil, SolveOptions{Eps: 1e-9})
 	if err != nil {
 		t.Fatal(err)
@@ -110,18 +111,18 @@ func TestIntervalPureSelfLoopExcluded(t *testing.T) {
 // a probability-1 two-cycle with an alternative route keeps the upper bound
 // from closing, and the solver reports non-convergence rather than lying.
 func TestIntervalDeterministicCycleLimitation(t *testing.T) {
-	m := New()
-	a := m.AddState()
-	b := m.AddState()
-	trap := m.AddState()
-	goal := m.AddState()
+	const a, b, trap, goal = 0, 1, 2, 3
 	// The optimal play is the risky exit (Pmax = 0.5); cycling a↔b yields
 	// nothing, but it keeps the naive upper bound at 1.
-	m.AddChoice(a, 0, 1, []Transition{{To: b, P: 1}})
-	m.AddChoice(a, 1, 1, []Transition{{To: goal, P: 0.5}, {To: trap, P: 0.5}})
-	m.AddChoice(b, 0, 1, []Transition{{To: a, P: 1}})
-	m.AddChoice(trap, 0, 1, []Transition{{To: trap, P: 1}})
-	m.AddChoice(goal, 0, 0, []Transition{{To: goal, P: 1}})
+	m := pack([][]Choice{
+		a: {
+			{Reward: 1, Transitions: []Transition{{To: b, P: 1}}},
+			{Action: 1, Reward: 1, Transitions: []Transition{{To: goal, P: 0.5}, {To: trap, P: 0.5}}},
+		},
+		b:    {{Reward: 1, Transitions: []Transition{{To: a, P: 1}}}},
+		trap: {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},
+		goal: {{Transitions: []Transition{{To: goal, P: 1}}}},
+	})
 	_, err := m.IntervalMaxReachProb([]bool{false, false, false, true}, nil,
 		SolveOptions{Eps: 1e-9, MaxIter: 5000})
 	if err != ErrNoConvergence {

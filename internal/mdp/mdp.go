@@ -44,128 +44,53 @@ type Choice struct {
 	Transitions []Transition
 }
 
-// MDP is an explicit-state Markov decision process under construction or
-// analysis. The zero value is an empty MDP ready for AddState. Models come
-// in two storage modes: the classic AddState/AddChoice API grows a
-// list-backed graph, while Builder.Build returns a model backed directly by
-// the builder's CSR slabs (flat != nil). Flat models are immutable and share
-// solver scratch with their Builder, so they must not be solved
-// concurrently; list-backed models flatten fresh per solve and may be.
+// MDP is an explicit-state Markov decision process, stored as the CSR slabs
+// a Builder wrote (csr.go), which the solvers read in place. Models come
+// from Builder.Build only. A model shares its solver scratch with its
+// Builder, so it must not be solved concurrently.
 type MDP struct {
-	choices [][]Choice
-	numTr   int
-	flat    *csr // set for Builder-built models; nil for list-backed ones
-}
-
-// New returns an empty MDP.
-func New() *MDP { return &MDP{} }
-
-// AddState appends a fresh state and returns its id.
-func (m *MDP) AddState() StateID {
-	m.mutable()
-	m.choices = append(m.choices, nil)
-	return StateID(len(m.choices) - 1)
-}
-
-// AddStates appends n fresh states and returns the id of the first.
-func (m *MDP) AddStates(n int) StateID {
-	m.mutable()
-	first := StateID(len(m.choices))
-	for i := 0; i < n; i++ {
-		m.choices = append(m.choices, nil)
-	}
-	return first
-}
-
-// AddChoice attaches a choice to a state. Transition probabilities are the
-// caller's responsibility until Validate is called.
-func (m *MDP) AddChoice(s StateID, action int, reward float64, trs []Transition) {
-	m.mutable()
-	m.choices[s] = append(m.choices[s], Choice{Action: action, Reward: reward, Transitions: trs})
-	m.numTr += len(trs)
-}
-
-func (m *MDP) mutable() {
-	if m.flat != nil {
-		panic("mdp: cannot mutate a Builder-built model; use Builder.Reset and rebuild")
-	}
+	g *csr
 }
 
 // NumStates returns |S|.
-func (m *MDP) NumStates() int {
-	if m.flat != nil {
-		return m.flat.n
-	}
-	return len(m.choices)
-}
+func (m *MDP) NumStates() int { return m.g.n }
 
 // NumChoices returns the total number of state-action choices, the quantity
 // PRISM reports as "choices".
-func (m *MDP) NumChoices() int {
-	if m.flat != nil {
-		return len(m.flat.actions)
-	}
-	n := 0
-	for _, cs := range m.choices {
-		n += len(cs)
-	}
-	return n
-}
+func (m *MDP) NumChoices() int { return len(m.g.actions) }
 
 // NumTransitions returns the total number of probabilistic transitions, the
 // quantity PRISM reports as "transitions".
-func (m *MDP) NumTransitions() int { return m.numTr }
+func (m *MDP) NumTransitions() int { return len(m.g.tos) }
 
-// Choices returns the choices of a state. For list-backed models this is the
-// shared underlying slice (do not mutate); for Builder-built models the
-// choices are materialized fresh from the CSR slabs on every call — fine for
-// inspection and tests, but hot paths should use numChoicesOf/choiceAction.
+// Choices returns the choices of a state, materialized fresh from the CSR
+// slabs on every call: fine for inspection and checks, but hot paths walk
+// the slabs instead.
 func (m *MDP) Choices(s StateID) []Choice {
-	if g := m.flat; g != nil {
-		lo, hi := g.stateOff[s], g.stateOff[s+1]
-		if lo == hi {
-			return nil
+	g := m.g
+	lo, hi := g.stateOff[s], g.stateOff[s+1]
+	if lo == hi {
+		return nil
+	}
+	out := make([]Choice, 0, hi-lo)
+	for ci := lo; ci < hi; ci++ {
+		trs := make([]Transition, 0, g.choiceOff[ci+1]-g.choiceOff[ci])
+		for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
+			trs = append(trs, Transition{To: StateID(g.tos[ti]), P: g.probs[ti]})
 		}
-		out := make([]Choice, 0, hi-lo)
-		for ci := lo; ci < hi; ci++ {
-			trs := make([]Transition, 0, g.choiceOff[ci+1]-g.choiceOff[ci])
-			for ti := g.choiceOff[ci]; ti < g.choiceOff[ci+1]; ti++ {
-				trs = append(trs, Transition{To: StateID(g.tos[ti]), P: g.probs[ti]})
-			}
-			out = append(out, Choice{Action: int(g.actions[ci]), Reward: g.rewards[ci], Transitions: trs})
-		}
-		return out
+		out = append(out, Choice{Action: int(g.actions[ci]), Reward: g.rewards[ci], Transitions: trs})
 	}
-	return m.choices[s]
-}
-
-// numChoicesOf returns the number of choices of one state without
-// materializing them.
-func (m *MDP) numChoicesOf(s StateID) int {
-	if g := m.flat; g != nil {
-		return int(g.stateOff[s+1] - g.stateOff[s])
-	}
-	return len(m.choices[s])
-}
-
-// choiceAction returns the caller-supplied action id of choice idx of state
-// s without materializing the choice list.
-func (m *MDP) choiceAction(s StateID, idx int) int {
-	if g := m.flat; g != nil {
-		return int(g.actions[int(g.stateOff[s])+idx])
-	}
-	return m.choices[s][idx].Action
+	return out
 }
 
 // Validate checks structural sanity: transition targets in range,
-// probabilities in [0,1] summing to 1 per choice (within eps), non-negative
-// rewards. Errors name the state id, the choice index, and the
-// caller-supplied action id, so a bad choice in a generated model can be
-// traced back to the microfluidic action that produced it. Both storage
-// modes validate over the same CSR walk.
+// probabilities in [0,1] (within 1e-9) that sum to 1 per choice within
+// 1e-6, and non-negative rewards. Errors name the state id, the choice
+// index, and the caller-supplied action id, so a bad choice in a generated
+// model can be traced back to the microfluidic action that produced it.
 func (m *MDP) Validate() error {
 	const eps = 1e-9
-	g := m.flatten()
+	g := m.g
 	for s := 0; s < g.n; s++ {
 		for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
 			idx := int(ci - g.stateOff[s])
@@ -205,7 +130,7 @@ func (st Strategy) Action(m *MDP, s StateID) (int, bool) {
 	if int(s) >= len(st) || st[s] < 0 {
 		return 0, false
 	}
-	return m.choiceAction(s, st[s]), true
+	return int(m.g.actions[int(m.g.stateOff[s])+st[s]]), true
 }
 
 // SolverMethod selects the value-iteration flavor.
@@ -315,7 +240,7 @@ func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (R
 	if len(target) != n || (avoid != nil && len(avoid) != n) {
 		return Result{}, errors.New("mdp: label vector length mismatch")
 	}
-	g := m.flatten()
+	g := m.g
 	vals := make([]float64, n)
 	frozen := growB(g.scrFrozen, n)
 	g.scrFrozen = frozen
@@ -399,10 +324,10 @@ func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (R
 // state with probability 1 while never entering an avoid state. This is the
 // standard qualitative algorithm (greatest fixpoint over a reach-closure),
 // and it determines where Rmin=?[◇target] is finite. The fixpoint runs over
-// the CSR flattening with a reverse-edge worklist (see csr.go); the internal
+// the CSR slabs with a reverse-edge worklist (see csr.go); the internal
 // pass returns solver scratch, so this copies it for the caller.
 func (m *MDP) Prob1E(target, avoid []bool) []bool {
-	res := m.flatten().prob1E(target, avoid)
+	res := m.g.prob1E(target, avoid)
 	out := make([]bool, len(res))
 	copy(out, res)
 	return out
@@ -425,7 +350,7 @@ func (m *MDP) minExpectedReward(target, avoid []bool, opt SolveOptions, vi viFun
 	if len(target) != n || (avoid != nil && len(avoid) != n) {
 		return Result{}, errors.New("mdp: label vector length mismatch")
 	}
-	g := m.flatten()
+	g := m.g
 	g.index()
 	vals := make([]float64, n)
 	// A deterministic model with unit costs is solved exactly by one BFS.

@@ -9,12 +9,11 @@ import (
 
 // chainMDP builds a deterministic chain 0 → 1 → ... → n−1 with unit rewards.
 func chainMDP(n int) *MDP {
-	m := New()
-	m.AddStates(n)
+	cs := make([][]Choice, n)
 	for s := 0; s < n-1; s++ {
-		m.AddChoice(StateID(s), 0, 1, []Transition{{To: StateID(s + 1), P: 1}})
+		cs[s] = []Choice{{Reward: 1, Transitions: []Transition{{To: StateID(s + 1), P: 1}}}}
 	}
-	return m
+	return pack(cs)
 }
 
 func labelLast(n int) []bool {
@@ -34,32 +33,18 @@ func TestValidateAcceptsChain(t *testing.T) {
 }
 
 func TestValidateRejectsBadModels(t *testing.T) {
-	m := New()
-	s := m.AddState()
-	m.AddChoice(s, 0, 1, nil)
-	if err := m.Validate(); err == nil {
-		t.Error("empty transition list accepted")
-	}
-
-	m = New()
-	s = m.AddState()
-	m.AddChoice(s, 0, 1, []Transition{{To: 7, P: 1}})
-	if err := m.Validate(); err == nil {
-		t.Error("out-of-range target accepted")
-	}
-
-	m = New()
-	s = m.AddState()
-	m.AddChoice(s, 0, 1, []Transition{{To: s, P: 0.5}})
-	if err := m.Validate(); err == nil {
-		t.Error("sub-stochastic distribution accepted")
-	}
-
-	m = New()
-	s = m.AddState()
-	m.AddChoice(s, 0, -1, []Transition{{To: s, P: 1}})
-	if err := m.Validate(); err == nil {
-		t.Error("negative reward accepted")
+	for _, c := range []struct {
+		name   string
+		choice Choice
+	}{
+		{"empty transition list", Choice{Reward: 1}},
+		{"out-of-range target", Choice{Reward: 1, Transitions: []Transition{{To: 7, P: 1}}}},
+		{"sub-stochastic distribution", Choice{Reward: 1, Transitions: []Transition{{To: 0, P: 0.5}}}},
+		{"negative reward", Choice{Reward: -1, Transitions: []Transition{{To: 0, P: 1}}}},
+	} {
+		if err := pack([][]Choice{{c.choice}}).Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -91,10 +76,11 @@ func TestMinExpectedRewardChain(t *testing.T) {
 // otherwise stays put has expected hitting time 1/p.
 func TestGeometricSelfLoop(t *testing.T) {
 	for _, p := range []float64{0.1, 0.25, 0.5, 0.9} {
-		m := New()
-		s0 := m.AddState()
-		goal := m.AddState()
-		m.AddChoice(s0, 0, 1, []Transition{{To: goal, P: p}, {To: s0, P: 1 - p}})
+		const s0, goal = 0, 1
+		m := pack([][]Choice{
+			s0:   {{Reward: 1, Transitions: []Transition{{To: goal, P: p}, {To: s0, P: 1 - p}}}},
+			goal: nil,
+		})
 		res, err := m.MinExpectedReward([]bool{false, true}, nil, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -108,17 +94,18 @@ func TestGeometricSelfLoop(t *testing.T) {
 // TestMinRewardPicksBetterChoice: a slow sure path (3 steps) vs a fast risky
 // action (p=0.5 self-loop, expected 2 steps): the solver must pick risky.
 func TestMinRewardPicksBetterChoice(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	a := m.AddState()
-	b := m.AddState()
-	goal := m.AddState()
-	// Choice 0: deterministic detour of 3 steps.
-	m.AddChoice(s0, 100, 1, []Transition{{To: a, P: 1}})
-	m.AddChoice(a, 0, 1, []Transition{{To: b, P: 1}})
-	m.AddChoice(b, 0, 1, []Transition{{To: goal, P: 1}})
-	// Choice 1: geometric with p = 0.5 → expected 2 steps.
-	m.AddChoice(s0, 200, 1, []Transition{{To: goal, P: 0.5}, {To: s0, P: 0.5}})
+	const s0, a, b, goal = 0, 1, 2, 3
+	m := pack([][]Choice{
+		s0: {
+			// Choice 0: deterministic detour of 3 steps.
+			{Action: 100, Reward: 1, Transitions: []Transition{{To: a, P: 1}}},
+			// Choice 1: geometric with p = 0.5 → expected 2 steps.
+			{Action: 200, Reward: 1, Transitions: []Transition{{To: goal, P: 0.5}, {To: s0, P: 0.5}}},
+		},
+		a:    {{Reward: 1, Transitions: []Transition{{To: b, P: 1}}}},
+		b:    {{Reward: 1, Transitions: []Transition{{To: goal, P: 1}}}},
+		goal: nil,
+	})
 	target := []bool{false, false, false, true}
 	res, err := m.MinExpectedReward(target, nil, SolveOptions{})
 	if err != nil {
@@ -133,13 +120,12 @@ func TestMinRewardPicksBetterChoice(t *testing.T) {
 }
 
 func TestMinRewardUnreachableIsInf(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	trap := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: trap, P: 1}})
-	m.AddChoice(trap, 0, 1, []Transition{{To: trap, P: 1}})
-	m.AddChoice(goal, 0, 1, []Transition{{To: goal, P: 1}})
+	const s0, trap, goal = 0, 1, 2
+	m := pack([][]Choice{
+		s0:   {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},
+		trap: {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},
+		goal: {{Reward: 1, Transitions: []Transition{{To: goal, P: 1}}}},
+	})
 	res, err := m.MinExpectedReward([]bool{false, false, true}, nil, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -156,12 +142,12 @@ func TestMinRewardUnreachableIsInf(t *testing.T) {
 // with p=0.9 but falls into a trap with p=0.1 has Rmin = ∞ (PRISM
 // semantics: reward is infinite unless the goal is reached almost surely).
 func TestMinRewardAlmostSureOnly(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	trap := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: goal, P: 0.9}, {To: trap, P: 0.1}})
-	m.AddChoice(trap, 0, 1, []Transition{{To: trap, P: 1}})
+	const s0, trap, goal = 0, 1, 2
+	m := pack([][]Choice{
+		s0:   {{Reward: 1, Transitions: []Transition{{To: goal, P: 0.9}, {To: trap, P: 0.1}}}},
+		trap: {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},
+		goal: nil,
+	})
 	res, err := m.MinExpectedReward([]bool{false, false, true}, nil, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,14 +158,13 @@ func TestMinRewardAlmostSureOnly(t *testing.T) {
 }
 
 func TestProb1E(t *testing.T) {
-	m := New()
-	s0 := m.AddState()   // can retry forever → a.s.
-	s1 := m.AddState()   // risky only → not a.s.
-	trap := m.AddState() // absorbing
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: goal, P: 0.5}, {To: s0, P: 0.5}})
-	m.AddChoice(s1, 0, 1, []Transition{{To: goal, P: 0.5}, {To: trap, P: 0.5}})
-	m.AddChoice(trap, 0, 1, []Transition{{To: trap, P: 1}})
+	const s0, s1, trap, goal = 0, 1, 2, 3
+	m := pack([][]Choice{
+		s0:   {{Reward: 1, Transitions: []Transition{{To: goal, P: 0.5}, {To: s0, P: 0.5}}}},   // can retry forever → a.s.
+		s1:   {{Reward: 1, Transitions: []Transition{{To: goal, P: 0.5}, {To: trap, P: 0.5}}}}, // risky only → not a.s.
+		trap: {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},                       // absorbing
+		goal: nil,
+	})
 	target := []bool{false, false, false, true}
 	as := m.Prob1E(target, nil)
 	if !as[s0] {
@@ -197,16 +182,17 @@ func TestProb1E(t *testing.T) {
 }
 
 func TestMaxReachProbBasics(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	s1 := m.AddState()
-	trap := m.AddState()
-	goal := m.AddState()
-	// s0 has two choices: safe 0.9 to goal / 0.1 trap, or 0.5/0.5 via s1.
-	m.AddChoice(s0, 1, 1, []Transition{{To: goal, P: 0.9}, {To: trap, P: 0.1}})
-	m.AddChoice(s0, 2, 1, []Transition{{To: s1, P: 0.5}, {To: trap, P: 0.5}})
-	m.AddChoice(s1, 0, 1, []Transition{{To: goal, P: 1}})
-	m.AddChoice(trap, 0, 1, []Transition{{To: trap, P: 1}})
+	const s0, s1, trap, goal = 0, 1, 2, 3
+	m := pack([][]Choice{
+		// s0 has two choices: safe 0.9 to goal / 0.1 trap, or 0.5/0.5 via s1.
+		s0: {
+			{Action: 1, Reward: 1, Transitions: []Transition{{To: goal, P: 0.9}, {To: trap, P: 0.1}}},
+			{Action: 2, Reward: 1, Transitions: []Transition{{To: s1, P: 0.5}, {To: trap, P: 0.5}}},
+		},
+		s1:   {{Reward: 1, Transitions: []Transition{{To: goal, P: 1}}}},
+		trap: {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},
+		goal: nil,
+	})
 	target := []bool{false, false, false, true}
 	res, err := m.MaxReachProb(target, nil, SolveOptions{})
 	if err != nil {
@@ -224,15 +210,17 @@ func TestMaxReachProbBasics(t *testing.T) {
 }
 
 func TestMaxReachProbWithAvoid(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	hz := m.AddState()
-	goal := m.AddState()
-	// Direct risky route passes through the hazard with p=0.4.
-	m.AddChoice(s0, 1, 1, []Transition{{To: goal, P: 0.6}, {To: hz, P: 0.4}})
-	// Slow route: self-loop with small success, never hazard.
-	m.AddChoice(s0, 2, 1, []Transition{{To: goal, P: 0.2}, {To: s0, P: 0.8}})
-	m.AddChoice(hz, 0, 1, []Transition{{To: goal, P: 1}})
+	const s0, hz, goal = 0, 1, 2
+	m := pack([][]Choice{
+		s0: {
+			// Direct risky route passes through the hazard with p=0.4.
+			{Action: 1, Reward: 1, Transitions: []Transition{{To: goal, P: 0.6}, {To: hz, P: 0.4}}},
+			// Slow route: self-loop with small success, never hazard.
+			{Action: 2, Reward: 1, Transitions: []Transition{{To: goal, P: 0.2}, {To: s0, P: 0.8}}},
+		},
+		hz:   {{Reward: 1, Transitions: []Transition{{To: goal, P: 1}}}},
+		goal: nil,
+	})
 	target := []bool{false, false, true}
 	avoid := []bool{false, true, false}
 	res, err := m.MaxReachProb(target, avoid, SolveOptions{})
@@ -252,9 +240,8 @@ func TestMaxReachProbWithAvoid(t *testing.T) {
 }
 
 func TestAvoidOverridesTarget(t *testing.T) {
-	m := New()
-	s := m.AddState()
-	m.AddChoice(s, 0, 1, []Transition{{To: s, P: 1}})
+	const s = 0
+	m := pack([][]Choice{{{Reward: 1, Transitions: []Transition{{To: s, P: 1}}}}})
 	res, err := m.MaxReachProb([]bool{true}, []bool{true}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -302,8 +289,7 @@ func TestJacobiMatchesGaussSeidel(t *testing.T) {
 // randomMDP builds a random strongly-connected-ish MDP over n states with k
 // choices per state; the last state is the absorbing target.
 func randomMDP(src *randx.Source, n, k int) (*MDP, []bool) {
-	m := New()
-	m.AddStates(n)
+	cs := make([][]Choice, n)
 	for s := 0; s < n-1; s++ {
 		for c := 0; c < k; c++ {
 			// Two-successor distribution with a bias toward moving
@@ -311,13 +297,13 @@ func randomMDP(src *randx.Source, n, k int) (*MDP, []bool) {
 			t1 := StateID(src.IntN(n))
 			t2 := StateID(src.IntN(n))
 			p := 0.2 + 0.6*src.Float64()
-			m.AddChoice(StateID(s), c, 1, []Transition{{To: t1, P: p}, {To: t2, P: 1 - p}})
+			cs[s] = append(cs[s], Choice{Action: c, Reward: 1, Transitions: []Transition{{To: t1, P: p}, {To: t2, P: 1 - p}}})
 		}
 		// Guarantee a path onward.
-		m.AddChoice(StateID(s), k, 1, []Transition{{To: StateID(s + 1), P: 1}})
+		cs[s] = append(cs[s], Choice{Action: k, Reward: 1, Transitions: []Transition{{To: StateID(s + 1), P: 1}}})
 	}
-	m.AddChoice(StateID(n-1), 0, 1, []Transition{{To: StateID(n - 1), P: 1}})
-	return m, labelLast(n)
+	cs[n-1] = []Choice{{Reward: 1, Transitions: []Transition{{To: StateID(n - 1), P: 1}}}}
+	return pack(cs), labelLast(n)
 }
 
 // TestStrategyAchievesValue evaluates the extracted min-reward strategy as a
@@ -409,11 +395,11 @@ func TestSolverMethodString(t *testing.T) {
 }
 
 func TestDeadlockStateHandled(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	dead := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: dead, P: 0.5}, {To: goal, P: 0.5}})
+	const s0, dead, goal = 0, 1, 2
+	m := pack([][]Choice{
+		s0:   {{Reward: 1, Transitions: []Transition{{To: dead, P: 0.5}, {To: goal, P: 0.5}}}},
+		goal: nil,
+	})
 	target := []bool{false, false, true}
 	res, err := m.MaxReachProb(target, nil, SolveOptions{})
 	if err != nil {
@@ -432,7 +418,6 @@ func TestDeadlockStateHandled(t *testing.T) {
 	if !math.IsInf(rres.Values[s0], 1) {
 		t.Error("s0 cannot reach goal a.s. through a possible deadlock")
 	}
-	_ = dead
 }
 
 // An empty model solves to empty results under both queries and both
@@ -441,8 +426,8 @@ func TestEmptyModel(t *testing.T) {
 	for _, method := range []SolverMethod{GaussSeidel, Jacobi} {
 		opt := SolveOptions{Method: method}
 		for name, solve := range map[string]func([]bool, []bool, SolveOptions) (Result, error){
-			"Rmin": New().MinExpectedReward,
-			"Pmax": New().MaxReachProb,
+			"Rmin": pack(nil).MinExpectedReward,
+			"Pmax": pack(nil).MaxReachProb,
 		} {
 			res, err := solve(nil, nil, opt)
 			if err != nil {

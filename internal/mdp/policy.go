@@ -3,7 +3,7 @@
 // computed by the same iterative machinery as the optimization — used to
 // audit synthesized strategies ("does the extracted policy really achieve
 // the reported value?") and to compare hand-written heuristics against the
-// optimum. Both storage modes evaluate over the CSR flattening.
+// optimum. Both evaluate over the model's CSR slabs.
 package mdp
 
 import (
@@ -21,7 +21,7 @@ func (m *MDP) EvaluatePolicyReward(st Strategy, target []bool, opt SolveOptions)
 	if len(target) != n || len(st) != n {
 		return nil, errors.New("mdp: vector length mismatch")
 	}
-	g := m.flatten()
+	g := m.g
 	// choice[s] is the global CSR choice id selected in s, or -1.
 	choice := make([]int32, n)
 	for s := 0; s < n; s++ {
@@ -119,7 +119,7 @@ func (m *MDP) EvaluatePolicyReach(st Strategy, target, avoid []bool, opt SolveOp
 	if len(target) != n || len(st) != n || (avoid != nil && len(avoid) != n) {
 		return nil, errors.New("mdp: vector length mismatch")
 	}
-	g := m.flatten()
+	g := m.g
 	vals := make([]float64, n)
 	for s := 0; s < n; s++ {
 		if target[s] && (avoid == nil || !avoid[s]) {

@@ -48,15 +48,16 @@ func TestPolicyEvaluationMatchesOptimum(t *testing.T) {
 // TestSuboptimalPolicyIsWorse: forcing the detour in the two-choice model
 // evaluates to its true (worse) cost.
 func TestSuboptimalPolicyIsWorse(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	a := m.AddState()
-	b := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: a, P: 1}}) // detour: 3 steps
-	m.AddChoice(a, 0, 1, []Transition{{To: b, P: 1}})
-	m.AddChoice(b, 0, 1, []Transition{{To: goal, P: 1}})
-	m.AddChoice(s0, 1, 1, []Transition{{To: goal, P: 0.5}, {To: s0, P: 0.5}}) // expected 2
+	const s0, a, b, goal = 0, 1, 2, 3
+	m := pack([][]Choice{
+		s0: {
+			{Reward: 1, Transitions: []Transition{{To: a, P: 1}}},                                   // detour: 3 steps
+			{Action: 1, Reward: 1, Transitions: []Transition{{To: goal, P: 0.5}, {To: s0, P: 0.5}}}, // expected 2
+		},
+		a:    {{Reward: 1, Transitions: []Transition{{To: b, P: 1}}}},
+		b:    {{Reward: 1, Transitions: []Transition{{To: goal, P: 1}}}},
+		goal: nil,
+	})
 	target := []bool{false, false, false, true}
 
 	detour := Strategy{0, 0, 0, -1}
@@ -81,12 +82,12 @@ func TestSuboptimalPolicyIsWorse(t *testing.T) {
 // non-target state evaluates to +Inf (reward) and its true probability
 // (reach).
 func TestPolicyIntoTrapIsInfinite(t *testing.T) {
-	m := New()
-	s0 := m.AddState()
-	trap := m.AddState()
-	goal := m.AddState()
-	m.AddChoice(s0, 0, 1, []Transition{{To: trap, P: 0.5}, {To: goal, P: 0.5}})
-	m.AddChoice(trap, 0, 1, []Transition{{To: trap, P: 1}})
+	const s0, trap, goal = 0, 1, 2
+	m := pack([][]Choice{
+		s0:   {{Reward: 1, Transitions: []Transition{{To: trap, P: 0.5}, {To: goal, P: 0.5}}}},
+		trap: {{Reward: 1, Transitions: []Transition{{To: trap, P: 1}}}},
+		goal: nil,
+	})
 	target := []bool{false, false, true}
 	st := Strategy{0, 0, -1}
 	vals, err := m.EvaluatePolicyReward(st, target, SolveOptions{})

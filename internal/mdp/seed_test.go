@@ -115,7 +115,7 @@ func TestSeededSolveExact(t *testing.T) {
 	var total seedStats
 	fallback := 0
 	for trial := 0; trial < 300; trial++ {
-		m, target, avoid := decodeUnitMDP(next, trial%2 == 0)
+		m, target, avoid := decodeUnitMDP(next)
 		st, err := diffSeededGrid(m, target, avoid)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -141,36 +141,34 @@ func TestUnitDistancesSelection(t *testing.T) {
 	one := func(to StateID) []Transition { return []Transition{{To: to, P: 1}} }
 	// chain builds 0 → 1 → 2 → 3 (target) with unit choices, a pure
 	// self-loop of reward 0 on state 1 and a zero-reward source 4 → 1,
-	// then lets edit add choices to state 2 (state order holds: 2 < 4).
-	chain := func(edit func(m *MDP)) *MDP {
-		m := New()
-		m.AddStates(5)
-		m.AddChoice(0, 0, 1, one(1))
-		m.AddChoice(1, 0, 0, one(1))
-		m.AddChoice(1, 1, 1, one(2))
-		m.AddChoice(2, 0, 1, one(3))
-		m.AddChoice(4, 0, 0, one(1))
-		if edit != nil {
-			edit(m)
+	// and gives state 2 one more choice, extra, when it is set.
+	chain := func(extra *Choice) *MDP {
+		cs := [][]Choice{
+			{{Reward: 1, Transitions: one(1)}},
+			{{Reward: 0, Transitions: one(1)}, {Action: 1, Reward: 1, Transitions: one(2)}},
+			{{Reward: 1, Transitions: one(3)}},
+			nil,
+			{{Reward: 0, Transitions: one(1)}},
 		}
-		return m
+		if extra != nil {
+			cs[2] = append(cs[2], *extra)
+		}
+		return pack(cs)
 	}
 	target := []bool{false, false, false, true, false}
 	cases := []struct {
-		name string
-		edit func(m *MDP)
-		unit bool
+		name  string
+		extra *Choice
+		unit  bool
 	}{
 		{"unit chain", nil, true},
-		{"zero-reward choice on a state with predecessors", func(m *MDP) { m.AddChoice(2, 1, 0, one(0)) }, false},
-		{"reward 2", func(m *MDP) { m.AddChoice(2, 1, 2, one(0)) }, false},
-		{"zero-probability edge", func(m *MDP) {
-			m.AddChoice(2, 1, 1, []Transition{{To: 3, P: 1}, {To: 0, P: 0}})
-		}, false},
-		{"p < 1", func(m *MDP) { m.AddChoice(2, 1, 1, []Transition{{To: 3, P: 0.5}, {To: 0, P: 0.5}}) }, false},
+		{"zero-reward choice on a state with predecessors", &Choice{Action: 1, Reward: 0, Transitions: one(0)}, false},
+		{"reward 2", &Choice{Action: 1, Reward: 2, Transitions: one(0)}, false},
+		{"zero-probability edge", &Choice{Action: 1, Reward: 1, Transitions: []Transition{{To: 3, P: 1}, {To: 0, P: 0}}}, false},
+		{"p < 1", &Choice{Action: 1, Reward: 1, Transitions: []Transition{{To: 3, P: 0.5}, {To: 0, P: 0.5}}}, false},
 	}
 	for _, c := range cases {
-		g := chain(c.edit).flatten()
+		g := chain(c.extra).g
 		dist := make([]float64, g.n)
 		as, dmax := g.unitDistances(target, nil, dist)
 		if (as != nil) != c.unit {

@@ -1,10 +1,8 @@
 package mdp
 
-// CSRView is a read-only window onto the flattened (CSR) form of the model,
-// including the solver index, for external invariant checking
-// (internal/modelcheck). A list-backed model is flattened afresh on each
-// call; a Builder-built model exposes the solver's own slabs, so the
-// slices must not be modified.
+// CSRView is a read-only window onto the CSR slabs of the model, including
+// the solver index, for external invariant checking (internal/modelcheck).
+// It exposes the solver's own slabs, so the slices must not be modified.
 type CSRView struct {
 	// NumStates is |S|; offsets below are as documented on the internal
 	// csr type: choices of state s are [StateOff[s], StateOff[s+1]),
@@ -44,12 +42,12 @@ type CSRView struct {
 	Part      []int32
 }
 
-// CSR flattens the model and builds the solver index, exactly as the
-// solvers do, and exposes the result. Transition targets must be in range
+// CSR builds the solver index, exactly as the solvers do, and exposes it
+// with the model's slabs. Transition targets must be in range
 // (Validate), or the index construction will panic; callers checking
 // untrusted models should run Validate first.
 func (m *MDP) CSR() CSRView {
-	g := m.flatten()
+	g := m.g
 	g.index()
 	return CSRView{
 		NumStates:   g.n,

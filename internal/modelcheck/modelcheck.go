@@ -66,7 +66,7 @@ func (v Violation) String() string {
 }
 
 // CheckMDP verifies row-stochasticity and dangling-target freedom over the
-// builder representation: every choice has transitions, probabilities lie
+// model's choices: every choice has transitions, probabilities lie
 // in [0,1] (within ProbEps) and sum to 1 within ProbEps, rewards are
 // non-negative, and every target state exists.
 func CheckMDP(m *mdp.MDP) []Violation {
@@ -102,42 +102,6 @@ func CheckMDP(m *mdp.MDP) []Violation {
 		}
 	}
 	return vs
-}
-
-// CheckCSR verifies that the CSR flattening the solvers run on mirrors the
-// builder representation exactly, and that the solver index built over it
-// is consistent with the forward transitions (CheckIndex). The model must
-// be free of dangling targets (CheckMDP) first.
-func CheckCSR(m *mdp.MDP) []Violation {
-	var vs []Violation
-	g := m.CSR()
-	n := m.NumStates()
-	if g.NumStates != n {
-		return []Violation{{Check: "reverse-index", State: -1, Choice: -1, Action: -1,
-			Detail: fmt.Sprintf("CSR has %d states, builder has %d", g.NumStates, n)}}
-	}
-	for s := 0; s < n; s++ {
-		choices := m.Choices(mdp.StateID(s))
-		if int(g.StateOff[s+1]-g.StateOff[s]) != len(choices) {
-			vs = append(vs, Violation{Check: "reverse-index", State: mdp.StateID(s), Choice: -1, Action: -1,
-				Detail: fmt.Sprintf("CSR has %d choices, builder has %d", g.StateOff[s+1]-g.StateOff[s], len(choices))})
-			return vs
-		}
-		for cj, c := range choices {
-			gi := int(g.StateOff[s]) + cj
-			if int(g.Actions[gi]) != c.Action || !mdp.ApproxEqual(g.Rewards[gi], c.Reward, 0) {
-				vs = append(vs, Violation{Check: "reverse-index", State: mdp.StateID(s), Choice: cj, Action: c.Action,
-					Detail: fmt.Sprintf("CSR choice (action %d, reward %v) differs from builder (action %d, reward %v)",
-						g.Actions[gi], g.Rewards[gi], c.Action, c.Reward)})
-			}
-			if int(g.ChoiceOff[gi+1]-g.ChoiceOff[gi]) != len(c.Transitions) {
-				vs = append(vs, Violation{Check: "reverse-index", State: mdp.StateID(s), Choice: cj, Action: c.Action,
-					Detail: fmt.Sprintf("CSR has %d transitions, builder has %d",
-						g.ChoiceOff[gi+1]-g.ChoiceOff[gi], len(c.Transitions))})
-			}
-		}
-	}
-	return append(vs, CheckIndex(g)...)
 }
 
 // CheckIndex verifies the solver index of a CSR view against the view's
@@ -367,10 +331,10 @@ func CheckReduced(model *smg.Model, st mdp.Strategy, bounds geom.Rect) []Violati
 	vs := CheckMDP(model.M)
 	for _, v := range vs {
 		if v.Check == "dangling-target" {
-			return vs // CSR construction would index out of range
+			return vs // index construction would index out of range
 		}
 	}
-	vs = append(vs, CheckCSR(model.M)...)
+	vs = append(vs, CheckIndex(model.M.CSR())...)
 	vs = append(vs, CheckHazardClosure(model.M, model.Goal, model.Hazard)...)
 	if st != nil {
 		vs = append(vs, CheckStrategy(model.M, st, model.Init, model.Goal, model.Hazard)...)

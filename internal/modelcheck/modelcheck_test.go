@@ -19,13 +19,19 @@ import (
 // coin-flip choice (action 7) into s1/s2 plus a self-loop (action 3), and
 // s1, s2 absorb.
 func chain() *mdp.MDP {
-	m := mdp.New()
-	s0, s1, s2 := m.AddState(), m.AddState(), m.AddState()
-	m.AddChoice(s0, 7, 1, []mdp.Transition{{To: s1, P: 0.5}, {To: s2, P: 0.5}})
-	m.AddChoice(s0, 3, 1, []mdp.Transition{{To: s0, P: 1}})
-	m.AddChoice(s1, -1, 0, []mdp.Transition{{To: s1, P: 1}})
-	m.AddChoice(s2, -1, 0, []mdp.Transition{{To: s2, P: 1}})
-	return m
+	var b mdp.Builder
+	const s0, s1, s2 = 0, 1, 2
+	b.AddStates(3)
+	b.BeginChoice(s0, 7, 1)
+	b.Transition(s1, 0.5)
+	b.Transition(s2, 0.5)
+	b.BeginChoice(s0, 3, 1)
+	b.Transition(s0, 1)
+	b.BeginChoice(s1, -1, 0)
+	b.Transition(s1, 1)
+	b.BeginChoice(s2, -1, 0)
+	b.Transition(s2, 1)
+	return b.Build()
 }
 
 func countCheck(vs []modelcheck.Violation, check string) int {
@@ -45,11 +51,15 @@ func TestCheckMDPClean(t *testing.T) {
 }
 
 func TestCheckMDPNonStochasticRow(t *testing.T) {
-	m := mdp.New()
-	s0, s1 := m.AddState(), m.AddState()
-	m.AddChoice(s0, 5, 1, []mdp.Transition{{To: s1, P: 0.5}, {To: s0, P: 0.4}}) // sums to 0.9
-	m.AddChoice(s1, -1, 0, []mdp.Transition{{To: s1, P: 1}})
-	vs := modelcheck.CheckMDP(m)
+	var b mdp.Builder
+	const s0, s1 = 0, 1
+	b.AddStates(2)
+	b.BeginChoice(s0, 5, 1) // sums to 0.9
+	b.Transition(s1, 0.5)
+	b.Transition(s0, 0.4)
+	b.BeginChoice(s1, -1, 0)
+	b.Transition(s1, 1)
+	vs := modelcheck.CheckMDP(b.Build())
 	if len(vs) != 1 || vs[0].Check != "row-stochastic" {
 		t.Fatalf("want one row-stochastic violation, got %v", vs)
 	}
@@ -67,10 +77,12 @@ func TestCheckMDPNonStochasticRow(t *testing.T) {
 }
 
 func TestCheckMDPNegativeAndExcessProbability(t *testing.T) {
-	m := mdp.New()
-	s0 := m.AddState()
-	m.AddChoice(s0, 2, 1, []mdp.Transition{{To: s0, P: 1.25}, {To: s0, P: -0.25}})
-	vs := modelcheck.CheckMDP(m)
+	var b mdp.Builder
+	s0 := b.AddState()
+	b.BeginChoice(s0, 2, 1)
+	b.Transition(s0, 1.25)
+	b.Transition(s0, -0.25)
+	vs := modelcheck.CheckMDP(b.Build())
 	// Two out-of-range probabilities; the sum itself is exactly 1.
 	if got := countCheck(vs, "row-stochastic"); got != 2 {
 		t.Fatalf("want 2 row-stochastic violations, got %v", vs)
@@ -78,21 +90,23 @@ func TestCheckMDPNegativeAndExcessProbability(t *testing.T) {
 }
 
 func TestCheckMDPEmptyChoiceAndNegativeReward(t *testing.T) {
-	m := mdp.New()
-	s0 := m.AddState()
-	m.AddChoice(s0, 1, -2, []mdp.Transition{{To: s0, P: 1}})
-	m.AddChoice(s0, 2, 0, nil)
-	vs := modelcheck.CheckMDP(m)
+	var b mdp.Builder
+	s0 := b.AddState()
+	b.BeginChoice(s0, 1, -2)
+	b.Transition(s0, 1)
+	b.BeginChoice(s0, 2, 0)
+	vs := modelcheck.CheckMDP(b.Build())
 	if got := countCheck(vs, "row-stochastic"); got != 2 {
 		t.Fatalf("want negative-reward and empty-choice violations, got %v", vs)
 	}
 }
 
 func TestCheckMDPDanglingTarget(t *testing.T) {
-	m := mdp.New()
-	s0 := m.AddState()
-	m.AddChoice(s0, 9, 1, []mdp.Transition{{To: 17, P: 1}}) // state 17 does not exist
-	vs := modelcheck.CheckMDP(m)
+	var b mdp.Builder
+	s0 := b.AddState()
+	b.BeginChoice(s0, 9, 1)
+	b.Transition(17, 1) // state 17 does not exist
+	vs := modelcheck.CheckMDP(b.Build())
 	if got := countCheck(vs, "dangling-target"); got != 1 {
 		t.Fatalf("want one dangling-target violation, got %v", vs)
 	}
@@ -105,24 +119,23 @@ func TestCheckMDPDanglingTarget(t *testing.T) {
 	}
 }
 
-func TestCheckCSRConsistent(t *testing.T) {
-	if vs := modelcheck.CheckCSR(chain()); len(vs) != 0 {
-		t.Fatalf("CSR of clean model reported violations: %v", vs)
-	}
-}
-
-func TestCheckCSRReverseIndexDedup(t *testing.T) {
+func TestCheckIndexReverseIndexDedup(t *testing.T) {
 	// A choice with two positive edges into the same target must appear
 	// once (deduplicated) in the reverse index; zero-probability edges must
-	// not appear at all. CheckCSR verifies both directions of the index.
-	m := mdp.New()
-	s0, s1 := m.AddState(), m.AddState()
-	m.AddChoice(s0, 4, 1, []mdp.Transition{{To: s1, P: 0.5}, {To: s1, P: 0.5}})
-	m.AddChoice(s1, 5, 1, []mdp.Transition{{To: s0, P: 0}, {To: s1, P: 1}})
-	if vs := modelcheck.CheckCSR(m); len(vs) != 0 {
+	// not appear at all. CheckIndex verifies both directions of the index.
+	var b mdp.Builder
+	const s0, s1 = 0, 1
+	b.AddStates(2)
+	b.BeginChoice(s0, 4, 1)
+	b.Transition(s1, 0.5)
+	b.Transition(s1, 0.5)
+	b.BeginChoice(s1, 5, 1)
+	b.Transition(s0, 0)
+	b.Transition(s1, 1)
+	g := b.Build().CSR()
+	if vs := modelcheck.CheckIndex(g); len(vs) != 0 {
 		t.Fatalf("dedup/zero-edge reverse index reported violations: %v", vs)
 	}
-	g := m.CSR()
 	if got := g.RevOff[int(s1)+1] - g.RevOff[s1]; got != 2 {
 		t.Fatalf("want 2 deduped reverse edges into s1, got %d", got)
 	}
@@ -136,17 +149,28 @@ func TestCheckCSRReverseIndexDedup(t *testing.T) {
 // and a pure self-loop (not gathered); s1 reaches s0 and s2, and s2 has a
 // −0 reward, so it gathers nothing.
 func gatherModel() *mdp.MDP {
-	m := mdp.New()
-	s0, s1, s2 := m.AddState(), m.AddState(), m.AddState()
-	m.AddChoice(s0, 1, 1, []mdp.Transition{{To: s1, P: 1}})
-	m.AddChoice(s0, 2, 1, []mdp.Transition{{To: s1, P: 0.5}, {To: s0, P: 0.5}})
-	m.AddChoice(s0, 3, 2, []mdp.Transition{{To: s2, P: 1}})
-	m.AddChoice(s0, 4, 1, []mdp.Transition{{To: s2, P: 1}})
-	m.AddChoice(s0, 5, 1, []mdp.Transition{{To: s0, P: 1}})
-	m.AddChoice(s1, 6, 1, []mdp.Transition{{To: s0, P: 0.25}, {To: s2, P: 0.75}})
-	m.AddChoice(s1, 7, 1, []mdp.Transition{{To: s2, P: 1}})
-	m.AddChoice(s2, 8, math.Copysign(0, -1), []mdp.Transition{{To: s0, P: 1}})
-	return m
+	var b mdp.Builder
+	const s0, s1, s2 = 0, 1, 2
+	b.AddStates(3)
+	b.BeginChoice(s0, 1, 1)
+	b.Transition(s1, 1)
+	b.BeginChoice(s0, 2, 1)
+	b.Transition(s1, 0.5)
+	b.Transition(s0, 0.5)
+	b.BeginChoice(s0, 3, 2)
+	b.Transition(s2, 1)
+	b.BeginChoice(s0, 4, 1)
+	b.Transition(s2, 1)
+	b.BeginChoice(s0, 5, 1)
+	b.Transition(s0, 1)
+	b.BeginChoice(s1, 6, 1)
+	b.Transition(s0, 0.25)
+	b.Transition(s2, 0.75)
+	b.BeginChoice(s1, 7, 1)
+	b.Transition(s2, 1)
+	b.BeginChoice(s2, 8, math.Copysign(0, -1))
+	b.Transition(s0, 1)
+	return b.Build()
 }
 
 // cloneView copies the index slices of a view, so a test can corrupt them
@@ -161,17 +185,19 @@ func cloneView(g mdp.CSRView) mdp.CSRView {
 	return g
 }
 
-// TestCheckIndexSolverIndex: the index the solvers build passes, and is
-// the expected one — s0 gathers its two reward-1 deterministic choices,
-// s1 its one deterministic choice, the −0 state s2 nothing — and
-// corrupting the predecessor lists or the partition is reported under the
-// matching check.
+// TestCheckIndexSolverIndex: the index the solvers build passes, on the
+// baseline chain and on gatherModel, where it is the expected one — s0
+// gathers its two reward-1 deterministic choices, s1 its one deterministic
+// choice, the −0 state s2 nothing — and corrupting the predecessor lists
+// or the partition is reported under the matching check.
 func TestCheckIndexSolverIndex(t *testing.T) {
-	m := gatherModel()
-	if vs := modelcheck.CheckCSR(m); len(vs) != 0 {
+	if vs := modelcheck.CheckIndex(chain().CSR()); len(vs) != 0 {
+		t.Fatalf("solver index of the chain reported violations: %v", vs)
+	}
+	g := gatherModel().CSR()
+	if vs := modelcheck.CheckIndex(g); len(vs) != 0 {
 		t.Fatalf("solver index reported violations: %v", vs)
 	}
-	g := m.CSR()
 	for s, want := range [][]int32{{1, 2, 4, 2, 1}, {5, 2}, {7}} {
 		lo, hi := g.StateOff[s], g.StateOff[s+1]
 		if got := g.Part[lo:hi]; !slices.Equal(got, want) {
@@ -299,7 +325,8 @@ func TestCheckReducedOnInducedModel(t *testing.T) {
 
 func TestCheckReducedThroughSynthesize(t *testing.T) {
 	// The full Alg. 2 path, Pmax flavor, over a worn field and a dispense
-	// job entering from the chip edge.
+	// job entering from the chip edge: the model Synthesize solves, induced
+	// again, passes every check under its Pmax strategy.
 	worn := func(x, y int) float64 { return 0.81 }
 	job := route.RJ{
 		MO: 1, Index: 0,
@@ -310,12 +337,22 @@ func TestCheckReducedThroughSynthesize(t *testing.T) {
 	rj := synth.NormalizeDispense(job, 60, 30)
 	opt := synth.DefaultOptions()
 	opt.Query = spec.RoutingQuery(spec.PMax)
-	opt.RetainModel = true
 	res, err := synth.Synthesize(rj, worn, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := modelcheck.CheckReduced(res.Model, nil, rj.Hazard); len(vs) != 0 {
+	model, err := smg.Induce(rj.Hazard, rj.Start, rj.Goal, worn, opt.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := model.M.MaxReachProb(model.Goal, model.Hazard, opt.Solver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Values[model.Init] != res.Value {
+		t.Fatalf("induced model reaches with %v, synthesis reported %v", p.Values[model.Init], res.Value)
+	}
+	if vs := modelcheck.CheckReduced(model, p.Strategy, rj.Hazard); len(vs) != 0 {
 		t.Fatalf("synthesized model failed verification: %v", vs)
 	}
 }

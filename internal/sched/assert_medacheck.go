@@ -10,6 +10,7 @@ import (
 	"meda/internal/geom"
 	"meda/internal/mdp"
 	"meda/internal/route"
+	"meda/internal/smg"
 	"meda/internal/spec"
 	"meda/internal/synth"
 )
@@ -66,13 +67,12 @@ func assertServed(rj route.RJ, field action.ForceField, opt synth.Options, canon
 }
 
 // servedOptimal checks a canonical hit without any D4 transform: a fresh
-// synthesis of rj's own window under field, its model retained, must
-// cover as many positions as p and reach v within mdp.Eps, and every
-// action p serves must be enabled at its position and optimal there —
-// its one-step value under the re-solved values within mdp.Eps of the
+// synthesis of rj's own window under field must cover as many positions
+// as p and reach v within mdp.Eps, and every action p serves must be
+// enabled at its position and optimal there — its one-step value, under
+// the values of rj's induced model solved afresh, within mdp.Eps of the
 // best choice's. It describes the first violation, or returns "".
 func servedOptimal(rj route.RJ, field action.ForceField, opt synth.Options, p synth.Policy, v float64) string {
-	opt.RetainModel = true
 	want, err := synth.Synthesize(rj, field, opt)
 	if err != nil {
 		return fmt.Sprintf("fresh synthesis failed: %v", err)
@@ -86,7 +86,10 @@ func servedOptimal(rj route.RJ, field action.ForceField, opt synth.Options, p sy
 	if p.Len() == 0 {
 		return ""
 	}
-	m := want.Model
+	m, err := smg.Induce(rj.Hazard, rj.Start, rj.Goal, field, opt.Model)
+	if err != nil {
+		return fmt.Sprintf("inducing the window's model failed: %v", err)
+	}
 	maximize := opt.Query.Kind == spec.PMax
 	target, avoid := m.Goal, m.Hazard
 	if opt.Query.Reach == "hazard" {

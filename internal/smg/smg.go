@@ -14,96 +14,18 @@
 // current value and the game collapses to an MDP over droplet rectangles
 // restricted to the job's hazard bounds. Induce builds that MDP explicitly;
 // InduceUnit builds the all-healthy case, a unit-cost graph, without one.
+// The game itself is never built: the simulator plays it by sampling
+// action.Outcomes under the chip's true degradation.
 package smg
 
 import (
 	"fmt"
 
 	"meda/internal/action"
-	"meda/internal/chip"
 	"meda/internal/geom"
 	"meda/internal/mdp"
 	"meda/internal/policy"
-	"meda/internal/randx"
 )
-
-// Player identifies whose turn it is in the game.
-type Player int
-
-const (
-	// Controller is player ①, the droplet controller.
-	Controller Player = 1
-	// Environment is player ②, biochip degradation.
-	Environment Player = 2
-)
-
-// String names the player.
-func (p Player) String() string {
-	if p == Controller {
-		return "controller"
-	}
-	return "environment"
-}
-
-// Game binds the droplet actuation model to a biochip, exposing the two
-// model fidelities of Sec. V-C: the full-information view used for strategy
-// synthesis (health matrix H) and the hidden-information view used for
-// simulation (degradation matrix D).
-type Game struct {
-	Chip *chip.Chip
-	// Bounds restricts legal droplet rectangles (a routing job's hazard
-	// bounds, or the whole chip).
-	Bounds geom.Rect
-	// MaxAspect is the aspect-ratio guard bound r (default 2).
-	MaxAspect float64
-}
-
-// NewGame returns a game over the whole chip with the default guards.
-func NewGame(c *chip.Chip) *Game {
-	return &Game{Chip: c, Bounds: c.Bounds(), MaxAspect: action.DefaultMaxAspect}
-}
-
-// EnabledActions returns the ① actions enabled for droplet d: guard
-// conditions hold and the fully-successful destination stays within Bounds
-// (the droplet is forbidden from leaving the allowed area).
-func (g *Game) EnabledActions(d geom.Rect) []action.Action {
-	var out []action.Action
-	for _, a := range action.All() {
-		if !a.Enabled(d, g.MaxAspect) {
-			continue
-		}
-		if !g.Bounds.ContainsRect(a.Apply(d)) {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-// OutcomesTrue returns the outcome distribution of action a on droplet d
-// under the hidden degradation matrix D (simulation fidelity).
-func (g *Game) OutcomesTrue(d geom.Rect, a action.Action) []action.Outcome {
-	return action.Outcomes(d, a, g.Chip.TrueForceField())
-}
-
-// OutcomesObserved returns the outcome distribution under the observed b-bit
-// health matrix H (synthesis fidelity).
-func (g *Game) OutcomesObserved(d geom.Rect, a action.Action) []action.Outcome {
-	return action.Outcomes(d, a, g.Chip.ObservedForceField())
-}
-
-// Step samples nature's resolution of action a on droplet d using the true
-// degradation state, returning the next droplet rectangle. It does not
-// actuate the chip; callers account for wear via chip.Actuate, which is
-// player ②'s move.
-func (g *Game) Step(d geom.Rect, a action.Action, src *randx.Source) geom.Rect {
-	outs := g.OutcomesTrue(d, a)
-	weights := make([]float64, len(outs))
-	for i, o := range outs {
-		weights[i] = o.P
-	}
-	return outs[src.Choose(weights)].Droplet
-}
 
 // ModelOptions configures the induced per-routing-job MDP.
 type ModelOptions struct {

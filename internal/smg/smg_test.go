@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"meda/internal/action"
-	"meda/internal/chip"
 	"meda/internal/geom"
 	"meda/internal/mdp"
-	"meda/internal/randx"
 )
 
 func rect(xa, ya, xb, yb int) geom.Rect { return geom.Rect{XA: xa, YA: ya, XB: xb, YB: yb} }
@@ -339,57 +337,6 @@ func TestGoalStartingPosition(t *testing.T) {
 	}
 }
 
-func TestGameEnabledActions(t *testing.T) {
-	c, err := chip.New(chip.Default(), randx.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGame(c)
-	// Center droplet 4×4: all 12 moves enabled plus heighten/widen per
-	// guards (r=2 allows both for 4×4).
-	center := rect(20, 10, 23, 13)
-	acts := g.EnabledActions(center)
-	if len(acts) != 20 {
-		t.Errorf("center 4×4: %d actions enabled, want all 20", len(acts))
-	}
-	// Corner droplet: western/southern moves disabled by bounds.
-	corner := rect(1, 1, 4, 4)
-	for _, a := range g.EnabledActions(corner) {
-		nd := a.Apply(corner)
-		if !c.Bounds().ContainsRect(nd) {
-			t.Errorf("%v enabled at corner but exits the chip", a)
-		}
-	}
-}
-
-func TestGameStepDistribution(t *testing.T) {
-	c, err := chip.New(chip.Default(), randx.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGame(c)
-	src := randx.New(3)
-	d := rect(10, 10, 13, 13)
-	// On a fresh chip all forces are 1: aE always moves east.
-	for i := 0; i < 20; i++ {
-		nd := g.Step(d, action.MoveE, src)
-		if nd != d.Translate(1, 0) {
-			t.Fatalf("step on healthy chip = %v", nd)
-		}
-	}
-	// Outcomes under observation match truth on a fresh chip.
-	to := g.OutcomesTrue(d, action.MoveNE)
-	oo := g.OutcomesObserved(d, action.MoveNE)
-	if len(to) != len(oo) {
-		t.Fatal("outcome sets differ")
-	}
-	for i := range to {
-		if math.Abs(to[i].P-oo[i].P) > 1e-12 {
-			t.Errorf("outcome %d: true %v vs observed %v", i, to[i].P, oo[i].P)
-		}
-	}
-}
-
 func TestPolicyMapping(t *testing.T) {
 	bounds := rect(1, 1, 8, 8)
 	start := rect(1, 1, 3, 3)
@@ -412,12 +359,6 @@ func TestPolicyMapping(t *testing.T) {
 	}
 	if a != action.MoveNE {
 		t.Errorf("optimal first action = %v, want aNE", a)
-	}
-}
-
-func TestPlayerString(t *testing.T) {
-	if Controller.String() != "controller" || Environment.String() != "environment" {
-		t.Error("player names wrong")
 	}
 }
 

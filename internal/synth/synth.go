@@ -31,13 +31,6 @@ type Options struct {
 	Model smg.ModelOptions
 	// Solver tunes value iteration.
 	Solver mdp.SolveOptions
-	// RetainModel keeps the induced model on Result.Model for inspection.
-	// When false (the default), Result.Model is nil and the model's memory
-	// is recycled through a pooled smg.Arena, cutting per-synthesis
-	// allocations by orders of magnitude — the reason repeated synthesis
-	// is cheap. Set it when the caller needs the model itself (invariant
-	// checking, certification, export).
-	RetainModel bool
 }
 
 // DefaultOptions returns the paper's synthesis configuration.
@@ -80,9 +73,6 @@ type Result struct {
 	Value float64
 	// Stats carries Table V metrics.
 	Stats Stats
-	// Model retains the induced model for inspection; nil unless
-	// Options.RetainModel was set (the model's memory is pooled otherwise).
-	Model *smg.Model
 }
 
 // Exists reports whether a usable strategy was synthesized.
@@ -127,11 +117,8 @@ func Synthesize(rj route.RJ, field action.ForceField, opt Options) (Result, erro
 	if ar.Builds() > 0 {
 		telArenaReuses.Inc()
 	}
-	if !opt.RetainModel {
-		// The model dies with this call; its arena goes back to the pool.
-		// (A retained model keeps its arena, which is simply not recycled.)
-		defer arenas.Put(ar)
-	}
+	// The model dies with this call; its arena goes back to the pool.
+	defer arenas.Put(ar)
 	defer func() {
 		telArenaReuseRatio.Set(float64(telArenaReuses.Value()) / float64(telArenaGets.Value()))
 	}()
@@ -151,10 +138,10 @@ func Synthesize(rj route.RJ, field action.ForceField, opt Options) (Result, erro
 }
 
 // unitQuery reports whether opt asks for what the unit path computes: the
-// routing Rmin query, without the model retained.
+// routing Rmin query.
 func unitQuery(opt Options) bool {
 	q := opt.Query
-	return q.Kind == spec.RMin && q.Reach == "goal" && q.Avoid == "hazard" && !opt.RetainModel
+	return q.Kind == spec.RMin && q.Reach == "goal" && q.Avoid == "hazard"
 }
 
 // synthesizeUnit solves a job whose window is all-healthy (smg.UnitWindow)
@@ -212,9 +199,6 @@ func synthesize(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, field action.For
 	res.Stats.States = model.M.NumStates()
 	res.Stats.Transitions = model.M.NumTransitions()
 	res.Stats.Choices = model.M.NumChoices()
-	if opt.RetainModel {
-		res.Model = model
-	}
 	telConstructNs.Add(res.Stats.Construction.Nanoseconds())
 	telStates.Observe(float64(res.Stats.States))
 

@@ -265,18 +265,25 @@ var _ = smg.DefaultModelOptions // keep import for readability of options
 // in-repo substitute for validating against PRISM-games.
 func TestPmaxValuesCertified(t *testing.T) {
 	worn := func(x, y int) float64 { return 0.49 }
+	rj := simpleRJ()
 	opt := DefaultOptions()
 	opt.Query = spec.RoutingQuery(spec.PMax)
-	opt.RetainModel = true
-	res, err := Synthesize(simpleRJ(), worn, opt)
+	res, err := Synthesize(rj, worn, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := res.Model.M.MaxReachProb(res.Model.Goal, res.Model.Hazard, mdp.SolveOptions{})
+	model, err := smg.Induce(rj.Hazard, rj.Start, rj.Goal, worn, opt.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst, err := res.Model.M.CertifyMaxReachProb(p.Values, res.Model.Goal, res.Model.Hazard,
+	p, err := model.M.MaxReachProb(model.Goal, model.Hazard, opt.Solver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Values[model.Init] != res.Value {
+		t.Fatalf("induced model reaches with %v, synthesis reported %v", p.Values[model.Init], res.Value)
+	}
+	worst, err := model.M.CertifyMaxReachProb(p.Values, model.Goal, model.Hazard,
 		mdp.SolveOptions{Eps: 1e-7})
 	if err != nil {
 		t.Fatal(err)

@@ -165,8 +165,6 @@ func TestUnitPathFallBack(t *testing.T) {
 	capped.Solver.MaxIter = 8
 	coarse := DefaultOptions()
 	coarse.Solver.Eps = 2
-	retain := DefaultOptions()
-	retain.RetainModel = true
 	cases := []struct {
 		name  string
 		field action.ForceField
@@ -176,7 +174,6 @@ func TestUnitPathFallBack(t *testing.T) {
 		{"action cost 2", healthy, cost2},
 		{"MaxIter < dmax+2", healthy, capped},
 		{"Eps > 1", healthy, coarse},
-		{"retained model", healthy, retain},
 		{"Pmax", healthy, pmax},
 	}
 	for _, c := range cases {
