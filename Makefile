@@ -33,8 +33,9 @@ models:
 
 # Run the solver/synthesis tests with the medacheck build tag, which turns
 # on model validation at every solver entry, full reduced-model
-# verification after every synthesis, and a full-synthesis cross-check of
-# every job solved on the all-healthy unit path. The executor and root
+# verification after every synthesis, and a full-synthesis cross-check, at
+# the default solver options, of every job solved on the all-healthy unit
+# path. The executor and root
 # packages are included so the golden-trace and differential suites route
 # every window they meet through those checks; internal/serve so that the
 # strategies one fleet tenant is served from another's syntheses (raw,

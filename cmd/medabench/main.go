@@ -8,9 +8,9 @@
 // construction + value iteration), cold vs pooled-arena model construction,
 // construction over a worn chip's observed health rather than a constant
 // field, the solver comparison (gauss-seidel against its jacobi reference,
-// gauss-seidel on a deterministic healthy-chip model, and on a healthy
-// window worn along a band, where most choices are deterministic), the
-// whole synthesis of that healthy job, a policy lookup, the cold-vs-warm
+// and gauss-seidel on a healthy window worn along a band, where most
+// choices are deterministic), a policy lookup, the whole synthesis of an
+// obstructed job on a healthy chip (the unit path), the cold-vs-warm
 // strategy cache for re-synthesis, a Library hit on a rotated job, the
 // D4-canonical cache serving a whole symmetry class of jobs from one
 // synthesis, an obstructed window served from the cache, journaling the
@@ -202,8 +202,7 @@ func main() {
 	})
 
 	// Solver comparison on one 30×30 model: Gauss-Seidel (the default) and
-	// Jacobi (its differential reference), then Gauss-Seidel on a
-	// deterministic model of the same job.
+	// Jacobi (its differential reference).
 	model, err := smg.Induce(
 		meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
 		meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
@@ -273,23 +272,11 @@ func main() {
 			}
 		}
 	})
-	// The same job on a healthy chip with one obstacle block: every move
-	// succeeds, so the model is deterministic and Rmin is solved by shortest
-	// paths, as for most jobs on a healthy or near-immortal chip.
+	// The same job on a healthy chip with one obstacle block. Its window is
+	// all-healthy, so synthesis takes the unit path: a successor table and
+	// one BFS, no MDP.
 	blocked := smg.DefaultModelOptions()
 	blocked.Blocked = []meda.Rect{{XA: 14, YA: 12, XB: 17, YB: 19}}
-	healthyModel, err := smg.Induce(
-		meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
-		meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
-		meda.Rect{XA: 27, YA: 27, XB: 30, YB: 30},
-		func(x, y int) float64 { return 1 }, blocked)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
-		os.Exit(1)
-	}
-	record(rep, "solver/gauss-seidel-healthy", solve(healthyModel, mdp.SolveOptions{Method: mdp.GaussSeidel}))
-	// The whole synthesis of that job. Its window is all-healthy, so it
-	// takes the unit path: a successor table and one BFS, no MDP.
 	healthyOpt := synth.DefaultOptions()
 	healthyOpt.Model = blocked
 	healthyJob := meda.RoutingJob{

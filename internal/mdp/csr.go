@@ -6,9 +6,7 @@
 //
 // The same layout carries a reverse-edge index (successor → incoming
 // choices), which turns the qualitative Prob1E pass from repeated forward
-// scans into a worklist propagation, and on deterministic models with unit
-// costs replaces it with one BFS that also yields the exact Rmin values
-// (unitDistances). Folded into per-state predecessor
+// scans into a worklist propagation. Folded into per-state predecessor
 // lists, it also drives the change-driven Gauss-Seidel sweeps: a state is
 // backed up again only after a successor's value changed. The Bellman
 // backups take a state's deterministic choices as one min (max) over their
@@ -468,85 +466,6 @@ func (g *csr) convergenceError(worst int, delta float64, iters int) error {
 	return e
 }
 
-// unitDistances is the qualitative pass of Rmin for deterministic models
-// with unit costs, and their exact values. It applies when every choice of
-// every state that is neither target nor avoid is a pure self-loop (one
-// transition, to itself, p = 1) or a unit choice: one transition, to
-// another state, p = 1 and reward 1. Reward 0 is allowed only on a state
-// with no incoming edge (smg's Init commit), which rules out zero-cost
-// cycles. On such a model Rmin is the hop distance to the target: one
-// backward BFS from the un-avoided targets, never entering a target or
-// avoid state, reaches exactly the states prob1E would return, and writes
-// each one's distance into dist. Zero-reward sources take their cheapest
-// choice after the BFS, as nothing reads their value. It returns the reached
-// set (solver scratch, like prob1E's) and the largest distance of a
-// non-target state, or nil when the model does not qualify.
-func (g *csr) unitDistances(target, avoid []bool, dist []float64) ([]bool, int) {
-	t0 := time.Now()
-	g.index()
-	for s := 0; s < g.n; s++ {
-		if target[s] || (avoid != nil && avoid[s]) {
-			continue
-		}
-		for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
-			ti := g.choiceOff[ci]
-			if g.choiceOff[ci+1] != ti+1 || !IsOneProb(g.probs[ti]) {
-				return nil, 0
-			}
-			if int(g.tos[ti]) == s {
-				continue
-			}
-			if r := g.rewards[ci]; r != 1 && (r != 0 || g.revOff[s] != g.revOff[s+1]) {
-				return nil, 0
-			}
-		}
-	}
-	defer func() {
-		telProb1ECalls.Inc()
-		telProb1ENs.Add(time.Since(t0).Nanoseconds())
-	}()
-	reached := growB(g.scrInR, g.n)
-	g.scrInR = reached
-	queue := growI(g.scrQueue, g.n)[:0]
-	g.scrQueue = queue
-	for s := 0; s < g.n; s++ {
-		reached[s] = target[s] && (avoid == nil || !avoid[s])
-		if reached[s] {
-			dist[s] = 0
-			queue = append(queue, int32(s))
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		t := queue[head]
-		for ri := g.revOff[t]; ri < g.revOff[t+1]; ri++ {
-			s := g.choiceState[g.revChoice[ri]]
-			if reached[s] || (avoid != nil && avoid[s]) { // targets are reached or avoided
-				continue
-			}
-			reached[s] = true
-			dist[s] = dist[t] + 1
-			queue = append(queue, s)
-		}
-	}
-	dmax := 0.0
-	for s := 0; s < g.n; s++ {
-		if !reached[s] || target[s] {
-			continue
-		}
-		if g.revOff[s] == g.revOff[s+1] {
-			d := math.Inf(1)
-			for ci := g.stateOff[s]; ci < g.stateOff[s+1]; ci++ {
-				if t := g.tos[g.choiceOff[ci]]; int(t) != s && reached[t] {
-					d = min(d, g.rewards[ci]+dist[t])
-				}
-			}
-			dist[s] = d
-		}
-		dmax = max(dmax, dist[s])
-	}
-	return reached, int(dmax)
-}
-
 // prob1E is the qualitative almost-sure-reachability pass over the CSR
 // model: the greatest fixpoint over U of "can reach target with positive
 // probability using choices that stay inside U". The inner least fixpoint is
@@ -557,8 +476,7 @@ func (g *csr) unitDistances(target, avoid []bool, dist []float64) ([]bool, int) 
 // worklist plus the states it removes, not a rescan of every transition.
 //
 // The returned slice is solver scratch owned by g: it is valid until the
-// next solve (or prob1E call) on the same model. MDP.Prob1E copies it for
-// external callers.
+// next solve (or prob1E call) on the same model.
 func (g *csr) prob1E(target, avoid []bool) []bool {
 	t0 := time.Now()
 	defer func() {

@@ -3,6 +3,7 @@ package mdp
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"meda/internal/randx"
@@ -149,7 +150,7 @@ func TestProb1EMatchesReference(t *testing.T) {
 			cs, target, avoid = chainAvoid(src.SplitN("chain", trial))
 		}
 		m := pack(cs)
-		got := m.Prob1E(target, avoid)
+		got := slices.Clone(m.g.prob1E(target, avoid))
 		want, rounds := referenceProb1E(m, target, avoid)
 		if rounds >= 3 {
 			deep++

@@ -182,12 +182,10 @@ func diffResult(a Result, aerr error, b Result, berr error) string {
 // stochastic siblings and into avoid states (+Inf successors); p = 1 edges
 // beside zero-probability ones; and −0 rewards, which keep a state off the
 // gathered path, with sub-stochastic self-loops that turn them into −0
-// backups. With unitMode, another mode bit instead yields a deterministic
-// model with unit costs (decodeUnitMDP), reported by unit; without it that
-// bit is ignored, so the byte string decodes to the same general model
-// either way. Exhausted input reads as zeros, so every byte string
-// decodes.
-func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, opt SolveOptions, unit bool) {
+// backups. The mode bit between those two yields a deterministic model with
+// unit costs (decodeUnitMDP) instead. Exhausted input reads as zeros, so
+// every byte string decodes.
+func decodeExactMDP(data []byte) (m *MDP, target, avoid []bool, opt SolveOptions) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -204,9 +202,9 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 	}
 	mode := next()
 	partition := mode/4%2 == 1
-	if unitMode && mode/2%2 == 1 {
+	if mode/2%2 == 1 {
 		m, target, avoid = decodeUnitMDP(next)
-		return m, target, avoid, opt, true
+		return m, target, avoid, opt
 	}
 	n := 1 + next()%48
 	target = make([]bool, n)
@@ -290,16 +288,16 @@ func decodeExactMDP(data []byte, unitMode bool) (m *MDP, target, avoid []bool, o
 			cs[s] = append(cs[s], Choice{Action: c, Reward: reward, Transitions: trs})
 		}
 	}
-	return pack(cs), target, avoid, opt, false
+	return pack(cs), target, avoid, opt
 }
 
 // decodeUnitMDP decodes a deterministic model with unit costs, the kind
-// Rmin solves by shortest paths: unit choices, pure self-loops of any
+// smg's unit path solves by one BFS: unit choices, pure self-loops of any
 // reward, dead ends, avoid states, several targets, islands the targets
 // cannot reach, and in half the models a zero-reward source like smg's
-// Init commit. A third of the models add one choice that rules the
-// shortest-path solve out: a zero-reward cycle, reward 2, a p = 1 edge
-// beside a p = 0 edge, or a choice with p < 1.
+// Init commit. A third of the models add one choice that breaks the unit
+// shape: a zero-reward cycle, reward 2, a p = 1 edge beside a p = 0 edge,
+// or a choice with p < 1.
 func decodeUnitMDP(next func() int) (*MDP, []bool, []bool) {
 	n := 1 + next()%48
 	target := make([]bool, n)
@@ -359,13 +357,11 @@ func decodeUnitMDP(next func() int) (*MDP, []bool, []bool) {
 	return pack(choices), target, avoid
 }
 
-// TestChangeDrivenSweepsExact: on random general models, change-driven
-// Gauss-Seidel reproduces full sweeps bit for bit under both objectives —
-// values (compared as bits), strategies, iteration counts, and every
-// ConvergenceError field when MaxIter runs out — while evaluating no more
-// backups than they do. Unit mode stays off: a seeded deterministic model
-// confirms in one sweep on both sides and would test nothing here;
-// TestSeededSolveExact and FuzzSolveExact cover those models.
+// TestChangeDrivenSweepsExact: on random models, general and deterministic
+// with unit costs, change-driven Gauss-Seidel reproduces full sweeps bit for
+// bit under both objectives — values (compared as bits), strategies,
+// iteration counts, and every ConvergenceError field when MaxIter runs out —
+// while evaluating no more backups than they do.
 func TestChangeDrivenSweepsExact(t *testing.T) {
 	src := randx.New(16)
 	data := make([]byte, 4096)
@@ -374,7 +370,7 @@ func TestChangeDrivenSweepsExact(t *testing.T) {
 		for i := range data {
 			data[i] = byte(src.IntN(256))
 		}
-		m, target, avoid, opt, _ := decodeExactMDP(data, false)
+		m, target, avoid, opt := decodeExactMDP(data)
 		st, err := diffSolves(m, target, avoid, opt)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -393,23 +389,17 @@ func TestChangeDrivenSweepsExact(t *testing.T) {
 		total.Backups, total.FullBackups, 100*(1-float64(total.Backups)/float64(total.FullBackups)), total.Exhausted)
 }
 
-// FuzzSolveExact checks the same bit-identity on fuzzer-shaped models, and
-// on deterministic ones also the shortest-path seed against cold solves.
+// FuzzSolveExact checks the same bit-identity on fuzzer-shaped models.
 func FuzzSolveExact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 12, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 2, 7, 9, 1, 4, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, target, avoid, opt, unit := decodeExactMDP(data, true)
+		m, target, avoid, opt := decodeExactMDP(data)
 		if err := m.Validate(); err != nil {
 			t.Fatalf("decoder built an invalid model: %v", err)
 		}
 		if _, err := diffSolves(m, target, avoid, opt); err != nil {
 			t.Fatal(err)
-		}
-		if unit {
-			if _, err := diffSeededGrid(m, target, avoid); err != nil {
-				t.Fatal(err)
-			}
 		}
 	})
 }

@@ -7,10 +7,7 @@
 //     solved by value iteration from below, and
 //   - minimum expected total reward to reach a goal, Rmin=? [◇goal], the
 //     stochastic-shortest-path problem, solved by qualitative almost-sure
-//     reachability analysis (Prob1E) followed by value iteration. On a
-//     deterministic model with unit costs, one backward BFS gives both the
-//     almost-sure set and the exact values, and value iteration starts from
-//     them.
+//     reachability analysis (Prob1E) followed by value iteration from 0.
 //
 // After the paper's partial-order reduction fixes the health matrix, the
 // per-routing-job model is exactly an MDP, so these two solvers cover every
@@ -173,20 +170,8 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	return o
 }
 
-// SeedsDistances reports whether an Rmin solve of a deterministic model
-// with unit costs, whose largest finite distance is dmax, is seeded with
-// its shortest-path distances (and so ends after one confirming sweep):
-// the values are integers, so every change is at least 1 and a residual
-// below Eps ≤ 1 means the fixpoint, which cold VI reaches within dmax+2
-// sweeps.
-func (o SolveOptions) SeedsDistances(dmax int) bool {
-	o = o.withDefaults()
-	return o.Eps <= 1 && o.MaxIter >= dmax+2
-}
-
 // Result carries a solver outcome. Iterations is the number of value-
-// iteration sweeps run: 1 for an Rmin solve seeded with shortest-path
-// distances, whose one sweep confirms the fixpoint.
+// iteration sweeps run.
 type Result struct {
 	Values     []float64
 	Strategy   Strategy
@@ -320,23 +305,12 @@ func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (R
 	return Result{Values: vals, Strategy: strat, Iterations: iters}, nil
 }
 
-// Prob1E returns the set of states from which some strategy reaches a target
-// state with probability 1 while never entering an avoid state. This is the
-// standard qualitative algorithm (greatest fixpoint over a reach-closure),
-// and it determines where Rmin=?[◇target] is finite. The fixpoint runs over
-// the CSR slabs with a reverse-edge worklist (see csr.go); the internal
-// pass returns solver scratch, so this copies it for the caller.
-func (m *MDP) Prob1E(target, avoid []bool) []bool {
-	res := m.g.prob1E(target, avoid)
-	out := make([]bool, len(res))
-	copy(out, res)
-	return out
-}
-
 // MinExpectedReward computes Rmin(s ⊨ ◇target): the minimum expected
 // accumulated choice reward until reaching a target state, with avoid states
 // forbidden. States from which no strategy reaches the target almost surely
-// (while avoiding) get +Inf. The returned strategy attains the minimum.
+// (while avoiding) get +Inf; they are found by the qualitative pass
+// csr.prob1E, and value iteration from 0 solves the rest. The returned
+// strategy attains the minimum.
 func (m *MDP) MinExpectedReward(target, avoid []bool, opt SolveOptions) (Result, error) {
 	sp := telemetry.StartSpan("mdp.min_expected_reward")
 	defer sp.End()
@@ -351,30 +325,15 @@ func (m *MDP) minExpectedReward(target, avoid []bool, opt SolveOptions, vi viFun
 		return Result{}, errors.New("mdp: label vector length mismatch")
 	}
 	g := m.g
-	g.index()
+	as := g.prob1E(target, avoid)
 	vals := make([]float64, n)
-	// A deterministic model with unit costs is solved exactly by one BFS.
-	// Its distances seed value iteration only where cold VI would provably
-	// end at the same bits (SeedsDistances). The seeded sweep then confirms
-	// the fixpoint and changes nothing.
-	as, dmax := g.unitDistances(target, avoid, vals)
-	seeded := as != nil && opt.SeedsDistances(dmax)
-	if as == nil {
-		as = g.prob1E(target, avoid)
-	}
 	frozen := growB(g.scrFrozen, n)
 	g.scrFrozen = frozen
 	for s := 0; s < n; s++ {
-		switch {
-		case !as[s]:
+		if !as[s] {
 			vals[s] = math.Inf(1)
-		case !seeded:
-			vals[s] = 0
 		}
 		frozen[s] = target[s] || !as[s] || g.stateOff[s] == g.stateOff[s+1]
-	}
-	if seeded {
-		telSeeded.Inc()
 	}
 	iters, err := vi(g, vals, frozen, opt, (*csr).bellmanMinSL)
 	if err != nil {

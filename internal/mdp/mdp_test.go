@@ -2,6 +2,7 @@ package mdp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"meda/internal/randx"
@@ -166,7 +167,7 @@ func TestProb1E(t *testing.T) {
 		goal: nil,
 	})
 	target := []bool{false, false, false, true}
-	as := m.Prob1E(target, nil)
+	as := slices.Clone(m.g.prob1E(target, nil))
 	if !as[s0] {
 		t.Error("s0 (retryable) must be almost-sure winning")
 	}

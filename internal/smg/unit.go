@@ -99,9 +99,8 @@ func (ar *Arena) InduceUnit(bounds, start, goal geom.Rect, opt ModelOptions) (*U
 }
 
 // Solve computes every state's hop distance to the goal sink with one
-// backward BFS that never enters the hazard sink, and returns the largest
-// distance of a reached position (0 when none is reached).
-func (u *Unit) Solve() int {
+// backward BFS that never enters the hazard sink.
+func (u *Unit) Solve() {
 	n := len(u.m.rects)
 	ns := n + 3
 	// Reverse index by counting sort: count each state's incoming edges
@@ -133,19 +132,16 @@ func (u *Unit) Solve() int {
 	goal := int32(u.m.GoalSink)
 	dist[goal] = 0
 	queue := append(resize(u.queue, ns)[:0], goal)
-	dmax := int32(0)
 	for head := 0; head < len(queue); head++ {
 		t := queue[head]
 		for _, s := range revSrc[revOff[t]:revOff[t+1]] {
 			if dist[s] < 0 {
 				dist[s] = dist[t] + 1
-				dmax = max(dmax, dist[s])
 				queue = append(queue, s)
 			}
 		}
 	}
 	u.dist, u.queue = dist, queue
-	return int(dmax)
 }
 
 // Value returns the job's Rmin after Solve: the start's distance to the

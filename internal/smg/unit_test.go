@@ -17,8 +17,8 @@ func randIn(rng *rand.Rand, r geom.Rect, w, h int) geom.Rect {
 }
 
 // TestUnitMatchesInducedModel: on all-healthy windows the Unit model has the
-// induced model's sizes, and its distances, value and policy are what
-// MinExpectedReward returns on that model, bit for bit, with one sweep.
+// induced model's sizes, and its value and policy are what
+// MinExpectedReward returns on that model, bit for bit.
 func TestUnitMatchesInducedModel(t *testing.T) {
 	const cw, ch = 14, 11
 	field := func(x, y int) float64 { // healthy chip, 0 off-chip
@@ -54,7 +54,7 @@ func TestUnitMatchesInducedModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dmax := u.Solve()
+		u.Solve()
 		m, err := full.Induce(bounds, start, goal, field, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -67,20 +67,8 @@ func TestUnitMatchesInducedModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Iterations != 1 {
-			t.Fatalf("job %d: the induced model took %d sweeps, want a seeded one", i, res.Iterations)
-		}
 		if got, want := u.Value(), res.Values[m.Init]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("job %d: value %v, induced %v", i, got, want)
-		}
-		far := 0.0
-		for s := 0; s < m.NumPositions(); s++ {
-			if v := res.Values[s]; !math.IsInf(v, 1) {
-				far = max(far, v)
-			}
-		}
-		if float64(dmax) != far {
-			t.Fatalf("job %d: dmax %d, induced model's largest finite value %v", i, dmax, far)
 		}
 		if math.IsInf(u.Value(), 1) {
 			unreached++

@@ -51,7 +51,7 @@ type Stats struct {
 	Construction time.Duration
 	Synthesis    time.Duration
 	// Iterations is the number of value-iteration sweeps run (see
-	// mdp.Result.Iterations).
+	// mdp.Result.Iterations): 0 on the unit path, which runs none.
 	Iterations int
 }
 
@@ -79,17 +79,17 @@ type Result struct {
 func (r Result) Exists() bool { return r.Policy.Len() > 0 && !math.IsInf(r.Value, 1) }
 
 // diffResults describes the first difference between two results in what
-// the unit path must reproduce bit for bit — Value, the Stats sizes,
-// Iterations and Policy — or returns "" when there is none.
+// the unit path must reproduce bit for bit — Value, the Stats sizes and
+// Policy — or returns "" when there is none.
 func diffResults(got, want Result) string {
 	switch {
 	case math.Float64bits(got.Value) != math.Float64bits(want.Value):
 		return fmt.Sprintf("value %v, want %v", got.Value, want.Value)
 	case got.Stats.States != want.Stats.States || got.Stats.Transitions != want.Stats.Transitions ||
-		got.Stats.Choices != want.Stats.Choices || got.Stats.Iterations != want.Stats.Iterations:
-		return fmt.Sprintf("stats %d/%d/%d/%d, want %d/%d/%d/%d (states/transitions/choices/iterations)",
-			got.Stats.States, got.Stats.Transitions, got.Stats.Choices, got.Stats.Iterations,
-			want.Stats.States, want.Stats.Transitions, want.Stats.Choices, want.Stats.Iterations)
+		got.Stats.Choices != want.Stats.Choices:
+		return fmt.Sprintf("stats %d/%d/%d, want %d/%d/%d (states/transitions/choices)",
+			got.Stats.States, got.Stats.Transitions, got.Stats.Choices,
+			want.Stats.States, want.Stats.Transitions, want.Stats.Choices)
 	}
 	return got.Policy.Diff(want.Policy)
 }
@@ -124,15 +124,13 @@ func Synthesize(rj route.RJ, field action.ForceField, opt Options) (Result, erro
 	}()
 
 	if unitQuery(opt) && smg.UnitWindow(rj.Hazard, field, opt.Model) {
-		res, ok, err := synthesizeUnit(ar, sp, rj, opt)
+		res, err := synthesizeUnit(ar, sp, rj, opt)
 		if err != nil {
 			return Result{}, fmt.Errorf("synth: %s: %w", rj.Name(), err)
 		}
-		if ok {
-			telUnit.Inc()
-			assertUnit(rj, field, opt, res)
-			return res, nil
-		}
+		telUnit.Inc()
+		assertUnit(rj, field, opt, res)
+		return res, nil
 	}
 	return synthesize(ar, sp, rj, field, opt)
 }
@@ -147,31 +145,25 @@ func unitQuery(opt Options) bool {
 // synthesizeUnit solves a job whose window is all-healthy (smg.UnitWindow)
 // without an MDP: the successor table of smg.Arena.InduceUnit, one BFS,
 // and MinExpectedReward's extraction rule give the full path's Policy,
-// Value, Stats sizes and Iterations bit for bit. It reports false, and the
-// caller takes the full path, where value iteration would not be seeded
-// with the distances (mdp.SolveOptions.SeedsDistances) and so might end
-// elsewhere.
-func synthesizeUnit(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, opt Options) (Result, bool, error) {
+// Value and Stats sizes bit for bit. It runs no value iteration, so
+// Stats.Iterations is 0 and opt.Solver does not apply.
+func synthesizeUnit(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, opt Options) (Result, error) {
 	var res Result
 	t0 := time.Now()
 	spb := sp.Child("synth.model_build")
 	u, err := ar.InduceUnit(rj.Hazard, rj.Start, rj.Goal, opt.Model)
 	spb.End()
 	if err != nil {
-		return Result{}, false, err
+		return Result{}, err
 	}
 	res.Stats.Construction = time.Since(t0)
 
 	t1 := time.Now()
 	sps := sp.Child("synth.solve")
-	dmax := u.Solve()
+	u.Solve()
 	sps.End()
-	if !opt.Solver.SeedsDistances(dmax) {
-		return Result{}, false, nil
-	}
 	res.Value = u.Value()
 	res.Stats.States, res.Stats.Transitions, res.Stats.Choices = u.States, u.Transitions, u.Choices
-	res.Stats.Iterations = 1 // the seeded sweep that confirms the distances
 	if !math.IsInf(res.Value, 1) {
 		spe := sp.Child("synth.extract")
 		res.Policy = u.Policy()
@@ -181,7 +173,7 @@ func synthesizeUnit(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, opt Options)
 	telConstructNs.Add(res.Stats.Construction.Nanoseconds())
 	telSolveNs.Add(res.Stats.Synthesis.Nanoseconds())
 	telStates.Observe(float64(res.Stats.States))
-	return res, true, nil
+	return res, nil
 }
 
 // synthesize is Alg. 2 over the induced MDP on arena ar: build, check the

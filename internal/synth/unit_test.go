@@ -87,8 +87,8 @@ func randomUnitJob(rng *rand.Rand) (route.RJ, action.ForceField, Options) {
 
 // TestUnitPathMatchesFullSynthesis is the differential test of the unit
 // path: on random all-healthy windows, Synthesize must take it and agree
-// bit for bit with full synthesis over the induced MDP in Policy, Value,
-// the Stats sizes and Iterations.
+// bit for bit with full synthesis over the induced MDP in Policy, Value
+// and the Stats sizes.
 func TestUnitPathMatchesFullSynthesis(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var inf, inGoal, morph, jacobi, dispense, edge, reached int
@@ -146,7 +146,10 @@ func TestUnitPathMatchesFullSynthesis(t *testing.T) {
 }
 
 // TestUnitPathFallBack: windows or queries outside the unit path's
-// preconditions take the full path, and get its result.
+// preconditions take the full path, and get its result. Solver tolerances
+// are not among them: the unit path runs no value iteration, so a healthy
+// window takes it whatever they are and gets the default-options Value and
+// Policy, where value iteration at those tolerances stops short of them.
 func TestUnitPathFallBack(t *testing.T) {
 	rj := simpleRJ()
 	dent := func(x, y int) float64 {
@@ -159,30 +162,54 @@ func TestUnitPathFallBack(t *testing.T) {
 	pmax.Query = spec.RoutingQuery(spec.PMax)
 	cost2 := DefaultOptions()
 	cost2.Model.ActionCost = 2
-	// The job's farthest positions are 7 king moves from the goal; seeding
-	// needs MaxIter ≥ dmax + 2.
+	// The job's farthest positions are 7 king moves from the goal, so value
+	// iteration needs more than 2 sweeps, and a residual below 1, to reach
+	// the distances.
 	capped := DefaultOptions()
-	capped.Solver.MaxIter = 8
+	capped.Solver.MaxIter = 2
 	coarse := DefaultOptions()
 	coarse.Solver.Eps = 2
+	def, err := synthesize(new(smg.Arena), nil, rj, healthy, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name  string
 		field action.ForceField
 		opt   Options
+		unit  bool
 	}{
-		{"one cell just below 1", dent, DefaultOptions()},
-		{"action cost 2", healthy, cost2},
-		{"MaxIter < dmax+2", healthy, capped},
-		{"Eps > 1", healthy, coarse},
-		{"Pmax", healthy, pmax},
+		{"one cell just below 1", dent, DefaultOptions(), false},
+		{"action cost 2", healthy, cost2, false},
+		{"Pmax", healthy, pmax, false},
+		{"MaxIter < dmax+2", healthy, capped, true},
+		{"Eps > 1", healthy, coarse, true},
 	}
 	for _, c := range cases {
 		before := telUnit.Value()
 		got, gerr := Synthesize(rj, c.field, c.opt)
+		want, werr := synthesize(new(smg.Arena), nil, rj, c.field, c.opt)
+		if c.unit {
+			if gerr != nil {
+				t.Fatalf("%s: %v", c.name, gerr)
+			}
+			if telUnit.Value() != before+1 {
+				t.Errorf("%s: took the full path", c.name)
+			}
+			if got.Stats.Iterations != 0 {
+				t.Errorf("%s: %d iterations on the unit path, want 0", c.name, got.Stats.Iterations)
+			}
+			if diff := diffResults(got, def); diff != "" {
+				t.Errorf("%s: %s", c.name, diff)
+			}
+			if werr == nil && diffResults(want, def) == "" {
+				t.Errorf("%s: value iteration at these options reaches the fixpoint too", c.name)
+			}
+			continue
+		}
 		if telUnit.Value() != before {
 			t.Errorf("%s: took the unit path", c.name)
 		}
-		want, werr := synthesize(new(smg.Arena), nil, rj, c.field, c.opt)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("%s: error %v, full synthesis %v", c.name, gerr, werr)
 		}
@@ -192,14 +219,5 @@ func TestUnitPathFallBack(t *testing.T) {
 		if diff := diffResults(got, want); diff != "" {
 			t.Errorf("%s: %s", c.name, diff)
 		}
-	}
-	// At MaxIter = dmax + 2 the same job does take the unit path.
-	capped.Solver.MaxIter = 9
-	before := telUnit.Value()
-	if _, err := Synthesize(rj, healthy, capped); err != nil {
-		t.Fatal(err)
-	}
-	if telUnit.Value() != before+1 {
-		t.Error("MaxIter = dmax+2: took the full path")
 	}
 }
