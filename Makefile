@@ -40,15 +40,19 @@ models:
 # every window they meet through those checks; internal/serve so that the
 # strategies one fleet tenant is served from another's syntheses (raw,
 # canonical and obstructed Cache hits, Library hits) are re-derived too.
+# The tag also recomputes every actuated cell's latched health code in
+# internal/chip, and makes the executor re-hash every job window whose
+# health stamp has not moved.
 assert:
-	$(GO) test -tags medacheck ./internal/mdp/ ./internal/smg/ ./internal/synth/ ./internal/modelcheck/ ./internal/sched/ ./internal/sim/ ./internal/serve/ .
+	$(GO) test -tags medacheck ./internal/chip/ ./internal/mdp/ ./internal/smg/ ./internal/synth/ ./internal/modelcheck/ ./internal/sched/ ./internal/sim/ ./internal/serve/ .
 
 # Coverage floors for the packages this repo leans on hardest. Floors sit
 # well below current coverage so they trip on real regressions, not on
 # noise. Coverage when the modelcheck floor was added: telemetry 98.1%,
 # mdp 95.9%, sched 94.2%, synth 93.5%, sim 96.0%, smg 97.2%, action 97.0%,
 # modelcheck 89.8%, lint 93.5%, lint/cfg 91.5%, lint/dataflow 98.6%,
-# lint/callgraph 83.9%, lint/summary 83.6%.
+# lint/callgraph 83.9%, lint/summary 83.6%; chip 93.2%, degrade 91.9% when
+# their floors were added.
 cover:
 	@set -e; \
 	check() { \
@@ -65,6 +69,8 @@ cover:
 	check ./internal/sim/ 85; \
 	check ./internal/smg/ 85; \
 	check ./internal/action/ 85; \
+	check ./internal/chip/ 85; \
+	check ./internal/degrade/ 85; \
 	check ./internal/modelcheck/ 80; \
 	check ./internal/lint/ 80; \
 	check ./internal/lint/cfg/ 80; \

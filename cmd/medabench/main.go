@@ -14,8 +14,9 @@
 // strategy cache for re-synthesis, a Library hit on a rotated job, the
 // D4-canonical cache serving a whole symmetry class of jobs from one
 // synthesis, an obstructed window served from the cache, journaling the
-// end of a job (serve.Store), and the sequential-vs-concurrent assay executor
-// with the adaptive router on a contention-heavy generated workload.
+// end of a job (serve.Store), the sequential-vs-concurrent assay executor
+// with the adaptive router on a contention-heavy generated workload, and
+// actuating a droplet-sized pattern on a default and a near-immortal chip.
 // Derived ratios (warm_cache_speedup, pooled_construction_speedup,
 // canonicalization_hit_rate, concurrent_cycle_reduction) are computed from
 // the same runs; solver_worn_band_gathered_share is the share of the band
@@ -486,6 +487,43 @@ func main() {
 	}
 	record(rep, "executor/sequential", execBench(false))
 	record(rep, "executor/concurrent", execBench(true))
+
+	// Actuating a droplet: one Actuate call of a 4×4 pattern that walks the
+	// chip row by row, on a default-wear chip and on a near-immortal one.
+	// The chip is replaced, untimed, every actuateLife calls, so the rows
+	// measure cells early in life, crossing their first quantization drops,
+	// rather than cells long worn down to the zero code.
+	for _, wear := range []struct {
+		name   string
+		normal degrade.ParamRange
+	}{
+		{"default", degrade.DefaultNormal},
+		{"near-immortal", degrade.ParamRange{Tau1: 0.99, Tau2: 0.999, C1: 5000, C2: 10000}},
+	} {
+		acfg := chip.Default()
+		acfg.Normal = wear.normal
+		fresh := func(b *testing.B) *chip.Chip {
+			ac, err := chip.New(acfg, randx.New(21))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return ac
+		}
+		record(rep, "chip/actuate/"+wear.name, func(b *testing.B) {
+			const actuateLife = 1 << 16
+			ac := fresh(b)
+			cols, rows := acfg.W-3, acfg.H-3
+			for i := 0; i < b.N; i++ {
+				if i%actuateLife == actuateLife-1 {
+					b.StopTimer()
+					ac = fresh(b)
+					b.StartTimer()
+				}
+				x, y := 1+i%cols, 1+i/cols%rows
+				ac.Actuate(meda.Rect{XA: x, YA: y, XB: x + 3, YB: y + 3})
+			}
+		})
+	}
 
 	rep.Telemetry = telemetry.Default().Snapshot()
 	enc := json.NewEncoder(f)

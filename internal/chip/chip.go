@@ -13,7 +13,7 @@ package chip
 
 import (
 	"fmt"
-	"hash/fnv"
+	"math"
 
 	"meda/internal/action"
 	"meda/internal/degrade"
@@ -75,6 +75,14 @@ func (c Config) Validate() error {
 // arguments (plus the model's fixed seed): the chip calls them on every
 // force and health read, including from snapshot copies taken for background
 // synthesis workers.
+//
+// Purity in (x, y, n, h, bits) is also what makes HealthStamp sound: with a
+// model attached, a cell's sensed code can change only when its n or its
+// fault-free code h changes, that is when the cell is actuated, so Actuate
+// stamps the tile of every actuated cell. A model whose sensed codes drift
+// with hidden state (a wall clock, a read counter, a mutable RNG) would
+// change HealthHash without moving HealthStamp, and the executor would keep
+// a strategy built from a health matrix that no longer holds.
 type FaultModel interface {
 	PhysicalDegradation(x, y, n int, d float64) float64
 	SensedHealth(x, y, n, h, bits int) int
@@ -86,39 +94,68 @@ type FaultModel interface {
 // microelectrode cell (Sec. III): codes[i] holds mcs[i].Health(bits) and
 // changes only in New, LoadState and Actuate, the three places mcs changes.
 // The fault overlay is applied on read, not latched.
+//
+// A latched code never rises with wear, so Actuate recomputes it only when
+// the cell's counter reaches relatch[i], the count of its next quantization
+// drop (or of its hard fault). Every event that may change a sensed code
+// stamps the 8×8 tiles it touched with a fresh clock value (HealthStamp).
 type Chip struct {
-	w, h   int
-	bits   int
-	mcs    []degrade.MC // row-major, index = (y−1)*w + (x−1)
-	codes  []uint8      // fault-free health code per MC, same indexing as mcs
-	force  []float64    // observed force per health code: DegradationFromHealth(h, bits)²
-	faults FaultModel   // nil means fault-free
+	w, h    int
+	bits    int
+	mcs     []degrade.MC // row-major, index = (y−1)*w + (x−1)
+	codes   []uint8      // fault-free health code per MC, same indexing as mcs
+	relatch []int32      // N at which codes[i] is next recomputed; 0 until the cell's first actuation
+	force   []float64    // observed force per health code: DegradationFromHealth(h, bits)²
+	faults  FaultModel   // nil means fault-free
+	clock   uint64       // health clock: advanced by every Actuate call and every stampAll
+	stamps  []uint64     // per tile, the clock value of the last such event in it; row-major
+	tilesW  int          // tiles per row
 }
+
+// tileShift sizes the health-stamp tiles: 1<<tileShift cells on a side.
+const tileShift = 3
 
 // newChip returns a w×h chip of pristine, never-actuated MCs with b-bit
 // sensing; callers set the MC state and then call latchAll.
 func newChip(w, h, bits int) *Chip {
-	c := &Chip{w: w, h: h, bits: bits, mcs: make([]degrade.MC, w*h), codes: make([]uint8, w*h)}
+	c := &Chip{w: w, h: h, bits: bits, mcs: make([]degrade.MC, w*h), codes: make([]uint8, w*h), relatch: make([]int32, w*h)}
 	c.force = make([]float64, 1<<uint(bits))
 	for code := range c.force {
 		d := degrade.DegradationFromHealth(code, bits)
 		c.force[code] = d * d
 	}
+	c.tilesW = (w-1)>>tileShift + 1
+	c.stamps = make([]uint64, c.tilesW*((h-1)>>tileShift+1))
 	return c
 }
 
-// latchAll refreshes every cell's latched health code from its MC state.
+// latchAll refreshes every cell's latched health code from its MC state and
+// stamps every tile. It leaves relatch at 0, so each cell's next drop is
+// found on its first actuation rather than for the whole array up front.
 func (c *Chip) latchAll() {
 	for i := range c.mcs {
 		c.codes[i] = uint8(c.mcs[i].Health(c.bits))
 	}
+	c.stampAll()
+}
+
+// stampAll advances the health clock and stamps every tile with it.
+func (c *Chip) stampAll() {
+	c.clock++
+	for t := range c.stamps {
+		c.stamps[t] = c.clock
+	}
 }
 
 // AttachFaults overlays a fault model on the chip's force production and
-// health sensing. Passing nil detaches. Attach before handing the chip to a
-// runner; the overlay itself is safe for concurrent reads but attaching is
-// not synchronized against them.
-func (c *Chip) AttachFaults(f FaultModel) { c.faults = f }
+// health sensing. Passing nil detaches. Either way every sensed code may
+// change, so every tile's health stamp moves. Attach before handing the chip
+// to a runner; the overlay itself is safe for concurrent reads but attaching
+// is not synchronized against them.
+func (c *Chip) AttachFaults(f FaultModel) {
+	c.faults = f
+	c.stampAll()
+}
 
 // New instantiates a biochip, sampling per-MC degradation constants and
 // placing hard faults according to the configuration. All randomness comes
@@ -251,8 +288,13 @@ func (c *Chip) ObservedForceField() action.ForceField {
 // degradation and relatching its health code. Rectangles are clipped to the
 // chip; overlapping rectangles actuate a cell only once per cycle.
 //
+// A tile's health stamp moves when one of its latched codes changes, or when
+// one of its cells is actuated while a fault model is attached (its sensed
+// code depends on the actuation count).
+//
 //meda:hotpath
 func (c *Chip) Actuate(patterns ...geom.Rect) {
+	c.clock++
 	for k, p := range patterns {
 		r, ok := p.Intersect(c.Bounds())
 		if !ok {
@@ -260,16 +302,55 @@ func (c *Chip) Actuate(patterns ...geom.Rect) {
 		}
 		for y := r.YA; y <= r.YB; y++ {
 			base := (y - 1) * c.w
+			tiles := c.stamps[((y-1)>>tileShift)*c.tilesW:]
 			for x := r.XA; x <= r.XB; x++ {
 				if coveredBefore(patterns[:k], x, y) {
 					continue
 				}
-				mc := &c.mcs[base+x-1]
+				i := base + x - 1
+				mc := &c.mcs[i]
 				mc.Actuate()
-				c.codes[base+x-1] = uint8(mc.Health(c.bits))
+				changed := c.faults != nil
+				if mc.N >= int(c.relatch[i]) {
+					code := uint8(mc.Health(c.bits))
+					changed = changed || code != c.codes[i]
+					c.codes[i] = code
+					c.relatch[i] = nextDrop(mc, int(code), c.bits)
+				}
+				assertLatched(mc, c.codes[i], c.bits)
+				if changed {
+					tiles[(x-1)>>tileShift] = c.clock
+				}
 			}
 		}
 	}
+}
+
+// nextDrop returns the actuation count at which mc's latched code h, valid at
+// its current count mc.N, has to be recomputed: the first n > mc.N whose code
+// ⌊2^b·τ^(n/c)⌋ falls below h, or FailAt if that comes first, or MaxInt32
+// when the code can no longer change. Eq. 3's inverse gives the estimate;
+// the same Params.Health calls that compute the code then settle the exact
+// count, so the latched codes stay bit-identical to MC.Health.
+func nextDrop(mc *degrade.MC, h, bits int) int32 {
+	if h == 0 || mc.Failed() {
+		return math.MaxInt32
+	}
+	limit := math.MaxInt32
+	if mc.FailAt > 0 {
+		limit = min(limit, mc.FailAt)
+	}
+	n := limit
+	if est := mc.Params.ActuationsToDegradation(float64(h) / float64(int(1)<<uint(bits))); est < float64(limit) {
+		n = max(int(math.Ceil(est)), mc.N+1)
+	}
+	for n > mc.N+1 && mc.Params.Health(n-1, bits) < h {
+		n--
+	}
+	for n < limit && mc.Params.Health(n, bits) >= h {
+		n++
+	}
+	return int32(n)
 }
 
 // coveredBefore reports whether any of patterns contains (x, y).
@@ -319,23 +400,58 @@ func (c *Chip) DegradationMatrix() [][]float64 {
 
 // HealthHash returns a hash of the observed health codes within region,
 // used by the hybrid scheduler to detect health changes that require
-// re-synthesis (Alg. 3). The region is clipped to the chip.
+// re-synthesis (Alg. 3). The region is clipped to the chip. It is 64-bit
+// FNV-1a over one byte per cell, row by row: the golden traces and the
+// strategy-cache keys pin these bits.
 //
 //meda:hotpath
 func (c *Chip) HealthHash(region geom.Rect) uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset)
 	r, ok := region.Intersect(c.Bounds())
 	if !ok {
-		return h.Sum64()
+		return h
 	}
-	var buf [1]byte
 	for y := r.YA; y <= r.YB; y++ {
+		if c.faults == nil {
+			base := (y - 1) * c.w
+			for _, code := range c.codes[base+r.XA-1 : base+r.XB] {
+				h = (h ^ uint64(code)) * fnvPrime
+			}
+			continue
+		}
 		for x := r.XA; x <= r.XB; x++ {
-			buf[0] = byte(c.Health(x, y))
-			h.Write(buf[:])
+			h = (h ^ uint64(byte(c.Health(x, y)))) * fnvPrime
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// HealthStamp returns the largest health stamp over the tiles region (clipped
+// to the chip) touches, 0 for an off-chip region. Every event that may change
+// a sensed code in a tile stamps it with a fresh, larger clock value, so if
+// HealthStamp(region) has not moved, neither has HealthHash(region). Stamps
+// are comparable only between reads of the same chip.
+//
+//meda:hotpath
+func (c *Chip) HealthStamp(region geom.Rect) uint64 {
+	r, ok := region.Intersect(c.Bounds())
+	if !ok {
+		return 0
+	}
+	var s uint64
+	for ty := (r.YA - 1) >> tileShift; ty <= (r.YB-1)>>tileShift; ty++ {
+		row := c.stamps[ty*c.tilesW:]
+		for tx := (r.XA - 1) >> tileShift; tx <= (r.XB-1)>>tileShift; tx++ {
+			s = max(s, row[tx])
+		}
+	}
+	return s
 }
 
 // UniformHealth reports whether every observed health code within region

@@ -225,6 +225,12 @@ type jobRT struct {
 	mo     int
 	policy synth.Policy
 	hash   uint64 // health hash the current policy was built from
+	// stamp is the chip's HealthStamp over the hazard window when hash
+	// was last known to hold: resynthesize re-hashes only once it moves.
+	// It is only ever compared against the chip it was taken from, which
+	// a run never swaps (serve.UploadChipHealth replaces a chip only
+	// between jobs).
+	stamp uint64
 	// re-synthesis bookkeeping.
 	pending        bool
 	obstacleDirty  bool
@@ -610,7 +616,8 @@ func (s *run) enforceDeadlines() {
 
 // resynthesize is phase 2, asynchronous re-synthesis (Alg. 3): refresh the
 // strategies whose region's health changed or that ran into an obstruction,
-// resynthDelay cycles after the trigger.
+// resynthDelay cycles after the trigger. A window is re-hashed only when its
+// health stamp has moved since its hash last matched.
 func (s *run) resynthesize() {
 	for _, m := range s.mos {
 		if m.state != moActive {
@@ -622,7 +629,14 @@ func (s *run) resynthesize() {
 			}
 			dirty := j.obstacleDirty
 			if s.Router.HealthAware() && j.routable && !dirty {
-				dirty = s.Chip.HealthHash(j.rj.Hazard) != j.hash
+				if st := s.Chip.HealthStamp(j.rj.Hazard); st != j.stamp {
+					dirty = s.Chip.HealthHash(j.rj.Hazard) != j.hash
+					if !dirty {
+						j.stamp = st
+					}
+				} else {
+					assertHashHeld(s.Chip, j.rj.Hazard, j.hash)
+				}
 			}
 			if dirty && !j.pending {
 				j.pending = true
@@ -1145,7 +1159,7 @@ func (s *run) fetch(j *jobRT) {
 	} else {
 		policy, _, err = s.Router.Route(rj, s.Chip, obstacles)
 	}
-	j.hash = s.Chip.HealthHash(j.rj.Hazard)
+	j.hash, j.stamp = s.Chip.HealthHash(j.rj.Hazard), s.Chip.HealthStamp(j.rj.Hazard)
 	j.nextTry = s.k + s.Cfg.MinResynthInterval
 	j.pending = false
 	j.obstacleDirty = false
