@@ -79,10 +79,11 @@ func (c Config) Validate() error {
 // Purity in (x, y, n, h, bits) is also what makes HealthStamp sound: with a
 // model attached, a cell's sensed code can change only when its n or its
 // fault-free code h changes, that is when the cell is actuated, so Actuate
-// stamps the tile of every actuated cell. A model whose sensed codes drift
-// with hidden state (a wall clock, a read counter, a mutable RNG) would
-// change HealthHash without moving HealthStamp, and the executor would keep
-// a strategy built from a health matrix that no longer holds.
+// moves the stamp on every call while a model is attached. A model whose
+// sensed codes drift with hidden state (a wall clock, a read counter, a
+// mutable RNG) would change HealthHash without moving HealthStamp, and the
+// executor would keep a strategy built from a health matrix that no longer
+// holds.
 type FaultModel interface {
 	PhysicalDegradation(x, y, n int, d float64) float64
 	SensedHealth(x, y, n, h, bits int) int
@@ -98,7 +99,7 @@ type FaultModel interface {
 // A latched code never rises with wear, so Actuate recomputes it only when
 // the cell's counter reaches relatch[i], the count of its next quantization
 // drop (or of its hard fault). Every event that may change a sensed code
-// stamps the 8×8 tiles it touched with a fresh clock value (HealthStamp).
+// moves the chip-wide health generation gen (HealthStamp).
 type Chip struct {
 	w, h    int
 	bits    int
@@ -107,13 +108,8 @@ type Chip struct {
 	relatch []int32      // N at which codes[i] is next recomputed; 0 until the cell's first actuation
 	force   []float64    // observed force per health code: DegradationFromHealth(h, bits)²
 	faults  FaultModel   // nil means fault-free
-	clock   uint64       // health clock: advanced by every Actuate call and every stampAll
-	stamps  []uint64     // per tile, the clock value of the last such event in it; row-major
-	tilesW  int          // tiles per row
+	gen     uint64       // health generation: bumped by every event that may change a sensed code
 }
-
-// tileShift sizes the health-stamp tiles: 1<<tileShift cells on a side.
-const tileShift = 3
 
 // newChip returns a w×h chip of pristine, never-actuated MCs with b-bit
 // sensing; callers set the MC state and then call latchAll.
@@ -124,37 +120,28 @@ func newChip(w, h, bits int) *Chip {
 		d := degrade.DegradationFromHealth(code, bits)
 		c.force[code] = d * d
 	}
-	c.tilesW = (w-1)>>tileShift + 1
-	c.stamps = make([]uint64, c.tilesW*((h-1)>>tileShift+1))
 	return c
 }
 
 // latchAll refreshes every cell's latched health code from its MC state and
-// stamps every tile. It leaves relatch at 0, so each cell's next drop is
-// found on its first actuation rather than for the whole array up front.
+// moves the health generation. It leaves relatch at 0, so each cell's next
+// drop is found on its first actuation rather than for the whole array up
+// front.
 func (c *Chip) latchAll() {
 	for i := range c.mcs {
 		c.codes[i] = uint8(c.mcs[i].Health(c.bits))
 	}
-	c.stampAll()
-}
-
-// stampAll advances the health clock and stamps every tile with it.
-func (c *Chip) stampAll() {
-	c.clock++
-	for t := range c.stamps {
-		c.stamps[t] = c.clock
-	}
+	c.gen++
 }
 
 // AttachFaults overlays a fault model on the chip's force production and
 // health sensing. Passing nil detaches. Either way every sensed code may
-// change, so every tile's health stamp moves. Attach before handing the chip
-// to a runner; the overlay itself is safe for concurrent reads but attaching
-// is not synchronized against them.
+// change, so the health generation moves. Attach before handing the chip to
+// a runner; the overlay itself is safe for concurrent reads but attaching is
+// not synchronized against them.
 func (c *Chip) AttachFaults(f FaultModel) {
 	c.faults = f
-	c.stampAll()
+	c.gen++
 }
 
 // New instantiates a biochip, sampling per-MC degradation constants and
@@ -288,13 +275,13 @@ func (c *Chip) ObservedForceField() action.ForceField {
 // degradation and relatching its health code. Rectangles are clipped to the
 // chip; overlapping rectangles actuate a cell only once per cycle.
 //
-// A tile's health stamp moves when one of its latched codes changes, or when
-// one of its cells is actuated while a fault model is attached (its sensed
-// code depends on the actuation count).
+// The health generation moves when a latched code changes, and on every call
+// while a fault model is attached (a sensed code then depends on the
+// actuation count).
 //
 //meda:hotpath
 func (c *Chip) Actuate(patterns ...geom.Rect) {
-	c.clock++
+	changed := c.faults != nil
 	for k, p := range patterns {
 		r, ok := p.Intersect(c.Bounds())
 		if !ok {
@@ -302,7 +289,6 @@ func (c *Chip) Actuate(patterns ...geom.Rect) {
 		}
 		for y := r.YA; y <= r.YB; y++ {
 			base := (y - 1) * c.w
-			tiles := c.stamps[((y-1)>>tileShift)*c.tilesW:]
 			for x := r.XA; x <= r.XB; x++ {
 				if coveredBefore(patterns[:k], x, y) {
 					continue
@@ -310,7 +296,6 @@ func (c *Chip) Actuate(patterns ...geom.Rect) {
 				i := base + x - 1
 				mc := &c.mcs[i]
 				mc.Actuate()
-				changed := c.faults != nil
 				if mc.N >= int(c.relatch[i]) {
 					code := uint8(mc.Health(c.bits))
 					changed = changed || code != c.codes[i]
@@ -318,11 +303,11 @@ func (c *Chip) Actuate(patterns ...geom.Rect) {
 					c.relatch[i] = nextDrop(mc, int(code), c.bits)
 				}
 				assertLatched(mc, c.codes[i], c.bits)
-				if changed {
-					tiles[(x-1)>>tileShift] = c.clock
-				}
 			}
 		}
+	}
+	if changed {
+		c.gen++
 	}
 }
 
@@ -412,15 +397,14 @@ func (c *Chip) HealthHash(region geom.Rect) uint64 {
 		return h
 	}
 	for y := r.YA; y <= r.YB; y++ {
-		if c.faults == nil {
-			base := (y - 1) * c.w
-			for _, code := range c.codes[base+r.XA-1 : base+r.XB] {
-				h = (h ^ uint64(code)) * fnvPrime
-			}
-			continue
-		}
+		base := (y - 1) * c.w
 		for x := r.XA; x <= r.XB; x++ {
-			h = (h ^ uint64(byte(c.Health(x, y)))) * fnvPrime
+			i := base + x - 1
+			code := int(c.codes[i])
+			if c.faults != nil {
+				code = c.faults.SensedHealth(x, y, c.mcs[i].N, code, c.bits)
+			}
+			h = (h ^ uint64(byte(code))) * fnvPrime
 		}
 	}
 	return h
@@ -432,27 +416,11 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// HealthStamp returns the largest health stamp over the tiles region (clipped
-// to the chip) touches, 0 for an off-chip region. Every event that may change
-// a sensed code in a tile stamps it with a fresh, larger clock value, so if
-// HealthStamp(region) has not moved, neither has HealthHash(region). Stamps
-// are comparable only between reads of the same chip.
-//
-//meda:hotpath
-func (c *Chip) HealthStamp(region geom.Rect) uint64 {
-	r, ok := region.Intersect(c.Bounds())
-	if !ok {
-		return 0
-	}
-	var s uint64
-	for ty := (r.YA - 1) >> tileShift; ty <= (r.YB-1)>>tileShift; ty++ {
-		row := c.stamps[ty*c.tilesW:]
-		for tx := (r.XA - 1) >> tileShift; tx <= (r.XB-1)>>tileShift; tx++ {
-			s = max(s, row[tx])
-		}
-	}
-	return s
-}
+// HealthStamp returns the chip's health generation. Every event that may
+// change a sensed code anywhere on the chip moves it, so if HealthStamp has
+// not moved, no HealthHash has either. Stamps are comparable only between
+// reads of the same chip.
+func (c *Chip) HealthStamp() uint64 { return c.gen }
 
 // UniformHealth reports whether every observed health code within region
 // (clipped to the chip) is the same, and if so which code. A uniform window

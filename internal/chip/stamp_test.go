@@ -14,16 +14,17 @@ import (
 // TestHealthStampCoversHashChanges checks the contract the executor relies on
 // to skip re-hashing: over random windows, a HealthHash change implies a
 // HealthStamp change. The chip wears fast through random actuation patterns,
-// with and without a fault.Injector whose stuck cells trigger and whose
-// sensor flips and stale reads move from epoch to epoch, and the injector is
-// attached and detached mid-run.
+// so latched codes drop and hard faults trigger, with and without a
+// fault.Injector whose stuck cells trigger and whose sensor flips and stale
+// reads move from epoch to epoch, and the injector is attached and detached
+// mid-run.
 func TestHealthStampCoversHashChanges(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		t.Run(fmt.Sprintf("faults=%v", faulted), func(t *testing.T) {
 			cfg := chip.Config{
 				W: 21, H: 13, HealthBits: 2,
-				Normal: degrade.ParamRange{Tau1: 0.5, Tau2: 0.95, C1: 10, C2: 60},
-				Faults: degrade.FaultPlan{Mode: degrade.FaultUniform, Fraction: 0.1, FailAfterLo: 5, FailAfterHi: 60},
+				Normal: degrade.ParamRange{Tau1: 0.5, Tau2: 0.95, C1: 2, C2: 12},
+				Faults: degrade.FaultPlan{Mode: degrade.FaultUniform, Fraction: 0.1, FailAfterLo: 2, FailAfterHi: 12},
 			}
 			c, err := chip.New(cfg, randx.New(3))
 			if err != nil {
@@ -42,41 +43,48 @@ func TestHealthStampCoversHashChanges(t *testing.T) {
 				xa, ya := src.IntRange(-2, cfg.W), src.IntRange(-2, cfg.H)
 				windows[i] = geom.Rect{XA: xa, YA: ya, XB: xa + src.IntN(9), YB: ya + src.IntN(9)}
 			}
-			stamps := make([]uint64, len(windows))
 			hashes := make([]uint64, len(windows))
 			observe := func() {
 				for i, w := range windows {
-					stamps[i], hashes[i] = c.HealthStamp(w), c.HealthHash(w)
+					hashes[i] = c.HealthHash(w)
 				}
 			}
 			observe()
-			hashMoves, stampHolds := 0, 0
+			stamp := c.HealthStamp()
+			attached := faulted
+			faultFreeMoves, stampHolds := 0, 0
 			for step := 1; step <= 300; step++ {
 				switch {
 				case step%100 == 50:
 					c.AttachFaults(nil)
+					attached = false
 				case step%100 == 0:
 					c.AttachFaults(inj)
+					attached = true
 				default:
 					c.Actuate(patterns(src, cfg.W, cfg.H)...)
 				}
+				s := c.HealthStamp()
+				if s == stamp {
+					stampHolds++
+				}
 				for i, w := range windows {
-					s, h := c.HealthStamp(w), c.HealthHash(w)
-					if h != hashes[i] {
-						hashMoves++
-					}
-					if s != stamps[i] {
+					h := c.HealthHash(w)
+					if h == hashes[i] {
 						continue
 					}
-					stampHolds++
-					if h != hashes[i] {
+					if !attached {
+						faultFreeMoves++
+					}
+					if s == stamp {
 						t.Fatalf("step %d: HealthHash(%v) moved %#x → %#x, HealthStamp held at %d", step, w, hashes[i], h, s)
 					}
 				}
+				stamp = s
 				observe()
 			}
-			if hashMoves == 0 || stampHolds == 0 {
-				t.Errorf("vacuous run: %d hash moves, %d held stamps", hashMoves, stampHolds)
+			if faultFreeMoves == 0 || stampHolds == 0 {
+				t.Errorf("vacuous run: %d hash moves without faults, %d held stamps", faultFreeMoves, stampHolds)
 			}
 		})
 	}
@@ -93,35 +101,39 @@ func patterns(src *randx.Source, w, h int) []geom.Rect {
 	return ps
 }
 
-// TestHealthStampIsMonotone checks that stamps start positive, only grow, and
-// that a window's stamp holds when nothing in its tiles happens.
+// TestHealthStampIsMonotone checks that the stamp starts positive, only
+// grows, holds across an actuation that changes no code of a fault-free chip,
+// and moves on every actuation while a fault model is attached.
 func TestHealthStampIsMonotone(t *testing.T) {
-	cfg := chip.Default()
-	c, err := chip.New(cfg, randx.New(1))
+	c, err := chip.New(chip.Default(), randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, far := c.Bounds(), geom.Rect{XA: 41, YA: 17, XB: 60, YB: 30}
-	s0 := c.HealthStamp(all)
+	s0 := c.HealthStamp()
 	if s0 == 0 {
 		t.Fatal("fresh chip has a zero stamp")
 	}
-	if s := c.HealthStamp(geom.Rect{XA: -9, YA: -9, XB: 0, YB: 0}); s != 0 {
-		t.Errorf("off-chip stamp %d, want 0", s)
+	// A pristine default cell keeps code 3 for dozens of actuations.
+	c.Actuate(geom.Rect{XA: 1, YA: 1, XB: 4, YB: 4})
+	if s := c.HealthStamp(); s != s0 {
+		t.Errorf("stamp moved %d → %d on an actuation that changed no code", s0, s)
 	}
-	farStamp := c.HealthStamp(far)
 	for i := 0; i < 2000; i++ {
 		c.Actuate(geom.Rect{XA: 1, YA: 1, XB: 4, YB: 4})
 	}
-	s1 := c.HealthStamp(all)
+	s1 := c.HealthStamp()
 	if s1 <= s0 {
 		t.Errorf("stamp %d after 2000 actuations, was %d", s1, s0)
 	}
-	if s := c.HealthStamp(far); s != farStamp {
-		t.Errorf("untouched window's stamp moved %d → %d", farStamp, s)
-	}
 	c.AttachFaults(nil)
-	if s := c.HealthStamp(far); s <= s1 {
-		t.Errorf("AttachFaults left the stamp at %d (was %d)", s, s1)
+	s2 := c.HealthStamp()
+	if s2 <= s1 {
+		t.Errorf("AttachFaults left the stamp at %d (was %d)", s2, s1)
+	}
+	c.AttachFaults(fault.New(fault.Plan{Seed: 1}, c.W(), c.H()))
+	s3 := c.HealthStamp()
+	c.Actuate(geom.Rect{XA: 30, YA: 10, XB: 31, YB: 11})
+	if s := c.HealthStamp(); s <= s3 {
+		t.Errorf("actuation with a fault model attached left the stamp at %d (was %d)", s, s3)
 	}
 }

@@ -9,7 +9,7 @@ import "meda/internal/telemetry"
 // several times per operational cycle — these are observation counts, not
 // distinct faults). Reads follow the executor's health checks, so they fall
 // when it reads less: it re-hashes a job's window only when the chip's
-// health stamp for it has moved, and a window it does not re-read adds no
+// health stamp has moved, and a window it does not re-read adds no
 // fault.reads.* observations. Control-plane injections are counted where
 // they take effect, in sched (sched.fault.*).
 var (

@@ -8,6 +8,6 @@ import (
 )
 
 // assertHashHeld is a no-op in regular builds; under the medacheck tag it
-// re-hashes a window whose health stamp has not moved and compares
+// re-hashes a window although the health stamp has not moved and compares
 // (assert_medacheck.go).
 func assertHashHeld(*chip.Chip, geom.Rect, uint64) {}

@@ -225,8 +225,8 @@ type jobRT struct {
 	mo     int
 	policy synth.Policy
 	hash   uint64 // health hash the current policy was built from
-	// stamp is the chip's HealthStamp over the hazard window when hash
-	// was last known to hold: resynthesize re-hashes only once it moves.
+	// stamp is the chip's HealthStamp when hash was last known to hold:
+	// resynthesize re-hashes the hazard window only once it moves.
 	// It is only ever compared against the chip it was taken from, which
 	// a run never swaps (serve.UploadChipHealth replaces a chip only
 	// between jobs).
@@ -616,8 +616,8 @@ func (s *run) enforceDeadlines() {
 
 // resynthesize is phase 2, asynchronous re-synthesis (Alg. 3): refresh the
 // strategies whose region's health changed or that ran into an obstruction,
-// resynthDelay cycles after the trigger. A window is re-hashed only when its
-// health stamp has moved since its hash last matched.
+// resynthDelay cycles after the trigger. A window is re-hashed only when the
+// chip's health stamp has moved since its hash last matched.
 func (s *run) resynthesize() {
 	for _, m := range s.mos {
 		if m.state != moActive {
@@ -629,7 +629,7 @@ func (s *run) resynthesize() {
 			}
 			dirty := j.obstacleDirty
 			if s.Router.HealthAware() && j.routable && !dirty {
-				if st := s.Chip.HealthStamp(j.rj.Hazard); st != j.stamp {
+				if st := s.Chip.HealthStamp(); st != j.stamp {
 					dirty = s.Chip.HealthHash(j.rj.Hazard) != j.hash
 					if !dirty {
 						j.stamp = st
@@ -1159,7 +1159,7 @@ func (s *run) fetch(j *jobRT) {
 	} else {
 		policy, _, err = s.Router.Route(rj, s.Chip, obstacles)
 	}
-	j.hash, j.stamp = s.Chip.HealthHash(j.rj.Hazard), s.Chip.HealthStamp(j.rj.Hazard)
+	j.hash, j.stamp = s.Chip.HealthHash(j.rj.Hazard), s.Chip.HealthStamp()
 	j.nextTry = s.k + s.Cfg.MinResynthInterval
 	j.pending = false
 	j.obstacleDirty = false
