@@ -116,7 +116,7 @@ ci: verify fuzz faulttrial
 BENCH_OUT ?= BENCH_synthesis.json
 bench:
 	$(GO) run ./cmd/medabench -out $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkTableVSynthesisParallel|BenchmarkAblationResynthesisCache' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkAblationResynthesisCache' -benchmem .
 
 # Local bench-regression gate: regenerate the report into a scratch file and
 # compare it against the committed baseline (warn +25%, fail 2x).

@@ -13,7 +13,6 @@ import (
 	"meda/internal/assay"
 	"meda/internal/chip"
 	"meda/internal/exp"
-	"meda/internal/mdp"
 	"meda/internal/randx"
 	"meda/internal/route"
 	"meda/internal/sched"
@@ -115,37 +114,6 @@ func BenchmarkTableVSynthesis(b *testing.B) {
 					}
 				})
 		}
-	}
-}
-
-// BenchmarkTableVSynthesisParallel compares the solver methods on the
-// largest Table V row (30×30 area, 4×4 droplet): "gauss-seidel" is the
-// default solver and "jacobi-seq" its differential reference.
-func BenchmarkTableVSynthesisParallel(b *testing.B) {
-	worn := func(x, y int) float64 { return 0.81 }
-	rj := route.RJ{
-		Start:  meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
-		Goal:   meda.Rect{XA: 27, YA: 27, XB: 30, YB: 30},
-		Hazard: meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
-	}
-	variants := []struct {
-		name   string
-		method mdp.SolverMethod
-	}{
-		{"gauss-seidel", mdp.GaussSeidel},
-		{"jacobi-seq", mdp.Jacobi},
-	}
-	for _, v := range variants {
-		opt := synth.DefaultOptions()
-		opt.Solver.Method = v.method
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := synth.Synthesize(rj, worn, opt)
-				if err != nil || !res.Exists() {
-					b.Fatalf("synthesis failed: %v", err)
-				}
-			}
-		})
 	}
 }
 
@@ -271,34 +239,6 @@ func BenchmarkAblationQuery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationSolver compares Gauss–Seidel and Jacobi value iteration
-// on a 30×30 routing model.
-func BenchmarkAblationSolver(b *testing.B) {
-	worn := func(x, y int) float64 { return 0.81 }
-	model, err := smg.Induce(
-		meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
-		meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
-		meda.Rect{XA: 27, YA: 27, XB: 30, YB: 30},
-		worn, smg.DefaultModelOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, method := range []mdp.SolverMethod{mdp.GaussSeidel, mdp.Jacobi} {
-		b.Run(method.String(), func(b *testing.B) {
-			var iters int
-			for i := 0; i < b.N; i++ {
-				res, err := model.M.MinExpectedReward(model.Goal, model.Hazard,
-					mdp.SolveOptions{Method: method})
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = res.Iterations
-			}
-			b.ReportMetric(float64(iters), "iterations")
 		})
 	}
 }

@@ -7,16 +7,16 @@
 // spread. The suite covers the synthesis hot path of Table V (model
 // construction + value iteration), cold vs pooled-arena model construction,
 // construction over a worn chip's observed health rather than a constant
-// field, the solver comparison (gauss-seidel against its jacobi reference,
-// and gauss-seidel on a healthy window worn along a band, where most
-// choices are deterministic), a policy lookup, the whole synthesis of an
-// obstructed job on a healthy chip (the unit path), the cold-vs-warm
-// strategy cache for re-synthesis, a Library hit on a rotated job, the
-// D4-canonical cache serving a whole symmetry class of jobs from one
-// synthesis, an obstructed window served from the cache, journaling the
-// end of a job (serve.Store), the sequential-vs-concurrent assay executor
-// with the adaptive router on a contention-heavy generated workload, and
-// actuating a droplet-sized pattern on a default and a near-immortal chip.
+// field, the solver on a uniformly worn window and on a healthy window
+// worn along a band (where most choices are deterministic), a policy
+// lookup, the whole synthesis of an obstructed job on a healthy chip (the
+// unit path), the cold-vs-warm strategy cache for re-synthesis, a Library
+// hit on a rotated job, the D4-canonical cache serving a whole symmetry
+// class of jobs from one synthesis, an obstructed window served from the
+// cache, journaling the end of a job (serve.Store), the
+// sequential-vs-concurrent assay executor with the adaptive router on a
+// contention-heavy generated workload, and actuating a droplet-sized
+// pattern on a default and a near-immortal chip.
 // Derived ratios (warm_cache_speedup, pooled_construction_speedup,
 // canonicalization_hit_rate, concurrent_cycle_reduction) are computed from
 // the same runs; solver_worn_band_gathered_share is the share of the band
@@ -202,8 +202,7 @@ func main() {
 		}
 	})
 
-	// Solver comparison on one 30×30 model: Gauss-Seidel (the default) and
-	// Jacobi (its differential reference).
+	// The solver on one uniformly worn 30×30 model.
 	model, err := smg.Induce(
 		meda.Rect{XA: 1, YA: 1, XB: 30, YB: 30},
 		meda.Rect{XA: 1, YA: 1, XB: 4, YB: 4},
@@ -222,8 +221,7 @@ func main() {
 			}
 		}
 	}
-	record(rep, "solver/gauss-seidel", solve(model, mdp.SolveOptions{Method: mdp.GaussSeidel}))
-	record(rep, "solver/jacobi-seq", solve(model, mdp.SolveOptions{Method: mdp.Jacobi}))
+	record(rep, "solver/gauss-seidel", solve(model, mdp.SolveOptions{}))
 	// The same job over a healthy window worn along its diagonal, the way
 	// repeated routing wears a chip: the choices whose frontiers miss the
 	// band are deterministic, and the solver gathers them into one min per
@@ -249,7 +247,7 @@ func main() {
 		gathered += int(view.StateOff[s+1] - view.DetOff[s])
 	}
 	rep.Derived["solver_worn_band_gathered_share"] = float64(gathered) / float64(view.StateOff[view.NumStates])
-	record(rep, "solver/gauss-seidel-worn-band", solve(bandModel, mdp.SolveOptions{Method: mdp.GaussSeidel}))
+	record(rep, "solver/gauss-seidel-worn-band", solve(bandModel, mdp.SolveOptions{}))
 
 	// Serving a strategy: one Policy.Lookup per droplet position per cycle
 	// in the executor, here cycling over every position the band job's

@@ -442,21 +442,3 @@ func (c *Chip) UniformHealth(region geom.Rect) (int, bool) {
 	}
 	return code, true
 }
-
-// MinHealth returns the minimum observed health code within region (clipped
-// to the chip); returns 2^b−1 for an empty region.
-func (c *Chip) MinHealth(region geom.Rect) int {
-	minH := 1<<uint(c.bits) - 1
-	r, ok := region.Intersect(c.Bounds())
-	if !ok {
-		return minH
-	}
-	for y := r.YA; y <= r.YB; y++ {
-		for x := r.XA; x <= r.XB; x++ {
-			if h := c.Health(x, y); h < minH {
-				minH = h
-			}
-		}
-	}
-	return minH
-}

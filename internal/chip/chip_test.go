@@ -226,22 +226,28 @@ func TestHealthHashDetectsChange(t *testing.T) {
 	}
 }
 
-func TestMinHealth(t *testing.T) {
+// TestUniformHealth: a fresh window is uniform at the top code, a worn
+// cell breaks the uniformity of every window around it and a window inside
+// the wear is uniform at code 0, and an empty or off-chip region is
+// vacuously uniform at the top code.
+func TestUniformHealth(t *testing.T) {
 	cfg := Default()
 	cfg.Normal = degrade.ParamRange{Tau1: 0.1, Tau2: 0.2, C1: 10, C2: 20}
 	c := newTestChip(t, cfg, 10)
-	if got := c.MinHealth(rect(1, 1, 10, 10)); got != 3 {
-		t.Errorf("fresh MinHealth = %d, want 3", got)
+	if code, uniform := c.UniformHealth(rect(1, 1, 10, 10)); !uniform || code != 3 {
+		t.Errorf("fresh UniformHealth = (%d, %v), want (3, true)", code, uniform)
 	}
 	for i := 0; i < 200; i++ {
 		c.Actuate(rect(4, 4, 5, 5))
 	}
-	if got := c.MinHealth(rect(1, 1, 10, 10)); got != 0 {
-		t.Errorf("worn MinHealth = %d, want 0", got)
+	if code, uniform := c.UniformHealth(rect(1, 1, 10, 10)); uniform {
+		t.Errorf("worn window reads uniform at %d", code)
 	}
-	// Empty/off-chip region returns the top code.
-	if got := c.MinHealth(rect(200, 200, 210, 210)); got != 3 {
-		t.Errorf("off-chip MinHealth = %d, want 3", got)
+	if code, uniform := c.UniformHealth(rect(4, 4, 5, 5)); !uniform || code != 0 {
+		t.Errorf("worn UniformHealth = (%d, %v), want (0, true)", code, uniform)
+	}
+	if code, uniform := c.UniformHealth(rect(200, 200, 210, 210)); !uniform || code != 3 {
+		t.Errorf("off-chip UniformHealth = (%d, %v), want (3, true)", code, uniform)
 	}
 }
 
@@ -333,7 +339,7 @@ func (m *flipModel) SensedHealth(x, y, n, h, bits int) int {
 
 // TestAttachFaultsOverlaysReads: an attached fault model perturbs both
 // Degradation (and therefore Force and TrueForceField) and Health (and
-// therefore HealthHash, MinHealth, ObservedForceField); detaching restores
+// therefore HealthHash, UniformHealth, ObservedForceField); detaching restores
 // fault-free reads.
 func TestAttachFaultsOverlaysReads(t *testing.T) {
 	c := newTestChip(t, Default(), 5)
@@ -354,8 +360,8 @@ func TestAttachFaultsOverlaysReads(t *testing.T) {
 	if c.HealthHash(c.Bounds()) == cleanHash {
 		t.Error("health hash unchanged under a health-perturbing fault model")
 	}
-	if got := c.MinHealth(c.Bounds()); got != cleanH-1 {
-		t.Errorf("faulted MinHealth = %d, want %d", got, cleanH-1)
+	if code, uniform := c.UniformHealth(c.Bounds()); !uniform || code != cleanH-1 {
+		t.Errorf("faulted UniformHealth = (%d, %v), want (%d, true)", code, uniform, cleanH-1)
 	}
 	if m.physCalls == 0 || m.senseCalls == 0 {
 		t.Error("fault model never consulted")

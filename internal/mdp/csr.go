@@ -11,11 +11,10 @@
 // backed up again only after a successor's value changed. The Bellman
 // backups take a state's deterministic choices as one min (max) over their
 // successors' values and walk the transitions of the others. One index
-// pass builds all of this once per model. Gauss-Seidel, the
-// default solver, alternates sweep direction each iteration so value
+// pass builds all of this once per model. Value iteration is Gauss-Seidel,
+// in place, alternating sweep direction each iteration so value
 // information propagates end to end regardless of how state ids are ordered
-// relative to the goal; Jacobi sweeps from the previous iterate and serves
-// as its differential reference.
+// relative to the goal.
 package mdp
 
 import (
@@ -74,7 +73,6 @@ type csr struct {
 	// Builder-recycled model pays no per-solve allocations for it. The
 	// slabs are private to one solve at a time: a model shares them with
 	// its Builder, so it must not be solved concurrently.
-	scrDst    []float64 // jacobi ping-pong buffer
 	scrFrozen []bool
 	scrInU    []bool  // prob1E: candidate set U
 	scrInR    []bool  // prob1E: reach closure R
@@ -337,81 +335,22 @@ func (g *csr) bellmanMinSL(s int, src []float64) float64 {
 // value it needs no allocation to pass. The backup of s never reads src[s].
 type backupFunc func(g *csr, s int, src []float64) float64
 
-// jacobiSweep computes dst[s] = bellman(g, s, src) for all non-frozen states
-// (frozen states copy through). It returns the max-norm residual and the
-// smallest state id attaining it.
-func (g *csr) jacobiSweep(frozen []bool, src, dst []float64, bellman backupFunc) (float64, int) {
-	delta, worst := 0.0, -1
-	for s := 0; s < g.n; s++ {
-		if frozen[s] {
-			dst[s] = src[s]
-			continue
-		}
-		v := bellman(g, s, src)
-		dst[s] = v
-		if d := math.Abs(v - src[s]); d > delta {
-			delta = d
-			worst = s
-		}
-	}
-	return delta, worst
-}
-
 // iterate runs value iteration over the CSR model until the max-norm
-// residual drops below eps, with Gauss-Seidel updating vals in place and
-// Jacobi ping-ponging two buffers. On success the converged values are in vals and the
-// iteration count is returned; on exhaustion it returns a
-// *ConvergenceError naming the worst state. Sweep and backup counts and the
-// final residual feed the solver telemetry.
+// residual drops below eps: sequential in-place Gauss-Seidel sweeps,
+// alternating direction, that back up only dirty states. A
+// self-loop-eliminated backup of s reads the values of the other states its
+// choices reach with positive probability (zero-probability edges add +0 to
+// a Max backup whatever their successor's value in [0, 1], and Min backups
+// skip them), so s stays clean until one of those values changes its bits:
+// its backup would recompute the bits it already holds, and skipping it
+// leaves vals, the residual, the worst state and the sweep count exactly
+// those of full sweeps. A changed value re-dirties its predecessors.
+//
+// On success the converged values are in vals and the iteration count is
+// returned; on exhaustion it returns a *ConvergenceError naming the worst
+// state. Sweep and backup counts and the final residual feed the solver
+// telemetry.
 func (g *csr) iterate(vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, error) {
-	iters, backups, delta, err := g.iterateRaw(vals, frozen, opt, bellman)
-	telSolves.Inc()
-	telSweeps.Add(int64(iters))
-	telBackups.Add(int64(backups))
-	telSweepsPerSolve.Observe(float64(iters))
-	telResidual.Set(delta)
-	return iters, err
-}
-
-// iterateRaw is iterate without telemetry, additionally reporting the number
-// of Bellman backups evaluated and the final max-norm residual.
-func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, int, float64, error) {
-	if opt.Method == Jacobi {
-		live := 0
-		for s := 0; s < g.n; s++ {
-			if !frozen[s] {
-				live++
-			}
-		}
-		src := vals
-		dst := growF(g.scrDst, g.n)
-		g.scrDst = dst
-		for iters := 0; iters < opt.MaxIter; iters++ {
-			delta, worst := g.jacobiSweep(frozen, src, dst, bellman)
-			src, dst = dst, src
-			// src holds the latest iterate; after an even number of
-			// sweeps it is vals itself, and copying a slice onto itself
-			// is a no-op.
-			if delta < opt.Eps {
-				copy(vals, src)
-				return iters + 1, (iters + 1) * live, delta, nil
-			}
-			if iters == opt.MaxIter-1 {
-				copy(vals, src)
-				return iters + 1, (iters + 1) * live, delta, g.convergenceError(worst, delta, opt.MaxIter)
-			}
-		}
-		return 0, 0, math.Inf(1), g.convergenceError(-1, math.Inf(1), opt.MaxIter)
-	}
-	// Gauss-Seidel: sequential in-place sweeps, alternating direction, that
-	// back up only dirty states. A self-loop-eliminated backup of s reads
-	// the values of the other states its choices reach with positive
-	// probability (zero-probability edges add +0 to a Max backup whatever
-	// their successor's value in [0, 1], and Min backups skip them), so s
-	// stays clean until one of those values changes its bits: its backup
-	// would recompute the bits it already holds, and skipping it leaves
-	// vals, the residual, the worst state and the sweep count exactly those
-	// of full sweeps. A changed value re-dirties its predecessors.
 	g.index()
 	predOff, preds := g.predOff, g.preds
 	dirty := growB(g.scrDirty, g.n)
@@ -420,8 +359,9 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellma
 		dirty[s] = true
 	}
 	backups := 0
-	for iters := 0; iters < opt.MaxIter; iters++ {
-		delta, worst := 0.0, -1
+	iters, delta, worst := 0, math.Inf(1), -1
+	for iters < opt.MaxIter {
+		delta, worst = 0, -1
 		s, end, step := 0, g.n, 1
 		if iters%2 == 1 {
 			s, end, step = g.n-1, -1, -1
@@ -445,14 +385,20 @@ func (g *csr) iterateRaw(vals []float64, frozen []bool, opt SolveOptions, bellma
 				dirty[p] = true
 			}
 		}
+		iters++
 		if delta < opt.Eps {
-			return iters + 1, backups, delta, nil
-		}
-		if iters == opt.MaxIter-1 {
-			return iters + 1, backups, delta, g.convergenceError(worst, delta, opt.MaxIter)
+			break
 		}
 	}
-	return 0, 0, math.Inf(1), g.convergenceError(-1, math.Inf(1), opt.MaxIter)
+	telSolves.Inc()
+	telSweeps.Add(int64(iters))
+	telBackups.Add(int64(backups))
+	telSweepsPerSolve.Observe(float64(iters))
+	telResidual.Set(delta)
+	if delta < opt.Eps {
+		return iters, nil
+	}
+	return iters, g.convergenceError(worst, delta, opt.MaxIter)
 }
 
 // convergenceError labels an exhausted iteration with the state that was

@@ -167,7 +167,7 @@ func TestProb1EMatchesReference(t *testing.T) {
 }
 
 // TestJacobiMatchesGaussSeidelRandomized is the differential test of the CSR
-// engine: on randomized MDPs, the Jacobi solver must agree with Gauss-Seidel
+// engine: on randomized MDPs, the jacobi reference must agree with the solver
 // — values within tolerance, and identical strategy picks wherever the
 // optimum is unique by a clear margin. A model keeps its solver index and
 // scratch across solves, so one built model solved for Rmin, then Pmax,
@@ -177,14 +177,13 @@ func TestJacobiMatchesGaussSeidelRandomized(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		cs, target, avoid := randomLabeled(30+src.IntN(70), src.SplitN("mdp", trial))
 		m := pack(cs)
-		gs := SolveOptions{Method: GaussSeidel, Eps: 1e-12}
-		jac := SolveOptions{Method: Jacobi, Eps: 1e-12}
+		gs := SolveOptions{Eps: 1e-12}
 
 		rg, err := m.MaxReachProb(target, avoid, gs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rj, err := m.MaxReachProb(target, avoid, jac)
+		rj, err := m.maxReachProb(target, avoid, gs, jacobi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +193,7 @@ func TestJacobiMatchesGaussSeidelRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ej, err := m.MinExpectedReward(target, avoid, jac)
+		ej, err := m.minExpectedReward(target, avoid, gs, jacobi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,24 +275,22 @@ func TestConvergenceErrorDetail(t *testing.T) {
 		goal: {{Action: -1, Transitions: []Transition{{To: goal, P: 1}}}},
 	})
 	target := []bool{false, false, true}
-	for _, method := range []SolverMethod{GaussSeidel, Jacobi} {
-		_, err := m.MinExpectedReward(target, nil, SolveOptions{Method: method, MaxIter: 3})
-		if !errors.Is(err, ErrNoConvergence) {
-			t.Fatalf("%v: err = %v, want ErrNoConvergence", method, err)
-		}
-		var ce *ConvergenceError
-		if !errors.As(err, &ce) {
-			t.Fatalf("%v: err = %v, want *ConvergenceError", method, err)
-		}
-		if ce.State != a && ce.State != b {
-			t.Errorf("%v: offending state = %d, want %d or %d", method, ce.State, a, b)
-		}
-		if ce.Action != 7 && ce.Action != 8 {
-			t.Errorf("%v: offending action = %d, want 7 or 8", method, ce.Action)
-		}
-		if ce.Iterations != 3 || ce.Delta <= 0 {
-			t.Errorf("%v: iterations=%d delta=%v", method, ce.Iterations, ce.Delta)
-		}
+	_, err := m.MinExpectedReward(target, nil, SolveOptions{MaxIter: 3})
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	var ce *ConvergenceError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want *ConvergenceError", err)
+	}
+	if ce.State != a && ce.State != b {
+		t.Errorf("offending state = %d, want %d or %d", ce.State, a, b)
+	}
+	if ce.Action != 7 && ce.Action != 8 {
+		t.Errorf("offending action = %d, want 7 or 8", ce.Action)
+	}
+	if ce.Iterations != 3 || ce.Delta <= 0 {
+		t.Errorf("iterations=%d delta=%v", ce.Iterations, ce.Delta)
 	}
 }
 

@@ -92,6 +92,49 @@ func fullSweepGS(backups *int, ref backupFunc) viFunc {
 	}
 }
 
+// jacobi is the differential reference for csr.iterate: value iteration
+// with synchronous sweeps, every non-frozen state backed up from the
+// previous iterate with the solve's own backup. It reaches the fixpoint by
+// another order of updates, so it agrees with Gauss-Seidel within the
+// convergence tolerance, not bit for bit.
+func jacobi(g *csr, vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, error) {
+	src, dst := vals, make([]float64, g.n)
+	for iters := 1; iters <= opt.MaxIter; iters++ {
+		delta, worst := 0.0, -1
+		for s := range dst {
+			if frozen[s] {
+				dst[s] = src[s]
+				continue
+			}
+			v := bellman(g, s, src)
+			dst[s] = v
+			if d := math.Abs(v - src[s]); d > delta {
+				delta = d
+				worst = s
+			}
+		}
+		src, dst = dst, src
+		// src holds the latest iterate; after an even number of sweeps it
+		// is vals itself, and copying a slice onto itself is a no-op.
+		if delta < opt.Eps {
+			copy(vals, src)
+			return iters, nil
+		}
+		if iters == opt.MaxIter {
+			copy(vals, src)
+			return iters, g.convergenceError(worst, delta, opt.MaxIter)
+		}
+	}
+	return 0, g.convergenceError(-1, math.Inf(1), opt.MaxIter)
+}
+
+// JacobiMinExpectedReward exposes MinExpectedReward over the jacobi
+// reference to the external tests and benchmarks that compare it with the
+// solver on the routing models of the benchmark assays.
+func JacobiMinExpectedReward(m *MDP, target, avoid []bool, opt SolveOptions) (Result, error) {
+	return m.minExpectedReward(target, avoid, opt, jacobi)
+}
+
 // exactStats tallies what diffSolves compared: the Bellman backups the
 // production solves and the full-sweep reference evaluated, and the solves
 // that ran out of iterations.
@@ -104,7 +147,6 @@ type exactStats struct{ Backups, FullBackups, Exhausted int }
 // solves are bit-identical.
 func diffSolves(m *MDP, target, avoid []bool, opt SolveOptions) (exactStats, error) {
 	var st exactStats
-	opt.Method = GaussSeidel
 	for _, q := range []struct {
 		name string
 		prod func(target, avoid []bool, opt SolveOptions) (Result, error)

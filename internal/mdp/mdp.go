@@ -130,32 +130,8 @@ func (st Strategy) Action(m *MDP, s StateID) (int, bool) {
 	return int(m.g.actions[int(m.g.stateOff[s])+st[s]]), true
 }
 
-// SolverMethod selects the value-iteration flavor.
-type SolverMethod int
-
-const (
-	// GaussSeidel updates values in place with alternating-direction
-	// sweeps, typically converging in the fewest wall-clock cycles; this is
-	// the default.
-	GaussSeidel SolverMethod = iota
-	// Jacobi performs synchronous sweeps from the previous iterate; it is
-	// the differential reference for Gauss-Seidel.
-	Jacobi
-)
-
-// String names the method.
-func (m SolverMethod) String() string {
-	switch m {
-	case Jacobi:
-		return "jacobi"
-	default:
-		return "gauss-seidel"
-	}
-}
-
 // SolveOptions tunes the iterative solvers.
 type SolveOptions struct {
-	Method  SolverMethod
 	Eps     float64 // convergence threshold on the max-norm; default 1e-9
 	MaxIter int     // iteration cap; default 1e6
 }
@@ -215,7 +191,7 @@ func (m *MDP) MaxReachProb(target, avoid []bool, opt SolveOptions) (Result, erro
 
 // viFunc runs value iteration over g to convergence (see csr.iterate, the
 // solvers' only one). The solve bodies take it as a parameter so that the
-// exactness tests can run them over a full-sweep reference.
+// tests can run them over the reference loops of exact_test.go.
 type viFunc func(g *csr, vals []float64, frozen []bool, opt SolveOptions, bellman backupFunc) (int, error)
 
 func (m *MDP) maxReachProb(target, avoid []bool, opt SolveOptions, vi viFunc) (Result, error) {

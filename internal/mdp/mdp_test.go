@@ -255,11 +255,11 @@ func TestAvoidOverridesTarget(t *testing.T) {
 func TestJacobiMatchesGaussSeidel(t *testing.T) {
 	src := randx.New(99)
 	m, target := randomMDP(src, 60, 3)
-	gs, err := m.MinExpectedReward(target, nil, SolveOptions{Method: GaussSeidel})
+	gs, err := m.MinExpectedReward(target, nil, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jc, err := m.MinExpectedReward(target, nil, SolveOptions{Method: Jacobi})
+	jc, err := m.minExpectedReward(target, nil, SolveOptions{}, jacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +272,11 @@ func TestJacobiMatchesGaussSeidel(t *testing.T) {
 			t.Fatalf("value mismatch at %d: %v vs %v", s, a, b)
 		}
 	}
-	pg, err := m.MaxReachProb(target, nil, SolveOptions{Method: GaussSeidel})
+	pg, err := m.MaxReachProb(target, nil, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := m.MaxReachProb(target, nil, SolveOptions{Method: Jacobi})
+	pj, err := m.maxReachProb(target, nil, SolveOptions{}, jacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,12 +389,6 @@ func TestLabelLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestSolverMethodString(t *testing.T) {
-	if GaussSeidel.String() != "gauss-seidel" || Jacobi.String() != "jacobi" {
-		t.Error("method names wrong")
-	}
-}
-
 func TestDeadlockStateHandled(t *testing.T) {
 	const s0, dead, goal = 0, 1, 2
 	m := pack([][]Choice{
@@ -421,22 +415,26 @@ func TestDeadlockStateHandled(t *testing.T) {
 	}
 }
 
-// An empty model solves to empty results under both queries and both
-// methods.
+// An empty model solves to empty results under both queries, with the
+// solver and with the jacobi reference.
 func TestEmptyModel(t *testing.T) {
-	for _, method := range []SolverMethod{GaussSeidel, Jacobi} {
-		opt := SolveOptions{Method: method}
-		for name, solve := range map[string]func([]bool, []bool, SolveOptions) (Result, error){
-			"Rmin": pack(nil).MinExpectedReward,
-			"Pmax": pack(nil).MaxReachProb,
-		} {
-			res, err := solve(nil, nil, opt)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, method, err)
-			}
-			if len(res.Values) != 0 || len(res.Strategy) != 0 {
-				t.Errorf("%s %v: %d values, %d strategy entries", name, method, len(res.Values), len(res.Strategy))
-			}
+	m := pack(nil)
+	for name, solve := range map[string]func([]bool, []bool, SolveOptions) (Result, error){
+		"Rmin": m.MinExpectedReward,
+		"Pmax": m.MaxReachProb,
+		"Rmin jacobi": func(target, avoid []bool, opt SolveOptions) (Result, error) {
+			return m.minExpectedReward(target, avoid, opt, jacobi)
+		},
+		"Pmax jacobi": func(target, avoid []bool, opt SolveOptions) (Result, error) {
+			return m.maxReachProb(target, avoid, opt, jacobi)
+		},
+	} {
+		res, err := solve(nil, nil, SolveOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Values) != 0 || len(res.Strategy) != 0 {
+			t.Errorf("%s: %d values, %d strategy entries", name, len(res.Values), len(res.Strategy))
 		}
 	}
 }

@@ -12,7 +12,7 @@ var (
 	telSolves = telemetry.C("mdp.vi.solves")
 	telSweeps = telemetry.C("mdp.vi.sweeps")
 	// telBackups accumulates the Bellman backups the solves evaluated.
-	// Gauss-Seidel skips the backups of states none of whose successors
+	// The change-driven sweeps skip the backups of states none of whose successors
 	// changed, so 1 − backups/(sweeps × live states) is the skipped share.
 	// It is added once per solve.
 	telBackups = telemetry.C("mdp.vi.backups")

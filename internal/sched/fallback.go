@@ -28,18 +28,16 @@ type FallbackStats struct {
 
 // Fallback is the graceful-degradation ladder as a Router: it serves routes
 // from Primary (typically the Adaptive router, whose own ladder is library →
-// cache → online synthesis), retries the primary up to MaxRetries times on
-// failure — which turns an injected synthesis timeout into a fresh draw —
-// and finally degrades to Final (typically the health-blind Baseline), which
-// always produces *some* strategy on a connected chip. Jobs the simulator
-// has marked degraded skip the primary entirely via RouteDegraded. Every
-// escalation is recorded in telemetry (sched.fallback.*).
+// cache → online synthesis), retries the primary up to DefaultMaxRetries
+// times on failure — which turns an injected synthesis timeout into a fresh
+// draw — and finally degrades to Final (typically the health-blind
+// Baseline), which always produces *some* strategy on a connected chip.
+// Jobs the simulator has marked degraded skip the primary entirely via
+// RouteDegraded. Every escalation is recorded in telemetry
+// (sched.fallback.*).
 type Fallback struct {
 	Primary Router
 	Final   Router
-	// MaxRetries bounds primary re-attempts per Route call; zero or
-	// negative means DefaultMaxRetries.
-	MaxRetries int
 
 	mu             sync.Mutex
 	retries        int
@@ -49,7 +47,7 @@ type Fallback struct {
 
 // NewFallback wires primary with a final-tier router.
 func NewFallback(primary, final Router) *Fallback {
-	return &Fallback{Primary: primary, Final: final, MaxRetries: DefaultMaxRetries}
+	return &Fallback{Primary: primary, Final: final}
 }
 
 // Name implements Router.
@@ -58,13 +56,6 @@ func (f *Fallback) Name() string { return f.Primary.Name() + "+fallback" }
 // HealthAware implements Router: the ladder is as health-aware as its
 // primary tier.
 func (f *Fallback) HealthAware() bool { return f.Primary.HealthAware() }
-
-func (f *Fallback) maxRetries() int {
-	if f.MaxRetries > 0 {
-		return f.MaxRetries
-	}
-	return DefaultMaxRetries
-}
 
 // Route implements Router with bounded retries and final-tier degradation.
 func (f *Fallback) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synth.Policy, float64, error) {
@@ -83,7 +74,7 @@ func (f *Fallback) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 			// tier may still find a physically workable route.
 			break
 		}
-		if attempt >= f.maxRetries() {
+		if attempt >= DefaultMaxRetries {
 			break
 		}
 		f.mu.Lock()

@@ -92,7 +92,7 @@ func TestFallbackRecoversOnRetry(t *testing.T) {
 }
 
 // TestFallbackExhaustsRetriesThenFinal: a primary that never succeeds is
-// retried MaxRetries times and then the final tier serves the route.
+// retried DefaultMaxRetries times and then the final tier serves the route.
 func TestFallbackExhaustsRetriesThenFinal(t *testing.T) {
 	prim := &scriptedRouter{failures: 1 << 30}
 	f := NewFallback(prim, NewBaseline())

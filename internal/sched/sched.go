@@ -368,8 +368,13 @@ func (a *Adaptive) release(key CacheKey, done chan struct{}) {
 // on every call.
 func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synth.Policy, float64, error) {
 	rj = synth.NormalizeDispense(rj, c.W(), c.H())
-	top := 1<<uint(c.HealthBits()) - 1
-	healthy := len(obstacles) == 0 && c.MinHealth(rj.Hazard) == top
+	// One scan of an unobstructed window serves both stores: the window is
+	// healthy when it is uniform at the top code.
+	code, uniform := 0, false
+	if len(obstacles) == 0 {
+		code, uniform = c.UniformHealth(rj.Hazard)
+	}
+	healthy := uniform && code == 1<<uint(c.HealthBits())-1
 	if a.Lib != nil && healthy {
 		return a.singleFlight(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), &a.LibraryUses,
 			func() (synth.Policy, float64, bool) { return a.Lib.Lookup(rj) },
@@ -379,7 +384,7 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 	opt := a.Opt
 	opt.Model.Blocked = obstacles
 	if a.Cache != nil {
-		key, tf, canon := a.cacheKeyFor(rj, c, obstacles)
+		key, tf, canon := a.cacheKeyFor(rj, c, obstacles, code, uniform)
 		lookup := func() (synth.Policy, float64, bool) {
 			p, v, ok := a.Cache.Lookup(key)
 			if !ok {
@@ -468,14 +473,13 @@ func (a *Adaptive) synthesize(key CacheKey, rj route.RJ, field action.ForceField
 // the D4-canonical per-shape key when the window is unobstructed and its
 // observed health uniform (every translated/rotated/reflected window of
 // the same shape and level shares the entry), the raw per-position key
-// with the obstacle signature otherwise. canon reports which form was
-// chosen; tf is meaningful only when canon is true.
-func (a *Adaptive) cacheKeyFor(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (key CacheKey, tf synth.Transform, canon bool) {
-	if len(obstacles) == 0 {
-		if code, uniform := c.UniformHealth(rj.Hazard); uniform {
-			key, tf = NewCanonicalCacheKey(rj, a.Opt, code)
-			return key, tf, true
-		}
+// with the obstacle signature otherwise. (code, uniform) is the window's
+// Chip.UniformHealth, with uniform false for an obstructed window. canon
+// reports which form was chosen; tf is meaningful only when canon is true.
+func (a *Adaptive) cacheKeyFor(rj route.RJ, c *chip.Chip, obstacles []geom.Rect, code int, uniform bool) (key CacheKey, tf synth.Transform, canon bool) {
+	if uniform {
+		key, tf = NewCanonicalCacheKey(rj, a.Opt, code)
+		return key, tf, true
 	}
 	key = NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard))
 	key.Obstacles = ObstacleSignature(rj.Hazard, obstacles)
