@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmtcheck lint models assert cover fuzz verify bench benchgate faulttrial ci
+.PHONY: build test race vet fmtcheck lint models assert cover loopbench fuzz verify bench benchgate faulttrial ci
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,13 @@ cover:
 	check ./internal/lint/callgraph/ 80; \
 	check ./internal/lint/summary/ 80
 
+# The benchmark lives in its own module (loopbench/go.mod, replacing meda
+# with this tree), so the root `go build ./...` and `go test ./...` skip
+# it. Vet and test it here, so that an API change it depends on fails
+# verify instead of the benchmark run.
+loopbench:
+	cd loopbench && $(GO) vet ./... && $(GO) test ./...
+
 # Short fuzz bursts over every fuzz target (parser robustness, print/parse
 # round trips, solver bit-identity, WebSocket frame decoding in both roles,
 # journal replay, REST request bodies). Each target needs its own invocation: -fuzz accepts
@@ -104,7 +111,7 @@ faulttrial:
 	$(GO) run ./cmd/medafuzz -trials 1 -seed 2021 -rate 0.05 -kinds all -concurrent
 
 # Tier-1 verification plus the race detector and the static checkers.
-verify: build vet fmtcheck test race lint models assert cover
+verify: build vet fmtcheck test race lint models assert cover loopbench
 
 # Everything the CI workflow gates on, in one local target.
 ci: verify fuzz faulttrial

@@ -205,7 +205,7 @@ func BenchmarkAblationHealthBits(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				runner := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim"))
+				runner := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(), src.Split("sim"))
 				// Reuse the chip so sensing resolution matters: finer b
 				// detects wear earlier and keeps late runs shorter.
 				for e := 0; e < 6; e++ {
@@ -266,7 +266,7 @@ func BenchmarkAblationResynthesis(b *testing.B) {
 				}
 				simCfg := sim.DefaultConfig()
 				simCfg.MinResynthInterval = interval
-				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim"))
+				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(), src.Split("sim"))
 				resyntheses = 0
 				for e := 0; e < 6; e++ {
 					exec, err := runner.Execute(plan)
@@ -306,14 +306,14 @@ func BenchmarkAblationResynthesisCache(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			a := sched.NewAdaptive(sched.DefaultCacheSize)
+			a := sched.NewAdaptive()
 			if _, _, err := a.Route(job, c, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		a := sched.NewAdaptive(sched.DefaultCacheSize)
+		a := sched.NewAdaptive()
 		if _, _, err := a.Route(job, c, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func BenchmarkAblationActivationOrder(b *testing.B) {
 				}
 				simCfg := sim.DefaultConfig()
 				simCfg.WearAwareActivation = wearAware
-				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim"))
+				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(), src.Split("sim"))
 				for e := 0; e < 6; e++ {
 					exec, err := runner.Execute(plan)
 					if err != nil {
@@ -452,7 +452,7 @@ func BenchmarkAblationRecovery(b *testing.B) {
 				}
 				var router sched.Router = sched.NewBaseline()
 				if v.adaptive {
-					router = sched.NewAdaptive(sched.DefaultCacheSize)
+					router = sched.NewAdaptive()
 				}
 				runner := sim.NewRunner(simCfg, c, router, src.Split("sim"))
 				exec, err := runner.Execute(plan)

@@ -296,13 +296,13 @@ func main() {
 	// path does not apply and the cache path is exercised.
 	cold := record(rep, "resynthesis/cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			a := sched.NewAdaptive(sched.DefaultCacheSize) // fresh router: empty cache every time
+			a := sched.NewAdaptive() // fresh router: empty cache every time
 			if _, _, err := a.Route(job, c, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	warmRouter := sched.NewAdaptive(sched.DefaultCacheSize)
+	warmRouter := sched.NewAdaptive()
 	if _, _, err := warmRouter.Route(job, c, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
 		os.Exit(1)
@@ -359,7 +359,7 @@ func main() {
 			}
 		}
 	}
-	canonRouter := sched.NewAdaptive(sched.DefaultCacheSize)
+	canonRouter := sched.NewAdaptive()
 	for _, j := range jobs { // one pass to measure the hit rate
 		if _, _, err := canonRouter.Route(j, uc, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
@@ -405,7 +405,7 @@ func main() {
 	// the same droplets again — listed in another order, one repeated — is
 	// a hit, not a synthesis.
 	obstacles := []meda.Rect{{XA: 18, YA: 12, XB: 21, YB: 17}, {XA: 34, YA: 5, XB: 40, YB: 9}}
-	obsRouter := sched.NewAdaptive(sched.DefaultCacheSize)
+	obsRouter := sched.NewAdaptive()
 	if _, _, err := obsRouter.Route(job, c, obstacles); err != nil {
 		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
 		os.Exit(1)
@@ -456,7 +456,7 @@ func main() {
 		scfg := sim.DefaultConfig()
 		scfg.KMax = 8000
 		scfg.Concurrent = concurrent
-		return sim.NewRunner(scfg, ec, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim")).Execute(mixPlan)
+		return sim.NewRunner(scfg, ec, sched.NewAdaptive(), src.Split("sim")).Execute(mixPlan)
 	}
 	seqExec, err := runExec(false)
 	if err == nil && !seqExec.Success {

@@ -22,7 +22,6 @@ func main() {
 	seed := flag.Uint64("seed", 2021, "experiment seed")
 	quick := flag.Bool("quick", false, "shrink trial counts for a fast run")
 	concurrent := flag.Bool("concurrent", false, "execute assays on the concurrent executor (all ready operations at once)")
-	cacheSize := flag.Int("cache", -1, "strategy-cache bound for adaptive routers (0 disables, negative = default)")
 	inject := flag.Float64("inject", 0, "soft-fault injection rate for all drivers (0 disables)")
 	injectKinds := flag.String("inject-kinds", "all", "soft-fault classes: comma list of act, sense, ctl (or all, none)")
 	injectSeed := flag.Uint64("inject-seed", 0, "soft-fault seed (0 = experiment seed)")
@@ -37,7 +36,6 @@ func main() {
 		}
 		return
 	}
-	exp.SetCacheSize(*cacheSize)
 	exp.SetConcurrent(*concurrent)
 	if *inject > 0 {
 		kinds, err := fault.ParseKinds(*injectKinds)

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"meda"
-	"meda/internal/sched"
 	"meda/internal/telemetry"
 	"meda/pkg/api"
 )
@@ -31,7 +30,6 @@ func main() {
 	injectSeed := flag.Uint64("inject-seed", 0, "soft-fault seed (0 = simulation seed)")
 	file := flag.String("file", "", "run a custom assay from a .assay description file instead of a named benchmark")
 	concurrent := flag.Bool("concurrent", false, "route all ready operations concurrently instead of one hazard zone at a time")
-	cacheSize := flag.Int("cache", -1, "strategy-cache bound for the adaptive router (0 disables, negative = default)")
 	traceFile := flag.String("trace", "", "write telemetry spans as JSONL to this file")
 	remote := flag.String("remote", "", "medad fleet-service URL: submit the assay there instead of simulating locally")
 	tenant := flag.String("tenant", "medasim", "tenant ID for -remote")
@@ -164,7 +162,7 @@ func main() {
 		}
 		var r meda.Router
 		if name == "adaptive" {
-			r = sched.NewAdaptive(*cacheSize)
+			r = meda.NewAdaptiveRouter()
 		} else {
 			r = meda.NewBaselineRouter()
 		}

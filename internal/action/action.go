@@ -295,8 +295,8 @@ func Frontier(d geom.Rect, a Action, dir geom.Dir) (geom.Rect, bool) {
 	}
 }
 
-// DefaultMaxAspect is the aspect-ratio bound r used when none is specified:
-// the paper notes AR may not exceed 2/1 (or drop below 1/2) without risking
+// DefaultMaxAspect is the aspect-ratio bound r of the routing model and the
+// baseline router (Enabled takes the bound as a parameter): the paper notes AR may not exceed 2/1 (or drop below 1/2) without risking
 // unintentional splitting.
 const DefaultMaxAspect = 2.0
 

@@ -22,9 +22,6 @@ import (
 // number of cycles of the shortest route. Dispense jobs must be normalized
 // first (synth.NormalizeDispense).
 func ShortestPath(rj route.RJ, opt smg.ModelOptions) (synth.Policy, int, error) {
-	if opt.MaxAspect <= 0 {
-		opt = smg.DefaultModelOptions()
-	}
 	if rj.Start.IsZero() {
 		return synth.Policy{}, 0, fmt.Errorf("baseline: %s has an off-chip start", rj.Name())
 	}
@@ -88,7 +85,7 @@ func ShortestPath(rj route.RJ, opt smg.ModelOptions) (synth.Policy, int, error) 
 			continue
 		}
 		for _, a := range action.All() {
-			if !allowed(a, opt) || !a.Enabled(d, opt.MaxAspect) {
+			if !allowed(a, opt) || !a.Enabled(d, action.DefaultMaxAspect) {
 				continue
 			}
 			nd := a.Apply(d)
@@ -138,7 +135,7 @@ func enumerate(rj route.RJ, opt smg.ModelOptions) []geom.Rect {
 				if cls := a.Class(); cls != action.Widen && cls != action.Heighten {
 					continue
 				}
-				if !a.Enabled(probe, opt.MaxAspect) {
+				if !a.Enabled(probe, action.DefaultMaxAspect) {
 					continue
 				}
 				nd := a.Apply(probe)

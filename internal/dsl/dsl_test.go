@@ -77,7 +77,7 @@ func TestParsedAssayExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(sched.DefaultCacheSize), src.Split("sim"))
+	runner := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(), src.Split("sim"))
 	exec, err := runner.Execute(pl)
 	if err != nil {
 		t.Fatal(err)

@@ -30,18 +30,6 @@ import (
 	"meda/internal/sim"
 )
 
-// Strategy-cache bound for the drivers' adaptive routers, set once from
-// command-line flags before any experiment runs (not safe to change
-// mid-experiment). Negative keeps the default bound; 0 disables the cache.
-var routerCacheSize = -1
-
-// SetCacheSize bounds the strategy cache of every adaptive router the
-// experiment drivers build (0 disables it, negative keeps the default).
-// Call before running any driver.
-func SetCacheSize(cacheSize int) {
-	routerCacheSize = cacheSize
-}
-
 // Concurrent-executor selection for the drivers, set once from command-line
 // flags before any experiment runs.
 var concurrentExec bool
@@ -78,12 +66,12 @@ func baseSimConfig() sim.Config {
 	return cfg
 }
 
-// adaptiveRouter builds an adaptive router with the configured cache bound,
-// plus the degradation ladder: under fault injection the adaptive router is
-// wrapped in a Fallback so injected synthesis timeouts retry and then fall
-// back to the baseline router.
+// adaptiveRouter builds an adaptive router, plus the degradation ladder:
+// under fault injection the adaptive router is wrapped in a Fallback so
+// injected synthesis timeouts retry and then fall back to the baseline
+// router.
 func adaptiveRouter() sched.Router {
-	a := sched.NewAdaptive(routerCacheSize)
+	a := sched.NewAdaptive()
 	if faultPlan.Enabled() {
 		return sched.NewFallback(a, sched.NewBaseline())
 	}

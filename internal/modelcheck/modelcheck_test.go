@@ -345,7 +345,7 @@ func TestCheckReducedThroughSynthesize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := model.M.MaxReachProb(model.Goal, model.Hazard, opt.Solver)
+	p, err := model.M.MaxReachProb(model.Goal, model.Hazard, mdp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,9 +100,9 @@ func servedOptimal(rj route.RJ, field action.ForceField, opt synth.Options, p sy
 	}
 	var solved mdp.Result
 	if maximize {
-		solved, err = m.M.MaxReachProb(target, avoid, opt.Solver)
+		solved, err = m.M.MaxReachProb(target, avoid, mdp.SolveOptions{})
 	} else {
-		solved, err = m.M.MinExpectedReward(target, avoid, opt.Solver)
+		solved, err = m.M.MinExpectedReward(target, avoid, mdp.SolveOptions{})
 	}
 	if err != nil {
 		return fmt.Sprintf("re-solving the fresh model failed: %v", err)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 
+	"meda/internal/action"
 	"meda/internal/geom"
 	"meda/internal/route"
 	"meda/internal/synth"
@@ -16,7 +17,7 @@ import (
 const DefaultCacheSize = 256
 
 // CacheKey identifies one synthesized strategy: the job's geometry, a
-// fingerprint of the synthesis options (query, action alphabet, solver),
+// fingerprint of the synthesis options (query and action alphabet),
 // the hash of the observed health codes inside the job's hazard bounds,
 // and the signature of the obstacles inside those bounds. Keying on the
 // region's health hash makes the cache exactly as fresh as Alg. 3
@@ -173,9 +174,13 @@ func (k CacheKey) Hash() uint64 {
 	return h.Sum64()
 }
 
-// fingerprintOptions hashes the solver-relevant option fields. Method is
-// excluded: every solver method converges to the same optimal values, so
-// strategies are interchangeable across them.
+// fingerprintOptions hashes the option fields a strategy depends on: the
+// query and the action alphabet. Around the alphabet flags it also folds
+// four constant words: action.DefaultMaxAspect, the one-cycle action cost,
+// and the zero Eps and MaxIter synthesis solves at. They do not separate
+// any two keys, but they fix the fingerprint's value, which CacheKey.Hash
+// feeds into every SynthTimeout and CachePoison draw: dropping them would
+// change every injected fault (TestFingerprintPinned).
 func fingerprintOptions(opt synth.Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -184,8 +189,8 @@ func fingerprintOptions(opt synth.Options) uint64 {
 		h.Write(buf[:])
 	}
 	h.Write([]byte(opt.Query.String()))
-	word(math.Float64bits(opt.Model.MaxAspect))
-	word(math.Float64bits(opt.Model.ActionCost))
+	word(math.Float64bits(action.DefaultMaxAspect))
+	word(math.Float64bits(1))
 	flags := uint64(0)
 	if opt.Model.AllowMorph {
 		flags |= 1
@@ -197,8 +202,8 @@ func fingerprintOptions(opt synth.Options) uint64 {
 		flags |= 4
 	}
 	word(flags)
-	word(math.Float64bits(opt.Solver.Eps))
-	word(uint64(opt.Solver.MaxIter))
+	word(0) // the bits of the zero Eps
+	word(0) // the zero MaxIter
 	return h.Sum64()
 }
 

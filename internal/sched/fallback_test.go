@@ -60,7 +60,7 @@ func somePolicy() synth.Policy {
 }
 
 func TestFallbackIdentity(t *testing.T) {
-	f := NewFallback(NewAdaptive(DefaultCacheSize), NewBaseline())
+	f := NewFallback(NewAdaptive(), NewBaseline())
 	if f.Name() != "adaptive+fallback" {
 		t.Errorf("Name = %q", f.Name())
 	}
@@ -154,7 +154,7 @@ func TestFallbackRouteDegraded(t *testing.T) {
 // attempts 0 and 1, the full Adaptive-under-Fallback ladder recovers on the
 // third attempt — exercising the per-key attempt counter end to end.
 func TestAdaptiveInjectedTimeoutOrdering(t *testing.T) {
-	a := NewAdaptive(DefaultCacheSize)
+	a := NewAdaptive()
 	f := NewFallback(a, NewBaseline())
 	inj := &scriptedInjector{script: []bool{true, true}}
 	f.SetFaultInjector(inj) // forwards to the adaptive primary
@@ -178,7 +178,7 @@ func TestAdaptiveInjectedTimeoutOrdering(t *testing.T) {
 // TestAdaptiveAllAttemptsTimeOut: an injector that always fails pushes the
 // ladder to the baseline tier, which is never injection-gated.
 func TestAdaptiveAllAttemptsTimeOut(t *testing.T) {
-	a := NewAdaptive(DefaultCacheSize)
+	a := NewAdaptive()
 	f := NewFallback(a, NewBaseline())
 	f.SetFaultInjector(&scriptedInjector{script: []bool{true, true, true, true, true, true}})
 	c := freshChip(t, 1)
@@ -211,7 +211,7 @@ func TestAdaptiveCachePoisonForcesResynthesis(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		c.Actuate(rect(14, 9, 17, 13))
 	}
-	a := NewAdaptive(DefaultCacheSize)
+	a := NewAdaptive()
 	a.SetFaultInjector(&scriptedInjector{poisonAll: true})
 	if _, _, err := a.Route(job(), c, nil); err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestAdaptiveCachePoisonForcesResynthesis(t *testing.T) {
 // TestInjectedTimeoutError: the injected error is ErrInjectedTimeout, so
 // callers can distinguish it from real synthesis failures.
 func TestInjectedTimeoutError(t *testing.T) {
-	a := NewAdaptive(DefaultCacheSize)
+	a := NewAdaptive()
 	a.SetFaultInjector(&scriptedInjector{script: []bool{true}})
 	c := freshChip(t, 1)
 	_, _, err := a.Route(job(), c, nil)
@@ -257,7 +257,8 @@ func TestFallbackPassthroughs(t *testing.T) {
 	plain := NewFallback(&scriptedRouter{policy: somePolicy()}, NewBaseline())
 	plain.SetFaultInjector(&scriptedInjector{}) // must not panic
 
-	adaptive := NewAdaptive(8)
+	adaptive := NewAdaptive()
+	adaptive.Cache = NewCache(8)
 	f := NewFallback(adaptive, NewBaseline())
 	f.SetFaultInjector(&scriptedInjector{script: []bool{true}})
 	if _, _, err := adaptive.Route(job(), c, nil); !errors.Is(err, ErrInjectedTimeout) {
@@ -296,5 +297,18 @@ func TestCacheKeyHashPinned(t *testing.T) {
 		if got := k.Hash(); got != want {
 			t.Fatalf("call %d: Hash() = %#x, want %#x", i, got, uint64(want))
 		}
+	}
+}
+
+// TestFingerprintPinned: the options fingerprint is folded into every
+// CacheKey.Hash, which keys the SynthTimeout and CachePoison draws, so the
+// default options must keep fingerprinting to the same word: otherwise
+// every seeded fault trial would draw different faults.
+func TestFingerprintPinned(t *testing.T) {
+	if got, want := fingerprintOptions(synth.DefaultOptions()), uint64(0xcb26ab5f3d5d58d3); got != want {
+		t.Errorf("fingerprintOptions(DefaultOptions()) = %#x, want %#x", got, want)
+	}
+	if got, want := NewCacheKey(job(), synth.DefaultOptions(), 7).Hash(), uint64(0x36664accafa96d08); got != want {
+		t.Errorf("NewCacheKey(job(), DefaultOptions(), 7).Hash() = %#x, want %#x", got, want)
 	}
 }

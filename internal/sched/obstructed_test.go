@@ -194,7 +194,8 @@ func TestObstructedServedEqualsFresh(t *testing.T) {
 	if testing.Short() {
 		n = 30
 	}
-	a := NewAdaptive(1 << 12)
+	a := NewAdaptive()
+	a.Cache = NewCache(1 << 12)
 	var partial, overlapping, overStart, overGoal, edge, dispense, hits, misses int
 	for i := 0; i < n; i++ {
 		dw, dh := src.IntRange(1, 3), src.IntRange(1, 3)

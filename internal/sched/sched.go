@@ -220,15 +220,16 @@ type Prefetcher interface {
 // Cache.
 type Adaptive struct {
 	Opt synth.Options
-	Lib *Library
-	// Cache memoizes the strategies of windows outside the Library, keyed
-	// by job geometry, option fingerprint, the hazard region's health hash
-	// and its obstacle signature; nil disables memoization.
+	// Lib serves all-healthy, unobstructed windows. Cache memoizes the
+	// strategies of every other window, keyed by job geometry, option
+	// fingerprint, the hazard region's health hash and its obstacle
+	// signature. Route requires both: NewAdaptive sets them, as does every
+	// router built around shared stores (a fleet's chips share one pair).
+	Lib   *Library
 	Cache *Cache
 
-	// Syntheses counts online synthesis runs (library and cache misses, and
-	// every window outside the Library when Cache is nil); LibraryUses
-	// counts strategies served from the library; CacheHits counts
+	// Syntheses counts online synthesis runs (library and cache misses);
+	// LibraryUses counts strategies served from the library; CacheHits counts
 	// strategies served from Cache. Increments are guarded by mu — the
 	// concurrent executor may route several jobs at once — but reads are
 	// plain field access: sample them only after routing has quiesced.
@@ -305,15 +306,10 @@ func (a *Adaptive) poisoned(key CacheKey) bool {
 }
 
 // NewAdaptive returns the adaptive router with the paper's default query
-// (Rmin), a fresh library, and a strategy cache bounded by cacheSize entries
-// (0 disables the cache, negative means DefaultCacheSize). Routing is
-// synchronous and deterministic.
-func NewAdaptive(cacheSize int) *Adaptive {
-	a := &Adaptive{Opt: synth.DefaultOptions(), Lib: NewLibrary()}
-	if cacheSize != 0 {
-		a.Cache = NewCache(cacheSize)
-	}
-	return a
+// (Rmin), a fresh library, and a strategy cache bounded by DefaultCacheSize
+// entries. Routing is synchronous and deterministic.
+func NewAdaptive() *Adaptive {
+	return &Adaptive{Opt: synth.DefaultOptions(), Lib: NewLibrary(), Cache: NewCache(DefaultCacheSize)}
 }
 
 // Name implements Router.
@@ -364,8 +360,7 @@ func (a *Adaptive) release(key CacheKey, done chan struct{}) {
 // obstacle signature (ObstacleSignature): obstacles are keyed as exactly
 // as health, so a congruent chip meeting the same droplets around the same
 // window — a fleet tenant one job behind another — is served the strategy
-// instead of re-solving it. Without a Cache, such windows are synthesized
-// on every call.
+// instead of re-solving it.
 func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synth.Policy, float64, error) {
 	rj = synth.NormalizeDispense(rj, c.W(), c.H())
 	// One scan of an unobstructed window serves both stores: the window is
@@ -375,7 +370,7 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 		code, uniform = c.UniformHealth(rj.Hazard)
 	}
 	healthy := uniform && code == 1<<uint(c.HealthBits())-1
-	if a.Lib != nil && healthy {
+	if healthy {
 		return a.singleFlight(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), &a.LibraryUses,
 			func() (synth.Policy, float64, bool) { return a.Lib.Lookup(rj) },
 			func(p synth.Policy, v float64) { a.Lib.Store(rj, p, v) },
@@ -383,33 +378,26 @@ func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synt
 	}
 	opt := a.Opt
 	opt.Model.Blocked = obstacles
-	if a.Cache != nil {
-		key, tf, canon := a.cacheKeyFor(rj, c, obstacles, code, uniform)
-		lookup := func() (synth.Policy, float64, bool) {
-			p, v, ok := a.Cache.Lookup(key)
-			if !ok {
-				return synth.Policy{}, 0, false
-			}
-			if canon {
-				telCanonHits.Inc()
-				return tf.InvertPolicy(p), v, true
-			}
-			telRawHits.Inc()
-			return p, v, true
+	key, tf, canon := a.cacheKeyFor(rj, c, obstacles, code, uniform)
+	lookup := func() (synth.Policy, float64, bool) {
+		p, v, ok := a.Cache.Lookup(key)
+		if !ok {
+			return synth.Policy{}, 0, false
 		}
-		store := func(p synth.Policy, v float64) {
-			if canon {
-				p = tf.ApplyPolicy(p)
-			}
-			a.Cache.Store(key, p, v)
+		if canon {
+			telCanonHits.Inc()
+			return tf.InvertPolicy(p), v, true
 		}
-		return a.singleFlight(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField(), opt, canon)
+		telRawHits.Inc()
+		return p, v, true
 	}
-	res, err := a.synthesize(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), rj, c.ObservedForceField(), opt)
-	if err != nil {
-		return synth.Policy{}, 0, err
+	store := func(p synth.Policy, v float64) {
+		if canon {
+			p = tf.ApplyPolicy(p)
+		}
+		a.Cache.Store(key, p, v)
 	}
-	return res.Policy, res.Value, nil
+	return a.singleFlight(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField(), opt, canon)
 }
 
 // singleFlight serves rj from one strategy store, counting each hit in

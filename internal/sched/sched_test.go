@@ -35,7 +35,7 @@ func freshChip(t *testing.T, seed uint64) *chip.Chip {
 
 func TestRouterIdentities(t *testing.T) {
 	b := NewBaseline()
-	a := NewAdaptive(DefaultCacheSize)
+	a := NewAdaptive()
 	if b.Name() != "baseline" || a.Name() != "adaptive" {
 		t.Error("router names wrong")
 	}
@@ -60,7 +60,7 @@ func TestBaselineRoute(t *testing.T) {
 
 func TestAdaptiveRouteHealthyUsesLibrary(t *testing.T) {
 	c := freshChip(t, 2)
-	a := NewAdaptive(DefaultCacheSize)
+	a := NewAdaptive()
 	if _, _, err := a.Route(job(), c, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAdaptiveRouteDegradedSynthesizesOnline(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		c.Actuate(rect(14, 9, 17, 13))
 	}
-	a := NewAdaptive(DefaultCacheSize)
+	a := NewAdaptive()
 	if _, _, err := a.Route(job(), c, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestAdaptiveRouteDegradedSynthesizesOnline(t *testing.T) {
 
 func TestAdaptiveObstaclesBypassLibrary(t *testing.T) {
 	c := freshChip(t, 4)
-	a := NewAdaptive(DefaultCacheSize)
+	a := NewAdaptive()
 	obstacle := []geom.Rect{rect(15, 10, 18, 13)} // passable below (rows 7–9)
 	p, v, err := a.Route(job(), c, obstacle)
 	if err != nil {
@@ -215,34 +215,14 @@ func tinyPolicy() synth.Policy {
 	return policy.Of([]policy.Entry{{D: rect(10, 10, 12, 12), A: action.MoveE}})
 }
 
-// TestNewAdaptiveCacheSize pins the cache-size rule every adaptive router
-// is built with: 0 disables the strategy cache, a negative size means
-// DefaultCacheSize, and a positive size bounds the cache.
+// TestNewAdaptiveCacheSize: NewAdaptive sets both strategy stores Route
+// requires, the Library and a Cache bounded at DefaultCacheSize.
 func TestNewAdaptiveCacheSize(t *testing.T) {
-	cases := []struct {
-		name      string
-		cacheSize int
-		want      int // cache bound; 0 means no cache
-	}{
-		{"zero disables", 0, 0},
-		{"negative means default", -1, DefaultCacheSize},
-		{"positive bounds", 7, 7},
+	a := NewAdaptive()
+	if a.Lib == nil {
+		t.Fatal("no strategy library")
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			a := NewAdaptive(c.cacheSize)
-			if a.Lib == nil {
-				t.Fatal("no strategy library")
-			}
-			if c.want == 0 {
-				if a.Cache != nil {
-					t.Fatalf("cache bound %d, want no cache", a.Cache.cap)
-				}
-				return
-			}
-			if a.Cache == nil || a.Cache.cap != c.want {
-				t.Fatalf("cache = %+v, want bound %d", a.Cache, c.want)
-			}
-		})
+	if a.Cache == nil || a.Cache.cap != DefaultCacheSize {
+		t.Fatalf("cache = %+v, want bound %d", a.Cache, DefaultCacheSize)
 	}
 }

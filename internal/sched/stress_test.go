@@ -41,7 +41,8 @@ func TestConcurrentCacheStress(t *testing.T) {
 		t.Fatal("region still fully healthy; stress would only exercise the library path")
 	}
 
-	a := NewAdaptive(32)
+	a := NewAdaptive()
+	a.Cache = NewCache(32)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -118,7 +119,8 @@ func TestConcurrentCacheStress(t *testing.T) {
 // each of them takes singleFlight's waiter path however the goroutines are
 // scheduled.
 func TestConcurrentRouteSingleFlight(t *testing.T) {
-	a := NewAdaptive(32)
+	a := NewAdaptive()
+	a.Cache = NewCache(32)
 	rj := route.RJ{
 		Start:  rect(2, 2, 5, 5),
 		Goal:   rect(12, 8, 15, 11),

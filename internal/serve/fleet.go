@@ -79,9 +79,6 @@ type Config struct {
 	SnapshotEvery time.Duration
 	// WebhookTimeout bounds each webhook delivery; zero means 5s.
 	WebhookTimeout time.Duration
-	// CacheSize bounds the shared degraded-region strategy cache;
-	// zero means sched.DefaultCacheSize.
-	CacheSize int
 }
 
 // Cooperative-abort causes, distinguished by the job runner after an
@@ -193,16 +190,12 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	cacheSize := cfg.CacheSize
-	if cacheSize <= 0 {
-		cacheSize = sched.DefaultCacheSize
-	}
 	f := &Fleet{
 		cfg:      cfg,
 		bus:      NewBus(),
 		notifier: newWebhookNotifier(cfg.WebhookTimeout),
 		lib:      sched.NewLibrary(),
-		cache:    sched.NewCache(cacheSize),
+		cache:    sched.NewCache(sched.DefaultCacheSize),
 		tenants:  make(map[string]*tenantRT),
 		jobs:     make(map[string]*job),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),

@@ -64,10 +64,13 @@ func (w *windowLog) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (syn
 // leader's wear drops the entries the follower asks for next; so does
 // synthesizing obstructed windows without storing them.
 func TestFollowerTenantReusesLeaderStrategies(t *testing.T) {
-	f, err := NewFleet(Config{MaxConcurrent: 1, CacheSize: 1 << 14})
+	f, err := NewFleet(Config{MaxConcurrent: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Bound the shared cache past the whole run, so no entry the follower
+	// needs is evicted; chips built below take it up.
+	f.cache = sched.NewCache(1 << 14)
 	t.Cleanup(func() {
 		if err := f.Shutdown(); err != nil {
 			t.Error(err)

@@ -343,7 +343,7 @@ func TestJournalLineMatchesMarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(-1), randx.New(job.Seed).Split("sim")).Execute(plan)
+	exec, err := sim.NewRunner(sim.DefaultConfig(), c, sched.NewAdaptive(), randx.New(job.Seed).Split("sim")).Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}

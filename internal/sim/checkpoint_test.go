@@ -13,7 +13,7 @@ import (
 // and returns the observed checkpoints alongside the execution.
 func runWithCheckpoints(t *testing.T, every int, seed uint64, fn func(Checkpoint) error) (Execution, error, []Checkpoint) {
 	t.Helper()
-	r := newRunner(t, robustChipConfig(), sched.NewAdaptive(sched.DefaultCacheSize), seed)
+	r := newRunner(t, robustChipConfig(), sched.NewAdaptive(), seed)
 	var seen []Checkpoint
 	r.Cfg.Checkpoint = CheckpointConfig{Every: every, Fn: func(cp Checkpoint) error {
 		seen = append(seen, cp)
@@ -55,7 +55,7 @@ func TestCheckpointCadence(t *testing.T) {
 // cadences, the execution is identical — and checkpoint digests replay
 // byte-identically for the same seed.
 func TestCheckpointsDoNotPerturbExecution(t *testing.T) {
-	r := newRunner(t, robustChipConfig(), sched.NewAdaptive(sched.DefaultCacheSize), 42)
+	r := newRunner(t, robustChipConfig(), sched.NewAdaptive(), 42)
 	plain, err := r.Execute(compile(t, assay.SerialDilution, 16))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestCheckpointDigestSensitivity(t *testing.T) {
 // increase and end at KMax.
 func TestCheckpointAbortedRunObservesLastCycleOnce(t *testing.T) {
 	for _, every := range []int{4, 8, 16} {
-		r := newRunner(t, robustChipConfig(), sched.NewAdaptive(sched.DefaultCacheSize), 42)
+		r := newRunner(t, robustChipConfig(), sched.NewAdaptive(), 42)
 		r.Cfg.KMax = 64
 		var cycles []int
 		r.Cfg.Checkpoint = CheckpointConfig{Every: every, Fn: func(cp Checkpoint) error {

@@ -76,7 +76,7 @@ func checkDiff(t *testing.T, name string, seq, con Execution) bool {
 // executors and checks the differential properties.
 func TestConcurrentDiffBenchmarks(t *testing.T) {
 	for _, bench := range assay.EvaluationBenchmarks {
-		seq, con := runDiffPair(t, compile(t, bench, 16), func() sched.Router { return sched.NewAdaptive(sched.DefaultCacheSize) }, 23, 2000)
+		seq, con := runDiffPair(t, compile(t, bench, 16), func() sched.Router { return sched.NewAdaptive() }, 23, 2000)
 		checkDiff(t, bench.String(), seq, con)
 		t.Logf("%-16s sequential %4d cycles, concurrent %4d cycles (peak %d droplets, %d deadlocks)",
 			bench, seq.Cycles, con.Cycles, con.PeakDroplets, con.Deadlocks)

@@ -26,7 +26,7 @@ func simTrace(t *testing.T, bench assay.Benchmark, seed uint64) []byte {
 // deterministic in the seed.
 func simTraceMode(t *testing.T, bench assay.Benchmark, seed uint64, concurrent bool) []byte {
 	t.Helper()
-	r := newRunner(t, robustChipConfig(), sched.NewAdaptive(sched.DefaultCacheSize), seed)
+	r := newRunner(t, robustChipConfig(), sched.NewAdaptive(), seed)
 	r.Cfg.Concurrent = concurrent
 	var buf bytes.Buffer
 	r.Hook = func(k int, ps []geom.Rect) {

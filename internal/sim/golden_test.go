@@ -90,9 +90,9 @@ var goldenTraces = map[string]string{
 }
 
 func goldenRuns() map[string]goldenRun {
-	adaptive := func() sched.Router { return sched.NewAdaptive(sched.DefaultCacheSize) }
+	adaptive := func() sched.Router { return sched.NewAdaptive() }
 	ladder := func() sched.Router {
-		return sched.NewFallback(sched.NewAdaptive(sched.DefaultCacheSize), sched.NewBaseline())
+		return sched.NewFallback(sched.NewAdaptive(), sched.NewBaseline())
 	}
 	baseline := func() sched.Router { return sched.NewBaseline() }
 	bench := func(b assay.Benchmark) func(t *testing.T) *route.Plan {

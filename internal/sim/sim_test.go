@@ -62,7 +62,7 @@ func TestExecuteMasterMixBaseline(t *testing.T) {
 // under the adaptive router on a robust chip.
 func TestExecuteAllBenchmarksAdaptive(t *testing.T) {
 	for _, bench := range assay.EvaluationBenchmarks {
-		r := newRunner(t, robustChipConfig(), sched.NewAdaptive(sched.DefaultCacheSize), 2)
+		r := newRunner(t, robustChipConfig(), sched.NewAdaptive(), 2)
 		exec, err := r.Execute(compile(t, bench, 16))
 		if err != nil {
 			t.Fatalf("%v: %v", bench, err)
@@ -172,7 +172,7 @@ func TestAbortOnTinyBudget(t *testing.T) {
 func TestAdaptiveSurvivesFastDegradation(t *testing.T) {
 	cfg := chip.Default()
 	cfg.Normal = degrade.ParamRange{Tau1: 0.5, Tau2: 0.9, C1: 200, C2: 500}
-	r := newRunner(t, cfg, sched.NewAdaptive(sched.DefaultCacheSize), 8)
+	r := newRunner(t, cfg, sched.NewAdaptive(), 8)
 	exec, err := r.Execute(compile(t, assay.CovidPCR, 16))
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestChipMismatchRejected(t *testing.T) {
 // TestDeterministicReplay: identical seeds reproduce identical executions.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() Execution {
-		r := newRunner(t, robustChipConfig(), sched.NewAdaptive(sched.DefaultCacheSize), 11)
+		r := newRunner(t, robustChipConfig(), sched.NewAdaptive(), 11)
 		exec, err := r.Execute(compile(t, assay.CEP, 16))
 		if err != nil {
 			t.Fatal(err)

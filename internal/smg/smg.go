@@ -27,10 +27,10 @@ import (
 	"meda/internal/policy"
 )
 
-// ModelOptions configures the induced per-routing-job MDP.
+// ModelOptions configures the induced per-routing-job MDP. Every action
+// costs one cycle, and the aspect-ratio guard bound r is
+// action.DefaultMaxAspect. The zero value allows the cardinal moves only.
 type ModelOptions struct {
-	// MaxAspect is the aspect-ratio guard bound r.
-	MaxAspect float64
 	// AllowMorph includes the A_↓/A_↑ shape-morphing actions (and the
 	// reachable droplet shapes) in the model. The paper's Table V models
 	// use fixed-shape droplets; morphing is an extension.
@@ -39,8 +39,6 @@ type ModelOptions struct {
 	AllowDouble bool
 	// AllowOrdinal includes the ordinal movements A_dd'.
 	AllowOrdinal bool
-	// ActionCost is the reward assigned to each ① action (1 cycle).
-	ActionCost float64
 	// Blocked lists rectangles the droplet must not overlap (e.g. other
 	// droplets resting on the array, already grown by the scheduler's
 	// collision margin). Outcomes landing on a blocked rectangle are
@@ -50,26 +48,12 @@ type ModelOptions struct {
 }
 
 // DefaultModelOptions mirrors the paper's synthesis configuration: full
-// movement alphabet, no morphing, unit cycle cost.
+// movement alphabet, no morphing.
 func DefaultModelOptions() ModelOptions {
 	return ModelOptions{
-		MaxAspect:    action.DefaultMaxAspect,
 		AllowDouble:  true,
 		AllowOrdinal: true,
-		ActionCost:   1,
 	}
-}
-
-// withDefaults returns o, or DefaultModelOptions with o's obstacles when o
-// is the zero value (MaxAspect <= 0).
-func (o ModelOptions) withDefaults() ModelOptions {
-	if o.MaxAspect > 0 {
-		return o
-	}
-	blocked := o.Blocked
-	o = DefaultModelOptions()
-	o.Blocked = blocked
-	return o
 }
 
 func (o ModelOptions) allowed(a action.Action) bool {
@@ -177,7 +161,7 @@ func appendShapes(dst [][2]int, w, h int, opt ModelOptions) [][2]int {
 		s := dst[head]
 		d := geom.Rect{XA: 1, YA: 1, XB: s[0], YB: s[1]}
 		for a := action.WidenNE; a <= action.HeightenSW; a++ {
-			if !a.Enabled(d, opt.MaxAspect) {
+			if !a.Enabled(d, action.DefaultMaxAspect) {
 				continue
 			}
 			nd := a.Apply(d)
@@ -231,7 +215,7 @@ func (ar *Arena) Builds() int { return ar.builds }
 // true field for oracle experiments. Induce reads it once per cell of bounds
 // plus a two-cell ring (off-chip cells must read 0, as ForceField requires).
 func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, opt ModelOptions) (*Model, error) {
-	m, opt, err := ar.enumerate(bounds, start, goal, opt)
+	m, err := ar.enumerate(bounds, start, goal, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +236,7 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 			if !opt.allowed(a) {
 				continue
 			}
-			if !a.Enabled(d, opt.MaxAspect) {
+			if !a.Enabled(d, action.DefaultMaxAspect) {
 				continue
 			}
 			if !bounds.ContainsRect(a.Apply(d)) {
@@ -268,7 +252,7 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 			if live == 0 {
 				continue
 			}
-			ar.b.BeginChoice(mdp.StateID(id), int(a), opt.ActionCost)
+			ar.b.BeginChoice(mdp.StateID(id), int(a), 1) // one cycle
 			for _, o := range ar.outs {
 				if mdp.IsZeroProb(o.P) {
 					continue
@@ -299,18 +283,17 @@ func (ar *Arena) Induce(bounds, start, goal geom.Rect, field action.ForceField, 
 // enumerate lays out a routing job's states, for Induce and InduceUnit
 // alike: the position states shape by shape, then Init, GoalSink and
 // HazardSink, plus the dest table that resolve reads. It returns the model
-// without its MDP (m.M is nil) and the options with defaults applied.
-func (ar *Arena) enumerate(bounds, start, goal geom.Rect, opt ModelOptions) (*Model, ModelOptions, error) {
+// without its MDP (m.M is nil).
+func (ar *Arena) enumerate(bounds, start, goal geom.Rect, opt ModelOptions) (*Model, error) {
 	if !start.Valid() || !goal.Valid() || !bounds.Valid() {
-		return nil, opt, fmt.Errorf("smg: invalid rectangle (start %v goal %v bounds %v)", start, goal, bounds)
+		return nil, fmt.Errorf("smg: invalid rectangle (start %v goal %v bounds %v)", start, goal, bounds)
 	}
 	if !bounds.ContainsRect(start) {
-		return nil, opt, fmt.Errorf("smg: start %v outside hazard bounds %v", start, bounds)
+		return nil, fmt.Errorf("smg: start %v outside hazard bounds %v", start, bounds)
 	}
 	if !bounds.ContainsRect(goal) {
-		return nil, opt, fmt.Errorf("smg: goal %v outside hazard bounds %v", goal, bounds)
+		return nil, fmt.Errorf("smg: goal %v outside hazard bounds %v", goal, bounds)
 	}
-	opt = opt.withDefaults()
 	ar.builds++
 	m := &ar.model
 	*m = Model{bounds: bounds, spans: m.spans[:0], rects: m.rects[:0],
@@ -334,7 +317,7 @@ func (ar *Arena) enumerate(bounds, start, goal geom.Rect, opt ModelOptions) (*Mo
 
 	startID, ok := m.StateOf(start)
 	if !ok {
-		return nil, opt, fmt.Errorf("smg: start %v not enumerated", start)
+		return nil, fmt.Errorf("smg: start %v not enumerated", start)
 	}
 	m.Start = startID
 
@@ -356,7 +339,7 @@ func (ar *Arena) enumerate(bounds, start, goal geom.Rect, opt ModelOptions) (*Mo
 		}
 		ar.dest[id] = to
 	}
-	return m, opt, nil
+	return m, nil
 }
 
 // resolve maps an outcome rectangle to its destination state in the model

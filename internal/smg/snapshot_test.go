@@ -128,10 +128,10 @@ func referenceChoices(m *Model, bounds, start, goal geom.Rect, field action.Forc
 			continue
 		}
 		for a := action.Action(0); a < action.NumActions; a++ {
-			if !opt.allowed(a) || !a.Enabled(d, opt.MaxAspect) || !bounds.ContainsRect(a.Apply(d)) {
+			if !opt.allowed(a) || !a.Enabled(d, action.DefaultMaxAspect) || !bounds.ContainsRect(a.Apply(d)) {
 				continue
 			}
-			c := refChoice{action: int32(a), reward: opt.ActionCost}
+			c := refChoice{action: int32(a), reward: 1}
 			for _, o := range action.Outcomes(d, a, field) {
 				if !mdp.IsZeroProb(o.P) {
 					c.tos = append(c.tos, resolve(o.Droplet))

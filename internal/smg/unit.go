@@ -38,14 +38,10 @@ type Unit struct {
 }
 
 // UnitWindow reports whether the model Induce would build for a job over
-// bounds is deterministic with unit costs, which InduceUnit requires:
-// opt's ActionCost is 1 after defaults and field reads exactly 1 in every
-// cell of bounds. Cells outside bounds do not matter, as no frontier of an
-// enabled action reaches them.
-func UnitWindow(bounds geom.Rect, field action.ForceField, opt ModelOptions) bool {
-	if opt.withDefaults().ActionCost != 1 {
-		return false
-	}
+// bounds is deterministic, which InduceUnit requires: field reads exactly 1
+// in every cell of bounds. Cells outside bounds do not matter, as no
+// frontier of an enabled action reaches them.
+func UnitWindow(bounds geom.Rect, field action.ForceField) bool {
 	for y := bounds.YA; y <= bounds.YB; y++ {
 		for x := bounds.XA; x <= bounds.XB; x++ {
 			if field(x, y) != 1 {
@@ -59,7 +55,7 @@ func UnitWindow(bounds geom.Rect, field action.ForceField, opt ModelOptions) boo
 // InduceUnit builds the Unit model of a routing job over a window for which
 // UnitWindow holds. Its errors are Induce's.
 func (ar *Arena) InduceUnit(bounds, start, goal geom.Rect, opt ModelOptions) (*Unit, error) {
-	m, opt, err := ar.enumerate(bounds, start, goal, opt)
+	m, err := ar.enumerate(bounds, start, goal, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +80,7 @@ func (ar *Arena) InduceUnit(bounds, start, goal geom.Rect, opt ModelOptions) (*U
 		} else {
 			for a := action.Action(0); a < action.NumActions; a++ {
 				// Induce's choices: allowed, enabled, inside the bounds.
-				if opt.allowed(a) && a.Enabled(d, opt.MaxAspect) && bounds.ContainsRect(a.Apply(d)) {
+				if opt.allowed(a) && a.Enabled(d, action.DefaultMaxAspect) && bounds.ContainsRect(a.Apply(d)) {
 					u.acts = append(u.acts, a)
 					u.succ = append(u.succ, int32(ar.resolve(action.Certain(d, a))))
 				}

@@ -45,9 +45,9 @@ func TestUnitMatchesInducedModel(t *testing.T) {
 			opt.Blocked = append(opt.Blocked, goal)
 		}
 		if rng.Intn(6) == 0 {
-			opt = ModelOptions{Blocked: opt.Blocked} // the zero options mean the defaults
+			opt = ModelOptions{Blocked: opt.Blocked} // cardinal moves only
 		}
-		if !UnitWindow(bounds, field, opt) {
+		if !UnitWindow(bounds, field) {
 			t.Fatalf("job %d: an all-healthy window is not a unit window", i)
 		}
 		u, err := ar.InduceUnit(bounds, start, goal, opt)
@@ -83,9 +83,8 @@ func TestUnitMatchesInducedModel(t *testing.T) {
 	}
 }
 
-// TestUnitWindow: one cell of the bounds just below force 1, or an action
-// cost other than 1, rules the unit model out; cells outside the bounds do
-// not matter.
+// TestUnitWindow: one cell of the bounds just below force 1 rules the unit
+// model out; cells outside the bounds do not matter.
 func TestUnitWindow(t *testing.T) {
 	bounds := rect(3, 3, 8, 8)
 	dent := func(x, y int) float64 {
@@ -100,21 +99,16 @@ func TestUnitWindow(t *testing.T) {
 		}
 		return 0
 	}
-	cost2 := DefaultModelOptions()
-	cost2.ActionCost = 2
 	for _, c := range []struct {
 		name  string
 		field func(x, y int) float64
-		opt   ModelOptions
 		want  bool
 	}{
-		{"healthy", healthyField, DefaultModelOptions(), true},
-		{"zero options", healthyField, ModelOptions{}, true},
-		{"dead ring outside the bounds", outside, DefaultModelOptions(), true},
-		{"one cell just below 1", dent, DefaultModelOptions(), false},
-		{"action cost 2", healthyField, cost2, false},
+		{"healthy", healthyField, true},
+		{"dead ring outside the bounds", outside, true},
+		{"one cell just below 1", dent, false},
 	} {
-		if got := UnitWindow(bounds, c.field, c.opt); got != c.want {
+		if got := UnitWindow(bounds, c.field); got != c.want {
 			t.Errorf("%s: UnitWindow = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -28,11 +28,9 @@ func assertReduced(model *smg.Model, st mdp.Strategy, bounds geom.Rect) {
 }
 
 // assertUnit re-solves a job the unit path solved (got) by full synthesis
-// on a fresh arena at the default solver options, which the unit path's
-// answer does not depend on, verifying the reduced model too
-// (assertReduced), and panics unless the two results agree bit for bit.
+// on a fresh arena, verifying the reduced model too (assertReduced), and
+// panics unless the two results agree bit for bit.
 func assertUnit(rj route.RJ, field action.ForceField, opt Options, got Result) {
-	opt.Solver = mdp.SolveOptions{}
 	want, err := synthesize(new(smg.Arena), nil, rj, field, opt)
 	if err != nil {
 		panic(fmt.Sprintf("synth: medacheck: full synthesis of %s failed after the unit path solved it: %v", rj.Name(), err))

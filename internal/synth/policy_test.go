@@ -152,14 +152,14 @@ func TestPackedPolicyMatchesMap(t *testing.T) {
 		if rj.Dispense {
 			dispensed++
 		}
-		if smg.UnitWindow(rj.Hazard, field, mopt) {
+		if smg.UnitWindow(rj.Hazard, field) {
 			unit++
 		}
 		m, err := smg.Induce(rj.Hazard, rj.Start, rj.Goal, field, mopt)
 		if err != nil {
 			t.Fatalf("window %d %v: %v", i, rj, err)
 		}
-		solved, err := m.M.MinExpectedReward(m.Goal, m.Hazard, opts.Solver)
+		solved, err := m.M.MinExpectedReward(m.Goal, m.Hazard, mdp.SolveOptions{})
 		if err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}

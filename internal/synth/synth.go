@@ -27,10 +27,9 @@ type Options struct {
 	// Query is the synthesis query; the default is the paper's
 	// reward-based routing query Rmin=? [ G !hazard & F goal ].
 	Query spec.Query
-	// Model configures the induced MDP (action alphabet, morphing, cost).
+	// Model configures the induced MDP (action alphabet, morphing,
+	// obstacles). Value iteration runs at mdp's default tolerances.
 	Model smg.ModelOptions
-	// Solver tunes value iteration.
-	Solver mdp.SolveOptions
 }
 
 // DefaultOptions returns the paper's synthesis configuration.
@@ -123,7 +122,7 @@ func Synthesize(rj route.RJ, field action.ForceField, opt Options) (Result, erro
 		telArenaReuseRatio.Set(float64(telArenaReuses.Value()) / float64(telArenaGets.Value()))
 	}()
 
-	if unitQuery(opt) && smg.UnitWindow(rj.Hazard, field, opt.Model) {
+	if unitQuery(opt) && smg.UnitWindow(rj.Hazard, field) {
 		res, err := synthesizeUnit(ar, sp, rj, opt)
 		if err != nil {
 			return Result{}, fmt.Errorf("synth: %s: %w", rj.Name(), err)
@@ -146,7 +145,7 @@ func unitQuery(opt Options) bool {
 // without an MDP: the successor table of smg.Arena.InduceUnit, one BFS,
 // and MinExpectedReward's extraction rule give the full path's Policy,
 // Value and Stats sizes bit for bit. It runs no value iteration, so
-// Stats.Iterations is 0 and opt.Solver does not apply.
+// Stats.Iterations is 0.
 func synthesizeUnit(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, opt Options) (Result, error) {
 	var res Result
 	t0 := time.Now()
@@ -204,9 +203,9 @@ func synthesize(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, field action.For
 	var solved mdp.Result
 	switch opt.Query.Kind {
 	case spec.RMin:
-		solved, err = model.M.MinExpectedReward(target, avoid, opt.Solver)
+		solved, err = model.M.MinExpectedReward(target, avoid, mdp.SolveOptions{})
 	case spec.PMax:
-		solved, err = model.M.MaxReachProb(target, avoid, opt.Solver)
+		solved, err = model.M.MaxReachProb(target, avoid, mdp.SolveOptions{})
 	default:
 		err = fmt.Errorf("synth: unsupported query kind %v", opt.Query.Kind)
 	}

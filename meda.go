@@ -231,7 +231,7 @@ func NewBaselineRouter() Router { return sched.NewBaseline() }
 // NewAdaptiveRouter returns the paper's adaptive router: Alg. 2 synthesis
 // against the observed health matrix with the Alg. 3 strategy library and a
 // health-keyed strategy cache. Routing is synchronous and deterministic.
-func NewAdaptiveRouter() Router { return sched.NewAdaptive(sched.DefaultCacheSize) }
+func NewAdaptiveRouter() Router { return sched.NewAdaptive() }
 
 // Compile runs the RJ helper (Alg. 1) over a bioassay for a W×H chip.
 func Compile(a *Assay, w, h int) (*Plan, error) { return route.Compile(a, w, h) }
