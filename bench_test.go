@@ -379,44 +379,6 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkAblationActivationOrder explores the paper's future-work
-// direction (runtime operation ordering): FIFO activation vs wear-aware
-// (healthiest-zone-first) activation over six chip-reuse runs.
-func BenchmarkAblationActivationOrder(b *testing.B) {
-	for _, wearAware := range []bool{false, true} {
-		name := "fifo"
-		if wearAware {
-			name = "healthiest-first"
-		}
-		b.Run(name, func(b *testing.B) {
-			var lastCycles int
-			for i := 0; i < b.N; i++ {
-				src := randx.New(uint64(31 + i))
-				cfg := chip.Default()
-				c, err := chip.New(cfg, src.Split("chip"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				plan, err := meda.CompileBenchmark(meda.SerialDilution, cfg, 16)
-				if err != nil {
-					b.Fatal(err)
-				}
-				simCfg := sim.DefaultConfig()
-				simCfg.WearAwareActivation = wearAware
-				runner := sim.NewRunner(simCfg, c, sched.NewAdaptive(), src.Split("sim"))
-				for e := 0; e < 6; e++ {
-					exec, err := runner.Execute(plan)
-					if err != nil {
-						b.Fatal(err)
-					}
-					lastCycles = exec.Cycles
-				}
-			}
-			b.ReportMetric(float64(lastCycles), "cycles-run6")
-		})
-	}
-}
-
 // BenchmarkAblationRecovery races the three fault-handling postures of the
 // extension experiment on one fault-heavy chip (see EXPERIMENTS.md).
 func BenchmarkAblationRecovery(b *testing.B) {
@@ -447,9 +409,7 @@ func BenchmarkAblationRecovery(b *testing.B) {
 					b.Fatal(err)
 				}
 				simCfg := sim.DefaultConfig()
-				if v.recovery {
-					simCfg.Recovery = sim.DefaultRecovery()
-				}
+				simCfg.Recovery = v.recovery
 				var router sched.Router = sched.NewBaseline()
 				if v.adaptive {
 					router = sched.NewAdaptive()

@@ -526,34 +526,6 @@ func singleStep(dir geom.Dir) Action {
 	}
 }
 
-// SingleStep exposes the direction→action mapping for schedulers.
-func SingleStep(dir geom.Dir) Action { return singleStep(dir) }
-
-// ActuatedCells returns the set of microelectrodes that must be actuated to
-// execute action a on droplet d: the target pattern a(δ). (Under the paper's
-// droplet model the actuation pattern *is* the intended next droplet
-// rectangle; holding a droplet in place actuates its current rectangle.)
-func ActuatedCells(d geom.Rect, a Action) geom.Rect { return a.Apply(d) }
-
-// MovesToward reports whether executing a (fully successfully) brings the
-// droplet center closer to the center of goal, used by heuristic routers.
-func MovesToward(d, goal geom.Rect, a Action) bool {
-	cx, cy := d.Center()
-	gx, gy := goal.Center()
-	nd := a.Apply(d)
-	nx, ny := nd.Center()
-	cur := abs(gx-cx) + abs(gy-cy)
-	next := abs(gx-nx) + abs(gy-ny)
-	return next < cur
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // FromName returns the action with the given paper-style name (aN, aNE,
 // aWidenNE, ...), for protocol and configuration parsing.
 func FromName(name string) (Action, bool) {

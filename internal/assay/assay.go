@@ -168,15 +168,6 @@ func (a *Assay) Validate() error {
 // Len returns the number of operations.
 func (a *Assay) Len() int { return len(a.MOs) }
 
-// CountByType tallies operations per type.
-func (a *Assay) CountByType() map[Op]int {
-	out := make(map[Op]int)
-	for _, mo := range a.MOs {
-		out[mo.Type]++
-	}
-	return out
-}
-
 // builder accumulates MOs with automatic ID assignment.
 type builder struct {
 	name string

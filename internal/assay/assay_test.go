@@ -106,8 +106,10 @@ func TestEvaluationSuiteComposition(t *testing.T) {
 }
 
 func TestCountByType(t *testing.T) {
-	a := SerialDilution.Build(defaultLayout(), 16)
-	counts := a.CountByType()
+	counts := make(map[Op]int)
+	for _, mo := range SerialDilution.Build(defaultLayout(), 16).MOs {
+		counts[mo.Type]++
+	}
 	if counts[Dlt] != 6 {
 		t.Errorf("serial dilution has %d dlt ops, want 6", counts[Dlt])
 	}
@@ -239,20 +241,28 @@ func TestExtensionBenchmarks(t *testing.T) {
 	if err := protein.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if protein.CountByType()[Spt] != 3 {
-		t.Errorf("protein has %d splits, want 3", protein.CountByType()[Spt])
+	counts := make(map[Op]int)
+	for _, mo := range protein.MOs {
+		counts[mo.Type]++
 	}
-	if protein.CountByType()[Out] != 4 {
-		t.Errorf("protein has %d outputs, want 4", protein.CountByType()[Out])
+	if counts[Spt] != 3 {
+		t.Errorf("protein has %d splits, want 3", counts[Spt])
+	}
+	if counts[Out] != 4 {
+		t.Errorf("protein has %d outputs, want 4", counts[Out])
 	}
 	pcr := PCRMix.Build(defaultLayout(), 16)
 	if err := pcr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if pcr.CountByType()[Mix] != 7 {
-		t.Errorf("pcr-mix has %d mixes, want 7", pcr.CountByType()[Mix])
+	clear(counts)
+	for _, mo := range pcr.MOs {
+		counts[mo.Type]++
 	}
-	if pcr.CountByType()[Dis] != 8 {
-		t.Errorf("pcr-mix has %d dispenses, want 8", pcr.CountByType()[Dis])
+	if counts[Mix] != 7 {
+		t.Errorf("pcr-mix has %d mixes, want 7", counts[Mix])
+	}
+	if counts[Dis] != 8 {
+		t.Errorf("pcr-mix has %d dispenses, want 8", counts[Dis])
 	}
 }

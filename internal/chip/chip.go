@@ -370,19 +370,6 @@ func (c *Chip) HealthMatrix() [][]int {
 	return out
 }
 
-// DegradationMatrix returns a copy of the hidden degradation matrix D.
-func (c *Chip) DegradationMatrix() [][]float64 {
-	out := make([][]float64, c.h)
-	for y := 1; y <= c.h; y++ {
-		row := make([]float64, c.w)
-		for x := 1; x <= c.w; x++ {
-			row[x-1] = c.Degradation(x, y)
-		}
-		out[y-1] = row
-	}
-	return out
-}
-
 // HealthHash returns a hash of the observed health codes within region,
 // used by the hybrid scheduler to detect health changes that require
 // re-synthesis (Alg. 3). The region is clipped to the chip. It is 64-bit

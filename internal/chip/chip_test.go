@@ -278,12 +278,8 @@ func TestHardFaultsInjected(t *testing.T) {
 func TestMatricesShape(t *testing.T) {
 	c := newTestChip(t, Default(), 12)
 	hm := c.HealthMatrix()
-	dm := c.DegradationMatrix()
 	if len(hm) != 30 || len(hm[0]) != 60 {
 		t.Errorf("health matrix shape %dx%d", len(hm), len(hm[0]))
-	}
-	if len(dm) != 30 || len(dm[0]) != 60 {
-		t.Errorf("degradation matrix shape %dx%d", len(dm), len(dm[0]))
 	}
 	// Mutating the copies must not affect the chip.
 	hm[0][0] = -99

@@ -184,32 +184,6 @@ func (c Cell) Sense(tm Timing) Result {
 	}
 }
 
-// Classify runs the full sensing pipeline for a capacitance value and returns
-// the detected health class.
-func Classify(capacitance float64) HealthClass {
-	return NewCell(capacitance).Sense(DefaultTiming()).Class()
-}
-
-// WaveformPoint is one (time, voltage) sample of the discharge curve.
-type WaveformPoint struct {
-	T float64 // seconds into the discharge phase
-	V float64 // plate voltage
-}
-
-// Waveform samples the discharge curve over [0, tMax] at n+1 points,
-// producing the Fig. 2 voltage traces.
-func (c Cell) Waveform(tMax float64, n int) []WaveformPoint {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]WaveformPoint, n+1)
-	for i := 0; i <= n; i++ {
-		t := tMax * float64(i) / float64(n)
-		out[i] = WaveformPoint{T: t, V: c.Voltage(t)}
-	}
-	return out
-}
-
 // HealthBits maps the three-way class onto the b=2 health levels of the
 // degradation model (Sec. IV-B): "11"→3, "01"→1, "00"→0. Level 2 is not
 // produced by the three-capacitance bench but is representable by the model.
@@ -222,18 +196,4 @@ func (h HealthClass) HealthBits() int {
 	default:
 		return 0
 	}
-}
-
-// DFFAreaUM2 and related geometry justify that the added DFF has no chip-
-// footprint impact (Sec. III-B): the DFF area (~27 µm²) is far below the
-// microelectrode area (2500 µm²) minus the existing electronics (~88.2 µm²).
-const (
-	DFFAreaUM2         = 27.0
-	ElectronicsAreaUM2 = 88.2
-)
-
-// FootprintHeadroomUM2 returns the free area under a microelectrode after
-// the existing electronics, i.e. the room available for the added DFF.
-func FootprintHeadroomUM2() float64 {
-	return MicroelectrodeAreaUM2 - ElectronicsAreaUM2
 }

@@ -95,25 +95,27 @@ func TestTwoBitCodes(t *testing.T) {
 	}
 }
 
+// TestClassify runs the full sensing pipeline on the Table I capacitances.
 func TestClassify(t *testing.T) {
-	if Classify(CHealthy) != Healthy {
-		t.Error("healthy capacitance misclassified")
-	}
-	if Classify(CPartial) != PartiallyDegraded {
-		t.Error("partial capacitance misclassified")
-	}
-	if Classify(CDegraded) != CompletelyDegraded {
-		t.Error("degraded capacitance misclassified")
+	tm := DefaultTiming()
+	for _, c := range []struct {
+		capacitance float64
+		want        HealthClass
+	}{{CHealthy, Healthy}, {CPartial, PartiallyDegraded}, {CDegraded, CompletelyDegraded}} {
+		if got := NewCell(c.capacitance).Sense(tm).Class(); got != c.want {
+			t.Errorf("C = %v classified %v, want %v", c.capacitance, got, c.want)
+		}
 	}
 }
 
 func TestClassifyMonotoneProperty(t *testing.T) {
 	// Any capacitance below healthy classifies healthy; any above degraded
 	// classifies degraded; classification is monotone in capacitance.
+	tm := DefaultTiming()
 	f := func(u uint16) bool {
 		c := 2.370e-15 + float64(u)/65535*0.020e-15 // 2.370..2.390 fF
-		cls := Classify(c)
-		clsUp := Classify(c + 1e-18)
+		cls := NewCell(c).Sense(tm).Class()
+		clsUp := NewCell(c + 1e-18).Sense(tm).Class()
 		return clsUp >= cls
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -138,39 +140,6 @@ func TestResultCode10IsConservative(t *testing.T) {
 	r := Result{OriginalBit: 1, AddedBit: 0}
 	if r.Class() != CompletelyDegraded {
 		t.Error("impossible code 10 must classify conservatively")
-	}
-}
-
-func TestWaveform(t *testing.T) {
-	c := CellFor(Healthy)
-	wf := c.Waveform(5e-6, 100)
-	if len(wf) != 101 {
-		t.Fatalf("len(waveform) = %d, want 101", len(wf))
-	}
-	if wf[0].V != VDD || wf[0].T != 0 {
-		t.Error("waveform must start at (0, VDD)")
-	}
-	for i := 1; i < len(wf); i++ {
-		if wf[i].V >= wf[i-1].V {
-			t.Fatal("waveform must be strictly decreasing")
-		}
-		if wf[i].T <= wf[i-1].T {
-			t.Fatal("waveform time must be strictly increasing")
-		}
-	}
-	if got := c.Waveform(1e-6, 0); len(got) != 2 {
-		t.Errorf("n<1 should clamp to 1 interval, got %d points", len(got))
-	}
-}
-
-func TestFootprint(t *testing.T) {
-	// The added DFF (~27 µm²) must fit in the headroom under the
-	// microelectrode (Sec. III-B).
-	if FootprintHeadroomUM2() <= DFFAreaUM2 {
-		t.Errorf("headroom %v µm² cannot fit the %v µm² DFF", FootprintHeadroomUM2(), DFFAreaUM2)
-	}
-	if math.Abs(FootprintHeadroomUM2()-(2500-88.2)) > 1e-9 {
-		t.Error("headroom formula wrong")
 	}
 }
 

@@ -1,87 +1,12 @@
-// Scan-chain and operational-cycle model (Sec. III-A). A MEDA biochip is
-// driven in operational cycles: the controller shifts an actuation bitstream
-// into the MC array through a scan chain, the MCs actuate, every MC senses,
-// and the sensing results are shifted out as a bitstream. With the new MC
-// design each cell contributes two sensing bits (the original and the added
-// DFF), so the scan-out stream carries both droplet presence and health.
+// Operational-cycle timing model (Sec. III-A). A MEDA biochip is driven in
+// operational cycles: the controller shifts an actuation bitstream into the
+// MC array through a scan chain, the MCs actuate, every MC senses, and the
+// sensing results are shifted out as a bitstream. With the new MC design
+// each cell contributes two sensing bits (the original and the added DFF),
+// so the scan-out stream carries both droplet presence and health.
 package circuit
 
-import (
-	"fmt"
-	"time"
-)
-
-// ScanChain models the serial interface of a W×H MC array.
-type ScanChain struct {
-	W, H int
-}
-
-// Cells returns the number of MCs on the chain.
-func (s ScanChain) Cells() int { return s.W * s.H }
-
-// PackActuation serializes a row-major actuation matrix (true = actuate)
-// into the scan-in bitstream, least significant bit first within each byte.
-func (s ScanChain) PackActuation(cells []bool) ([]byte, error) {
-	if len(cells) != s.Cells() {
-		return nil, fmt.Errorf("circuit: %d actuation bits for a %d-cell chain", len(cells), s.Cells())
-	}
-	out := make([]byte, (len(cells)+7)/8)
-	for i, b := range cells {
-		if b {
-			out[i/8] |= 1 << uint(i%8)
-		}
-	}
-	return out, nil
-}
-
-// UnpackActuation reverses PackActuation.
-func (s ScanChain) UnpackActuation(stream []byte) ([]bool, error) {
-	n := s.Cells()
-	if len(stream) != (n+7)/8 {
-		return nil, fmt.Errorf("circuit: %d stream bytes for a %d-cell chain", len(stream), n)
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = stream[i/8]&(1<<uint(i%8)) != 0
-	}
-	return out, nil
-}
-
-// PackSensing serializes per-cell 2-bit sensing results (original bit then
-// added bit per cell) into the scan-out bitstream.
-func (s ScanChain) PackSensing(results []Result) ([]byte, error) {
-	if len(results) != s.Cells() {
-		return nil, fmt.Errorf("circuit: %d sensing results for a %d-cell chain", len(results), s.Cells())
-	}
-	out := make([]byte, (2*len(results)+7)/8)
-	for i, r := range results {
-		if r.OriginalBit != 0 {
-			out[(2*i)/8] |= 1 << uint((2*i)%8)
-		}
-		if r.AddedBit != 0 {
-			out[(2*i+1)/8] |= 1 << uint((2*i+1)%8)
-		}
-	}
-	return out, nil
-}
-
-// UnpackSensing reverses PackSensing.
-func (s ScanChain) UnpackSensing(stream []byte) ([]Result, error) {
-	n := s.Cells()
-	if len(stream) != (2*n+7)/8 {
-		return nil, fmt.Errorf("circuit: %d stream bytes for %d sensing results", len(stream), n)
-	}
-	out := make([]Result, n)
-	for i := range out {
-		if stream[(2*i)/8]&(1<<uint((2*i)%8)) != 0 {
-			out[i].OriginalBit = 1
-		}
-		if stream[(2*i+1)/8]&(1<<uint((2*i+1)%8)) != 0 {
-			out[i].AddedBit = 1
-		}
-	}
-	return out, nil
-}
+import "time"
 
 // CycleTiming models the duration of one operational cycle: scan-in of one
 // actuation bit per MC, the EWOD actuation dwell, the sensing phase, and

@@ -2,124 +2,8 @@ package circuit
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestActuationRoundTrip(t *testing.T) {
-	s := ScanChain{W: 60, H: 30}
-	cells := make([]bool, s.Cells())
-	for i := range cells {
-		cells[i] = i%3 == 0 || i%7 == 0
-	}
-	stream, err := s.PackActuation(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := s.UnpackActuation(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cells {
-		if cells[i] != back[i] {
-			t.Fatalf("bit %d corrupted", i)
-		}
-	}
-}
-
-func TestActuationRoundTripProperty(t *testing.T) {
-	f := func(raw []bool, w8, h8 uint8) bool {
-		w := int(w8%16) + 1
-		h := int(h8%16) + 1
-		s := ScanChain{W: w, H: h}
-		cells := make([]bool, s.Cells())
-		for i := range cells {
-			if i < len(raw) {
-				cells[i] = raw[i]
-			}
-		}
-		stream, err := s.PackActuation(cells)
-		if err != nil {
-			return false
-		}
-		back, err := s.UnpackActuation(stream)
-		if err != nil {
-			return false
-		}
-		for i := range cells {
-			if cells[i] != back[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSensingRoundTrip(t *testing.T) {
-	s := ScanChain{W: 7, H: 5}
-	results := make([]Result, s.Cells())
-	for i := range results {
-		results[i] = Result{OriginalBit: i % 2, AddedBit: (i / 2) % 2}
-	}
-	stream, err := s.PackSensing(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := s.UnpackSensing(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results {
-		if results[i] != back[i] {
-			t.Fatalf("result %d corrupted: %v vs %v", i, results[i], back[i])
-		}
-	}
-}
-
-func TestSensingStreamEncodesHealthCodes(t *testing.T) {
-	// A full sensing cycle through the scan chain preserves the 2-bit
-	// health classification end to end.
-	s := ScanChain{W: 3, H: 1}
-	tm := DefaultTiming()
-	results := []Result{
-		CellFor(Healthy).Sense(tm),
-		CellFor(PartiallyDegraded).Sense(tm),
-		CellFor(CompletelyDegraded).Sense(tm),
-	}
-	stream, err := s.PackSensing(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := s.UnpackSensing(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []HealthClass{Healthy, PartiallyDegraded, CompletelyDegraded}
-	for i, r := range back {
-		if r.Class() != want[i] {
-			t.Errorf("cell %d classified %v, want %v", i, r.Class(), want[i])
-		}
-	}
-}
-
-func TestPackLengthValidation(t *testing.T) {
-	s := ScanChain{W: 4, H: 4}
-	if _, err := s.PackActuation(make([]bool, 7)); err == nil {
-		t.Error("short actuation vector accepted")
-	}
-	if _, err := s.UnpackActuation(make([]byte, 1)); err == nil {
-		t.Error("short actuation stream accepted")
-	}
-	if _, err := s.PackSensing(make([]Result, 3)); err == nil {
-		t.Error("short sensing vector accepted")
-	}
-	if _, err := s.UnpackSensing(make([]byte, 1)); err == nil {
-		t.Error("short sensing stream accepted")
-	}
-}
 
 func TestCycleTiming(t *testing.T) {
 	tm := DefaultCycleTiming()

@@ -98,11 +98,6 @@ func DegradationFromHealth(h, b int) float64 {
 	return (float64(h) + 0.5) / float64(levels)
 }
 
-// ForceFromDegradation returns the relative EWOD force for a degradation
-// level: F̄ = D². Exposed separately so that the simulator (which knows D)
-// and the synthesizer (which only knows D̂ from H) share one definition.
-func ForceFromDegradation(d float64) float64 { return d * d }
-
 // ActuationsToDegradation inverts Eq. (3): the number of actuations after
 // which the degradation level first drops to d. Returns +Inf when d is not
 // reachable (d > 1 is clamped; τ = 1 never degrades).

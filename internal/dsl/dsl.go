@@ -74,9 +74,6 @@ func Parse(r io.Reader) (plan.Graph, error) {
 	return g, nil
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (plan.Graph, error) { return Parse(strings.NewReader(s)) }
-
 var opByName = map[string]assay.Op{
 	"dis": assay.Dis,
 	"out": assay.Out,

@@ -30,7 +30,7 @@ out result
 `
 
 func TestParseDilution(t *testing.T) {
-	g, err := ParseString(dilution)
+	g, err := Parse(strings.NewReader(dilution))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestParseDilution(t *testing.T) {
 
 // TestParsedAssayExecutes: a DSL protocol places and runs end to end.
 func TestParsedAssayExecutes(t *testing.T) {
-	g, err := ParseString(dilution)
+	g, err := Parse(strings.NewReader(dilution))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ m = mix l rg
 out m
 out r
 `
-	g, err := ParseString(src)
+	g, err := Parse(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestParseErrors(t *testing.T) {
 		{"empty name", ", b = spt q"},
 	}
 	for _, c := range cases {
-		if _, err := ParseString(c.src); err == nil {
+		if _, err := Parse(strings.NewReader(c.src)); err == nil {
 			t.Errorf("%s: accepted:\n%s", c.name, c.src)
 		}
 	}
@@ -146,7 +146,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestCommentsAndWhitespace(t *testing.T) {
 	src := "  assay   padded  \n\n  # full comment line\n a = dis 16   # trailing comment\nout a\n"
-	g, err := ParseString(src)
+	g, err := Parse(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCommentsAndWhitespace(t *testing.T) {
 }
 
 func TestMagDefaultHold(t *testing.T) {
-	g, err := ParseString("a = dis 16\nm = mag a\nout m")
+	g, err := Parse(strings.NewReader("a = dis 16\nm = mag a\nout m"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("assay\n")
 	f.Add(strings.Repeat("a = dis 16\n", 4))
 	f.Fuzz(func(t *testing.T, src string) {
-		g, err := ParseString(src)
+		g, err := Parse(strings.NewReader(src))
 		if err != nil {
 			return
 		}
@@ -37,8 +37,8 @@ func FuzzParseStability(f *testing.F) {
 	f.Add("a = dis 16\nl, r = spt a\nout l\nout r")
 	f.Add("a = dis 9\nb = dis 9\nm = mix a b\nout m\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		g1, err1 := ParseString(src)
-		g2, err2 := ParseString(src)
+		g1, err1 := Parse(strings.NewReader(src))
+		g2, err2 := Parse(strings.NewReader(src))
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("parse disposition differs between runs: %v vs %v", err1, err2)
 		}

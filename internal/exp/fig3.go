@@ -186,13 +186,6 @@ func meanCorrelationAtDistance(vectors [][]bool, w, h, d, maxPairs int, src *ran
 	return sum / float64(count), count
 }
 
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // RenderFig3 writes the Fig. 3 reproduction grouped by assay and size.
 func RenderFig3(w io.Writer, points []Fig3Point) {
 	fprintf(w, "Fig. 3 — actuation correlation vs Manhattan distance\n")

@@ -104,9 +104,7 @@ func Recovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
 				}
 				simCfg := baseSimConfig()
 				simCfg.KMax = cfg.KMax
-				if ctl.recovery {
-					simCfg.Recovery = sim.DefaultRecovery()
-				}
+				simCfg.Recovery = ctl.recovery
 				runner := sim.NewRunner(simCfg, c, ctl.router(), src.Split("sim"))
 				exec, err := runner.Execute(plan)
 				if err != nil {

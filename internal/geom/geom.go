@@ -18,20 +18,6 @@ type Cell struct {
 // String returns the cell formatted as "(x,y)".
 func (c Cell) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
 
-// Manhattan returns the Manhattan (L1) distance between two cells.
-func (c Cell) Manhattan(o Cell) int {
-	return abs(c.X-o.X) + abs(c.Y-o.Y)
-}
-
-// Chebyshev returns the Chebyshev (L∞) distance between two cells.
-func (c Cell) Chebyshev(o Cell) int {
-	dx, dy := abs(c.X-o.X), abs(c.Y-o.Y)
-	if dx > dy {
-		return dx
-	}
-	return dy
-}
-
 // Add returns the cell translated by (dx, dy).
 func (c Cell) Add(dx, dy int) Cell { return Cell{c.X + dx, c.Y + dy} }
 
@@ -65,16 +51,6 @@ func (iv Interval) Intersect(o Interval) Interval {
 // This is exactly the droplet tuple δ = (x_a, y_a, x_b, y_b) of the paper.
 type Rect struct {
 	XA, YA, XB, YB int
-}
-
-// NewRect constructs a rectangle, panicking on inverted corners; use it for
-// literals where the programmer asserts validity.
-func NewRect(xa, ya, xb, yb int) Rect {
-	r := Rect{xa, ya, xb, yb}
-	if !r.Valid() {
-		panic(fmt.Sprintf("geom: invalid rect (%d,%d,%d,%d)", xa, ya, xb, yb))
-	}
-	return r
 }
 
 // RectAround returns the w×h rectangle whose center is closest to the real
@@ -117,11 +93,6 @@ func (r Rect) Height() int { return r.YB - r.YA + 1 }
 
 // Area returns the number of cells w·h.
 func (r Rect) Area() int { return r.Width() * r.Height() }
-
-// AspectRatio returns AR = w/h.
-func (r Rect) AspectRatio() float64 {
-	return float64(r.Width()) / float64(r.Height())
-}
 
 // Center returns the real-valued center ((XA+XB)/2, (YA+YB)/2).
 func (r Rect) Center() (cx, cy float64) {
@@ -273,26 +244,5 @@ func (d Dir) Delta() (dx, dy int) {
 	return 0, 0
 }
 
-// Opposite returns the reverse direction.
-func (d Dir) Opposite() Dir {
-	switch d {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	default:
-		return East
-	}
-}
-
 // Horizontal reports whether the direction is East or West.
 func (d Dir) Horizontal() bool { return d == East || d == West }
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

@@ -50,11 +50,6 @@ func (b *Builder) AddStates(n int) StateID {
 	return first
 }
 
-// AddState reserves one fresh state and returns its id.
-//
-//meda:hotpath
-func (b *Builder) AddState() StateID { return b.AddStates(1) }
-
 // NumStates returns the number of states reserved so far.
 //
 //meda:hotpath

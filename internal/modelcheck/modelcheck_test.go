@@ -78,7 +78,7 @@ func TestCheckMDPNonStochasticRow(t *testing.T) {
 
 func TestCheckMDPNegativeAndExcessProbability(t *testing.T) {
 	var b mdp.Builder
-	s0 := b.AddState()
+	s0 := b.AddStates(1)
 	b.BeginChoice(s0, 2, 1)
 	b.Transition(s0, 1.25)
 	b.Transition(s0, -0.25)
@@ -91,7 +91,7 @@ func TestCheckMDPNegativeAndExcessProbability(t *testing.T) {
 
 func TestCheckMDPEmptyChoiceAndNegativeReward(t *testing.T) {
 	var b mdp.Builder
-	s0 := b.AddState()
+	s0 := b.AddStates(1)
 	b.BeginChoice(s0, 1, -2)
 	b.Transition(s0, 1)
 	b.BeginChoice(s0, 2, 0)
@@ -103,7 +103,7 @@ func TestCheckMDPEmptyChoiceAndNegativeReward(t *testing.T) {
 
 func TestCheckMDPDanglingTarget(t *testing.T) {
 	var b mdp.Builder
-	s0 := b.AddState()
+	s0 := b.AddStates(1)
 	b.BeginChoice(s0, 9, 1)
 	b.Transition(17, 1) // state 17 does not exist
 	vs := modelcheck.CheckMDP(b.Build())

@@ -42,16 +42,6 @@ type Graph struct {
 	Ops  []Op
 }
 
-// Strip converts a placed assay back into its location-free graph, useful
-// for re-planning an existing protocol onto a different chip.
-func Strip(a *assay.Assay) Graph {
-	g := Graph{Name: a.Name}
-	for _, mo := range a.MOs {
-		g.Ops = append(g.Ops, Op{Type: mo.Type, Pre: append([]int(nil), mo.Pre...), Area: mo.Area, Hold: mo.Hold})
-	}
-	return g
-}
-
 // Validate checks the graph shape (arities, topological order, single
 // consumption) without requiring locations.
 func (g Graph) Validate() error {

@@ -115,9 +115,6 @@ func (s *Source) Choose(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Shuffle shuffles the first n elements using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
-
 // isZero is an exact sentinel comparison (medalint floatcmp): an all-zero
 // weight vector is degenerate by construction, not by rounding.
 func isZero(x float64) bool { return x == 0 }

@@ -22,29 +22,3 @@ import "meda/internal/geom"
 func zoneConflict(a, b geom.Rect, margin int) bool {
 	return a.Expand(margin).Overlaps(b)
 }
-
-// HazardFree reports whether the simultaneous single-cycle transitions
-// curA→nextA and curB→nextB of two droplets belonging to different
-// operations satisfy the fluidic constraints at the given margin:
-//
-//	static:  nextA and nextB stay separated — the droplets must not be able
-//	         to merge accidentally after both moves complete;
-//	dynamic: nextA stays clear of curB and nextB stays clear of curA — at no
-//	         instant during the transfer is a droplet adjacent to where the
-//	         other one still is.
-//
-// A droplet that holds in place has cur == next, collapsing the three tests
-// into one. The predicate is symmetric in the two droplets and invariant
-// under any isometry applied to all four rectangles.
-func HazardFree(curA, nextA, curB, nextB geom.Rect, margin int) bool {
-	if zoneConflict(nextA, nextB, margin) {
-		return false
-	}
-	if zoneConflict(nextA, curB, margin) {
-		return false
-	}
-	if zoneConflict(nextB, curA, margin) {
-		return false
-	}
-	return true
-}

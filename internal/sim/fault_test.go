@@ -7,6 +7,7 @@ import (
 
 	"meda/internal/assay"
 	"meda/internal/chip"
+	"meda/internal/degrade"
 	"meda/internal/fault"
 	"meda/internal/geom"
 	"meda/internal/randx"
@@ -156,22 +157,46 @@ func TestFaultTrialViolationDetection(t *testing.T) {
 	}
 }
 
-// TestWithFaultsDefaults: WithFaults enables the degradation machinery with
-// its documented defaults without clobbering explicit settings.
+// TestWithFaultsDefaults: WithFaults attaches the plan and turns hazard
+// auditing on; a disabled plan arms nothing else, so the run is the
+// fault-free one.
 func TestWithFaultsDefaults(t *testing.T) {
 	cfg := DefaultConfig().WithFaults(fault.Mixed(1, 0.05, fault.AllKinds))
-	if cfg.MODeadline != 350 || cfg.DivergenceLimit != 24 || !cfg.CheckHazards {
-		t.Errorf("defaults not applied: %+v", cfg)
+	if !cfg.Faults.Enabled() || !cfg.CheckHazards {
+		t.Errorf("plan not attached or auditing off: %+v", cfg)
 	}
-	custom := DefaultConfig()
-	custom.MODeadline = 99
-	custom.DivergenceLimit = 7
-	custom = custom.WithFaults(fault.Plan{Transient: 0.1})
-	if custom.MODeadline != 99 || custom.DivergenceLimit != 7 {
-		t.Errorf("explicit settings clobbered: %+v", custom)
+
+	// A clustered dead band the health-blind baseline stalls against: with
+	// deadlines and divergence tracking armed, its jobs would be degraded.
+	cc := robustChipConfig()
+	cc.Faults = degrade.FaultPlan{
+		Mode: degrade.FaultClustered, Fraction: 0.3, FailAfterLo: 1, FailAfterHi: 2,
 	}
-	if !custom.Faults.Enabled() {
-		t.Error("fault plan not attached")
+	execute := func(cfg Config) Execution {
+		t.Helper()
+		src := randx.New(4)
+		c, err := chip.New(cc, src.Split("chip"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := NewRunner(cfg, c, sched.NewBaseline(), src.Split("sim")).Execute(compile(t, assay.MasterMix, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exec
+	}
+	disabled := DefaultConfig().WithFaults(fault.Mixed(4, 0.05, 0))
+	if disabled.Faults.Enabled() {
+		t.Fatal("a plan with no fault kinds must be disabled")
+	}
+	audited := DefaultConfig()
+	audited.CheckHazards = true
+	got, want := execute(disabled), execute(audited)
+	if got != want {
+		t.Errorf("disabled plan changed the run:\n got %+v\nwant %+v", got, want)
+	}
+	if got.Divergences != 0 || got.DegradedJobs != 0 {
+		t.Errorf("degradation armed without faults: %+v", got)
 	}
 }
 

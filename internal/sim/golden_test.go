@@ -139,7 +139,7 @@ func goldenRuns() map[string]goldenRun {
 			Mode: degrade.FaultClustered, Fraction: 0.3, FailAfterLo: 1, FailAfterHi: 2,
 		}
 		cfg := DefaultConfig()
-		cfg.Recovery = DefaultRecovery()
+		cfg.Recovery = true
 		cfg.KMax = 600
 		cfg.Concurrent = concurrent
 		runs[fmt.Sprintf("recovery/%v/%s", b, mode[concurrent])] = goldenRun{

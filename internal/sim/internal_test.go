@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"meda/internal/assay"
 	"meda/internal/chip"
 	"meda/internal/geom"
 	"meda/internal/randx"
@@ -54,51 +53,5 @@ func TestSidestepPicksClearMove(t *testing.T) {
 	}
 	if _, _, ok := r.sidestep(me, boxed, boxedIntents, 0); ok {
 		t.Error("sidestep escaped an impossible box")
-	}
-}
-
-// TestZoneHealth: the wear-aware activation metric is 1 on a fresh chip and
-// drops once the zone is worn.
-func TestZoneHealth(t *testing.T) {
-	cfg := chip.Default()
-	src := randx.New(2)
-	c, err := chip.New(cfg, src.Split("chip"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(DefaultConfig(), c, sched.NewBaseline(), src.Split("sim"))
-	m := &moRT{jobs: []*jobRT{{rj: route.RJ{Hazard: geom.Rect{XA: 1, YA: 1, XB: 10, YB: 10}}}}}
-	if h := r.zoneHealth(m); h != 1 {
-		t.Errorf("fresh zone health = %v, want 1", h)
-	}
-	for i := 0; i < 600; i++ {
-		c.Actuate(geom.Rect{XA: 1, YA: 1, XB: 10, YB: 10})
-	}
-	if h := r.zoneHealth(m); h >= 1 {
-		t.Errorf("worn zone health = %v, want < 1", h)
-	}
-	// Empty job list degenerates to healthy.
-	if h := r.zoneHealth(&moRT{}); h != 1 {
-		t.Errorf("empty zone health = %v", h)
-	}
-}
-
-// TestWearAwareActivationRuns: the future-work activation order completes
-// the suite's assays just like FIFO.
-func TestWearAwareActivationRuns(t *testing.T) {
-	src := randx.New(3)
-	c, err := chip.New(robustChipConfig(), src.Split("chip"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.WearAwareActivation = true
-	r := NewRunner(cfg, c, sched.NewBaseline(), src.Split("sim"))
-	exec, err := r.Execute(compile(t, assay.InVitro, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exec.Success {
-		t.Fatalf("wear-aware activation failed: %+v", exec)
 	}
 }

@@ -27,12 +27,8 @@ func deadWallChip(t *testing.T, seed uint64) *chip.Chip {
 // TestRecoveryDisabledByDefault: the default configuration matches the
 // paper's evaluation (no reactive recovery).
 func TestRecoveryDisabledByDefault(t *testing.T) {
-	if DefaultConfig().Recovery.Enabled {
+	if DefaultConfig().Recovery {
 		t.Error("recovery must be off by default")
-	}
-	rc := DefaultRecovery()
-	if !rc.Enabled || rc.StallThreshold <= 0 || rc.MaxRollbacks <= 0 {
-		t.Errorf("DefaultRecovery = %+v", rc)
 	}
 }
 
@@ -41,7 +37,7 @@ func TestRecoveryDisabledByDefault(t *testing.T) {
 func TestRecoveryCountsStayZeroWhenHealthy(t *testing.T) {
 	c := deadWallChip(t, 1)
 	cfg := DefaultConfig()
-	cfg.Recovery = DefaultRecovery()
+	cfg.Recovery = true
 	src := randx.New(2)
 	r := NewRunner(cfg, c, sched.NewBaseline(), src)
 	exec, err := r.Execute(compile(t, assay.MasterMix, 16))
@@ -68,7 +64,7 @@ func TestRecoveryRetriesStalledOperation(t *testing.T) {
 		Mode: degrade.FaultClustered, Fraction: 0.3, FailAfterLo: 1, FailAfterHi: 2,
 	}
 	simCfg := DefaultConfig()
-	simCfg.Recovery = DefaultRecovery()
+	simCfg.Recovery = true
 	simCfg.KMax = 600
 
 	triggered := false
@@ -95,7 +91,8 @@ func TestRecoveryRetriesStalledOperation(t *testing.T) {
 	}
 }
 
-// TestRecoveryRollbackCapRespected: recovery stops after MaxRollbacks.
+// TestRecoveryRollbackCapRespected: on a chip where nothing can route,
+// recovery rolls back exactly maxRollbacks times and then stops.
 func TestRecoveryRollbackCapRespected(t *testing.T) {
 	cfg := chip.Default()
 	cfg.Normal = degrade.ParamRange{Tau1: 0.99, Tau2: 0.999, C1: 5000, C2: 10000}
@@ -104,8 +101,7 @@ func TestRecoveryRollbackCapRespected(t *testing.T) {
 		Mode: degrade.FaultUniform, Fraction: 0.6, FailAfterLo: 1, FailAfterHi: 2,
 	}
 	simCfg := DefaultConfig()
-	simCfg.Recovery = DefaultRecovery()
-	simCfg.Recovery.MaxRollbacks = 2
+	simCfg.Recovery = true
 	simCfg.KMax = 800
 	src := randx.New(5)
 	c, err := chip.New(cfg, src.Split("chip"))
@@ -117,8 +113,8 @@ func TestRecoveryRollbackCapRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec.Rollbacks > 2 {
-		t.Errorf("rollbacks = %d exceeds cap 2", exec.Rollbacks)
+	if exec.Rollbacks != maxRollbacks {
+		t.Errorf("rollbacks = %d, want the cap %d", exec.Rollbacks, maxRollbacks)
 	}
 }
 
@@ -131,7 +127,7 @@ func TestRecoveryExecutionStillCompletes(t *testing.T) {
 		Mode: degrade.FaultClustered, Fraction: 0.15, FailAfterLo: 1, FailAfterHi: 30,
 	}
 	simCfg := DefaultConfig()
-	simCfg.Recovery = DefaultRecovery()
+	simCfg.Recovery = true
 	completed := 0
 	for seed := uint64(10); seed < 16; seed++ {
 		src := randx.New(seed)

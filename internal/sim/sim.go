@@ -21,7 +21,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"meda/internal/action"
 	"meda/internal/assay"
@@ -45,29 +44,20 @@ type Config struct {
 	// strategy is installed, further triggers are coalesced for this many
 	// cycles.
 	MinResynthInterval int
-	// Recovery configures reactive roll-back error recovery (Sec. II-C),
-	// the technique the paper's proactive approach is contrasted with.
-	Recovery RecoveryConfig
-	// WearAwareActivation explores the paper's future-work direction of
-	// optimizing the runtime order of microfluidic operations: when
-	// several operations are ready, the one whose hazard zones are
-	// healthiest activates first, deferring work in degraded regions for
-	// as long as the dependency graph allows.
-	WearAwareActivation bool
+	// Recovery enables reactive roll-back error recovery (Sec. II-C), the
+	// technique the paper's proactive approach is contrasted with: when a
+	// droplet makes no progress for stallThreshold cycles, the operation is
+	// declared failed, its droplets are discarded, and it is re-executed
+	// together with every operation needed to regenerate the lost droplets
+	// (transitively, down to the dispense reservoirs), at most maxRollbacks
+	// times per execution.
+	Recovery bool
 	// Faults is the soft-fault injection plan (internal/fault): stuck and
 	// transiently failing microelectrodes, sensor misreads, and
-	// control-plane faults. The zero plan injects nothing.
+	// control-plane faults. The zero plan injects nothing. An enabled plan
+	// also arms graceful degradation: per-operation deadlines
+	// (moDeadline) and divergence tracking (divergenceLimit).
 	Faults fault.Plan
-	// MODeadline is the per-operation cycle budget (activation → done);
-	// an operation that overruns it has its unfinished jobs degraded to
-	// the router's final tier. Zero disables deadlines.
-	MODeadline int
-	// DivergenceLimit is how many divergence observations (off-policy
-	// positions or physical no-move stalls) a job tolerates before the
-	// runner blacklists the failing region and re-routes; at twice the
-	// limit the job is degraded to the final-tier router. Zero disables
-	// divergence tracking.
-	DivergenceLimit int
 	// CheckHazards audits droplet state after every cycle's motion:
 	// droplets of different operations must never overlap and no droplet
 	// may leave the array. Violations are counted, not fatal.
@@ -91,46 +81,18 @@ type Config struct {
 	Concurrent bool
 }
 
-// WithFaults returns the configuration with a fault plan attached and the
-// graceful-degradation machinery (per-MO deadlines, divergence tracking,
-// hazard auditing) enabled at its defaults where unset.
+// WithFaults returns the configuration with a fault plan attached and
+// hazard auditing on.
 func (c Config) WithFaults(p fault.Plan) Config {
 	c.Faults = p
-	if c.MODeadline == 0 {
-		c.MODeadline = 350
-	}
-	if c.DivergenceLimit == 0 {
-		c.DivergenceLimit = 24
-	}
 	c.CheckHazards = true
 	return c
-}
-
-// RecoveryConfig enables roll-back error recovery: when a droplet makes no
-// progress for StallThreshold cycles, the error-recovery controller declares
-// the operation failed, discards its droplets, and re-executes the operation
-// together with every operation needed to regenerate the lost droplets
-// (transitively, down to the dispense reservoirs).
-type RecoveryConfig struct {
-	Enabled bool
-	// StallThreshold is the number of cycles without droplet movement
-	// after which an operation is declared failed.
-	StallThreshold int
-	// MaxRollbacks caps recovery attempts per execution; beyond it the
-	// execution runs down the clock (and aborts at KMax).
-	MaxRollbacks int
 }
 
 // DefaultConfig mirrors the paper's evaluation settings (recovery off — the
 // paper's two routers both run without reactive recovery; see Sec. VII-A).
 func DefaultConfig() Config {
 	return Config{KMax: 1000, MinResynthInterval: 5}
-}
-
-// DefaultRecovery returns the roll-back recovery configuration used by the
-// proactive-vs-reactive extension experiment.
-func DefaultRecovery() RecoveryConfig {
-	return RecoveryConfig{Enabled: true, StallThreshold: 60, MaxRollbacks: 8}
 }
 
 // Execution is the outcome of running one bioassay once.
@@ -155,8 +117,8 @@ type Execution struct {
 	// Divergences counts escalations of the planned-vs-observed divergence
 	// detector (each escalation blacklists a suspect region and forces a
 	// re-route); DegradedJobs counts jobs demoted to the router's final
-	// tier, by divergence or MO deadline. Both stay 0 unless the
-	// corresponding Config knobs are enabled.
+	// tier, by divergence or MO deadline. Both stay 0 unless a fault plan
+	// is attached.
 	Divergences  int
 	DegradedJobs int
 	// HazardViolations counts post-motion audit failures (CheckHazards):
@@ -191,15 +153,6 @@ type Runner struct {
 	Router sched.Router
 	Hook   CycleHook
 	src    *randx.Source
-	// inferredFaults are regions the reactive error-recovery controller
-	// has learned to avoid within the current execution: wherever a
-	// droplet stalled before a rollback. Health-blind routers cannot
-	// sense dead microelectrodes, but they can remember where droplets
-	// died — the essence of retrial-with-rerouting recovery. The
-	// divergence detector feeds the same list: regions a droplet
-	// physically cannot enter are blacklisted whether or not the health
-	// sensor agrees.
-	inferredFaults []geom.Rect
 	// inj is the soft-fault injector built from Cfg.Faults on first
 	// Execute; it persists across executions (stuck cells, like wear, do
 	// not heal between bioassays).
@@ -312,6 +265,22 @@ const (
 	// health change (or an obstruction) and the asynchronously
 	// re-synthesized strategy becoming available (Alg. 3).
 	resynthDelay = 2
+	// stallThreshold is the number of cycles without droplet movement
+	// after which reactive recovery declares an operation failed.
+	stallThreshold = 60
+	// maxRollbacks caps recovery attempts per execution; beyond it the
+	// execution runs down the clock (and aborts at KMax).
+	maxRollbacks = 8
+	// moDeadline is the per-operation cycle budget (activation → done)
+	// under fault injection: an operation that overruns it has its
+	// unfinished jobs degraded to the router's final tier.
+	moDeadline = 350
+	// divergenceLimit is how many divergence observations (off-policy
+	// positions or physical no-move stalls) a job tolerates under fault
+	// injection before the runner blacklists the failing region and
+	// re-routes; at twice the limit the job is degraded to the final-tier
+	// router.
+	divergenceLimit = 24
 )
 
 // Execute runs the bioassay once. The same Runner may be called repeatedly;
@@ -351,6 +320,14 @@ type run struct {
 	droplets   []*dropletRT
 	exec       Execution
 	cs         *concurrentState
+	// inferredFaults are regions the reactive error-recovery controller
+	// has learned to avoid within this execution: wherever a droplet
+	// stalled before a rollback. Health-blind routers cannot sense dead
+	// microelectrodes, but they can remember where droplets died — the
+	// essence of retrial-with-rerouting recovery. The divergence detector
+	// feeds the same list: regions a droplet physically cannot enter are
+	// blacklisted whether or not the health sensor agrees.
+	inferredFaults []geom.Rect
 	// k is the current cycle; lastProgress is the last cycle a droplet
 	// moved, a job or operation finished, or a recovery reset the schedule.
 	k            int
@@ -442,7 +419,6 @@ func (r *Runner) newRun(plan *route.Plan) *run {
 	if r.Cfg.Concurrent {
 		s.cs = newConcurrentState(n)
 	}
-	r.inferredFaults = nil
 	return s
 }
 
@@ -561,11 +537,6 @@ func (s *run) activateReady() {
 			readyIDs = append(readyIDs, id)
 		}
 	}
-	if s.Cfg.WearAwareActivation && len(readyIDs) > 1 {
-		sort.SliceStable(readyIDs, func(i, j int) bool {
-			return s.zoneHealth(s.mos[readyIDs[i]]) > s.zoneHealth(s.mos[readyIDs[j]])
-		})
-	}
 	activated := false
 	for _, id := range readyIDs {
 		if s.canActivate(id) {
@@ -589,15 +560,16 @@ func (s *run) observeDroplets() {
 	s.cs.observeCycle(n)
 }
 
-// enforceDeadlines is phase 1c: an operation running far past activation is
-// degraded — its unfinished jobs are demoted to the router's final tier,
-// trading route quality for guaranteed progress.
+// enforceDeadlines is phase 1c: under fault injection, an operation running
+// more than moDeadline cycles past activation is degraded — its unfinished
+// jobs are demoted to the router's final tier, trading route quality for
+// guaranteed progress.
 func (s *run) enforceDeadlines() {
-	if s.Cfg.MODeadline <= 0 {
+	if !s.Cfg.Faults.Enabled() {
 		return
 	}
 	for _, m := range s.mos {
-		if m.state != moActive || m.degraded || s.k-m.activatedAt <= s.Cfg.MODeadline {
+		if m.state != moActive || m.degraded || s.k-m.activatedAt <= moDeadline {
 			continue
 		}
 		m.degraded = true
@@ -793,8 +765,7 @@ func (s *run) advance() {
 // its operation; the operation and everything needed to regenerate its
 // droplets are re-executed.
 func (s *run) recoverErrors() {
-	rc := s.Cfg.Recovery
-	if !rc.Enabled {
+	if !s.Cfg.Recovery {
 		return
 	}
 	failed := -1
@@ -811,13 +782,13 @@ func (s *run) recoverErrors() {
 				continue
 			}
 			stalled := s.k - d.lastMove
-			if stalled > rc.StallThreshold {
-				if failed < 0 && s.exec.Rollbacks < rc.MaxRollbacks {
+			if stalled > stallThreshold {
+				if failed < 0 && s.exec.Rollbacks < maxRollbacks {
 					failed = id
 				}
 				continue
 			}
-			if stalled > rc.StallThreshold/2 && j.routable {
+			if stalled > stallThreshold/2 && j.routable {
 				// Retrial: blacklist the unreachable next step and
 				// re-route this job around it.
 				if a, ok := j.policy.Lookup(d.rect); ok {
@@ -829,7 +800,7 @@ func (s *run) recoverErrors() {
 		}
 	}
 	if failed >= 0 {
-		s.inferFaults(s.mos[failed], s.k)
+		s.inferFaults(s.mos[failed])
 		s.rollback(failed)
 		s.exec.Rollbacks++
 		s.lastProgress = s.k
@@ -886,19 +857,18 @@ func (s *run) obstaclesFor(moID int) []geom.Rect {
 }
 
 // noteDivergence records one planned-vs-observed mismatch for the droplet's
-// job. Every DivergenceLimit observations the runner escalates: the step the
-// plan keeps failing on is blacklisted (feeding obstaclesFor, like the
-// reactive-recovery retrial tier) and the job re-routes; at twice the limit
-// the job is degraded to the router's final tier — the bottom rung of the
-// graceful-degradation ladder.
+// job under fault injection. Every divergenceLimit observations the runner
+// escalates: the step the plan keeps failing on is blacklisted (feeding
+// obstaclesFor, like the reactive-recovery retrial tier) and the job
+// re-routes; at twice the limit the job is degraded to the router's final
+// tier — the bottom rung of the graceful-degradation ladder.
 func (s *run) noteDivergence(d *dropletRT) {
-	lim := s.Cfg.DivergenceLimit
 	j := d.job
-	if lim <= 0 || j == nil || j.done {
+	if !s.Cfg.Faults.Enabled() || j == nil || j.done {
 		return
 	}
 	j.divergence++
-	if j.divergence%lim != 0 {
+	if j.divergence%divergenceLimit != 0 {
 		return
 	}
 	s.exec.Divergences++
@@ -910,7 +880,7 @@ func (s *run) noteDivergence(d *dropletRT) {
 		s.inferFault(a.Apply(d.rect))
 	}
 	j.obstacleDirty = true
-	if j.divergence >= 2*lim && !j.degraded {
+	if j.divergence >= 2*divergenceLimit && !j.degraded {
 		j.degraded = true
 		s.exec.DegradedJobs++
 		telDegradedJobs.Inc()
@@ -944,34 +914,34 @@ func (r *Runner) auditHazards(droplets []*dropletRT) int {
 
 // inferFault records a suspected dead region, deduplicating; it reports
 // whether the region is new.
-func (r *Runner) inferFault(region geom.Rect) bool {
-	for _, f := range r.inferredFaults {
+func (s *run) inferFault(region geom.Rect) bool {
+	for _, f := range s.inferredFaults {
 		if f == region {
 			return false
 		}
 	}
-	r.inferredFaults = append(r.inferredFaults, region)
+	s.inferredFaults = append(s.inferredFaults, region)
 	return true
 }
 
 // inferFaults records, for every stalled droplet of a failed operation, the
 // region it could not enter (its next strategy step), so retried routes
 // steer around the suspected dead microelectrodes.
-func (r *Runner) inferFaults(m *moRT, k int) {
+func (s *run) inferFaults(m *moRT) {
 	for _, j := range m.jobs {
 		d := j.droplet
 		if d == nil || j.done || d.job == nil {
 			continue
 		}
-		if k-d.lastMove <= r.Cfg.Recovery.StallThreshold {
+		if s.k-d.lastMove <= stallThreshold {
 			continue
 		}
 		if a, ok := j.policy.Lookup(d.rect); ok {
-			r.inferFault(a.Apply(d.rect))
+			s.inferFault(a.Apply(d.rect))
 		} else {
 			// No usable action at all: blacklist the spot itself so the
 			// retry approaches the goal from elsewhere.
-			r.inferFault(d.rect)
+			s.inferFault(d.rect)
 		}
 	}
 }
@@ -1188,7 +1158,7 @@ func (s *run) fetch(j *jobRT) {
 // blockedBy returns a droplet of another operation that the intended move
 // would violate the fluidic constraints with, or nil when the move is clear.
 // The incremental per-cycle form of the static/dynamic envelope (see
-// HazardFree): a droplet's next position is checked against the cur∪next
+// constraint.go): a droplet's next position is checked against the cur∪next
 // region of every droplet already committed this cycle (static + dynamic
 // halves at once) and against the current position of every droplet yet to
 // move (the dynamic half; the mover's own half is checked when its turn
@@ -1439,24 +1409,4 @@ func (s *run) rollback(failed int) {
 		}
 		s.mos[id] = newMO(s.plan, id)
 	}
-}
-
-// zoneHealth returns the mean observed health (in units of the top code)
-// over an operation's hazard zones, used by wear-aware activation ordering.
-func (r *Runner) zoneHealth(m *moRT) float64 {
-	top := float64(int(1)<<uint(r.Chip.HealthBits()) - 1)
-	total, cells := 0.0, 0
-	for _, j := range m.jobs {
-		h := j.rj.Hazard
-		for y := h.YA; y <= h.YB; y++ {
-			for x := h.XA; x <= h.XB; x++ {
-				total += float64(r.Chip.Health(x, y))
-				cells++
-			}
-		}
-	}
-	if cells == 0 {
-		return 1
-	}
-	return total / (float64(cells) * top)
 }

@@ -84,15 +84,6 @@ func Parse(s string) (Query, error) {
 	return p.parseQuery()
 }
 
-// MustParse is Parse for programmer-literal queries; it panics on error.
-func MustParse(s string) Query {
-	q, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type token struct {
 	kind string // "ident", "op"
 	text string

@@ -81,15 +81,6 @@ func TestRoutingQuery(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse should panic on bad input")
-		}
-	}()
-	MustParse("nonsense")
-}
-
 func TestKindString(t *testing.T) {
 	if PMax.String() != "Pmax" || RMin.String() != "Rmin" {
 		t.Error("kind names wrong")

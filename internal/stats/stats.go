@@ -27,23 +27,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // SampleStdDev returns the sample (n−1) standard deviation, as used for the
 // SD bars of Fig. 16.
 func SampleStdDev(xs []float64) float64 {
@@ -64,41 +47,6 @@ func SampleStdDev(xs []float64) float64 {
 // call (two passes internally for numerical clarity).
 func MeanStd(xs []float64) (mean, sd float64) {
 	return Mean(xs), SampleStdDev(xs)
-}
-
-// Covariance returns the population covariance of two equal-length vectors.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0, ErrDegenerate
-	}
-	mx, my := Mean(xs), Mean(ys)
-	s := 0.0
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Pearson returns the Pearson correlation coefficient
-// ρ = cov(x,y)/(σx·σy), the statistic used in Fig. 3 for actuation vectors.
-// It returns ErrDegenerate when either vector is constant.
-func Pearson(xs, ys []float64) (float64, error) {
-	cov, err := Covariance(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	sx, sy := StdDev(xs), StdDev(ys)
-	if isZero(sx) || isZero(sy) {
-		return 0, ErrDegenerate
-	}
-	r := cov / (sx * sy)
-	// Clamp tiny floating-point excursions outside [-1, 1].
-	if r > 1 {
-		r = 1
-	} else if r < -1 {
-		r = -1
-	}
-	return r, nil
 }
 
 // PearsonBool is Pearson correlation specialized to Boolean actuation

@@ -15,20 +15,14 @@ func TestMeanVariance(t *testing.T) {
 	if m := Mean(xs); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
 	}
-	if v := Variance(xs); v != 4 {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	if sd := StdDev(xs); sd != 2 {
-		t.Errorf("StdDev = %v, want 2", sd)
-	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("empty mean/variance should be 0")
+	if Mean(nil) != 0 {
+		t.Error("empty mean should be 0")
 	}
-	if _, err := Pearson(nil, nil); err == nil {
-		t.Error("Pearson(nil) should error")
+	if _, err := PearsonBool(nil, nil); err == nil {
+		t.Error("PearsonBool(nil) should error")
 	}
 	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
 		t.Error("FitLinear with one point should error")
@@ -46,46 +40,6 @@ func TestSampleStdDev(t *testing.T) {
 	}
 	if SampleStdDev([]float64{3}) != 0 {
 		t.Error("single-point sample SD should be 0")
-	}
-}
-
-func TestPearsonPerfect(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil || !almost(r, 1, 1e-12) {
-		t.Errorf("Pearson = %v/%v, want 1", r, err)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, _ = Pearson(xs, neg)
-	if !almost(r, -1, 1e-12) {
-		t.Errorf("Pearson = %v, want -1", r)
-	}
-}
-
-func TestPearsonConstantDegenerate(t *testing.T) {
-	if _, err := Pearson([]float64{1, 1, 1}, []float64{1, 2, 3}); err != ErrDegenerate {
-		t.Errorf("constant vector should be degenerate, got %v", err)
-	}
-}
-
-func TestPearsonBoundedProperty(t *testing.T) {
-	src := randx.New(5)
-	for trial := 0; trial < 200; trial++ {
-		n := src.IntRange(3, 40)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = src.Normal(0, 3)
-			ys[i] = src.Normal(0, 3)
-		}
-		r, err := Pearson(xs, ys)
-		if err != nil {
-			continue
-		}
-		if r < -1 || r > 1 || math.IsNaN(r) {
-			t.Fatalf("Pearson out of [-1,1]: %v", r)
-		}
 	}
 }
 
@@ -108,12 +62,50 @@ func TestPearsonBoolMatchesFloat(t *testing.T) {
 			}
 		}
 		rb, errB := PearsonBool(a, b)
-		rf, errF := Pearson(fa, fb)
-		if (errB == nil) != (errF == nil) {
-			continue // both degenerate cases are rare but legal
+		// ρ from centered sums over the float vectors.
+		ma, mb := Mean(fa), Mean(fb)
+		var sab, saa, sbb float64
+		for i := range fa {
+			da, db := fa[i]-ma, fb[i]-mb
+			sab += da * db
+			saa += da * da
+			sbb += db * db
 		}
+		if (errB == nil) != (saa != 0 && sbb != 0) {
+			t.Fatalf("PearsonBool degenerate=%v with Σa²=%v Σb²=%v", errB != nil, saa, sbb)
+		}
+		rf := sab / math.Sqrt(saa*sbb)
 		if errB == nil && !almost(rb, rf, 1e-9) {
 			t.Fatalf("PearsonBool=%v Pearson=%v", rb, rf)
+		}
+	}
+}
+
+func TestPearsonConstantDegenerate(t *testing.T) {
+	if _, err := PearsonBool([]bool{true, true, true}, []bool{true, false, true}); err != ErrDegenerate {
+		t.Errorf("constant vector should be degenerate, got %v", err)
+	}
+	if _, err := PearsonBool([]bool{true, false}, []bool{true}); err != ErrDegenerate {
+		t.Errorf("length mismatch should be degenerate, got %v", err)
+	}
+}
+
+func TestPearsonBoundedProperty(t *testing.T) {
+	src := randx.New(5)
+	for trial := 0; trial < 200; trial++ {
+		n := src.IntRange(3, 40)
+		a := make([]bool, n)
+		b := make([]bool, n)
+		for i := range a {
+			a[i] = src.Bool(0.5)
+			b[i] = src.Bool(0.5)
+		}
+		r, err := PearsonBool(a, b)
+		if err != nil {
+			continue
+		}
+		if r < -1 || r > 1 || math.IsNaN(r) {
+			t.Fatalf("PearsonBool out of [-1,1]: %v", r)
 		}
 	}
 }
@@ -271,19 +263,6 @@ func TestQuantileSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCovarianceSign(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	ys := []float64{1, 2, 3}
-	cov, err := Covariance(xs, ys)
-	if err != nil || cov <= 0 {
-		t.Errorf("cov = %v/%v, want > 0", cov, err)
-	}
-	cov, _ = Covariance(xs, []float64{3, 2, 1})
-	if cov >= 0 {
-		t.Errorf("cov = %v, want < 0", cov)
 	}
 }
 

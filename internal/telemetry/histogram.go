@@ -70,10 +70,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration given in nanoseconds (timing call
-// sites pass time.Since(t0).Nanoseconds()).
-func (h *Histogram) ObserveDuration(ns int64) { h.Observe(float64(ns)) }
-
 // bucketOf returns the index of the bucket counting v: the first bound
 // ≥ v, or the overflow bucket.
 func (h *Histogram) bucketOf(v float64) int {

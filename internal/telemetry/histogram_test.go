@@ -159,7 +159,7 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 
 func TestHistogramDefaultBuckets(t *testing.T) {
 	h := NewHistogram() // DurationBuckets
-	h.ObserveDuration(2_000_000)
+	h.Observe(2e6)
 	s := h.Snapshot()
 	if !reflect.DeepEqual(s.Bounds, DurationBuckets) {
 		t.Fatalf("default bounds = %v", s.Bounds)

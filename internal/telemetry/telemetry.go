@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -154,19 +153,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names in sorted order (test
-// and display helper).
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Handler serves the registry's Snapshot as indented JSON — the expvar-style

@@ -71,8 +71,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if got := len(h1.Snapshot().Bounds); got != 3 {
 		t.Fatalf("histogram has %d bounds, want the first registration's 3", got)
 	}
-	if got := r.CounterNames(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("CounterNames = %v", got)
+	if got := r.Snapshot().Counters; !reflect.DeepEqual(got, map[string]int64{"a": 0}) {
+		t.Fatalf("counters = %v", got)
 	}
 }
 

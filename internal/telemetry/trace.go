@@ -109,9 +109,6 @@ var active atomic.Pointer[Tracer]
 // StartSpan draws from. Typically called once at startup by a -trace flag.
 func SetTracer(t *Tracer) { active.Store(t) }
 
-// ActiveTracer returns the installed process-wide tracer, or nil.
-func ActiveTracer() *Tracer { return active.Load() }
-
 // StartSpan opens a root span on the process-wide tracer, returning nil
 // (a no-op span) when tracing is off.
 func StartSpan(name string) *Span {

@@ -121,9 +121,6 @@ func TestGlobalTracer(t *testing.T) {
 	tr := NewTracer(&buf)
 	SetTracer(tr)
 	defer SetTracer(nil)
-	if ActiveTracer() != tr {
-		t.Fatal("ActiveTracer does not return the installed tracer")
-	}
 	sp := StartSpan("on")
 	if sp == nil {
 		t.Fatal("StartSpan returned nil with a tracer installed")

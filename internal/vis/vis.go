@@ -51,35 +51,6 @@ func HealthMap(w io.Writer, c *chip.Chip, overlays ...geom.Rect) {
 	}
 }
 
-// WearMap writes the actuation-count matrix bucketed into single
-// characters: ' ' untouched, then '.', ':', '*', '%', '@' for exponentially
-// increasing wear.
-func WearMap(w io.Writer, c *chip.Chip) {
-	glyph := func(n int) byte {
-		switch {
-		case n == 0:
-			return ' '
-		case n < 10:
-			return '.'
-		case n < 50:
-			return ':'
-		case n < 200:
-			return '*'
-		case n < 800:
-			return '%'
-		default:
-			return '@'
-		}
-	}
-	for y := c.H(); y >= 1; y-- {
-		var b strings.Builder
-		for x := 1; x <= c.W(); x++ {
-			b.WriteByte(glyph(c.Actuations(x, y)))
-		}
-		fmt.Fprintln(w, b.String())
-	}
-}
-
 // arrow maps each action to a single display rune.
 var arrows = map[action.Action]rune{
 	action.MoveN: '↑', action.MoveS: '↓', action.MoveE: '→', action.MoveW: '←',
@@ -131,27 +102,6 @@ func PolicyMap(w io.Writer, region, goal geom.Rect, pol synth.Policy, blocked ..
 		}
 		fmt.Fprintln(w, b.String())
 	}
-}
-
-// Trajectory writes the most-likely droplet path under a policy: the
-// sequence of rectangles from start until the goal (or until the policy runs
-// out), one line per step.
-func Trajectory(w io.Writer, rj geom.Rect, goal geom.Rect, policy synth.Policy, maxSteps int) {
-	pos := rj
-	for step := 0; step <= maxSteps; step++ {
-		if goal.ContainsRect(pos) {
-			fmt.Fprintf(w, "%3d: %v  (goal)\n", step, pos)
-			return
-		}
-		a, ok := policy.Lookup(pos)
-		if !ok {
-			fmt.Fprintf(w, "%3d: %v  (no action)\n", step, pos)
-			return
-		}
-		fmt.Fprintf(w, "%3d: %v  %v\n", step, pos, a)
-		pos = a.Apply(pos)
-	}
-	fmt.Fprintln(w, "     ... truncated")
 }
 
 func contains(rects []geom.Rect, c geom.Cell) bool {

@@ -11,7 +11,6 @@ import (
 	"meda/internal/geom"
 	"meda/internal/policy"
 	"meda/internal/randx"
-	"meda/internal/synth"
 )
 
 func rect(xa, ya, xb, yb int) geom.Rect { return geom.Rect{XA: xa, YA: ya, XB: xb, YB: yb} }
@@ -67,26 +66,6 @@ func TestHealthMapOverlayAndDead(t *testing.T) {
 	}
 }
 
-func TestWearMapGlyphs(t *testing.T) {
-	c := smallChip(t)
-	for i := 0; i < 60; i++ {
-		c.Actuate(rect(3, 2, 4, 3))
-	}
-	c.Actuate(rect(7, 1, 7, 1))
-	var buf bytes.Buffer
-	WearMap(&buf, c)
-	out := buf.String()
-	if !strings.Contains(out, "*") {
-		t.Error("medium wear glyph missing")
-	}
-	if !strings.Contains(out, ".") {
-		t.Error("light wear glyph missing")
-	}
-	if !strings.Contains(out, " ") {
-		t.Error("untouched glyph missing")
-	}
-}
-
 func TestArrowCoverage(t *testing.T) {
 	for _, a := range action.All() {
 		if Arrow(a) == '?' {
@@ -114,24 +93,5 @@ func TestPolicyMap(t *testing.T) {
 	}
 	if !strings.Contains(out, "#") {
 		t.Error("blocked marker missing")
-	}
-}
-
-func TestTrajectory(t *testing.T) {
-	pol := policy.Of([]policy.Entry{
-		{D: rect(1, 1, 3, 3), A: action.MoveE},
-		{D: rect(2, 1, 4, 3), A: action.MoveE},
-	})
-	var buf bytes.Buffer
-	Trajectory(&buf, rect(1, 1, 3, 3), rect(3, 1, 5, 3), pol, 10)
-	out := buf.String()
-	if !strings.Contains(out, "(goal)") {
-		t.Errorf("trajectory did not reach goal:\n%s", out)
-	}
-	// A policy hole is reported, not looped on.
-	buf.Reset()
-	Trajectory(&buf, rect(1, 1, 3, 3), rect(9, 9, 11, 11), synth.Policy{}, 10)
-	if !strings.Contains(buf.String(), "(no action)") {
-		t.Error("missing-action case not reported")
 	}
 }
