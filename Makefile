@@ -86,7 +86,7 @@ loopbench:
 	cd loopbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz bursts over every fuzz target (parser robustness, print/parse
-# round trips, solver bit-identity, WebSocket frame decoding in both roles,
+# round trips, solver and unit-path bit-identity, WebSocket frame decoding in both roles,
 # journal replay, REST request bodies). Each target needs its own invocation: -fuzz accepts
 # exactly one matching target per package.
 FUZZTIME ?= 10s
@@ -97,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/dsl/ -run '^$$' -fuzz '^FuzzParseStability$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzHazardZones$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdp/ -run '^$$' -fuzz '^FuzzSolveExact$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/smg/ -run '^$$' -fuzz '^FuzzUnitMatchesInduce$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ws/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME)

@@ -10,10 +10,10 @@
 // field, the solver on a uniformly worn window and on a healthy window
 // worn along a band (where most choices are deterministic), a policy
 // lookup, the whole synthesis of an obstructed job on a healthy chip (the
-// unit path), the cold-vs-warm strategy cache for re-synthesis, a Library
-// hit on a rotated job, the D4-canonical cache serving a whole symmetry
-// class of jobs from one synthesis, an obstructed window served from the
-// cache, journaling the end of a job (serve.Store), the
+// unit path) with and without morphing, the cold-vs-warm strategy cache
+// for re-synthesis, a Library hit on a rotated job, the D4-canonical cache
+// serving a whole symmetry class of jobs from one synthesis, an obstructed
+// window served from the cache, journaling the end of a job (serve.Store), the
 // sequential-vs-concurrent assay executor with the adaptive router on a
 // contention-heavy generated workload, and actuating a droplet-sized
 // pattern on a default and a near-immortal chip.
@@ -272,7 +272,7 @@ func main() {
 		}
 	})
 	// The same job on a healthy chip with one obstacle block. Its window is
-	// all-healthy, so synthesis takes the unit path: a successor table and
+	// all-healthy, so synthesis takes the unit path: per-shape stencils and
 	// one BFS, no MDP.
 	blocked := smg.DefaultModelOptions()
 	blocked.Blocked = []meda.Rect{{XA: 14, YA: 12, XB: 17, YB: 19}}
@@ -286,6 +286,20 @@ func main() {
 	record(rep, "synthesis/healthy-obstructed/30x30", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := synth.Synthesize(healthyJob, func(x, y int) float64 { return 1 }, healthyOpt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The same window with morphing and a 3×3 start, whose shapes (3×3,
+	// 4×2, 2×4) make the widen and heighten moves cross from one shape's
+	// positions to another's.
+	morphOpt := healthyOpt
+	morphOpt.Model.AllowMorph = true
+	morphJob := healthyJob
+	morphJob.Start = meda.Rect{XA: 1, YA: 1, XB: 3, YB: 3}
+	record(rep, "synthesis/healthy-morph/30x30", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := synth.Synthesize(morphJob, func(x, y int) float64 { return 1 }, morphOpt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -179,7 +179,9 @@ func appendShapes(dst [][2]int, w, h int, opt ModelOptions) [][2]int {
 // destination tables) are all grown in place and recycled across Induce
 // calls, so a warmed Arena induces a model of any previously seen size with
 // a handful of allocations instead of tens of thousands. InduceUnit
-// recycles the bookkeeping and the Unit's slabs the same way.
+// recycles the bookkeeping and the Unit's stencil table and distance slabs
+// the same way: a warmed Arena builds and solves a Unit without
+// allocating.
 //
 // The *Model returned by Induce aliases the Arena's memory: it is valid only
 // until the next Induce on the same Arena, must not be used from multiple
@@ -462,7 +464,7 @@ func Induce(bounds, start, goal geom.Rect, field action.ForceField, opt ModelOpt
 // π: Δ → A of Sec. VI-C, mapping each droplet rectangle to its selected
 // microfluidic action.
 func (m *Model) Policy(st mdp.Strategy) policy.Policy {
-	m.packShapes(func(id int) (action.Action, bool) {
+	m.packShapes(func(_, id int) (action.Action, bool) {
 		act, ok := st.Action(m.M, mdp.StateID(id))
 		return action.Action(act), ok && act >= 0
 	})
@@ -471,13 +473,18 @@ func (m *Model) Policy(st mdp.Strategy) policy.Policy {
 
 // packShapes opens one grid per enumerated shape on the model's Packer,
 // laid out as the shape's position states are, and sets each position's
-// cell to act(id) where act reports one.
-func (m *Model) packShapes(act func(id int) (action.Action, bool)) {
-	for _, sp := range m.spans {
+// cell to act(k, id) where act reports one, k the index of id's span. A
+// morph-reachable shape too wide or too tall for the bounds has no
+// positions and gets no grid.
+func (m *Model) packShapes(act func(k, id int) (action.Action, bool)) {
+	for k, sp := range m.spans {
 		cols, rows := m.bounds.Width()-sp.w+1, m.bounds.Height()-sp.h+1
+		if cols <= 0 || rows <= 0 {
+			continue
+		}
 		cells := m.pack.Shape(sp.w, sp.h, m.bounds.XA, m.bounds.YA, cols, rows)
 		for i := range cells {
-			if a, ok := act(int(sp.base) + i); ok {
+			if a, ok := act(k, int(sp.base)+i); ok {
 				cells[i] = a
 			}
 		}

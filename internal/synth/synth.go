@@ -142,9 +142,10 @@ func unitQuery(opt Options) bool {
 }
 
 // synthesizeUnit solves a job whose window is all-healthy (smg.UnitWindow)
-// without an MDP: the successor table of smg.Arena.InduceUnit, one BFS,
-// and MinExpectedReward's extraction rule give the full path's Policy,
-// Value and Stats sizes bit for bit. It runs no value iteration, so
+// without an MDP: the per-(shape, action) stencils of
+// smg.Arena.InduceUnit, one backward BFS over the inverted stencils, and
+// MinExpectedReward's extraction rule give the full path's Policy, Value
+// and Stats sizes bit for bit. It runs no value iteration, so
 // Stats.Iterations is 0.
 func synthesizeUnit(ar *smg.Arena, sp *telemetry.Span, rj route.RJ, opt Options) (Result, error) {
 	var res Result
