@@ -38,8 +38,8 @@ models:
 # path. The executor and root
 # packages are included so the golden-trace and differential suites route
 # every window they meet through those checks; internal/serve so that the
-# strategies one fleet tenant is served from another's syntheses (raw,
-# canonical and obstructed Cache hits, Library hits) are re-derived too.
+# strategies one fleet tenant is served from another's syntheses (Cache
+# hits, obstructed or not, and Library hits) are re-derived too.
 # The tag also recomputes every actuated cell's latched health code in
 # internal/chip, and makes the executor re-hash every job window while the
 # chip's health stamp has not moved.

@@ -1,9 +1,9 @@
 // Differential tests for D4 canonicalization, the soundness property behind
-// the per-shape strategy cache: a routing job and any translated, rotated, or
-// reflected image of it must synthesize equivalent strategies under the
-// inverse transform — on every routing job of the six evaluation bioassays
-// and on randomized window geometries — and the scheduler must only take the
-// canonical cache path when the window's observed health is actually uniform.
+// the offline strategy library's per-shape keys: a routing job and any
+// translated, rotated, or reflected image of it must synthesize equivalent
+// strategies under the inverse transform over a uniform force field — on
+// every routing job of the six evaluation bioassays and on randomized
+// window geometries.
 package meda_test
 
 import (
@@ -14,9 +14,7 @@ import (
 	"meda/internal/action"
 	"meda/internal/assay"
 	"meda/internal/chip"
-	"meda/internal/degrade"
 	"meda/internal/randx"
-	"meda/internal/sched"
 	"meda/internal/synth"
 )
 
@@ -131,115 +129,5 @@ func TestCanonicalizationEquivalenceRandomized(t *testing.T) {
 			(direct.Exists() && math.Abs(direct.Value-mirrored.Value) > 1e-6) {
 			t.Fatalf("case %d: base value %v, dihedral image value %v", i, direct.Value, mirrored.Value)
 		}
-	}
-}
-
-// uniformlyDegradedChip returns a chip whose whole surface has been worn to
-// one uniform sub-top health code.
-func uniformlyDegradedChip(t *testing.T) *chip.Chip {
-	t.Helper()
-	cfg := chip.Default()
-	cfg.Normal = degrade.ParamRange{Tau1: 0.7, Tau2: 0.7, C1: 300, C2: 300}
-	c, err := chip.New(cfg, randx.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := meda.Rect{XA: 1, YA: 1, XB: c.W(), YB: c.H()}
-	for i := 0; i < 3000; i++ {
-		c.Actuate(whole)
-	}
-	top := 1<<uint(c.HealthBits()) - 1
-	if code, uniform := c.UniformHealth(whole); !uniform || code == top {
-		t.Fatalf("fixture not uniformly degraded (code %d, uniform %v)", code, uniform)
-	}
-	return c
-}
-
-// TestUniformHealthSharesCanonicalCacheEntry: on a uniformly degraded chip,
-// the scheduler caches under the canonical key, and a translated copy of the
-// job is served from that entry without a second synthesis.
-func TestUniformHealthSharesCanonicalCacheEntry(t *testing.T) {
-	c := uniformlyDegradedChip(t)
-	job := meda.RoutingJob{
-		Start:  meda.Rect{XA: 2, YA: 2, XB: 4, YB: 4},
-		Goal:   meda.Rect{XA: 12, YA: 8, XB: 14, YB: 10},
-		Hazard: meda.Rect{XA: 1, YA: 1, XB: 15, YB: 11},
-	}
-	a := sched.NewAdaptive()
-	p, _, err := a.Route(job, c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.Lookup(job.Start); !ok {
-		t.Fatal("routed policy does not cover the start position")
-	}
-	if a.Syntheses != 1 {
-		t.Fatalf("first route: %d syntheses, want 1", a.Syntheses)
-	}
-	raw := sched.NewCacheKey(job, a.Opt, c.HealthHash(job.Hazard))
-	if a.Cache.Contains(raw) {
-		t.Error("uniform-health job cached under the raw per-position key")
-	}
-	code, _ := c.UniformHealth(job.Hazard)
-	ckey, _ := sched.NewCanonicalCacheKey(job, a.Opt, code)
-	if !a.Cache.Contains(ckey) {
-		t.Error("uniform-health job not cached under the canonical key")
-	}
-
-	shifted := meda.RoutingJob{
-		Start:  job.Start.Translate(20, 9),
-		Goal:   job.Goal.Translate(20, 9),
-		Hazard: job.Hazard.Translate(20, 9),
-	}
-	sp, _, err := a.Route(shifted, c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Syntheses != 1 || a.CacheHits != 1 {
-		t.Fatalf("shifted copy: %d syntheses and %d cache hits, want 1 and 1", a.Syntheses, a.CacheHits)
-	}
-	if _, ok := sp.Lookup(shifted.Start); !ok {
-		t.Fatal("de-canonicalized policy does not cover the shifted start")
-	}
-}
-
-// TestNonUniformHealthBypassesCanonicalization: when health codes differ
-// inside the window, the scheduler must fall back to the raw per-position
-// key — canonical sharing across positions would serve strategies synthesized
-// against a different force field.
-func TestNonUniformHealthBypassesCanonicalization(t *testing.T) {
-	cfg := chip.Default()
-	cfg.Normal = degrade.ParamRange{Tau1: 0.7, Tau2: 0.7, C1: 300, C2: 300}
-	c, err := chip.New(cfg, randx.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := meda.RoutingJob{
-		Start:  meda.Rect{XA: 2, YA: 2, XB: 4, YB: 4},
-		Goal:   meda.Rect{XA: 12, YA: 8, XB: 14, YB: 10},
-		Hazard: meda.Rect{XA: 1, YA: 1, XB: 15, YB: 11},
-	}
-	// Wear only the left half of the window so its codes split.
-	left := meda.Rect{XA: 1, YA: 1, XB: 7, YB: 11}
-	for i := 0; i < 3000; i++ {
-		c.Actuate(left)
-	}
-	if _, uniform := c.UniformHealth(job.Hazard); uniform {
-		t.Fatal("fixture failed to produce a non-uniform window")
-	}
-	a := sched.NewAdaptive()
-	if _, _, err := a.Route(job, c, nil); err != nil {
-		t.Fatal(err)
-	}
-	raw := sched.NewCacheKey(job, a.Opt, c.HealthHash(job.Hazard))
-	if !a.Cache.Contains(raw) {
-		t.Error("non-uniform window not cached under the raw key")
-	}
-	// Same job again: a raw-key hit, not a resynthesis.
-	if _, _, err := a.Route(job, c, nil); err != nil {
-		t.Fatal(err)
-	}
-	if a.Syntheses != 1 || a.CacheHits != 1 {
-		t.Fatalf("repeat route: %d syntheses and %d cache hits, want 1 and 1", a.Syntheses, a.CacheHits)
 	}
 }

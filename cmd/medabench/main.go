@@ -11,16 +11,15 @@
 // worn along a band (where most choices are deterministic), a policy
 // lookup, the whole synthesis of an obstructed job on a healthy chip (the
 // unit path) with and without morphing, the cold-vs-warm strategy cache
-// for re-synthesis, a Library hit on a rotated job, the D4-canonical cache
-// serving a whole symmetry class of jobs from one synthesis, an obstructed
-// window served from the cache, journaling the end of a job (serve.Store), the
+// for re-synthesis, a Library hit on a rotated job, an obstructed window
+// served from the cache, journaling the end of a job (serve.Store), the
 // sequential-vs-concurrent assay executor with the adaptive router on a
 // contention-heavy generated workload, and actuating a droplet-sized
 // pattern on a default and a near-immortal chip.
 // Derived ratios (warm_cache_speedup, pooled_construction_speedup,
-// canonicalization_hit_rate, concurrent_cycle_reduction) are computed from
-// the same runs; solver_worn_band_gathered_share is the share of the band
-// model's choices the solver gathers.
+// concurrent_cycle_reduction) are computed from the same runs;
+// solver_worn_band_gathered_share is the share of the band model's choices
+// the solver gathers.
 package main
 
 import (
@@ -330,62 +329,13 @@ func main() {
 	})
 	rep.Derived["warm_cache_speedup"] = cold.NsPerOp / warm.NsPerOp
 
-	// Canonicalization: on a uniformly degraded region, every translated,
-	// mirrored, or transposed image of a job keys to one D4-canonical cache
-	// entry, so a single synthesis serves the whole symmetry class. The
-	// benchmark routes 40 distinct jobs (8 dihedral images × 5 positions)
-	// through one router and records the per-hit cost of serving a
-	// de-canonicalized policy; the derived hit rate is what fraction of those
-	// routes never touched the synthesizer.
-	ucfg := chip.Default()
-	ucfg.Normal = degrade.ParamRange{Tau1: 0.7, Tau2: 0.7, C1: 300, C2: 300}
-	uc, err := chip.New(ucfg, randx.New(11))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
-		os.Exit(1)
-	}
-	whole := meda.Rect{XA: 1, YA: 1, XB: uc.W(), YB: uc.H()}
-	for i := 0; i < 3000; i++ {
-		uc.Actuate(whole)
-	}
-	top := 1<<uint(uc.HealthBits()) - 1
-	if code, uniform := uc.UniformHealth(whole); !uniform || code == top {
-		fmt.Fprintf(os.Stderr, "medabench: canonical benchmark needs a uniformly degraded chip (code %d, uniform %v)\n", code, uniform)
-		os.Exit(1)
-	}
+	// A Library hit on a rotated image of a stored job: the lookup maps the
+	// canonical strategy back through the dihedral element.
 	base := meda.RoutingJob{
 		Start:  meda.Rect{XA: 1, YA: 1, XB: 3, YB: 3},
 		Goal:   meda.Rect{XA: 12, YA: 8, XB: 14, YB: 10},
 		Hazard: meda.Rect{XA: 1, YA: 1, XB: 14, YB: 10},
 	}
-	var jobs []meda.RoutingJob
-	for op := uint8(0); op < 8; op++ {
-		tf := synth.Transform{Op: op, X0: base.Hazard.XA, Y0: base.Hazard.YA,
-			W: base.Hazard.Width(), H: base.Hazard.Height()}
-		for _, d := range [][2]int{{0, 0}, {9, 3}, {21, 7}, {33, 12}, {44, 0}} {
-			j := meda.RoutingJob{
-				Start:  tf.Apply(base.Start).Translate(d[0], d[1]),
-				Goal:   tf.Apply(base.Goal).Translate(d[0], d[1]),
-				Hazard: tf.Apply(base.Hazard).Translate(d[0], d[1]),
-			}
-			if whole.ContainsRect(j.Hazard) {
-				jobs = append(jobs, j)
-			}
-		}
-	}
-	canonRouter := sched.NewAdaptive()
-	for _, j := range jobs { // one pass to measure the hit rate
-		if _, _, err := canonRouter.Route(j, uc, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "medabench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	rep.Derived["canonicalization_hit_rate"] =
-		float64(canonRouter.CacheHits) / float64(canonRouter.CacheHits+canonRouter.Syntheses)
-	rep.Derived["canonicalization_jobs_per_synthesis"] =
-		float64(len(jobs)) / float64(canonRouter.Syntheses)
-	// A Library hit on a rotated image of a stored job: the lookup maps the
-	// canonical strategy back through the dihedral element.
 	lib := sched.NewLibrary()
 	baseRes, err := synth.Synthesize(base, func(x, y int) float64 { return 1 }, synth.DefaultOptions())
 	if err != nil {
@@ -403,18 +353,7 @@ func main() {
 		}
 	})
 
-	idx := 0
-	record(rep, "cache/canonical_hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			j := jobs[idx%len(jobs)]
-			idx++
-			if _, _, err := canonRouter.Route(j, uc, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// An obstructed window served from the Cache: its raw key carries the
+	// An obstructed window served from the Cache: its key carries the
 	// signature of the obstacles clipped to the window, so routing around
 	// the same droplets again — listed in another order, one repeated — is
 	// a hit, not a synthesis.
@@ -550,8 +489,6 @@ func main() {
 	}
 	fmt.Printf("\nwarm-cache speedup (cold → warm):    %.0fx\n", rep.Derived["warm_cache_speedup"])
 	fmt.Printf("pooled construction speedup:         %.2fx\n", rep.Derived["pooled_construction_speedup"])
-	fmt.Printf("canonicalization hit rate:           %.1f%% (%.0f jobs per synthesis)\n",
-		100*rep.Derived["canonicalization_hit_rate"], rep.Derived["canonicalization_jobs_per_synthesis"])
 	fmt.Printf("concurrent cycle reduction:          %.2fx (%d → %d cycles on %s)\n",
 		rep.Derived["concurrent_cycle_reduction"], seqExec.Cycles, conExec.Cycles, mix.Name)
 	fmt.Printf("wrote %s\n", *out)

@@ -405,10 +405,6 @@ type Outcome struct {
 	P       float64
 }
 
-// MaxOutcomes bounds the distribution size of any action (the ordinal
-// event space {vh, v, h, ε}), for sizing reusable outcome buffers.
-const MaxOutcomes = 4
-
 // ordinalEvent maps an ordinal move's vertical and horizontal directions to
 // its joint-success event.
 var ordinalEvent = [4][4]Event{

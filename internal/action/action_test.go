@@ -9,6 +9,9 @@ import (
 	"meda/internal/randx"
 )
 
+// cardinals lists the four cardinal directions in the paper's N,S,E,W order.
+var cardinals = [4]geom.Dir{geom.North, geom.South, geom.East, geom.West}
+
 // delta is the running-example droplet δ = (3,2,7,5) used by Examples 1–3.
 var delta = geom.Rect{XA: 3, YA: 2, XB: 7, YB: 5}
 
@@ -154,7 +157,7 @@ func TestFrontierSizesMatchTableII(t *testing.T) {
 // current droplet (it is the set of cells pulling the droplet onward).
 func TestFrontierDisjointFromDroplet(t *testing.T) {
 	for _, a := range All() {
-		for _, dir := range geom.Cardinals {
+		for _, dir := range cardinals {
 			fr, ok := Frontier(delta, a, dir)
 			if !ok {
 				continue
@@ -174,7 +177,7 @@ func TestFrontierInsideTarget(t *testing.T) {
 			continue // double-step frontier is the first step's pattern
 		}
 		target := a.Apply(delta)
-		for _, dir := range geom.Cardinals {
+		for _, dir := range cardinals {
 			fr, ok := Frontier(delta, a, dir)
 			if !ok {
 				continue
@@ -599,7 +602,7 @@ func TestEventNames(t *testing.T) {
 			t.Errorf("event %d = %q, want %q", e, e.String(), want[e])
 		}
 	}
-	for _, dir := range geom.Cardinals {
+	for _, dir := range cardinals {
 		if got := (EventN + Event(dir)).String(); got != dir.String() {
 			t.Errorf("step %v: event %q", dir, got)
 		}

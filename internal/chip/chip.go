@@ -409,23 +409,23 @@ const (
 // reads of the same chip.
 func (c *Chip) HealthStamp() uint64 { return c.gen }
 
-// UniformHealth reports whether every observed health code within region
-// (clipped to the chip) is the same, and if so which code. A uniform window
-// is the precondition for D4 strategy canonicalization: only over a
-// constant force field are a job and its rotated/reflected image guaranteed
-// equivalent. An empty region is vacuously uniform at full health.
-func (c *Chip) UniformHealth(region geom.Rect) (int, bool) {
+// Healthy reports whether every observed health code within region
+// (clipped to the chip) reads the top code 2^b − 1: the hybrid scheduler
+// of Alg. 3 serves such a window from its offline library, whose
+// strategies assume a fully healthy chip. An empty or off-chip region is
+// vacuously healthy.
+func (c *Chip) Healthy(region geom.Rect) bool {
 	r, ok := region.Intersect(c.Bounds())
 	if !ok {
-		return 1<<uint(c.bits) - 1, true
+		return true
 	}
-	code := c.Health(r.XA, r.YA)
+	top := 1<<uint(c.bits) - 1
 	for y := r.YA; y <= r.YB; y++ {
 		for x := r.XA; x <= r.XB; x++ {
-			if c.Health(x, y) != code {
-				return 0, false
+			if c.Health(x, y) != top {
+				return false
 			}
 		}
 	}
-	return code, true
+	return true
 }

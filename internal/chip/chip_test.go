@@ -226,28 +226,35 @@ func TestHealthHashDetectsChange(t *testing.T) {
 	}
 }
 
-// TestUniformHealth: a fresh window is uniform at the top code, a worn
-// cell breaks the uniformity of every window around it and a window inside
-// the wear is uniform at code 0, and an empty or off-chip region is
-// vacuously uniform at the top code.
+// TestUniformHealth: Healthy reads a window healthy exactly when its health
+// is uniform at the top code. A fresh window is; a window holding a worn
+// cell is not, nor is a window inside the wear (uniform at code 0); a
+// window beside the wear still is, and an empty or off-chip region
+// vacuously is.
 func TestUniformHealth(t *testing.T) {
 	cfg := Default()
 	cfg.Normal = degrade.ParamRange{Tau1: 0.1, Tau2: 0.2, C1: 10, C2: 20}
 	c := newTestChip(t, cfg, 10)
-	if code, uniform := c.UniformHealth(rect(1, 1, 10, 10)); !uniform || code != 3 {
-		t.Errorf("fresh UniformHealth = (%d, %v), want (3, true)", code, uniform)
+	if !c.Healthy(rect(1, 1, 10, 10)) {
+		t.Error("fresh window reads unhealthy")
 	}
 	for i := 0; i < 200; i++ {
 		c.Actuate(rect(4, 4, 5, 5))
 	}
-	if code, uniform := c.UniformHealth(rect(1, 1, 10, 10)); uniform {
-		t.Errorf("worn window reads uniform at %d", code)
+	if c.Healthy(rect(1, 1, 10, 10)) {
+		t.Error("window holding worn cells reads healthy")
 	}
-	if code, uniform := c.UniformHealth(rect(4, 4, 5, 5)); !uniform || code != 0 {
-		t.Errorf("worn UniformHealth = (%d, %v), want (0, true)", code, uniform)
+	if c.Health(4, 4) != 0 || c.Health(5, 5) != 0 {
+		t.Fatalf("wear left codes %d and %d, want 0", c.Health(4, 4), c.Health(5, 5))
 	}
-	if code, uniform := c.UniformHealth(rect(200, 200, 210, 210)); !uniform || code != 3 {
-		t.Errorf("off-chip UniformHealth = (%d, %v), want (3, true)", code, uniform)
+	if c.Healthy(rect(4, 4, 5, 5)) {
+		t.Error("window uniform at code 0 reads healthy")
+	}
+	if !c.Healthy(rect(6, 6, 10, 10)) {
+		t.Error("window beside the wear reads unhealthy")
+	}
+	if !c.Healthy(rect(200, 200, 210, 210)) {
+		t.Error("off-chip region reads unhealthy")
 	}
 }
 
@@ -335,13 +342,16 @@ func (m *flipModel) SensedHealth(x, y, n, h, bits int) int {
 
 // TestAttachFaultsOverlaysReads: an attached fault model perturbs both
 // Degradation (and therefore Force and TrueForceField) and Health (and
-// therefore HealthHash, UniformHealth, ObservedForceField); detaching restores
+// therefore HealthHash, Healthy, ObservedForceField); detaching restores
 // fault-free reads.
 func TestAttachFaultsOverlaysReads(t *testing.T) {
 	c := newTestChip(t, Default(), 5)
 	cleanD := c.Degradation(10, 10)
 	cleanH := c.Health(10, 10)
 	cleanHash := c.HealthHash(c.Bounds())
+	if !c.Healthy(c.Bounds()) {
+		t.Fatal("fresh chip reads unhealthy")
+	}
 	m := &flipModel{}
 	c.AttachFaults(m)
 	if got := c.Degradation(10, 10); math.Abs(got-cleanD/2) > 1e-12 {
@@ -356,8 +366,8 @@ func TestAttachFaultsOverlaysReads(t *testing.T) {
 	if c.HealthHash(c.Bounds()) == cleanHash {
 		t.Error("health hash unchanged under a health-perturbing fault model")
 	}
-	if code, uniform := c.UniformHealth(c.Bounds()); !uniform || code != cleanH-1 {
-		t.Errorf("faulted UniformHealth = (%d, %v), want (%d, true)", code, uniform, cleanH-1)
+	if c.Healthy(c.Bounds()) {
+		t.Error("chip reads healthy under a health-lowering fault model")
 	}
 	if m.physCalls == 0 || m.senseCalls == 0 {
 		t.Error("fault model never consulted")

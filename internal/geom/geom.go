@@ -211,9 +211,6 @@ const (
 	West
 )
 
-// Cardinals lists the four cardinal directions in the paper's N,S,E,W order.
-var Cardinals = [4]Dir{North, South, East, West}
-
 // String returns the single-letter name used in the paper.
 func (d Dir) String() string {
 	switch d {

@@ -180,7 +180,7 @@ func TestRectCells(t *testing.T) {
 }
 
 func TestDirDelta(t *testing.T) {
-	for _, d := range Cardinals {
+	for _, d := range [4]Dir{North, South, East, West} {
 		dx, dy := d.Delta()
 		if dx*dx+dy*dy != 1 {
 			t.Errorf("%v delta is not a unit step", d)

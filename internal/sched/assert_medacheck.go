@@ -16,20 +16,20 @@ import (
 )
 
 // assertServed re-synthesizes a window that Route served from a strategy
-// store and panics unless the served strategy (p, v) is, bit for bit, what
-// synthesis gives when the medacheck build tag is set.
+// store and panics unless the served strategy (p, v) is what synthesis
+// gives when the medacheck build tag is set.
 //
-// A raw-key Cache hit must equal a fresh synthesis of rj under field and
-// opt, whose Model.Blocked holds the job's obstacles: the key holds the
-// window's geometry, health hash and obstacle signature, so nothing else
-// may change the strategy. That exactness is why the cache needs no eager
-// invalidation. A canonical hit (the Library, or a uniform-health,
-// unobstructed Cache entry) was stored from some dihedral image of rj's
-// canonical job, whose tie-breaks can differ from rj's own. It must equal
-// the fresh synthesis of one of the eight images, on the window's uniform
-// field, carried through the store's two transforms. Since that check
-// trusts the transforms it carries through, a canonical hit must also pass
-// one that uses none (servedOptimal).
+// A Cache hit (canon false) must equal, bit for bit, a fresh synthesis of
+// rj under field and opt, whose Model.Blocked holds the job's obstacles:
+// the key holds the window's geometry, health hash and obstacle signature,
+// so nothing else may change the strategy. That exactness is why the cache
+// needs no eager invalidation. A Library hit (canon true) was stored from
+// some dihedral image of rj's canonical job, whose tie-breaks can differ
+// from rj's own. It must equal the fresh synthesis of one of the eight
+// images, on the window's all-healthy field, carried through the Library's
+// two transforms. Since that check trusts the transforms it carries
+// through, a Library hit must also pass one that uses none
+// (servedOptimal).
 func assertServed(rj route.RJ, field action.ForceField, opt synth.Options, canon bool, p synth.Policy, v float64) {
 	if !canon {
 		if diff := servedDiff(rj, field, opt, p, v, nil); diff != "" {
@@ -38,7 +38,7 @@ func assertServed(rj route.RJ, field action.ForceField, opt synth.Options, canon
 		return
 	}
 	if diff := servedOptimal(rj, field, opt, p, v); diff != "" {
-		panic(fmt.Sprintf("sched: medacheck: canonical hit for %s is not optimal on its own window: %s", rj.Name(), diff))
+		panic(fmt.Sprintf("sched: medacheck: library hit for %s is not optimal on its own window: %s", rj.Name(), diff))
 	}
 	crj, tf := synth.Canonicalize(rj)
 	f := field(rj.Hazard.XA, rj.Hazard.YA)
@@ -63,10 +63,10 @@ func assertServed(rj route.RJ, field action.ForceField, opt synth.Options, canon
 			first = diff
 		}
 	}
-	panic(fmt.Sprintf("sched: medacheck: canonical hit for %s matches no dihedral image's fresh synthesis; rj's own: %s", rj.Name(), first))
+	panic(fmt.Sprintf("sched: medacheck: library hit for %s matches no dihedral image's fresh synthesis; rj's own: %s", rj.Name(), first))
 }
 
-// servedOptimal checks a canonical hit without any D4 transform: a fresh
+// servedOptimal checks a Library hit without any D4 transform: a fresh
 // synthesis of rj's own window under field must cover as many positions
 // as p and reach v within mdp.Eps, and every action p serves must be
 // enabled at its position and optimal there — its one-step value, under

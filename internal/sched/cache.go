@@ -23,37 +23,20 @@ const DefaultCacheSize = 256
 // region's health hash makes the cache exactly as fresh as Alg. 3
 // requires: any degradation inside the region changes the key (a miss),
 // while degradation elsewhere on the chip leaves it untouched (a hit).
-//
-// Keys come in two forms. FormRaw keys carry the job's actual chip
-// coordinates, the full health hash and the obstacle signature — one entry
-// per position and obstacle layout. FormCanon keys carry the D4-canonical
-// geometry (synth.Canonicalize) and the window's uniform health code — one
-// entry per *shape*, shared by every translated, rotated, or reflected
-// image of the job anywhere on the chip; only unobstructed windows get
-// them, so their Obstacles is 0. The two namespaces never collide: Form
-// participates in equality and Hash.
+// Keys carry the job's actual chip coordinates, so each position and
+// obstacle layout has its own entry, and a hit is bit-identical to a fresh
+// synthesis of the job.
 type CacheKey struct {
 	Start, Goal, Hazard geom.Rect
 	Opts                uint64
 	Health              uint64
-	Form                uint8
 	// Obstacles is ObstacleSignature of the job's obstacles over Hazard,
 	// 0 for an unobstructed window. It takes part in equality but not in
 	// Hash: fault-injection draws are a function of the window alone.
 	Obstacles uint64
 }
 
-// CacheKey forms.
-const (
-	// FormRaw keys on the job's actual position and the region's exact
-	// health hash.
-	FormRaw uint8 = iota
-	// FormCanon keys on the D4-canonical geometry and a uniform health
-	// code; valid only for jobs whose window health is uniform.
-	FormCanon
-)
-
-// NewCacheKey builds the raw-form key for an unobstructed job under the
+// NewCacheKey builds the key for an unobstructed job under the
 // given options and region health hash (typically
 // chip.HealthHash(rj.Hazard)). The rj must already be dispense-normalized.
 // An obstructed job's key also sets Obstacles to ObstacleSignature(
@@ -137,26 +120,13 @@ func fnvWord(h, v uint64) uint64 {
 	return h
 }
 
-// NewCanonicalCacheKey builds the canonical-form key for a job whose hazard
-// window reads a uniform health code, returning the key and the transform
-// from job coordinates to canonical coordinates (needed to de-canonicalize
-// a cached policy on lookup, and to canonicalize a fresh one on store).
-func NewCanonicalCacheKey(rj route.RJ, opt synth.Options, code int) (CacheKey, synth.Transform) {
-	crj, tf := synth.Canonicalize(rj)
-	return CacheKey{
-		Start:  crj.Start,
-		Goal:   crj.Goal,
-		Hazard: crj.Hazard,
-		Opts:   fingerprintOptions(opt),
-		Health: uint64(code),
-		Form:   FormCanon,
-	}, tf
-}
-
 // Hash folds the key into 64 bits — the identity handed to a FaultInjector,
 // which must not depend on sched's internal key layout. Obstacles is left
 // out, so the draws for a window do not depend on which droplets rest
-// around it.
+// around it. The last word folded is a constant zero: it separates no two
+// keys, but it fixes the hash's value, which every SynthTimeout and
+// CachePoison draw depends on, so dropping it would change every injected
+// fault (TestCacheKeyHashPinned).
 func (k CacheKey) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -170,7 +140,7 @@ func (k CacheKey) Hash() uint64 {
 	}
 	word(k.Opts)
 	word(k.Health)
-	word(uint64(k.Form))
+	word(0)
 	return h.Sum64()
 }
 
@@ -261,14 +231,6 @@ func (c *Cache) Lookup(key CacheKey) (synth.Policy, float64, bool) {
 	c.mu.Unlock()
 	telCacheHits.Inc()
 	return policy, value, true
-}
-
-// Contains reports whether key is cached without touching recency or stats.
-func (c *Cache) Contains(key CacheKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
 }
 
 // Store inserts (or refreshes) a strategy, evicting the least recently used

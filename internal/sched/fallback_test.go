@@ -290,9 +290,9 @@ func TestCacheKeyHash(t *testing.T) {
 func TestCacheKeyHashPinned(t *testing.T) {
 	k := CacheKey{
 		Start: rect(2, 3, 4, 5), Goal: rect(20, 9, 22, 11), Hazard: rect(1, 2, 24, 14),
-		Opts: 0x1234_5678, Health: 0x9abc_def0, Form: FormCanon,
+		Opts: 0x1234_5678, Health: 0x9abc_def0,
 	}
-	const want = 0xd451e514a701d541
+	const want = 0xb5571e0b9c128b20
 	for i := 0; i < 64; i++ {
 		if got := k.Hash(); got != want {
 			t.Fatalf("call %d: Hash() = %#x, want %#x", i, got, uint64(want))

@@ -27,8 +27,9 @@ var ErrInjectedTimeout = errors.New("sched: injected synthesis timeout")
 // FaultInjector is the control-plane fault source consulted by the adaptive
 // router (implemented by internal/fault's Injector; sched declares the
 // interface locally to keep the dependency pointing into sched). Both
-// methods must be pure functions of their arguments — the concurrent
-// executor may route several jobs at once.
+// methods must be pure functions of their arguments, so that a replayed
+// execution draws the same faults, and safe for concurrent calls: an
+// Adaptive router may be shared by several goroutines.
 type FaultInjector interface {
 	// SynthTimeout reports whether the attempt-th online synthesis for the
 	// keyed job should fail with ErrInjectedTimeout.
@@ -230,21 +231,14 @@ type Adaptive struct {
 
 	// Syntheses counts online synthesis runs (library and cache misses);
 	// LibraryUses counts strategies served from the library; CacheHits counts
-	// strategies served from Cache. Increments are guarded by mu — the
-	// concurrent executor may route several jobs at once — but reads are
-	// plain field access: sample them only after routing has quiesced.
+	// strategies served from Cache. Increments are guarded by mu, so that
+	// several goroutines may share the router, but reads are plain field
+	// access: sample them only after routing has quiesced.
 	Syntheses   int
 	LibraryUses int
 	CacheHits   int
 
 	mu sync.Mutex
-	// pending maps each in-flight synthesis (its Route leader's claim) to a
-	// completion signal, so concurrent Route calls for the same key coalesce
-	// into one synthesis.
-	pending map[CacheKey]chan struct{}
-	// waits counts the claims that found their key taken, so that the
-	// caller waited out another's synthesis. Guarded by mu.
-	waits int
 	// faults is the optional control-plane fault injector; attempts counts
 	// per-key synthesis attempts so injected timeouts draw independently per
 	// retry. Both guarded by mu.
@@ -325,113 +319,50 @@ func (a *Adaptive) bump(counter *int) {
 	a.mu.Unlock()
 }
 
-// claim registers this caller as the synthesizer for key. When a concurrent
-// Route is already synthesizing the same key, it returns that synthesis's
-// completion signal and leader=false; the caller should wait and re-check
-// its cache. The leader must call release exactly once, on every exit path.
-func (a *Adaptive) claim(key CacheKey) (done chan struct{}, leader bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if d := a.pending[key]; d != nil {
-		a.waits++
-		return d, false
-	}
-	if a.pending == nil {
-		a.pending = make(map[CacheKey]chan struct{})
-	}
-	d := make(chan struct{})
-	a.pending[key] = d
-	return d, true
-}
-
-// release ends a claim: the key accepts new synthesizers and every waiter
-// wakes to re-check the cache.
-func (a *Adaptive) release(key CacheKey, done chan struct{}) {
-	a.mu.Lock()
-	delete(a.pending, key)
-	a.mu.Unlock()
-	close(done)
-}
-
 // Route implements Router. An all-healthy, unobstructed window is served
 // from the Library. Every other window goes through the Cache, keyed on its
-// D4-canonical geometry and health code when the window is uniform and
-// unobstructed, and otherwise on its raw position, region health hash and
-// obstacle signature (ObstacleSignature): obstacles are keyed as exactly
-// as health, so a congruent chip meeting the same droplets around the same
-// window — a fleet tenant one job behind another — is served the strategy
-// instead of re-solving it.
+// own position, region health hash and obstacle signature
+// (ObstacleSignature): obstacles are keyed as exactly as health, so a
+// congruent chip meeting the same droplets around the same window — a fleet
+// tenant one job behind another — is served the strategy instead of
+// re-solving it.
 func (a *Adaptive) Route(rj route.RJ, c *chip.Chip, obstacles []geom.Rect) (synth.Policy, float64, error) {
 	rj = synth.NormalizeDispense(rj, c.W(), c.H())
-	// One scan of an unobstructed window serves both stores: the window is
-	// healthy when it is uniform at the top code.
-	code, uniform := 0, false
-	if len(obstacles) == 0 {
-		code, uniform = c.UniformHealth(rj.Hazard)
-	}
-	healthy := uniform && code == 1<<uint(c.HealthBits())-1
-	if healthy {
-		return a.singleFlight(NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard)), &a.LibraryUses,
+	key := NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard))
+	if len(obstacles) == 0 && c.Healthy(rj.Hazard) {
+		return a.serve(key, &a.LibraryUses,
 			func() (synth.Policy, float64, bool) { return a.Lib.Lookup(rj) },
 			func(p synth.Policy, v float64) { a.Lib.Store(rj, p, v) },
 			rj, func(x, y int) float64 { return 1 }, a.Opt, true)
 	}
+	key.Obstacles = ObstacleSignature(rj.Hazard, obstacles)
 	opt := a.Opt
 	opt.Model.Blocked = obstacles
-	key, tf, canon := a.cacheKeyFor(rj, c, obstacles, code, uniform)
 	lookup := func() (synth.Policy, float64, bool) {
 		p, v, ok := a.Cache.Lookup(key)
 		if !ok {
 			return synth.Policy{}, 0, false
 		}
-		if canon {
-			telCanonHits.Inc()
-			return tf.InvertPolicy(p), v, true
-		}
 		telRawHits.Inc()
 		return p, v, true
 	}
-	store := func(p synth.Policy, v float64) {
-		if canon {
-			p = tf.ApplyPolicy(p)
-		}
-		a.Cache.Store(key, p, v)
-	}
-	return a.singleFlight(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField(), opt, canon)
+	store := func(p synth.Policy, v float64) { a.Cache.Store(key, p, v) }
+	return a.serve(key, &a.CacheHits, lookup, store, rj, c.ObservedForceField(), opt, false)
 }
 
-// singleFlight serves rj from one strategy store, counting each hit in
-// hits, and otherwise synthesizes it under field once, however many Route
-// calls want it at the same time. key is the claim, fault-injection and
-// poison key. A caller that loses the claim waits out the leader and
-// re-checks the store; the leader re-checks once more after winning it (a
-// previous leader may have stored between our miss and our claim) before
-// synthesizing under opt, and stores a strategy that exists unless key is
-// poisoned. canon reports that the store is keyed on D4-canonical
-// geometry, which the medacheck build needs to re-derive a hit
+// serve returns rj's strategy from one strategy store, counting the hit in
+// hits, or on a miss synthesizes it under field and opt and stores it if
+// it exists and key is not poisoned. key is the fault-injection and poison
+// key. canon reports that the store is keyed on D4-canonical geometry (the
+// Library), which the medacheck build needs to re-derive a hit
 // (assertServed).
-func (a *Adaptive) singleFlight(key CacheKey, hits *int, lookup func() (synth.Policy, float64, bool),
+func (a *Adaptive) serve(key CacheKey, hits *int, lookup func() (synth.Policy, float64, bool),
 	store func(synth.Policy, float64), rj route.RJ, field action.ForceField, opt synth.Options, canon bool) (synth.Policy, float64, error) {
-	var done chan struct{}
-	for {
-		if p, v, ok := lookup(); ok {
-			assertServed(rj, field, opt, canon, p, v)
-			if done != nil {
-				a.release(key, done)
-			}
-			a.bump(hits)
-			return p, v, nil
-		}
-		if done != nil {
-			break
-		}
-		var leader bool
-		if done, leader = a.claim(key); !leader {
-			<-done
-			done = nil
-		}
+	if p, v, ok := lookup(); ok {
+		assertServed(rj, field, opt, canon, p, v)
+		a.bump(hits)
+		return p, v, nil
 	}
-	defer a.release(key, done)
 	res, err := a.synthesize(key, rj, field, opt)
 	if err != nil {
 		return synth.Policy{}, 0, err
@@ -455,21 +386,4 @@ func (a *Adaptive) synthesize(key CacheKey, rj route.RJ, field action.ForceField
 	a.bump(&a.Syntheses)
 	telOnlineSyntheses.Inc()
 	return res, nil
-}
-
-// cacheKeyFor picks the strategy-cache key for a job outside the Library:
-// the D4-canonical per-shape key when the window is unobstructed and its
-// observed health uniform (every translated/rotated/reflected window of
-// the same shape and level shares the entry), the raw per-position key
-// with the obstacle signature otherwise. (code, uniform) is the window's
-// Chip.UniformHealth, with uniform false for an obstructed window. canon
-// reports which form was chosen; tf is meaningful only when canon is true.
-func (a *Adaptive) cacheKeyFor(rj route.RJ, c *chip.Chip, obstacles []geom.Rect, code int, uniform bool) (key CacheKey, tf synth.Transform, canon bool) {
-	if uniform {
-		key, tf = NewCanonicalCacheKey(rj, a.Opt, code)
-		return key, tf, true
-	}
-	key = NewCacheKey(rj, a.Opt, c.HealthHash(rj.Hazard))
-	key.Obstacles = ObstacleSignature(rj.Hazard, obstacles)
-	return key, synth.Transform{}, false
 }

@@ -12,6 +12,7 @@ import (
 	"meda/internal/randx"
 	"meda/internal/route"
 	"meda/internal/synth"
+	"meda/internal/telemetry"
 )
 
 func rect(xa, ya, xb, yb int) geom.Rect { return geom.Rect{XA: xa, YA: ya, XB: xb, YB: yb} }
@@ -131,6 +132,43 @@ func TestAdaptiveRouteDegradedSynthesizesOnline(t *testing.T) {
 	}
 	if a.Syntheses != 2 {
 		t.Errorf("after degradation: syntheses = %d, want 2", a.Syntheses)
+	}
+}
+
+// TestColdRouteCountsOneMiss: a cold Route looks its window up once, so a
+// healthy window counts one Library miss and a worn one one Cache miss, in
+// the store's Stats and in the process-wide telemetry alike, and neither
+// touches the other store.
+func TestColdRouteCountsOneMiss(t *testing.T) {
+	libMisses, cacheMisses := telemetry.C("sched.library.misses"), telemetry.C("sched.cache.misses")
+	for _, tc := range []struct {
+		name               string
+		c                  *chip.Chip
+		wantLib, wantCache int
+	}{
+		{"healthy", freshChip(t, 2), 1, 0},
+		{"worn", wornChip(t, 3), 0, 1},
+	} {
+		a := NewAdaptive()
+		lib0, cache0 := libMisses.Value(), cacheMisses.Value()
+		if _, _, err := a.Route(job(), tc.c, nil); err != nil {
+			t.Fatal(err)
+		}
+		if a.Syntheses != 1 {
+			t.Errorf("%s: %d syntheses, want 1", tc.name, a.Syntheses)
+		}
+		if _, misses, _ := a.Lib.Stats(); misses != tc.wantLib {
+			t.Errorf("%s: Library.Stats misses = %d, want %d", tc.name, misses, tc.wantLib)
+		}
+		if misses := a.Cache.Stats().Misses; misses != tc.wantCache {
+			t.Errorf("%s: Cache.Stats misses = %d, want %d", tc.name, misses, tc.wantCache)
+		}
+		if d := libMisses.Value() - lib0; d != int64(tc.wantLib) {
+			t.Errorf("%s: sched.library.misses moved by %d, want %d", tc.name, d, tc.wantLib)
+		}
+		if d := cacheMisses.Value() - cache0; d != int64(tc.wantCache) {
+			t.Errorf("%s: sched.cache.misses moved by %d, want %d", tc.name, d, tc.wantCache)
+		}
 	}
 }
 

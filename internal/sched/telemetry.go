@@ -11,12 +11,9 @@ var (
 	telCacheMisses    = telemetry.C("sched.cache.misses")
 	telCacheEvictions = telemetry.C("sched.cache.evictions")
 
-	// Canonicalization effectiveness: hits served through a D4-canonical
-	// key (the per-shape fast path) vs hits on raw per-position keys (the
-	// non-uniform-health fallback). Their ratio is how often the degraded
-	// window was uniform enough to share strategies across positions.
-	telCanonHits = telemetry.C("sched.cache.canonical_hits")
-	telRawHits   = telemetry.C("sched.cache.raw_hits")
+	// Cache hits served by Adaptive.Route; sched.cache.hits also counts
+	// lookups made outside Route.
+	telRawHits = telemetry.C("sched.cache.raw_hits")
 
 	telLibHits   = telemetry.C("sched.library.hits")
 	telLibMisses = telemetry.C("sched.library.misses")

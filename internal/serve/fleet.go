@@ -8,24 +8,30 @@
 // which executes that chip's jobs strictly in order (wear carries from job
 // to job, so order is semantics, not scheduling detail). What *is* shared —
 // deliberately, across tenants — are the strategy stores: one
-// sched.Library of healthy-chip strategies and one sched.Cache of
-// degraded-region strategies serve every chip's Adaptive router. Cache
-// entries in canonical form (CacheKey.Form == FormCanon) are position- and
-// chip-agnostic, so tenant B's uniformly-degraded window reuses the
-// strategy synthesized for tenant A's (visible as
-// sched.cache.canonical_hits in /metrics). This is safe precisely because
-// strategies served from either store are bit-identical to what a fresh
-// synthesis would produce; sharing changes latency, never results.
+// sched.Library of healthy-chip strategies and one sched.Cache of the
+// strategies of every other window serve every chip's Adaptive router.
+// A Cache entry is keyed by the window's position, health hash and
+// obstacle signature, so a tenant whose congruent chip reaches the same
+// health and meets the same droplets around a window is served the
+// strategy another tenant's job synthesized, bit-identical to a fresh
+// synthesis of its own job. A Library entry is keyed by the window's
+// D4-canonical geometry and serves every translated, rotated or reflected
+// all-healthy copy of the job that stored it: the strategy is optimal for
+// each copy, but its tie-breaks can differ from a fresh synthesis of the
+// copy itself. Sharing therefore never changes a route's expected cost,
+// but which job stored a Library entry first can choose between equally
+// short routes.
 //
 // # Determinism and resume
 //
 // A job's execution is a pure function of (chip state at job start, chip
-// spec, job spec): the simulation RNG derives from the job seed, the
-// soft-fault injector from the chip and job seeds, and routing strategies
-// are deterministic however they are obtained. The store journals the chip
-// state when a job starts; a controller restart re-queues unfinished jobs
-// and replays them from that state, landing on byte-identical results —
-// checkpoint digests journaled along the way let tests verify this.
+// spec, job spec, the Library entries it is served): the simulation RNG
+// derives from the job seed, the soft-fault injector from the chip and job
+// seeds, and a Cache hit equals a fresh synthesis. The store journals the
+// chip state when a job starts; a controller restart re-queues unfinished
+// jobs and replays them from that state, landing on byte-identical results
+// when the Library serves the same entries — checkpoint digests journaled
+// along the way let tests verify this.
 // Per-chip fault-injection seeds keep tenants isolated: no tenant's seed
 // choice can perturb another's executions.
 package serve

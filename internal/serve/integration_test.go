@@ -3,12 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net"
 	"testing"
 	"time"
 
-	"meda/internal/telemetry"
 	"meda/pkg/api"
 	"meda/pkg/client"
 )
@@ -151,85 +149,4 @@ func TestKillAndResume(t *testing.T) {
 	if !bytes.Equal(gotState, wantState) {
 		t.Fatalf("final chip state diverged after resume (%d vs %d bytes)", len(gotState), len(wantState))
 	}
-}
-
-// uniformDegradedState builds a 60×30 chip state whose every cell sits at
-// degradation 0.6 (health code 2 of 3): uniformly degraded, so the
-// scheduler keys every window strategy by its D4-canonical form.
-func uniformDegradedState(t *testing.T) []byte {
-	t.Helper()
-	type cell struct {
-		Tau float64 `json:"tau"`
-		C   float64 `json:"c"`
-		N   float64 `json:"n"`
-	}
-	const w, h = 60, 30
-	cells := make([]cell, w*h)
-	for i := range cells {
-		cells[i] = cell{Tau: 0.6, C: 300, N: 300}
-	}
-	raw, err := json.Marshal(map[string]any{
-		"version": 1, "w": w, "h": h, "bits": 2, "cells": cells,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
-// TestCanonicalCacheAcrossTenants is the strategy-sharing acceptance test:
-// two tenants with identically degraded chips run the same assay; the
-// second tenant's run must hit canonical cache entries the first tenant's
-// run stored. Tenants are isolated at the API layer, but strategies for
-// congruent degraded windows are physics, not data — they share.
-func TestCanonicalCacheAcrossTenants(t *testing.T) {
-	_, c := testServer(t, Config{})
-	ctx := ctxT(t)
-	state := uniformDegradedState(t)
-	job := func(chip string) api.JobSpec {
-		return api.JobSpec{Chip: chip, Benchmark: "serial-dilution", Seed: 21}
-	}
-
-	for _, tenant := range []string{"alpha", "beta"} {
-		if _, err := c.CreateTenant(ctx, tenant); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.CreateChip(ctx, tenant, api.ChipSpec{ID: "d1", Seed: 21}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.UploadChipHealth(ctx, tenant, "d1", state); err != nil {
-			t.Fatal(err)
-		}
-		cs, err := c.Chip(ctx, tenant, "d1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cs.MinHealth != 2 || cs.MeanHealthMilli != 2000 {
-			t.Fatalf("%s chip not uniformly degraded: %+v", tenant, cs)
-		}
-	}
-
-	// Tenant alpha warms the shared cache.
-	j, err := c.SubmitJob(ctx, "alpha", job("d1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := c.WaitJob(ctx, "alpha", j.ID); err != nil || st.State != api.JobDone {
-		t.Fatalf("alpha job = %+v, err %v", st, err)
-	}
-
-	// Tenant beta's identical run must reuse alpha's canonical entries.
-	before := telemetry.C("sched.cache.canonical_hits").Value()
-	j, err = c.SubmitJob(ctx, "beta", job("d1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := c.WaitJob(ctx, "beta", j.ID); err != nil || st.State != api.JobDone {
-		t.Fatalf("beta job = %+v, err %v", st, err)
-	}
-	delta := telemetry.C("sched.cache.canonical_hits").Value() - before
-	if delta <= 0 {
-		t.Fatalf("sched.cache.canonical_hits delta = %d during beta's run, want > 0", delta)
-	}
-	t.Logf("canonical cache hits across tenants: %d", delta)
 }

@@ -18,7 +18,7 @@ import (
 //   - it is invariant under the dihedral transform that synth.Canonicalize
 //     derives for a job covering the droplets, and that transform round-trips
 //     (Invert ∘ Apply = id) and is idempotent on the canonical job — the
-//     property that makes the canonical strategy cache sound.
+//     property that makes the Library's canonical keys sound.
 func FuzzHazardZones(f *testing.F) {
 	f.Add(int8(2), int8(3), int8(8), int8(3), int8(1), int8(0), int8(-1), int8(0), int8(5), int8(-7), uint8(4), uint8(4), uint8(4), uint8(4), uint8(1))
 	f.Add(int8(0), int8(0), int8(4), int8(0), int8(0), int8(0), int8(0), int8(0), int8(0), int8(0), uint8(3), uint8(3), uint8(3), uint8(3), uint8(0))

@@ -5,9 +5,10 @@
 // under the transformation. Canonicalize maps a job to a canonical
 // representative of its symmetry class: the window is translated to origin
 // (1,1) and the dihedral-group element that lexicographically minimizes the
-// (width, height, start, goal) tuple is applied. Keying a strategy cache on
+// (width, height, start, goal) tuple is applied. Keying a strategy store on
 // the canonical form turns per-position entries into per-shape entries: all
-// eight images of a job at every position on the chip share one cache line.
+// eight images of a job at every position on the chip share one entry. The
+// scheduler's offline library (sched.Library) is keyed this way.
 //
 // The returned Transform converts between the two coordinate spaces, both
 // for rectangles and for whole policies; action identities are conjugated
@@ -117,7 +118,7 @@ func (t Transform) ApplyPolicy(p Policy) Policy {
 }
 
 // InvertPolicy maps a canonical-space policy back to original coordinates —
-// the de-canonicalization applied after a canonical cache hit.
+// the de-canonicalization applied after a Library hit.
 func (t Transform) InvertPolicy(p Policy) Policy {
 	return p.Remap(t.Invert, &conjInvTable[t.Op])
 }
@@ -129,8 +130,8 @@ func (t Transform) InvertPolicy(p Policy) Policy {
 // lexicographically is chosen, so every translated/rotated/reflected copy
 // of a job maps to the identical canonical job. The caller is responsible
 // for only treating two jobs as equivalent when the force field over their
-// windows is uniform (chip.UniformHealth); canonicalization itself is pure
-// geometry.
+// windows is uniform (the Library keys only all-healthy windows, see
+// chip.Healthy); canonicalization itself is pure geometry.
 //
 //meda:hotpath
 func Canonicalize(rj route.RJ) (route.RJ, Transform) {

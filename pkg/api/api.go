@@ -154,7 +154,6 @@ const (
 	EvJobDone        = "job.done"
 	EvJobFailed      = "job.failed"
 	EvJobCanceled    = "job.canceled"
-	EvJobResumed     = "job.resumed"
 	EvJobDegraded    = "job.degraded"    // routing jobs demoted to the final-tier router
 	EvJobDeadlock    = "job.deadlock"    // concurrent-executor deadlock recovery fired
 	EvJobDivergence  = "job.divergence"  // divergence escalation (suspect region blacklisted)
