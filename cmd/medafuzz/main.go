@@ -65,9 +65,6 @@ func main() {
 		logw = os.Stderr
 	}
 	cfg.Log = logw
-	cfg.Router = func() meda.Router {
-		return meda.NewFallbackRouter(meda.NewAdaptiveRouter())
-	}
 
 	results, err := meda.RunFaultTrials(cfg)
 	if err != nil {

@@ -138,12 +138,6 @@ func (m *MC) Degradation() float64 {
 	return m.Params.Degradation(m.N)
 }
 
-// Force returns the current relative EWOD force F̄ = D².
-func (m *MC) Force() float64 {
-	d := m.Degradation()
-	return d * d
-}
-
 // Health returns the observed b-bit health code for the current state.
 func (m *MC) Health(b int) int { return QuantizeHealth(m.Degradation(), b) }
 

@@ -166,9 +166,6 @@ func TestMCLifecycle(t *testing.T) {
 	if math.Abs(m.Degradation()-0.5) > 1e-12 {
 		t.Errorf("D = %v, want 0.5", m.Degradation())
 	}
-	if math.Abs(m.Force()-0.25) > 1e-12 {
-		t.Errorf("F = %v, want 0.25", m.Force())
-	}
 }
 
 func TestMCHardFault(t *testing.T) {
@@ -186,7 +183,7 @@ func TestMCHardFault(t *testing.T) {
 	if !m.Failed() {
 		t.Error("MC must fail at threshold")
 	}
-	if m.Degradation() != 0 || m.Force() != 0 || m.Health(2) != 0 {
+	if m.Degradation() != 0 || m.Health(2) != 0 {
 		t.Error("failed MC must read fully degraded")
 	}
 }

@@ -18,28 +18,14 @@ type Cell struct {
 // String returns the cell formatted as "(x,y)".
 func (c Cell) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
 
-// Add returns the cell translated by (dx, dy).
-func (c Cell) Add(dx, dy int) Cell { return Cell{c.X + dx, c.Y + dy} }
-
 // Interval is a discrete interval [Lo, Hi] ⊂ ℕ (inclusive on both ends),
 // written ⟦Lo, Hi⟧ in the paper. An interval with Hi < Lo is empty.
 type Interval struct {
 	Lo, Hi int
 }
 
-// Len returns the number of integers in the interval (0 if empty).
-func (iv Interval) Len() int {
-	if iv.Hi < iv.Lo {
-		return 0
-	}
-	return iv.Hi - iv.Lo + 1
-}
-
 // Empty reports whether the interval contains no integers.
 func (iv Interval) Empty() bool { return iv.Hi < iv.Lo }
-
-// Contains reports whether v lies in the interval.
-func (iv Interval) Contains(v int) bool { return iv.Lo <= v && v <= iv.Hi }
 
 // Intersect returns the intersection of two intervals (possibly empty).
 func (iv Interval) Intersect(o Interval) Interval {
@@ -180,18 +166,17 @@ func (r Rect) Translate(dx, dy int) Rect {
 	return Rect{r.XA + dx, r.YA + dy, r.XB + dx, r.YB + dy}
 }
 
-// Cells returns all cells of the rectangle in row-major order (y outer).
-func (r Rect) Cells() []Cell {
-	if !r.Valid() {
-		return nil
+// Less orders rectangles lexicographically by (XA, YA, XB, YB).
+func (r Rect) Less(o Rect) bool {
+	switch {
+	case r.XA != o.XA:
+		return r.XA < o.XA
+	case r.YA != o.YA:
+		return r.YA < o.YA
+	case r.XB != o.XB:
+		return r.XB < o.XB
 	}
-	out := make([]Cell, 0, r.Area())
-	for y := r.YA; y <= r.YB; y++ {
-		for x := r.XA; x <= r.XB; x++ {
-			out = append(out, Cell{x, y})
-		}
-	}
-	return out
+	return r.YB < o.YB
 }
 
 // String returns the paper-style tuple "(xa,ya,xb,yb)".
@@ -224,21 +209,6 @@ func (d Dir) String() string {
 		return "W"
 	}
 	return "?"
-}
-
-// Delta returns the unit step (dx, dy) for the direction; North is +y.
-func (d Dir) Delta() (dx, dy int) {
-	switch d {
-	case North:
-		return 0, 1
-	case South:
-		return 0, -1
-	case East:
-		return 1, 0
-	case West:
-		return -1, 0
-	}
-	return 0, 0
 }
 
 // Horizontal reports whether the direction is East or West.

@@ -5,18 +5,15 @@ import (
 	"testing/quick"
 )
 
-func TestIntervalLen(t *testing.T) {
-	if got := (Interval{3, 7}).Len(); got != 5 {
-		t.Errorf("Len = %d, want 5", got)
-	}
-	if got := (Interval{7, 3}).Len(); got != 0 {
-		t.Errorf("empty Len = %d, want 0", got)
+func TestIntervalEmpty(t *testing.T) {
+	if (Interval{3, 7}).Empty() {
+		t.Error("Interval{3,7} should not be empty")
 	}
 	if !(Interval{7, 3}).Empty() {
 		t.Error("Interval{7,3} should be empty")
 	}
-	if (Interval{4, 4}).Len() != 1 {
-		t.Error("singleton interval should have length 1")
+	if (Interval{4, 4}).Empty() {
+		t.Error("singleton interval should not be empty")
 	}
 }
 
@@ -162,30 +159,7 @@ func TestRectClampPreservesSize(t *testing.T) {
 	}
 }
 
-func TestRectCells(t *testing.T) {
-	r := Rect{2, 3, 3, 4}
-	cells := r.Cells()
-	want := []Cell{{2, 3}, {3, 3}, {2, 4}, {3, 4}}
-	if len(cells) != len(want) {
-		t.Fatalf("len(Cells) = %d, want %d", len(cells), len(want))
-	}
-	for i := range want {
-		if cells[i] != want[i] {
-			t.Errorf("Cells[%d] = %v, want %v", i, cells[i], want[i])
-		}
-	}
-	if len(r.Cells()) != r.Area() {
-		t.Error("len(Cells) must equal Area")
-	}
-}
-
-func TestDirDelta(t *testing.T) {
-	for _, d := range [4]Dir{North, South, East, West} {
-		dx, dy := d.Delta()
-		if dx*dx+dy*dy != 1 {
-			t.Errorf("%v delta is not a unit step", d)
-		}
-	}
+func TestDirHorizontal(t *testing.T) {
 	if !East.Horizontal() || !West.Horizontal() || North.Horizontal() || South.Horizontal() {
 		t.Error("Horizontal misclassifies directions")
 	}
@@ -225,27 +199,9 @@ func TestTranslateExpand(t *testing.T) {
 	}
 }
 
-func TestCellStringAndAdd(t *testing.T) {
-	c := Cell{3, 7}
-	if c.String() != "(3,7)" {
+func TestCellString(t *testing.T) {
+	if c := (Cell{3, 7}); c.String() != "(3,7)" {
 		t.Errorf("String = %q", c.String())
-	}
-	if c.Add(2, -3) != (Cell{5, 4}) {
-		t.Errorf("Add = %v", c.Add(2, -3))
-	}
-}
-
-func TestIntervalContains(t *testing.T) {
-	iv := Interval{3, 7}
-	for _, v := range []int{3, 5, 7} {
-		if !iv.Contains(v) {
-			t.Errorf("Contains(%d) = false", v)
-		}
-	}
-	for _, v := range []int{2, 8} {
-		if iv.Contains(v) {
-			t.Errorf("Contains(%d) = true", v)
-		}
 	}
 }
 

@@ -50,11 +50,6 @@ func (b *Builder) AddStates(n int) StateID {
 	return first
 }
 
-// NumStates returns the number of states reserved so far.
-//
-//meda:hotpath
-func (b *Builder) NumStates() int { return b.nStates }
-
 // BeginChoice opens a choice of state s; the following Transition calls
 // populate its distribution. Choices must be added in non-decreasing state
 // order, and s must already be reserved.

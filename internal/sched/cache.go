@@ -2,8 +2,6 @@ package sched
 
 import (
 	"container/list"
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"sync"
 
@@ -74,7 +72,7 @@ func ObstacleSignature(hazard geom.Rect, obstacles []geom.Rect) uint64 {
 		found := false
 		for _, b := range obstacles {
 			c, ok := b.Intersect(hazard)
-			if !ok || (n > 0 && !rectLess(prev, c)) || (found && !rectLess(c, next)) {
+			if !ok || (n > 0 && !prev.Less(c)) || (found && !c.Less(next)) {
 				continue
 			}
 			next, found = c, true
@@ -89,19 +87,6 @@ func ObstacleSignature(hazard geom.Rect, obstacles []geom.Rect) uint64 {
 		h = fnvWord(h, uint64(uint32(next.XB))<<32|uint64(uint32(next.YB)))
 		prev = next
 	}
-}
-
-// rectLess orders rectangles lexicographically by (XA, YA, XB, YB).
-func rectLess(a, b geom.Rect) bool {
-	switch {
-	case a.XA != b.XA:
-		return a.XA < b.XA
-	case a.YA != b.YA:
-		return a.YA < b.YA
-	case a.XB != b.XB:
-		return a.XB < b.XB
-	}
-	return a.YB < b.YB
 }
 
 // FNV-1a over the little-endian bytes of 64-bit words, as hash/fnv's
@@ -128,20 +113,14 @@ func fnvWord(h, v uint64) uint64 {
 // CachePoison draw depends on, so dropping it would change every injected
 // fault (TestCacheKeyHashPinned).
 func (k CacheKey) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	h := uint64(fnvOffset)
+	for _, r := range [3]geom.Rect{k.Start, k.Goal, k.Hazard} {
+		h = fnvWord(h, uint64(uint32(r.XA))<<32|uint64(uint32(r.YA)))
+		h = fnvWord(h, uint64(uint32(r.XB))<<32|uint64(uint32(r.YB)))
 	}
-	for _, r := range []geom.Rect{k.Start, k.Goal, k.Hazard} {
-		word(uint64(uint32(r.XA))<<32 | uint64(uint32(r.YA)))
-		word(uint64(uint32(r.XB))<<32 | uint64(uint32(r.YB)))
-	}
-	word(k.Opts)
-	word(k.Health)
-	word(0)
-	return h.Sum64()
+	h = fnvWord(h, k.Opts)
+	h = fnvWord(h, k.Health)
+	return fnvWord(h, 0)
 }
 
 // fingerprintOptions hashes the option fields a strategy depends on: the
@@ -152,15 +131,14 @@ func (k CacheKey) Hash() uint64 {
 // feeds into every SynthTimeout and CachePoison draw: dropping them would
 // change every injected fault (TestFingerprintPinned).
 func fingerprintOptions(opt synth.Options) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	h := uint64(fnvOffset)
+	q := opt.Query.String()
+	for i := 0; i < len(q); i++ {
+		h ^= uint64(q[i])
+		h *= fnvPrime
 	}
-	h.Write([]byte(opt.Query.String()))
-	word(math.Float64bits(action.DefaultMaxAspect))
-	word(math.Float64bits(1))
+	h = fnvWord(h, math.Float64bits(action.DefaultMaxAspect))
+	h = fnvWord(h, math.Float64bits(1))
 	flags := uint64(0)
 	if opt.Model.AllowMorph {
 		flags |= 1
@@ -171,10 +149,9 @@ func fingerprintOptions(opt synth.Options) uint64 {
 	if opt.Model.AllowOrdinal {
 		flags |= 4
 	}
-	word(flags)
-	word(0) // the bits of the zero Eps
-	word(0) // the zero MaxIter
-	return h.Sum64()
+	h = fnvWord(h, flags)
+	h = fnvWord(h, 0)    // the bits of the zero Eps
+	return fnvWord(h, 0) // the zero MaxIter
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.

@@ -134,8 +134,10 @@ func moveInside(src *randx.Source, hz geom.Rect, obs []geom.Rect) ([]geom.Rect, 
 		m := map[geom.Cell]bool{}
 		for _, b := range o {
 			if c, ok := b.Intersect(hz); ok {
-				for _, cell := range c.Cells() {
-					m[cell] = true
+				for y := c.YA; y <= c.YB; y++ {
+					for x := c.XA; x <= c.XB; x++ {
+						m[geom.Cell{X: x, Y: y}] = true
+					}
 				}
 			}
 		}

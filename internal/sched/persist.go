@@ -53,12 +53,12 @@ func (l *Library) Save(w io.Writer) error {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.hazard != b.hazard {
-			return less(a.hazard, b.hazard)
+			return a.hazard.Less(b.hazard)
 		}
 		if a.start != b.start {
-			return less(a.start, b.start)
+			return a.start.Less(b.start)
 		}
-		return less(a.goal, b.goal)
+		return a.goal.Less(b.goal)
 	})
 	for _, k := range keys {
 		e := l.entries[k]
@@ -73,25 +73,12 @@ func (l *Library) Save(w io.Writer) error {
 			entry.Policy = append(entry.Policy, policyEntry{Droplet: rectToArr(d), Action: uint8(a)})
 		})
 		sort.Slice(entry.Policy, func(i, j int) bool {
-			return less(arrToRect(entry.Policy[i].Droplet), arrToRect(entry.Policy[j].Droplet))
+			return arrToRect(entry.Policy[i].Droplet).Less(arrToRect(entry.Policy[j].Droplet))
 		})
 		file.Entries = append(file.Entries, entry)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(file)
-}
-
-func less(a, b geom.Rect) bool {
-	if a.XA != b.XA {
-		return a.XA < b.XA
-	}
-	if a.YA != b.YA {
-		return a.YA < b.YA
-	}
-	if a.XB != b.XB {
-		return a.XB < b.XB
-	}
-	return a.YB < b.YB
 }
 
 // Load reads a library saved with Save, merging its entries into l. Each

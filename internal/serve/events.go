@@ -99,11 +99,11 @@ type webhookNotifier struct {
 	wg     sync.WaitGroup
 }
 
-func newWebhookNotifier(timeout time.Duration) *webhookNotifier {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	return &webhookNotifier{client: &http.Client{Timeout: timeout}}
+// webhookTimeout bounds each webhook delivery.
+const webhookTimeout = 5 * time.Second
+
+func newWebhookNotifier() *webhookNotifier {
+	return &webhookNotifier{client: &http.Client{Timeout: webhookTimeout}}
 }
 
 // matches reports whether the webhook subscribes to the event type. An

@@ -83,8 +83,6 @@ type Config struct {
 	// SnapshotEvery, when positive, snapshots the store periodically so
 	// journal replay after a crash stays short.
 	SnapshotEvery time.Duration
-	// WebhookTimeout bounds each webhook delivery; zero means 5s.
-	WebhookTimeout time.Duration
 }
 
 // Cooperative-abort causes, distinguished by the job runner after an
@@ -199,7 +197,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:      cfg,
 		bus:      NewBus(),
-		notifier: newWebhookNotifier(cfg.WebhookTimeout),
+		notifier: newWebhookNotifier(),
 		lib:      sched.NewLibrary(),
 		cache:    sched.NewCache(sched.DefaultCacheSize),
 		tenants:  make(map[string]*tenantRT),

@@ -13,10 +13,12 @@ import (
 )
 
 // FaultTrialConfig drives RunFaultTrials: for every (benchmark, trial) pair
-// a bioassay is executed twice on identically seeded chips — once clean,
-// once under a randomized fault plan derived from the trial seed — and the
-// faulted run is checked for hazard violations, completion, and bounded
-// completion-time inflation relative to the clean run.
+// a bioassay of 4×4 droplets (the paper's default) is executed twice on
+// identically seeded chips — once clean, once under a randomized fault plan
+// derived from the trial seed — and the faulted run is checked for hazard
+// violations, completion, and bounded completion-time inflation relative to
+// the clean run. Each run routes with a fresh graceful-degradation ladder,
+// NewFallback(NewAdaptive(), NewBaseline()).
 type FaultTrialConfig struct {
 	// Seed derives every trial's chip, simulation, and fault-plan seeds.
 	Seed uint64
@@ -31,8 +33,6 @@ type FaultTrialConfig struct {
 	// Benchmarks lists the bioassays to run; nil means the six-assay
 	// evaluation suite.
 	Benchmarks []assay.Benchmark
-	// Area is the dispensed droplet area (16 = 4×4, the paper's default).
-	Area int
 	// Inflation bounds the faulted run's cycle count at
 	// Inflation×clean + Slack; beyond it the trial is a violation.
 	Inflation float64
@@ -44,9 +44,6 @@ type FaultTrialConfig struct {
 	// concurrent executor, so the inflation bound measures fault cost on
 	// top of — not instead of — operation-level parallelism.
 	Concurrent bool
-	// Router builds a fresh router per run; nil means the full
-	// graceful-degradation ladder, NewFallback(NewAdaptive(), NewBaseline()).
-	Router func() sched.Router
 	// Log, when non-nil, receives a line per trial.
 	Log io.Writer
 }
@@ -59,7 +56,6 @@ func DefaultFaultTrialConfig() FaultTrialConfig {
 		Trials:    3,
 		Rate:      0.05,
 		Kinds:     fault.AllKinds,
-		Area:      16,
 		Inflation: 3,
 		Slack:     150,
 	}
@@ -96,21 +92,22 @@ func (c FaultTrialConfig) withDefaults() FaultTrialConfig {
 	if c.Benchmarks == nil {
 		c.Benchmarks = assay.EvaluationBenchmarks
 	}
-	if c.Area <= 0 {
-		c.Area = 16
-	}
 	if c.Inflation <= 0 {
 		c.Inflation = 3
 	}
 	if c.Slack <= 0 {
 		c.Slack = 150
 	}
-	if c.Router == nil {
-		c.Router = func() sched.Router {
-			return sched.NewFallback(sched.NewAdaptive(), sched.NewBaseline())
-		}
-	}
 	return c
+}
+
+// trialArea is the dispensed droplet area of every fault trial.
+const trialArea = 16
+
+// trialRouter is the router of one fault-trial run: the full
+// graceful-degradation ladder.
+func trialRouter() sched.Router {
+	return sched.NewFallback(sched.NewAdaptive(), sched.NewBaseline())
 }
 
 // trialChipConfig is the near-immortal chip of the scheduler tests: smooth
@@ -141,7 +138,7 @@ func RunFaultTrials(cfg FaultTrialConfig) ([]FaultTrialResult, error) {
 	root := randx.New(cfg.Seed)
 	var results []FaultTrialResult
 	for _, bench := range cfg.Benchmarks {
-		a := bench.Build(assay.Layout{W: 60, H: 30}, cfg.Area)
+		a := bench.Build(assay.Layout{W: 60, H: 30}, trialArea)
 		plan, err := route.Compile(a, 60, 30)
 		if err != nil {
 			return nil, fmt.Errorf("sim: compiling %s: %w", bench, err)
@@ -181,11 +178,11 @@ func runFaultTrial(cfg FaultTrialConfig, plan *route.Plan, fp fault.Plan, tsrc *
 	// The clean and faulted runs draw from identically labeled child
 	// sources, so they see the same chip constants and motion sampling —
 	// the only difference is the fault plan.
-	clean, err := runOnce(simCfg, plan, cfg.Router(), tsrc.Split("exec"))
+	clean, err := runOnce(simCfg, plan, trialRouter(), tsrc.Split("exec"))
 	if err != nil {
 		return FaultTrialResult{}, err
 	}
-	faulted, err := runOnce(simCfg.WithFaults(fp), plan, cfg.Router(), tsrc.Split("exec"))
+	faulted, err := runOnce(simCfg.WithFaults(fp), plan, trialRouter(), tsrc.Split("exec"))
 	if err != nil {
 		return FaultTrialResult{}, err
 	}

@@ -195,27 +195,6 @@ func adjustedR2(xs, ys []float64, model func(float64) float64, p int) float64 {
 	return 1 - (1-r2)*float64(n-1)/float64(n-p-1)
 }
 
-// Histogram counts values into k equal-width bins over [lo, hi]; values
-// outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, k int) []int {
-	bins := make([]int, k)
-	if k == 0 || hi <= lo {
-		return bins
-	}
-	w := (hi - lo) / float64(k)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= k {
-			i = k - 1
-		}
-		bins[i]++
-	}
-	return bins
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation; xs need not be sorted (a copy is sorted internally).
 func Quantile(xs []float64, q float64) (float64, error) {

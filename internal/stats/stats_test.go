@@ -218,17 +218,6 @@ func TestFitForceModelRejectsBadTau(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, 1.5, -3}
-	bins := Histogram(xs, 0, 1, 2)
-	if bins[0] != 3 || bins[1] != 3 {
-		t.Errorf("Histogram = %v, want [3 3]", bins)
-	}
-	if got := Histogram(nil, 0, 1, 3); got[0] != 0 {
-		t.Error("empty histogram must be zero")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	med, err := Quantile(xs, 0.5)

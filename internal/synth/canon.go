@@ -164,22 +164,9 @@ func lessRJ(a, b route.RJ) bool {
 		return a.Hazard.YB < b.Hazard.YB
 	}
 	if a.Start != b.Start {
-		return lessRect(a.Start, b.Start)
+		return a.Start.Less(b.Start)
 	}
-	return lessRect(a.Goal, b.Goal)
-}
-
-func lessRect(a, b geom.Rect) bool {
-	if a.XA != b.XA {
-		return a.XA < b.XA
-	}
-	if a.YA != b.YA {
-		return a.YA < b.YA
-	}
-	if a.XB != b.XB {
-		return a.XB < b.XB
-	}
-	return a.YB < b.YB
+	return a.Goal.Less(b.Goal)
 }
 
 // conjTable[op][a] is the action whose effect in the transformed frame

@@ -82,49 +82,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// within the containing bucket, the standard fixed-bucket estimate: the
-// first bucket interpolates from 0, the overflow bucket is clamped to the
-// largest bound. An empty histogram returns NaN.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) {
-				// Overflow bucket: no upper bound to interpolate toward.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // HistogramSnapshot is the JSON form of a histogram: the bucket upper
 // bounds, the per-bucket counts (one longer than bounds — the last entry is
 // the overflow bucket), and the running count and sum.

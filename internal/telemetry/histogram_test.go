@@ -79,78 +79,8 @@ func TestHistogramSum(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	tests := []struct {
-		name   string
-		bounds []float64
-		obs    []float64
-		q      float64
-		want   float64
-	}{
-		{
-			name:   "median interpolates within the containing bucket",
-			bounds: []float64{10, 20},
-			obs:    []float64{1, 2, 3, 4}, // all in (0, 10]
-			q:      0.5,
-			want:   5, // rank 2 of 4 → half-way through [0, 10]
-		},
-		{
-			name:   "quantile crossing bucket edges",
-			bounds: []float64{10, 20},
-			obs:    []float64{5, 15, 15, 15}, // one in first, three in second
-			q:      0.25,
-			want:   10, // rank 1 of 4 → end of the first bucket
-		},
-		{
-			name:   "upper quantile inside the second bucket",
-			bounds: []float64{10, 20},
-			obs:    []float64{5, 15, 15, 15},
-			q:      1,
-			want:   20, // rank 4 → end of the second bucket
-		},
-		{
-			name:   "overflow observations clamp to the top bound",
-			bounds: []float64{10, 20},
-			obs:    []float64{100, 200, 300},
-			q:      0.5,
-			want:   20,
-		},
-		{
-			name:   "q below zero clamps to the minimum",
-			bounds: []float64{10},
-			obs:    []float64{5, 5},
-			q:      -1,
-			want:   0,
-		},
-		{
-			name:   "q above one clamps to the maximum",
-			bounds: []float64{10},
-			obs:    []float64{5, 5},
-			q:      2,
-			want:   10,
-		},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			h := NewHistogram(tc.bounds...)
-			for _, v := range tc.obs {
-				h.Observe(v)
-			}
-			if got := h.Quantile(tc.q); !approx(got, tc.want) {
-				t.Fatalf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestHistogramQuantileEmpty(t *testing.T) {
+func TestHistogramEmptySnapshot(t *testing.T) {
 	h := NewHistogram(1, 2, 3)
-	if got := h.Quantile(0.5); !math.IsNaN(got) {
-		t.Fatalf("empty histogram quantile = %v, want NaN", got)
-	}
-	if got := h.Quantile(math.NaN()); !math.IsNaN(got) {
-		t.Fatalf("NaN quantile request = %v, want NaN", got)
-	}
 	s := h.Snapshot()
 	if s.Count != 0 || s.Sum != 0 {
 		t.Fatalf("empty snapshot %+v", s)

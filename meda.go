@@ -141,7 +141,8 @@ type (
 	// TrialResult aggregates one trial.
 	TrialResult = sim.TrialResult
 	// FaultTrialConfig drives randomized fault-plan trials (cmd/medafuzz
-	// and the nightly CI sweep).
+	// and the nightly CI sweep): 4×4 droplets, each run routed by a fresh
+	// fallback ladder, the adaptive router over the baseline.
 	FaultTrialConfig = sim.FaultTrialConfig
 	// FaultTrialResult is the outcome of one (benchmark, trial) pair.
 	FaultTrialResult = sim.FaultTrialResult
