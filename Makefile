@@ -11,8 +11,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The medacheck build's assertion files are vetted too.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags medacheck ./...
 
 # Fail if any file needs reformatting (gofmt prints the offenders).
 fmtcheck:

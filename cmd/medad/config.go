@@ -46,7 +46,7 @@ func parseFlags(argv []string) (config, error) {
 	dataDir := fs.String("data", "", "fleet-service data directory for snapshot+journal persistence (empty runs ephemerally)")
 	snapshotEvery := fs.Duration("snapshot-every", 30*time.Second, "fleet-service periodic snapshot interval (0 disables periodic snapshots)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "fleet-wide bound on concurrently executing assays (0 = GOMAXPROCS)")
-	checkpointEvery := fs.Int("checkpoint-every", 16, "cycles between execution checkpoints (progress journaling and events)")
+	checkpointEvery := fs.Int("checkpoint-every", 16, "cycles between execution checkpoints (progress events and cancellation)")
 	if err := fs.Parse(argv); err != nil {
 		return config{}, err
 	}

@@ -12,25 +12,9 @@ import (
 	"os"
 
 	"meda"
-	"meda/internal/assay"
-	"meda/internal/route"
 	"meda/internal/sched"
 	"meda/internal/synth"
 )
-
-var benchmarks = map[string]assay.Benchmark{
-	"master-mix":      assay.MasterMix,
-	"cep":             assay.CEP,
-	"serial-dilution": assay.SerialDilution,
-	"nuip":            assay.NuIP,
-	"covid-rat":       assay.CovidRAT,
-	"covid-pcr":       assay.CovidPCR,
-	"chip":            assay.ChIP,
-	"in-vitro":        assay.InVitro,
-	"gene-expression": assay.GeneExpression,
-	"protein":         assay.Protein,
-	"pcr-mix":         assay.PCRMix,
-}
 
 func main() {
 	assayName := flag.String("assay", "", "bioassay to pre-synthesize strategies for")
@@ -46,13 +30,12 @@ func main() {
 		}
 		return
 	}
-	bench, ok := benchmarks[*assayName]
+	bench, ok := meda.ParseBenchmark(*assayName)
 	if !ok {
 		fmt.Fprintln(os.Stderr, "medalib: -assay must name a benchmark bioassay (or use -inspect)")
 		os.Exit(2)
 	}
-	cfg := meda.DefaultChipConfig()
-	plan, err := route.Compile(bench.Build(assay.Layout{W: cfg.W, H: cfg.H}, *area), cfg.W, cfg.H)
+	plan, err := meda.CompileBenchmark(bench, meda.DefaultChipConfig(), *area)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "medalib: %v\n", err)
 		os.Exit(1)

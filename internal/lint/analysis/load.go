@@ -80,9 +80,6 @@ func (l *Loader) warmExports() {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 func findModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
@@ -161,20 +158,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.gc.Import(path)
 }
 
-// Dirs expands go package patterns (./..., specific import paths, or
-// directory arguments) into package directories, in go list order.
-func (l *Loader) Dirs(patterns ...string) ([]string, error) {
-	args := append([]string{"list", "-f", "{{.Dir}}", "--"}, patterns...)
-	out, err := l.golist(args...)
-	if err != nil {
-		return nil, err
-	}
-	if out == "" {
-		return nil, nil
-	}
-	return strings.Split(out, "\n"), nil
-}
-
 // PkgMeta is the go list metadata of one package, gathered without parsing
 // or type-checking it.
 type PkgMeta struct {
@@ -236,21 +219,6 @@ func (l *Loader) PackagesInDependencyOrder(patterns ...string) ([]*PkgMeta, erro
 		visit(m.Path)
 	}
 	return ordered, nil
-}
-
-// DirsInDependencyOrder expands patterns like Dirs but orders the result
-// so every package appears after the packages it imports (restricted to
-// the matched set).
-func (l *Loader) DirsInDependencyOrder(patterns ...string) ([]string, error) {
-	metas, err := l.PackagesInDependencyOrder(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	dirs := make([]string, len(metas))
-	for i, m := range metas {
-		dirs[i] = m.Dir
-	}
-	return dirs, nil
 }
 
 // LoadDir parses and type-checks the package in dir. Build constraints are

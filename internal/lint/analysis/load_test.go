@@ -73,11 +73,8 @@ func TestDirsBadPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Dirs("./no/such/dir/anywhere"); err == nil {
-		t.Fatal("Dirs on a nonexistent pattern: got nil error")
-	}
-	if _, err := l.DirsInDependencyOrder("./no/such/dir/anywhere"); err == nil {
-		t.Fatal("DirsInDependencyOrder on a nonexistent pattern: got nil error")
+	if _, err := l.PackagesInDependencyOrder("./no/such/dir/anywhere"); err == nil {
+		t.Fatal("PackagesInDependencyOrder on a nonexistent pattern: got nil error")
 	}
 }
 
@@ -88,15 +85,15 @@ func TestDirsInDependencyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := l.DirsInDependencyOrder("./internal/lint/dataflow", "./internal/lint/cfg")
+	pkgs, err := l.PackagesInDependencyOrder("./internal/lint/dataflow", "./internal/lint/cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dirs) != 2 {
-		t.Fatalf("got %d dirs, want 2: %v", len(dirs), dirs)
+	if len(pkgs) != 2 {
+		t.Fatalf("got %d packages, want 2", len(pkgs))
 	}
-	if filepath.Base(dirs[0]) != "cfg" || filepath.Base(dirs[1]) != "dataflow" {
-		t.Errorf("dependency order wrong: %v (want cfg before dataflow)", dirs)
+	if filepath.Base(pkgs[0].Dir) != "cfg" || filepath.Base(pkgs[1].Dir) != "dataflow" {
+		t.Errorf("dependency order wrong: %s, %s (want cfg before dataflow)", pkgs[0].Dir, pkgs[1].Dir)
 	}
 }
 

@@ -88,10 +88,6 @@ type Graph struct {
 	byFn  map[*types.Func]*Node
 }
 
-// Node returns the graph node of fn, or nil when fn is not declared (with a
-// body) in the analyzed package.
-func (g *Graph) Node(fn *types.Func) *Node { return g.byFn[fn] }
-
 // Build constructs the call graph of one type-checked package. The universe
 // for CHA interface resolution is pkg plus every package transitively
 // reachable through its imports.
@@ -178,29 +174,6 @@ func resolveCall(info *types.Info, cha *chaIndex, call *ast.CallExpr, async, def
 	}
 	c.Kind = Dynamic
 	return c
-}
-
-// StaticCallee resolves a call's static callee function — a plain or
-// package-qualified function, or a method on a concrete receiver — or nil
-// for builtins, conversions, interface dispatch, and function values. The
-// summary layer uses it to key seeded knowledge and facts.
-func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if s := info.Selections[fun]; s != nil {
-			if types.IsInterface(s.Recv()) {
-				return nil
-			}
-			fn, _ := s.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // chaIndex is the type universe for interface resolution: every named type

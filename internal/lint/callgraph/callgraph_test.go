@@ -120,8 +120,10 @@ func TestExternalCallHasTargetWithoutNode(t *testing.T) {
 	if c.Kind != callgraph.Static || len(c.Targets) != 1 {
 		t.Fatalf("External call = kind %v targets %v, want one static target", c.Kind, c.Targets)
 	}
-	if g.Node(c.Targets[0]) != nil {
-		t.Errorf("io.WriteString has a node in the package graph; external callees must not")
+	for _, n := range g.Nodes {
+		if n.Fn == c.Targets[0] {
+			t.Errorf("io.WriteString has a node in the package graph; external callees must not")
+		}
 	}
 }
 
@@ -155,16 +157,5 @@ func TestSCCsBottomUp(t *testing.T) {
 	if compOf["Square"] >= compOf["Measure"] || compOf["Circle"] >= compOf["Measure"] {
 		t.Errorf("interface targets should precede Measure: Square=%d Circle=%d Measure=%d",
 			compOf["Square"], compOf["Circle"], compOf["Measure"])
-	}
-}
-
-func TestNodeLookup(t *testing.T) {
-	pkg, g := load(t)
-	obj := pkg.Types.Scope().Lookup("Leaf").(*types.Func)
-	if g.Node(obj) == nil {
-		t.Error("Node(Leaf) = nil, want its graph node")
-	}
-	if g.Node(nil) != nil {
-		t.Error("Node(nil) should be nil")
 	}
 }

@@ -28,10 +28,10 @@
 // spec, job spec, the Library entries it is served): the simulation RNG
 // derives from the job seed, the soft-fault injector from the chip and job
 // seeds, and a Cache hit equals a fresh synthesis. The store journals the
-// chip state when a job starts; a controller restart re-queues unfinished
-// jobs and replays them from that state, landing on byte-identical results
-// when the Library serves the same entries — checkpoint digests journaled
-// along the way let tests verify this.
+// chip state when a job ends, so the chip record always holds the state
+// the next job starts from; a controller restart re-queues unfinished jobs
+// and replays them from it, landing on byte-identical results when the
+// Library serves the same entries.
 // Per-chip fault-injection seeds keep tenants isolated: no tenant's seed
 // choice can perturb another's executions.
 package serve
@@ -77,8 +77,7 @@ type Config struct {
 	// zero means GOMAXPROCS.
 	MaxConcurrent int
 	// CheckpointEvery is the cycle interval between execution checkpoints
-	// (progress journaling, event emission, cooperative abort); zero
-	// means 16.
+	// (progress events, cooperative abort); zero means 16.
 	CheckpointEvery int
 	// SnapshotEvery, when positive, snapshots the store periodically so
 	// journal replay after a crash stays short.
@@ -134,9 +133,10 @@ type chipEntry struct {
 	queue    []*job
 	running  *job
 	jobsDone int
-	// stateJSON is chip.SaveState as of the last job boundary or health
-	// upload: the base state the next job starts from, and what the
-	// health-download endpoint serves.
+	// stateJSON is the chip state as journaled at chip creation, the last
+	// job end or health upload: the base state the next job starts from,
+	// and what the health-download endpoint serves. Between jobs the chip
+	// equals it.
 	stateJSON []byte
 	summary   chipSummary
 	notify    chan struct{}
@@ -494,7 +494,7 @@ func convertExec(e sim.Execution) api.Execution {
 }
 
 // runJob executes one job on the worker's chip. Every state transition is
-// journaled (sync on the boundaries), evented, and reflected in telemetry.
+// evented and reflected in telemetry; finishJob journals the job's end.
 func (f *Fleet) runJob(ce *chipEntry, j *job) {
 	// A cancel that arrived while the job waited for a slot already
 	// journaled and announced it; otherwise the job is running from here
@@ -506,27 +506,6 @@ func (f *Fleet) runJob(ce *chipEntry, j *job) {
 		return
 	}
 	j.state = api.JobRunning
-	f.mu.Unlock()
-
-	// Journal the start state first: this is the replay point.
-	var startState []byte
-	{
-		var buf bytes.Buffer
-		if err := ce.c.SaveState(&buf); err != nil {
-			f.finishJob(ce, j, nil, fmt.Errorf("serializing chip state: %w", err))
-			return
-		}
-		startState = buf.Bytes()
-	}
-	if f.store != nil {
-		rec := jobStartRec{Job: j.id, Tenant: j.tenant, Chip: ce.spec.ID, State: startState}
-		if err := f.store.Append(rec, true); err != nil {
-			f.finishJob(ce, j, nil, err)
-			return
-		}
-	}
-	f.mu.Lock()
-	ce.stateJSON = startState
 	f.mu.Unlock()
 	f.emit(api.Event{Type: api.EvJobStarted, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id})
 
@@ -553,34 +532,22 @@ func (f *Fleet) runJob(ce *chipEntry, j *job) {
 
 	runner := sim.NewRunner(cfg, ce.c, ce.router, randx.New(j.spec.Seed).Split("sim"))
 	exec, err := runner.Execute(rplan)
-
-	var abort *sim.CheckpointAbort
-	if errors.As(err, &abort) {
-		switch {
-		case errors.Is(abort.Cause, errStopping):
-			// Leave the job unfinished: the journal holds its start
-			// record and no done record, so the next start replays it.
-			f.mu.Lock()
-			j.state = api.JobQueued
-			j.prog = nil
-			ce.running = nil
-			ce.queue = append([]*job{j}, ce.queue...)
-			f.mu.Unlock()
-			return
-		case errors.Is(abort.Cause, errCanceled):
-			f.cancelFinish(ce, j)
-			return
-		}
-	}
-	if err != nil {
-		f.finishJob(ce, j, nil, err)
+	if errors.Is(err, errStopping) {
+		// Leave the job unfinished: the journal holds no end record for
+		// it, so the next start replays it from the chip record.
+		f.mu.Lock()
+		j.state = api.JobQueued
+		j.prog = nil
+		ce.running = nil
+		ce.queue = append([]*job{j}, ce.queue...)
+		f.mu.Unlock()
 		return
 	}
-	f.finishJob(ce, j, &exec, nil)
+	f.finishJob(ce, j, &exec, err)
 }
 
 // checkpointHook builds the per-job checkpoint observer: cooperative abort,
-// progress journaling, event emission, and fault-escalation deltas.
+// progress and fault-escalation events.
 func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error {
 	var prev sim.Checkpoint
 	return func(cp sim.Checkpoint) error {
@@ -610,12 +577,6 @@ func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error
 		if canceled {
 			return errCanceled
 		}
-		if f.store != nil {
-			// Progress beacons ride the OS flush; only boundaries fsync.
-			if err := f.store.Append(jobProgressRec{Job: j.id, Progress: prog}, false); err != nil {
-				return err
-			}
-		}
 		f.emit(api.Event{Type: api.EvJobProgress, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id, Data: mustJSON(prog)})
 		if degradedChip {
 			f.emit(api.Event{Type: api.EvChipDegraded, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id,
@@ -642,67 +603,80 @@ func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error
 	}
 }
 
-// finishJob records a completed or failed execution.
+// finishJob ends a job that ran: done with exec when err is nil, failed
+// with err, or canceled at a checkpoint (err is errCanceled). It
+// serializes the chip once and journals that state in the end record, so
+// the chip record is always the state the next job starts from. When no
+// end record carries the state, because it could not be serialized or the
+// append failed, the chip goes back to the last journaled state: the live
+// chip never runs ahead of the journal.
 func (f *Fleet) finishJob(ce *chipEntry, j *job, exec *sim.Execution, err error) {
-	var endState []byte
-	var result *api.Execution
-	if err == nil && exec != nil {
-		var buf bytes.Buffer
-		if serr := ce.c.SaveState(&buf); serr != nil {
-			err = fmt.Errorf("serializing chip state: %w", serr)
-		} else {
-			endState = buf.Bytes()
-			r := convertExec(*exec)
-			result = &r
-		}
+	canceled := errors.Is(err, errCanceled)
+	var state []byte
+	var buf bytes.Buffer
+	if serr := ce.c.SaveState(&buf); serr == nil {
+		state = buf.Bytes()
+	} else if err == nil || canceled {
+		err, canceled = fmt.Errorf("serializing chip state: %w", serr), false
 	}
+	var result *api.Execution
 	errMsg := ""
-	if err != nil {
+	if err == nil {
+		r := convertExec(*exec)
+		result = &r
+	} else if !canceled {
 		errMsg = err.Error()
 	}
 	if f.store != nil {
-		if aerr := f.store.AppendJobDone(j.id, result, errMsg, endState, true); aerr != nil && errMsg == "" {
-			errMsg = aerr.Error()
-			result = nil
+		var aerr error
+		if canceled {
+			aerr = f.store.Append(jobCancelRec{Job: j.id, State: state}, true)
+		} else {
+			aerr = f.store.AppendJobDone(j.id, result, errMsg, state, true)
+		}
+		if aerr != nil {
+			// The job has no end record: here it ends failed, and a
+			// restart runs it again from the last journaled state.
+			state, result, canceled = nil, nil, false
+			if errMsg == "" {
+				errMsg = aerr.Error()
+			}
 		}
 	}
-	sum := summarize(ce.c)
+	c := ce.c
+	if state == nil {
+		if lc, lerr := chip.LoadState(bytes.NewReader(ce.stateJSON)); lerr != nil {
+			errMsg += "; reloading chip state: " + lerr.Error()
+		} else {
+			c = lc
+		}
+	}
+	sum := summarize(c)
 	f.mu.Lock()
+	ce.c = c
 	ce.running = nil
 	ce.summary = sum
+	if state != nil {
+		ce.stateJSON = state
+	}
 	j.prog = nil
-	if errMsg != "" {
+	ev := api.Event{Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id}
+	switch {
+	case canceled:
+		j.state = api.JobCanceled
+		ev.Type = api.EvJobCanceled
+	case errMsg != "":
 		j.state = api.JobFailed
 		j.errMsg = errMsg
-	} else {
+		ev.Type, ev.Data = api.EvJobFailed, mustJSON(map[string]string{"error": errMsg})
+	default:
 		j.state = api.JobDone
 		j.result = result
 		ce.jobsDone++
-		ce.stateJSON = endState
+		ev.Type, ev.Data = api.EvJobDone, mustJSON(result)
 	}
 	f.mu.Unlock()
-	if errMsg != "" {
-		f.emit(api.Event{Type: api.EvJobFailed, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id,
-			Data: mustJSON(map[string]string{"error": errMsg})})
-		return
-	}
-	f.emit(api.Event{Type: api.EvJobDone, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id, Data: mustJSON(result)})
-}
-
-// cancelFinish records a cancellation that stopped a running execution.
-func (f *Fleet) cancelFinish(ce *chipEntry, j *job) {
-	if f.store != nil {
-		if err := f.store.Append(jobCancelRec{Job: j.id}, true); err != nil {
-			f.finishJob(ce, j, nil, err)
-			return
-		}
-	}
-	f.mu.Lock()
-	ce.running = nil
-	j.state = api.JobCanceled
-	j.prog = nil
-	f.mu.Unlock()
-	f.emit(api.Event{Type: api.EvJobCanceled, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id})
+	f.emit(ev)
 }
 
 // emit publishes an event on the bus and to the tenant's webhooks.

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"os"
+	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -148,5 +152,280 @@ func TestKillAndResume(t *testing.T) {
 	}
 	if !bytes.Equal(gotState, wantState) {
 		t.Fatalf("final chip state diverged after resume (%d vs %d bytes)", len(gotState), len(wantState))
+	}
+}
+
+// parkFirstCheckpoints parks each of srv's jobs at its first checkpoint:
+// at receives the job's ID, and the job runs on once the test sends on
+// resume.
+func parkFirstCheckpoints(srv *Server) (at <-chan string, resume chan<- struct{}) {
+	atc, rc := make(chan string), make(chan struct{})
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	srv.Fleet.checkpointGate = func(id string) {
+		mu.Lock()
+		first := !seen[id]
+		seen[id] = true
+		mu.Unlock()
+		if first {
+			atc <- id
+			<-rc
+		}
+	}
+	return atc, rc
+}
+
+// cancelRun is a server on which job 1 was canceled at its first
+// checkpoint and job 2, the same job spec, is parked at its first.
+type cancelRun struct {
+	srv    *Server
+	c      *client.Client
+	j2     string
+	resume chan<- struct{}
+	// fresh and worn are the chip states before job 1 and after its
+	// cancel.
+	fresh, worn []byte
+}
+
+var (
+	cancelChip = api.ChipSpec{ID: "c1", Seed: 77}
+	cancelJob  = api.JobSpec{Chip: "c1", Assay: mediumAssay, Seed: 77, KMax: 10000}
+)
+
+func startCancelRun(t *testing.T, ctx context.Context, dir string) *cancelRun {
+	t.Helper()
+	srv, c := startServer(t, Config{DataDir: dir, CheckpointEvery: 4})
+	at, resume := parkFirstCheckpoints(srv)
+	r := &cancelRun{srv: srv, c: c, resume: resume}
+	if _, err := c.CreateTenant(ctx, "acme"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateChip(ctx, "acme", cancelChip); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if r.fresh, err = c.ChipHealth(ctx, "acme", "c1"); err != nil {
+		t.Fatal(err)
+	}
+	j1, err := c.SubmitJob(ctx, "acme", cancelJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-at
+	if _, err := c.CancelJob(ctx, "acme", j1.ID); err != nil {
+		t.Fatal(err)
+	}
+	resume <- struct{}{}
+	if st, err := c.WaitJob(ctx, "acme", j1.ID); err != nil || st.State != api.JobCanceled {
+		t.Fatalf("job 1 = %+v, err %v; want canceled", st, err)
+	}
+	if r.worn, err = c.ChipHealth(ctx, "acme", "c1"); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(r.worn, r.fresh) {
+		t.Fatal("job 1 left the chip unworn before its cancel")
+	}
+	j2, err := c.SubmitJob(ctx, "acme", cancelJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.j2 = j2.ID
+	<-at
+	return r
+}
+
+// cancelControl runs the reference sequence uninterrupted: job 1 canceled
+// at its first checkpoint, then job 2 to completion. The server stays up
+// until the test ends, so its journal can be read.
+func cancelControl(t *testing.T, ctx context.Context, dir string) (r *cancelRun, want api.Execution, wantState []byte) {
+	t.Helper()
+	r = startCancelRun(t, ctx, dir)
+	t.Cleanup(func() { shutdown(t, r.srv) })
+	r.resume <- struct{}{}
+	got, err := r.c.WaitJob(ctx, "acme", r.j2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != api.JobDone || !got.Result.Success {
+		t.Fatalf("control job 2 = %+v", got)
+	}
+	if wantState, err = r.c.ChipHealth(ctx, "acme", "c1"); err != nil {
+		t.Fatal(err)
+	}
+	return r, *got.Result, wantState
+}
+
+// checkResumed waits for job id on c and requires it to resume and land on
+// the control's result and final chip state.
+func checkResumed(t *testing.T, ctx context.Context, c *client.Client, id string, want api.Execution, wantState []byte) {
+	t.Helper()
+	got, err := c.WaitJob(ctx, "acme", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != api.JobDone || got.Result == nil || !got.Resumed {
+		t.Fatalf("resumed job = %+v", got)
+	}
+	if *got.Result != want {
+		t.Fatalf("resumed result diverged:\n got %+v\nwant %+v", *got.Result, want)
+	}
+	gotState, err := c.ChipHealth(ctx, "acme", "c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotState, wantState) {
+		t.Fatalf("final chip state diverged after resume (%d vs %d bytes)", len(gotState), len(wantState))
+	}
+}
+
+// A job canceled mid-run leaves the chip worn, and the next job starts
+// from that wear: killed mid-flight, the next job resumes from the state
+// the cancel record journaled and lands where an uninterrupted run does.
+func TestCancelThenKillResumesFromCancelState(t *testing.T) {
+	ctx := ctxT(t)
+	_, want, wantState := cancelControl(t, ctx, t.TempDir())
+
+	dir := t.TempDir()
+	r := startCancelRun(t, ctx, dir)
+	killed := make(chan struct{})
+	go func() {
+		r.srv.Kill()
+		close(killed)
+	}()
+	<-r.srv.Fleet.stop // job 2 sees the stop at the checkpoint it is parked in
+	r.resume <- struct{}{}
+	<-killed
+
+	srv, c := startServer(t, Config{DataDir: dir, CheckpointEvery: 4})
+	defer shutdown(t, srv)
+	checkResumed(t, ctx, c, r.j2, want, wantState)
+}
+
+// A journal written before the end records carried the chip state still
+// replays: its cancel record has no state, the next job's start record
+// pins the worn one, and progress records are ignored.
+func TestReplayJournalWithStartRecords(t *testing.T) {
+	ctx := ctxT(t)
+	ctl, want, wantState := cancelControl(t, ctx, t.TempDir())
+
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []payload{
+		tenantCreateRec{ID: "acme"},
+		chipCreateRec{Tenant: "acme", Spec: cancelChip, State: ctl.fresh},
+		jobSubmitRec{ID: "j-000001", Tenant: "acme", Spec: cancelJob},
+		jobStartRec{Job: "j-000001", Tenant: "acme", Chip: "c1", State: ctl.fresh},
+		jobProgressRec{Job: "j-000001", Progress: api.Progress{Cycle: 4}},
+		jobCancelRec{Job: "j-000001"},
+		jobSubmitRec{ID: ctl.j2, Tenant: "acme", Spec: cancelJob},
+		jobStartRec{Job: ctl.j2, Tenant: "acme", Chip: "c1", State: ctl.worn},
+		jobProgressRec{Job: ctl.j2, Progress: api.Progress{Cycle: 4}},
+	} {
+		if err := s.Append(p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.CloseAbrupt()
+
+	srv, c := startServer(t, Config{DataDir: dir, CheckpointEvery: 4})
+	defer shutdown(t, srv)
+	if st, err := c.Job(ctx, "acme", "j-000001"); err != nil || st.State != api.JobCanceled {
+		t.Fatalf("job 1 after replay = %+v, err %v", st, err)
+	}
+	checkResumed(t, ctx, c, ctl.j2, want, wantState)
+}
+
+// Each job ends in one record that carries the chip state, and no record
+// is journaled at its start or its checkpoints.
+func TestJournalHoldsEndRecordsOnly(t *testing.T) {
+	ctx := ctxT(t)
+	dir := t.TempDir()
+	r, _, wantState := cancelControl(t, ctx, dir)
+
+	f, err := os.Open(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, dropped, err := readJournal(f, 0)
+	f.Close() //lint:ignore errflowstrict read-only test file
+	if err != nil || dropped != 0 {
+		t.Fatalf("reading the journal: %v (%d dropped)", err, dropped)
+	}
+	var types []string
+	for _, rec := range recs {
+		types = append(types, rec.Type)
+	}
+	wantTypes := []string{recTenantCreate, recChipCreate, recJobSubmit, recJobCancel, recJobSubmit, recJobDone}
+	if !slices.Equal(types, wantTypes) {
+		t.Fatalf("journal records = %v, want %v", types, wantTypes)
+	}
+	// The journal keeps each state compact, without the newline that
+	// chip.SaveState ends it with.
+	cancel, err := decodePayload(recs[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cancel.(jobCancelRec).State; !bytes.Equal(got, bytes.TrimSpace(r.worn)) {
+		t.Errorf("the cancel record carries %d state bytes, want the %d the chip ended with", len(got), len(r.worn))
+	}
+	done, err := decodePayload(recs[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := done.(jobDoneRec); got.Job != r.j2 || got.Result == nil || !bytes.Equal(got.State, bytes.TrimSpace(wantState)) {
+		t.Errorf("the done record is %s with %d state bytes, want %s with the %d the chip ended with",
+			got.Job, len(got.State), r.j2, len(wantState))
+	}
+}
+
+// When a job's end record cannot be journaled, the chip goes back to the
+// last journaled state rather than keep the job's wear, and the job fails.
+func TestFailedEndAppendReloadsChip(t *testing.T) {
+	ctx := ctxT(t)
+	srv, c := startServer(t, Config{DataDir: t.TempDir(), CheckpointEvery: 4})
+	defer srv.Kill()
+	parked, release := parkCheckpoints(t, srv)
+	if _, err := c.CreateTenant(ctx, "acme"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateChip(ctx, "acme", cancelChip); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.ChipHealth(ctx, "acme", "c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.SubmitJob(ctx, "acme", cancelJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	srv.Fleet.store.CloseAbrupt() // every later append fails
+	release()
+	got, err := c.WaitJob(ctx, "acme", j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != api.JobFailed || got.Result != nil {
+		t.Fatalf("job with an unjournaled end = %+v, want failed", got)
+	}
+	if after, err := c.ChipHealth(ctx, "acme", "c1"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("chip health after the failed append changed (err %v)", err)
+	}
+	f := srv.Fleet
+	f.mu.Lock()
+	ce := f.tenants["acme"].chips["c1"]
+	var live bytes.Buffer
+	err = ce.c.SaveState(&live)
+	actuations := ce.summary.actuations
+	f.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live.Bytes(), before) || actuations != 0 {
+		t.Fatalf("the live chip kept the job's wear (%d actuations)", actuations)
 	}
 }

@@ -130,10 +130,14 @@ func TestJournalSequenceRegressionStops(t *testing.T) {
 	}
 }
 
-// storeFixtureState drives a store through a representative record sequence.
+// storeFixtureState drives a store through a representative record
+// sequence: job 1 in the older format that journaled start and progress
+// records, jobs 3 and 4 in the current one, where every end of a job that
+// ran carries the chip state.
 func storeFixtureState(t *testing.T, s *Store) {
 	t.Helper()
 	chipState := json.RawMessage(`{"version":1,"w":2,"h":2}`)
+	wornState := json.RawMessage(`{"version":1,"w":2,"h":2,"worn":true}`)
 	appends := []struct {
 		typ     string
 		payload payload
@@ -147,6 +151,10 @@ func storeFixtureState(t *testing.T, s *Store) {
 		{recJobDone, jobDoneRec{Job: "j-000001", Result: &api.Execution{Success: true, Cycles: 120}, State: chipState}},
 		{recJobSubmit, jobSubmitRec{ID: "j-000002", Tenant: "acme", Spec: api.JobSpec{Chip: "c1", Benchmark: "cep", Seed: 8}}},
 		{recJobCancel, jobCancelRec{Job: "j-000002"}},
+		{recJobSubmit, jobSubmitRec{ID: "j-000003", Tenant: "acme", Spec: api.JobSpec{Chip: "c1", Benchmark: "cep", Seed: 9}}},
+		{recJobDone, jobDoneRec{Job: "j-000003", Error: "route: no path", State: wornState}},
+		{recJobSubmit, jobSubmitRec{ID: "j-000004", Tenant: "acme", Spec: api.JobSpec{Chip: "c1", Benchmark: "cep", Seed: 10}}},
+		{recJobCancel, jobCancelRec{Job: "j-000004", State: chipState}},
 	}
 	for _, a := range appends {
 		if typ := a.payload.recordType(); typ != a.typ {
@@ -366,8 +374,9 @@ func TestJournalLineMatchesMarshal(t *testing.T) {
 		jobStartRec{Job: "j-000001", Tenant: "acme", Chip: "c1", State: fresh},
 		jobProgressRec{Job: "j-000001", Progress: api.Progress{Cycle: 16, JobsCompleted: 2, Droplets: 3, Digest: "00deadbeef00cafe"}},
 		jobDoneRec{Job: "j-000001", Result: &result, State: worn},
-		jobDoneRec{Job: "j-000002", Error: odd},
+		jobDoneRec{Job: "j-000002", Error: odd, State: fresh},
 		jobCancelRec{Job: "j-000003"},
+		jobCancelRec{Job: "j-000004", State: worn},
 	}
 	line := func(rec Record) []byte {
 		t.Helper()

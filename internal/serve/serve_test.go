@@ -479,6 +479,40 @@ func TestServerRestartKeepsState(t *testing.T) {
 	}
 }
 
+// A failed job is not counted in the chip's jobs_done, live or after a
+// restart: replay counts the same jobs the running fleet did.
+func TestFailedJobNotCountedDone(t *testing.T) {
+	dir := t.TempDir()
+	ctx := ctxT(t)
+	srv1, c1 := startServer(t, Config{DataDir: dir})
+	if _, err := c1.CreateTenant(ctx, "acme"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.CreateChip(ctx, "acme", api.ChipSpec{ID: "c1", Seed: 13}); err != nil {
+		t.Fatal(err)
+	}
+	// The droplet parses but cannot fit the chip, so the job fails when
+	// it is compiled.
+	j, err := c1.SubmitJob(ctx, "acme", api.JobSpec{Chip: "c1", Assay: "assay big\ns = dis 5000\nout s", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c1.WaitJob(ctx, "acme", j.ID); err != nil || st.State != api.JobFailed {
+		t.Fatalf("oversized job = %+v, err %v; want failed", st, err)
+	}
+	check := func(c *client.Client, when string) {
+		t.Helper()
+		if cs, err := c.Chip(ctx, "acme", "c1"); err != nil || cs.JobsDone != 0 {
+			t.Fatalf("%s: chip = %+v, err %v; want 0 jobs done", when, cs, err)
+		}
+	}
+	check(c1, "live")
+	shutdown(t, srv1)
+	srv2, c2 := startServer(t, Config{DataDir: dir})
+	defer shutdown(t, srv2)
+	check(c2, "after a restart")
+}
+
 // MaxConcurrent=1 serializes across chips but every job still finishes.
 func TestMaxConcurrentSerializes(t *testing.T) {
 	_, c := testServer(t, Config{MaxConcurrent: 1})

@@ -36,10 +36,12 @@ const (
 	recChipCreate   = "chip_create"
 	recChipHealth   = "chip_health"
 	recJobSubmit    = "job_submit"
-	recJobStart     = "job_start"
-	recJobProgress  = "job_progress"
 	recJobDone      = "job_done"
 	recJobCancel    = "job_cancel"
+	// Journals from before the end records carried the chip state also
+	// hold these two. Replay still reads them; the fleet writes neither.
+	recJobStart    = "job_start"
+	recJobProgress = "job_progress"
 )
 
 // payload is the typed payload of one journal record; recordType names
@@ -74,10 +76,8 @@ type jobSubmitRec struct {
 	Spec   api.JobSpec `json:"spec"`
 }
 
-// jobStartRec pins the chip state the job starts from. Execution is a
-// deterministic function of (chip state, job spec, chip spec), so this
-// record is the resume point: a job with a start record but no done record
-// re-executes from State and lands on byte-identical results.
+// jobStartRec pinned the chip state a job started from. Replay still pins
+// it, since an older journal's end records may lack the state.
 type jobStartRec struct {
 	Job    string          `json:"job"`
 	Tenant string          `json:"tenant"`
@@ -85,22 +85,31 @@ type jobStartRec struct {
 	State  json.RawMessage `json:"state"`
 }
 
+// jobProgressRec was an older journal's per-checkpoint progress beacon.
+// Replay ignores it.
 type jobProgressRec struct {
 	Job      string       `json:"job"`
 	Progress api.Progress `json:"progress"`
 }
 
+// jobDoneRec and jobCancelRec end a job. State is the chip state after
+// it, the state the chip's next job starts from; only a job canceled
+// before it ran ends without one. Execution is a deterministic function
+// of (chip state, job spec, chip spec), so a job with no end record
+// re-executes on restart from the chip record and lands on byte-identical
+// results.
 type jobDoneRec struct {
 	Job string `json:"job"`
 	// Result and Error are mutually exclusive: a Result (even an aborted
 	// one) means the execution ran to a verdict, an Error means it did not.
 	Result *api.Execution  `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
-	State  json.RawMessage `json:"state,omitempty"` // chip state after the job
+	State  json.RawMessage `json:"state,omitempty"`
 }
 
 type jobCancelRec struct {
-	Job string `json:"job"`
+	Job   string          `json:"job"`
+	State json.RawMessage `json:"state,omitempty"`
 }
 
 func (tenantCreateRec) recordType() string { return recTenantCreate }
@@ -152,10 +161,11 @@ func decodePayload(rec Record) (payload, error) {
 // PersistedChip is one chip's durable state.
 type PersistedChip struct {
 	Spec api.ChipSpec `json:"spec"`
-	// State is the chip.SaveState JSON as of the last job boundary (or
-	// health upload) — the base state the next job starts from.
-	State    json.RawMessage `json:"state"`
-	JobsDone int             `json:"jobs_done"`
+	// State is the chip.SaveState JSON as of the last job end (or health
+	// upload) — the base state the next job starts from.
+	State json.RawMessage `json:"state"`
+	// JobsDone counts the chip's jobs that ended done, not failed.
+	JobsDone int `json:"jobs_done"`
 }
 
 // PersistedTenant is one tenant's durable state.
@@ -167,13 +177,12 @@ type PersistedTenant struct {
 
 // PersistedJob is one job's durable state.
 type PersistedJob struct {
-	ID       string         `json:"id"`
-	Tenant   string         `json:"tenant"`
-	Spec     api.JobSpec    `json:"spec"`
-	State    api.JobState   `json:"state"`
-	Result   *api.Execution `json:"result,omitempty"`
-	Error    string         `json:"error,omitempty"`
-	Progress *api.Progress  `json:"progress,omitempty"`
+	ID     string         `json:"id"`
+	Tenant string         `json:"tenant"`
+	Spec   api.JobSpec    `json:"spec"`
+	State  api.JobState   `json:"state"`
+	Result *api.Execution `json:"result,omitempty"`
+	Error  string         `json:"error,omitempty"`
 }
 
 // State is the full durable fleet state: the snapshot schema and the
@@ -232,46 +241,46 @@ func (s *State) apply(p payload) {
 		if j := s.Jobs[r.Job]; j != nil {
 			j.State = api.JobRunning
 		}
-		// Pin the chip's state to the job's start state; normally a no-op
-		// (it already is the post-previous-job state), but it makes replay
-		// independent of how the chip record got there.
-		if t := s.Tenants[r.Tenant]; t != nil {
-			if c := t.Chips[r.Chip]; c != nil && len(r.State) > 0 {
-				c.State = r.State
-			}
-		}
-	case jobProgressRec:
-		if j := s.Jobs[r.Job]; j != nil {
-			p := r.Progress
-			j.Progress = &p
+		if c := s.chip(r.Tenant, r.Chip); c != nil && len(r.State) > 0 {
+			c.State = r.State
 		}
 	case jobDoneRec:
 		j := s.Jobs[r.Job]
 		if j == nil {
 			return
 		}
-		j.Progress = nil
+		c := s.chip(j.Tenant, j.Spec.Chip)
 		if r.Error != "" {
 			j.State = api.JobFailed
 			j.Error = r.Error
 		} else {
 			j.State = api.JobDone
 			j.Result = r.Result
-		}
-		if t := s.Tenants[j.Tenant]; t != nil {
-			if c := t.Chips[j.Spec.Chip]; c != nil {
-				if len(r.State) > 0 {
-					c.State = r.State
-				}
+			if c != nil {
 				c.JobsDone++
 			}
 		}
+		if c != nil && len(r.State) > 0 {
+			c.State = r.State
+		}
 	case jobCancelRec:
-		if j := s.Jobs[r.Job]; j != nil && !j.State.Terminal() {
-			j.State = api.JobCanceled
-			j.Progress = nil
+		j := s.Jobs[r.Job]
+		if j == nil || j.State.Terminal() {
+			return
+		}
+		j.State = api.JobCanceled
+		if c := s.chip(j.Tenant, j.Spec.Chip); c != nil && len(r.State) > 0 {
+			c.State = r.State
 		}
 	}
+}
+
+// chip returns a tenant's chip record, or nil when there is none.
+func (s *State) chip(tenant, chip string) *PersistedChip {
+	if t := s.Tenants[tenant]; t != nil {
+		return t.Chips[chip]
+	}
+	return nil
 }
 
 // Store owns the data directory: snapshot.json plus journal.jsonl. All
@@ -372,9 +381,7 @@ func (s *Store) State() *State { return s.state }
 func (s *Store) Dropped() int { return s.dropped }
 
 // Append journals one record and folds it into the mirror. sync forces the
-// record to stable storage before returning; callers reserve it for
-// transitions that must survive a power cut (job and chip lifecycle), while
-// high-rate progress beacons ride on the OS flush.
+// record to stable storage before returning; the fleet syncs every record.
 //
 // The payload is encoded once, for the journal line. The mirror keeps the
 // payload itself, so Append takes ownership of the payload's slices and
@@ -398,10 +405,10 @@ func (s *Store) Append(p payload, sync bool) error {
 }
 
 // AppendJobDone journals the end of a job: its result or error, and the
-// chip state after it (chip.SaveState JSON, nil when there is none). It is
-// the record every job ends with, and the journal's costliest to write,
-// since it carries a whole chip state. Append's ownership rule holds for
-// result and state.
+// chip state after it (chip.SaveState JSON). It is the record every job
+// that runs ends with unless it is canceled, and the journal's costliest
+// to write, since it carries a whole chip state. Append's ownership rule
+// holds for result and state.
 func (s *Store) AppendJobDone(job string, result *api.Execution, errMsg string, state []byte, sync bool) error {
 	return s.Append(jobDoneRec{Job: job, Result: result, Error: errMsg, State: state}, sync)
 }
