@@ -89,7 +89,7 @@ loopbench:
 
 # Short fuzz bursts over every fuzz target (parser robustness, print/parse
 # round trips, solver and unit-path bit-identity, WebSocket frame decoding in both roles,
-# journal replay, REST request bodies). Each target needs its own invocation: -fuzz accepts
+# journal replay, replayed records restored into a fleet, REST request bodies). Each target needs its own invocation: -fuzz accepts
 # exactly one matching target per package.
 FUZZTIME ?= 10s
 fuzz:
@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test ./internal/smg/ -run '^$$' -fuzz '^FuzzUnitMatchesInduce$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ws/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReplayRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME)
 
 # One deterministic fault-injection trial per evaluation assay: 5% mixed

@@ -34,6 +34,17 @@
 // Library serves the same entries.
 // Per-chip fault-injection seeds keep tenants isolated: no tenant's seed
 // choice can perturb another's executions.
+//
+// # One copy of the durable state
+//
+// The fleet keeps each durable fact once, in a State: the store's mirror,
+// or a journal-less one when the fleet runs ephemerally. Tenants, webhooks,
+// chip specs and states, jobs_done, the job sequence and every job's spec
+// and outcome are read from it, and record, under the fleet lock, is the
+// one way to change it. The runtime keeps only what the journal does not
+// hold: each chip's object, router, queue, running job, summary and wake-up
+// channel, and each job's running flag, cancel request, progress, resumed
+// flag and the error of an end that could not be journaled.
 package serve
 
 import (
@@ -91,55 +102,38 @@ var (
 	errCanceled = errors.New("serve: job canceled")
 )
 
-// job is the runtime state of one submitted job.
+// job is the runtime state of a job this process submitted or resumed.
+// Its durable facts are pj, the mirror's record: ID, tenant and spec never
+// change once the job is submitted, and its state, result and error are
+// read under the fleet lock.
 type job struct {
-	id     string
-	tenant string
-	spec   api.JobSpec
-	state  api.JobState
-	result *api.Execution
-	errMsg string
-	prog   *api.Progress
+	pj *PersistedJob
+	// running is set while the job executes: a job its worker popped
+	// that still waits for a concurrency slot reads queued.
+	running bool
+	prog    *api.Progress
 	// cancelReq asks the running execution to stop at its next
 	// checkpoint.
 	cancelReq bool
 	resumed   bool
+	// endErr is the error of a job whose end could not be journaled: the
+	// job reads failed here, and a restart runs it again.
+	endErr string
 }
 
-func (j *job) status() api.JobStatus {
-	st := api.JobStatus{
-		ID: j.id, Tenant: j.tenant, Spec: j.spec, State: j.state,
-		Error: j.errMsg, Resumed: j.resumed,
-	}
-	if j.result != nil {
-		r := *j.result
-		st.Result = &r
-	}
-	if j.prog != nil {
-		p := *j.prog
-		st.Progress = &p
-	}
-	return st
-}
-
-// chipEntry is the runtime state of one chip. The chip object itself is
-// owned by the chip's worker goroutine while a job runs; handler-visible
-// facts (summary, stateJSON, queue) live here under the fleet mutex.
+// chipEntry is the runtime state of one chip, beside pc, its record in the
+// mirror (its spec never changes; its state and jobs_done are read under
+// the fleet lock). The chip object is owned by the chip's worker goroutine
+// while a job runs; the other fields live under the fleet lock. Between
+// jobs the chip equals pc.State.
 type chipEntry struct {
-	tenant   string
-	spec     api.ChipSpec
-	c        *chip.Chip
-	router   sched.Router
-	queue    []*job
-	running  *job
-	jobsDone int
-	// stateJSON is the chip state as journaled at chip creation, the last
-	// job end or health upload: the base state the next job starts from,
-	// and what the health-download endpoint serves. Between jobs the chip
-	// equals it.
-	stateJSON []byte
-	summary   chipSummary
-	notify    chan struct{}
+	pc      *PersistedChip
+	c       *chip.Chip
+	router  sched.Router
+	queue   []*job
+	running *job
+	summary chipSummary
+	notify  chan struct{}
 }
 
 type chipSummary struct {
@@ -148,11 +142,8 @@ type chipSummary struct {
 	actuations int
 }
 
-type tenantRT struct {
-	id       string
-	chips    map[string]*chipEntry
-	webhooks []api.WebhookSpec
-}
+// chipKey names a chip fleet-wide.
+type chipKey struct{ tenant, chip string }
 
 // Fleet is the multi-tenant controller.
 type Fleet struct {
@@ -164,13 +155,13 @@ type Fleet struct {
 	cache    *sched.Cache
 	libSaved uint64 // library generation at last persisted save
 
-	mu       sync.Mutex
-	tenants  map[string]*tenantRT
-	jobs     map[string]*job
-	jobOrder []string
-	jobSeq   int
-	resumed  int
-	stopped  bool
+	mu sync.Mutex
+	// state holds the durable facts; only record and saveLibrary change it.
+	state   *State
+	chips   map[chipKey]*chipEntry
+	jobs    map[string]*job // jobs submitted or resumed by this process
+	resumed int
+	stopped bool
 
 	sem    chan struct{}
 	stop   chan struct{}
@@ -184,9 +175,9 @@ type Fleet struct {
 	checkpointGate func(jobID string)
 }
 
-// NewFleet opens the store (replaying any journal), rebuilds tenants,
-// chips, and jobs, re-queues unfinished jobs for deterministic replay, and
-// starts the per-chip workers.
+// NewFleet opens the store (replaying any journal), rebuilds the chips,
+// re-queues unfinished jobs for deterministic replay, and starts the
+// per-chip workers.
 func NewFleet(cfg Config) (*Fleet, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 16
@@ -200,7 +191,8 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		notifier: newWebhookNotifier(),
 		lib:      sched.NewLibrary(),
 		cache:    sched.NewCache(sched.DefaultCacheSize),
-		tenants:  make(map[string]*tenantRT),
+		state:    newState(),
+		chips:    make(map[chipKey]*chipEntry),
 		jobs:     make(map[string]*job),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		stop:     make(chan struct{}),
@@ -211,17 +203,15 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.store = store
+		f.store, f.state = store, store.State()
 		telJournalDrops.Add(int64(store.Dropped()))
-		if err := f.restore(store.State()); err != nil {
+		if err := f.restore(); err != nil {
 			return nil, err
 		}
 	}
 	f.mu.Lock()
-	for _, t := range f.tenants {
-		for _, ce := range t.chips {
-			f.startWorker(ce)
-		}
+	for _, ce := range f.chips {
+		f.startWorker(ce)
 	}
 	f.mu.Unlock()
 	if f.store != nil && cfg.SnapshotEvery > 0 {
@@ -231,88 +221,76 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// restore rebuilds runtime state from the persisted mirror.
-func (f *Fleet) restore(st *State) error {
+// restore builds the runtime of the mirror's chips and re-queues its
+// unfinished jobs in submission order.
+func (f *Fleet) restore() error {
+	st := f.state
 	if len(st.Library) > 0 {
 		if err := f.lib.Load(bytes.NewReader(st.Library)); err != nil {
 			return err
 		}
 	}
 	f.libSaved = f.lib.Generation()
-	f.jobSeq = st.JobSeq
-	for id, pt := range st.Tenants {
-		t := &tenantRT{id: id, chips: make(map[string]*chipEntry)}
-		t.webhooks = append(t.webhooks, pt.Webhooks...)
+	for tid, pt := range st.Tenants {
 		for cid, pc := range pt.Chips {
-			ce, err := f.buildChip(id, pc.Spec, pc.State)
+			c, err := chip.LoadState(bytes.NewReader(pc.State))
 			if err != nil {
-				return fmt.Errorf("serve: restoring chip %s/%s: %w", id, cid, err)
+				return fmt.Errorf("serve: restoring chip %s/%s: %w", tid, cid, err)
 			}
-			ce.jobsDone = pc.JobsDone
-			t.chips[cid] = ce
+			f.chips[chipKey{tid, cid}] = f.newChipEntry(pc, c)
 		}
-		f.tenants[id] = t
 	}
-	// Jobs, in submission order; unfinished ones are re-queued for replay.
 	for _, jid := range st.JobOrder {
 		pj := st.Jobs[jid]
-		if pj == nil {
+		if pj == nil || pj.State.Terminal() {
 			continue
 		}
-		j := &job{id: pj.ID, tenant: pj.Tenant, spec: pj.Spec, state: pj.State, errMsg: pj.Error}
-		if pj.Result != nil {
-			r := *pj.Result
-			j.result = &r
-		}
-		if !pj.State.Terminal() {
-			j.state = api.JobQueued
-			j.resumed = true
-			f.resumed++
-			telJobsResumed.Inc()
-			if t := f.tenants[pj.Tenant]; t != nil {
-				if ce := t.chips[pj.Spec.Chip]; ce != nil {
-					ce.queue = append(ce.queue, j)
-				}
-			}
-		}
+		j := &job{pj: pj, resumed: true}
 		f.jobs[jid] = j
-		f.jobOrder = append(f.jobOrder, jid)
+		f.resumed++
+		telJobsResumed.Inc()
+		if ce := f.chips[chipKey{pj.Tenant, pj.Spec.Chip}]; ce != nil {
+			ce.queue = append(ce.queue, j)
+		}
 	}
 	return nil
 }
 
-// buildChip constructs the runtime chip entry: the chip object (from a
-// persisted state when given, freshly fabricated otherwise) and its router
-// wired to the fleet-shared strategy library and cache.
-func (f *Fleet) buildChip(tenantID string, spec api.ChipSpec, state []byte) (*chipEntry, error) {
-	var c *chip.Chip
-	var err error
-	if len(state) > 0 {
-		c, err = chip.LoadState(bytes.NewReader(state))
-	} else {
-		c, err = chip.New(chipConfig(spec), randx.New(spec.Seed).Split("chip"))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(state) == 0 {
-		var buf bytes.Buffer
-		if err := c.SaveState(&buf); err != nil {
-			return nil, err
-		}
-		state = buf.Bytes()
-	}
+// newChipEntry builds the runtime entry of chip pc around its chip object:
+// a router wired to the fleet-shared strategy library and cache.
+func (f *Fleet) newChipEntry(pc *PersistedChip, c *chip.Chip) *chipEntry {
 	ad := &sched.Adaptive{Opt: synth.DefaultOptions(), Lib: f.lib, Cache: f.cache}
 	var r sched.Router = ad
-	if spec.InjectRate > 0 {
+	if pc.Spec.InjectRate > 0 {
 		r = sched.NewFallback(ad, sched.NewBaseline())
 	}
-	ce := &chipEntry{
-		tenant: tenantID, spec: spec, c: c, router: r,
-		stateJSON: state, notify: make(chan struct{}, 1),
-		summary: summarize(c),
+	return &chipEntry{pc: pc, c: c, router: r, notify: make(chan struct{}, 1), summary: summarize(c)}
+}
+
+// saveState serializes c as the store keeps chip states: chip.SaveState's
+// compact JSON without its trailing newline, the bytes replay decodes.
+func saveState(c *chip.Chip) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := c.SaveState(&buf); err != nil {
+		return nil, err
 	}
-	return ce, nil
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
+}
+
+// loadChipState loads an uploaded chip state, checks it against the spec's
+// geometry, and returns the chip with the state in the form the store keeps
+// (see saveState): compacted by json.Marshal, as the journal line holds it.
+func loadChipState(spec api.ChipSpec, upload []byte) (*chip.Chip, []byte, error) {
+	c, err := chip.LoadState(bytes.NewReader(upload))
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := chipConfig(spec)
+	if c.W() != cfg.W || c.H() != cfg.H {
+		return nil, nil, fmt.Errorf("uploaded state is %d×%d but the chip is %d×%d", c.W(), c.H(), cfg.W, cfg.H)
+	}
+	state, err := json.Marshal(json.RawMessage(upload))
+	return c, state, err
 }
 
 // chipConfig maps a wire spec onto the chip package's configuration.
@@ -428,7 +406,7 @@ func (f *Fleet) takeJob(ce *chipEntry) *job {
 	for len(ce.queue) > 0 {
 		j := ce.queue[0]
 		ce.queue = ce.queue[1:]
-		if j.state == api.JobQueued && !j.cancelReq {
+		if !j.pj.State.Terminal() {
 			ce.running = j
 			return j
 		}
@@ -500,43 +478,44 @@ func (f *Fleet) runJob(ce *chipEntry, j *job) {
 	// journaled and announced it; otherwise the job is running from here
 	// on, and later cancels stop it at a checkpoint.
 	f.mu.Lock()
-	if j.cancelReq {
+	if j.pj.State.Terminal() {
 		ce.running = nil
 		f.mu.Unlock()
 		return
 	}
-	j.state = api.JobRunning
+	j.running = true
 	f.mu.Unlock()
-	f.emit(api.Event{Type: api.EvJobStarted, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id})
+	spec, chipSpec := j.pj.Spec, ce.pc.Spec
+	f.emit(api.Event{Type: api.EvJobStarted, Tenant: j.pj.Tenant, Chip: chipSpec.ID, Job: j.pj.ID})
 
-	rplan, err := compilePlan(j.spec, ce.c.W(), ce.c.H())
+	rplan, err := compilePlan(spec, ce.c.W(), ce.c.H())
 	if err != nil {
 		f.finishJob(ce, j, nil, err)
 		return
 	}
 
 	cfg := sim.DefaultConfig()
-	if j.spec.KMax > 0 {
-		cfg.KMax = j.spec.KMax
+	if spec.KMax > 0 {
+		cfg.KMax = spec.KMax
 	}
-	cfg.Concurrent = j.spec.Concurrent
-	if ce.spec.InjectRate > 0 {
+	cfg.Concurrent = spec.Concurrent
+	if chipSpec.InjectRate > 0 {
 		kinds := fault.AllKinds
-		if ce.spec.InjectKinds != "" {
-			kinds, _ = fault.ParseKinds(ce.spec.InjectKinds) // validated at chip creation
+		if chipSpec.InjectKinds != "" {
+			kinds, _ = fault.ParseKinds(chipSpec.InjectKinds) // validated at chip creation
 		}
-		cfg = cfg.WithFaults(fault.Mixed(injectionSeed(ce.spec, j.spec.Seed), ce.spec.InjectRate, kinds))
+		cfg = cfg.WithFaults(fault.Mixed(injectionSeed(chipSpec, spec.Seed), chipSpec.InjectRate, kinds))
 	}
 	cfg.CheckHazards = true
 	cfg.Checkpoint = sim.CheckpointConfig{Every: f.cfg.CheckpointEvery, Fn: f.checkpointHook(ce, j)}
 
-	runner := sim.NewRunner(cfg, ce.c, ce.router, randx.New(j.spec.Seed).Split("sim"))
+	runner := sim.NewRunner(cfg, ce.c, ce.router, randx.New(spec.Seed).Split("sim"))
 	exec, err := runner.Execute(rplan)
 	if errors.Is(err, errStopping) {
 		// Leave the job unfinished: the journal holds no end record for
 		// it, so the next start replays it from the chip record.
 		f.mu.Lock()
-		j.state = api.JobQueued
+		j.running = false
 		j.prog = nil
 		ce.running = nil
 		ce.queue = append([]*job{j}, ce.queue...)
@@ -552,7 +531,7 @@ func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error
 	var prev sim.Checkpoint
 	return func(cp sim.Checkpoint) error {
 		if f.checkpointGate != nil {
-			f.checkpointGate(j.id)
+			f.checkpointGate(j.pj.ID)
 		}
 		select {
 		case <-f.stop:
@@ -577,9 +556,9 @@ func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error
 		if canceled {
 			return errCanceled
 		}
-		f.emit(api.Event{Type: api.EvJobProgress, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id, Data: mustJSON(prog)})
+		f.emit(api.Event{Type: api.EvJobProgress, Tenant: j.pj.Tenant, Chip: ce.pc.Spec.ID, Job: j.pj.ID, Data: mustJSON(prog)})
 		if degradedChip {
-			f.emit(api.Event{Type: api.EvChipDegraded, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id,
+			f.emit(api.Event{Type: api.EvChipDegraded, Tenant: j.pj.Tenant, Chip: ce.pc.Spec.ID, Job: j.pj.ID,
 				Data: mustJSON(map[string]int{"min_health": sum.minHealth})})
 		}
 		type delta struct {
@@ -594,7 +573,7 @@ func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error
 			{api.EvJobHazard, prev.Exec.HazardViolations, cp.Exec.HazardViolations},
 		} {
 			if d.cur > d.prev {
-				f.emit(api.Event{Type: d.ev, Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id,
+				f.emit(api.Event{Type: d.ev, Tenant: j.pj.Tenant, Chip: ce.pc.Spec.ID, Job: j.pj.ID,
 					Data: mustJSON(map[string]int{"count": d.cur})})
 			}
 		}
@@ -605,18 +584,15 @@ func (f *Fleet) checkpointHook(ce *chipEntry, j *job) func(sim.Checkpoint) error
 
 // finishJob ends a job that ran: done with exec when err is nil, failed
 // with err, or canceled at a checkpoint (err is errCanceled). It
-// serializes the chip once and journals that state in the end record, so
+// serializes the chip once and records that state in the end record, so
 // the chip record is always the state the next job starts from. When no
 // end record carries the state, because it could not be serialized or the
 // append failed, the chip goes back to the last journaled state: the live
 // chip never runs ahead of the journal.
 func (f *Fleet) finishJob(ce *chipEntry, j *job, exec *sim.Execution, err error) {
 	canceled := errors.Is(err, errCanceled)
-	var state []byte
-	var buf bytes.Buffer
-	if serr := ce.c.SaveState(&buf); serr == nil {
-		state = buf.Bytes()
-	} else if err == nil || canceled {
+	state, serr := saveState(ce.c)
+	if serr != nil && (err == nil || canceled) {
 		err, canceled = fmt.Errorf("serializing chip state: %w", serr), false
 	}
 	var result *api.Execution
@@ -627,55 +603,44 @@ func (f *Fleet) finishJob(ce *chipEntry, j *job, exec *sim.Execution, err error)
 	} else if !canceled {
 		errMsg = err.Error()
 	}
-	if f.store != nil {
-		var aerr error
-		if canceled {
-			aerr = f.store.Append(jobCancelRec{Job: j.id, State: state}, true)
-		} else {
-			aerr = f.store.AppendJobDone(j.id, result, errMsg, state, true)
-		}
-		if aerr != nil {
-			// The job has no end record: here it ends failed, and a
-			// restart runs it again from the last journaled state.
-			state, result, canceled = nil, nil, false
-			if errMsg == "" {
-				errMsg = aerr.Error()
-			}
-		}
+	id := j.pj.ID
+	var rec payload = jobDoneRec{Job: id, Result: result, Error: errMsg, State: state}
+	if canceled {
+		rec = jobCancelRec{Job: id, State: state}
 	}
-	c := ce.c
-	if state == nil {
-		if lc, lerr := chip.LoadState(bytes.NewReader(ce.stateJSON)); lerr != nil {
-			errMsg += "; reloading chip state: " + lerr.Error()
-		} else {
-			c = lc
-		}
-	}
-	sum := summarize(c)
+	sum := summarize(ce.c)
 	f.mu.Lock()
-	ce.c = c
+	if aerr := f.record(rec); aerr != nil {
+		// The job has no end record: here it ends failed, and a restart
+		// runs it again from the last journaled state.
+		state, result, canceled = nil, nil, false
+		if errMsg == "" {
+			errMsg = aerr.Error()
+		}
+		j.endErr = errMsg
+	}
+	if state == nil {
+		if c, lerr := chip.LoadState(bytes.NewReader(ce.pc.State)); lerr != nil {
+			errMsg += "; reloading chip state: " + lerr.Error()
+			j.endErr = errMsg
+		} else {
+			ce.c, sum = c, summarize(c)
+		}
+	}
 	ce.running = nil
 	ce.summary = sum
-	if state != nil {
-		ce.stateJSON = state
-	}
+	j.running = false
 	j.prog = nil
-	ev := api.Event{Tenant: j.tenant, Chip: ce.spec.ID, Job: j.id}
+	f.mu.Unlock()
+	ev := api.Event{Tenant: j.pj.Tenant, Chip: ce.pc.Spec.ID, Job: id}
 	switch {
 	case canceled:
-		j.state = api.JobCanceled
 		ev.Type = api.EvJobCanceled
 	case errMsg != "":
-		j.state = api.JobFailed
-		j.errMsg = errMsg
 		ev.Type, ev.Data = api.EvJobFailed, mustJSON(map[string]string{"error": errMsg})
 	default:
-		j.state = api.JobDone
-		j.result = result
-		ce.jobsDone++
 		ev.Type, ev.Data = api.EvJobDone, mustJSON(result)
 	}
-	f.mu.Unlock()
 	f.emit(ev)
 }
 
@@ -684,8 +649,8 @@ func (f *Fleet) emit(ev api.Event) {
 	ev = f.bus.Publish(ev)
 	f.mu.Lock()
 	var hooks []api.WebhookSpec
-	if t := f.tenants[ev.Tenant]; t != nil {
-		hooks = append(hooks, t.webhooks...)
+	if t := f.state.Tenants[ev.Tenant]; t != nil {
+		hooks = append(hooks, t.Webhooks...)
 	}
 	f.mu.Unlock()
 	if len(hooks) > 0 {
@@ -703,6 +668,24 @@ func mustJSON(v any) []byte {
 	return b
 }
 
+// record journals p and folds it into the state: the one way the fleet
+// changes its durable facts. An ephemeral fleet folds it in directly.
+// Caller holds f.mu.
+func (f *Fleet) record(p payload) error {
+	if f.store == nil {
+		f.state.apply(p)
+		return nil
+	}
+	return f.store.Append(p, true)
+}
+
+// locked runs fn under f.mu.
+func (f *Fleet) locked(fn func() error) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return fn()
+}
+
 // saveLibrary refreshes the persisted strategy library when it changed.
 func (f *Fleet) saveLibrary() error {
 	if f.store == nil {
@@ -716,7 +699,9 @@ func (f *Fleet) saveLibrary() error {
 	if err := f.lib.Save(&buf); err != nil {
 		return err
 	}
+	f.mu.Lock()
 	f.store.SetLibrary(buf.Bytes())
+	f.mu.Unlock()
 	f.libSaved = gen
 	return nil
 }
@@ -807,23 +792,18 @@ func (f *Fleet) CreateTenant(spec api.TenantSpec) error {
 	if err := api.ValidateID("tenant", spec.ID); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	if f.stopped {
-		f.mu.Unlock()
-		return errConflict{"controller stopping"}
-	}
-	if _, ok := f.tenants[spec.ID]; ok {
-		f.mu.Unlock()
-		return errConflict{fmt.Sprintf("tenant %q already exists", spec.ID)}
-	}
-	if f.store != nil {
-		if err := f.store.Append(tenantCreateRec{ID: spec.ID}, true); err != nil {
-			f.mu.Unlock()
-			return err
+	err := f.locked(func() error {
+		if f.stopped {
+			return errConflict{"controller stopping"}
 		}
+		if f.state.Tenants[spec.ID] != nil {
+			return errConflict{fmt.Sprintf("tenant %q already exists", spec.ID)}
+		}
+		return f.record(tenantCreateRec{ID: spec.ID})
+	})
+	if err != nil {
+		return err
 	}
-	f.tenants[spec.ID] = &tenantRT{id: spec.ID, chips: make(map[string]*chipEntry)}
-	f.mu.Unlock()
 	f.emit(api.Event{Type: api.EvTenantCreated, Tenant: spec.ID})
 	return nil
 }
@@ -832,15 +812,13 @@ func (f *Fleet) CreateTenant(spec api.TenantSpec) error {
 func (f *Fleet) Tenants() []api.Tenant {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]api.Tenant, 0, len(f.tenants))
-	for _, t := range f.tenants {
-		jobs := 0
-		for _, j := range f.jobs {
-			if j.tenant == t.id {
-				jobs++
-			}
-		}
-		out = append(out, api.Tenant{ID: t.id, Chips: len(t.chips), Jobs: jobs})
+	jobs := make(map[string]int)
+	for _, pj := range f.state.Jobs {
+		jobs[pj.Tenant]++
+	}
+	out := make([]api.Tenant, 0, len(f.state.Tenants))
+	for id, t := range f.state.Tenants {
+		out = append(out, api.Tenant{ID: id, Chips: len(t.Chips), Jobs: jobs[id]})
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
@@ -856,69 +834,55 @@ func (f *Fleet) Tenant(id string) (api.Tenant, error) {
 	return api.Tenant{}, errNotFound{"tenant"}
 }
 
-// CreateChip fabricates (or, with state, restores) a chip under a tenant.
-func (f *Fleet) CreateChip(tenantID string, spec api.ChipSpec, state []byte) error {
+// CreateChip fabricates (or, with an uploaded state, restores) a chip under
+// a tenant.
+func (f *Fleet) CreateChip(tenantID string, spec api.ChipSpec, upload []byte) error {
 	if err := validateChipSpec(spec); err != nil {
 		return err
 	}
-	if len(state) > 0 {
-		if err := validateChipState(spec, state); err != nil {
-			return err
-		}
+	var c *chip.Chip
+	var state []byte
+	var err error
+	if len(upload) > 0 {
+		c, state, err = loadChipState(spec, upload)
+	} else if c, err = chip.New(chipConfig(spec), randx.New(spec.Seed).Split("chip")); err == nil {
+		state, err = saveState(c)
 	}
-	f.mu.Lock()
-	if f.stopped {
-		f.mu.Unlock()
-		return errConflict{"controller stopping"}
-	}
-	t := f.tenants[tenantID]
-	if t == nil {
-		f.mu.Unlock()
-		return errNotFound{"tenant"}
-	}
-	if _, ok := t.chips[spec.ID]; ok {
-		f.mu.Unlock()
-		return errConflict{fmt.Sprintf("chip %q already exists", spec.ID)}
-	}
-	ce, err := f.buildChip(tenantID, spec, state)
 	if err != nil {
-		f.mu.Unlock()
 		return err
 	}
-	if f.store != nil {
-		rec := chipCreateRec{Tenant: tenantID, Spec: spec, State: ce.stateJSON}
-		if err := f.store.Append(rec, true); err != nil {
-			f.mu.Unlock()
+	err = f.locked(func() error {
+		if f.stopped {
+			return errConflict{"controller stopping"}
+		}
+		t := f.state.Tenants[tenantID]
+		if t == nil {
+			return errNotFound{"tenant"}
+		}
+		if t.Chips[spec.ID] != nil {
+			return errConflict{fmt.Sprintf("chip %q already exists", spec.ID)}
+		}
+		if err := f.record(chipCreateRec{Tenant: tenantID, Spec: spec, State: state}); err != nil {
 			return err
 		}
+		ce := f.newChipEntry(t.Chips[spec.ID], c)
+		f.chips[chipKey{tenantID, spec.ID}] = ce
+		f.startWorker(ce)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	t.chips[spec.ID] = ce
-	f.startWorker(ce)
-	f.mu.Unlock()
 	f.emit(api.Event{Type: api.EvChipCreated, Tenant: tenantID, Chip: spec.ID})
 	return nil
 }
 
-// validateChipState checks an uploaded chip state against the spec's
-// geometry by round-tripping it through the chip loader.
-func validateChipState(spec api.ChipSpec, state []byte) error {
-	c, err := chip.LoadState(bytes.NewReader(state))
-	if err != nil {
-		return err
-	}
-	cfg := chipConfig(spec)
-	if c.W() != cfg.W || c.H() != cfg.H {
-		return fmt.Errorf("uploaded state is %d×%d but the chip is %d×%d", c.W(), c.H(), cfg.W, cfg.H)
-	}
-	return nil
-}
-
+// chipEntry finds a chip's runtime entry; caller holds f.mu.
 func (f *Fleet) chipEntry(tenantID, chipID string) (*chipEntry, error) {
-	t := f.tenants[tenantID]
-	if t == nil {
+	if f.state.Tenants[tenantID] == nil {
 		return nil, errNotFound{"tenant"}
 	}
-	ce := t.chips[chipID]
+	ce := f.chips[chipKey{tenantID, chipID}]
 	if ce == nil {
 		return nil, errNotFound{"chip"}
 	}
@@ -929,28 +893,28 @@ func (f *Fleet) chipEntry(tenantID, chipID string) (*chipEntry, error) {
 func (f *Fleet) Chips(tenantID string) ([]api.ChipStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := f.tenants[tenantID]
+	t := f.state.Tenants[tenantID]
 	if t == nil {
 		return nil, errNotFound{"tenant"}
 	}
-	out := make([]api.ChipStatus, 0, len(t.chips))
-	for _, ce := range t.chips {
-		out = append(out, ce.statusLocked())
+	out := make([]api.ChipStatus, 0, len(t.Chips))
+	for id := range t.Chips {
+		out = append(out, f.chips[chipKey{tenantID, id}].statusLocked(tenantID))
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Spec.ID < out[k].Spec.ID })
 	return out, nil
 }
 
 // statusLocked renders the chip status; caller holds f.mu.
-func (ce *chipEntry) statusLocked() api.ChipStatus {
+func (ce *chipEntry) statusLocked(tenantID string) api.ChipStatus {
 	st := api.ChipStatus{
-		Tenant: ce.tenant, Spec: ce.spec,
-		QueuedJobs: len(ce.queue), JobsDone: ce.jobsDone,
+		Tenant: tenantID, Spec: ce.pc.Spec,
+		QueuedJobs: len(ce.queue), JobsDone: ce.pc.JobsDone,
 		MinHealth: ce.summary.minHealth, MeanHealthMilli: ce.summary.meanMilli,
 		Actuations: ce.summary.actuations,
 	}
 	if ce.running != nil {
-		st.RunningJob = ce.running.id
+		st.RunningJob = ce.running.pj.ID
 	}
 	return st
 }
@@ -963,11 +927,12 @@ func (f *Fleet) Chip(tenantID, chipID string) (api.ChipStatus, error) {
 	if err != nil {
 		return api.ChipStatus{}, err
 	}
-	return ce.statusLocked(), nil
+	return ce.statusLocked(tenantID), nil
 }
 
-// ChipHealth returns the chip's serialized state (chip.SaveState JSON) as
-// of the last job boundary or health upload.
+// ChipHealth returns the chip's state as of chip creation, the last job
+// end or health upload, as chip.SaveState writes it: the compact JSON the
+// store keeps, and a newline.
 func (f *Fleet) ChipHealth(tenantID, chipID string) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -975,46 +940,36 @@ func (f *Fleet) ChipHealth(tenantID, chipID string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), ce.stateJSON...), nil
+	return append(append(make([]byte, 0, len(ce.pc.State)+1), ce.pc.State...), '\n'), nil
 }
 
 // UploadChipHealth replaces an idle chip's state with an uploaded health
 // map (chip.SaveState JSON). A chip with queued or running jobs rejects the
 // upload: the execution owns the state.
-func (f *Fleet) UploadChipHealth(tenantID, chipID string, state []byte) error {
-	f.mu.Lock()
-	ce, err := f.chipEntry(tenantID, chipID)
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	if ce.running != nil || len(ce.queue) > 0 {
-		f.mu.Unlock()
-		return errConflict{"chip has queued or running jobs"}
-	}
-	if err := validateChipState(ce.spec, state); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	c, err := chip.LoadState(bytes.NewReader(state))
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	// The store and the chip entry share one copy of the caller's bytes.
-	own := append([]byte(nil), state...)
-	if f.store != nil {
-		if err := f.store.Append(chipHealthRec{Tenant: tenantID, Chip: chipID, State: own}, true); err != nil {
-			f.mu.Unlock()
+func (f *Fleet) UploadChipHealth(tenantID, chipID string, upload []byte) error {
+	err := f.locked(func() error {
+		ce, err := f.chipEntry(tenantID, chipID)
+		if err != nil {
 			return err
 		}
+		if ce.running != nil || len(ce.queue) > 0 {
+			return errConflict{"chip has queued or running jobs"}
+		}
+		c, state, err := loadChipState(ce.pc.Spec, upload)
+		if err != nil {
+			return err
+		}
+		if err := f.record(chipHealthRec{Tenant: tenantID, Chip: chipID, State: state}); err != nil {
+			return err
+		}
+		// Safe handoff: the worker only touches ce.c inside runJob, and
+		// every job it could run was queued after this critical section.
+		ce.c, ce.summary = c, summarize(c)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	// Safe handoff: the worker only touches ce.c inside runJob, and every
-	// job it could run was queued after this critical section.
-	ce.c = c
-	ce.stateJSON = own
-	ce.summary = summarize(c)
-	f.mu.Unlock()
 	f.emit(api.Event{Type: api.EvChipHealth, Tenant: tenantID, Chip: chipID})
 	return nil
 }
@@ -1032,37 +987,72 @@ func (f *Fleet) SubmitJob(tenantID string, spec api.JobSpec) (api.JobStatus, err
 	} else if _, err := dsl.Parse(strings.NewReader(spec.Assay)); err != nil {
 		return api.JobStatus{}, err
 	}
-	f.mu.Lock()
-	if f.stopped {
-		f.mu.Unlock()
-		return api.JobStatus{}, errConflict{"controller stopping"}
-	}
-	ce, err := f.chipEntry(tenantID, spec.Chip)
+	var st api.JobStatus
+	err := f.locked(func() error {
+		if f.stopped {
+			return errConflict{"controller stopping"}
+		}
+		ce, err := f.chipEntry(tenantID, spec.Chip)
+		if err != nil {
+			return err
+		}
+		id := fmt.Sprintf("j-%06d", f.state.JobSeq+1)
+		if err := f.record(jobSubmitRec{ID: id, Tenant: tenantID, Spec: spec}); err != nil {
+			return err
+		}
+		j := &job{pj: f.state.Jobs[id]}
+		f.jobs[id] = j
+		ce.queue = append(ce.queue, j)
+		select {
+		case ce.notify <- struct{}{}:
+		default:
+		}
+		telJobsSubmitted.Inc()
+		st = f.statusLocked(j.pj)
+		return nil
+	})
 	if err != nil {
-		f.mu.Unlock()
 		return api.JobStatus{}, err
 	}
-	id := fmt.Sprintf("j-%06d", f.jobSeq+1)
-	if f.store != nil {
-		if err := f.store.Append(jobSubmitRec{ID: id, Tenant: tenantID, Spec: spec}, true); err != nil {
-			f.mu.Unlock()
-			return api.JobStatus{}, err
+	f.emit(api.Event{Type: api.EvJobQueued, Tenant: tenantID, Chip: spec.Chip, Job: st.ID})
+	return st, nil
+}
+
+// jobStateLocked is a job's state: the journaled one once the job ended,
+// and before that the runtime's. Caller holds f.mu.
+func (f *Fleet) jobStateLocked(pj *PersistedJob) api.JobState {
+	j := f.jobs[pj.ID]
+	switch {
+	case pj.State.Terminal():
+		return pj.State
+	case j != nil && j.endErr != "":
+		return api.JobFailed
+	case j != nil && j.running:
+		return api.JobRunning
+	}
+	return api.JobQueued
+}
+
+// statusLocked renders a job's status; caller holds f.mu.
+func (f *Fleet) statusLocked(pj *PersistedJob) api.JobStatus {
+	st := api.JobStatus{
+		ID: pj.ID, Tenant: pj.Tenant, Spec: pj.Spec, State: f.jobStateLocked(pj), Error: pj.Error,
+	}
+	if pj.Result != nil {
+		r := *pj.Result
+		st.Result = &r
+	}
+	if j := f.jobs[pj.ID]; j != nil {
+		st.Resumed = j.resumed
+		if j.endErr != "" {
+			st.Error = j.endErr
+		}
+		if j.prog != nil {
+			p := *j.prog
+			st.Progress = &p
 		}
 	}
-	f.jobSeq++
-	j := &job{id: id, tenant: tenantID, spec: spec, state: api.JobQueued}
-	f.jobs[id] = j
-	f.jobOrder = append(f.jobOrder, id)
-	ce.queue = append(ce.queue, j)
-	select {
-	case ce.notify <- struct{}{}:
-	default:
-	}
-	telJobsSubmitted.Inc()
-	st := j.status()
-	f.mu.Unlock()
-	f.emit(api.Event{Type: api.EvJobQueued, Tenant: tenantID, Chip: spec.Chip, Job: id})
-	return st, nil
+	return st
 }
 
 // Jobs lists a tenant's jobs in submission order, optionally filtered by
@@ -1070,19 +1060,16 @@ func (f *Fleet) SubmitJob(tenantID string, spec api.JobSpec) (api.JobStatus, err
 func (f *Fleet) Jobs(tenantID, chipID string) ([]api.JobStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.tenants[tenantID] == nil {
+	if f.state.Tenants[tenantID] == nil {
 		return nil, errNotFound{"tenant"}
 	}
 	var out []api.JobStatus
-	for _, id := range f.jobOrder {
-		j := f.jobs[id]
-		if j == nil || j.tenant != tenantID {
+	for _, id := range f.state.JobOrder {
+		pj := f.state.Jobs[id]
+		if pj == nil || pj.Tenant != tenantID || (chipID != "" && pj.Spec.Chip != chipID) {
 			continue
 		}
-		if chipID != "" && j.spec.Chip != chipID {
-			continue
-		}
-		out = append(out, j.status())
+		out = append(out, f.statusLocked(pj))
 	}
 	return out, nil
 }
@@ -1091,43 +1078,40 @@ func (f *Fleet) Jobs(tenantID, chipID string) ([]api.JobStatus, error) {
 func (f *Fleet) Job(tenantID, jobID string) (api.JobStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	j := f.jobs[jobID]
-	if j == nil || j.tenant != tenantID {
+	pj := f.state.Jobs[jobID]
+	if pj == nil || pj.Tenant != tenantID {
 		return api.JobStatus{}, errNotFound{"job"}
 	}
-	return j.status(), nil
+	return f.statusLocked(pj), nil
 }
 
 // CancelJob cancels a queued job immediately or asks a running one to stop
 // at its next checkpoint.
 func (f *Fleet) CancelJob(tenantID, jobID string) (api.JobStatus, error) {
-	f.mu.Lock()
-	j := f.jobs[jobID]
-	if j == nil || j.tenant != tenantID {
-		f.mu.Unlock()
-		return api.JobStatus{}, errNotFound{"job"}
-	}
-	if j.state.Terminal() {
-		st := j.status()
-		f.mu.Unlock()
-		return st, nil
-	}
-	j.cancelReq = true
-	queued := j.state == api.JobQueued
-	var chipID string
-	if queued {
-		j.state = api.JobCanceled
-		chipID = j.spec.Chip
-	}
-	st := j.status()
-	f.mu.Unlock()
-	if queued {
-		if f.store != nil {
-			if err := f.store.Append(jobCancelRec{Job: jobID}, true); err != nil {
-				return st, err
-			}
+	var st api.JobStatus
+	queued := false
+	err := f.locked(func() error {
+		pj := f.state.Jobs[jobID]
+		if pj == nil || pj.Tenant != tenantID {
+			return errNotFound{"job"}
 		}
-		f.emit(api.Event{Type: api.EvJobCanceled, Tenant: tenantID, Chip: chipID, Job: jobID})
+		switch f.jobStateLocked(pj) {
+		case api.JobRunning:
+			f.jobs[jobID].cancelReq = true
+		case api.JobQueued:
+			if err := f.record(jobCancelRec{Job: jobID}); err != nil {
+				return err
+			}
+			queued = true
+		}
+		st = f.statusLocked(pj)
+		return nil
+	})
+	if err != nil {
+		return api.JobStatus{}, err
+	}
+	if queued {
+		f.emit(api.Event{Type: api.EvJobCanceled, Tenant: tenantID, Chip: st.Spec.Chip, Job: jobID})
 	}
 	return st, nil
 }
@@ -1139,28 +1123,21 @@ func (f *Fleet) AddWebhook(tenantID string, spec api.WebhookSpec) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := f.tenants[tenantID]
-	if t == nil {
+	if f.state.Tenants[tenantID] == nil {
 		return errNotFound{"tenant"}
 	}
-	if f.store != nil {
-		if err := f.store.Append(webhookAddRec{Tenant: tenantID, Spec: spec}, true); err != nil {
-			return err
-		}
-	}
-	t.webhooks = append(t.webhooks, spec)
-	return nil
+	return f.record(webhookAddRec{Tenant: tenantID, Spec: spec})
 }
 
 // Webhooks lists a tenant's webhooks.
 func (f *Fleet) Webhooks(tenantID string) ([]api.WebhookSpec, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := f.tenants[tenantID]
+	t := f.state.Tenants[tenantID]
 	if t == nil {
 		return nil, errNotFound{"tenant"}
 	}
-	return append([]api.WebhookSpec(nil), t.webhooks...), nil
+	return append([]api.WebhookSpec(nil), t.Webhooks...), nil
 }
 
 // Subscribe attaches an event-stream consumer for a tenant ("" = all).
@@ -1172,12 +1149,12 @@ func (f *Fleet) Subscribe(tenantID string) (<-chan api.Event, func()) {
 func (f *Fleet) Healthz() api.Health {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	h := api.Health{OK: !f.stopped, Tenants: len(f.tenants), ResumedJobs: f.resumed}
-	for _, t := range f.tenants {
-		h.Chips += len(t.chips)
+	h := api.Health{OK: !f.stopped, Tenants: len(f.state.Tenants), ResumedJobs: f.resumed}
+	for _, t := range f.state.Tenants {
+		h.Chips += len(t.Chips)
 	}
-	for _, j := range f.jobs {
-		switch j.state {
+	for _, pj := range f.state.Jobs {
+		switch f.jobStateLocked(pj) {
 		case api.JobQueued:
 			h.JobsQueued++
 		case api.JobRunning:

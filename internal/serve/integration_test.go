@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -55,34 +57,9 @@ func shutdown(t *testing.T, srv *Server) {
 // execution to complete hazard-free with a result and final chip state
 // byte-identical to an uninterrupted control run.
 func TestKillAndResume(t *testing.T) {
-	spec := api.ChipSpec{ID: "c1", Seed: 77}
-	job := api.JobSpec{Chip: "c1", Assay: mediumAssay, Seed: 77, KMax: 10000}
+	spec, job := cancelChip, cancelJob
 	ctx := ctxT(t)
-
-	// Control: the same chip and job, uninterrupted.
-	ctrlSrv, ctrl := startServer(t, Config{DataDir: t.TempDir(), CheckpointEvery: 4})
-	if _, err := ctrl.CreateTenant(ctx, "acme"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctrl.CreateChip(ctx, "acme", spec); err != nil {
-		t.Fatal(err)
-	}
-	cj, err := ctrl.SubmitJob(ctx, "acme", job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ctrl.WaitJob(ctx, "acme", cj.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.State != api.JobDone || !want.Result.Success {
-		t.Fatalf("control run = %+v", want)
-	}
-	wantState, err := ctrl.ChipHealth(ctx, "acme", "c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shutdown(t, ctrlSrv)
+	cj, want, wantState := uninterrupted(t, ctx)
 
 	// Interrupted run: same specs, crash after the first checkpoint.
 	dir := t.TempDir()
@@ -143,8 +120,8 @@ func TestKillAndResume(t *testing.T) {
 	if got.Result.HazardViolations != 0 {
 		t.Fatalf("resumed run had %d hazard violations", got.Result.HazardViolations)
 	}
-	if *got.Result != *want.Result {
-		t.Fatalf("resumed result diverged:\n got %+v\nwant %+v", *got.Result, *want.Result)
+	if *got.Result != want {
+		t.Fatalf("resumed result diverged:\n got %+v\nwant %+v", *got.Result, want)
 	}
 	gotState, err := c2.ChipHealth(ctx, "acme", "c1")
 	if err != nil {
@@ -153,6 +130,36 @@ func TestKillAndResume(t *testing.T) {
 	if !bytes.Equal(gotState, wantState) {
 		t.Fatalf("final chip state diverged after resume (%d vs %d bytes)", len(gotState), len(wantState))
 	}
+}
+
+// uninterrupted runs cancelJob on cancelChip to completion on a server of
+// its own, the control a resumed run must match.
+func uninterrupted(t *testing.T, ctx context.Context) (api.JobStatus, api.Execution, []byte) {
+	t.Helper()
+	srv, c := startServer(t, Config{DataDir: t.TempDir(), CheckpointEvery: 4})
+	defer shutdown(t, srv)
+	if _, err := c.CreateTenant(ctx, "acme"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateChip(ctx, "acme", cancelChip); err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.SubmitJob(ctx, "acme", cancelJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.WaitJob(ctx, "acme", j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != api.JobDone || !got.Result.Success {
+		t.Fatalf("control run = %+v", got)
+	}
+	state, err := c.ChipHealth(ctx, "acme", "c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, *got.Result, state
 }
 
 // parkFirstCheckpoints parks each of srv's jobs at its first checkpoint:
@@ -417,7 +424,7 @@ func TestFailedEndAppendReloadsChip(t *testing.T) {
 	}
 	f := srv.Fleet
 	f.mu.Lock()
-	ce := f.tenants["acme"].chips["c1"]
+	ce := f.chips[chipKey{"acme", "c1"}]
 	var live bytes.Buffer
 	err = ce.c.SaveState(&live)
 	actuations := ce.summary.actuations
@@ -427,5 +434,225 @@ func TestFailedEndAppendReloadsChip(t *testing.T) {
 	}
 	if !bytes.Equal(live.Bytes(), before) || actuations != 0 {
 		t.Fatalf("the live chip kept the job's wear (%d actuations)", actuations)
+	}
+}
+
+// A job whose end append failed is never published: Shutdown reports the
+// failure and leaves the snapshot as it was, and the reopened server runs
+// the job again, as resumed, to the result and final chip state of an
+// uninterrupted run.
+func TestFailedAppendNeverPublished(t *testing.T) {
+	ctx := ctxT(t)
+	_, want, wantState := uninterrupted(t, ctx)
+
+	dir := t.TempDir()
+	srv, c := startServer(t, Config{DataDir: dir, CheckpointEvery: 4})
+	parked, release := parkCheckpoints(t, srv)
+	if _, err := c.CreateTenant(ctx, "acme"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateChip(ctx, "acme", cancelChip); err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.SubmitJob(ctx, "acme", cancelJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	srv.Fleet.store.CloseAbrupt() // every later append fails
+	release()
+	if st, err := c.WaitJob(ctx, "acme", j.ID); err != nil || st.State != api.JobFailed {
+		t.Fatalf("job with an unjournaled end = %+v, err %v; want failed", st, err)
+	}
+	snapPath := filepath.Join(dir, snapshotName)
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err == nil {
+		t.Fatal("shutdown after a failed append reported no error")
+	}
+	if got, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(got, snap) {
+		t.Fatalf("shutdown rewrote the snapshot after a failed append (err %v)", err)
+	}
+
+	srv2, c2 := startServer(t, Config{DataDir: dir, CheckpointEvery: 4})
+	defer shutdown(t, srv2)
+	checkResumed(t, ctx, c2, j.ID, want, wantState)
+}
+
+// openFleet starts a fleet and shuts it down at cleanup, unless the test
+// stopped it first.
+func openFleet(t *testing.T, cfg Config) *Fleet {
+	t.Helper()
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := f.Shutdown(); err != nil {
+			t.Error(err)
+		}
+	})
+	return f
+}
+
+// waitFleetJob polls a job until it ends.
+func waitFleetJob(t *testing.T, f *Fleet, tenant, id string) api.JobStatus {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		st, err := f.Job(tenant, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State.Terminal() {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s did not end: %+v", id, st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// The health download is byte-identical across a restart, clean or
+// killed, after chip creation, after a job, and after a pretty-printed
+// upload: the fleet serves the one stored copy of the state, and the
+// store keeps it in the form replay decodes.
+func TestHealthDownloadSurvivesRestart(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir()}
+	f := openFleet(t, cfg)
+	if err := f.CreateTenant(api.TenantSpec{ID: "acme"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CreateChip("acme", api.ChipSpec{ID: "c1", Seed: 13}, nil); err != nil {
+		t.Fatal(err)
+	}
+	health := func() []byte {
+		t.Helper()
+		b, err := f.ChipHealth("acme", "c1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	survives := func(after string) {
+		t.Helper()
+		want := health()
+		for _, kill := range []bool{false, true} {
+			how := "shutdown"
+			if kill {
+				how = "kill"
+				f.Kill()
+			} else if err := f.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			f = openFleet(t, cfg)
+			if got := health(); !bytes.Equal(got, want) {
+				t.Fatalf("after %s, a %s and reopen changed the download: %d bytes, %d before", after, how, len(got), len(want))
+			}
+		}
+	}
+	survives("chip creation")
+
+	j, err := f.SubmitJob("acme", api.JobSpec{Chip: "c1", Benchmark: "serial-dilution", Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitFleetJob(t, f, "acme", j.ID); st.State != api.JobDone {
+		t.Fatalf("job = %+v", st)
+	}
+	survives("a job")
+
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, health(), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.UploadChipHealth("acme", "c1", pretty.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	survives("a pretty-printed upload")
+}
+
+// An ephemeral fleet and a durable one answer alike for the same job
+// sequence (a job done, one canceled while queued, one failed): both read
+// the one State, and only the durable one journals it.
+func TestEphemeralMatchesDurable(t *testing.T) {
+	type answers struct {
+		jobs   []api.JobStatus
+		chips  []api.ChipStatus
+		health [][]byte
+		h      api.Health
+	}
+	run := func(cfg Config) answers {
+		cfg.CheckpointEvery = 8
+		f := openFleet(t, cfg)
+		parked, gate := make(chan string, 1), make(chan struct{})
+		f.checkpointGate = func(id string) {
+			select {
+			case parked <- id:
+			default:
+			}
+			<-gate
+		}
+		if err := f.CreateTenant(api.TenantSpec{ID: "acme"}); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range []string{"c1", "c2"} {
+			if err := f.CreateChip("acme", api.ChipSpec{ID: id, Seed: uint64(5 + i)}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ids []string
+		for _, spec := range []api.JobSpec{
+			{Chip: "c1", Benchmark: "serial-dilution", Seed: 5},
+			{Chip: "c1", Benchmark: "cep", Seed: 6},
+			{Chip: "c1", Assay: "assay big\ns = dis 5000\nout s", Seed: 1},
+			{Chip: "c1", Benchmark: "master-mix", Seed: 7},
+		} {
+			st, err := f.SubmitJob("acme", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, st.ID)
+		}
+		<-parked // the first job runs, so the second is queued behind it
+		if _, err := f.CancelJob("acme", ids[1]); err != nil {
+			t.Fatal(err)
+		}
+		close(gate)
+		for _, id := range ids {
+			waitFleetJob(t, f, "acme", id)
+		}
+		var a answers
+		var err error
+		if a.jobs, err = f.Jobs("acme", ""); err != nil {
+			t.Fatal(err)
+		}
+		if a.chips, err = f.Chips("acme"); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"c1", "c2"} {
+			b, err := f.ChipHealth("acme", id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.health = append(a.health, b)
+		}
+		a.h = f.Healthz()
+		return a
+	}
+	ephemeral, durable := run(Config{}), run(Config{DataDir: t.TempDir()})
+	want := []api.JobState{api.JobDone, api.JobCanceled, api.JobFailed, api.JobDone}
+	for i, st := range durable.jobs {
+		if st.State != want[i] {
+			t.Fatalf("job %d = %+v, want %s", i, st, want[i])
+		}
+	}
+	if !reflect.DeepEqual(ephemeral, durable) {
+		t.Fatalf("ephemeral and durable fleets differ:\n%+v\n%+v", ephemeral, durable)
 	}
 }

@@ -166,13 +166,30 @@ func storeFixtureState(t *testing.T, s *Store) {
 	}
 }
 
-func marshalState(t *testing.T, st *State) []byte {
+// sameState fails the test unless the two states are equal, chip-state
+// bytes included: json.Marshal would re-compact raw chip states and so
+// hide a difference in their bytes.
+func sameState(t *testing.T, got, want *State, what string) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(want)
+		t.Fatalf("%s:\n got %.400s\nwant %.400s", what, g, w)
+	}
+}
+
+// cloneState deep-copies a state through its snapshot encoding.
+func cloneState(t *testing.T, st *State) *State {
 	t.Helper()
 	raw, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	var c State
+	if err := json.Unmarshal(raw, &c); err != nil {
+		t.Fatal(err)
+	}
+	return &c
 }
 
 // Replaying snapshot + journal must reconstruct exactly the in-memory
@@ -184,7 +201,6 @@ func TestStoreReplayMatchesMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeFixtureState(t, s)
-	want := marshalState(t, s.State())
 	s.CloseAbrupt() // crash: no snapshot, journal only
 
 	re, err := OpenStore(dir)
@@ -192,15 +208,57 @@ func TestStoreReplayMatchesMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.CloseAbrupt()
-	if got := marshalState(t, re.State()); !bytes.Equal(got, want) {
-		t.Fatalf("replayed state differs from mirror:\n got %s\nwant %s", got, want)
-	}
+	sameState(t, re.State(), s.State(), "replayed state differs from mirror")
 	if re.Dropped() != 0 {
 		t.Fatalf("dropped = %d, want 0", re.Dropped())
 	}
 	// JobsDone must not double-count (job_done applied exactly once).
 	if n := re.State().Tenants["acme"].Chips["c1"].JobsDone; n != 1 {
 		t.Fatalf("jobs done = %d, want 1", n)
+	}
+}
+
+// A failed append leaves the mirror as it was and fails the store: every
+// later append and snapshot is refused, the snapshot on disk stays, and a
+// reopened store holds what was journaled before the failure.
+func TestStoreRefusesAfterFailedAppend(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeFixtureState(t, s)
+	want := cloneState(t, s.State())
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.CloseAbrupt() // every write to the journal fails from here on
+	if err := s.Append(tenantCreateRec{ID: "late"}, true); err == nil {
+		t.Fatal("an append to a closed journal succeeded")
+	}
+	sameState(t, s.State(), want, "the failed append changed the mirror")
+	if err := s.Append(tenantCreateRec{ID: "later"}, false); err == nil {
+		t.Fatal("a failed store took another append")
+	}
+	if err := s.Snapshot(); err == nil {
+		t.Fatal("a failed store took a snapshot")
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("closing a failed store reported no error")
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, snapshotName)); err != nil || !bytes.Equal(got, snap) {
+		t.Fatalf("the failed store rewrote its snapshot (err %v)", err)
+	}
+
+	re, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseAbrupt()
+	sameState(t, re.State(), want, "reopened state differs from the journaled one")
+	if err := re.Append(tenantCreateRec{ID: "late"}, false); err != nil {
+		t.Fatalf("the reopened store refused an append: %v", err)
 	}
 }
 
@@ -213,7 +271,7 @@ func TestStoreCorruptTailDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeFixtureState(t, s)
-	want := marshalState(t, s.State())
+	want := s.State()
 	s.CloseAbrupt()
 
 	jPath := filepath.Join(dir, journalName)
@@ -236,9 +294,7 @@ func TestStoreCorruptTailDropped(t *testing.T) {
 	if re.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", re.Dropped())
 	}
-	if got := marshalState(t, re.State()); !bytes.Equal(got, want) {
-		t.Fatalf("state after tail damage differs from the pre-damage mirror")
-	}
+	sameState(t, re.State(), want, "state after tail damage differs from the pre-damage mirror")
 }
 
 // The snapshot-then-truncate crash window: if the snapshot lands but the
@@ -251,7 +307,7 @@ func TestStoreSnapshotTruncateCrashWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeFixtureState(t, s)
-	want := marshalState(t, s.State())
+	want := s.State()
 	jPath := filepath.Join(dir, journalName)
 	stale, err := os.ReadFile(jPath)
 	if err != nil {
@@ -271,9 +327,7 @@ func TestStoreSnapshotTruncateCrashWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.CloseAbrupt()
-	if got := marshalState(t, re.State()); !bytes.Equal(got, want) {
-		t.Fatalf("stale-journal replay changed state (double-applied records)")
-	}
+	sameState(t, re.State(), want, "stale-journal replay changed state (double-applied records)")
 	if n := re.State().Tenants["acme"].Chips["c1"].JobsDone; n != 1 {
 		t.Fatalf("jobs done = %d after stale replay, want 1", n)
 	}
@@ -288,7 +342,7 @@ func TestStoreIgnoresSnapshotTemp(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeFixtureState(t, s)
-	want := marshalState(t, s.State())
+	want := s.State()
 	s.CloseAbrupt()
 	if err := os.WriteFile(filepath.Join(dir, snapshotName+".tmp"), []byte("{half a snapsho"), 0o644); err != nil {
 		t.Fatal(err)
@@ -298,9 +352,7 @@ func TestStoreIgnoresSnapshotTemp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.CloseAbrupt()
-	if got := marshalState(t, re.State()); !bytes.Equal(got, want) {
-		t.Fatalf("temp snapshot file perturbed recovery")
-	}
+	sameState(t, re.State(), want, "temp snapshot file perturbed recovery")
 }
 
 // Close persists via snapshot; a clean reopen needs no journal at all.
@@ -311,7 +363,7 @@ func TestStoreCleanCloseReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeFixtureState(t, s)
-	want := marshalState(t, s.State())
+	want := s.State()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,9 +371,7 @@ func TestStoreCleanCloseReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := marshalState(t, re.State()); !bytes.Equal(got, want) {
-		t.Fatalf("clean close/reopen changed state")
-	}
+	sameState(t, re.State(), want, "clean close/reopen changed state")
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}

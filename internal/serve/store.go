@@ -1,16 +1,21 @@
 // Durable fleet state: a JSON snapshot plus the journal of journal.go.
 //
-// The Store keeps an in-memory mirror of the persisted state and applies
-// every appended record to it, so the mirror is — by construction — exactly
-// what a restart would reconstruct by replaying the journal over the last
-// snapshot. Snapshotting marshals the mirror through the classic
-// write-temp / fsync / rename dance and then truncates the journal, so a
-// crash at any instant leaves either the old snapshot with the full journal
-// or the new snapshot with an empty (or stale, replay-skipped) journal.
+// The Store keeps an in-memory mirror of the persisted state, the fleet's
+// one copy of its durable facts. Append folds a record into it only after
+// the record's journal line is written and synced, so the mirror is what a
+// restart would rebuild by replaying the journal over the last snapshot;
+// once an append fails, the store refuses every later Append and Snapshot
+// until it is reopened, so no snapshot publishes what the journal lacks.
+// Snapshotting marshals the mirror through the classic write-temp / fsync /
+// rename dance and then truncates the journal, so a crash at any instant
+// leaves either the old snapshot with the full journal or the new snapshot
+// with an empty (or stale, replay-skipped) journal.
 //
 // Chip states and the shared strategy library are carried as raw JSON
 // produced by their owning packages (chip.SaveState, sched.Library.Save);
-// the store never interprets them.
+// the store never interprets them. The fleet hands it chip states in the
+// compact form replay decodes, so the mirror's bytes do not change across
+// a restart.
 //
 // Every record takes one path into the mirror. Append encodes the typed
 // payload once, for the journal line, and folds the payload itself into
@@ -161,8 +166,9 @@ func decodePayload(rec Record) (payload, error) {
 // PersistedChip is one chip's durable state.
 type PersistedChip struct {
 	Spec api.ChipSpec `json:"spec"`
-	// State is the chip.SaveState JSON as of the last job end (or health
-	// upload) — the base state the next job starts from.
+	// State is the chip.SaveState JSON, compact and without its trailing
+	// newline, as of chip creation, the last job end or health upload: the
+	// base state the next job starts from.
 	State json.RawMessage `json:"state"`
 	// JobsDone counts the chip's jobs that ended done, not failed.
 	JobsDone int `json:"jobs_done"`
@@ -292,7 +298,8 @@ type Store struct {
 	mu      sync.Mutex
 	state   *State
 	jw      *journalWriter
-	dropped int // crash-damaged journal tail records dropped at open
+	dropped int   // crash-damaged journal tail records dropped at open
+	failed  error // set by a failed append; then every write returns it
 }
 
 const (
@@ -372,16 +379,19 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// State exposes the in-memory mirror. The fleet reads it once at startup to
-// rebuild runtime state; afterwards mutation happens only through Append.
+// State exposes the in-memory mirror. Only Append and SetLibrary change
+// it, under the store's lock; the fleet holds its own lock around both and
+// around every read.
 func (s *Store) State() *State { return s.state }
 
 // Dropped reports how many crash-damaged journal tail records were dropped
 // when the store was opened.
 func (s *Store) Dropped() int { return s.dropped }
 
-// Append journals one record and folds it into the mirror. sync forces the
-// record to stable storage before returning; the fleet syncs every record.
+// Append journals one record and, once the line is written (and synced,
+// when sync is set), folds it into the mirror. The fleet syncs every
+// record. A failed write leaves the mirror as it was and fails the store:
+// every later Append and Snapshot returns an error until it is reopened.
 //
 // The payload is encoded once, for the journal line. The mirror keeps the
 // payload itself, so Append takes ownership of the payload's slices and
@@ -397,11 +407,18 @@ func (s *Store) Append(p payload, sync bool) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return s.failed
+	}
 	seq := s.state.Seq + 1
 	rec := Record{Seq: seq, Type: typ, Data: data, CRC: recordCRC(seq, typ, data)}
+	if err := s.jw.Append(rec, sync); err != nil {
+		s.failed = fmt.Errorf("serve: store failed, reopen it to write again: %w", err)
+		return err
+	}
 	s.state.apply(p)
 	s.state.Seq = seq
-	return s.jw.Append(rec, sync)
+	return nil
 }
 
 // AppendJobDone journals the end of a job: its result or error, and the
@@ -425,6 +442,9 @@ func (s *Store) SetLibrary(raw []byte) {
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return s.failed
+	}
 	if err := s.writeSnapshot(); err != nil {
 		return err
 	}
@@ -476,12 +496,11 @@ func (s *Store) CloseAbrupt() {
 	s.jw.f.Close() //lint:ignore errflowstrict simulating a crash: the close error is the point of abandoning cleanliness
 }
 
-// Close snapshots and closes the journal.
+// Close snapshots and closes the journal. A failed store writes no
+// snapshot, but its journal is closed all the same.
 func (s *Store) Close() error {
-	if err := s.Snapshot(); err != nil {
-		return err
-	}
+	err := s.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jw.Close()
+	return errors.Join(err, s.jw.Close())
 }
